@@ -23,9 +23,9 @@ from .spectral import (CrossSection, HybridSpectrum, Spectrum1D, Spectrum2D,
                        cross_section, dft_fid, dft_t1, dft_t2,
                        hybrid_omega2_axis, peak_amplitudes)
 from .tomography import (DesignMatrix, TomographyResult, build_design_matrix,
-                         fidelity, fit_diagonal, fit_offdiagonal, load_design,
+                         fidelity, fit_diagonal, fit_offdiagonal,
                          max_relative_element_error, reconstruct,
-                         reference_normalize, save_design, tomograph_state)
+                         reference_normalize, tomograph_state)
 
 __version__ = "0.1.0"
 
@@ -41,10 +41,10 @@ __all__ = [
     "density_to_coefficients", "detect_signal", "dft_fid", "dft_t1", "dft_t2",
     "diagonal_labels", "evolution_cache", "evolve", "fidelity", "fit_diagonal",
     "fit_offdiagonal", "format_label", "gradient_project", "hamiltonian",
-    "hybrid_omega2_axis", "load_design", "max_relative_element_error",
+    "hybrid_omega2_axis", "max_relative_element_error",
     "observable_labels", "offdiagonal_labels", "parse_label",
     "peak_amplitudes", "product_operator", "realistic_gradient_project",
     "reconstruct", "reference_fid", "reference_normalize", "rotation_pulse",
-    "run_sequence_A", "run_sequence_B", "save_design", "tomograph_state",
+    "run_sequence_A", "run_sequence_B", "tomograph_state",
     "transition_table",
 ]

@@ -4,7 +4,7 @@ Subcommands
 -----------
 simulate    run both pulse sequences and export signals and spectra
 tomograph   simulate, invert, and score against the configured input state
-basis       build (or load from cache) the design matrix and dump a summary
+basis       build the design matrix and dump a summary
 
 Exit codes: 0 success, 2 configuration error, 3 numerical or rank error.
 """
@@ -31,10 +31,7 @@ from .experiment import (default_acquisition, export_signal1d, export_signal2d,
 from .spectral import (cross_section, dft_fid, dft_t1, dft_t2,
                        export_cross_section, export_spectrum1d,
                        export_spectrum2d)
-from .tomography import (build_design_matrix, design_digest, load_design,
-                         save_design, tomograph_state)
-
-log = logging.getLogger(__name__)
+from .tomography import build_design_matrix, tomograph_state
 
 
 @dataclass
@@ -159,6 +156,8 @@ def config_from_dict(raw: dict) -> RunConfig:
         raise ConfigError(f"invalid 'options' value: {exc}")
     if options.noise_rms < 0:
         raise ConfigError("'options.noise_rms' must be non-negative")
+    if options.gradient_draws < 1:
+        raise ConfigError("'options.gradient_draws' must be at least 1")
 
     return RunConfig(system=system, coefficients=coefficients,
                      acquisition=acq, options=options)
@@ -231,12 +230,18 @@ def selected_transition_indices(cfg: RunConfig, table):
 # Output helpers
 
 
-def _atomic_write_text(path: Path, text: str) -> None:
+def _atomic_write(path: Path, write) -> None:
+    """Let ``write(tmp_path)`` fill a unique temp file, then rename it to ``path``.
+
+    Readers see the old file or the new one, never a partial one, and
+    concurrent writers into one directory never share a temp file.  The temp
+    file is removed when ``write`` raises.
+    """
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    os.close(fd)
     try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
+        write(tmp)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -244,15 +249,12 @@ def _atomic_write_text(path: Path, text: str) -> None:
         raise
 
 
+def _atomic_write_text(path: Path, text: str) -> None:
+    _atomic_write(path, lambda tmp: Path(tmp).write_text(text))
+
+
 def _write_json(path: Path, payload: dict) -> None:
     _atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def _export_with_temp(export_fn, path: Path, *objects) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    export_fn(*objects, tmp)
-    os.replace(tmp, path)
 
 
 def _apply_noise(rng, array: np.ndarray, rms: float) -> np.ndarray:
@@ -277,12 +279,12 @@ def _simulate_signals(cfg: RunConfig, params, rng):
 
 
 def _export_simulation(cfg: RunConfig, signal_a, signal_b, out: Path):
-    _export_with_temp(lambda s, p: export_signal2d(s, p, None), out / "signal_a.csv", signal_a)
+    _atomic_write(out / "signal_a.csv", lambda p: export_signal2d(signal_a, p))
     _write_json(out / "signal_a.json", {
         "dwell_t1_s": signal_a.dwell_t1_s, "dwell_t2_s": signal_a.dwell_t2_s,
         "n_t1": signal_a.n_t1, "n_t2": signal_a.n_t2, "meta": signal_a.meta,
     })
-    _export_with_temp(lambda s, p: export_signal1d(s, p, None), out / "signal_b.csv", signal_b)
+    _atomic_write(out / "signal_b.csv", lambda p: export_signal1d(signal_b, p))
     _write_json(out / "signal_b.json", {
         "dwell_s": signal_b.dwell_s, "n_samples": int(len(signal_b.samples)),
         "meta": signal_b.meta,
@@ -290,8 +292,7 @@ def _export_simulation(cfg: RunConfig, signal_a, signal_b, out: Path):
 
     hybrid = dft_t2(signal_a)
     spectrum = dft_t1(hybrid)
-    _export_with_temp(lambda s, p: export_spectrum2d(s, p, None),
-                      out / "spectrum_2d.csv", spectrum)
+    _atomic_write(out / "spectrum_2d.csv", lambda p: export_spectrum2d(spectrum, p))
     _write_json(out / "spectrum_2d_axes.json", {
         "omega1_hz": [float(f) for f in spectrum.omega1_hz],
         "omega2_hz": [float(f) for f in spectrum.omega2_hz],
@@ -299,39 +300,25 @@ def _export_simulation(cfg: RunConfig, signal_a, signal_b, out: Path):
     })
 
     table = transition_table(cfg.system)
-    for transition in table:
+    # Named by transition-table index (the index design_summary.json lists):
+    # frequencies can agree to any printed precision.
+    for i, transition in enumerate(table):
         section = cross_section(hybrid, transition.frequency_hz)
-        name = f"cross_section_q{transition.qubit}_{transition.frequency_hz:.1f}Hz.csv"
-        _export_with_temp(export_cross_section, out / name, section)
+        _atomic_write(out / f"cross_section_{i:02d}_q{transition.qubit}.csv",
+                      lambda p: export_cross_section(section, p))
 
     spectrum_b = dft_fid(signal_b)
-    _export_with_temp(export_spectrum1d, out / "spectrum_b.csv", spectrum_b)
+    _atomic_write(out / "spectrum_b.csv", lambda p: export_spectrum1d(spectrum_b, p))
     return hybrid, spectrum
 
 
-def _design_with_cache(cfg: RunConfig, params, out: Path, threads: int):
-    table = transition_table(cfg.system)
-    selected = selected_transition_indices(cfg, table)
-    indices = tuple(range(len(table))) if selected is None else tuple(selected)
-    digest = design_digest(cfg.system, params, indices)
-    cache_dir = out / "cache"
-    cache_path = cache_dir / f"design_{digest}.npz"
-    if cache_path.exists():
-        log.info("design cache hit: %s", cache_path)
-        return load_design(cache_path), cache_path, True
-    design = build_design_matrix(cfg.system, params, selected, threads=threads)
-    cache_dir.mkdir(parents=True, exist_ok=True)
-    tmp = cache_path.with_name(cache_path.name + ".tmp.npz")
-    save_design(design, tmp)
-    os.replace(tmp, cache_path)
-    log.info("design cache written: %s", cache_path)
-    return design, cache_path, False
+def _build_design(cfg: RunConfig, params):
+    selected = selected_transition_indices(cfg, transition_table(cfg.system))
+    return build_design_matrix(cfg.system, params, selected)
 
 
-def _design_summary(design, cache_path) -> dict:
+def _design_summary(design) -> dict:
     return {
-        "digest": design.digest,
-        "cache_file": cache_path.name,
         "shape": list(design.matrix.shape),
         "labels": [format_label(l) for l in design.labels],
         "rank": design.rank,
@@ -378,7 +365,7 @@ def _write_report(path: Path, result, cfg: RunConfig) -> None:
 # Commands
 
 
-def cmd_simulate(cfg: RunConfig, out: Path, threads: int) -> int:
+def cmd_simulate(cfg: RunConfig, out: Path) -> int:
     params = resolve_params(cfg)
     rng = np.random.default_rng(cfg.options.seed)
     _, signal_a, signal_b = _simulate_signals(cfg, params, rng)
@@ -387,14 +374,14 @@ def cmd_simulate(cfg: RunConfig, out: Path, threads: int) -> int:
     return 0
 
 
-def cmd_tomograph(cfg: RunConfig, out: Path, threads: int) -> int:
+def cmd_tomograph(cfg: RunConfig, out: Path) -> int:
     params = resolve_params(cfg)
     rng = np.random.default_rng(cfg.options.seed)
     rho0, signal_a, signal_b = _simulate_signals(cfg, params, rng)
     _export_simulation(cfg, signal_a, signal_b, out)
 
-    design, cache_path, _ = _design_with_cache(cfg, params, out, threads)
-    _write_json(out / "design_summary.json", _design_summary(design, cache_path))
+    design = _build_design(cfg, params)
+    _write_json(out / "design_summary.json", _design_summary(design))
 
     result = tomograph_state(cfg.system, rho0, params, design=design,
                              signal_a=signal_a, signal_b=signal_b,
@@ -411,14 +398,13 @@ def cmd_tomograph(cfg: RunConfig, out: Path, threads: int) -> int:
     return 0
 
 
-def cmd_basis(cfg: RunConfig, out: Path, threads: int) -> int:
+def cmd_basis(cfg: RunConfig, out: Path) -> int:
     params = resolve_params(cfg)
-    design, cache_path, hit = _design_with_cache(cfg, params, out, threads)
-    _write_json(out / "design_summary.json", _design_summary(design, cache_path))
+    design = _build_design(cfg, params)
+    _write_json(out / "design_summary.json", _design_summary(design))
     print(f"design matrix {design.matrix.shape[0]}x{design.matrix.shape[1]}, "
           f"rank {design.rank}/{len(design.labels)}, "
-          f"condition number {design.condition_number:.6g}"
-          + (" (cache hit)" if hit else ""))
+          f"condition number {design.condition_number:.6g}")
     if not design.is_solvable:
         bad = (design.undetermined_labels or design.nullspace_labels
                or design.zero_labels)
@@ -438,8 +424,6 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="path to a JSON run configuration")
     parser.add_argument("--out", default=None, help="output directory (default: from config)")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for design-matrix columns")
     parser.add_argument("--verbose", action="store_true")
     args = parser.parse_args(argv)
 
@@ -458,7 +442,7 @@ def main(argv=None) -> int:
         out.mkdir(parents=True, exist_ok=True)
         handler = {"simulate": cmd_simulate, "tomograph": cmd_tomograph,
                    "basis": cmd_basis}[args.command]
-        return handler(cfg, out, max(1, args.threads))
+        return handler(cfg, out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -83,10 +83,14 @@ def gradient_project(rho: np.ndarray) -> np.ndarray:
 
     Real gradients spare homonuclear zero-quantum coherences; this models the
     end result of the randomized-delay averaging that suppresses them (see
-    :func:`realistic_gradient_project` for the explicit mechanism).
+    :func:`realistic_gradient_project` for the explicit mechanism).  Accepts
+    a single matrix or a (..., dim, dim) batch.
     """
     rho = np.asarray(rho, dtype=complex)
-    return np.diag(np.diag(rho))
+    idx = np.arange(rho.shape[-1])
+    out = np.zeros_like(rho)
+    out[..., idx, idx] = rho[..., idx, idx]
+    return out
 
 
 def realistic_gradient_project(rho: np.ndarray, system: SpinSystem,
@@ -98,6 +102,8 @@ def realistic_gradient_project(rho: np.ndarray, system: SpinSystem,
     Keeps diagonal and zero-quantum elements, then ensemble-averages the state
     over ``draws`` random free-evolution delays uniform in [0, tau_max_s].
     Zero-quantum phases average towards zero; the diagonal is untouched.
+    Accepts a single matrix or a (..., dim, dim) batch; every matrix of a
+    batch sees the same delays.
     """
     if draws < 1:
         raise ValueError("draws must be at least 1")

@@ -25,7 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import SpinSystem, is_hermitian, rotation_pulse, single_quantum_transitions
-from .dynamics import detection_elements, evolution_cache
+from .dynamics import (detection_elements, evolution_cache, gradient_project,
+                       realistic_gradient_project)
 from .errors import DegenerateTransitionError, NyquistError
 
 
@@ -219,27 +220,27 @@ def _validate_state(rho: np.ndarray, system: SpinSystem) -> np.ndarray:
     return rho
 
 
-def _grad_projected(sigma: np.ndarray, system: SpinSystem, gradient: str,
+def _apply_gradient(sigma: np.ndarray, system: SpinSystem, gradient: str,
                     rng, draws: int, tau_max_s: float) -> np.ndarray:
-    """Gradient step for a batch (..., dim, dim) of states."""
-    dim = system.dim
+    """Dispatch the gradient step for a batch (..., dim, dim) of states."""
     if gradient == "ideal":
-        out = np.zeros_like(sigma)
-        idx = np.arange(dim)
-        out[..., idx, idx] = sigma[..., idx, idx]
-        return out
+        return gradient_project(sigma)
     if gradient != "realistic":
         raise ValueError(f"unknown gradient mode {gradient!r}")
     if rng is None:
         raise ValueError("realistic gradient mode needs an rng")
-    cache = evolution_cache(system)
-    kept = sigma * (cache.orders == 0)
-    expo = -2.0j * np.pi * cache.frequencies - (1.0 - np.eye(dim)) / system.t2_s
-    taus = rng.uniform(0.0, tau_max_s, size=draws)
-    acc = np.zeros_like(kept)
-    for tau in taus:
-        acc += kept * np.exp(expo * tau)
-    return acc / draws
+    return realistic_gradient_project(sigma, system, rng, draws, tau_max_s)
+
+
+def detection_fids(system: SpinSystem, t2_times: np.ndarray) -> np.ndarray:
+    """Unit FIDs of the detected elements, one row per element.
+
+    Row p is exp((2i*pi*f_p - 1/T2) * t2) for element p of
+    :func:`~spintomo.dynamics.detection_elements`.
+    """
+    _, _, freqs = detection_elements(system)
+    rates = 2.0j * np.pi * freqs - 1.0 / system.t2_s
+    return np.exp(np.outer(rates, t2_times))
 
 
 def _fid_from_states(sigma: np.ndarray, system: SpinSystem,
@@ -247,13 +248,25 @@ def _fid_from_states(sigma: np.ndarray, system: SpinSystem,
     """Detected FIDs for a batch of states under free evolution with decay.
 
     Only single-quantum elements reach the detector; each contributes its
-    current amplitude times exp((2i*pi*f - 1/T2) * t2).
+    current amplitude times its unit FID.
     """
-    rows, cols, freqs = detection_elements(system)
-    amplitudes = sigma[..., rows, cols]
-    rates = 2.0j * np.pi * freqs - 1.0 / system.t2_s
-    phases = np.exp(np.outer(rates, t2_times))
-    return amplitudes @ phases
+    rows, cols, _ = detection_elements(system)
+    return sigma[..., rows, cols] @ detection_fids(system, t2_times)
+
+
+def sequence_A_steps(system: SpinSystem, params: AcquisitionParams):
+    """The fixed linear steps of sequence A around the gradient.
+
+    Returns ``(evolution, pulse_90, pulse_read)``: the (n_t1, dim, dim)
+    element-wise factors exp(t1 * expo) of free evolution with decay over the
+    t1 grid, the (pi/2) pulse about +y and the alpha read pulse about -y.
+    """
+    cache = evolution_cache(system)
+    expo = -2.0j * np.pi * cache.frequencies - (1.0 - np.eye(system.dim)) / system.t2_s
+    evolution = np.exp(params.t1_times[:, None, None] * expo[None, :, :])
+    pulse_90 = rotation_pulse(system, np.pi / 2.0, 0.0)
+    pulse_read = rotation_pulse(system, params.alpha_rad, np.pi)
+    return evolution, pulse_90, pulse_read
 
 
 def run_sequence_A(system: SpinSystem, rho0: np.ndarray, params: AcquisitionParams,
@@ -270,17 +283,12 @@ def run_sequence_A(system: SpinSystem, rho0: np.ndarray, params: AcquisitionPara
     rho0 = _validate_state(rho0, system)
     table = transition_table(system)
     check_nyquist(table, params)
-    cache = evolution_cache(system)
-    dim = system.dim
+    evolution, pulse_90, pulse_read = sequence_A_steps(system, params)
 
-    expo = -2.0j * np.pi * cache.frequencies - (1.0 - np.eye(dim)) / system.t2_s
-    sigma = rho0[None, :, :] * np.exp(params.t1_times[:, None, None] * expo[None, :, :])
-
-    pulse_90 = rotation_pulse(system, np.pi / 2.0, 0.0)
+    sigma = rho0[None, :, :] * evolution
     sigma = pulse_90 @ sigma @ pulse_90.conj().T
-    sigma = _grad_projected(sigma, system, gradient, rng, gradient_draws,
+    sigma = _apply_gradient(sigma, system, gradient, rng, gradient_draws,
                             gradient_tau_max_s)
-    pulse_read = rotation_pulse(system, params.alpha_rad, np.pi)
     sigma = pulse_read @ sigma @ pulse_read.conj().T
 
     grid = _fid_from_states(sigma, system, params.t2_times)
@@ -315,8 +323,8 @@ def run_sequence_B(system: SpinSystem, rho0: np.ndarray, params: AcquisitionPara
             "linear-response regime (15 deg)",
             stacklevel=2,
         )
-    sigma = _grad_projected(rho0[None, :, :], system, gradient, rng,
-                            gradient_draws, gradient_tau_max_s)[0]
+    sigma = _apply_gradient(rho0, system, gradient, rng, gradient_draws,
+                            gradient_tau_max_s)
     pulse = rotation_pulse(system, params.beta_rad, 0.0)
     sigma = pulse @ sigma @ pulse.conj().T
     samples = _fid_from_states(sigma[None, :, :], system, params.t2_times)[0]

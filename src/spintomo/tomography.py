@@ -4,10 +4,12 @@ Off-diagonal coefficients come from a linear least-squares fit of the
 two-dimensional data: every off-diagonal basis operator is pushed through the
 same sequence and processing as the measurement, its t1-domain cross-sections
 at the selected transitions form one column of a design matrix, and the
-measured cross-sections are solved against those columns.  This sidesteps any
-hand-derived lineshape algebra and stays exact for arbitrary register sizes,
-including partially overlapping lines, because model and measurement share
-every processing step bin for bin.
+measured cross-sections are solved against those columns.  Every step of that
+chain is linear, so the columns come from one closed-form linear map built
+from the same pulses, evolution factors and t2 transform the simulator uses.
+This sidesteps any hand-derived lineshape algebra and stays exact for
+arbitrary register sizes, including partially overlapping lines, because
+model and measurement share every processing step bin for bin.
 
 Diagonal coefficients come from the one-dimensional readout the same way:
 peak amplitudes of the measured spectrum are fit against the simulated
@@ -16,29 +18,24 @@ amplitudes of each diagonal basis operator at the same pulse angle.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import logging
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .core import (SpinSystem, coefficients_to_density, diagonal_labels,
                    observable_labels, offdiagonal_labels, product_operator)
+from .dynamics import detection_elements
 from .errors import RankDeficiencyError
 from .experiment import (AcquisitionParams, Signal1D, Signal2D, TransitionTable,
-                         check_nyquist, reference_fid, run_sequence_A,
-                         run_sequence_B, transition_table)
+                         check_nyquist, detection_fids, reference_fid,
+                         run_sequence_A, run_sequence_B, sequence_A_steps,
+                         transition_table)
 from .spectral import (dft_fid, dft_t2, hybrid_omega2_axis, nearest_bin,
                        peak_amplitudes)
 
 log = logging.getLogger(__name__)
-
-# Bump when the fixed internal processing (apodization, zero fill, stacking)
-# changes; it keys cached design matrices.
-PROCESSING_VERSION = "v1"
 
 RESIDUAL_WARN_THRESHOLD = 1e-6
 
@@ -65,7 +62,6 @@ class DesignMatrix:
     zero_labels: tuple = ()
     nullspace_labels: tuple = ()
     undetermined_labels: tuple = ()
-    digest: str = ""
 
     @property
     def is_full_rank(self) -> bool:
@@ -172,23 +168,51 @@ def _stack_cross_sections(hybrid_grid: np.ndarray, bins) -> np.ndarray:
     return np.concatenate(pieces)
 
 
-def design_digest(system: SpinSystem, params: AcquisitionParams,
-                  transition_indices) -> str:
-    payload = json.dumps(
-        {
-            "system": system.to_dict(),
-            "params": params.to_dict(),
-            "transitions": list(transition_indices),
-            "processing": PROCESSING_VERSION,
-        },
-        sort_keys=True, separators=(",", ":"),
-    )
-    return hashlib.sha256(payload.encode()).hexdigest()[:16]
+def _design_columns(system: SpinSystem, params: AcquisitionParams, bins,
+                    labels) -> np.ndarray:
+    """Stacked cross-sections of sequence A for every basis operator at once.
+
+    The sequence maps an input state rho to the hybrid spectrum
+
+        hybrid[t1, b] = sum_rs E[t1, rs] * G[rs, b] * rho[r, s]
+
+    with E the t1 evolution factors and G = V^T W^T K the rest of the chain:
+    V[k, rs] = P[k, r] conj(P[k, s]) keeps what the (pi/2) pulse P puts on the
+    diagonal (the ideal gradient discards the rest), W[p, k] =
+    R[rows_p, k] conj(R[cols_p, k]) carries population k through the read
+    pulse R onto detected element p, and K[p, b] is :func:`dft_t2` of the
+    unit FID of element p at bin b, so the t2 processing is the
+    measurement's own.  Removing the t1 mean of E removes it from every trace.
+    """
+    evolution, pulse_90, pulse_read = sequence_A_steps(system, params)
+    rows, cols, _ = detection_elements(system)
+    unit_fids = Signal2D(grid=detection_fids(system, params.t2_times),
+                         dwell_t1_s=params.dwell_t1_s,
+                         dwell_t2_s=params.dwell_t2_s,
+                         meta={"t2_s": system.t2_s})
+    kernel = dft_t2(unit_fids).grid[:, list(bins)]
+    dim, n_t1 = system.dim, params.n_t1
+    to_diagonal = (pulse_90[:, :, None] * pulse_90.conj()[:, None, :]).reshape(dim, dim * dim)
+    to_detected = pulse_read[rows, :] * pulse_read[cols, :].conj()
+    response = to_diagonal.T @ (to_detected.T @ kernel)
+
+    evolution = evolution.reshape(n_t1, dim * dim)
+    evolution = evolution - evolution.mean(axis=0)
+    operators = np.column_stack([product_operator(system, label).ravel()
+                                 for label in labels])
+    # Bin by bin keeps the temporaries at n_t1 x labels; a single product over
+    # all bins would hold a dim^2 x (bins * labels) complex array.
+    matrix = np.empty((2 * n_t1 * len(bins), len(labels)))
+    for j in range(len(bins)):
+        traces = evolution @ (response[:, j, None] * operators)
+        matrix[2 * j * n_t1:(2 * j + 1) * n_t1] = traces.real
+        matrix[(2 * j + 1) * n_t1:(2 * j + 2) * n_t1] = traces.imag
+    return matrix
 
 
 def build_design_matrix(system: SpinSystem, params: AcquisitionParams,
-                        selected_transitions=None, threads: int = 1) -> DesignMatrix:
-    """Simulate every off-diagonal basis operator and stack its cross-sections.
+                        selected_transitions=None) -> DesignMatrix:
+    """Stack the cross-sections of every off-diagonal basis operator.
 
     ``selected_transitions`` are indices into the transition table; default is
     all of them.  One cross-section per qubit is the minimum that can
@@ -216,18 +240,7 @@ def build_design_matrix(system: SpinSystem, params: AcquisitionParams,
         if sum(c in "xy" for c in label) == 1
         and (label.index("x") if "x" in label else label.index("y")) + 1 in missing
     )
-
-    def column(label: str) -> np.ndarray:
-        signal = run_sequence_A(system, product_operator(system, label), params)
-        hybrid = dft_t2(signal)
-        return _stack_cross_sections(hybrid.grid, bins)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            columns = list(pool.map(column, labels))
-    else:
-        columns = [column(label) for label in labels]
-    matrix = np.column_stack(columns)
+    matrix = _design_columns(system, params, bins, labels)
 
     column_norms = np.linalg.norm(matrix, axis=0)
     norm_scale = float(np.max(column_norms)) if np.any(column_norms) else 0.0
@@ -243,7 +256,9 @@ def build_design_matrix(system: SpinSystem, params: AcquisitionParams,
 
     nullspace_labels = ()
     if rank < len(labels):
-        _, _, vt = np.linalg.svd(matrix, full_matrices=True)
+        # Only vt is used: skip the rows x rows U of a tall design, but keep
+        # the full vt of a wide one, whose null space has more rows than U.
+        _, _, vt = np.linalg.svd(matrix, full_matrices=matrix.shape[0] < matrix.shape[1])
         null_rows = vt[rank:]
         weight = np.max(np.abs(null_rows), axis=0)
         nullspace_labels = tuple(
@@ -263,57 +278,10 @@ def build_design_matrix(system: SpinSystem, params: AcquisitionParams,
         zero_labels=zero_labels,
         nullspace_labels=nullspace_labels,
         undetermined_labels=undetermined,
-        digest=design_digest(system, params, indices),
     )
-    log.info("design matrix %s: shape %s, rank %d/%d, condition %.3g",
-             design.digest, matrix.shape, rank, len(labels), cond)
+    log.info("design matrix: shape %s, rank %d/%d, condition %.3g",
+             matrix.shape, rank, len(labels), cond)
     return design
-
-
-def save_design(design: DesignMatrix, path) -> None:
-    meta = {
-        "system_digest": design.system_digest,
-        "params": design.params.to_dict(),
-        "transition_indices": list(design.transition_indices),
-        "bins": list(design.bins),
-        "rank": design.rank,
-        "condition_number": design.condition_number,
-        "zero_labels": list(design.zero_labels),
-        "nullspace_labels": list(design.nullspace_labels),
-        "undetermined_labels": list(design.undetermined_labels),
-        "digest": design.digest,
-        "processing": PROCESSING_VERSION,
-    }
-    np.savez_compressed(
-        path,
-        matrix=design.matrix,
-        labels=np.array(design.labels),
-        singular_values=design.singular_values,
-        meta=np.array(json.dumps(meta, sort_keys=True)),
-    )
-
-
-def load_design(path) -> DesignMatrix:
-    with np.load(path, allow_pickle=False) as data:
-        meta = json.loads(str(data["meta"]))
-        if meta.get("processing") != PROCESSING_VERSION:
-            raise ValueError("cached design matrix uses a different processing version")
-        params = AcquisitionParams(**meta["params"])
-        return DesignMatrix(
-            matrix=data["matrix"],
-            labels=tuple(str(x) for x in data["labels"]),
-            system_digest=meta["system_digest"],
-            params=params,
-            transition_indices=tuple(meta["transition_indices"]),
-            bins=tuple(meta["bins"]),
-            singular_values=data["singular_values"],
-            rank=int(meta["rank"]),
-            condition_number=float(meta["condition_number"]),
-            zero_labels=tuple(meta["zero_labels"]),
-            nullspace_labels=tuple(meta["nullspace_labels"]),
-            undetermined_labels=tuple(meta["undetermined_labels"]),
-            digest=meta["digest"],
-        )
 
 
 def _check_signal_matches_design(signal: Signal2D, design: DesignMatrix) -> None:
@@ -520,8 +488,8 @@ def tomograph_state(system: SpinSystem, rho0: np.ndarray,
                     params: AcquisitionParams, design: DesignMatrix | None = None,
                     signal_a: Signal2D | None = None,
                     signal_b: Signal1D | None = None,
-                    selected_transitions=None, normalize: bool = True,
-                    threads: int = 1) -> TomographyResult:
+                    selected_transitions=None,
+                    normalize: bool = True) -> TomographyResult:
     """Full pipeline: simulate both experiments, invert, reassemble, score.
 
     Pre-simulated (possibly noise-added) signals can be passed in; otherwise
@@ -529,8 +497,7 @@ def tomograph_state(system: SpinSystem, rho0: np.ndarray,
     scoring reference.
     """
     if design is None:
-        design = build_design_matrix(system, params, selected_transitions,
-                                     threads=threads)
+        design = build_design_matrix(system, params, selected_transitions)
     if signal_a is None:
         signal_a = run_sequence_A(system, rho0, params)
     if signal_b is None:

@@ -4,7 +4,8 @@ import warnings
 import numpy as np
 import pytest
 
-from spintomo.cli import (config_from_dict, config_to_dict, main, parse_config)
+from spintomo.cli import (_atomic_write, config_from_dict, config_to_dict, main,
+                          parse_config)
 from spintomo.errors import ConfigError
 
 from conftest import DEMO_COEFFS, local_maxima_above
@@ -85,6 +86,22 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="cross_section_qubits"):
             config_from_dict(payload)
 
+    def test_gradient_draws_below_one_rejected(self, tmp_path, capsys):
+        payload = demo_config(realistic_gradient=True, gradient_draws=0)
+        with pytest.raises(ConfigError, match="gradient_draws"):
+            config_from_dict(payload)
+        code = main(["tomograph", "--config", str(write_config(tmp_path, payload)),
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "gradient_draws" in capsys.readouterr().err
+
+    def test_threads_option_removed(self, tmp_path):
+        path = write_config(tmp_path, demo_config(n_t1=32, n_t2=64))
+        with pytest.raises(SystemExit) as info:
+            main(["basis", "--config", str(path), "--out", str(tmp_path / "out"),
+                  "--threads", "3"])
+        assert info.value.code == 2
+
     def test_round_trip_canonical(self):
         cfg = config_from_dict(demo_config())
         emitted = config_to_dict(cfg)
@@ -108,6 +125,39 @@ class TestSimulateCommand:
             assert (out / name).exists(), name
         sections = list(out.glob("cross_section_*.csv"))
         assert len(sections) == 4
+
+    def test_cross_sections_named_by_transition_index(self, tmp_path):
+        # J13 - J12 = 0.02 Hz: transitions 0.01 Hz apart share a 0.1 Hz name
+        payload = demo_config(n_t1=16, n_t2=64)
+        payload["spin_system"] = {
+            "n": 3, "larmor_hz": [500.0, 900.0, 1400.0],
+            "couplings_hz": {"1,2": 50.0, "1,3": 50.02, "2,3": 30.0},
+            "t2_s": 0.01,
+        }
+        payload["state"]["coefficients"] = [["x o o", 1.0]]
+        path = write_config(tmp_path, payload)
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+        names = sorted(p.name for p in out.glob("cross_section_*.csv"))
+        assert len(names) == 12
+        assert names[0] == "cross_section_00_q1.csv"
+        assert names[-1] == "cross_section_11_q3.csv"
+
+    def test_failed_export_keeps_previous_file(self, tmp_path):
+        target = tmp_path / "signal_a.csv"
+        target.write_text("previous\n")
+
+        def partial_then_fail(path):
+            with open(path, "w") as handle:
+                handle.write("half a fi")
+            raise RuntimeError("export failed")
+
+        with pytest.raises(RuntimeError, match="export failed"):
+            _atomic_write(target, partial_then_fail)
+        assert target.read_text() == "previous\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["signal_a.csv"]
 
     def test_spectrum_column_maxima_at_transitions(self, tmp_path):
         path = write_config(tmp_path, demo_config(n_t1=64, n_t2=256))
@@ -170,7 +220,7 @@ class TestTomographCommand:
         assert result["scale_factor"] == pytest.approx(1.0, abs=1e-6)
         assert (out / "report.txt").exists()
         assert (out / "design_summary.json").exists()
-        assert list((out / "cache").glob("design_*.npz"))
+        assert not (out / "cache").exists()
         assert "fidelity" in capsys.readouterr().out
 
     def test_byte_identical_results(self, tmp_path):
@@ -239,20 +289,8 @@ class TestBasisCommand:
         assert summary["rank"] == 12
         assert summary["solvable"] is True
         assert len(summary["labels"]) == 12
-
-    def test_cache_hit_logged_and_stable(self, tmp_path, capsys):
-        path = write_config(tmp_path, demo_config(n_t1=64, n_t2=128))
-        out = tmp_path / "out"
-        assert main(["basis", "--config", str(path), "--out", str(out)]) == 0
-        cache_file = next((out / "cache").glob("design_*.npz"))
-        first = cache_file.read_bytes()
-        capsys.readouterr()
-        assert main(["basis", "--config", str(path), "--out", str(out),
-                     "--verbose"]) == 0
-        captured = capsys.readouterr()
-        assert "cache hit" in captured.err
-        assert "cache hit" in captured.out
-        assert cache_file.read_bytes() == first
+        assert "digest" not in summary and "cache_file" not in summary
+        assert not (out / "cache").exists()
 
     def test_rank_deficient_selection(self, tmp_path, capsys):
         payload = demo_config(n_t1=64, n_t2=128)
@@ -266,9 +304,3 @@ class TestBasisCommand:
         summary = json.loads((out / "design_summary.json").read_text())
         assert set(summary["undetermined_labels"]) == {"o x", "o y", "z x", "z y"}
         assert "o x" in capsys.readouterr().err
-
-    def test_threads_flag(self, tmp_path):
-        path = write_config(tmp_path, demo_config(n_t1=32, n_t2=64))
-        out = tmp_path / "out"
-        assert main(["basis", "--config", str(path), "--out", str(out),
-                     "--threads", "3"]) == 0

@@ -108,6 +108,13 @@ class TestGradientProject:
         once = gradient_project(rho)
         assert np.allclose(gradient_project(once), once)
 
+    def test_batch_matches_single(self, two_spin_system):
+        rng = np.random.default_rng(4)
+        batch = np.stack([random_hermitian_traceless(rng, 4) for _ in range(3)])
+        projected = gradient_project(batch)
+        for rho, out in zip(batch, projected):
+            assert np.array_equal(out, gradient_project(rho))
+
 
 class TestRealisticGradient:
     def test_diagonal_untouched(self, two_spin_system):
@@ -140,6 +147,16 @@ class TestRealisticGradient:
         rng = np.random.default_rng(9)
         out = realistic_gradient_project(rho, two_spin_system, rng, draws=4)
         assert np.allclose(out, 0.0)
+
+    def test_batch_matches_single(self, two_spin_system):
+        rng = np.random.default_rng(10)
+        batch = np.stack([random_hermitian_traceless(rng, 4) for _ in range(3)])
+        projected = realistic_gradient_project(
+            batch, two_spin_system, np.random.default_rng(11), draws=5)
+        for rho, out in zip(batch, projected):
+            single = realistic_gradient_project(
+                rho, two_spin_system, np.random.default_rng(11), draws=5)
+            assert np.array_equal(out, single)
 
 
 class TestCoherenceOrderDecompose:

@@ -161,6 +161,13 @@ class TestSequenceA:
         with pytest.raises(ValueError, match="rng"):
             run_sequence_A(two_spin_system, rho0, small_params(), gradient="realistic")
 
+    def test_realistic_gradient_needs_a_draw(self, two_spin_system):
+        rho0 = product_operator(two_spin_system, "xo")
+        with pytest.raises(ValueError, match="draws"):
+            run_sequence_A(two_spin_system, rho0, small_params(),
+                           gradient="realistic", rng=np.random.default_rng(5),
+                           gradient_draws=0)
+
     def test_realistic_gradient_runs(self, two_spin_system):
         rho0 = coefficients_to_density(two_spin_system, DEMO_COEFFS)
         signal = run_sequence_A(two_spin_system, rho0, small_params(),

@@ -1,18 +1,23 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from spintomo import (RankDeficiencyError, build_design_matrix,
-                      build_spin_system, coefficients_to_density,
-                      default_acquisition, diagonal_labels, fidelity,
-                      fit_diagonal, fit_offdiagonal, load_design,
+from spintomo import (DegenerateTransitionError, RankDeficiencyError,
+                      build_design_matrix, build_spin_system,
+                      coefficients_to_density, default_acquisition, dft_t2,
+                      diagonal_labels, fidelity, fit_diagonal, fit_offdiagonal,
                       max_relative_element_error, offdiagonal_labels,
                       product_operator, reconstruct, reference_normalize,
-                      run_sequence_A, run_sequence_B, save_design,
-                      tomograph_state, transition_table)
-from spintomo.tomography import design_digest
+                      run_sequence_A, run_sequence_B, tomograph_state,
+                      transition_table)
+from spintomo.tomography import _stack_cross_sections
 
-from conftest import (DEMO_COEFFS, TWO_SPIN_J, TWO_SPIN_LARMOR, TWO_SPIN_T2,
-                      fit_t1_trace, random_coefficients)
+from conftest import (DEMO_COEFFS, FOUR_SPIN_COUPLINGS, FOUR_SPIN_LARMOR,
+                      TWO_SPIN_J, TWO_SPIN_LARMOR, TWO_SPIN_T2, fit_t1_trace,
+                      random_coefficients)
 
 
 @pytest.fixture(scope="module")
@@ -21,6 +26,40 @@ def two_spin_setup():
     params = default_acquisition(system)
     design = build_design_matrix(system, params)
     return system, params, design
+
+
+def oracle_matrix(system, params, design):
+    """Per-label design: each basis operator simulated through sequence A."""
+    return np.column_stack([
+        _stack_cross_sections(
+            dft_t2(run_sequence_A(system, product_operator(system, label),
+                                  params)).grid, design.bins)
+        for label in design.labels
+    ])
+
+
+def relative_difference(design, oracle):
+    return float(np.max(np.abs(design.matrix - oracle)) / np.max(np.abs(oracle)))
+
+
+@st.composite
+def registers_and_grids(draw):
+    n = draw(st.integers(1, 3))
+    larmor = draw(st.lists(st.floats(100.0, 2000.0), min_size=n, max_size=n))
+    couplings = {(j, k): draw(st.floats(-60.0, 60.0))
+                 for j in range(1, n + 1) for k in range(j + 1, n + 1)}
+    t2_s = draw(st.floats(0.002, 0.2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        system = build_spin_system(n, larmor, couplings, t2_s)
+    try:
+        transition_table(system)
+    except DegenerateTransitionError:
+        assume(False)
+    params = default_acquisition(
+        system, n_t1=draw(st.integers(2, 64)), n_t2=draw(st.integers(2, 64)),
+        alpha_rad=draw(st.floats(0.1, 1.5)))
+    return system, params
 
 
 def column_block(design, column_index, transition_position):
@@ -126,29 +165,52 @@ class TestDesignMatrix:
                 ratio = single_norm / multi_norm
                 assert abs(ratio / (expected / 2) - 1.0) < 0.01, (label, partner)
 
-    def test_save_load_round_trip(self, two_spin_setup, tmp_path):
-        _, _, design = two_spin_setup
-        path = tmp_path / "design.npz"
-        save_design(design, path)
-        loaded = load_design(path)
-        assert np.array_equal(loaded.matrix, design.matrix)
-        assert loaded.labels == design.labels
-        assert loaded.digest == design.digest
-        assert loaded.rank == design.rank
-        assert loaded.params == design.params
+    @settings(max_examples=25, deadline=None)
+    @given(registers_and_grids())
+    def test_closed_form_matches_per_label_simulation(self, case):
+        system, params = case
+        design = build_design_matrix(system, params)
+        assert relative_difference(design, oracle_matrix(system, params, design)) <= 1e-12
 
-    def test_threaded_build_identical(self, two_spin_setup):
-        system, _, _ = two_spin_setup
-        params = default_acquisition(system, n_t1=32, n_t2=64)
-        serial = build_design_matrix(system, params, threads=1)
-        threaded = build_design_matrix(system, params, threads=4)
-        assert np.array_equal(serial.matrix, threaded.matrix)
+    def test_closed_form_matches_per_label_simulation_four_spin(self):
+        system = build_spin_system(4, FOUR_SPIN_LARMOR, FOUR_SPIN_COUPLINGS, 0.010)
+        params = default_acquisition(system, n_t1=128, n_t2=128)
+        design = build_design_matrix(system, params)
+        oracle = oracle_matrix(system, params, design)
+        assert relative_difference(design, oracle) <= 1e-12
+        svals = np.linalg.svd(oracle, compute_uv=False)
+        assert design.rank == len(design.labels) == 240
+        assert design.condition_number == pytest.approx(svals[0] / svals[-1], rel=1e-9)
+        assert not (design.zero_labels or design.nullspace_labels
+                    or design.undetermined_labels)
 
-    def test_digest_depends_on_selection(self, two_spin_setup):
-        system, params, design = two_spin_setup
-        assert design.digest == design_digest(system, params,
-                                              design.transition_indices)
-        assert design.digest != design_digest(system, params, (0, 1))
+    def test_rank_deficient_build_memory_bounded(self, two_spin_setup):
+        # alpha = 0 detects nothing: every column is exactly zero and the
+        # null-space SVD runs on a 4096 x 12 matrix
+        system = two_spin_setup[0]
+        params = default_acquisition(system, n_t1=512, n_t2=64, alpha_rad=0.0)
+        tracemalloc.start()
+        try:
+            design = build_design_matrix(system, params)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert design.rank == 0
+        assert set(design.zero_labels) == set(design.labels)
+        assert set(design.nullspace_labels) == set(design.labels)
+        assert peak < 32 * 2 ** 20
+
+    def test_wide_design_lists_every_label(self, two_spin_setup):
+        # one t1 increment leaves 8 rows for 12 labels after mean removal
+        system = two_spin_setup[0]
+        params = default_acquisition(system, n_t1=1, n_t2=64)
+        design = build_design_matrix(system, params)
+        assert design.matrix.shape == (8, 12)
+        assert set(design.nullspace_labels) == set(design.labels)
+        signal = run_sequence_A(system, coefficients_to_density(system, DEMO_COEFFS),
+                                params)
+        with pytest.raises(RankDeficiencyError):
+            fit_offdiagonal(signal, design)
 
 
 class TestFitOffdiagonal:
