@@ -16,7 +16,7 @@ import json
 import logging
 import os
 import sys
-import tempfile
+import uuid
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -235,11 +235,12 @@ def _atomic_write(path: Path, write) -> None:
 
     Readers see the old file or the new one, never a partial one, and
     concurrent writers into one directory never share a temp file.  The temp
-    file is removed when ``write`` raises.
+    file is removed when ``write`` raises.  It is created with mode 0666, so
+    the file gets the mode a plain ``open`` would give (0666 less the umask).
     """
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
-    os.close(fd)
+    tmp = path.with_name(f"{path.name}.{uuid.uuid4().hex}.tmp")
+    os.close(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
     try:
         write(tmp)
         os.replace(tmp, path)

@@ -17,8 +17,6 @@ time.
 
 from __future__ import annotations
 
-import csv
-import json
 import warnings
 from dataclasses import dataclass, field
 
@@ -362,51 +360,31 @@ def reference_fid(system: SpinSystem, rho0: np.ndarray,
 # Exports
 
 
-def export_signal2d(signal: Signal2D, csv_path, sidecar_path=None) -> None:
-    """CSV with one row per t1 increment, paired re/im columns per t2 sample.
+def _write_csv(path, header: str, table: np.ndarray) -> None:
+    """Write ``header``, then each row of the 2-D float64 ``table`` as one line.
 
-    A JSON sidecar records dwell times and acquisition parameters.
+    Every value is the shortest round-trip ``repr`` of a Python float; lines
+    end in LF.  Rows are formatted one at a time, so memory stays at one
+    line of text however large the table.
     """
-    n_t2 = signal.n_t2
-    header = ["t1_s"]
-    for k in range(n_t2):
-        header += [f"re_t2_{k}", f"im_t2_{k}"]
-    with open(csv_path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["# time-domain signal; t1_s in s, samples dimensionless"])
-        writer.writerow(header)
-        for i in range(signal.n_t1):
-            row = [repr(i * signal.dwell_t1_s)]
-            values = signal.grid[i]
-            for k in range(n_t2):
-                row += [repr(values[k].real), repr(values[k].imag)]
-            writer.writerow(row)
-    if sidecar_path is not None:
-        sidecar = {
-            "dwell_t1_s": signal.dwell_t1_s,
-            "dwell_t2_s": signal.dwell_t2_s,
-            "n_t1": signal.n_t1,
-            "n_t2": signal.n_t2,
-            "meta": signal.meta,
-        }
-        with open(sidecar_path, "w") as handle:
-            json.dump(sidecar, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+    with open(path, "w", newline="\n") as handle:
+        handle.write(header)
+        for row in table:
+            handle.write(",".join(map(repr, row.tolist())) + "\n")
 
 
-def export_signal1d(signal: Signal1D, csv_path, sidecar_path=None) -> None:
-    """CSV with columns t2_s, re, im plus an optional JSON sidecar."""
-    with open(csv_path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["t2_s", "re", "im"])
-        for k, value in enumerate(signal.samples):
-            writer.writerow([repr(k * signal.dwell_s), repr(value.real), repr(value.imag)])
-    if sidecar_path is not None:
-        sidecar = {
-            "dwell_s": signal.dwell_s,
-            "n_samples": int(len(signal.samples)),
-            "meta": signal.meta,
-        }
-        with open(sidecar_path, "w") as handle:
-            json.dump(sidecar, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+def export_signal2d(signal: Signal2D, csv_path) -> None:
+    """CSV with one row per t1 increment, paired re/im columns per t2 sample."""
+    header = ('"# time-domain signal; t1_s in s, samples dimensionless"\nt1_s,'
+              + ",".join(f"re_t2_{k},im_t2_{k}" for k in range(signal.n_t2)) + "\n")
+    t1_s = np.arange(signal.n_t1) * signal.dwell_t1_s
+    grid = np.ascontiguousarray(signal.grid, dtype=complex)
+    _write_csv(csv_path, header, np.column_stack([t1_s, grid.view(np.float64)]))
+
+
+def export_signal1d(signal: Signal1D, csv_path) -> None:
+    """CSV with columns t2_s, re, im."""
+    samples = signal.samples
+    t2_s = np.arange(len(samples)) * signal.dwell_s
+    _write_csv(csv_path, "t2_s,re,im\n",
+               np.column_stack([t2_s, samples.real, samples.imag]))

@@ -12,14 +12,13 @@ correction are disabled.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import LineOverlapError
-from .experiment import Signal1D, Signal2D, TransitionTable
+from .experiment import Signal1D, Signal2D, TransitionTable, _write_csv
 
 
 @dataclass(eq=False)
@@ -88,17 +87,27 @@ def _resolve_rate(apodization, meta: dict) -> float:
     return rate
 
 
-def _dft_trace(trace: np.ndarray, dwell_s: float, rate: float,
-               zero_fill: int, first_point_half: bool):
-    x = np.asarray(trace, dtype=complex).copy()
+def _dft(data, dwell_s: float, rate: float, zero_fill: int,
+         first_point_half: bool, axis: int = -1):
+    """(frequency axis, spectrum): apodize, halve the first point, zero-fill
+    and FFT ``data`` along ``axis``, in fftshift layout."""
+    x = np.array(data, dtype=complex)
+    n = x.shape[axis]
     if rate:
-        x *= np.exp(-rate * np.arange(len(x)) * dwell_s)
+        shape = [1] * x.ndim
+        shape[axis] = n
+        x *= np.exp(-rate * np.arange(n) * dwell_s).reshape(shape)
     if first_point_half:
-        x[0] *= 0.5
-    n_fft = int(zero_fill) * _next_pow2(len(x))
-    spec = np.fft.fftshift(np.fft.fft(x, n=n_fft))
-    freqs = np.fft.fftshift(np.fft.fftfreq(n_fft, dwell_s))
-    return freqs, spec
+        np.moveaxis(x, axis, 0)[0] *= 0.5
+    n_fft = int(zero_fill) * _next_pow2(n)
+    spec = np.fft.fftshift(np.fft.fft(x, n=n_fft, axis=axis), axes=axis)
+    return np.fft.fftshift(np.fft.fftfreq(n_fft, dwell_s)), spec
+
+
+def _t1_dwell(hybrid: HybridSpectrum) -> float:
+    if len(hybrid.t1_s) > 1:
+        return float(hybrid.t1_s[1] - hybrid.t1_s[0])
+    return float(hybrid.meta.get("dwell_t1_s", 1.0))
 
 
 def _processing_dict(apodization, rate, zero_fill, first_point_half) -> dict:
@@ -114,14 +123,8 @@ def dft_t2(signal: Signal2D, apodization="matched", zero_fill: int = 2,
            first_point_half: bool = True) -> HybridSpectrum:
     """Transform along t2 for every t1 row."""
     rate = _resolve_rate(apodization, signal.meta)
-    grid = np.asarray(signal.grid, dtype=complex).copy()
-    if rate:
-        grid *= np.exp(-rate * np.arange(signal.n_t2) * signal.dwell_t2_s)[None, :]
-    if first_point_half:
-        grid[:, 0] *= 0.5
-    n_fft = int(zero_fill) * _next_pow2(signal.n_t2)
-    spec = np.fft.fftshift(np.fft.fft(grid, n=n_fft, axis=1), axes=1)
-    freqs = np.fft.fftshift(np.fft.fftfreq(n_fft, signal.dwell_t2_s))
+    freqs, spec = _dft(signal.grid, signal.dwell_t2_s, rate, zero_fill,
+                       first_point_half, axis=1)
     meta = dict(signal.meta)
     meta["processing_t2"] = _processing_dict(apodization, rate, zero_fill, first_point_half)
     meta["dwell_t1_s"] = signal.dwell_t1_s
@@ -141,16 +144,8 @@ def dft_t1(hybrid: HybridSpectrum, apodization="matched", zero_fill: int = 2,
     +-Omega1, sine-modulated content antisymmetric dispersive pairs.
     """
     rate = _resolve_rate(apodization, hybrid.meta)
-    n_t1 = hybrid.grid.shape[0]
-    dwell = float(hybrid.t1_s[1] - hybrid.t1_s[0]) if n_t1 > 1 else float(hybrid.meta.get("dwell_t1_s", 1.0))
-    grid = np.asarray(hybrid.grid, dtype=complex).copy()
-    if rate:
-        grid *= np.exp(-rate * hybrid.t1_s)[:, None]
-    if first_point_half:
-        grid[0, :] *= 0.5
-    n_fft = int(zero_fill) * _next_pow2(n_t1)
-    spec = np.fft.fftshift(np.fft.fft(grid, n=n_fft, axis=0), axes=0)
-    freqs = np.fft.fftshift(np.fft.fftfreq(n_fft, dwell))
+    freqs, spec = _dft(hybrid.grid, _t1_dwell(hybrid), rate, zero_fill,
+                       first_point_half, axis=0)
     meta = dict(hybrid.meta)
     meta["processing_t1"] = _processing_dict(apodization, rate, zero_fill, first_point_half)
     return Spectrum2D(grid=spec, omega1_hz=freqs, omega2_hz=hybrid.omega2_hz, meta=meta)
@@ -160,8 +155,8 @@ def dft_fid(signal: Signal1D, apodization="matched", zero_fill: int = 2,
             first_point_half: bool = True) -> Spectrum1D:
     """Transform a one-dimensional FID."""
     rate = _resolve_rate(apodization, signal.meta)
-    freqs, spec = _dft_trace(signal.samples, signal.dwell_s, rate, zero_fill,
-                             first_point_half)
+    freqs, spec = _dft(signal.samples, signal.dwell_s, rate, zero_fill,
+                       first_point_half)
     meta = dict(signal.meta)
     meta["processing"] = _processing_dict(apodization, rate, zero_fill, first_point_half)
     return Spectrum1D(values=spec, omega_hz=freqs, meta=meta)
@@ -203,11 +198,9 @@ def cross_section(source, omega2_hz: float) -> CrossSection:
 
     if isinstance(source, HybridSpectrum):
         column = source.grid[:, b].copy()
-        n_t1 = len(column)
-        dwell = float(source.t1_s[1] - source.t1_s[0]) if n_t1 > 1 else float(source.meta.get("dwell_t1_s", 1.0))
         proc = source.meta.get("processing_t2", {})
         rate = 1.0 / t2_s if t2_s else 0.0
-        freqs, spec = _dft_trace(column, dwell, rate, proc.get("zero_fill", 2), True)
+        freqs, spec = _dft(column, _t1_dwell(source), rate, proc.get("zero_fill", 2), True)
         meta = dict(source.meta)
         meta["cross_section_processing"] = _processing_dict(
             "matched" if rate else None, rate, proc.get("zero_fill", 2), True)
@@ -282,37 +275,24 @@ def peak_amplitudes(spectrum: Spectrum1D, table: TransitionTable,
 # Exports
 
 
-def export_spectrum2d(spectrum: Spectrum2D, csv_path, axes_json_path=None) -> None:
-    """Magnitude grid as CSV (rows Omega1, columns Omega2) plus axis metadata."""
-    mag = np.abs(spectrum.grid)
-    with open(csv_path, "w") as handle:
-        handle.write("omega1_hz\\omega2_hz," +
-                     ",".join(repr(float(f)) for f in spectrum.omega2_hz) + "\n")
-        for i, f1 in enumerate(spectrum.omega1_hz):
-            handle.write(repr(float(f1)) + "," +
-                         ",".join(repr(float(v)) for v in mag[i]) + "\n")
-    if axes_json_path is not None:
-        payload = {
-            "omega1_hz": [float(f) for f in spectrum.omega1_hz],
-            "omega2_hz": [float(f) for f in spectrum.omega2_hz],
-            "units": {"omega1": "Hz", "omega2": "Hz"},
-            "meta": spectrum.meta,
-        }
-        with open(axes_json_path, "w") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+def export_spectrum2d(spectrum: Spectrum2D, csv_path) -> None:
+    """Magnitude grid as CSV: rows Omega1, columns Omega2, axes in the first
+    column and the header row."""
+    header = ("omega1_hz\\omega2_hz,"
+              + ",".join(map(repr, spectrum.omega2_hz.tolist())) + "\n")
+    _write_csv(csv_path, header,
+               np.column_stack([spectrum.omega1_hz, np.abs(spectrum.grid)]))
 
 
 def export_cross_section(section: CrossSection, csv_path) -> None:
     """Frequency-domain trace as omega1_hz, re, im columns."""
-    with open(csv_path, "w") as handle:
-        handle.write("omega1_hz,re,im\n")
-        for f, v in zip(section.omega1_hz, section.freq_trace):
-            handle.write(f"{float(f)!r},{float(v.real)!r},{float(v.imag)!r}\n")
+    trace = section.freq_trace
+    _write_csv(csv_path, "omega1_hz,re,im\n",
+               np.column_stack([section.omega1_hz, trace.real, trace.imag]))
 
 
 def export_spectrum1d(spectrum: Spectrum1D, csv_path) -> None:
-    with open(csv_path, "w") as handle:
-        handle.write("omega_hz,re,im\n")
-        for f, v in zip(spectrum.omega_hz, spectrum.values):
-            handle.write(f"{float(f)!r},{float(v.real)!r},{float(v.imag)!r}\n")
+    """Spectrum as omega_hz, re, im columns."""
+    values = spectrum.values
+    _write_csv(csv_path, "omega_hz,re,im\n",
+               np.column_stack([spectrum.omega_hz, values.real, values.imag]))

@@ -1,11 +1,13 @@
 import json
+import os
+import stat
 import warnings
 
 import numpy as np
 import pytest
 
 from spintomo.cli import (_atomic_write, config_from_dict, config_to_dict, main,
-                          parse_config)
+                          parse_config, resolve_params)
 from spintomo.errors import ConfigError
 
 from conftest import DEMO_COEFFS, local_maxima_above
@@ -125,6 +127,21 @@ class TestSimulateCommand:
             assert (out / name).exists(), name
         sections = list(out.glob("cross_section_*.csv"))
         assert len(sections) == 4
+        sidecar = json.loads((out / "signal_a.json").read_text())
+        assert sidecar["dwell_t1_s"] == resolve_params(parse_config(path)).dwell_t1_s
+        assert sidecar["n_t2"] == 128
+
+    def test_output_mode_follows_umask(self, tmp_path):
+        path = write_config(tmp_path, demo_config(n_t1=16))
+        out = tmp_path / "out"
+        previous = os.umask(0o022)
+        try:
+            assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+        finally:
+            os.umask(previous)
+        files = list(out.iterdir())
+        assert {p.suffix for p in files} == {".csv", ".json"}
+        assert {stat.S_IMODE(p.stat().st_mode) for p in files} == {0o644}
 
     def test_cross_sections_named_by_transition_index(self, tmp_path):
         # J13 - J12 = 0.02 Hz: transitions 0.01 Hz apart share a 0.1 Hz name

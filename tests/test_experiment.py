@@ -1,15 +1,16 @@
-import json
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from spintomo import (AcquisitionParams, DegenerateTransitionError,
                       NyquistError, build_spin_system, coefficients_to_density,
                       default_acquisition, dft_t2, product_operator,
                       reference_fid, run_sequence_A, run_sequence_B,
                       transition_table)
-from spintomo.experiment import export_signal1d, export_signal2d
+from spintomo.experiment import _write_csv, export_signal1d, export_signal2d
 from spintomo.spectral import cross_section
 
 from conftest import (DEMO_COEFFS, fit_t1_trace, random_hermitian_traceless,
@@ -257,25 +258,67 @@ class TestReferenceFid:
         assert abs(loud.samples[0] - 1.0) < 1e-12
 
 
+def read_csv_cells(path, header_lines):
+    """Every data cell parsed with float(); the file must use LF line ends."""
+    data = path.read_bytes()
+    assert b"\r" not in data
+    lines = data.decode().split("\n")
+    assert lines[-1] == ""
+    return lines[:header_lines], np.array(
+        [[float(cell) for cell in line.split(",")] for line in lines[header_lines:-1]])
+
+
+def assert_same_bits(actual, expected):
+    """Bit equality, except that any NaN equals any NaN."""
+    actual, expected = np.asarray(actual, dtype=float), np.asarray(expected, dtype=float)
+    assert actual.shape == expected.shape
+    nan = np.isnan(expected)
+    assert np.array_equal(np.isnan(actual), nan)
+    assert np.array_equal(actual[~nan].view(np.int64), expected[~nan].view(np.int64))
+
+
+FLOAT_EDGES = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e16, -3.0e300,
+               1e-5, -9.99e-5, 1.0 / 3.0, 123456789.0]
+
+
 class TestExports:
     def test_signal2d_roundtrippable_csv(self, two_spin_system, tmp_path):
         rho0 = coefficients_to_density(two_spin_system, DEMO_COEFFS)
-        signal = run_sequence_A(two_spin_system, rho0, small_params())
+        params = small_params()
+        signal = run_sequence_A(two_spin_system, rho0, params)
         csv_path = tmp_path / "signal.csv"
-        sidecar = tmp_path / "signal.json"
-        export_signal2d(signal, csv_path, sidecar)
-        lines = csv_path.read_text().strip().splitlines()
-        assert len(lines) == 2 + signal.n_t1
-        assert lines[1].split(",")[0] == "t1_s"
-        meta = json.loads(sidecar.read_text())
-        assert meta["dwell_t1_s"] == signal.dwell_t1_s
-        assert meta["n_t2"] == signal.n_t2
+        export_signal2d(signal, csv_path)
+        header, cells = read_csv_cells(csv_path, 2)
+        assert header[0] == '"# time-domain signal; t1_s in s, samples dimensionless"'
+        assert header[1].split(",")[:3] == ["t1_s", "re_t2_0", "im_t2_0"]
+        assert header[1].split(",")[-1] == f"im_t2_{signal.n_t2 - 1}"
+        assert cells.shape == (signal.n_t1, 1 + 2 * signal.n_t2)
+        assert_same_bits(cells[:, 0], params.t1_times)
+        assert_same_bits(cells[:, 1::2], signal.grid.real)
+        assert_same_bits(cells[:, 2::2], signal.grid.imag)
 
     def test_signal1d_csv(self, two_spin_system, tmp_path):
         rho0 = coefficients_to_density(two_spin_system, DEMO_COEFFS)
-        signal = run_sequence_B(two_spin_system, rho0, small_params())
+        params = small_params()
+        signal = run_sequence_B(two_spin_system, rho0, params)
         path = tmp_path / "fid.csv"
-        export_signal1d(signal, path, tmp_path / "fid.json")
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "t2_s,re,im"
-        assert len(lines) == 1 + len(signal.samples)
+        export_signal1d(signal, path)
+        header, cells = read_csv_cells(path, 1)
+        assert header == ["t2_s,re,im"]
+        assert cells.shape == (len(signal.samples), 3)
+        assert_same_bits(cells[:, 0], params.t2_times)
+        assert_same_bits(cells[:, 1], signal.samples.real)
+        assert_same_bits(cells[:, 2], signal.samples.imag)
+
+    @given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=6),
+                      elements=st.one_of(st.floats(allow_subnormal=True),
+                                         st.sampled_from(FLOAT_EDGES))))
+    @example(np.array([[np.nan, np.inf, -np.inf], [-0.0, 5e-324, 1e16]]))
+    @example(np.array([[-np.nan], [np.inf]]))
+    @settings(deadline=None)
+    def test_write_csv_round_trip(self, tmp_path_factory, table):
+        path = tmp_path_factory.mktemp("csv") / "table.csv"
+        _write_csv(path, "a,b\n", table)
+        header, cells = read_csv_cells(path, 1)
+        assert header == ["a,b"]
+        assert_same_bits(cells, table)
