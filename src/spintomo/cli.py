@@ -27,7 +27,8 @@ from .core import (SpinSystem, build_spin_system, coefficients_to_density,
 from .errors import (ConfigError, DegenerateTransitionError, LineOverlapError,
                      NyquistError, RankDeficiencyError, SpinTomoError)
 from .experiment import (default_acquisition, export_signal1d, export_signal2d,
-                         run_sequence_A, run_sequence_B, transition_table)
+                         reference_fid, run_sequence_A, run_sequence_B,
+                         transition_table)
 from .spectral import (cross_section, dft_fid, dft_t1, dft_t2,
                        export_cross_section, export_spectrum1d,
                        export_spectrum2d)
@@ -264,22 +265,29 @@ def _apply_noise(rng, array: np.ndarray, rms: float) -> np.ndarray:
     return array + noise
 
 
-def _simulate_signals(cfg: RunConfig, params, rng):
+def _simulate_signals(cfg: RunConfig, params, rng, table):
+    """The input state, signals A and B and the reference FID, all noised.
+
+    The reference draws its noise last, so A and B do not depend on it.
+    """
     system = cfg.system
     rho0 = coefficients_to_density(system, cfg.coefficients)
     gradient = "realistic" if cfg.options.realistic_gradient else "ideal"
     kwargs = dict(gradient=gradient, rng=rng,
                   gradient_draws=cfg.options.gradient_draws,
-                  gradient_tau_max_s=cfg.options.gradient_tau_max_s)
+                  gradient_tau_max_s=cfg.options.gradient_tau_max_s, table=table)
     signal_a = run_sequence_A(system, rho0, params, **kwargs)
     signal_b = run_sequence_B(system, rho0, params, **kwargs)
+    reference = reference_fid(system, rho0, params)
     if cfg.options.noise_rms > 0:
         signal_a.grid = _apply_noise(rng, signal_a.grid, cfg.options.noise_rms)
         signal_b.samples = _apply_noise(rng, signal_b.samples, cfg.options.noise_rms)
-    return rho0, signal_a, signal_b
+        reference.samples = _apply_noise(rng, reference.samples, cfg.options.noise_rms)
+    return rho0, signal_a, signal_b, reference
 
 
-def _export_simulation(cfg: RunConfig, signal_a, signal_b, out: Path):
+def _export_simulation(cfg: RunConfig, signal_a, signal_b, out: Path, table):
+    """Write signals, spectra and cross-sections; return the t2 hybrid."""
     _atomic_write(out / "signal_a.csv", lambda p: export_signal2d(signal_a, p))
     _write_json(out / "signal_a.json", {
         "dwell_t1_s": signal_a.dwell_t1_s, "dwell_t2_s": signal_a.dwell_t2_s,
@@ -300,7 +308,6 @@ def _export_simulation(cfg: RunConfig, signal_a, signal_b, out: Path):
         "units": {"omega1": "Hz", "omega2": "Hz"},
     })
 
-    table = transition_table(cfg.system)
     # Named by transition-table index (the index design_summary.json lists):
     # frequencies can agree to any printed precision.
     for i, transition in enumerate(table):
@@ -310,12 +317,12 @@ def _export_simulation(cfg: RunConfig, signal_a, signal_b, out: Path):
 
     spectrum_b = dft_fid(signal_b)
     _atomic_write(out / "spectrum_b.csv", lambda p: export_spectrum1d(spectrum_b, p))
-    return hybrid, spectrum
+    return hybrid
 
 
-def _build_design(cfg: RunConfig, params):
-    selected = selected_transition_indices(cfg, transition_table(cfg.system))
-    return build_design_matrix(cfg.system, params, selected)
+def _build_design(cfg: RunConfig, params, table):
+    selected = selected_transition_indices(cfg, table)
+    return build_design_matrix(cfg.system, params, selected, table=table)
 
 
 def _design_summary(design) -> dict:
@@ -368,25 +375,28 @@ def _write_report(path: Path, result, cfg: RunConfig) -> None:
 
 def cmd_simulate(cfg: RunConfig, out: Path) -> int:
     params = resolve_params(cfg)
+    table = transition_table(cfg.system)
     rng = np.random.default_rng(cfg.options.seed)
-    _, signal_a, signal_b = _simulate_signals(cfg, params, rng)
-    _export_simulation(cfg, signal_a, signal_b, out)
+    _, signal_a, signal_b, _ = _simulate_signals(cfg, params, rng, table)
+    _export_simulation(cfg, signal_a, signal_b, out, table)
     print(f"simulation artifacts written to {out}")
     return 0
 
 
 def cmd_tomograph(cfg: RunConfig, out: Path) -> int:
     params = resolve_params(cfg)
+    table = transition_table(cfg.system)
     rng = np.random.default_rng(cfg.options.seed)
-    rho0, signal_a, signal_b = _simulate_signals(cfg, params, rng)
-    _export_simulation(cfg, signal_a, signal_b, out)
+    rho0, signal_a, signal_b, reference = _simulate_signals(cfg, params, rng, table)
+    hybrid = _export_simulation(cfg, signal_a, signal_b, out, table)
 
-    design = _build_design(cfg, params)
+    design = _build_design(cfg, params, table)
     _write_json(out / "design_summary.json", _design_summary(design))
 
     result = tomograph_state(cfg.system, rho0, params, design=design,
-                             signal_a=signal_a, signal_b=signal_b,
-                             normalize=cfg.options.reference_normalize)
+                             signal_a=hybrid, signal_b=signal_b,
+                             normalize=cfg.options.reference_normalize,
+                             reference=reference, table=table)
     _write_json(out / "result.json", result.to_json_dict())
     _write_report(out / "report.txt", result, cfg)
 
@@ -401,7 +411,7 @@ def cmd_tomograph(cfg: RunConfig, out: Path) -> int:
 
 def cmd_basis(cfg: RunConfig, out: Path) -> int:
     params = resolve_params(cfg)
-    design = _build_design(cfg, params)
+    design = _build_design(cfg, params, transition_table(cfg.system))
     _write_json(out / "design_summary.json", _design_summary(design))
     print(f"design matrix {design.matrix.shape[0]}x{design.matrix.shape[1]}, "
           f"rank {design.rank}/{len(design.labels)}, "

@@ -207,12 +207,45 @@ def operator_norm_squared(label: str) -> float:
 
 
 def product_operator(system: SpinSystem, label: str) -> np.ndarray:
-    """Kronecker product of single-spin operators selected by ``label``."""
+    """Kronecker product of single-spin operators selected by ``label``.
+
+    The dense reference form; the pipeline works from :func:`monomial_table`.
+    """
     label = parse_label(label, system.n)
     out = np.array([[1.0 + 0.0j]])
     for axis in label:
         out = np.kron(out, SINGLE_SPIN_OPS[axis])
     return out
+
+
+# Row b of each single-spin operator (axes in AXES order) has its one nonzero
+# at column b ^ _FLIP[axis], with value _ENTRY[axis, b].
+_FLIP = np.array([0, 1, 1, 0])
+_ENTRY = np.array([[SINGLE_SPIN_OPS[axis][b, b ^ flip] for b in (0, 1)]
+                   for axis, flip in zip(AXES, _FLIP)])
+
+
+def monomial_table(n: int, labels) -> tuple:
+    """Sparse form of the product operators of ``labels``: ``(columns, values)``.
+
+    Every product operator is monomial, with exactly one nonzero per row:
+    B_L[r, columns[i, r]] = values[i, r] for label i.  The column is
+    r ^ flip(L), where the flip mask has the bit of every x/y spin set, and
+    the value is the product of the per-spin entries (x: 1/2, y: -+i/2,
+    z: +-1/2, o: 1), multiplied in the order :func:`product_operator` uses,
+    so it equals the Kronecker product bit for bit.
+    """
+    labels = list(labels)
+    axes = np.array([[AXES.index(c) for c in label] for label in labels],
+                    dtype=int).reshape(len(labels), n)
+    rows = np.arange(2 ** n)
+    masks = np.zeros(len(labels), dtype=int)
+    values = np.ones((len(labels), 2 ** n), dtype=complex)
+    for j in range(n):
+        shift = n - 1 - j
+        masks |= _FLIP[axes[:, j]] << shift
+        values = values * _ENTRY[axes[:, j]][:, (rows >> shift) & 1]
+    return rows ^ masks[:, None], values
 
 
 # ---------------------------------------------------------------------------
@@ -296,8 +329,12 @@ def coefficients_to_density(system: SpinSystem, coefficients: Mapping[str, float
     """Assemble sum_L q_L B_L.  Hermitian and traceless by construction."""
     coefficients = validate_coefficients(system, coefficients)
     rho = np.zeros((system.dim, system.dim), dtype=complex)
-    for label, value in coefficients.items():
-        rho += value * product_operator(system, label)
+    if coefficients:
+        columns, values = monomial_table(system.n, coefficients)
+        weights = np.array(list(coefficients.values()))
+        rows = np.broadcast_to(np.arange(system.dim), columns.shape)
+        # add.at sums repeated positions in label order, as a running sum would.
+        np.add.at(rho, (rows, columns), weights[:, None] * values)
     return rho
 
 
@@ -317,11 +354,12 @@ def density_to_coefficients(system: SpinSystem, rho: np.ndarray) -> dict:
         raise ValueError(f"matrix shape {rho.shape} does not match dim {system.dim}")
     if not is_hermitian(rho):
         raise ValueError("matrix is not Hermitian")
-    out = {}
-    for label in all_labels(system.n):
-        overlap = np.trace(rho @ product_operator(system, label))
-        out[label] = float(np.real(overlap)) / operator_norm_squared(label)
-    return out
+    labels = all_labels(system.n)
+    columns, values = monomial_table(system.n, labels)
+    # Tr(rho B_L) = sum_r rho[c_L(r), r] B_L[r, c_L(r)]
+    overlaps = np.sum(rho[columns, np.arange(system.dim)] * values, axis=1)
+    return {label: float(overlap.real) / operator_norm_squared(label)
+            for label, overlap in zip(labels, overlaps)}
 
 
 # ---------------------------------------------------------------------------

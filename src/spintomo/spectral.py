@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import LineOverlapError
-from .experiment import Signal1D, Signal2D, TransitionTable, _write_csv
+from .experiment import (Signal1D, Signal2D, TransitionTable, _close_pairs,
+                         _write_csv)
 
 
 @dataclass(eq=False)
@@ -231,12 +232,10 @@ def peak_amplitudes(spectrum: Spectrum1D, table: TransitionTable,
     t2_s = spectrum.meta.get("t2_s")
     if t2_s:
         linewidth = 1.0 / (np.pi * t2_s)
-        close = []
-        entries = list(table)
-        for i in range(len(entries)):
-            for k in range(i + 1, len(entries)):
-                if abs(entries[i].frequency_hz - entries[k].frequency_hz) < linewidth:
-                    close.append((entries[i], entries[k]))
+        entries = table.entries
+        close = [(entries[i], entries[k]) for i, k in
+                 _close_pairs(table.frequencies(), linewidth)
+                 if abs(entries[i].frequency_hz - entries[k].frequency_hz) < linewidth]
         if close:
             desc = "; ".join(
                 f"{a.frequency_hz:.6g} Hz vs {b.frequency_hz:.6g} Hz"
@@ -248,26 +247,34 @@ def peak_amplitudes(spectrum: Spectrum1D, table: TransitionTable,
                 raise LineOverlapError(message, pairs=close)
             warnings.warn(message, stacklevel=2)
 
+    amplitudes = _peak_readout(spectrum, table)
+    return {transition: complex(a) for transition, a in zip(table, amplitudes)}
+
+
+def _peak_readout(spectrum: Spectrum1D, table: TransitionTable) -> np.ndarray:
+    """The readout of :func:`peak_amplitudes` without the overlap check.
+
+    ``spectrum.values`` may hold a stack of spectra along its last axis; the
+    result has one column per transition in place of that axis.
+    """
     axis = spectrum.omega_hz
     values = spectrum.values
     bin_width = float(axis[1] - axis[0])
-    out = {}
-    for transition in table:
+    out = np.empty(values.shape[:-1] + (len(table),), dtype=complex)
+    for i, transition in enumerate(table):
         f = transition.frequency_hz
         if not (axis[0] <= f <= axis[-1]):
             raise ValueError(f"transition at {f:.6g} Hz outside the spectrum axis")
         b = nearest_bin(axis, f)
         if b == 0 or b == len(axis) - 1:
-            out[transition] = complex(values[b])
+            out[..., i] = values[..., b]
             continue
         # Quadratic through the three bins around the known line center,
         # evaluated at the center's fractional offset.
         offset = (f - axis[b]) / bin_width
-        left, mid, right = values[b - 1], values[b], values[b + 1]
-        out[transition] = complex(
-            mid + 0.5 * (right - left) * offset
-            + 0.5 * (right - 2.0 * mid + left) * offset ** 2
-        )
+        left, mid, right = values[..., b - 1], values[..., b], values[..., b + 1]
+        out[..., i] = (mid + 0.5 * (right - left) * offset
+                       + 0.5 * (right - 2.0 * mid + left) * offset ** 2)
     return out
 
 

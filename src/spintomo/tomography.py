@@ -25,19 +25,33 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import (SpinSystem, coefficients_to_density, diagonal_labels,
-                   observable_labels, offdiagonal_labels, product_operator)
+                   monomial_table, observable_labels, offdiagonal_labels,
+                   rotation_pulse)
 from .dynamics import detection_elements
 from .errors import RankDeficiencyError
 from .experiment import (AcquisitionParams, Signal1D, Signal2D, TransitionTable,
                          check_nyquist, detection_fids, reference_fid,
                          run_sequence_A, run_sequence_B, sequence_A_steps,
                          transition_table)
-from .spectral import (dft_fid, dft_t2, hybrid_omega2_axis, nearest_bin,
-                       peak_amplitudes)
+from .spectral import (HybridSpectrum, _peak_readout, dft_fid, dft_t2,
+                       hybrid_omega2_axis, nearest_bin, peak_amplitudes)
 
 log = logging.getLogger(__name__)
 
 RESIDUAL_WARN_THRESHOLD = 1e-6
+
+# Row blocks of the tall-skinny QR: fewer blocks hold more memory, more
+# blocks run slower (measured on a 16,384 x 240 design in BENCH_4.json).
+TSQR_BLOCKS = 3
+
+# Corrected semi-normal equations stop refining after this many steps, or
+# earlier once a step is no smaller than the one before.
+MAX_REFINEMENT_STEPS = 3
+
+# Reference normalization needs the fitted reference to stand out from its
+# own residual: the ratio of mean squares per fitted and per residual degree
+# of freedom (an F statistic) must exceed this.  Pure noise gives about 1.
+REFERENCE_MIN_F = 25.0
 
 
 @dataclass(eq=False)
@@ -46,8 +60,10 @@ class DesignMatrix:
 
     Rows are the real and imaginary parts of the t1-mean-subtracted
     cross-section traces at the selected transitions; one column per
-    off-diagonal label.  ``rank``, ``condition_number`` and the offending
-    label lists describe the numerical solvability of the fit.
+    off-diagonal label.  ``singular_values`` and ``vt`` are the SVD factors
+    S and V^T of the matrix's R factor, R = U S V^T, so R^T R = V S^2 V^T.
+    ``rank``, ``condition_number`` and the offending label lists describe the
+    numerical solvability of the fit.
     """
 
     matrix: np.ndarray
@@ -57,6 +73,7 @@ class DesignMatrix:
     transition_indices: tuple
     bins: tuple
     singular_values: np.ndarray
+    vt: np.ndarray
     rank: int
     condition_number: float
     zero_labels: tuple = ()
@@ -183,6 +200,11 @@ def _design_columns(system: SpinSystem, params: AcquisitionParams, bins,
     pulse R onto detected element p, and K[p, b] is :func:`dft_t2` of the
     unit FID of element p at bin b, so the t2 processing is the
     measurement's own.  Removing the t1 mean of E removes it from every trace.
+
+    A basis operator is monomial (:func:`~spintomo.core.monomial_table`): its
+    entries sit at (r, r ^ mask), so its traces need only the dim columns of
+    E and rows of G on that support.  Labels sharing a flip mask share the
+    support, and one product per mask serves all of them at every bin.
     """
     evolution, pulse_90, pulse_read = sequence_A_steps(system, params)
     rows, cols, _ = detection_elements(system)
@@ -197,21 +219,70 @@ def _design_columns(system: SpinSystem, params: AcquisitionParams, bins,
     response = to_diagonal.T @ (to_detected.T @ kernel)
 
     evolution = evolution.reshape(n_t1, dim * dim)
-    evolution = evolution - evolution.mean(axis=0)
-    operators = np.column_stack([product_operator(system, label).ravel()
-                                 for label in labels])
-    # Bin by bin keeps the temporaries at n_t1 x labels; a single product over
-    # all bins would hold a dim^2 x (bins * labels) complex array.
-    matrix = np.empty((2 * n_t1 * len(bins), len(labels)))
-    for j in range(len(bins)):
-        traces = evolution @ (response[:, j, None] * operators)
-        matrix[2 * j * n_t1:(2 * j + 1) * n_t1] = traces.real
-        matrix[(2 * j + 1) * n_t1:(2 * j + 2) * n_t1] = traces.imag
+    columns, values = monomial_table(system.n, labels)
+    masks = columns[:, 0]
+    states = np.arange(dim)
+    # Column-major, so each column is contiguous for the QR; ``planes`` views
+    # it as [t1, re/im, bin, label].
+    matrix = np.empty((2 * n_t1 * len(bins), len(labels)), order="F")
+    planes = matrix.reshape((n_t1, 2, len(bins), len(labels)), order="F")
+    for mask in np.unique(masks):
+        group = np.flatnonzero(masks == mask)
+        support = states * dim + (states ^ mask)
+        basis = evolution[:, support]
+        basis = basis - basis.mean(axis=0)
+        weights = response[support, :, None] * values[group].T[:, None, :]
+        traces = (basis @ weights.reshape(dim, -1)).reshape(n_t1, len(bins), len(group))
+        planes[:, 0][..., group] = traces.real
+        planes[:, 1][..., group] = traces.imag
     return matrix
 
 
+def _factor(matrix: np.ndarray):
+    """``(singular_values, vt)`` of ``matrix`` from the SVD of its R factor.
+
+    R comes from a tall-skinny QR: one QR per third of the rows, then one of
+    the stacked labels x labels factors.  ``np.linalg.qr`` holds two copies
+    of its input, so thirds keep that at two thirds of the design, where a
+    single QR would hold two full copies.  A wide matrix gets a rows x labels
+    R, and the full ``vt`` still spans its null space.
+    """
+    partial = [np.linalg.qr(block, mode="r")
+               for block in np.array_split(matrix, TSQR_BLOCKS, axis=0)]
+    r_factor = np.linalg.qr(np.vstack(partial), mode="r")
+    _, singular_values, vt = np.linalg.svd(r_factor)
+    return singular_values, vt
+
+
+def _solve_seminormal(matrix: np.ndarray, singular_values: np.ndarray,
+                      vt: np.ndarray, target: np.ndarray):
+    """Least-squares ``(solution, residual)`` by corrected semi-normal equations.
+
+    Solves R^T R x = A^T b through R^T R = V S^2 V^T, then refines with the
+    residual b - A x (Bjorck 1987) until a step is no smaller than the one
+    before, for at most :data:`MAX_REFINEMENT_STEPS` steps.  The design is
+    read only by products, never factored again.
+    """
+    def seminormal(rhs):
+        return vt.T @ ((vt @ rhs) / singular_values ** 2)
+
+    solution = seminormal(matrix.T @ target)
+    residual = target - matrix @ solution
+    previous = np.inf
+    for _ in range(MAX_REFINEMENT_STEPS):
+        step = seminormal(matrix.T @ residual)
+        size = float(np.linalg.norm(step))
+        if not size < previous:
+            break
+        solution = solution + step
+        residual = target - matrix @ solution
+        previous = size
+    return solution, residual
+
+
 def build_design_matrix(system: SpinSystem, params: AcquisitionParams,
-                        selected_transitions=None) -> DesignMatrix:
+                        selected_transitions=None,
+                        table: TransitionTable | None = None) -> DesignMatrix:
     """Stack the cross-sections of every off-diagonal basis operator.
 
     ``selected_transitions`` are indices into the transition table; default is
@@ -220,9 +291,11 @@ def build_design_matrix(system: SpinSystem, params: AcquisitionParams,
     numerical error.  A selection that leaves some qubit uncovered leaves that
     qubit's single-quantum labels supported only by lineshape-tail leakage;
     they are reported through ``undetermined_labels`` and the fit refuses to
-    run.
+    run.  ``table`` is the system's transition table, built here when not
+    given.
     """
-    table = transition_table(system)
+    if table is None:
+        table = transition_table(system)
     check_nyquist(table, params)
     indices = _resolve_transitions(table, selected_transitions)
     covered = {table.entries[i].qubit for i in indices}
@@ -242,23 +315,21 @@ def build_design_matrix(system: SpinSystem, params: AcquisitionParams,
     )
     matrix = _design_columns(system, params, bins, labels)
 
-    column_norms = np.linalg.norm(matrix, axis=0)
+    # einsum reads the design in place; norm(axis=0) would square a full copy
+    column_norms = np.sqrt(np.einsum("ij,ij->j", matrix, matrix))
     norm_scale = float(np.max(column_norms)) if np.any(column_norms) else 0.0
     zero_labels = tuple(
         labels[i] for i in range(len(labels))
         if column_norms[i] <= 1e-12 * max(norm_scale, 1e-300)
     )
 
-    svals = np.linalg.svd(matrix, compute_uv=False)
+    svals, vt = _factor(matrix)
     tol = svals[0] * max(matrix.shape) * np.finfo(float).eps * 10 if svals[0] > 0 else 0.0
     rank = int(np.sum(svals > tol))
     cond = float(svals[0] / svals[-1]) if svals[-1] > 0 else float("inf")
 
     nullspace_labels = ()
     if rank < len(labels):
-        # Only vt is used: skip the rows x rows U of a tall design, but keep
-        # the full vt of a wide one, whose null space has more rows than U.
-        _, _, vt = np.linalg.svd(matrix, full_matrices=matrix.shape[0] < matrix.shape[1])
         null_rows = vt[rank:]
         weight = np.max(np.abs(null_rows), axis=0)
         nullspace_labels = tuple(
@@ -273,6 +344,7 @@ def build_design_matrix(system: SpinSystem, params: AcquisitionParams,
         transition_indices=indices,
         bins=bins,
         singular_values=svals,
+        vt=vt,
         rank=rank,
         condition_number=cond,
         zero_labels=zero_labels,
@@ -284,20 +356,31 @@ def build_design_matrix(system: SpinSystem, params: AcquisitionParams,
     return design
 
 
-def _check_signal_matches_design(signal: Signal2D, design: DesignMatrix) -> None:
+def _check_signal_matches_design(signal: Signal2D | HybridSpectrum,
+                                 design: DesignMatrix) -> None:
     digest = signal.meta.get("system_digest")
     if digest is not None and digest != design.system_digest:
         raise ValueError("signal was recorded on a different spin system than the design matrix")
     params = signal.meta.get("params")
     if params is not None and params != design.params.to_dict():
         raise ValueError("signal acquisition parameters differ from the design matrix")
+    if isinstance(signal, HybridSpectrum):
+        processing = signal.meta.get("processing_t2", {})
+        if (processing.get("apodization") != "matched"
+                or processing.get("zero_fill") != 2
+                or not processing.get("first_point_half")):
+            raise ValueError("hybrid spectrum was not made with the default "
+                             "t2 processing the design matrix assumes")
 
 
-def fit_offdiagonal(signal: Signal2D, design: DesignMatrix) -> OffdiagonalFit:
+def fit_offdiagonal(signal: Signal2D | HybridSpectrum,
+                    design: DesignMatrix) -> OffdiagonalFit:
     """Least-squares solve of the stacked cross-sections against the design.
 
+    ``signal`` is the sequence-A signal or its :func:`dft_t2` hybrid
+    spectrum under default processing; a signal is transformed here.
     Refuses rank-deficient designs outright rather than returning a silent
-    pseudo-inverse answer.
+    pseudo-inverse answer.  The solve reuses the design's stored factors.
     """
     _check_signal_matches_design(signal, design)
     if not design.is_solvable:
@@ -309,10 +392,11 @@ def fit_offdiagonal(signal: Signal2D, design: DesignMatrix) -> OffdiagonalFit:
             f"{[' '.join(l) for l in bad]}",
             labels=bad,
         )
-    hybrid = dft_t2(signal)
+    hybrid = signal if isinstance(signal, HybridSpectrum) else dft_t2(signal)
     target = _stack_cross_sections(hybrid.grid, design.bins)
-    solution, _, _, _ = np.linalg.lstsq(design.matrix, target, rcond=None)
-    residual = float(np.linalg.norm(design.matrix @ solution - target))
+    solution, residual_vector = _solve_seminormal(
+        design.matrix, design.singular_values, design.vt, target)
+    residual = float(np.linalg.norm(residual_vector))
     scale = float(np.linalg.norm(target))
     relative = residual / scale if scale > 0 else 0.0
     if relative > RESIDUAL_WARN_THRESHOLD and scale > 0:
@@ -328,33 +412,40 @@ def fit_offdiagonal(signal: Signal2D, design: DesignMatrix) -> OffdiagonalFit:
 
 def _diagonal_response_matrix(system: SpinSystem, params: AcquisitionParams,
                               table: TransitionTable):
+    """Sequence-B line amplitudes of every diagonal basis operator at once.
+
+    The ideal gradient keeps a diagonal operator d as it is, the beta pulse P
+    carries population k onto detected element p with weight W[p, k] =
+    P[rows_p, k] conj(P[cols_p, k]), and the readout is linear: K[p, t] is
+    the peak amplitude at transition t of the :func:`dft_fid` of element p's
+    unit FID.  Row-stacked amplitudes (re, then im) are ``d^T W^T K``.
+    """
     labels = diagonal_labels(system.n)
-    columns = []
-    for label in labels:
-        signal = run_sequence_B(system, product_operator(system, label), params)
-        amps = peak_amplitudes(dft_fid(signal), table, strict=False)
-        stacked = np.concatenate([
-            np.array([amps[t].real for t in table]),
-            np.array([amps[t].imag for t in table]),
-        ])
-        columns.append(stacked)
-    return labels, np.column_stack(columns)
+    _, diagonals = monomial_table(system.n, labels)
+    rows, cols, _ = detection_elements(system)
+    pulse = rotation_pulse(system, params.beta_rad, 0.0)
+    to_detected = pulse[rows, :] * pulse[cols, :].conj()
+    unit_fids = Signal1D(samples=detection_fids(system, params.t2_times),
+                         dwell_s=params.dwell_t2_s, meta={"t2_s": system.t2_s})
+    kernel = _peak_readout(dft_fid(unit_fids), table)
+    amplitudes = diagonals @ (to_detected.T @ kernel)
+    return labels, np.concatenate([amplitudes.real, amplitudes.imag], axis=1).T
 
 
 def fit_diagonal(signal: Signal1D, system: SpinSystem,
-                 params: AcquisitionParams) -> DiagonalFit:
+                 params: AcquisitionParams,
+                 table: TransitionTable | None = None) -> DiagonalFit:
     """Recover the 2^n - 1 diagonal coefficients from the 1D readout.
 
     Measured line amplitudes are fit against the simulated response of each
     diagonal basis operator at the same beta, so the finite-pulse-angle terms
     cancel exactly; the linear-response approximation never enters.
+    Overlapping lines are absorbed by that shared forward model, so only the
+    measured spectrum warns about them.
     """
-    table = transition_table(system)
-    with warnings.catch_warnings():
-        # Overlapping lines are absorbed by the shared forward model; a single
-        # warning from the measured spectrum is enough.
-        warnings.simplefilter("ignore")
-        labels, response = _diagonal_response_matrix(system, params, table)
+    if table is None:
+        table = transition_table(system)
+    labels, response = _diagonal_response_matrix(system, params, table)
     amps = peak_amplitudes(dft_fid(signal), table, strict=False)
     target = np.concatenate([
         np.array([amps[t].real for t in table]),
@@ -425,32 +516,46 @@ def max_relative_element_error(reference: np.ndarray, reconstructed: np.ndarray,
     return float(np.max(np.abs(rec - ref) / denom))
 
 
-def reference_normalize(system: SpinSystem, rho0: np.ndarray,
+def _reference_response_matrix(system: SpinSystem, params: AcquisitionParams):
+    """Pulse-free reference FIDs of every observable basis operator at once.
+
+    Operator L contributes its entry B_L[rows_p, cols_p] times the unit FID
+    of each detected element p; columns stack the samples' re, then im.
+    """
+    labels = observable_labels(system.n)
+    columns, values = monomial_table(system.n, labels)
+    rows, cols, _ = detection_elements(system)
+    on_detected = np.where(columns[:, rows] == cols, values[:, rows], 0.0)
+    samples = on_detected @ detection_fids(system, params.t2_times)
+    return labels, np.concatenate([samples.real, samples.imag], axis=1).T
+
+
+def reference_normalize(system: SpinSystem, reference: Signal1D,
                         result: TomographyResult,
                         params: AcquisitionParams) -> TomographyResult:
     """Rescale fitted coefficients against a pulse-free reference detection.
 
-    The directly observable single-quantum coefficients of the input state are
-    re-measured without any pulse and compared with the fitted values; their
-    common ratio (a least-squares average over the observable labels) becomes
-    a single global scale factor.  With ideal pulses the factor is 1 to
-    numerical precision.
+    ``reference`` is the measured :func:`reference_fid` of the input state.
+    The observable single-quantum coefficients it carries are fitted and
+    compared with the fitted values; their common ratio (a least-squares
+    average over the observable labels) becomes a single global scale
+    factor.  With ideal pulses the factor is 1 to numerical precision.
+    Normalization is skipped when the reference carries no observable
+    content above its own residual (see :data:`REFERENCE_MIN_F`).
     """
-    labels = observable_labels(system.n)
-    measured = reference_fid(system, rho0, params)
-    target = np.concatenate([measured.samples.real, measured.samples.imag])
-    if np.linalg.norm(target) <= 1e-12 * max(1.0, float(np.max(np.abs(rho0)))):
+    labels, response_matrix = _reference_response_matrix(system, params)
+    target = np.concatenate([reference.samples.real, reference.samples.imag])
+    q_ref, _, rank, _ = np.linalg.lstsq(response_matrix, target, rcond=None)
+    fitted = response_matrix @ q_ref
+    # mean squares per fitted and per residual degree of freedom
+    explained = np.linalg.norm(fitted) ** 2 / max(rank, 1)
+    unexplained = np.linalg.norm(target - fitted) ** 2 / max(len(target) - rank, 1)
+    silent = np.linalg.norm(target) <= 1e-12 * max(1.0, float(np.max(np.abs(result.matrix))))
+    if silent or explained <= REFERENCE_MIN_F * unexplained:
         return replace(result, scale_factor=None,
                        notes=result.notes + (
                            "reference normalization skipped: no directly "
                            "observable single-quantum content",))
-
-    columns = []
-    for label in labels:
-        response = reference_fid(system, product_operator(system, label), params)
-        columns.append(np.concatenate([response.samples.real, response.samples.imag]))
-    response_matrix = np.column_stack(columns)
-    q_ref, _, _, _ = np.linalg.lstsq(response_matrix, target, rcond=None)
 
     q_fit = np.array([result.coefficients.get(label, 0.0) for label in labels])
     mask = np.abs(q_ref) > 1e-9 * max(1.0, float(np.max(np.abs(q_ref))))
@@ -486,25 +591,31 @@ def _score(reference, matrix):
 
 def tomograph_state(system: SpinSystem, rho0: np.ndarray,
                     params: AcquisitionParams, design: DesignMatrix | None = None,
-                    signal_a: Signal2D | None = None,
+                    signal_a: Signal2D | HybridSpectrum | None = None,
                     signal_b: Signal1D | None = None,
                     selected_transitions=None,
-                    normalize: bool = True) -> TomographyResult:
+                    normalize: bool = True,
+                    reference: Signal1D | None = None,
+                    table: TransitionTable | None = None) -> TomographyResult:
     """Full pipeline: simulate both experiments, invert, reassemble, score.
 
-    Pre-simulated (possibly noise-added) signals can be passed in; otherwise
-    both sequences run with ideal settings.  The input state serves as the
-    scoring reference.
+    Pre-simulated (possibly noise-added) measurements can be passed in:
+    ``signal_a`` as the sequence-A signal or its default :func:`dft_t2`
+    hybrid, ``signal_b`` and the reference FID.  Whatever is missing is
+    simulated from ``rho0`` with ideal settings.  Otherwise the input state
+    serves only as the scoring reference.
     """
+    if table is None:
+        table = transition_table(system)
     if design is None:
-        design = build_design_matrix(system, params, selected_transitions)
+        design = build_design_matrix(system, params, selected_transitions, table=table)
     if signal_a is None:
-        signal_a = run_sequence_A(system, rho0, params)
+        signal_a = run_sequence_A(system, rho0, params, table=table)
     if signal_b is None:
-        signal_b = run_sequence_B(system, rho0, params)
+        signal_b = run_sequence_B(system, rho0, params, table=table)
 
     off = fit_offdiagonal(signal_a, design)
-    diag = fit_diagonal(signal_b, system, params)
+    diag = fit_diagonal(signal_b, system, params, table=table)
     matrix = reconstruct(system, off.coefficients, diag.coefficients)
     coefficients = dict(off.coefficients)
     coefficients.update(diag.coefficients)
@@ -524,5 +635,7 @@ def tomograph_state(system: SpinSystem, rho0: np.ndarray,
         notes=notes,
     )
     if normalize:
-        result = reference_normalize(system, rho0, result, params)
+        if reference is None:
+            reference = reference_fid(system, rho0, params)
+        result = reference_normalize(system, reference, result, params)
     return result

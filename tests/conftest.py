@@ -1,5 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from spintomo import (apply_unitary, build_spin_system, detect_signal, evolve,
                       gradient_project, rotation_pulse)
@@ -109,3 +112,29 @@ def fit_t1_trace(trace, t1, frequencies, time_constant):
     residual = np.linalg.norm(basis @ solution - trace)
     scale = np.linalg.norm(trace)
     return dict(zip(keys, solution)), (residual / scale if scale > 0 else 0.0)
+
+
+def loop_pairs(frequencies, close):
+    """Every index pair (i, k), i < k, whose gap satisfies ``close``.
+
+    The quadratic pair search that transition_table and peak_amplitudes
+    used before their sort-and-scan, kept as the reference.
+    """
+    return [(i, k) for i in range(len(frequencies))
+            for k in range(i + 1, len(frequencies))
+            if close(abs(frequencies[i] - frequencies[k]))]
+
+
+@st.composite
+def clustered_systems(draw):
+    """n <= 4 registers on a coarse frequency grid, so lines often coincide."""
+    n = draw(st.integers(1, 4))
+    larmor = draw(st.lists(st.integers(1, 8).map(lambda k: 100.0 * k),
+                           min_size=n, max_size=n))
+    couplings = {(j, k): 10.0 * draw(st.integers(-4, 4))
+                 for j in range(1, n + 1) for k in range(j + 1, n + 1)}
+    jitter = draw(st.sampled_from([0.0, 1e-7, 3e-6, 0.4]))
+    larmor = [f + jitter * i for i, f in enumerate(larmor)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return build_spin_system(n, larmor, couplings, 0.01)

@@ -6,8 +6,9 @@ import warnings
 import numpy as np
 import pytest
 
-from spintomo.cli import (_atomic_write, config_from_dict, config_to_dict, main,
-                          parse_config, resolve_params)
+from spintomo import reference_fid, tomograph_state, transition_table
+from spintomo.cli import (_atomic_write, _simulate_signals, config_from_dict,
+                          config_to_dict, main, parse_config, resolve_params)
 from spintomo.errors import ConfigError
 
 from conftest import DEMO_COEFFS, local_maxima_above
@@ -249,6 +250,32 @@ class TestTomographCommand:
             assert main(["tomograph", "--config", str(path), "--out", str(out_a)]) == 0
             assert main(["tomograph", "--config", str(path), "--out", str(out_b)]) == 0
         assert (out_a / "result.json").read_bytes() == (out_b / "result.json").read_bytes()
+
+    def test_scale_from_noisy_reference_measurement(self, tmp_path):
+        # the reference FID is simulated with the signals and gets its own
+        # noise from the same RNG; the scale factor is fitted to it, never to
+        # the noise-free input state
+        path = write_config(tmp_path, demo_config(n_t1=64, n_t2=128, noise_rms=0.05))
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert main(["tomograph", "--config", str(path), "--out", str(out)]) == 0
+            result = json.loads((out / "result.json").read_text())
+
+            cfg = parse_config(path)
+            params = resolve_params(cfg)
+            table = transition_table(cfg.system)
+            rho0, signal_a, signal_b, reference = _simulate_signals(
+                cfg, params, np.random.default_rng(cfg.options.seed), table)
+            noise = reference.samples - reference_fid(cfg.system, rho0, params).samples
+            assert np.std(noise) == pytest.approx(0.05, rel=0.2)
+            scales = {
+                name: tomograph_state(cfg.system, rho0, params, signal_a=signal_a,
+                                      signal_b=signal_b, reference=measured,
+                                      table=table).scale_factor
+                for name, measured in (("noisy", reference), ("clean", None))}
+        assert result["scale_factor"] == scales["noisy"]
+        assert scales["noisy"] != scales["clean"]
 
     def test_zero_state(self, tmp_path, capsys):
         payload = demo_config(n_t1=32, n_t2=256)

@@ -8,7 +8,8 @@ from spintomo import (all_labels, build_spin_system, coefficients_to_density,
                       density_to_coefficients, diagonal_labels, format_label,
                       hamiltonian, observable_labels, offdiagonal_labels,
                       parse_label, product_operator, rotation_pulse)
-from spintomo.core import operator_norm_squared, single_quantum_transitions
+from spintomo.core import (monomial_table, operator_norm_squared,
+                           single_quantum_transitions)
 
 from conftest import DEMO_COEFFS, random_hermitian_traceless
 
@@ -144,6 +145,37 @@ class TestProductOperator:
         for label in all_labels(2):
             op = product_operator(two_spin_system, label)
             assert np.allclose(op, op.conj().T)
+
+
+class TestMonomialTable:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_equals_product_operator_bit_for_bit(self, n):
+        with warnings.catch_warnings():
+            # uncoupled spins are degenerate, which does not matter here
+            warnings.simplefilter("ignore")
+            system = build_spin_system(n, [100.0 * (j + 1) for j in range(n)], {}, 0.01)
+        labels = all_labels(n)
+        columns, values = monomial_table(n, labels)
+        rows = np.arange(2 ** n)
+        for label, cols, vals in zip(labels, columns, values):
+            dense = product_operator(system, label)
+            assert np.array_equal(dense[rows, cols].view(np.uint64), vals.view(np.uint64)), label
+            off_support = np.ones(dense.shape, dtype=bool)
+            off_support[rows, cols] = False
+            assert not np.any(dense[off_support]), label
+
+    def test_flip_mask_from_transverse_spins(self):
+        columns, _ = monomial_table(3, ["xoz", "oyo", "zzz"])
+        assert list(columns[:, 0]) == [0b100, 0b010, 0]
+
+    def test_density_matches_running_kron_sum(self, two_spin_system):
+        # the scatter adds each position in label order, exactly as the
+        # running sum of dense products does
+        expected = np.zeros((4, 4), dtype=complex)
+        for label, value in DEMO_COEFFS.items():
+            expected += value * product_operator(two_spin_system, label)
+        rho = coefficients_to_density(two_spin_system, DEMO_COEFFS)
+        assert np.array_equal(rho.view(np.uint64), expected.view(np.uint64))
 
 
 class TestCoefficientConversion:

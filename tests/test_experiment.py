@@ -10,11 +10,13 @@ from spintomo import (AcquisitionParams, DegenerateTransitionError,
                       default_acquisition, dft_t2, product_operator,
                       reference_fid, run_sequence_A, run_sequence_B,
                       transition_table)
+from spintomo.core import single_quantum_transitions
 from spintomo.experiment import _write_csv, export_signal1d, export_signal2d
 from spintomo.spectral import cross_section
 
-from conftest import (DEMO_COEFFS, fit_t1_trace, random_hermitian_traceless,
-                      reference_sequence_a, reference_sequence_b)
+from conftest import (DEMO_COEFFS, clustered_systems, fit_t1_trace, loop_pairs,
+                      random_hermitian_traceless, reference_sequence_a,
+                      reference_sequence_b)
 
 
 def small_params(alpha_rad=np.pi / 4, beta_rad=np.radians(10.0), n_t1=16, n_t2=16):
@@ -64,6 +66,21 @@ class TestTransitionTable:
         differences = (eigenvalues[:, None] - eigenvalues[None, :]).ravel()
         for t in transition_table(four_spin_system):
             assert np.min(np.abs(differences - t.frequency_hz)) < 1e-9
+
+
+    @settings(max_examples=200, deadline=None)
+    @given(clustered_systems(), st.sampled_from([1e-6, 1e-5, 5.0, 20.0]))
+    def test_collisions_match_pairwise_loop(self, system, tol_hz):
+        transitions = single_quantum_transitions(system)
+        expected = loop_pairs([f for *_, f in transitions], lambda gap: gap <= tol_hz)
+        if not expected:
+            assert len(transition_table(system, tol_hz)) == len(transitions)
+            return
+        with pytest.raises(DegenerateTransitionError) as info:
+            transition_table(system, tol_hz)
+        got = [(a.upper, a.lower, b.upper, b.lower) for a, b in info.value.pairs]
+        assert got == [(transitions[i][1], transitions[i][2],
+                        transitions[k][1], transitions[k][2]) for i, k in expected]
 
 
 class TestAcquisitionParams:

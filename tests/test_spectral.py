@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spintomo import (LineOverlapError, Signal1D, Signal2D, Transition,
                       TransitionTable, coefficients_to_density, cross_section,
                       default_acquisition, dft_fid, dft_t1, dft_t2,
                       hybrid_omega2_axis, peak_amplitudes, run_sequence_A,
                       transition_table)
+from spintomo.core import single_quantum_transitions
 from spintomo.spectral import HybridSpectrum, nearest_bin
 
-from conftest import DEMO_COEFFS, local_maxima_above
+from conftest import DEMO_COEFFS, clustered_systems, local_maxima_above, loop_pairs
 
 
 def oscillator_fid(n, dwell, frequency, decay_s=None, amplitude=1.0):
@@ -315,3 +317,22 @@ class TestPeakAmplitudes:
         spectrum = dft_fid(signal)
         with pytest.raises(ValueError, match="outside"):
             peak_amplitudes(spectrum, self.table_for([1e5]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(clustered_systems(), st.sampled_from([0.001, 0.01, 0.1]))
+    def test_overlap_pairs_match_pairwise_loop(self, system, t2_s):
+        entries = tuple(Transition(qubit=j, upper=r, lower=s, frequency_hz=f)
+                        for j, r, s, f in single_quantum_transitions(system))
+        table = TransitionTable(entries=entries)
+        linewidth = 1.0 / (np.pi * t2_s)
+        expected = loop_pairs([t.frequency_hz for t in entries],
+                              lambda gap: gap < linewidth)
+        signal = Signal1D(samples=np.zeros(64, dtype=complex), dwell_s=1e-4,
+                          meta={"t2_s": t2_s})
+        spectrum = dft_fid(signal)
+        if not expected:
+            assert len(peak_amplitudes(spectrum, table, strict=True)) == len(entries)
+            return
+        with pytest.raises(LineOverlapError) as info:
+            peak_amplitudes(spectrum, table, strict=True)
+        assert list(info.value.pairs) == [(entries[i], entries[k]) for i, k in expected]

@@ -1,5 +1,6 @@
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,13 +8,16 @@ from hypothesis import assume, given, settings, strategies as st
 
 from spintomo import (DegenerateTransitionError, RankDeficiencyError,
                       build_design_matrix, build_spin_system,
-                      coefficients_to_density, default_acquisition, dft_t2,
-                      diagonal_labels, fidelity, fit_diagonal, fit_offdiagonal,
-                      max_relative_element_error, offdiagonal_labels,
-                      product_operator, reconstruct, reference_normalize,
-                      run_sequence_A, run_sequence_B, tomograph_state,
-                      transition_table)
-from spintomo.tomography import _stack_cross_sections
+                      coefficients_to_density, default_acquisition, dft_fid,
+                      dft_t2, diagonal_labels, fidelity, fit_diagonal,
+                      fit_offdiagonal, max_relative_element_error,
+                      observable_labels, offdiagonal_labels, peak_amplitudes,
+                      product_operator, reconstruct, reference_fid,
+                      reference_normalize, run_sequence_A, run_sequence_B,
+                      tomograph_state, transition_table)
+from spintomo.tomography import (_diagonal_response_matrix, _factor,
+                                 _reference_response_matrix, _solve_seminormal,
+                                 _stack_cross_sections)
 
 from conftest import (DEMO_COEFFS, FOUR_SPIN_COUPLINGS, FOUR_SPIN_LARMOR,
                       TWO_SPIN_J, TWO_SPIN_LARMOR, TWO_SPIN_T2, fit_t1_trace,
@@ -39,7 +43,33 @@ def oracle_matrix(system, params, design):
 
 
 def relative_difference(design, oracle):
-    return float(np.max(np.abs(design.matrix - oracle)) / np.max(np.abs(oracle)))
+    return relative_max_difference(design.matrix, oracle)
+
+
+def relative_max_difference(matrix, oracle):
+    return float(np.max(np.abs(matrix - oracle)) / np.max(np.abs(oracle)))
+
+
+def diagonal_oracle(system, params, table):
+    """Per-label diagonal response: each o/z operator through sequence B."""
+    columns = []
+    for label in diagonal_labels(system.n):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            amps = peak_amplitudes(dft_fid(run_sequence_B(
+                system, product_operator(system, label), params)), table, strict=False)
+        columns.append(np.concatenate([[amps[t].real for t in table],
+                                       [amps[t].imag for t in table]]))
+    return np.column_stack(columns)
+
+
+def reference_oracle(system, params):
+    """Per-label reference response: each observable operator's pulse-free FID."""
+    columns = []
+    for label in observable_labels(system.n):
+        samples = reference_fid(system, product_operator(system, label), params).samples
+        columns.append(np.concatenate([samples.real, samples.imag]))
+    return np.column_stack(columns)
 
 
 @st.composite
@@ -184,6 +214,38 @@ class TestDesignMatrix:
         assert not (design.zero_labels or design.nullspace_labels
                     or design.undetermined_labels)
 
+    @settings(max_examples=25, deadline=None)
+    @given(registers_and_grids(), st.floats(0.01, 0.5))
+    def test_closed_form_responses_match_per_label_simulation(self, case, beta_rad):
+        system, params = case
+        # two t2 samples give a 4-bin axis that ends at the largest line,
+        # too short for the three-bin readout of either form
+        assume(params.n_t2 > 2)
+        params = replace(params, beta_rad=beta_rad)
+        table = transition_table(system)
+        labels, response = _diagonal_response_matrix(system, params, table)
+        assert labels == diagonal_labels(system.n)
+        assert relative_max_difference(response, diagonal_oracle(system, params, table)) <= 1e-12
+        labels, response = _reference_response_matrix(system, params)
+        assert labels == observable_labels(system.n)
+        assert relative_max_difference(response, reference_oracle(system, params)) <= 1e-12
+
+    def test_closed_form_responses_four_spin(self):
+        system = build_spin_system(4, FOUR_SPIN_LARMOR, FOUR_SPIN_COUPLINGS, 0.010)
+        params = default_acquisition(system, n_t1=16, n_t2=256)
+        table = transition_table(system)
+        _, response = _diagonal_response_matrix(system, params, table)
+        assert relative_max_difference(response, diagonal_oracle(system, params, table)) <= 1e-12
+        _, response = _reference_response_matrix(system, params)
+        assert relative_max_difference(response, reference_oracle(system, params)) <= 1e-12
+
+    def test_factors_match_svd_of_design(self, two_spin_setup):
+        _, _, design = two_spin_setup
+        _, svals, vt = np.linalg.svd(design.matrix, full_matrices=False)
+        assert np.allclose(design.singular_values, svals, rtol=1e-12, atol=0)
+        # right singular vectors agree up to sign
+        assert np.allclose(np.abs(np.sum(design.vt * vt, axis=1)), 1.0, atol=1e-10)
+
     def test_rank_deficient_build_memory_bounded(self, two_spin_setup):
         # alpha = 0 detects nothing: every column is exactly zero and the
         # null-space SVD runs on a 4096 x 12 matrix
@@ -211,6 +273,52 @@ class TestDesignMatrix:
                                 params)
         with pytest.raises(RankDeficiencyError):
             fit_offdiagonal(signal, design)
+
+
+class TestSeminormalSolve:
+    @pytest.mark.parametrize("kappa", [1e2, 1e4, 1e6, 1e8, 1e10])
+    def test_matches_lstsq(self, kappa):
+        # a least-squares problem whose residual is 1/kappa of the data, so
+        # both solvers are accurate to about kappa * eps
+        rng = np.random.default_rng(int(np.log10(kappa)))
+        rows, cols = 4000, 60
+        u, _ = np.linalg.qr(rng.standard_normal((rows, cols)))
+        v, _ = np.linalg.qr(rng.standard_normal((cols, cols)))
+        matrix = np.asfortranarray((u * np.logspace(0, -np.log10(kappa), cols)) @ v.T)
+        consistent = matrix @ rng.standard_normal(cols)
+        orthogonal = rng.standard_normal(rows)
+        orthogonal -= u @ (u.T @ orthogonal)
+        target = consistent + orthogonal * (
+            np.linalg.norm(consistent) / np.linalg.norm(orthogonal) / kappa)
+
+        svals, vt = _factor(matrix)
+        assert svals[0] / svals[-1] == pytest.approx(kappa, rel=1e-3)
+        solution, residual = _solve_seminormal(matrix, svals, vt, target)
+        expected, _, _, _ = np.linalg.lstsq(matrix, target, rcond=None)
+        difference = np.linalg.norm(solution - expected) / np.linalg.norm(expected)
+        assert difference <= 100 * kappa * np.finfo(float).eps
+        assert np.array_equal(residual, target - matrix @ solution)
+
+    def test_wide_matrix_factors(self):
+        rng = np.random.default_rng(5)
+        matrix = rng.standard_normal((6, 10))
+        svals, vt = _factor(matrix)
+        assert vt.shape == (10, 10)
+        assert np.allclose(svals, np.linalg.svd(matrix, compute_uv=False), rtol=1e-12)
+        # the last rows of vt span the null space
+        assert np.max(np.abs(matrix @ vt[6:].T)) < 1e-12
+
+    def test_fit_reuses_stored_factors(self, two_spin_setup, monkeypatch):
+        system, params, design = two_spin_setup
+        signal = run_sequence_A(system, coefficients_to_density(system, DEMO_COEFFS), params)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the fit factored the design again")
+
+        for name in ("lstsq", "svd", "qr", "pinv"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        fit = fit_offdiagonal(signal, design)
+        assert fit.coefficients["xx"] == pytest.approx(13.0, rel=1e-9)
 
 
 class TestFitOffdiagonal:
@@ -276,6 +384,20 @@ class TestFitOffdiagonal:
         overlap = np.max(np.abs(design.matrix.T @ residual_vec))
         scale = np.linalg.norm(design.matrix) * np.linalg.norm(residual_vec)
         assert overlap <= 1e-9 * scale
+
+    def test_hybrid_input_same_as_signal(self, two_spin_setup):
+        system, params, design = two_spin_setup
+        signal = run_sequence_A(system, coefficients_to_density(system, DEMO_COEFFS), params)
+        from_signal = fit_offdiagonal(signal, design)
+        from_hybrid = fit_offdiagonal(dft_t2(signal), design)
+        assert from_hybrid.coefficients == from_signal.coefficients
+        assert from_hybrid.residual_norm == from_signal.residual_norm
+
+    def test_hybrid_with_other_processing_rejected(self, two_spin_setup):
+        system, params, design = two_spin_setup
+        signal = run_sequence_A(system, coefficients_to_density(system, DEMO_COEFFS), params)
+        with pytest.raises(ValueError, match="processing"):
+            fit_offdiagonal(dft_t2(signal, zero_fill=4), design)
 
     def test_mismatched_params_rejected(self, two_spin_setup):
         system, params, design = two_spin_setup
@@ -395,9 +517,68 @@ class TestReferenceNormalize:
                 result,
                 coefficients={k: gain * v for k, v in result.coefficients.items()},
                 matrix=gain * result.matrix)
-            fixed = reference_normalize(system, rho0, skewed, params)
+            fixed = reference_normalize(system, reference_fid(system, rho0, params),
+                                        skewed, params)
             assert fixed.scale_factor == pytest.approx(1.0 / gain, rel=1e-6)
             assert fixed.max_relative_element_error < 1e-3
+
+    def test_scale_follows_measured_reference(self, two_spin_setup):
+        # the scale comes from the reference handed in, not from the input
+        # state: a reference of a state with 1.5 times the observable
+        # content scales every coefficient by 1.5
+        system, params, design = two_spin_setup
+        rho0 = coefficients_to_density(system, DEMO_COEFFS)
+        louder = coefficients_to_density(
+            system, {label: 1.5 * value for label, value in DEMO_COEFFS.items()})
+        result = tomograph_state(system, rho0, params, design=design,
+                                 reference=reference_fid(system, louder, params))
+        assert result.scale_factor == pytest.approx(1.5, rel=1e-9)
+        for label, value in DEMO_COEFFS.items():
+            assert result.coefficients[label] == pytest.approx(1.5 * value, rel=1e-6)
+
+    def test_noisy_reference_scale_unbiased(self, two_spin_setup):
+        # signals and reference carry independent noise; the fitted scale
+        # averages to 1 over seeds
+        system, params, design = two_spin_setup
+        rho0 = coefficients_to_density(system, DEMO_COEFFS)
+        clean_a = run_sequence_A(system, rho0, params)
+        clean_b = run_sequence_B(system, rho0, params)
+        clean_ref = reference_fid(system, rho0, params)
+        hybrid = dft_t2(clean_a)
+        scales = []
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+
+            def noisy(values, rms=0.05):
+                return values + rms / np.sqrt(2.0) * (
+                    rng.standard_normal(values.shape)
+                    + 1j * rng.standard_normal(values.shape))
+
+            hybrid.grid = dft_t2(replace(clean_a, grid=noisy(clean_a.grid))).grid
+            signal_b = replace(clean_b, samples=noisy(clean_b.samples))
+            reference = replace(clean_ref, samples=noisy(clean_ref.samples))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                result = tomograph_state(system, rho0, params, design=design,
+                                         signal_a=hybrid, signal_b=signal_b,
+                                         reference=reference)
+            scales.append(result.scale_factor)
+        assert abs(np.mean(scales) - 1.0) <= 1e-3
+        assert np.std(scales) > 0
+
+    def test_skips_on_noise_only_reference(self, two_spin_setup):
+        # a reference holding only noise gives no scale, rather than one
+        # fitted to the noise
+        system, params, design = two_spin_setup
+        rho0 = coefficients_to_density(system, {"zz": 4.0, "xx": 1.0})
+        rng = np.random.default_rng(3)
+        reference = reference_fid(system, rho0, params)
+        reference.samples = 1e-3 * (rng.standard_normal(params.n_t2)
+                                    + 1j * rng.standard_normal(params.n_t2))
+        result = tomograph_state(system, rho0, params, design=design,
+                                 reference=reference)
+        assert result.scale_factor is None
+        assert any("skipped" in note for note in result.notes)
 
     def test_skips_without_observable_content(self, two_spin_setup):
         system, params, design = two_spin_setup
