@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 import uuid
@@ -129,94 +130,82 @@ def config_from_dict(raw: dict) -> RunConfig:
 
     acq = dict(raw.get("acquisition") or {})
     _reject_unknown(acq, _ACQ_KEYS, "acquisition")
+    for key in ("n_t1", "n_t2"):
+        if key in acq:
+            acq[key] = _config_int(acq[key], f"acquisition.{key}", 1)
+    for key in ("dwell_t1_s", "dwell_t2_s"):
+        if key in acq:
+            acq[key] = _config_float(acq[key], f"acquisition.{key}", 0.0, strict=True)
+    for key in ("alpha_deg", "beta_deg"):
+        if key in acq:
+            acq[key] = _config_float(acq[key], f"acquisition.{key}")
     if "cross_section_qubits" in acq:
         qubits = acq["cross_section_qubits"]
-        if (not isinstance(qubits, list) or not qubits
-                or any(int(q) < 1 or int(q) > system.n for q in qubits)):
-            raise ConfigError(
-                "'acquisition.cross_section_qubits' must be a non-empty list "
-                f"of qubits in 1..{system.n}")
-        acq["cross_section_qubits"] = sorted(set(int(q) for q in qubits))
+        path = "acquisition.cross_section_qubits"
+        if not isinstance(qubits, list) or not qubits:
+            raise ConfigError(f"'{path}' must be a non-empty list of qubits")
+        qubits = {_config_int(q, path, 1) for q in qubits}
+        if max(qubits) > system.n:
+            raise ConfigError(f"'{path}' must list qubits in 1..{system.n}")
+        acq["cross_section_qubits"] = sorted(qubits)
 
     opt_block = dict(raw.get("options") or {})
     _reject_unknown(opt_block, _OPT_KEYS, "options")
     options = RunOptions()
-    try:
-        options.noise_rms = float(opt_block.get("noise_rms", options.noise_rms))
-        options.realistic_gradient = bool(opt_block.get("realistic_gradient",
-                                                        options.realistic_gradient))
-        options.gradient_draws = int(opt_block.get("gradient_draws",
-                                                   options.gradient_draws))
-        options.gradient_tau_max_s = float(opt_block.get("gradient_tau_max_s",
-                                                         options.gradient_tau_max_s))
-        options.seed = int(opt_block.get("seed", options.seed))
-        options.output_dir = str(opt_block.get("output_dir", options.output_dir))
-        options.reference_normalize = bool(opt_block.get("reference_normalize",
-                                                         options.reference_normalize))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid 'options' value: {exc}")
-    if options.noise_rms < 0:
-        raise ConfigError("'options.noise_rms' must be non-negative")
-    if options.gradient_draws < 1:
-        raise ConfigError("'options.gradient_draws' must be at least 1")
+    for key, minimum in (("noise_rms", 0.0), ("gradient_tau_max_s", 0.0)):
+        if key in opt_block:
+            setattr(options, key, _config_float(opt_block[key], f"options.{key}", minimum))
+    for key, minimum in (("gradient_draws", 1), ("seed", 0)):
+        if key in opt_block:
+            setattr(options, key, _config_int(opt_block[key], f"options.{key}", minimum))
+    for key in ("realistic_gradient", "reference_normalize"):
+        if key in opt_block:
+            if not isinstance(opt_block[key], bool):
+                raise ConfigError(f"'options.{key}' must be true or false, "
+                                  f"got {opt_block[key]!r}")
+            setattr(options, key, opt_block[key])
+    options.output_dir = str(opt_block.get("output_dir", options.output_dir))
 
     return RunConfig(system=system, coefficients=coefficients,
                      acquisition=acq, options=options)
 
 
-def config_to_dict(cfg: RunConfig) -> dict:
-    """Canonical dictionary form; parse(emit(cfg)) reproduces cfg exactly."""
-    params = resolve_params(cfg)
-    acquisition = {
-        "n_t1": params.n_t1,
-        "n_t2": params.n_t2,
-        "dwell_t1_s": params.dwell_t1_s,
-        "dwell_t2_s": params.dwell_t2_s,
-        "alpha_deg": float(np.degrees(params.alpha_rad)),
-        "beta_deg": float(np.degrees(params.beta_rad)),
-    }
-    if "cross_section_qubits" in cfg.acquisition:
-        acquisition["cross_section_qubits"] = list(cfg.acquisition["cross_section_qubits"])
-    return {
-        "spin_system": {
-            "n": cfg.system.n,
-            "larmor_hz": list(cfg.system.larmor_hz),
-            "couplings_hz": {f"{j},{k}": value
-                             for j, k, value in cfg.system.couplings_hz},
-            "t2_s": cfg.system.t2_s,
-        },
-        "state": {
-            "coefficients": [[format_label(label), value]
-                             for label, value in sorted(cfg.coefficients.items())],
-        },
-        "acquisition": acquisition,
-        "options": {
-            "noise_rms": cfg.options.noise_rms,
-            "realistic_gradient": cfg.options.realistic_gradient,
-            "gradient_draws": cfg.options.gradient_draws,
-            "gradient_tau_max_s": cfg.options.gradient_tau_max_s,
-            "seed": cfg.options.seed,
-            "output_dir": cfg.options.output_dir,
-            "reference_normalize": cfg.options.reference_normalize,
-        },
-    }
+def _config_int(value, path: str, minimum: int) -> int:
+    """``value`` as an int, if it is an integral JSON number >= ``minimum``."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or isinstance(value, float) and not value.is_integer()
+            or value < minimum):
+        raise ConfigError(f"'{path}' must be an integer >= {minimum}, got {value!r}")
+    return int(value)
+
+
+def _config_float(value, path: str, minimum: float | None = None,
+                  strict: bool = False) -> float:
+    """``value`` as a float, if it is a finite JSON number at least ``minimum``
+    (above it, with ``strict``)."""
+    number = math.nan
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:  # an integer beyond the float range
+            pass
+    ok = math.isfinite(number)
+    if ok and minimum is not None:
+        ok = number > minimum if strict else number >= minimum
+    if not ok:
+        bound = "" if minimum is None else f" {'>' if strict else '>='} {minimum}"
+        raise ConfigError(f"'{path}' must be a finite number{bound}, got {value!r}")
+    return number
 
 
 def resolve_params(cfg: RunConfig):
+    """Acquisition parameters from the validated ``acquisition`` block."""
     acq = cfg.acquisition
-    kwargs = {}
-    if "n_t1" in acq:
-        kwargs["n_t1"] = int(acq["n_t1"])
-    if "n_t2" in acq:
-        kwargs["n_t2"] = int(acq["n_t2"])
-    if "dwell_t1_s" in acq:
-        kwargs["dwell_t1_s"] = float(acq["dwell_t1_s"])
-    if "dwell_t2_s" in acq:
-        kwargs["dwell_t2_s"] = float(acq["dwell_t2_s"])
-    if "alpha_deg" in acq:
-        kwargs["alpha_rad"] = float(np.radians(acq["alpha_deg"]))
-    if "beta_deg" in acq:
-        kwargs["beta_rad"] = float(np.radians(acq["beta_deg"]))
+    kwargs = {key: acq[key] for key in ("n_t1", "n_t2", "dwell_t1_s", "dwell_t2_s")
+              if key in acq}
+    for angle in ("alpha", "beta"):
+        if f"{angle}_deg" in acq:
+            kwargs[f"{angle}_rad"] = float(np.radians(acq[f"{angle}_deg"]))
     return default_acquisition(cfg.system, **kwargs)
 
 
@@ -265,7 +254,7 @@ def _apply_noise(rng, array: np.ndarray, rms: float) -> np.ndarray:
     return array + noise
 
 
-def _simulate_signals(cfg: RunConfig, params, rng, table):
+def _simulate_signals(cfg: RunConfig, params, rng):
     """The input state, signals A and B and the reference FID, all noised.
 
     The reference draws its noise last, so A and B do not depend on it.
@@ -275,7 +264,7 @@ def _simulate_signals(cfg: RunConfig, params, rng, table):
     gradient = "realistic" if cfg.options.realistic_gradient else "ideal"
     kwargs = dict(gradient=gradient, rng=rng,
                   gradient_draws=cfg.options.gradient_draws,
-                  gradient_tau_max_s=cfg.options.gradient_tau_max_s, table=table)
+                  gradient_tau_max_s=cfg.options.gradient_tau_max_s)
     signal_a = run_sequence_A(system, rho0, params, **kwargs)
     signal_b = run_sequence_B(system, rho0, params, **kwargs)
     reference = reference_fid(system, rho0, params)
@@ -311,7 +300,7 @@ def _export_simulation(cfg: RunConfig, signal_a, signal_b, out: Path, table):
     # Named by transition-table index (the index design_summary.json lists):
     # frequencies can agree to any printed precision.
     for i, transition in enumerate(table):
-        section = cross_section(hybrid, transition.frequency_hz)
+        section = cross_section(spectrum, transition.frequency_hz)
         _atomic_write(out / f"cross_section_{i:02d}_q{transition.qubit}.csv",
                       lambda p: export_cross_section(section, p))
 
@@ -322,7 +311,7 @@ def _export_simulation(cfg: RunConfig, signal_a, signal_b, out: Path, table):
 
 def _build_design(cfg: RunConfig, params, table):
     selected = selected_transition_indices(cfg, table)
-    return build_design_matrix(cfg.system, params, selected, table=table)
+    return build_design_matrix(cfg.system, params, selected)
 
 
 def _design_summary(design) -> dict:
@@ -377,7 +366,7 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> int:
     params = resolve_params(cfg)
     table = transition_table(cfg.system)
     rng = np.random.default_rng(cfg.options.seed)
-    _, signal_a, signal_b, _ = _simulate_signals(cfg, params, rng, table)
+    _, signal_a, signal_b, _ = _simulate_signals(cfg, params, rng)
     _export_simulation(cfg, signal_a, signal_b, out, table)
     print(f"simulation artifacts written to {out}")
     return 0
@@ -387,7 +376,7 @@ def cmd_tomograph(cfg: RunConfig, out: Path) -> int:
     params = resolve_params(cfg)
     table = transition_table(cfg.system)
     rng = np.random.default_rng(cfg.options.seed)
-    rho0, signal_a, signal_b, reference = _simulate_signals(cfg, params, rng, table)
+    rho0, signal_a, signal_b, reference = _simulate_signals(cfg, params, rng)
     hybrid = _export_simulation(cfg, signal_a, signal_b, out, table)
 
     design = _build_design(cfg, params, table)
@@ -396,7 +385,7 @@ def cmd_tomograph(cfg: RunConfig, out: Path) -> int:
     result = tomograph_state(cfg.system, rho0, params, design=design,
                              signal_a=hybrid, signal_b=signal_b,
                              normalize=cfg.options.reference_normalize,
-                             reference=reference, table=table)
+                             reference=reference)
     _write_json(out / "result.json", result.to_json_dict())
     _write_report(out / "report.txt", result, cfg)
 
@@ -448,7 +437,7 @@ def main(argv=None) -> int:
     try:
         cfg = parse_config(args.config)
         if args.seed is not None:
-            cfg.options.seed = args.seed
+            cfg.options.seed = _config_int(args.seed, "--seed", 0)
         out = Path(args.out) if args.out is not None else Path(cfg.options.output_dir)
         out.mkdir(parents=True, exist_ok=True)
         handler = {"simulate": cmd_simulate, "tomograph": cmd_tomograph,

@@ -30,6 +30,10 @@ SPIN_Y = 0.5 * np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SPIN_Z = 0.5 * np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 SINGLE_SPIN_OPS = {"o": IDENTITY_2, "x": SPIN_X, "y": SPIN_Y, "z": SPIN_Z}
 
+# Single-quantum lines closer than this cannot be told apart: building such a
+# system warns and the transition table refuses it.
+DEGENERACY_TOL_HZ = 1e-6
+
 
 @dataclass(frozen=True)
 class SpinSystem:
@@ -100,8 +104,9 @@ def build_spin_system(n, larmor_hz, couplings_hz=None, t2_s=0.01) -> SpinSystem:
 
     Notes
     -----
-    Coinciding single-quantum transition frequencies only raise a warning
-    here; experiment setup enforces them as a hard error.
+    Single-quantum transitions within :data:`DEGENERACY_TOL_HZ` of each
+    other only raise a warning here; experiment setup enforces the same
+    rule as a hard error.
     """
     n = int(n)
     if n < 1:
@@ -134,17 +139,14 @@ def build_spin_system(n, larmor_hz, couplings_hz=None, t2_s=0.01) -> SpinSystem:
 
     system = SpinSystem(n=n, larmor_hz=larmor, couplings_hz=tuple(sorted(pairs)), t2_s=t2_s)
 
-    freqs = [f for _, _, _, f in single_quantum_transitions(system)]
-    freqs = sorted(freqs)
-    scale = max(1.0, max(abs(f) for f in freqs))
-    for a, b in zip(freqs, freqs[1:]):
-        if abs(b - a) <= 1e-9 * scale:
-            warnings.warn(
-                f"single-quantum transitions coincide near {a:.6g} Hz; "
-                "tomography setup will reject this system",
-                stacklevel=2,
-            )
-            break
+    freqs = [f for *_, f in single_quantum_transitions(system)]
+    pairs = _close_pairs(freqs, DEGENERACY_TOL_HZ)
+    if pairs:
+        warnings.warn(
+            f"single-quantum transitions coincide near {freqs[pairs[0][0]]:.6g} Hz; "
+            "tomography setup will reject this system",
+            stacklevel=2,
+        )
     return system
 
 
@@ -284,6 +286,23 @@ def down_counts(n: int) -> np.ndarray:
     """Number of down spins per basis state; differences give coherence order."""
     dim = 2 ** n
     return np.array([bin(r).count("1") for r in range(dim)])
+
+
+def _close_pairs(frequencies, limit_hz: float) -> list:
+    """Sorted index pairs (i, k), i < k, with |f_i - f_k| <= ``limit_hz``.
+
+    Sorts once and scans each frequency's upper neighbours only while they
+    stay within the limit, so well-separated lines cost O(N log N).
+    """
+    order = np.argsort(frequencies, kind="stable")
+    ranked = np.asarray(frequencies, dtype=float)[order]
+    pairs = []
+    for a in range(len(ranked)):
+        b = a + 1
+        while b < len(ranked) and ranked[b] - ranked[a] <= limit_hz:
+            pairs.append(tuple(sorted((int(order[a]), int(order[b])))))
+            b += 1
+    return sorted(pairs)
 
 
 def single_quantum_transitions(system: SpinSystem):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SpinSystem, down_counts, energies
+from .core import SpinSystem, down_counts, energies, single_quantum_transitions
 
 
 @dataclass(frozen=True, eq=False)
@@ -31,12 +31,7 @@ class EvolutionCache:
     orders: np.ndarray
     down: np.ndarray
 
-    def __post_init__(self):
-        for array in (self.energies, self.frequencies, self.orders, self.down):
-            array.setflags(write=False)
 
-
-@functools.lru_cache(maxsize=None)
 def evolution_cache(system: SpinSystem) -> EvolutionCache:
     level = energies(system)
     down = down_counts(system.n)
@@ -52,6 +47,22 @@ def _offdiag_mask(dim: int) -> np.ndarray:
     return 1.0 - np.eye(dim)
 
 
+def _evolution_factor(system: SpinSystem, cache: EvolutionCache, t_s,
+                      with_decay: bool) -> np.ndarray:
+    """Element-wise factors of free evolution, shape ``shape(t_s) + (dim, dim)``.
+
+    Element (r, s) rotates as exp(-2i*pi*(E_r - E_s)*t) and, with
+    ``with_decay``, off-diagonal elements shrink by exp(-t/T2).
+    """
+    t_s = np.asarray(t_s, dtype=float)[..., None, None]
+    if np.any(t_s < 0):
+        raise ValueError(f"evolution time must be non-negative, got {t_s.min()}")
+    factor = np.exp(-2.0j * np.pi * cache.frequencies * t_s)
+    if with_decay:
+        factor = factor * np.exp(-_offdiag_mask(system.dim) * (t_s / system.t2_s))
+    return factor
+
+
 def evolve(rho: np.ndarray, system: SpinSystem, t_s: float,
            with_decay: bool = True) -> np.ndarray:
     """Free evolution for time ``t_s`` under the system Hamiltonian.
@@ -60,12 +71,7 @@ def evolve(rho: np.ndarray, system: SpinSystem, t_s: float,
     off-diagonal elements rotate at their eigenvalue-difference frequency and,
     with ``with_decay``, shrink by exp(-t/T2).
     """
-    if t_s < 0:
-        raise ValueError(f"evolution time must be non-negative, got {t_s}")
-    cache = evolution_cache(system)
-    factor = np.exp(-2.0j * np.pi * cache.frequencies * t_s)
-    if with_decay:
-        factor = factor * np.exp(-_offdiag_mask(system.dim) * (t_s / system.t2_s))
+    factor = _evolution_factor(system, evolution_cache(system), t_s, with_decay)
     return np.asarray(rho, dtype=complex) * factor
 
 
@@ -102,19 +108,16 @@ def realistic_gradient_project(rho: np.ndarray, system: SpinSystem,
     Keeps diagonal and zero-quantum elements, then ensemble-averages the state
     over ``draws`` random free-evolution delays uniform in [0, tau_max_s].
     Zero-quantum phases average towards zero; the diagonal is untouched.
-    Accepts a single matrix or a (..., dim, dim) batch; every matrix of a
-    batch sees the same delays.
+    Evolution is element-wise, so the mean of the draws' evolution factors
+    is applied once.  Accepts a single matrix or a (..., dim, dim) batch;
+    every matrix of a batch sees the same delays.
     """
     if draws < 1:
         raise ValueError("draws must be at least 1")
     cache = evolution_cache(system)
-    rho = np.asarray(rho, dtype=complex)
-    kept = rho * (cache.orders == 0)
+    kept = np.asarray(rho, dtype=complex) * (cache.orders == 0)
     taus = rng.uniform(0.0, tau_max_s, size=draws)
-    acc = np.zeros_like(kept)
-    for tau in taus:
-        acc += evolve(kept, system, float(tau), with_decay=True)
-    return acc / draws
+    return kept * _evolution_factor(system, cache, taus, with_decay=True).mean(axis=0)
 
 
 def coherence_order_decompose(rho: np.ndarray, system: SpinSystem) -> dict:
@@ -154,21 +157,18 @@ def detect_signal(rho: np.ndarray, system: SpinSystem) -> complex:
     return complex(np.einsum("rs,sr->", raising_operator(system), rho))
 
 
-@functools.lru_cache(maxsize=None)
 def detection_elements(system: SpinSystem):
     """Index arrays of the density-matrix elements picked up by detection.
 
     Returns ``(rows, cols, freqs)`` such that the detected signal is
     ``sum_p rho[rows[p], cols[p]]`` and, under free evolution, element p
-    oscillates as exp(+2i*pi*freqs[p]*t).  ``freqs`` are exactly the
-    single-quantum transition frequencies.
+    oscillates as exp(+2i*pi*freqs[p]*t).  Element p is the (lower, upper)
+    entry of a single-quantum transition, where the raising operator has its
+    (upper, lower) nonzero, and ``freqs`` are the transition frequencies;
+    elements are sorted by (upper, lower), the raising operator's row-major
+    order.
     """
-    plus = raising_operator(system)
-    level = energies(system)
-    r_idx, s_idx = np.nonzero(plus)
-    freqs = level[r_idx] - level[s_idx]
-    rows = s_idx.copy()
-    cols = r_idx.copy()
-    for array in (rows, cols, freqs):
-        array.setflags(write=False)
-    return rows, cols, freqs
+    lines = sorted((upper, lower, f)
+                   for _, upper, lower, f in single_quantum_transitions(system))
+    upper, lower, freqs = (np.array(column) for column in zip(*lines))
+    return lower, upper, freqs

@@ -22,7 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import SpinSystem, is_hermitian, rotation_pulse, single_quantum_transitions
+from .core import (DEGENERACY_TOL_HZ, SpinSystem, _close_pairs, is_hermitian,
+                   rotation_pulse, single_quantum_transitions)
 from .dynamics import (detection_elements, evolution_cache, gradient_project,
                        realistic_gradient_project)
 from .errors import DegenerateTransitionError, NyquistError
@@ -106,31 +107,12 @@ class TransitionTable:
     def frequencies(self) -> np.ndarray:
         return np.array([t.frequency_hz for t in self.entries])
 
-    def for_qubit(self, qubit: int) -> tuple:
-        return tuple(t for t in self.entries if t.qubit == qubit)
-
     def max_frequency(self) -> float:
         return float(np.max(np.abs(self.frequencies())))
 
 
-def _close_pairs(frequencies, limit_hz: float) -> list:
-    """Sorted index pairs (i, k), i < k, with |f_i - f_k| <= ``limit_hz``.
-
-    Sorts once and scans each frequency's upper neighbours only while they
-    stay within the limit, so well-separated lines cost O(N log N).
-    """
-    order = np.argsort(frequencies, kind="stable")
-    ranked = np.asarray(frequencies, dtype=float)[order]
-    pairs = []
-    for a in range(len(ranked)):
-        b = a + 1
-        while b < len(ranked) and ranked[b] - ranked[a] <= limit_hz:
-            pairs.append(tuple(sorted((int(order[a]), int(order[b])))))
-            b += 1
-    return sorted(pairs)
-
-
-def transition_table(system: SpinSystem, tol_hz: float = 1e-6) -> TransitionTable:
+def transition_table(system: SpinSystem,
+                     tol_hz: float = DEGENERACY_TOL_HZ) -> TransitionTable:
     """Enumerate single-quantum transitions, refusing degenerate sets.
 
     Raises
@@ -284,18 +266,16 @@ def sequence_A_steps(system: SpinSystem, params: AcquisitionParams):
 def run_sequence_A(system: SpinSystem, rho0: np.ndarray, params: AcquisitionParams,
                    gradient: str = "ideal", rng=None,
                    gradient_draws: int = 16,
-                   gradient_tau_max_s: float = 0.02,
-                   table: TransitionTable | None = None) -> Signal2D:
+                   gradient_tau_max_s: float = 0.02) -> Signal2D:
     """Two-dimensional experiment over the full t1 x t2 grid.
 
     For each t1 increment: evolve the input state with decay, apply a hard
     (pi/2) pulse about +y, project through the gradient, apply the read pulse
     of angle alpha about -y, then record the FID.  Purely diagonal input
-    produces an identically zero grid.  ``table`` is the system's
-    :func:`transition_table`, built here when not given.
+    produces an identically zero grid.
     """
     rho0 = _validate_state(rho0, system)
-    check_nyquist(transition_table(system) if table is None else table, params)
+    check_nyquist(transition_table(system), params)
     evolution, pulse_90, pulse_read = sequence_A_steps(system, params)
 
     sigma = rho0[None, :, :] * evolution
@@ -320,17 +300,15 @@ def run_sequence_A(system: SpinSystem, rho0: np.ndarray, params: AcquisitionPara
 def run_sequence_B(system: SpinSystem, rho0: np.ndarray, params: AcquisitionParams,
                    gradient: str = "ideal", rng=None,
                    gradient_draws: int = 16,
-                   gradient_tau_max_s: float = 0.02,
-                   table: TransitionTable | None = None) -> Signal1D:
+                   gradient_tau_max_s: float = 0.02) -> Signal1D:
     """One-dimensional diagonal readout: gradient, small beta pulse, detect.
 
     The beta pulse converts population differences into single-quantum
     coherences; amplitudes stay proportional to the diagonal coefficients for
     small beta (linear response), hence the warning above 15 degrees.
-    ``table`` is as for :func:`run_sequence_A`.
     """
     rho0 = _validate_state(rho0, system)
-    check_nyquist(transition_table(system) if table is None else table, params)
+    check_nyquist(transition_table(system), params)
     if params.beta_rad > np.radians(15.0):
         warnings.warn(
             f"beta = {np.degrees(params.beta_rad):.1f} deg exceeds the "

@@ -17,9 +17,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .core import _close_pairs
 from .errors import LineOverlapError
-from .experiment import (Signal1D, Signal2D, TransitionTable, _close_pairs,
-                         _write_csv)
+from .experiment import Signal1D, Signal2D, TransitionTable, _write_csv
 
 
 @dataclass(eq=False)

@@ -281,8 +281,7 @@ def _solve_seminormal(matrix: np.ndarray, singular_values: np.ndarray,
 
 
 def build_design_matrix(system: SpinSystem, params: AcquisitionParams,
-                        selected_transitions=None,
-                        table: TransitionTable | None = None) -> DesignMatrix:
+                        selected_transitions=None) -> DesignMatrix:
     """Stack the cross-sections of every off-diagonal basis operator.
 
     ``selected_transitions`` are indices into the transition table; default is
@@ -291,11 +290,9 @@ def build_design_matrix(system: SpinSystem, params: AcquisitionParams,
     numerical error.  A selection that leaves some qubit uncovered leaves that
     qubit's single-quantum labels supported only by lineshape-tail leakage;
     they are reported through ``undetermined_labels`` and the fit refuses to
-    run.  ``table`` is the system's transition table, built here when not
-    given.
+    run.
     """
-    if table is None:
-        table = transition_table(system)
+    table = transition_table(system)
     check_nyquist(table, params)
     indices = _resolve_transitions(table, selected_transitions)
     covered = {table.entries[i].qubit for i in indices}
@@ -433,8 +430,7 @@ def _diagonal_response_matrix(system: SpinSystem, params: AcquisitionParams,
 
 
 def fit_diagonal(signal: Signal1D, system: SpinSystem,
-                 params: AcquisitionParams,
-                 table: TransitionTable | None = None) -> DiagonalFit:
+                 params: AcquisitionParams) -> DiagonalFit:
     """Recover the 2^n - 1 diagonal coefficients from the 1D readout.
 
     Measured line amplitudes are fit against the simulated response of each
@@ -443,8 +439,7 @@ def fit_diagonal(signal: Signal1D, system: SpinSystem,
     Overlapping lines are absorbed by that shared forward model, so only the
     measured spectrum warns about them.
     """
-    if table is None:
-        table = transition_table(system)
+    table = transition_table(system)
     labels, response = _diagonal_response_matrix(system, params, table)
     amps = peak_amplitudes(dft_fid(signal), table, strict=False)
     target = np.concatenate([
@@ -595,8 +590,7 @@ def tomograph_state(system: SpinSystem, rho0: np.ndarray,
                     signal_b: Signal1D | None = None,
                     selected_transitions=None,
                     normalize: bool = True,
-                    reference: Signal1D | None = None,
-                    table: TransitionTable | None = None) -> TomographyResult:
+                    reference: Signal1D | None = None) -> TomographyResult:
     """Full pipeline: simulate both experiments, invert, reassemble, score.
 
     Pre-simulated (possibly noise-added) measurements can be passed in:
@@ -605,17 +599,15 @@ def tomograph_state(system: SpinSystem, rho0: np.ndarray,
     simulated from ``rho0`` with ideal settings.  Otherwise the input state
     serves only as the scoring reference.
     """
-    if table is None:
-        table = transition_table(system)
     if design is None:
-        design = build_design_matrix(system, params, selected_transitions, table=table)
+        design = build_design_matrix(system, params, selected_transitions)
     if signal_a is None:
-        signal_a = run_sequence_A(system, rho0, params, table=table)
+        signal_a = run_sequence_A(system, rho0, params)
     if signal_b is None:
-        signal_b = run_sequence_B(system, rho0, params, table=table)
+        signal_b = run_sequence_B(system, rho0, params)
 
     off = fit_offdiagonal(signal_a, design)
-    diag = fit_diagonal(signal_b, system, params, table=table)
+    diag = fit_diagonal(signal_b, system, params)
     matrix = reconstruct(system, off.coefficients, diag.coefficients)
     coefficients = dict(off.coefficients)
     coefficients.update(diag.coefficients)

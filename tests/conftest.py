@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from spintomo import (apply_unitary, build_spin_system, detect_signal, evolve,
-                      gradient_project, rotation_pulse)
+from spintomo import (apply_unitary, build_spin_system, detect_signal,
+                      evolution_cache, evolve, gradient_project, rotation_pulse)
+from spintomo.core import energies
+from spintomo.dynamics import raising_operator
 
 # Two-spin demonstration system and state used across the suite.
 TWO_SPIN_LARMOR = (1200.0, 1800.0)
@@ -123,6 +125,30 @@ def loop_pairs(frequencies, close):
     return [(i, k) for i in range(len(frequencies))
             for k in range(i + 1, len(frequencies))
             if close(abs(frequencies[i] - frequencies[k]))]
+
+
+def nonzero_detection_elements(system):
+    """``(rows, cols, freqs)`` from the nonzeros of the total raising operator.
+
+    The derivation detection_elements used before it read the transition
+    list, kept as the reference.
+    """
+    r_idx, s_idx = np.nonzero(raising_operator(system))
+    level = energies(system)
+    return s_idx, r_idx, level[r_idx] - level[s_idx]
+
+
+def loop_realistic_gradient(rho, system, rng, draws, tau_max_s):
+    """The randomized-delay average as a sum of one :func:`evolve` per draw.
+
+    The form realistic_gradient_project had before it averaged the draws'
+    evolution factors, kept as the reference.
+    """
+    kept = np.asarray(rho, dtype=complex) * (evolution_cache(system).orders == 0)
+    acc = np.zeros_like(kept)
+    for tau in rng.uniform(0.0, tau_max_s, size=draws):
+        acc += evolve(kept, system, float(tau), with_decay=True)
+    return acc / draws
 
 
 @st.composite

@@ -6,9 +6,9 @@ import warnings
 import numpy as np
 import pytest
 
-from spintomo import reference_fid, tomograph_state, transition_table
+from spintomo import reference_fid, tomograph_state
 from spintomo.cli import (_atomic_write, _simulate_signals, config_from_dict,
-                          config_to_dict, main, parse_config, resolve_params)
+                          main, parse_config, resolve_params)
 from spintomo.errors import ConfigError
 
 from conftest import DEMO_COEFFS, local_maxima_above
@@ -105,11 +105,34 @@ class TestConfigParsing:
                   "--threads", "3"])
         assert info.value.code == 2
 
-    def test_round_trip_canonical(self):
-        cfg = config_from_dict(demo_config())
-        emitted = config_to_dict(cfg)
-        again = config_to_dict(config_from_dict(emitted))
-        assert json.dumps(emitted, sort_keys=True) == json.dumps(again, sort_keys=True)
+    @pytest.mark.parametrize("block, key, value, argv", [
+        ("acquisition", "n_t1", 0, []),
+        ("acquisition", "n_t1", "abc", []),
+        ("acquisition", "n_t2", 16.7, []),
+        ("acquisition", "dwell_t1_s", -1, []),
+        ("acquisition", "alpha_deg", "x", []),
+        pytest.param("acquisition", "alpha_deg", 10 ** 400, [], id="alpha_deg-too-large"),
+        ("acquisition", "cross_section_qubits", ["a"], []),
+        ("acquisition", "cross_section_qubits", [1.9, 2], []),
+        ("options", "seed", -1, []),
+        ("options", "seed", 7, ["--seed", "-1"]),
+        ("options", "noise_rms", float("inf"), []),
+        ("options", "noise_rms", float("nan"), []),
+        ("options", "realistic_gradient", "false", []),
+        ("options", "reference_normalize", "false", []),
+        ("options", "gradient_tau_max_s", -1, []),
+    ])
+    def test_bad_value_exits_2(self, tmp_path, capsys, block, key, value, argv):
+        payload = demo_config(n_t1=32, n_t2=64, realistic_gradient=True,
+                              gradient_draws=2)
+        payload[block][key] = value
+        path = write_config(tmp_path, payload)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code = main(["tomograph", "--config", str(path),
+                         "--out", str(tmp_path / "out"), *argv])
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
 
     def test_missing_file_exit_code(self, tmp_path, capsys):
         code = main(["simulate", "--config", str(tmp_path / "nope.json")])
@@ -264,15 +287,13 @@ class TestTomographCommand:
 
             cfg = parse_config(path)
             params = resolve_params(cfg)
-            table = transition_table(cfg.system)
             rho0, signal_a, signal_b, reference = _simulate_signals(
-                cfg, params, np.random.default_rng(cfg.options.seed), table)
+                cfg, params, np.random.default_rng(cfg.options.seed))
             noise = reference.samples - reference_fid(cfg.system, rho0, params).samples
             assert np.std(noise) == pytest.approx(0.05, rel=0.2)
             scales = {
                 name: tomograph_state(cfg.system, rho0, params, signal_a=signal_a,
-                                      signal_b=signal_b, reference=measured,
-                                      table=table).scale_factor
+                                      signal_b=signal_b, reference=measured).scale_factor
                 for name, measured in (("noisy", reference), ("clean", None))}
         assert result["scale_factor"] == scales["noisy"]
         assert scales["noisy"] != scales["clean"]

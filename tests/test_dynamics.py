@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from spintomo import (apply_unitary, coefficients_to_density,
                       coherence_order_decompose, detect_signal,
                       evolution_cache, evolve, gradient_project,
                       product_operator, realistic_gradient_project,
                       rotation_pulse)
+from spintomo.dynamics import detection_elements
 
-from conftest import (DEMO_COEFFS, local_maxima_above,
+from conftest import (DEMO_COEFFS, clustered_systems, local_maxima_above,
+                      loop_realistic_gradient, nonzero_detection_elements,
                       random_hermitian_traceless)
 
 
@@ -158,6 +161,18 @@ class TestRealisticGradient:
                 rho, two_spin_system, np.random.default_rng(11), draws=5)
             assert np.array_equal(out, single)
 
+    @pytest.mark.parametrize("shape", [(), (5,)])
+    def test_matches_per_draw_loop(self, four_spin_system, shape):
+        rng = np.random.default_rng(12)
+        rho = np.stack([random_hermitian_traceless(rng, 16)
+                        for _ in range(int(np.prod(shape)))]).reshape(shape + (16, 16))
+        averaged = realistic_gradient_project(
+            rho, four_spin_system, np.random.default_rng(13), draws=128, tau_max_s=2.0)
+        looped = loop_realistic_gradient(
+            rho, four_spin_system, np.random.default_rng(13), draws=128, tau_max_s=2.0)
+        assert averaged.shape == rho.shape
+        assert np.max(np.abs(averaged - looped)) <= 1e-14 * np.max(np.abs(looped))
+
 
 class TestCoherenceOrderDecompose:
     def test_diagonal_is_order_zero(self, two_spin_system):
@@ -207,6 +222,17 @@ class TestDetectSignal:
         combined = detect_signal(a * rho_a + b * rho_b, two_spin_system)
         split = a * detect_signal(rho_a, two_spin_system) + b * detect_signal(rho_b, two_spin_system)
         assert combined == pytest.approx(split, abs=1e-12)
+
+
+class TestDetectionElements:
+    @settings(max_examples=100, deadline=None)
+    @given(clustered_systems())
+    def test_matches_raising_operator_nonzeros(self, system):
+        # bit for bit and in the same order, degenerate registers included
+        for got, expected in zip(detection_elements(system),
+                                 nonzero_detection_elements(system)):
+            assert got.dtype == expected.dtype
+            assert got.tobytes() == expected.tobytes()
 
 
 class TestSpectralSupport:

@@ -6,7 +6,8 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from spintomo import (AcquisitionParams, DegenerateTransitionError,
-                      NyquistError, build_spin_system, coefficients_to_density,
+                      NyquistError, SpinSystem, build_spin_system,
+                      coefficients_to_density,
                       default_acquisition, dft_t2, product_operator,
                       reference_fid, run_sequence_A, run_sequence_B,
                       transition_table)
@@ -81,6 +82,23 @@ class TestTransitionTable:
         got = [(a.upper, a.lower, b.upper, b.lower) for a, b in info.value.pairs]
         assert got == [(transitions[i][1], transitions[i][2],
                         transitions[k][1], transitions[k][2]) for i, k in expected]
+
+    @settings(max_examples=200, deadline=None)
+    @given(clustered_systems())
+    @example(SpinSystem(2, (20000.0, 20000.000005), ((1, 2, 50.0),), 0.01))
+    @example(SpinSystem(2, (100.0, 100.0000005), ((1, 2, 30.0),), 0.01))
+    def test_build_warns_iff_table_rejects(self, system):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            build_spin_system(system.n, system.larmor_hz, system.coupling_map,
+                              system.t2_s)
+        warned = any("will reject" in str(w.message) for w in caught)
+        try:
+            transition_table(system)
+        except DegenerateTransitionError:
+            assert warned
+        else:
+            assert not warned
 
 
 class TestAcquisitionParams:
