@@ -206,7 +206,10 @@ def resolve_params(cfg: RunConfig):
     for angle in ("alpha", "beta"):
         if f"{angle}_deg" in acq:
             kwargs[f"{angle}_rad"] = float(np.radians(acq[f"{angle}_deg"]))
-    return default_acquisition(cfg.system, **kwargs)
+    try:
+        return default_acquisition(cfg.system, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def selected_transition_indices(cfg: RunConfig, table):
@@ -316,7 +319,7 @@ def _build_design(cfg: RunConfig, params, table):
 
 def _design_summary(design) -> dict:
     return {
-        "shape": list(design.matrix.shape),
+        "shape": list(design.shape),
         "labels": [format_label(l) for l in design.labels],
         "rank": design.rank,
         "columns": len(design.labels),
@@ -402,7 +405,7 @@ def cmd_basis(cfg: RunConfig, out: Path) -> int:
     params = resolve_params(cfg)
     design = _build_design(cfg, params, transition_table(cfg.system))
     _write_json(out / "design_summary.json", _design_summary(design))
-    print(f"design matrix {design.matrix.shape[0]}x{design.matrix.shape[1]}, "
+    print(f"design matrix {design.shape[0]}x{design.shape[1]}, "
           f"rank {design.rank}/{len(design.labels)}, "
           f"condition number {design.condition_number:.6g}")
     if not design.is_solvable:

@@ -153,8 +153,10 @@ def default_acquisition(system: SpinSystem, n_t1: int | None = None,
     The t1 increment count grows with the register size to keep resolution as
     the number of lines grows.
     """
-    table = transition_table(system)
-    sw = sw_factor * table.max_frequency()
+    sw = sw_factor * transition_table(system).max_frequency()
+    if not sw > 0 and (dwell_t1_s is None or dwell_t2_s is None):
+        raise ValueError("every transition is at 0 Hz, so no default dwell "
+                         "follows from it; set dwell_t1_s and dwell_t2_s")
     if n_t1 is None:
         n_t1 = 512 if system.n <= 2 else (1024 if system.n == 3 else 2048)
     return AcquisitionParams(

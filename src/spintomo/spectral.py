@@ -217,17 +217,16 @@ def cross_section(source, omega2_hz: float) -> CrossSection:
     raise TypeError(f"cannot take a cross-section of {type(source).__name__}")
 
 
-def peak_amplitudes(spectrum: Spectrum1D, table: TransitionTable,
-                    strict: bool = True) -> dict:
+def peak_amplitudes(spectrum: Spectrum1D, table: TransitionTable) -> dict:
     """Complex amplitude at each transition, read from the spectrum.
 
     The line center is known (the transition frequency), so a three-bin
     quadratic interpolation of the complex spectrum is evaluated there to
     correct for off-bin centering.  The readout is linear in the spectrum,
     which lets forward-model fits reproduce it exactly.  Lines closer than
-    one linewidth overlap and cannot be read independently: with ``strict``
-    this raises, otherwise it warns (useful when a forward model reads the
-    same bins and absorbs the overlap).
+    one linewidth overlap and cannot be read independently, so they raise
+    :class:`LineOverlapError`; a forward model that reads the same bins
+    absorbs the overlap and uses :func:`_peak_readout` instead.
     """
     t2_s = spectrum.meta.get("t2_s")
     if t2_s:
@@ -241,11 +240,9 @@ def peak_amplitudes(spectrum: Spectrum1D, table: TransitionTable,
                 f"{a.frequency_hz:.6g} Hz vs {b.frequency_hz:.6g} Hz"
                 for a, b in close[:6]
             )
-            message = (f"{len(close)} line pair(s) closer than the linewidth "
-                       f"({linewidth:.3g} Hz): {desc}")
-            if strict:
-                raise LineOverlapError(message, pairs=close)
-            warnings.warn(message, stacklevel=2)
+            raise LineOverlapError(
+                f"{len(close)} line pair(s) closer than the linewidth "
+                f"({linewidth:.3g} Hz): {desc}", pairs=close)
 
     amplitudes = _peak_readout(spectrum, table)
     return {transition: complex(a) for transition, a in zip(table, amplitudes)}

@@ -5,8 +5,9 @@ two-dimensional data: every off-diagonal basis operator is pushed through the
 same sequence and processing as the measurement, its t1-domain cross-sections
 at the selected transitions form one column of a design matrix, and the
 measured cross-sections are solved against those columns.  Every step of that
-chain is linear, so the columns come from one closed-form linear map built
-from the same pulses, evolution factors and t2 transform the simulator uses.
+chain is linear, so the design is one closed-form linear operator built from
+the same pulses, evolution factors and t2 transform the simulator uses; it is
+applied and solved in factored form, never stored as a dense matrix.
 This sidesteps any hand-derived lineshape algebra and stays exact for
 arbitrary register sizes, including partially overlapping lines, because
 model and measurement share every processing step bin for bin.
@@ -34,19 +35,20 @@ from .experiment import (AcquisitionParams, Signal1D, Signal2D, TransitionTable,
                          run_sequence_A, run_sequence_B, sequence_A_steps,
                          transition_table)
 from .spectral import (HybridSpectrum, _peak_readout, dft_fid, dft_t2,
-                       hybrid_omega2_axis, nearest_bin, peak_amplitudes)
+                       hybrid_omega2_axis, nearest_bin)
 
 log = logging.getLogger(__name__)
 
 RESIDUAL_WARN_THRESHOLD = 1e-6
 
-# Row blocks of the tall-skinny QR: fewer blocks hold more memory, more
-# blocks run slower (measured on a 16,384 x 240 design in BENCH_4.json).
-TSQR_BLOCKS = 3
-
 # Corrected semi-normal equations stop refining after this many steps, or
-# earlier once a step is no smaller than the one before.
+# earlier once a step is no smaller than the one before.  A last step above
+# REFINEMENT_TOL of the solution means the refinement did not converge.
 MAX_REFINEMENT_STEPS = 3
+REFINEMENT_TOL = 1e-6
+
+# Gram eigenvalues at or below RANK_TOL times the largest count as zero.
+RANK_TOL = 10 * np.finfo(float).eps
 
 # Reference normalization needs the fitted reference to stand out from its
 # own residual: the ratio of mean squares per fitted and per residual degree
@@ -56,29 +58,49 @@ REFERENCE_MIN_F = 25.0
 
 @dataclass(eq=False)
 class DesignMatrix:
-    """Stacked unit-coefficient responses of all off-diagonal basis operators.
+    """Linear map A from off-diagonal coefficients to stacked cross-sections.
 
-    Rows are the real and imaginary parts of the t1-mean-subtracted
+    Rows of A are the real and imaginary parts of the t1-mean-subtracted
     cross-section traces at the selected transitions; one column per
-    off-diagonal label.  ``singular_values`` and ``vt`` are the SVD factors
-    S and V^T of the matrix's R factor, R = U S V^T, so R^T R = V S^2 V^T.
-    ``rank``, ``condition_number`` and the offending label lists describe the
-    numerical solvability of the fit.
+    off-diagonal label.  A is never stored, only its factors in
+    A x = Ec ((B^T x)[:, None] * response): ``evolution`` Ec, the t1-mean-free
+    evolution factors (n_t1 x dim^2), ``response``, the rest of the chain per
+    bin (dim^2 x bins), and ``monomials`` B, the flattened product operators
+    (labels x dim^2).  ``eigenvalues`` (ascending) and ``eigenvectors`` are
+    the eigenpairs of A^T A.  ``rank``, ``condition_number`` and the
+    offending label lists describe the numerical solvability of the fit.
     """
 
-    matrix: np.ndarray
     labels: tuple
     system_digest: str
     params: AcquisitionParams
     transition_indices: tuple
     bins: tuple
-    singular_values: np.ndarray
-    vt: np.ndarray
+    evolution: np.ndarray
+    response: np.ndarray
+    monomials: np.ndarray
+    eigenvalues: np.ndarray
+    eigenvectors: np.ndarray
     rank: int
     condition_number: float
     zero_labels: tuple = ()
     nullspace_labels: tuple = ()
     undetermined_labels: tuple = ()
+
+    @property
+    def shape(self) -> tuple:
+        return (2 * self.params.n_t1 * len(self.bins), len(self.labels))
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """A x, stacked like the measurement (:func:`_stack`)."""
+        return _stack(self.evolution @ ((self.monomials.T @ x)[:, None] * self.response))
+
+    def adjoint(self, y: np.ndarray) -> np.ndarray:
+        """A^T y for a real vector y stacked like the measurement."""
+        parts = y.reshape(len(self.bins), 2, self.params.n_t1)
+        traces = (parts[:, 0] + 1j * parts[:, 1]).T
+        weights = np.sum(self.response.conj() * (self.evolution.conj().T @ traces), axis=1)
+        return (self.monomials.conj() @ weights).real
 
     @property
     def is_full_rank(self) -> bool:
@@ -170,24 +192,23 @@ def _hybrid_bins(table: TransitionTable, indices, params: AcquisitionParams):
     return tuple(nearest_bin(axis, table.entries[i].frequency_hz) for i in indices)
 
 
+def _stack(traces: np.ndarray) -> np.ndarray:
+    """Real vector of complex (t1, bin) traces: per bin, re, then im."""
+    return np.stack([traces.real.T, traces.imag.T], axis=1).reshape(-1)
+
+
 def _stack_cross_sections(hybrid_grid: np.ndarray, bins) -> np.ndarray:
     """Real measurement vector: per bin, mean-free trace split into re and im.
 
     The t1-constant component of a cross-section carries no off-diagonal
     information, so each trace has its t1 mean removed before stacking.
     """
-    pieces = []
-    for b in bins:
-        trace = hybrid_grid[:, b]
-        trace = trace - trace.mean()
-        pieces.append(trace.real)
-        pieces.append(trace.imag)
-    return np.concatenate(pieces)
+    traces = hybrid_grid[:, list(bins)]
+    return _stack(traces - traces.mean(axis=0))
 
 
-def _design_columns(system: SpinSystem, params: AcquisitionParams, bins,
-                    labels) -> np.ndarray:
-    """Stacked cross-sections of sequence A for every basis operator at once.
+def _design_parts(system: SpinSystem, params: AcquisitionParams, bins, labels):
+    """``(evolution, response, monomials)``, the factors of the sequence-A design.
 
     The sequence maps an input state rho to the hybrid spectrum
 
@@ -200,11 +221,8 @@ def _design_columns(system: SpinSystem, params: AcquisitionParams, bins,
     pulse R onto detected element p, and K[p, b] is :func:`dft_t2` of the
     unit FID of element p at bin b, so the t2 processing is the
     measurement's own.  Removing the t1 mean of E removes it from every trace.
-
-    A basis operator is monomial (:func:`~spintomo.core.monomial_table`): its
-    entries sit at (r, r ^ mask), so its traces need only the dim columns of
-    E and rows of G on that support.  Labels sharing a flip mask share the
-    support, and one product per mask serves all of them at every bin.
+    Row i of ``monomials`` is basis operator i flattened over rs
+    (:func:`~spintomo.core.monomial_table`).
     """
     evolution, pulse_90, pulse_read = sequence_A_steps(system, params)
     rows, cols, _ = detection_elements(system)
@@ -213,76 +231,58 @@ def _design_columns(system: SpinSystem, params: AcquisitionParams, bins,
                          dwell_t2_s=params.dwell_t2_s,
                          meta={"t2_s": system.t2_s})
     kernel = dft_t2(unit_fids).grid[:, list(bins)]
-    dim, n_t1 = system.dim, params.n_t1
+    dim = system.dim
     to_diagonal = (pulse_90[:, :, None] * pulse_90.conj()[:, None, :]).reshape(dim, dim * dim)
     to_detected = pulse_read[rows, :] * pulse_read[cols, :].conj()
     response = to_diagonal.T @ (to_detected.T @ kernel)
 
-    evolution = evolution.reshape(n_t1, dim * dim)
+    evolution = evolution.reshape(params.n_t1, dim * dim)
+    evolution -= evolution.mean(axis=0)
     columns, values = monomial_table(system.n, labels)
-    masks = columns[:, 0]
-    states = np.arange(dim)
-    # Column-major, so each column is contiguous for the QR; ``planes`` views
-    # it as [t1, re/im, bin, label].
-    matrix = np.empty((2 * n_t1 * len(bins), len(labels)), order="F")
-    planes = matrix.reshape((n_t1, 2, len(bins), len(labels)), order="F")
-    for mask in np.unique(masks):
-        group = np.flatnonzero(masks == mask)
-        support = states * dim + (states ^ mask)
-        basis = evolution[:, support]
-        basis = basis - basis.mean(axis=0)
-        weights = response[support, :, None] * values[group].T[:, None, :]
-        traces = (basis @ weights.reshape(dim, -1)).reshape(n_t1, len(bins), len(group))
-        planes[:, 0][..., group] = traces.real
-        planes[:, 1][..., group] = traces.imag
-    return matrix
+    monomials = np.zeros((len(labels), dim * dim), dtype=complex)
+    np.put_along_axis(monomials, np.arange(dim) * dim + columns, values, axis=1)
+    return evolution, response, monomials
 
 
-def _factor(matrix: np.ndarray):
-    """``(singular_values, vt)`` of ``matrix`` from the SVD of its R factor.
-
-    R comes from a tall-skinny QR: one QR per third of the rows, then one of
-    the stacked labels x labels factors.  ``np.linalg.qr`` holds two copies
-    of its input, so thirds keep that at two thirds of the design, where a
-    single QR would hold two full copies.  A wide matrix gets a rows x labels
-    R, and the full ``vt`` still spans its null space.
-    """
-    partial = [np.linalg.qr(block, mode="r")
-               for block in np.array_split(matrix, TSQR_BLOCKS, axis=0)]
-    r_factor = np.linalg.qr(np.vstack(partial), mode="r")
-    _, singular_values, vt = np.linalg.svd(r_factor)
-    return singular_values, vt
-
-
-def _solve_seminormal(matrix: np.ndarray, singular_values: np.ndarray,
-                      vt: np.ndarray, target: np.ndarray):
+def _solve_seminormal(apply, adjoint, eigenvalues: np.ndarray,
+                      eigenvectors: np.ndarray, target: np.ndarray, labels):
     """Least-squares ``(solution, residual)`` by corrected semi-normal equations.
 
-    Solves R^T R x = A^T b through R^T R = V S^2 V^T, then refines with the
-    residual b - A x (Bjorck 1987) until a step is no smaller than the one
-    before, for at most :data:`MAX_REFINEMENT_STEPS` steps.  The design is
-    read only by products, never factored again.
+    Solves A^T A x = A^T b through the eigenpairs of A^T A, then refines with
+    the residual b - A x (Bjorck 1987) until a step is no smaller than the
+    one before, for at most :data:`MAX_REFINEMENT_STEPS` steps.  A is read
+    only through ``apply`` and ``adjoint``.  Each step shrinks the error by
+    about kappa^2 eps, so on an ill-conditioned A the refinement stalls: a
+    last step above :data:`REFINEMENT_TOL` of the solution raises
+    :class:`RankDeficiencyError` naming the weakest eigenvector's labels.
     """
     def seminormal(rhs):
-        return vt.T @ ((vt @ rhs) / singular_values ** 2)
+        return eigenvectors @ ((eigenvectors.T @ rhs) / eigenvalues)
 
-    solution = seminormal(matrix.T @ target)
-    residual = target - matrix @ solution
+    solution = seminormal(adjoint(target))
+    residual = target - apply(solution)
     previous = np.inf
     for _ in range(MAX_REFINEMENT_STEPS):
-        step = seminormal(matrix.T @ residual)
+        step = seminormal(adjoint(residual))
         size = float(np.linalg.norm(step))
         if not size < previous:
             break
         solution = solution + step
-        residual = target - matrix @ solution
+        residual = target - apply(solution)
         previous = size
+    scale = float(np.linalg.norm(solution))
+    if not size <= REFINEMENT_TOL * scale:
+        weak = tuple(labels[i] for i in np.flatnonzero(np.abs(eigenvectors[:, 0]) > 0.1))
+        raise RankDeficiencyError(
+            f"least-squares refinement did not converge (last step {size:.3g}, solution "
+            f"{scale:.3g}); ill-conditioned near labels {', '.join(map(str, weak))}",
+            labels=weak)
     return solution, residual
 
 
 def build_design_matrix(system: SpinSystem, params: AcquisitionParams,
                         selected_transitions=None) -> DesignMatrix:
-    """Stack the cross-sections of every off-diagonal basis operator.
+    """The design operator of every off-diagonal basis operator's cross-sections.
 
     ``selected_transitions`` are indices into the transition table; default is
     all of them.  One cross-section per qubit is the minimum that can
@@ -290,7 +290,8 @@ def build_design_matrix(system: SpinSystem, params: AcquisitionParams,
     numerical error.  A selection that leaves some qubit uncovered leaves that
     qubit's single-quantum labels supported only by lineshape-tail leakage;
     they are reported through ``undetermined_labels`` and the fit refuses to
-    run.
+    run.  Rank, condition number, zero labels (``diag(A^T A)``) and null-space
+    labels come from one ``eigh`` of the labels x labels A^T A.
     """
     table = transition_table(system)
     check_nyquist(table, params)
@@ -310,38 +311,32 @@ def build_design_matrix(system: SpinSystem, params: AcquisitionParams,
         if sum(c in "xy" for c in label) == 1
         and (label.index("x") if "x" in label else label.index("y")) + 1 in missing
     )
-    matrix = _design_columns(system, params, bins, labels)
+    evolution, response, monomials = _design_parts(system, params, bins, labels)
 
-    # einsum reads the design in place; norm(axis=0) would square a full copy
-    column_norms = np.sqrt(np.einsum("ij,ij->j", matrix, matrix))
-    norm_scale = float(np.max(column_norms)) if np.any(column_norms) else 0.0
-    zero_labels = tuple(
-        labels[i] for i in range(len(labels))
-        if column_norms[i] <= 1e-12 * max(norm_scale, 1e-300)
-    )
-
-    svals, vt = _factor(matrix)
-    tol = svals[0] * max(matrix.shape) * np.finfo(float).eps * 10 if svals[0] > 0 else 0.0
-    rank = int(np.sum(svals > tol))
-    cond = float(svals[0] / svals[-1]) if svals[-1] > 0 else float("inf")
-
-    nullspace_labels = ()
-    if rank < len(labels):
-        null_rows = vt[rank:]
-        weight = np.max(np.abs(null_rows), axis=0)
-        nullspace_labels = tuple(
-            labels[i] for i in range(len(labels)) if weight[i] > 0.1
-        )
+    # A^T A = Re(conj(B) H B^T) with H = (Ec^H Ec) * (conj(response) response^T)
+    products = (evolution.conj().T @ evolution) * (response.conj() @ response.T)
+    gram = (monomials.conj() @ (products @ monomials.T)).real
+    squared_norms = np.diag(gram)
+    zero_labels = tuple(label for label, norm in zip(labels, squared_norms)
+                        if norm <= 1e-24 * squared_norms.max())
+    eigenvalues, eigenvectors = np.linalg.eigh(gram)
+    rank = int(np.sum(eigenvalues > RANK_TOL * eigenvalues[-1]))
+    cond = (float(np.sqrt(eigenvalues[-1] / eigenvalues[0])) if eigenvalues[0] > 0
+            else float("inf"))
+    null_weight = np.abs(eigenvectors[:, :len(labels) - rank]).max(axis=1, initial=0.0)
+    nullspace_labels = tuple(label for label, w in zip(labels, null_weight) if w > 0.1)
 
     design = DesignMatrix(
-        matrix=matrix,
         labels=labels,
         system_digest=system.digest(),
         params=params,
         transition_indices=indices,
         bins=bins,
-        singular_values=svals,
-        vt=vt,
+        evolution=evolution,
+        response=response,
+        monomials=monomials,
+        eigenvalues=eigenvalues,
+        eigenvectors=eigenvectors,
         rank=rank,
         condition_number=cond,
         zero_labels=zero_labels,
@@ -349,7 +344,7 @@ def build_design_matrix(system: SpinSystem, params: AcquisitionParams,
         undetermined_labels=undetermined,
     )
     log.info("design matrix: shape %s, rank %d/%d, condition %.3g",
-             matrix.shape, rank, len(labels), cond)
+             design.shape, rank, len(labels), cond)
     return design
 
 
@@ -377,7 +372,7 @@ def fit_offdiagonal(signal: Signal2D | HybridSpectrum,
     ``signal`` is the sequence-A signal or its :func:`dft_t2` hybrid
     spectrum under default processing; a signal is transformed here.
     Refuses rank-deficient designs outright rather than returning a silent
-    pseudo-inverse answer.  The solve reuses the design's stored factors.
+    pseudo-inverse answer.  The solve reuses the design's stored eigenpairs.
     """
     _check_signal_matches_design(signal, design)
     if not design.is_solvable:
@@ -392,7 +387,8 @@ def fit_offdiagonal(signal: Signal2D | HybridSpectrum,
     hybrid = signal if isinstance(signal, HybridSpectrum) else dft_t2(signal)
     target = _stack_cross_sections(hybrid.grid, design.bins)
     solution, residual_vector = _solve_seminormal(
-        design.matrix, design.singular_values, design.vt, target)
+        design.apply, design.adjoint, design.eigenvalues, design.eigenvectors,
+        target, design.labels)
     residual = float(np.linalg.norm(residual_vector))
     scale = float(np.linalg.norm(target))
     relative = residual / scale if scale > 0 else 0.0
@@ -436,16 +432,14 @@ def fit_diagonal(signal: Signal1D, system: SpinSystem,
     Measured line amplitudes are fit against the simulated response of each
     diagonal basis operator at the same beta, so the finite-pulse-angle terms
     cancel exactly; the linear-response approximation never enters.
-    Overlapping lines are absorbed by that shared forward model, so only the
-    measured spectrum warns about them.
+    Overlapping lines are absorbed by that shared forward model, so the
+    amplitudes are read by the response's own readout, without an overlap
+    check; only a singular response is refused.
     """
     table = transition_table(system)
     labels, response = _diagonal_response_matrix(system, params, table)
-    amps = peak_amplitudes(dft_fid(signal), table, strict=False)
-    target = np.concatenate([
-        np.array([amps[t].real for t in table]),
-        np.array([amps[t].imag for t in table]),
-    ])
+    amps = _peak_readout(dft_fid(signal), table)
+    target = np.concatenate([amps.real, amps.imag])
 
     svals = np.linalg.svd(response, compute_uv=False)
     if svals[0] == 0 or svals[-1] <= svals[0] * 1e-10:

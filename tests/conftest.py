@@ -55,6 +55,11 @@ def random_coefficients(rng, labels, low=-10.0, high=10.0):
     return {label: float(rng.uniform(low, high)) for label in labels}
 
 
+def dense_design(design):
+    """The design operator's matrix, one column per label, from unit vectors."""
+    return np.column_stack([design.apply(e) for e in np.eye(design.shape[1])])
+
+
 def reference_sequence_a(system, rho0, params):
     """Step-by-step sequence A, one density matrix per grid point.
 

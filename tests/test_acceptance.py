@@ -89,10 +89,9 @@ def test_criterion_4_conversion_ratio():
         n_t1 = params.n_t1
 
         def block_norm(label, position):
-            column = labels.index(label)
+            column = design.apply(np.eye(len(labels))[labels.index(label)])
             start = position * 2 * n_t1
-            return float(np.linalg.norm(design.matrix[start:start + 2 * n_t1,
-                                                      column]))
+            return float(np.linalg.norm(column[start:start + 2 * n_t1]))
 
         expected = np.sin(np.pi / 4) / (0.25 * np.sin(np.pi / 2))
         multi = [l for l in labels if sum(c in "xy" for c in l) == 2]

@@ -134,6 +134,17 @@ class TestConfigParsing:
         assert code == 2
         assert "config error" in capsys.readouterr().err
 
+    def test_zero_frequency_register_exits_2(self, tmp_path, capsys):
+        # a lone line at 0 Hz gives no default spectral width to sample at
+        payload = demo_config(n_t1=32, n_t2=64)
+        payload["spin_system"] = {"n": 1, "larmor_hz": [0.0], "t2_s": 0.01}
+        payload["state"]["coefficients"] = [["x", 1.0]]
+        path = write_config(tmp_path, payload)
+        code = main(["basis", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "dwell_t1_s" in err
+
     def test_missing_file_exit_code(self, tmp_path, capsys):
         code = main(["simulate", "--config", str(tmp_path / "nope.json")])
         assert code == 2

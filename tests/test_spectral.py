@@ -301,15 +301,7 @@ class TestPeakAmplitudes:
         spectrum = dft_fid(signal)
         table = self.table_for([100.0, 103.0])
         with pytest.raises(LineOverlapError, match="100"):
-            peak_amplitudes(spectrum, table, strict=True)
-
-    def test_overlap_relaxed_warns(self):
-        signal = Signal1D(samples=np.zeros(64, dtype=complex), dwell_s=1e-3,
-                          meta={"t2_s": 0.05})
-        spectrum = dft_fid(signal)
-        table = self.table_for([100.0, 103.0])
-        with pytest.warns(UserWarning, match="closer than"):
-            peak_amplitudes(spectrum, table, strict=False)
+            peak_amplitudes(spectrum, table)
 
     def test_out_of_axis_rejected(self):
         signal = Signal1D(samples=np.zeros(64, dtype=complex), dwell_s=1e-3,
@@ -331,8 +323,8 @@ class TestPeakAmplitudes:
                           meta={"t2_s": t2_s})
         spectrum = dft_fid(signal)
         if not expected:
-            assert len(peak_amplitudes(spectrum, table, strict=True)) == len(entries)
+            assert len(peak_amplitudes(spectrum, table)) == len(entries)
             return
         with pytest.raises(LineOverlapError) as info:
-            peak_amplitudes(spectrum, table, strict=True)
+            peak_amplitudes(spectrum, table)
         assert list(info.value.pairs) == [(entries[i], entries[k]) for i, k in expected]

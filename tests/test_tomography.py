@@ -11,17 +11,18 @@ from spintomo import (DegenerateTransitionError, RankDeficiencyError,
                       coefficients_to_density, default_acquisition, dft_fid,
                       dft_t2, diagonal_labels, fidelity, fit_diagonal,
                       fit_offdiagonal, max_relative_element_error,
-                      observable_labels, offdiagonal_labels, peak_amplitudes,
-                      product_operator, reconstruct, reference_fid,
-                      reference_normalize, run_sequence_A, run_sequence_B,
-                      tomograph_state, transition_table)
-from spintomo.tomography import (_diagonal_response_matrix, _factor,
+                      observable_labels, offdiagonal_labels, product_operator,
+                      reconstruct, reference_fid, reference_normalize,
+                      run_sequence_A, run_sequence_B, tomograph_state,
+                      transition_table)
+from spintomo.spectral import _peak_readout
+from spintomo.tomography import (RANK_TOL, _diagonal_response_matrix,
                                  _reference_response_matrix, _solve_seminormal,
                                  _stack_cross_sections)
 
 from conftest import (DEMO_COEFFS, FOUR_SPIN_COUPLINGS, FOUR_SPIN_LARMOR,
-                      TWO_SPIN_J, TWO_SPIN_LARMOR, TWO_SPIN_T2, fit_t1_trace,
-                      random_coefficients)
+                      FOUR_SPIN_STATE, TWO_SPIN_J, TWO_SPIN_LARMOR, TWO_SPIN_T2,
+                      dense_design, fit_t1_trace, random_coefficients)
 
 
 @pytest.fixture(scope="module")
@@ -43,7 +44,7 @@ def oracle_matrix(system, params, design):
 
 
 def relative_difference(design, oracle):
-    return relative_max_difference(design.matrix, oracle)
+    return relative_max_difference(dense_design(design), oracle)
 
 
 def relative_max_difference(matrix, oracle):
@@ -56,10 +57,9 @@ def diagonal_oracle(system, params, table):
     for label in diagonal_labels(system.n):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            amps = peak_amplitudes(dft_fid(run_sequence_B(
-                system, product_operator(system, label), params)), table, strict=False)
-        columns.append(np.concatenate([[amps[t].real for t in table],
-                                       [amps[t].imag for t in table]]))
+            signal = run_sequence_B(system, product_operator(system, label), params)
+        amps = _peak_readout(dft_fid(signal), table)
+        columns.append(np.concatenate([amps.real, amps.imag]))
     return np.column_stack(columns)
 
 
@@ -96,15 +96,14 @@ def column_block(design, column_index, transition_position):
     """Complex t1 trace of one design column at one selected transition."""
     n_t1 = design.params.n_t1
     start = transition_position * 2 * n_t1
-    real = design.matrix[start:start + n_t1, column_index]
-    imag = design.matrix[start + n_t1:start + 2 * n_t1, column_index]
-    return real + 1j * imag
+    column = design.apply(np.eye(len(design.labels))[column_index])
+    return column[start:start + n_t1] + 1j * column[start + n_t1:start + 2 * n_t1]
 
 
 class TestDesignMatrix:
     def test_two_spin_shape_and_rank(self, two_spin_setup):
         system, params, design = two_spin_setup
-        assert design.matrix.shape == (4 * 2 * params.n_t1, 12)
+        assert design.shape == (4 * 2 * params.n_t1, 12)
         assert design.labels == offdiagonal_labels(2)
         assert design.is_full_rank
         assert design.condition_number < 100
@@ -201,6 +200,17 @@ class TestDesignMatrix:
         system, params = case
         design = build_design_matrix(system, params)
         assert relative_difference(design, oracle_matrix(system, params, design)) <= 1e-12
+        # the adjoint is the transpose, and the eigenpairs factor D^T D
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal(design.shape[1])
+        y = rng.standard_normal(design.shape[0])
+        forward, backward = design.apply(x) @ y, x @ design.adjoint(y)
+        scale = max(np.linalg.norm(design.apply(x)) * np.linalg.norm(y),
+                    np.linalg.norm(x) * np.linalg.norm(design.adjoint(y)))
+        assert abs(forward - backward) <= 1e-12 * scale
+        dense = dense_design(design)
+        gram = (design.eigenvectors * design.eigenvalues) @ design.eigenvectors.T
+        assert relative_max_difference(gram, dense.T @ dense) <= 1e-12
 
     def test_closed_form_matches_per_label_simulation_four_spin(self):
         system = build_spin_system(4, FOUR_SPIN_LARMOR, FOUR_SPIN_COUPLINGS, 0.010)
@@ -210,7 +220,10 @@ class TestDesignMatrix:
         assert relative_difference(design, oracle) <= 1e-12
         svals = np.linalg.svd(oracle, compute_uv=False)
         assert design.rank == len(design.labels) == 240
-        assert design.condition_number == pytest.approx(svals[0] / svals[-1], rel=1e-9)
+        # the Gram squares kappa, so its condition number is good to kappa^2 eps
+        kappa = svals[0] / svals[-1]
+        assert design.condition_number == pytest.approx(
+            kappa, rel=kappa ** 2 * np.finfo(float).eps)
         assert not (design.zero_labels or design.nullspace_labels
                     or design.undetermined_labels)
 
@@ -241,14 +254,15 @@ class TestDesignMatrix:
 
     def test_factors_match_svd_of_design(self, two_spin_setup):
         _, _, design = two_spin_setup
-        _, svals, vt = np.linalg.svd(design.matrix, full_matrices=False)
-        assert np.allclose(design.singular_values, svals, rtol=1e-12, atol=0)
-        # right singular vectors agree up to sign
-        assert np.allclose(np.abs(np.sum(design.vt * vt, axis=1)), 1.0, atol=1e-10)
+        _, svals, vt = np.linalg.svd(dense_design(design), full_matrices=False)
+        assert np.allclose(np.sqrt(design.eigenvalues[::-1]), svals, rtol=1e-12, atol=0)
+        # eigenvectors are the right singular vectors, up to sign
+        assert np.allclose(np.abs(np.sum(design.eigenvectors[:, ::-1].T * vt, axis=1)),
+                           1.0, atol=1e-10)
 
     def test_rank_deficient_build_memory_bounded(self, two_spin_setup):
-        # alpha = 0 detects nothing: every column is exactly zero and the
-        # null-space SVD runs on a 4096 x 12 matrix
+        # alpha = 0 detects nothing: every column of the 4096 x 12 design is
+        # exactly zero, and so is its Gram
         system = two_spin_setup[0]
         params = default_acquisition(system, n_t1=512, n_t2=64, alpha_rad=0.0)
         tracemalloc.start()
@@ -262,12 +276,26 @@ class TestDesignMatrix:
         assert set(design.nullspace_labels) == set(design.labels)
         assert peak < 32 * 2 ** 20
 
+    def test_four_spin_build_memory_bounded(self):
+        # the dense 131,072 x 240 design alone would take 252 MB
+        system = build_spin_system(4, FOUR_SPIN_LARMOR, FOUR_SPIN_COUPLINGS, 0.010)
+        params = default_acquisition(system, n_t1=2048, n_t2=512)
+        tracemalloc.start()
+        try:
+            design = build_design_matrix(system, params)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert design.shape == (131072, 240)
+        assert design.rank == 240
+        assert peak < 64 * 2 ** 20
+
     def test_wide_design_lists_every_label(self, two_spin_setup):
         # one t1 increment leaves 8 rows for 12 labels after mean removal
         system = two_spin_setup[0]
         params = default_acquisition(system, n_t1=1, n_t2=64)
         design = build_design_matrix(system, params)
-        assert design.matrix.shape == (8, 12)
+        assert design.shape == (8, 12)
         assert set(design.nullspace_labels) == set(design.labels)
         signal = run_sequence_A(system, coefficients_to_density(system, DEMO_COEFFS),
                                 params)
@@ -279,34 +307,39 @@ class TestSeminormalSolve:
     @pytest.mark.parametrize("kappa", [1e2, 1e4, 1e6, 1e8, 1e10])
     def test_matches_lstsq(self, kappa):
         # a least-squares problem whose residual is 1/kappa of the data, so
-        # both solvers are accurate to about kappa * eps
+        # lstsq is accurate to about kappa * eps.  The Gram squares kappa:
+        # beyond about 2e7 its eigenvalues drown in rounding, so the rank
+        # drops below full, and the solver run on them anyway refuses.
         rng = np.random.default_rng(int(np.log10(kappa)))
         rows, cols = 4000, 60
         u, _ = np.linalg.qr(rng.standard_normal((rows, cols)))
         v, _ = np.linalg.qr(rng.standard_normal((cols, cols)))
-        matrix = np.asfortranarray((u * np.logspace(0, -np.log10(kappa), cols)) @ v.T)
+        matrix = (u * np.logspace(0, -np.log10(kappa), cols)) @ v.T
         consistent = matrix @ rng.standard_normal(cols)
         orthogonal = rng.standard_normal(rows)
         orthogonal -= u @ (u.T @ orthogonal)
         target = consistent + orthogonal * (
             np.linalg.norm(consistent) / np.linalg.norm(orthogonal) / kappa)
 
-        svals, vt = _factor(matrix)
-        assert svals[0] / svals[-1] == pytest.approx(kappa, rel=1e-3)
-        solution, residual = _solve_seminormal(matrix, svals, vt, target)
+        values, vectors = np.linalg.eigh(matrix.T @ matrix)
+        rank = int(np.sum(values > RANK_TOL * values[-1]))
+
+        def solve():
+            return _solve_seminormal(lambda x: matrix @ x, lambda y: matrix.T @ y,
+                                     values, vectors, target, tuple(range(cols)))
+
+        if kappa > 1e6:
+            assert rank < cols
+            with pytest.raises(RankDeficiencyError, match="did not converge"):
+                solve()
+            return
+        assert rank == cols
+        assert np.sqrt(values[-1] / values[0]) == pytest.approx(kappa, rel=1e-3)
+        solution, residual = solve()
         expected, _, _, _ = np.linalg.lstsq(matrix, target, rcond=None)
         difference = np.linalg.norm(solution - expected) / np.linalg.norm(expected)
         assert difference <= 100 * kappa * np.finfo(float).eps
         assert np.array_equal(residual, target - matrix @ solution)
-
-    def test_wide_matrix_factors(self):
-        rng = np.random.default_rng(5)
-        matrix = rng.standard_normal((6, 10))
-        svals, vt = _factor(matrix)
-        assert vt.shape == (10, 10)
-        assert np.allclose(svals, np.linalg.svd(matrix, compute_uv=False), rtol=1e-12)
-        # the last rows of vt span the null space
-        assert np.max(np.abs(matrix @ vt[6:].T)) < 1e-12
 
     def test_fit_reuses_stored_factors(self, two_spin_setup, monkeypatch):
         system, params, design = two_spin_setup
@@ -315,7 +348,7 @@ class TestSeminormalSolve:
         def refuse(*args, **kwargs):
             raise AssertionError("the fit factored the design again")
 
-        for name in ("lstsq", "svd", "qr", "pinv"):
+        for name in ("lstsq", "svd", "qr", "pinv", "eigh"):
             monkeypatch.setattr(np.linalg, name, refuse)
         fit = fit_offdiagonal(signal, design)
         assert fit.coefficients["xx"] == pytest.approx(13.0, rel=1e-9)
@@ -380,9 +413,10 @@ class TestFitOffdiagonal:
         from spintomo.tomography import _stack_cross_sections
         target = _stack_cross_sections(dft_t2(signal).grid, design.bins)
         solution = np.array([fit.coefficients[l] for l in design.labels])
-        residual_vec = design.matrix @ solution - target
-        overlap = np.max(np.abs(design.matrix.T @ residual_vec))
-        scale = np.linalg.norm(design.matrix) * np.linalg.norm(residual_vec)
+        dense = dense_design(design)
+        residual_vec = dense @ solution - target
+        overlap = np.max(np.abs(dense.T @ residual_vec))
+        scale = np.linalg.norm(dense) * np.linalg.norm(residual_vec)
         assert overlap <= 1e-9 * scale
 
     def test_hybrid_input_same_as_signal(self, two_spin_setup):
@@ -461,6 +495,21 @@ class TestFitDiagonal:
             system, params)
         for label in diagonal_labels(2):
             assert abs(base.coefficients[label] - again.coefficients[label]) <= 1e-10
+
+    def test_four_spin_overlap_absorbed_without_warning(self):
+        # 4-qubit lines sit closer than the 32 Hz linewidth; the shared
+        # forward model absorbs the overlap, so nothing warns about it
+        system = build_spin_system(4, FOUR_SPIN_LARMOR, FOUR_SPIN_COUPLINGS, 0.010)
+        params = default_acquisition(system, n_t1=128, n_t2=128)
+        rho0 = coefficients_to_density(system, FOUR_SPIN_STATE)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = tomograph_state(system, rho0, params)
+        assert not [w for w in caught if "closer than" in str(w.message)]
+        # kappa is 3.6e6 on this grid; the largest error, 1.4e-9, is the
+        # same as a QR solve of the dense design gives
+        for label, value in FOUR_SPIN_STATE.items():
+            assert result.coefficients[label] == pytest.approx(value, abs=1e-8)
 
 
 class TestReconstructAndScores:
