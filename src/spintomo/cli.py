@@ -247,8 +247,19 @@ def _atomic_write_text(path: Path, text: str) -> None:
     _atomic_write(path, lambda tmp: Path(tmp).write_text(text))
 
 
+def _finite_or_null(value):
+    """``value`` with every non-finite float in it replaced by None."""
+    if isinstance(value, dict):
+        return {key: _finite_or_null(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(item) for item in value]
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
 def _write_json(path: Path, payload: dict) -> None:
-    _atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    """Strict JSON: a non-finite number (an infinite condition number) is null."""
+    _atomic_write_text(path, json.dumps(_finite_or_null(payload), indent=2,
+                                        sort_keys=True, allow_nan=False) + "\n")
 
 
 def _apply_noise(rng, array: np.ndarray, rms: float) -> np.ndarray:
@@ -280,10 +291,12 @@ def _simulate_signals(cfg: RunConfig, params, rng):
 
 def _export_simulation(cfg: RunConfig, signal_a, signal_b, out: Path, table):
     """Write signals, spectra and cross-sections; return the t2 hybrid."""
-    _atomic_write(out / "signal_a.csv", lambda p: export_signal2d(signal_a, p))
+    _atomic_write(out / "signal_a.npy", lambda p: export_signal2d(signal_a, p))
     _write_json(out / "signal_a.json", {
         "dwell_t1_s": signal_a.dwell_t1_s, "dwell_t2_s": signal_a.dwell_t2_s,
         "n_t1": signal_a.n_t1, "n_t2": signal_a.n_t2, "meta": signal_a.meta,
+        "array": {"file": "signal_a.npy", "dtype": "complex128",
+                  "shape": list(signal_a.grid.shape), "axes": ["t1", "t2"]},
     })
     _atomic_write(out / "signal_b.csv", lambda p: export_signal1d(signal_b, p))
     _write_json(out / "signal_b.json", {
@@ -293,11 +306,13 @@ def _export_simulation(cfg: RunConfig, signal_a, signal_b, out: Path, table):
 
     hybrid = dft_t2(signal_a)
     spectrum = dft_t1(hybrid)
-    _atomic_write(out / "spectrum_2d.csv", lambda p: export_spectrum2d(spectrum, p))
+    _atomic_write(out / "spectrum_2d.npy", lambda p: export_spectrum2d(spectrum, p))
     _write_json(out / "spectrum_2d_axes.json", {
         "omega1_hz": [float(f) for f in spectrum.omega1_hz],
         "omega2_hz": [float(f) for f in spectrum.omega2_hz],
         "units": {"omega1": "Hz", "omega2": "Hz"},
+        "array": {"file": "spectrum_2d.npy", "dtype": "float64",
+                  "shape": list(spectrum.grid.shape), "axes": ["omega1", "omega2"]},
     })
 
     # Named by transition-table index (the index design_summary.json lists):
@@ -351,6 +366,8 @@ def _write_report(path: Path, result, cfg: RunConfig) -> None:
         lines.append(
             "max absolute element error: "
             f"{float(np.max(np.abs(result.element_errors))):.3e}")
+    if result.max_coefficient_error is not None:
+        lines.append(f"max coefficient error: {result.max_coefficient_error:.3e}")
     lines.append(f"off-diagonal fit residual (relative): {result.residual_offdiagonal:.3e}")
     lines.append(f"diagonal fit residual (relative): {result.residual_diagonal:.3e}")
     lines.append(f"design condition number: {result.condition_number:.6g}")

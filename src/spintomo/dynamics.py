@@ -43,10 +43,6 @@ def evolution_cache(system: SpinSystem) -> EvolutionCache:
     )
 
 
-def _offdiag_mask(dim: int) -> np.ndarray:
-    return 1.0 - np.eye(dim)
-
-
 def _evolution_factor(system: SpinSystem, cache: EvolutionCache, t_s,
                       with_decay: bool) -> np.ndarray:
     """Element-wise factors of free evolution, shape ``shape(t_s) + (dim, dim)``.
@@ -59,7 +55,7 @@ def _evolution_factor(system: SpinSystem, cache: EvolutionCache, t_s,
         raise ValueError(f"evolution time must be non-negative, got {t_s.min()}")
     factor = np.exp(-2.0j * np.pi * cache.frequencies * t_s)
     if with_decay:
-        factor = factor * np.exp(-_offdiag_mask(system.dim) * (t_s / system.t2_s))
+        factor = factor * np.exp(-(1.0 - np.eye(system.dim)) * (t_s / system.t2_s))
     return factor
 
 

@@ -250,6 +250,14 @@ def _fid_from_states(sigma: np.ndarray, system: SpinSystem,
     return sigma[..., rows, cols] @ detection_fids(system, t2_times)
 
 
+def _meta(sequence: str, system: SpinSystem, params: AcquisitionParams,
+          **extra) -> dict:
+    """A signal's metadata: the sequence, the system and the acquisition."""
+    return {"sequence": sequence, "system": system.to_dict(),
+            "system_digest": system.digest(), "t2_s": system.t2_s,
+            "params": params.to_dict(), **extra}
+
+
 def sequence_A_steps(system: SpinSystem, params: AcquisitionParams):
     """The fixed linear steps of sequence A around the gradient.
 
@@ -287,16 +295,9 @@ def run_sequence_A(system: SpinSystem, rho0: np.ndarray, params: AcquisitionPara
     sigma = pulse_read @ sigma @ pulse_read.conj().T
 
     grid = _fid_from_states(sigma, system, params.t2_times)
-    meta = {
-        "sequence": "A",
-        "system": system.to_dict(),
-        "system_digest": system.digest(),
-        "t2_s": system.t2_s,
-        "params": params.to_dict(),
-        "gradient": gradient,
-    }
     return Signal2D(grid=grid, dwell_t1_s=params.dwell_t1_s,
-                    dwell_t2_s=params.dwell_t2_s, meta=meta)
+                    dwell_t2_s=params.dwell_t2_s,
+                    meta=_meta("A", system, params, gradient=gradient))
 
 
 def run_sequence_B(system: SpinSystem, rho0: np.ndarray, params: AcquisitionParams,
@@ -322,15 +323,8 @@ def run_sequence_B(system: SpinSystem, rho0: np.ndarray, params: AcquisitionPara
     pulse = rotation_pulse(system, params.beta_rad, 0.0)
     sigma = pulse @ sigma @ pulse.conj().T
     samples = _fid_from_states(sigma[None, :, :], system, params.t2_times)[0]
-    meta = {
-        "sequence": "B",
-        "system": system.to_dict(),
-        "system_digest": system.digest(),
-        "t2_s": system.t2_s,
-        "params": params.to_dict(),
-        "gradient": gradient,
-    }
-    return Signal1D(samples=samples, dwell_s=params.dwell_t2_s, meta=meta)
+    return Signal1D(samples=samples, dwell_s=params.dwell_t2_s,
+                    meta=_meta("B", system, params, gradient=gradient))
 
 
 def reference_fid(system: SpinSystem, rho0: np.ndarray,
@@ -342,14 +336,8 @@ def reference_fid(system: SpinSystem, rho0: np.ndarray,
     """
     rho0 = _validate_state(rho0, system)
     samples = _fid_from_states(rho0[None, :, :], system, params.t2_times)[0]
-    meta = {
-        "sequence": "reference",
-        "system": system.to_dict(),
-        "system_digest": system.digest(),
-        "t2_s": system.t2_s,
-        "params": params.to_dict(),
-    }
-    return Signal1D(samples=samples, dwell_s=params.dwell_t2_s, meta=meta)
+    return Signal1D(samples=samples, dwell_s=params.dwell_t2_s,
+                    meta=_meta("reference", system, params))
 
 
 # ---------------------------------------------------------------------------
@@ -369,13 +357,14 @@ def _write_csv(path, header: str, table: np.ndarray) -> None:
             handle.write(",".join(map(repr, row.tolist())) + "\n")
 
 
-def export_signal2d(signal: Signal2D, csv_path) -> None:
-    """CSV with one row per t1 increment, paired re/im columns per t2 sample."""
-    header = ('"# time-domain signal; t1_s in s, samples dimensionless"\nt1_s,'
-              + ",".join(f"re_t2_{k},im_t2_{k}" for k in range(signal.n_t2)) + "\n")
-    t1_s = np.arange(signal.n_t1) * signal.dwell_t1_s
-    grid = np.ascontiguousarray(signal.grid, dtype=complex)
-    _write_csv(csv_path, header, np.column_stack([t1_s, grid.view(np.float64)]))
+def export_signal2d(signal: Signal2D, path) -> None:
+    """The complex128 (n_t1, n_t2) grid as ``.npy``; the axes are in the sidecar.
+
+    Saved through a handle, since ``np.save`` adds ``.npy`` to a bare path.
+    """
+    with open(path, "wb") as handle:
+        np.save(handle, np.asarray(signal.grid, dtype=np.complex128),
+                allow_pickle=False)
 
 
 def export_signal1d(signal: Signal1D, csv_path) -> None:

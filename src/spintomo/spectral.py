@@ -88,10 +88,11 @@ def _resolve_rate(apodization, meta: dict) -> float:
     return rate
 
 
-def _dft(data, dwell_s: float, rate: float, zero_fill: int,
+def _dft(data, dwell_s: float, meta: dict, apodization, zero_fill: int,
          first_point_half: bool, axis: int = -1):
-    """(frequency axis, spectrum): apodize, halve the first point, zero-fill
-    and FFT ``data`` along ``axis``, in fftshift layout."""
+    """(frequency axis, spectrum, processing record): apodize, halve the first
+    point, zero-fill and FFT ``data`` along ``axis``, in fftshift layout."""
+    rate = _resolve_rate(apodization, meta)
     x = np.array(data, dtype=complex)
     n = x.shape[axis]
     if rate:
@@ -102,7 +103,13 @@ def _dft(data, dwell_s: float, rate: float, zero_fill: int,
         np.moveaxis(x, axis, 0)[0] *= 0.5
     n_fft = int(zero_fill) * _next_pow2(n)
     spec = np.fft.fftshift(np.fft.fft(x, n=n_fft, axis=axis), axes=axis)
-    return np.fft.fftshift(np.fft.fftfreq(n_fft, dwell_s)), spec
+    processing = {
+        "apodization": apodization if isinstance(apodization, str) else rate or None,
+        "apod_rate_per_s": rate,
+        "zero_fill": int(zero_fill),
+        "first_point_half": bool(first_point_half),
+    }
+    return np.fft.fftshift(np.fft.fftfreq(n_fft, dwell_s)), spec, processing
 
 
 def _t1_dwell(hybrid: HybridSpectrum) -> float:
@@ -111,29 +118,17 @@ def _t1_dwell(hybrid: HybridSpectrum) -> float:
     return float(hybrid.meta.get("dwell_t1_s", 1.0))
 
 
-def _processing_dict(apodization, rate, zero_fill, first_point_half) -> dict:
-    return {
-        "apodization": apodization if isinstance(apodization, str) else rate or None,
-        "apod_rate_per_s": rate,
-        "zero_fill": int(zero_fill),
-        "first_point_half": bool(first_point_half),
-    }
-
-
 def dft_t2(signal: Signal2D, apodization="matched", zero_fill: int = 2,
            first_point_half: bool = True) -> HybridSpectrum:
     """Transform along t2 for every t1 row."""
-    rate = _resolve_rate(apodization, signal.meta)
-    freqs, spec = _dft(signal.grid, signal.dwell_t2_s, rate, zero_fill,
-                       first_point_half, axis=1)
-    meta = dict(signal.meta)
-    meta["processing_t2"] = _processing_dict(apodization, rate, zero_fill, first_point_half)
-    meta["dwell_t1_s"] = signal.dwell_t1_s
+    freqs, spec, processing = _dft(signal.grid, signal.dwell_t2_s, signal.meta,
+                                   apodization, zero_fill, first_point_half, axis=1)
     return HybridSpectrum(
         grid=spec,
         t1_s=np.arange(signal.n_t1) * signal.dwell_t1_s,
         omega2_hz=freqs,
-        meta=meta,
+        meta={**signal.meta, "processing_t2": processing,
+              "dwell_t1_s": signal.dwell_t1_s},
     )
 
 
@@ -144,23 +139,19 @@ def dft_t1(hybrid: HybridSpectrum, apodization="matched", zero_fill: int = 2,
     Cosine-modulated t1 content produces symmetric absorptive pairs at
     +-Omega1, sine-modulated content antisymmetric dispersive pairs.
     """
-    rate = _resolve_rate(apodization, hybrid.meta)
-    freqs, spec = _dft(hybrid.grid, _t1_dwell(hybrid), rate, zero_fill,
-                       first_point_half, axis=0)
-    meta = dict(hybrid.meta)
-    meta["processing_t1"] = _processing_dict(apodization, rate, zero_fill, first_point_half)
-    return Spectrum2D(grid=spec, omega1_hz=freqs, omega2_hz=hybrid.omega2_hz, meta=meta)
+    freqs, spec, processing = _dft(hybrid.grid, _t1_dwell(hybrid), hybrid.meta,
+                                   apodization, zero_fill, first_point_half, axis=0)
+    return Spectrum2D(grid=spec, omega1_hz=freqs, omega2_hz=hybrid.omega2_hz,
+                      meta={**hybrid.meta, "processing_t1": processing})
 
 
 def dft_fid(signal: Signal1D, apodization="matched", zero_fill: int = 2,
             first_point_half: bool = True) -> Spectrum1D:
     """Transform a one-dimensional FID."""
-    rate = _resolve_rate(apodization, signal.meta)
-    freqs, spec = _dft(signal.samples, signal.dwell_s, rate, zero_fill,
-                       first_point_half)
-    meta = dict(signal.meta)
-    meta["processing"] = _processing_dict(apodization, rate, zero_fill, first_point_half)
-    return Spectrum1D(values=spec, omega_hz=freqs, meta=meta)
+    freqs, spec, processing = _dft(signal.samples, signal.dwell_s, signal.meta,
+                                   apodization, zero_fill, first_point_half)
+    return Spectrum1D(values=spec, omega_hz=freqs,
+                      meta={**signal.meta, "processing": processing})
 
 
 def nearest_bin(axis_hz: np.ndarray, frequency_hz: float) -> int:
@@ -199,15 +190,13 @@ def cross_section(source, omega2_hz: float) -> CrossSection:
 
     if isinstance(source, HybridSpectrum):
         column = source.grid[:, b].copy()
-        proc = source.meta.get("processing_t2", {})
-        rate = 1.0 / t2_s if t2_s else 0.0
-        freqs, spec = _dft(column, _t1_dwell(source), rate, proc.get("zero_fill", 2), True)
-        meta = dict(source.meta)
-        meta["cross_section_processing"] = _processing_dict(
-            "matched" if rate else None, rate, proc.get("zero_fill", 2), True)
+        zero_fill = source.meta.get("processing_t2", {}).get("zero_fill", 2)
+        freqs, spec, processing = _dft(column, _t1_dwell(source), source.meta,
+                                       "matched" if t2_s else None, zero_fill, True)
         return CrossSection(anchor_hz=float(omega2_hz), bin_hz=float(axis[b]),
                             time_trace=column, t1_s=source.t1_s.copy(),
-                            freq_trace=spec, omega1_hz=freqs, meta=meta)
+                            freq_trace=spec, omega1_hz=freqs,
+                            meta={**source.meta, "cross_section_processing": processing})
     if isinstance(source, Spectrum2D):
         return CrossSection(anchor_hz=float(omega2_hz), bin_hz=float(axis[b]),
                             time_trace=None, t1_s=None,
@@ -279,13 +268,11 @@ def _peak_readout(spectrum: Spectrum1D, table: TransitionTable) -> np.ndarray:
 # Exports
 
 
-def export_spectrum2d(spectrum: Spectrum2D, csv_path) -> None:
-    """Magnitude grid as CSV: rows Omega1, columns Omega2, axes in the first
-    column and the header row."""
-    header = ("omega1_hz\\omega2_hz,"
-              + ",".join(map(repr, spectrum.omega2_hz.tolist())) + "\n")
-    _write_csv(csv_path, header,
-               np.column_stack([spectrum.omega1_hz, np.abs(spectrum.grid)]))
+def export_spectrum2d(spectrum: Spectrum2D, path) -> None:
+    """The float64 magnitude grid (n_omega1, n_omega2) as ``.npy``; the axes
+    are in the sidecar."""
+    with open(path, "wb") as handle:
+        np.save(handle, np.abs(spectrum.grid), allow_pickle=False)
 
 
 def export_cross_section(section: CrossSection, csv_path) -> None:

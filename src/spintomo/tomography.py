@@ -25,9 +25,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import (SpinSystem, coefficients_to_density, diagonal_labels,
-                   monomial_table, observable_labels, offdiagonal_labels,
-                   rotation_pulse)
+from .core import (SpinSystem, coefficients_to_density, density_to_coefficients,
+                   diagonal_labels, monomial_table, observable_labels,
+                   offdiagonal_labels, rotation_pulse)
 from .dynamics import detection_elements
 from .errors import RankDeficiencyError
 from .experiment import (AcquisitionParams, Signal1D, Signal2D, TransitionTable,
@@ -147,6 +147,7 @@ class TomographyResult:
     reference: np.ndarray | None = None
     element_errors: np.ndarray | None = None
     max_relative_element_error: float | None = None
+    max_coefficient_error: float | None = None
     notes: tuple = ()
 
     def to_json_dict(self) -> dict:
@@ -164,6 +165,7 @@ class TomographyResult:
             "condition_number_diagonal": self.condition_number_diagonal,
             "scale_factor": self.scale_factor,
             "max_relative_element_error": self.max_relative_element_error,
+            "max_coefficient_error": self.max_coefficient_error,
             "notes": list(self.notes),
         }
         if self.reference is not None:
@@ -529,53 +531,61 @@ def reference_normalize(system: SpinSystem, reference: Signal1D,
     compared with the fitted values; their common ratio (a least-squares
     average over the observable labels) becomes a single global scale
     factor.  With ideal pulses the factor is 1 to numerical precision.
-    Normalization is skipped when the reference carries no observable
-    content above its own residual (see :data:`REFERENCE_MIN_F`).
+    Normalization is skipped when the reference does not determine every
+    observable coefficient (too few samples for the labels), or carries no
+    observable content above its own residual (see :data:`REFERENCE_MIN_F`).
     """
+    def skipped(reason):
+        return replace(result, scale_factor=None, notes=result.notes + (
+            f"reference normalization skipped: {reason}",))
+
     labels, response_matrix = _reference_response_matrix(system, params)
     target = np.concatenate([reference.samples.real, reference.samples.imag])
     q_ref, _, rank, _ = np.linalg.lstsq(response_matrix, target, rcond=None)
+    if rank < len(labels):
+        return skipped(f"the reference determines {rank} of {len(labels)} "
+                       "observable coefficients")
     fitted = response_matrix @ q_ref
     # mean squares per fitted and per residual degree of freedom
     explained = np.linalg.norm(fitted) ** 2 / max(rank, 1)
     unexplained = np.linalg.norm(target - fitted) ** 2 / max(len(target) - rank, 1)
     silent = np.linalg.norm(target) <= 1e-12 * max(1.0, float(np.max(np.abs(result.matrix))))
     if silent or explained <= REFERENCE_MIN_F * unexplained:
-        return replace(result, scale_factor=None,
-                       notes=result.notes + (
-                           "reference normalization skipped: no directly "
-                           "observable single-quantum content",))
+        return skipped("no directly observable single-quantum content")
 
     q_fit = np.array([result.coefficients.get(label, 0.0) for label in labels])
     mask = np.abs(q_ref) > 1e-9 * max(1.0, float(np.max(np.abs(q_ref))))
     denom = float(np.dot(q_fit[mask], q_fit[mask]))
     if denom <= 0.0:
-        return replace(result, scale_factor=None,
-                       notes=result.notes + (
-                           "reference normalization skipped: fitted observable "
-                           "coefficients are zero",))
+        return skipped("fitted observable coefficients are zero")
     scale = float(np.dot(q_ref[mask], q_fit[mask])) / denom
 
     coefficients = {label: q * scale for label, q in result.coefficients.items()}
     matrix = coefficients_to_density(system, coefficients)
-    scored = _score(result.reference, matrix)
+    scores, notes = _score(system, result.reference, coefficients, matrix)
     return replace(result, coefficients=coefficients, matrix=matrix,
-                   scale_factor=scale, fidelity=scored[0],
-                   element_errors=scored[1], max_relative_element_error=scored[2],
-                   notes=result.notes + scored[3])
+                   scale_factor=scale, notes=result.notes + notes, **scores)
 
 
-def _score(reference, matrix):
-    """(fidelity, element_errors, max_relative_error, notes) against a reference."""
+def _score(system: SpinSystem, reference, coefficients: dict, matrix) -> tuple:
+    """(scores, notes): the result's error fields against a reference state.
+
+    ``max_coefficient_error`` is the largest |fitted - input| over all labels.
+    """
+    scores = dict(fidelity=None, element_errors=None,
+                  max_relative_element_error=None, max_coefficient_error=None)
     if reference is None:
-        return None, None, None, ()
+        return scores, ()
+    scores["max_coefficient_error"] = max(
+        abs(coefficients.get(label, 0.0) - q)
+        for label, q in density_to_coefficients(system, reference).items())
     try:
-        fid = fidelity(reference, matrix)
+        scores["fidelity"] = fidelity(reference, matrix)
     except ValueError:
-        return None, None, None, ("fidelity skipped: zero-norm matrix",)
-    errors = matrix - reference
-    max_rel = max_relative_element_error(reference, matrix)
-    return fid, errors, max_rel, ()
+        return scores, ("fidelity skipped: zero-norm matrix",)
+    scores.update(element_errors=matrix - reference,
+                  max_relative_element_error=max_relative_element_error(reference, matrix))
+    return scores, ()
 
 
 def tomograph_state(system: SpinSystem, rho0: np.ndarray,
@@ -606,19 +616,17 @@ def tomograph_state(system: SpinSystem, rho0: np.ndarray,
     coefficients = dict(off.coefficients)
     coefficients.update(diag.coefficients)
 
-    fid, errors, max_rel, notes = _score(rho0, matrix)
+    scores, notes = _score(system, rho0, coefficients, matrix)
     result = TomographyResult(
         coefficients=coefficients,
         matrix=matrix,
-        fidelity=fid,
         residual_offdiagonal=off.relative_residual,
         residual_diagonal=diag.relative_residual,
         condition_number=design.condition_number,
         condition_number_diagonal=diag.condition_number,
         reference=rho0,
-        element_errors=errors,
-        max_relative_element_error=max_rel,
         notes=notes,
+        **scores,
     )
     if normalize:
         if reference is None:

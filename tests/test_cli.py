@@ -2,16 +2,21 @@ import json
 import os
 import stat
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from spintomo import reference_fid, tomograph_state
-from spintomo.cli import (_atomic_write, _simulate_signals, config_from_dict,
-                          main, parse_config, resolve_params)
+from spintomo import (TomographyResult, dft_t1, dft_t2, reference_fid,
+                      tomograph_state)
+from spintomo.cli import (_atomic_write, _simulate_signals, _write_json,
+                          _write_report, config_from_dict, main, parse_config,
+                          resolve_params)
 from spintomo.errors import ConfigError
 
 from conftest import DEMO_COEFFS, local_maxima_above
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def demo_config(n_t1=64, n_t2=128, **options):
@@ -34,10 +39,26 @@ def demo_config(n_t1=64, n_t2=128, **options):
     return cfg
 
 
+# Every file of a `simulate` run of demo_config(); `tomograph` adds
+# TOMOGRAPH_FILES.  Nothing else, no temp file, is left behind.
+SIMULATE_FILES = sorted(
+    ["signal_a.npy", "signal_a.json", "signal_b.csv", "signal_b.json",
+     "spectrum_2d.npy", "spectrum_2d_axes.json", "spectrum_b.csv"]
+    + [f"cross_section_{i:02d}_q{q}.csv" for i, q in enumerate((1, 1, 2, 2))])
+TOMOGRAPH_FILES = ["design_summary.json", "report.txt", "result.json"]
+
+
 def write_config(tmp_path, payload, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload, indent=2))
     return path
+
+
+def read_strict_json(path):
+    """Parse ``path`` as strict JSON: the tokens NaN and Infinity are errors."""
+    def reject(token):
+        raise ValueError(f"non-JSON token {token} in {path.name}")
+    return json.loads(path.read_text(), parse_constant=reject)
 
 
 class TestConfigParsing:
@@ -156,15 +177,32 @@ class TestSimulateCommand:
         path = write_config(tmp_path, demo_config())
         out = tmp_path / "out"
         assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
-        for name in ("signal_a.csv", "signal_a.json", "signal_b.csv",
-                     "signal_b.json", "spectrum_2d.csv",
-                     "spectrum_2d_axes.json", "spectrum_b.csv"):
-            assert (out / name).exists(), name
-        sections = list(out.glob("cross_section_*.csv"))
-        assert len(sections) == 4
+        assert sorted(p.name for p in out.iterdir()) == SIMULATE_FILES
         sidecar = json.loads((out / "signal_a.json").read_text())
         assert sidecar["dwell_t1_s"] == resolve_params(parse_config(path)).dwell_t1_s
         assert sidecar["n_t2"] == 128
+
+    def test_grids_load_bit_exact(self, tmp_path):
+        path = write_config(tmp_path, demo_config(n_t1=32, n_t2=64, noise_rms=0.01))
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+            cfg = parse_config(path)
+            _, signal_a, _, _ = _simulate_signals(
+                cfg, resolve_params(cfg), np.random.default_rng(cfg.options.seed))
+        spectrum = dft_t1(dft_t2(signal_a))
+        sidecar = json.loads((out / "signal_a.json").read_text())
+        axes = json.loads((out / "spectrum_2d_axes.json").read_text())
+        assert sidecar["array"]["axes"] == ["t1", "t2"]
+        assert axes["array"]["axes"] == ["omega1", "omega2"]
+        assert axes["array"]["shape"] == [len(axes["omega1_hz"]), len(axes["omega2_hz"])]
+        for layout, expected in ((sidecar["array"], signal_a.grid),
+                                 (axes["array"], np.abs(spectrum.grid))):
+            grid = np.load(out / layout["file"], allow_pickle=False)
+            assert grid.dtype == np.dtype(layout["dtype"]) == expected.dtype
+            assert list(grid.shape) == layout["shape"] == list(expected.shape)
+            assert grid.tobytes() == expected.tobytes()
 
     def test_output_mode_follows_umask(self, tmp_path):
         path = write_config(tmp_path, demo_config(n_t1=16))
@@ -175,7 +213,7 @@ class TestSimulateCommand:
         finally:
             os.umask(previous)
         files = list(out.iterdir())
-        assert {p.suffix for p in files} == {".csv", ".json"}
+        assert {p.suffix for p in files} == {".csv", ".json", ".npy"}
         assert {stat.S_IMODE(p.stat().st_mode) for p in files} == {0o644}
 
     def test_cross_sections_named_by_transition_index(self, tmp_path):
@@ -215,10 +253,9 @@ class TestSimulateCommand:
         path = write_config(tmp_path, demo_config(n_t1=64, n_t2=256))
         out = tmp_path / "out"
         assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
-        rows = (out / "spectrum_2d.csv").read_text().strip().splitlines()
-        omega2 = np.array([float(x) for x in rows[0].split(",")[1:]])
-        grid = np.array([[float(x) for x in row.split(",")[1:]] for row in rows[1:]])
-        profile = grid.max(axis=0)
+        axes = json.loads((out / "spectrum_2d_axes.json").read_text())
+        omega2 = np.array(axes["omega2_hz"])
+        profile = np.load(out / "spectrum_2d.npy", allow_pickle=False).max(axis=0)
         bin_width = omega2[1] - omega2[0]
         transitions = np.array([1100.0, 1300.0, 1700.0, 1900.0])
         for index in local_maxima_above(profile, 1e-6 * profile.max()):
@@ -248,7 +285,7 @@ class TestSimulateCommand:
             warnings.simplefilter("ignore")
             assert main(["simulate", "--config", str(path), "--out", str(out_a)]) == 0
             assert main(["simulate", "--config", str(path), "--out", str(out_b)]) == 0
-        assert (out_a / "signal_a.csv").read_bytes() == (out_b / "signal_a.csv").read_bytes()
+        assert (out_a / "signal_a.npy").read_bytes() == (out_b / "signal_a.npy").read_bytes()
 
     def test_seed_override_changes_noise(self, tmp_path):
         path = write_config(tmp_path, demo_config(noise_rms=0.01))
@@ -258,7 +295,7 @@ class TestSimulateCommand:
             main(["simulate", "--config", str(path), "--out", str(out_a)])
             main(["simulate", "--config", str(path), "--out", str(out_b),
                   "--seed", "99"])
-        assert (out_a / "signal_a.csv").read_bytes() != (out_b / "signal_a.csv").read_bytes()
+        assert (out_a / "signal_a.npy").read_bytes() != (out_b / "signal_a.npy").read_bytes()
 
 
 class TestTomographCommand:
@@ -270,9 +307,8 @@ class TestTomographCommand:
         assert result["fidelity"] > 0.9999
         assert result["max_relative_element_error"] < 1e-3
         assert result["scale_factor"] == pytest.approx(1.0, abs=1e-6)
-        assert (out / "report.txt").exists()
-        assert (out / "design_summary.json").exists()
-        assert not (out / "cache").exists()
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            SIMULATE_FILES + TOMOGRAPH_FILES)
         assert "fidelity" in capsys.readouterr().out
 
     def test_byte_identical_results(self, tmp_path):
@@ -355,6 +391,21 @@ class TestTomographCommand:
         assert "degenerate" in capsys.readouterr().err.lower()
 
 
+class TestResultFiles:
+    def test_non_finite_condition_numbers_written_as_null(self, tmp_path):
+        result = TomographyResult(
+            coefficients={"xo": 1.0}, matrix=np.zeros((4, 4)), fidelity=None,
+            residual_offdiagonal=0.0, residual_diagonal=0.0,
+            condition_number=float("inf"), condition_number_diagonal=float("nan"))
+        _write_json(tmp_path / "result.json", result.to_json_dict())
+        payload = read_strict_json(tmp_path / "result.json")
+        assert payload["condition_number"] is None
+        assert payload["condition_number_diagonal"] is None
+        assert payload["coefficients"] == [["x o", 1.0]]
+        _write_report(tmp_path / "report.txt", result, None)
+        assert "design condition number: inf" in (tmp_path / "report.txt").read_text()
+
+
 class TestBasisCommand:
     def test_summary_and_cache(self, tmp_path):
         path = write_config(tmp_path, demo_config(n_t1=64, n_t2=128))
@@ -367,6 +418,20 @@ class TestBasisCommand:
         assert len(summary["labels"]) == 12
         assert "digest" not in summary and "cache_file" not in summary
         assert not (out / "cache").exists()
+
+    def test_infinite_condition_number_written_as_null(self, tmp_path, capsys):
+        # two t1 increments leave the demo design singular: kappa is infinite
+        payload = json.loads((CONFIG_DIR / "demo_2qubit.json").read_text())
+        payload["acquisition"]["n_t1"] = 2
+        path = write_config(tmp_path, payload)
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert main(["basis", "--config", str(path), "--out", str(out)]) == 3
+        assert "condition number inf" in capsys.readouterr().out
+        summary = read_strict_json(out / "design_summary.json")
+        assert summary["condition_number"] is None
+        assert summary["solvable"] is False
 
     def test_rank_deficient_selection(self, tmp_path, capsys):
         payload = demo_config(n_t1=64, n_t2=128)

@@ -317,20 +317,18 @@ FLOAT_EDGES = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e16, -3.0e300,
 
 
 class TestExports:
-    def test_signal2d_roundtrippable_csv(self, two_spin_system, tmp_path):
+    def test_signal2d_npy_bit_exact(self, two_spin_system, tmp_path):
         rho0 = coefficients_to_density(two_spin_system, DEMO_COEFFS)
-        params = small_params()
+        params = small_params(n_t2=24)  # n_t2 != n_t1: a transposed grid fails
         signal = run_sequence_A(two_spin_system, rho0, params)
-        csv_path = tmp_path / "signal.csv"
-        export_signal2d(signal, csv_path)
-        header, cells = read_csv_cells(csv_path, 2)
-        assert header[0] == '"# time-domain signal; t1_s in s, samples dimensionless"'
-        assert header[1].split(",")[:3] == ["t1_s", "re_t2_0", "im_t2_0"]
-        assert header[1].split(",")[-1] == f"im_t2_{signal.n_t2 - 1}"
-        assert cells.shape == (signal.n_t1, 1 + 2 * signal.n_t2)
-        assert_same_bits(cells[:, 0], params.t1_times)
-        assert_same_bits(cells[:, 1::2], signal.grid.real)
-        assert_same_bits(cells[:, 2::2], signal.grid.imag)
+        # a name without the .npy suffix is kept as given
+        path = tmp_path / "signal.tmp"
+        export_signal2d(signal, path)
+        assert [p.name for p in tmp_path.iterdir()] == ["signal.tmp"]
+        grid = np.load(path, allow_pickle=False)
+        assert grid.dtype == np.complex128
+        assert grid.shape == (params.n_t1, params.n_t2)
+        assert grid.tobytes() == signal.grid.tobytes()
 
     def test_signal1d_csv(self, two_spin_system, tmp_path):
         rho0 = coefficients_to_density(two_spin_system, DEMO_COEFFS)

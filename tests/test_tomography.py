@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from spintomo import (DegenerateTransitionError, RankDeficiencyError,
-                      build_design_matrix, build_spin_system,
+                      all_labels, build_design_matrix, build_spin_system,
                       coefficients_to_density, default_acquisition, dft_fid,
                       dft_t2, diagonal_labels, fidelity, fit_diagonal,
                       fit_offdiagonal, max_relative_element_error,
@@ -22,7 +22,8 @@ from spintomo.tomography import (RANK_TOL, _diagonal_response_matrix,
 
 from conftest import (DEMO_COEFFS, FOUR_SPIN_COUPLINGS, FOUR_SPIN_LARMOR,
                       FOUR_SPIN_STATE, TWO_SPIN_J, TWO_SPIN_LARMOR, TWO_SPIN_T2,
-                      dense_design, fit_t1_trace, random_coefficients)
+                      dense_design, fit_t1_trace, random_coefficients,
+                      random_hermitian_traceless)
 
 
 @pytest.fixture(scope="module")
@@ -98,6 +99,69 @@ def column_block(design, column_index, transition_position):
     start = transition_position * 2 * n_t1
     column = design.apply(np.eye(len(design.labels))[column_index])
     return column[start:start + n_t1] + 1j * column[start + n_t1:start + 2 * n_t1]
+
+
+def reference_condition_number(system, params):
+    svals = np.linalg.svd(_reference_response_matrix(system, params)[1],
+                          compute_uv=False)
+    return svals[0] / svals[-1]
+
+
+# Least squares loses about kappa * eps: on the random registers below the
+# round trip error stays under 2e-11 while every fit has kappa <= 1e6.
+ROUND_TRIP_MAX_KAPPA = 1e6
+
+
+class TestForwardModelProperties:
+    @settings(max_examples=25, deadline=None)
+    @given(registers_and_grids(), st.integers(0, 2 ** 32 - 1))
+    def test_sequences_linear_in_state(self, case, seed):
+        system, params = case
+        rng = np.random.default_rng(seed)
+        rho, sigma = (random_hermitian_traceless(rng, system.dim) for _ in range(2))
+        a, b = rng.uniform(-3.0, 3.0, size=2)
+        scale = abs(a) * np.max(np.abs(rho)) + abs(b) * np.max(np.abs(sigma))
+        for run, signal in ((run_sequence_A, "grid"), (run_sequence_B, "samples")):
+            def measure(state):
+                return getattr(run(system, state, params), signal)
+            combined = measure(a * rho + b * sigma)
+            assert np.max(np.abs(combined - (a * measure(rho) + b * measure(sigma)))) \
+                <= 1e-12 * scale
+
+    @settings(max_examples=25, deadline=None)
+    @given(registers_and_grids(), st.integers(0, 2 ** 32 - 1))
+    def test_sequence_A_blind_to_diagonal(self, case, seed):
+        system, params = case
+        diagonal = np.diag(np.random.default_rng(seed).uniform(-10.0, 10.0, system.dim))
+        grid = run_sequence_A(system, diagonal, params).grid
+        assert np.max(np.abs(grid)) <= 1e-13 * np.max(np.abs(diagonal))
+
+    @settings(max_examples=60, deadline=None)
+    @given(registers_and_grids(), st.integers(0, 2 ** 32 - 1))
+    def test_noiseless_round_trip_recovers_coefficients(self, case, seed):
+        system, params = case
+        # two t2 samples give a 4-bin axis that ends at the largest line,
+        # too short for the three-bin readout
+        assume(params.n_t2 > 2)
+        coefficients = random_coefficients(np.random.default_rng(seed),
+                                           all_labels(system.n), -1.0, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            design = build_design_matrix(system, params)
+            assume(design.is_solvable
+                   and design.condition_number <= ROUND_TRIP_MAX_KAPPA)
+            try:
+                result = tomograph_state(
+                    system, coefficients_to_density(system, coefficients), params,
+                    design=design)
+            except RankDeficiencyError:
+                assume(False)  # lines too close for the diagonal readout
+        assume(result.condition_number_diagonal <= ROUND_TRIP_MAX_KAPPA)
+        assume(result.scale_factor is None
+               or reference_condition_number(system, params) <= ROUND_TRIP_MAX_KAPPA)
+        assert result.max_coefficient_error <= 1e-10
+        assert max(abs(result.coefficients.get(label, 0.0) - value)
+                   for label, value in coefficients.items()) <= 1e-10
 
 
 class TestDesignMatrix:
@@ -628,6 +692,20 @@ class TestReferenceNormalize:
                                  reference=reference)
         assert result.scale_factor is None
         assert any("skipped" in note for note in result.notes)
+
+    def test_skips_when_reference_underdetermined(self, two_spin_setup):
+        # three samples give 6 real equations for the 8 observable labels; a
+        # minimum-norm fit of them would set a wrong scale
+        system, params, design = two_spin_setup
+        rho0 = coefficients_to_density(system, DEMO_COEFFS)
+        result = tomograph_state(system, rho0, params, design=design,
+                                 normalize=False)
+        short = replace(params, n_t2=3)
+        fixed = reference_normalize(system, reference_fid(system, rho0, short),
+                                    result, short)
+        assert fixed.scale_factor is None
+        assert fixed.coefficients == result.coefficients
+        assert any("determines 6 of 8" in note for note in fixed.notes)
 
     def test_skips_without_observable_content(self, two_spin_setup):
         system, params, design = two_spin_setup
