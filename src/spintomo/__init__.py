@@ -14,8 +14,9 @@ from .core import (AXES, SpinSystem, all_labels, build_spin_system,
 from .dynamics import (EvolutionCache, apply_unitary, coherence_order_decompose,
                        detect_signal, evolution_cache, evolve, gradient_project,
                        realistic_gradient_project)
-from .errors import (ConfigError, DegenerateTransitionError, LineOverlapError,
-                     NyquistError, RankDeficiencyError, SpinTomoError)
+from .errors import (AxisRangeError, ConfigError, DegenerateTransitionError,
+                     LineOverlapError, NyquistError, RankDeficiencyError,
+                     SpinTomoError)
 from .experiment import (AcquisitionParams, Signal1D, Signal2D, Transition,
                          TransitionTable, default_acquisition, reference_fid,
                          run_sequence_A, run_sequence_B, transition_table)
@@ -30,7 +31,7 @@ from .tomography import (DesignMatrix, TomographyResult, build_design_matrix,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AXES", "AcquisitionParams", "ConfigError", "CrossSection",
+    "AXES", "AcquisitionParams", "AxisRangeError", "ConfigError", "CrossSection",
     "DegenerateTransitionError", "DesignMatrix", "EvolutionCache",
     "HybridSpectrum", "LineOverlapError", "NyquistError",
     "RankDeficiencyError", "Signal1D", "Signal2D", "SpinSystem",

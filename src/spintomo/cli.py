@@ -25,12 +25,13 @@ import numpy as np
 
 from .core import (SpinSystem, build_spin_system, coefficients_to_density,
                    format_label, parse_label)
-from .errors import (ConfigError, DegenerateTransitionError, LineOverlapError,
-                     NyquistError, RankDeficiencyError, SpinTomoError)
+from .errors import (AxisRangeError, ConfigError, DegenerateTransitionError,
+                     LineOverlapError, NyquistError, RankDeficiencyError,
+                     SpinTomoError)
 from .experiment import (default_acquisition, export_signal1d, export_signal2d,
                          reference_fid, run_sequence_A, run_sequence_B,
                          transition_table)
-from .spectral import (cross_section, dft_fid, dft_t1, dft_t2,
+from .spectral import (cross_section, dft_fid, dft_t1_magnitude, dft_t2,
                        export_cross_section, export_spectrum1d,
                        export_spectrum2d)
 from .tomography import build_design_matrix, tomograph_state
@@ -305,20 +306,21 @@ def _export_simulation(cfg: RunConfig, signal_a, signal_b, out: Path, table):
     })
 
     hybrid = dft_t2(signal_a)
-    spectrum = dft_t1(hybrid)
-    _atomic_write(out / "spectrum_2d.npy", lambda p: export_spectrum2d(spectrum, p))
+    omega1_hz, magnitude = dft_t1_magnitude(hybrid)
+    _atomic_write(out / "spectrum_2d.npy", lambda p: export_spectrum2d(magnitude, p))
     _write_json(out / "spectrum_2d_axes.json", {
-        "omega1_hz": [float(f) for f in spectrum.omega1_hz],
-        "omega2_hz": [float(f) for f in spectrum.omega2_hz],
+        "omega1_hz": [float(f) for f in omega1_hz],
+        "omega2_hz": [float(f) for f in hybrid.omega2_hz],
         "units": {"omega1": "Hz", "omega2": "Hz"},
         "array": {"file": "spectrum_2d.npy", "dtype": "float64",
-                  "shape": list(spectrum.grid.shape), "axes": ["omega1", "omega2"]},
+                  "shape": list(magnitude.shape), "axes": ["omega1", "omega2"]},
     })
 
     # Named by transition-table index (the index design_summary.json lists):
-    # frequencies can agree to any printed precision.
+    # frequencies can agree to any printed precision.  Each section is the
+    # t1 transform of one hybrid column, as in the 2D spectrum.
     for i, transition in enumerate(table):
-        section = cross_section(spectrum, transition.frequency_hz)
+        section = cross_section(hybrid, transition.frequency_hz)
         _atomic_write(out / f"cross_section_{i:02d}_q{transition.qubit}.csv",
                       lambda p: export_cross_section(section, p))
 
@@ -467,7 +469,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (NyquistError, DegenerateTransitionError, RankDeficiencyError,
-            LineOverlapError, np.linalg.LinAlgError) as exc:
+            LineOverlapError, AxisRangeError, np.linalg.LinAlgError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
     except SpinTomoError as exc:

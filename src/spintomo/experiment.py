@@ -344,17 +344,24 @@ def reference_fid(system: SpinSystem, rho0: np.ndarray,
 # Exports
 
 
+# Rows of a CSV table formatted per write.
+CSV_BLOCK_ROWS = 1024
+
+
 def _write_csv(path, header: str, table: np.ndarray) -> None:
     """Write ``header``, then each row of the 2-D float64 ``table`` as one line.
 
     Every value is the shortest round-trip ``repr`` of a Python float; lines
-    end in LF.  Rows are formatted one at a time, so memory stays at one
-    line of text however large the table.
+    end in LF.  Each block of :data:`CSV_BLOCK_ROWS` rows is formatted by one
+    ``%`` over its values and written at once, so memory stays at one block
+    of text however large the table.
     """
+    line = ",".join(["%r"] * table.shape[1]) + "\n"
     with open(path, "w", newline="\n") as handle:
         handle.write(header)
-        for row in table:
-            handle.write(",".join(map(repr, row.tolist())) + "\n")
+        for start in range(0, len(table), CSV_BLOCK_ROWS):
+            block = table[start:start + CSV_BLOCK_ROWS]
+            handle.write((line * len(block)) % tuple(block.ravel().tolist()))
 
 
 def export_signal2d(signal: Signal2D, path) -> None:

@@ -13,12 +13,12 @@ correction are disabled.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .core import _close_pairs
-from .errors import LineOverlapError
+from .errors import AxisRangeError, LineOverlapError
 from .experiment import Signal1D, Signal2D, TransitionTable, _write_csv
 
 
@@ -145,6 +145,31 @@ def dft_t1(hybrid: HybridSpectrum, apodization="matched", zero_fill: int = 2,
                       meta={**hybrid.meta, "processing_t1": processing})
 
 
+# Omega2 columns per dft_t1 call when the magnitude grid is filled: the complex
+# temporaries of one block stay a small part of the grid.
+T1_BLOCK_COLUMNS = 16
+
+
+def dft_t1_magnitude(hybrid: HybridSpectrum) -> tuple[np.ndarray, np.ndarray]:
+    """``(omega1_hz, |dft_t1(hybrid).grid|)`` without holding the complex spectrum.
+
+    Each block of :data:`T1_BLOCK_COLUMNS` Omega2 columns goes through
+    :func:`dft_t1` on its own and only its magnitude is kept.  The transform
+    acts on every column alone, so the float64 grid is bit for bit the
+    magnitude of the whole transform.
+    """
+    n_columns = hybrid.grid.shape[1]
+    magnitude = None
+    for start in range(0, n_columns, T1_BLOCK_COLUMNS):
+        columns = slice(start, start + T1_BLOCK_COLUMNS)
+        block = dft_t1(replace(hybrid, grid=hybrid.grid[:, columns],
+                               omega2_hz=hybrid.omega2_hz[columns]))
+        if magnitude is None:
+            magnitude = np.empty((block.grid.shape[0], n_columns))
+        np.abs(block.grid, out=magnitude[:, columns])
+    return block.omega1_hz, magnitude
+
+
 def dft_fid(signal: Signal1D, apodization="matched", zero_fill: int = 2,
             first_point_half: bool = True) -> Spectrum1D:
     """Transform a one-dimensional FID."""
@@ -156,6 +181,17 @@ def dft_fid(signal: Signal1D, apodization="matched", zero_fill: int = 2,
 
 def nearest_bin(axis_hz: np.ndarray, frequency_hz: float) -> int:
     return int(np.argmin(np.abs(np.asarray(axis_hz) - frequency_hz)))
+
+
+def _axis_bin(axis_hz: np.ndarray, frequency_hz: float, name: str) -> int:
+    """:func:`nearest_bin`, for a frequency at most half a bin beyond the axis
+    ends (it reads the end bin); one farther out raises :class:`AxisRangeError`."""
+    half_bin = 0.5 * float(axis_hz[1] - axis_hz[0]) if len(axis_hz) > 1 else 0.0
+    if not (axis_hz[0] - half_bin <= frequency_hz <= axis_hz[-1] + half_bin):
+        raise AxisRangeError(
+            f"{name} = {frequency_hz:.6g} Hz outside axis range "
+            f"[{axis_hz[0]:.6g}, {axis_hz[-1]:.6g}] Hz")
+    return nearest_bin(axis_hz, frequency_hz)
 
 
 def hybrid_omega2_axis(n_t2: int, dwell_t2_s: float, zero_fill: int = 2) -> np.ndarray:
@@ -172,12 +208,7 @@ def cross_section(source, omega2_hz: float) -> CrossSection:
     trace is available.
     """
     axis = source.omega2_hz
-    if not (axis[0] <= omega2_hz <= axis[-1]):
-        raise ValueError(
-            f"omega2 = {omega2_hz:.6g} Hz outside axis range "
-            f"[{axis[0]:.6g}, {axis[-1]:.6g}] Hz"
-        )
-    b = nearest_bin(axis, omega2_hz)
+    b = _axis_bin(axis, omega2_hz, "omega2")
     t2_s = source.meta.get("t2_s")
     if t2_s:
         linewidth = 1.0 / (np.pi * t2_s)
@@ -249,9 +280,7 @@ def _peak_readout(spectrum: Spectrum1D, table: TransitionTable) -> np.ndarray:
     out = np.empty(values.shape[:-1] + (len(table),), dtype=complex)
     for i, transition in enumerate(table):
         f = transition.frequency_hz
-        if not (axis[0] <= f <= axis[-1]):
-            raise ValueError(f"transition at {f:.6g} Hz outside the spectrum axis")
-        b = nearest_bin(axis, f)
+        b = _axis_bin(axis, f, "transition")
         if b == 0 or b == len(axis) - 1:
             out[..., i] = values[..., b]
             continue
@@ -268,11 +297,15 @@ def _peak_readout(spectrum: Spectrum1D, table: TransitionTable) -> np.ndarray:
 # Exports
 
 
-def export_spectrum2d(spectrum: Spectrum2D, path) -> None:
+def export_spectrum2d(magnitude: np.ndarray, path) -> None:
     """The float64 magnitude grid (n_omega1, n_omega2) as ``.npy``; the axes
-    are in the sidecar."""
+    are in the sidecar.
+
+    :func:`dft_t1_magnitude` builds the grid one block of Omega2 columns at a
+    time, so the complex 2D spectrum is never held.
+    """
     with open(path, "wb") as handle:
-        np.save(handle, np.abs(spectrum.grid), allow_pickle=False)
+        np.save(handle, magnitude, allow_pickle=False)
 
 
 def export_cross_section(section: CrossSection, csv_path) -> None:

@@ -41,6 +41,10 @@ log = logging.getLogger(__name__)
 
 RESIDUAL_WARN_THRESHOLD = 1e-6
 
+# Least squares loses about kappa * eps of the solution: the diagonal and
+# reference fits warn when their condition number exceeds this.
+CONDITION_WARN_THRESHOLD = 1e6
+
 # Corrected semi-normal equations stop refining after this many steps, or
 # earlier once a step is no smaller than the one before.  A last step above
 # REFINEMENT_TOL of the solution means the refinement did not converge.
@@ -451,6 +455,7 @@ def fit_diagonal(signal: Signal1D, system: SpinSystem,
             labels=labels,
         )
     condition = float(svals[0] / svals[-1])
+    _warn_ill_conditioned("diagonal", condition)
     solution, _, _, _ = np.linalg.lstsq(response, target, rcond=None)
     residual = float(np.linalg.norm(response @ solution - target))
     scale = float(np.linalg.norm(target))
@@ -458,6 +463,16 @@ def fit_diagonal(signal: Signal1D, system: SpinSystem,
     coefficients = {label: float(q) for label, q in zip(labels, solution)}
     return DiagonalFit(coefficients=coefficients, residual_norm=residual,
                        relative_residual=relative, condition_number=condition)
+
+
+def _warn_ill_conditioned(fit: str, condition: float) -> None:
+    if condition > CONDITION_WARN_THRESHOLD:
+        warnings.warn(
+            f"{fit} fit condition number {condition:.3g} exceeds "
+            f"{CONDITION_WARN_THRESHOLD:g}; rounding alone may cost a relative "
+            f"error of about {condition * np.finfo(float).eps:.1g}",
+            stacklevel=3,
+        )
 
 
 def reconstruct(system: SpinSystem, offdiagonal_coefficients,
@@ -541,7 +556,7 @@ def reference_normalize(system: SpinSystem, reference: Signal1D,
 
     labels, response_matrix = _reference_response_matrix(system, params)
     target = np.concatenate([reference.samples.real, reference.samples.imag])
-    q_ref, _, rank, _ = np.linalg.lstsq(response_matrix, target, rcond=None)
+    q_ref, _, rank, svals = np.linalg.lstsq(response_matrix, target, rcond=None)
     if rank < len(labels):
         return skipped(f"the reference determines {rank} of {len(labels)} "
                        "observable coefficients")
@@ -552,6 +567,7 @@ def reference_normalize(system: SpinSystem, reference: Signal1D,
     silent = np.linalg.norm(target) <= 1e-12 * max(1.0, float(np.max(np.abs(result.matrix))))
     if silent or explained <= REFERENCE_MIN_F * unexplained:
         return skipped("no directly observable single-quantum content")
+    _warn_ill_conditioned("reference", float(svals[0] / svals[-1]))
 
     q_fit = np.array([result.coefficients.get(label, 0.0) for label in labels])
     mask = np.abs(q_ref) > 1e-9 * max(1.0, float(np.max(np.abs(q_ref))))

@@ -1,17 +1,18 @@
 import json
 import os
 import stat
+import tracemalloc
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from spintomo import (TomographyResult, dft_t1, dft_t2, reference_fid,
-                      tomograph_state)
-from spintomo.cli import (_atomic_write, _simulate_signals, _write_json,
-                          _write_report, config_from_dict, main, parse_config,
-                          resolve_params)
+from spintomo import (TomographyResult, cross_section, dft_t1, dft_t2,
+                      reference_fid, tomograph_state, transition_table)
+from spintomo.cli import (_atomic_write, _export_simulation, _simulate_signals,
+                          _write_json, _write_report, config_from_dict, main,
+                          parse_config, resolve_params)
 from spintomo.errors import ConfigError
 
 from conftest import DEMO_COEFFS, local_maxima_above
@@ -204,6 +205,47 @@ class TestSimulateCommand:
             assert list(grid.shape) == layout["shape"] == list(expected.shape)
             assert grid.tobytes() == expected.tobytes()
 
+    def test_cross_sections_bit_exact(self, tmp_path):
+        # each CSV is the t1 transform of one hybrid column, cell for cell the
+        # column of the whole 2D spectrum
+        path = write_config(tmp_path, demo_config(n_t1=32, n_t2=64, noise_rms=0.01))
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+            cfg = parse_config(path)
+            _, signal_a, _, _ = _simulate_signals(
+                cfg, resolve_params(cfg), np.random.default_rng(cfg.options.seed))
+            spectrum = dft_t1(dft_t2(signal_a))
+            table = transition_table(cfg.system)
+            sections = [cross_section(spectrum, t.frequency_hz) for t in table]
+        for i, (transition, section) in enumerate(zip(table, sections)):
+            lines = (out / f"cross_section_{i:02d}_q{transition.qubit}.csv"
+                     ).read_text().splitlines()
+            assert lines[0] == "omega1_hz,re,im"
+            cells = np.array([[float(cell) for cell in line.split(",")]
+                              for line in lines[1:]])
+            for column, expected in zip(cells.T, (section.omega1_hz,
+                                                  section.freq_trace.real,
+                                                  section.freq_trace.imag)):
+                assert column.tobytes() == np.ascontiguousarray(expected).tobytes()
+
+    def test_export_memory_bounded(self, tmp_path):
+        # the complex 2D spectrum is never held: with it, its shifted copy
+        # and its abs temporary the peak was 3.0x hybrid + magnitude
+        cfg = config_from_dict(demo_config(n_t1=512, n_t2=256))
+        _, signal_a, signal_b, _ = _simulate_signals(
+            cfg, resolve_params(cfg), np.random.default_rng(0))
+        table = transition_table(cfg.system)
+        tracemalloc.start()
+        try:
+            hybrid = _export_simulation(cfg, signal_a, signal_b, tmp_path, table)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        magnitude = np.load(tmp_path / "spectrum_2d.npy", allow_pickle=False)
+        assert peak <= 1.5 * (hybrid.grid.nbytes + magnitude.nbytes)
+
     def test_output_mode_follows_umask(self, tmp_path):
         path = write_config(tmp_path, demo_config(n_t1=16))
         out = tmp_path / "out"
@@ -378,6 +420,33 @@ class TestTomographCommand:
                      str(tmp_path / "out")])
         assert code == 3
         assert "numerical error" in capsys.readouterr().err
+
+    def test_two_sample_t2_axis(self, tmp_path, capsys):
+        # the 4-bin t2 axis ends at the line, which rounding puts just past
+        # the last bin; it reads that bin, where it exited 1 with a traceback
+        payload = {"spin_system": {"n": 1, "larmor_hz": [1861.0], "t2_s": 0.01},
+                   "state": {"coefficients": [["x", 1.0], ["z", 0.5]]},
+                   "acquisition": {"n_t1": 16, "n_t2": 2}}
+        path = write_config(tmp_path, payload)
+        out = tmp_path / "out"
+        assert main(["tomograph", "--config", str(path), "--out", str(out)]) == 0
+        result = read_strict_json(out / "result.json")
+        assert result["max_coefficient_error"] <= 1e-12
+        assert capsys.readouterr().err == ""
+
+    def test_line_beyond_axis_exit_code(self, tmp_path, capsys):
+        # one t2 sample: the axis is [-2792, 0] Hz and the line at 1861 Hz is
+        # more than half a bin beyond its end
+        payload = {"spin_system": {"n": 1, "larmor_hz": [1861.0], "t2_s": 0.01},
+                   "state": {"coefficients": [["x", 1.0], ["z", 0.5]]},
+                   "acquisition": {"n_t1": 16, "n_t2": 1, "dwell_t2_s": 1.791e-4}}
+        path = write_config(tmp_path, payload)
+        code = main(["tomograph", "--config", str(path), "--out",
+                     str(tmp_path / "out")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical error: omega2 = 1861 Hz outside axis range")
+        assert len(err.splitlines()) == 1
 
     def test_degenerate_system_exit_code(self, tmp_path, capsys):
         payload = demo_config()

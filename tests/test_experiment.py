@@ -12,7 +12,8 @@ from spintomo import (AcquisitionParams, DegenerateTransitionError,
                       reference_fid, run_sequence_A, run_sequence_B,
                       transition_table)
 from spintomo.core import single_quantum_transitions
-from spintomo.experiment import _write_csv, export_signal1d, export_signal2d
+from spintomo.experiment import (CSV_BLOCK_ROWS, _write_csv, export_signal1d,
+                                 export_signal2d)
 from spintomo.spectral import cross_section
 
 from conftest import (DEMO_COEFFS, clustered_systems, fit_t1_trace, loop_pairs,
@@ -342,6 +343,16 @@ class TestExports:
         assert_same_bits(cells[:, 0], params.t2_times)
         assert_same_bits(cells[:, 1], signal.samples.real)
         assert_same_bits(cells[:, 2], signal.samples.imag)
+
+    @pytest.mark.parametrize("rows", [0, 1, CSV_BLOCK_ROWS, 2 * CSV_BLOCK_ROWS + 3])
+    def test_write_csv_blocks_match_row_by_row(self, tmp_path, rows):
+        table = np.random.default_rng(rows).normal(size=(rows, 3)) * 10.0 ** np.arange(-3, 3, 2)
+        if rows:
+            table[-1] = [np.nan, -0.0, -np.inf]
+        expected = "t,re,im\n" + "".join(
+            ",".join(repr(value) for value in row) + "\n" for row in table.tolist())
+        _write_csv(tmp_path / "table.csv", "t,re,im\n", table)
+        assert (tmp_path / "table.csv").read_bytes() == expected.encode()
 
     @given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=6),
                       elements=st.one_of(st.floats(allow_subnormal=True),

@@ -2,13 +2,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spintomo import (LineOverlapError, Signal1D, Signal2D, Transition,
-                      TransitionTable, coefficients_to_density, cross_section,
+from spintomo import (AxisRangeError, LineOverlapError, Signal1D, Signal2D,
+                      SpinTomoError, Transition, TransitionTable,
+                      coefficients_to_density, cross_section,
                       default_acquisition, dft_fid, dft_t1, dft_t2,
                       hybrid_omega2_axis, peak_amplitudes, run_sequence_A,
                       transition_table)
 from spintomo.core import single_quantum_transitions
-from spintomo.spectral import HybridSpectrum, nearest_bin
+from spintomo.spectral import (T1_BLOCK_COLUMNS, HybridSpectrum,
+                               dft_t1_magnitude, nearest_bin)
 
 from conftest import DEMO_COEFFS, clustered_systems, local_maxima_above, loop_pairs
 
@@ -206,6 +208,21 @@ class TestCrossSection:
         with pytest.raises(ValueError, match="outside"):
             cross_section(hybrid, 1e4)
 
+    def test_half_bin_beyond_axis_end_reads_end_bin(self):
+        hybrid = self.make_hybrid()
+        axis = hybrid.omega2_hz
+        half_bin = 0.5 * (axis[1] - axis[0])
+        for request, end in ((axis[-1] + 0.99 * half_bin, -1),
+                             (axis[0] - 0.99 * half_bin, 0)):
+            with pytest.warns(UserWarning, match="half a"):  # 16 Hz off, 6.4 Hz wide
+                section = cross_section(hybrid, request)
+            assert section.bin_hz == axis[end]
+            assert np.array_equal(section.time_trace, hybrid.grid[:, end])
+        for request in (axis[-1] + 1.01 * half_bin, axis[0] - 1.01 * half_bin):
+            with pytest.raises(AxisRangeError, match="outside") as info:
+                cross_section(hybrid, request)
+            assert isinstance(info.value, SpinTomoError)
+
     def test_far_bin_warns(self):
         hybrid = self.make_hybrid(n_f2=4)
         hybrid.omega2_hz = np.array([-300.0, -100.0, 100.0, 300.0])
@@ -230,6 +247,17 @@ class TestCrossSection:
         b = nearest_bin(spectrum.omega2_hz, 1300.0)
         assert np.allclose(section.freq_trace, spectrum.grid[:, b])
         assert np.allclose(section.omega1_hz, spectrum.omega1_hz)
+
+    @pytest.mark.parametrize("n_f2", [3 * T1_BLOCK_COLUMNS + 5, T1_BLOCK_COLUMNS - 3])
+    def test_streamed_magnitude_bit_exact(self, n_f2):
+        # a last block narrower than the rest, and a grid narrower than a block
+        hybrid = self.make_hybrid(n_t1=100, n_f2=n_f2)
+        spectrum = dft_t1(hybrid)
+        omega1_hz, magnitude = dft_t1_magnitude(hybrid)
+        expected = np.abs(spectrum.grid)
+        assert magnitude.dtype == expected.dtype and magnitude.shape == expected.shape
+        assert magnitude.tobytes() == expected.tobytes()
+        assert omega1_hz.tobytes() == spectrum.omega1_hz.tobytes()
 
     def test_non_power_of_two_lengths_zero_filled(self):
         signal = Signal1D(samples=np.ones(100, dtype=complex), dwell_s=1e-3,
@@ -309,6 +337,18 @@ class TestPeakAmplitudes:
         spectrum = dft_fid(signal)
         with pytest.raises(ValueError, match="outside"):
             peak_amplitudes(spectrum, self.table_for([1e5]))
+
+    def test_half_bin_beyond_axis_end_reads_end_bin(self):
+        signal = oscillator_fid(64, 1e-3, 200.0)
+        signal.meta["t2_s"] = 0.05
+        spectrum = dft_fid(signal)
+        axis = spectrum.omega_hz
+        half_bin = 0.5 * (axis[1] - axis[0])
+        amplitudes = peak_amplitudes(spectrum, self.table_for(
+            [axis[-1] + 0.99 * half_bin, axis[0] - 0.99 * half_bin]))
+        assert list(amplitudes.values()) == [spectrum.values[-1], spectrum.values[0]]
+        with pytest.raises(AxisRangeError):
+            peak_amplitudes(spectrum, self.table_for([axis[-1] + 1.01 * half_bin]))
 
     @settings(max_examples=200, deadline=None)
     @given(clustered_systems(), st.sampled_from([0.001, 0.01, 0.1]))

@@ -16,7 +16,8 @@ from spintomo import (DegenerateTransitionError, RankDeficiencyError,
                       run_sequence_A, run_sequence_B, tomograph_state,
                       transition_table)
 from spintomo.spectral import _peak_readout
-from spintomo.tomography import (RANK_TOL, _diagonal_response_matrix,
+from spintomo.tomography import (CONDITION_WARN_THRESHOLD, RANK_TOL,
+                                 _diagonal_response_matrix,
                                  _reference_response_matrix, _solve_seminormal,
                                  _stack_cross_sections)
 
@@ -108,8 +109,9 @@ def reference_condition_number(system, params):
 
 
 # Least squares loses about kappa * eps: on the random registers below the
-# round trip error stays under 2e-11 while every fit has kappa <= 1e6.
-ROUND_TRIP_MAX_KAPPA = 1e6
+# round trip error stays under 2e-11 while no fit has kappa above the bound
+# at which the fits warn (1e6).
+ROUND_TRIP_MAX_KAPPA = CONDITION_WARN_THRESHOLD
 
 
 class TestForwardModelProperties:
@@ -574,6 +576,43 @@ class TestFitDiagonal:
         # same as a QR solve of the dense design gives
         for label, value in FOUR_SPIN_STATE.items():
             assert result.coefficients[label] == pytest.approx(value, abs=1e-8)
+
+
+class TestConditionWarnings:
+    # J = 0.1 Hz splits each Larmor line into two 0.1 Hz apart, which a
+    # 4-sample FID barely separates: the reference fit has kappa 2.9e6 and
+    # the diagonal fit 7.8e5; 3 samples give the diagonal fit kappa 4.9e6
+    @staticmethod
+    def fit_warnings(n_t2):
+        system = build_spin_system(2, TWO_SPIN_LARMOR, {(1, 2): 0.1}, TWO_SPIN_T2)
+        params = default_acquisition(system, n_t1=64, n_t2=n_t2)
+        rho0 = coefficients_to_density(system, DEMO_COEFFS)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = tomograph_state(system, rho0, params)
+        return result, [str(w.message) for w in caught if "condition number" in str(w.message)]
+
+    def test_reference_fit_warns(self):
+        result, messages = self.fit_warnings(n_t2=4)
+        assert result.scale_factor is not None
+        assert result.condition_number_diagonal < CONDITION_WARN_THRESHOLD
+        assert len(messages) == 1
+        assert messages[0].startswith("reference fit condition number 2.85e+06 exceeds 1e+06")
+
+    def test_diagonal_fit_warns(self):
+        result, messages = self.fit_warnings(n_t2=3)
+        assert result.condition_number_diagonal > CONDITION_WARN_THRESHOLD
+        assert len(messages) == 1
+        assert messages[0].startswith("diagonal fit condition number 4.95e+06 exceeds 1e+06")
+
+    def test_demo_register_does_not_warn(self, two_spin_setup):
+        system, params, design = two_spin_setup
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = tomograph_state(system, coefficients_to_density(system, DEMO_COEFFS),
+                                     params, design=design)
+        assert result.scale_factor is not None
+        assert not [w for w in caught if "condition number" in str(w.message)]
 
 
 class TestReconstructAndScores:
