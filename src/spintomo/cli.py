@@ -272,16 +272,17 @@ def _apply_noise(rng, array: np.ndarray, rms: float) -> np.ndarray:
 def _simulate_signals(cfg: RunConfig, params, rng):
     """The input state, signals A and B and the reference FID, all noised.
 
-    The reference draws its noise last, so A and B do not depend on it.
+    ``rng`` draws the realistic gradient's delays, A's then B's, before any
+    noise, and the reference's noise last, so A and B do not depend on it.
     """
     system = cfg.system
     rho0 = coefficients_to_density(system, cfg.coefficients)
-    gradient = "realistic" if cfg.options.realistic_gradient else "ideal"
-    kwargs = dict(gradient=gradient, rng=rng,
-                  gradient_draws=cfg.options.gradient_draws,
-                  gradient_tau_max_s=cfg.options.gradient_tau_max_s)
-    signal_a = run_sequence_A(system, rho0, params, **kwargs)
-    signal_b = run_sequence_B(system, rho0, params, **kwargs)
+    delays = [None, None]
+    if cfg.options.realistic_gradient:
+        delays = [rng.uniform(0.0, cfg.options.gradient_tau_max_s,
+                              size=cfg.options.gradient_draws) for _ in delays]
+    signal_a = run_sequence_A(system, rho0, params, gradient_delays_s=delays[0])
+    signal_b = run_sequence_B(system, rho0, params, gradient_delays_s=delays[1])
     reference = reference_fid(system, rho0, params)
     if cfg.options.noise_rms > 0:
         signal_a.grid = _apply_noise(rng, signal_a.grid, cfg.options.noise_rms)
@@ -428,10 +429,9 @@ def cmd_basis(cfg: RunConfig, out: Path) -> int:
           f"rank {design.rank}/{len(design.labels)}, "
           f"condition number {design.condition_number:.6g}")
     if not design.is_solvable:
-        bad = (design.undetermined_labels or design.nullspace_labels
-               or design.zero_labels)
         print("design does not determine these labels: "
-              + ", ".join(format_label(l) for l in bad), file=sys.stderr)
+              + ", ".join(format_label(l) for l in design.unsolved_labels),
+              file=sys.stderr)
         return 3
     return 0
 

@@ -9,7 +9,6 @@ exp(-t/T2) for r != s.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +25,6 @@ class EvolutionCache:
     Both tables are antisymmetric with zero diagonal.
     """
 
-    energies: np.ndarray
     frequencies: np.ndarray
     orders: np.ndarray
     down: np.ndarray
@@ -36,7 +34,6 @@ def evolution_cache(system: SpinSystem) -> EvolutionCache:
     level = energies(system)
     down = down_counts(system.n)
     return EvolutionCache(
-        energies=level,
         frequencies=level[:, None] - level[None, :],
         orders=down[:, None] - down[None, :],
         down=down,
@@ -96,24 +93,22 @@ def gradient_project(rho: np.ndarray) -> np.ndarray:
 
 
 def realistic_gradient_project(rho: np.ndarray, system: SpinSystem,
-                               rng: np.random.Generator,
-                               draws: int = 16,
-                               tau_max_s: float = 0.02) -> np.ndarray:
+                               delays_s) -> np.ndarray:
     """Gradient that spares zero-quantum coherences, followed by randomized delays.
 
     Keeps diagonal and zero-quantum elements, then ensemble-averages the state
-    over ``draws`` random free-evolution delays uniform in [0, tau_max_s].
+    over free evolution for each of the drawn ``delays_s`` (in seconds).
     Zero-quantum phases average towards zero; the diagonal is untouched.
-    Evolution is element-wise, so the mean of the draws' evolution factors
+    Evolution is element-wise, so the mean of the delays' evolution factors
     is applied once.  Accepts a single matrix or a (..., dim, dim) batch;
     every matrix of a batch sees the same delays.
     """
-    if draws < 1:
-        raise ValueError("draws must be at least 1")
+    delays_s = np.ravel(delays_s)
+    if not delays_s.size:
+        raise ValueError("the realistic gradient needs at least one delay")
     cache = evolution_cache(system)
     kept = np.asarray(rho, dtype=complex) * (cache.orders == 0)
-    taus = rng.uniform(0.0, tau_max_s, size=draws)
-    return kept * _evolution_factor(system, cache, taus, with_decay=True).mean(axis=0)
+    return kept * _evolution_factor(system, cache, delays_s, with_decay=True).mean(axis=0)
 
 
 def coherence_order_decompose(rho: np.ndarray, system: SpinSystem) -> dict:
@@ -132,7 +127,6 @@ def coherence_order_decompose(rho: np.ndarray, system: SpinSystem) -> dict:
     return out
 
 
-@functools.lru_cache(maxsize=None)
 def raising_operator(system: SpinSystem) -> np.ndarray:
     """Total raising operator sum_j (I_jx + i I_jy); the detection operator."""
     plus = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
@@ -143,7 +137,6 @@ def raising_operator(system: SpinSystem) -> np.ndarray:
         for k in range(1, system.n + 1):
             op = np.kron(op, plus if k == j else eye)
         total += op
-    total.setflags(write=False)
     return total
 
 

@@ -216,16 +216,12 @@ def _validate_state(rho: np.ndarray, system: SpinSystem) -> np.ndarray:
     return rho
 
 
-def _apply_gradient(sigma: np.ndarray, system: SpinSystem, gradient: str,
-                    rng, draws: int, tau_max_s: float) -> np.ndarray:
-    """Dispatch the gradient step for a batch (..., dim, dim) of states."""
-    if gradient == "ideal":
+def _apply_gradient(sigma: np.ndarray, system: SpinSystem, delays_s) -> np.ndarray:
+    """The gradient step for a batch (..., dim, dim) of states: ideal without
+    delays, else :func:`~spintomo.dynamics.realistic_gradient_project`."""
+    if delays_s is None:
         return gradient_project(sigma)
-    if gradient != "realistic":
-        raise ValueError(f"unknown gradient mode {gradient!r}")
-    if rng is None:
-        raise ValueError("realistic gradient mode needs an rng")
-    return realistic_gradient_project(sigma, system, rng, draws, tau_max_s)
+    return realistic_gradient_project(sigma, system, delays_s)
 
 
 def detection_fids(system: SpinSystem, t2_times: np.ndarray) -> np.ndarray:
@@ -274,15 +270,14 @@ def sequence_A_steps(system: SpinSystem, params: AcquisitionParams):
 
 
 def run_sequence_A(system: SpinSystem, rho0: np.ndarray, params: AcquisitionParams,
-                   gradient: str = "ideal", rng=None,
-                   gradient_draws: int = 16,
-                   gradient_tau_max_s: float = 0.02) -> Signal2D:
+                   gradient_delays_s=None) -> Signal2D:
     """Two-dimensional experiment over the full t1 x t2 grid.
 
     For each t1 increment: evolve the input state with decay, apply a hard
     (pi/2) pulse about +y, project through the gradient, apply the read pulse
-    of angle alpha about -y, then record the FID.  Purely diagonal input
-    produces an identically zero grid.
+    of angle alpha about -y, then record the FID.  The gradient is ideal
+    unless ``gradient_delays_s`` holds the drawn delays of a realistic one.
+    Purely diagonal input produces an identically zero grid.
     """
     rho0 = _validate_state(rho0, system)
     check_nyquist(transition_table(system), params)
@@ -290,25 +285,24 @@ def run_sequence_A(system: SpinSystem, rho0: np.ndarray, params: AcquisitionPara
 
     sigma = rho0[None, :, :] * evolution
     sigma = pulse_90 @ sigma @ pulse_90.conj().T
-    sigma = _apply_gradient(sigma, system, gradient, rng, gradient_draws,
-                            gradient_tau_max_s)
+    sigma = _apply_gradient(sigma, system, gradient_delays_s)
     sigma = pulse_read @ sigma @ pulse_read.conj().T
 
     grid = _fid_from_states(sigma, system, params.t2_times)
+    gradient = "ideal" if gradient_delays_s is None else "realistic"
     return Signal2D(grid=grid, dwell_t1_s=params.dwell_t1_s,
                     dwell_t2_s=params.dwell_t2_s,
                     meta=_meta("A", system, params, gradient=gradient))
 
 
 def run_sequence_B(system: SpinSystem, rho0: np.ndarray, params: AcquisitionParams,
-                   gradient: str = "ideal", rng=None,
-                   gradient_draws: int = 16,
-                   gradient_tau_max_s: float = 0.02) -> Signal1D:
+                   gradient_delays_s=None) -> Signal1D:
     """One-dimensional diagonal readout: gradient, small beta pulse, detect.
 
-    The beta pulse converts population differences into single-quantum
-    coherences; amplitudes stay proportional to the diagonal coefficients for
-    small beta (linear response), hence the warning above 15 degrees.
+    The gradient is as in :func:`run_sequence_A`.  The beta pulse converts
+    population differences into single-quantum coherences; amplitudes stay
+    proportional to the diagonal coefficients for small beta (linear
+    response), hence the warning above 15 degrees.
     """
     rho0 = _validate_state(rho0, system)
     check_nyquist(transition_table(system), params)
@@ -318,11 +312,11 @@ def run_sequence_B(system: SpinSystem, rho0: np.ndarray, params: AcquisitionPara
             "linear-response regime (15 deg)",
             stacklevel=2,
         )
-    sigma = _apply_gradient(rho0, system, gradient, rng, gradient_draws,
-                            gradient_tau_max_s)
+    sigma = _apply_gradient(rho0, system, gradient_delays_s)
     pulse = rotation_pulse(system, params.beta_rad, 0.0)
     sigma = pulse @ sigma @ pulse.conj().T
     samples = _fid_from_states(sigma[None, :, :], system, params.t2_times)[0]
+    gradient = "ideal" if gradient_delays_s is None else "realistic"
     return Signal1D(samples=samples, dwell_s=params.dwell_t2_s,
                     meta=_meta("B", system, params, gradient=gradient))
 

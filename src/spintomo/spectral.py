@@ -24,12 +24,17 @@ from .experiment import Signal1D, Signal2D, TransitionTable, _write_csv
 
 @dataclass(eq=False)
 class HybridSpectrum:
-    """Signal transformed along t2 only: rows are t1 samples, columns are Omega2 bins."""
+    """Signal transformed along t2 only: rows are t1 samples ``dwell_t1_s``
+    apart, columns are Omega2 bins."""
 
     grid: np.ndarray
-    t1_s: np.ndarray
+    dwell_t1_s: float
     omega2_hz: np.ndarray
     meta: dict = field(default_factory=dict)
+
+    @property
+    def t1_s(self) -> np.ndarray:
+        return np.arange(self.grid.shape[0]) * self.dwell_t1_s
 
 
 @dataclass(eq=False)
@@ -53,22 +58,18 @@ class Spectrum1D:
 class CrossSection:
     """Trace parallel to Omega1 at one Omega2 position.
 
-    ``time_trace`` is the t1-domain form (present when extracted from a hybrid
-    spectrum), ``freq_trace`` its transform; the two are related by this
-    module's own DFT with the processing recorded in ``meta``.
+    ``time_trace`` is the t1-domain form, one hybrid column, and
+    ``freq_trace`` its :func:`dft_t1`, with the processing recorded in
+    ``meta``.
     """
 
     anchor_hz: float
     bin_hz: float
-    time_trace: np.ndarray | None
-    t1_s: np.ndarray | None
+    time_trace: np.ndarray
+    t1_s: np.ndarray
     freq_trace: np.ndarray
     omega1_hz: np.ndarray
     meta: dict = field(default_factory=dict)
-
-
-def _next_pow2(n: int) -> int:
-    return 1 << (int(n) - 1).bit_length()
 
 
 def _resolve_rate(apodization, meta: dict) -> float:
@@ -101,21 +102,15 @@ def _dft(data, dwell_s: float, meta: dict, apodization, zero_fill: int,
         x *= np.exp(-rate * np.arange(n) * dwell_s).reshape(shape)
     if first_point_half:
         np.moveaxis(x, axis, 0)[0] *= 0.5
-    n_fft = int(zero_fill) * _next_pow2(n)
-    spec = np.fft.fftshift(np.fft.fft(x, n=n_fft, axis=axis), axes=axis)
+    freqs = hybrid_omega2_axis(n, dwell_s, zero_fill)
+    spec = np.fft.fftshift(np.fft.fft(x, n=len(freqs), axis=axis), axes=axis)
     processing = {
         "apodization": apodization if isinstance(apodization, str) else rate or None,
         "apod_rate_per_s": rate,
         "zero_fill": int(zero_fill),
         "first_point_half": bool(first_point_half),
     }
-    return np.fft.fftshift(np.fft.fftfreq(n_fft, dwell_s)), spec, processing
-
-
-def _t1_dwell(hybrid: HybridSpectrum) -> float:
-    if len(hybrid.t1_s) > 1:
-        return float(hybrid.t1_s[1] - hybrid.t1_s[0])
-    return float(hybrid.meta.get("dwell_t1_s", 1.0))
+    return freqs, spec, processing
 
 
 def dft_t2(signal: Signal2D, apodization="matched", zero_fill: int = 2,
@@ -123,13 +118,8 @@ def dft_t2(signal: Signal2D, apodization="matched", zero_fill: int = 2,
     """Transform along t2 for every t1 row."""
     freqs, spec, processing = _dft(signal.grid, signal.dwell_t2_s, signal.meta,
                                    apodization, zero_fill, first_point_half, axis=1)
-    return HybridSpectrum(
-        grid=spec,
-        t1_s=np.arange(signal.n_t1) * signal.dwell_t1_s,
-        omega2_hz=freqs,
-        meta={**signal.meta, "processing_t2": processing,
-              "dwell_t1_s": signal.dwell_t1_s},
-    )
+    return HybridSpectrum(grid=spec, dwell_t1_s=signal.dwell_t1_s, omega2_hz=freqs,
+                          meta={**signal.meta, "processing_t2": processing})
 
 
 def dft_t1(hybrid: HybridSpectrum, apodization="matched", zero_fill: int = 2,
@@ -139,7 +129,7 @@ def dft_t1(hybrid: HybridSpectrum, apodization="matched", zero_fill: int = 2,
     Cosine-modulated t1 content produces symmetric absorptive pairs at
     +-Omega1, sine-modulated content antisymmetric dispersive pairs.
     """
-    freqs, spec, processing = _dft(hybrid.grid, _t1_dwell(hybrid), hybrid.meta,
+    freqs, spec, processing = _dft(hybrid.grid, hybrid.dwell_t1_s, hybrid.meta,
                                    apodization, zero_fill, first_point_half, axis=0)
     return Spectrum2D(grid=spec, omega1_hz=freqs, omega2_hz=hybrid.omega2_hz,
                       meta={**hybrid.meta, "processing_t1": processing})
@@ -195,46 +185,37 @@ def _axis_bin(axis_hz: np.ndarray, frequency_hz: float, name: str) -> int:
 
 
 def hybrid_omega2_axis(n_t2: int, dwell_t2_s: float, zero_fill: int = 2) -> np.ndarray:
-    """The Omega2 axis :func:`dft_t2` would produce, without the transform."""
-    n_fft = int(zero_fill) * _next_pow2(n_t2)
+    """The Omega2 axis :func:`dft_t2` would produce, without the transform.
+
+    It is the one zero-fill rule: :func:`_dft` takes every frequency axis,
+    and with it the transform length, from here.
+    """
+    # zero_fill times the next power of two at or above n_t2
+    n_fft = int(zero_fill) << (int(n_t2) - 1).bit_length()
     return np.fft.fftshift(np.fft.fftfreq(n_fft, dwell_t2_s))
 
 
-def cross_section(source, omega2_hz: float) -> CrossSection:
-    """Extract the trace parallel to Omega1 at the Omega2 bin nearest ``omega2_hz``.
+def cross_section(hybrid: HybridSpectrum, omega2_hz: float) -> CrossSection:
+    """The trace parallel to Omega1 at the Omega2 bin nearest ``omega2_hz``.
 
-    From a :class:`HybridSpectrum` the t1-domain trace is returned together
-    with its transform; from a :class:`Spectrum2D` only the frequency-domain
-    trace is available.
+    It is :func:`dft_t1` of that one hybrid column, as
+    :func:`dft_t1_magnitude` transforms blocks of columns, so it equals the
+    column of the whole 2D spectrum; the t1-domain column comes with it.
     """
-    axis = source.omega2_hz
+    axis = hybrid.omega2_hz
     b = _axis_bin(axis, omega2_hz, "omega2")
-    t2_s = source.meta.get("t2_s")
-    if t2_s:
-        linewidth = 1.0 / (np.pi * t2_s)
-        if abs(axis[b] - omega2_hz) > 0.5 * linewidth:
-            warnings.warn(
-                f"nearest Omega2 bin ({axis[b]:.6g} Hz) is more than half a "
-                f"linewidth from requested {omega2_hz:.6g} Hz",
-                stacklevel=2,
-            )
-
-    if isinstance(source, HybridSpectrum):
-        column = source.grid[:, b].copy()
-        zero_fill = source.meta.get("processing_t2", {}).get("zero_fill", 2)
-        freqs, spec, processing = _dft(column, _t1_dwell(source), source.meta,
-                                       "matched" if t2_s else None, zero_fill, True)
-        return CrossSection(anchor_hz=float(omega2_hz), bin_hz=float(axis[b]),
-                            time_trace=column, t1_s=source.t1_s.copy(),
-                            freq_trace=spec, omega1_hz=freqs,
-                            meta={**source.meta, "cross_section_processing": processing})
-    if isinstance(source, Spectrum2D):
-        return CrossSection(anchor_hz=float(omega2_hz), bin_hz=float(axis[b]),
-                            time_trace=None, t1_s=None,
-                            freq_trace=source.grid[:, b].copy(),
-                            omega1_hz=source.omega1_hz.copy(),
-                            meta=dict(source.meta))
-    raise TypeError(f"cannot take a cross-section of {type(source).__name__}")
+    column = slice(b, b + 1)
+    spectrum = dft_t1(replace(hybrid, grid=hybrid.grid[:, column], omega2_hz=axis[column]))
+    if abs(axis[b] - omega2_hz) > 0.5 / (np.pi * hybrid.meta["t2_s"]):
+        warnings.warn(
+            f"nearest Omega2 bin ({axis[b]:.6g} Hz) is more than half a "
+            f"linewidth from requested {omega2_hz:.6g} Hz",
+            stacklevel=2,
+        )
+    return CrossSection(anchor_hz=float(omega2_hz), bin_hz=float(axis[b]),
+                        time_trace=hybrid.grid[:, b].copy(), t1_s=hybrid.t1_s,
+                        freq_trace=spectrum.grid[:, 0], omega1_hz=spectrum.omega1_hz,
+                        meta=spectrum.meta)
 
 
 def peak_amplitudes(spectrum: Spectrum1D, table: TransitionTable) -> dict:

@@ -120,6 +120,11 @@ class DesignMatrix:
         """
         return self.is_full_rank and not self.undetermined_labels
 
+    @property
+    def unsolved_labels(self) -> tuple:
+        """Labels an unsolvable design names: undetermined, else null-space, else zero."""
+        return self.undetermined_labels or self.nullspace_labels or self.zero_labels
+
 
 @dataclass
 class OffdiagonalFit:
@@ -354,43 +359,38 @@ def build_design_matrix(system: SpinSystem, params: AcquisitionParams,
     return design
 
 
-def _check_signal_matches_design(signal: Signal2D | HybridSpectrum,
-                                 design: DesignMatrix) -> None:
-    digest = signal.meta.get("system_digest")
+def _check_hybrid_matches_design(hybrid: HybridSpectrum, design: DesignMatrix) -> None:
+    digest = hybrid.meta.get("system_digest")
     if digest is not None and digest != design.system_digest:
         raise ValueError("signal was recorded on a different spin system than the design matrix")
-    params = signal.meta.get("params")
+    params = hybrid.meta.get("params")
     if params is not None and params != design.params.to_dict():
         raise ValueError("signal acquisition parameters differ from the design matrix")
-    if isinstance(signal, HybridSpectrum):
-        processing = signal.meta.get("processing_t2", {})
-        if (processing.get("apodization") != "matched"
-                or processing.get("zero_fill") != 2
-                or not processing.get("first_point_half")):
-            raise ValueError("hybrid spectrum was not made with the default "
-                             "t2 processing the design matrix assumes")
+    processing = hybrid.meta.get("processing_t2", {})
+    if (processing.get("apodization") != "matched"
+            or processing.get("zero_fill") != 2
+            or not processing.get("first_point_half")):
+        raise ValueError("hybrid spectrum was not made with the default "
+                         "t2 processing the design matrix assumes")
 
 
-def fit_offdiagonal(signal: Signal2D | HybridSpectrum,
-                    design: DesignMatrix) -> OffdiagonalFit:
+def fit_offdiagonal(hybrid: HybridSpectrum, design: DesignMatrix) -> OffdiagonalFit:
     """Least-squares solve of the stacked cross-sections against the design.
 
-    ``signal`` is the sequence-A signal or its :func:`dft_t2` hybrid
-    spectrum under default processing; a signal is transformed here.
-    Refuses rank-deficient designs outright rather than returning a silent
-    pseudo-inverse answer.  The solve reuses the design's stored eigenpairs.
+    ``hybrid`` is the :func:`dft_t2` of the sequence-A signal under default
+    processing.  Refuses rank-deficient designs outright rather than
+    returning a silent pseudo-inverse answer.  The solve reuses the design's
+    stored eigenpairs.
     """
-    _check_signal_matches_design(signal, design)
+    _check_hybrid_matches_design(hybrid, design)
     if not design.is_solvable:
-        bad = (design.undetermined_labels or design.nullspace_labels
-               or design.zero_labels)
+        bad = design.unsolved_labels
         raise RankDeficiencyError(
             f"design matrix does not determine all {len(design.labels)} "
             f"coefficients (rank {design.rank}); undetermined labels: "
             f"{[' '.join(l) for l in bad]}",
             labels=bad,
         )
-    hybrid = signal if isinstance(signal, HybridSpectrum) else dft_t2(signal)
     target = _stack_cross_sections(hybrid.grid, design.bins)
     solution, residual_vector = _solve_seminormal(
         design.apply, design.adjoint, design.eigenvalues, design.eigenvectors,
@@ -606,23 +606,23 @@ def _score(system: SpinSystem, reference, coefficients: dict, matrix) -> tuple:
 
 def tomograph_state(system: SpinSystem, rho0: np.ndarray,
                     params: AcquisitionParams, design: DesignMatrix | None = None,
-                    signal_a: Signal2D | HybridSpectrum | None = None,
+                    signal_a: HybridSpectrum | None = None,
                     signal_b: Signal1D | None = None,
-                    selected_transitions=None,
                     normalize: bool = True,
                     reference: Signal1D | None = None) -> TomographyResult:
     """Full pipeline: simulate both experiments, invert, reassemble, score.
 
     Pre-simulated (possibly noise-added) measurements can be passed in:
-    ``signal_a`` as the sequence-A signal or its default :func:`dft_t2`
-    hybrid, ``signal_b`` and the reference FID.  Whatever is missing is
-    simulated from ``rho0`` with ideal settings.  Otherwise the input state
-    serves only as the scoring reference.
+    ``signal_a`` as the default :func:`dft_t2` hybrid of the sequence-A
+    signal, ``signal_b`` and the reference FID.  Whatever is missing is
+    simulated from ``rho0`` with ideal settings, and the design is built over
+    every transition.  Otherwise the input state serves only as the scoring
+    reference.
     """
     if design is None:
-        design = build_design_matrix(system, params, selected_transitions)
+        design = build_design_matrix(system, params)
     if signal_a is None:
-        signal_a = run_sequence_A(system, rho0, params)
+        signal_a = dft_t2(run_sequence_A(system, rho0, params))
     if signal_b is None:
         signal_b = run_sequence_B(system, rho0, params)
 

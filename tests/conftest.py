@@ -143,17 +143,17 @@ def nonzero_detection_elements(system):
     return s_idx, r_idx, level[r_idx] - level[s_idx]
 
 
-def loop_realistic_gradient(rho, system, rng, draws, tau_max_s):
-    """The randomized-delay average as a sum of one :func:`evolve` per draw.
+def loop_realistic_gradient(rho, system, delays_s):
+    """The randomized-delay average as a sum of one :func:`evolve` per delay.
 
-    The form realistic_gradient_project had before it averaged the draws'
+    The form realistic_gradient_project had before it averaged the delays'
     evolution factors, kept as the reference.
     """
     kept = np.asarray(rho, dtype=complex) * (evolution_cache(system).orders == 0)
     acc = np.zeros_like(kept)
-    for tau in rng.uniform(0.0, tau_max_s, size=draws):
+    for tau in delays_s:
         acc += evolve(kept, system, float(tau), with_decay=True)
-    return acc / draws
+    return acc / len(delays_s)
 
 
 @st.composite

@@ -8,8 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spintomo import (TomographyResult, cross_section, dft_t1, dft_t2,
-                      reference_fid, tomograph_state, transition_table)
+from spintomo import (TomographyResult, coefficients_to_density, dft_t1,
+                      dft_t2, reference_fid, run_sequence_A, run_sequence_B,
+                      tomograph_state, transition_table)
 from spintomo.cli import (_atomic_write, _export_simulation, _simulate_signals,
                           _write_json, _write_report, config_from_dict, main,
                           parse_config, resolve_params)
@@ -218,16 +219,16 @@ class TestSimulateCommand:
                 cfg, resolve_params(cfg), np.random.default_rng(cfg.options.seed))
             spectrum = dft_t1(dft_t2(signal_a))
             table = transition_table(cfg.system)
-            sections = [cross_section(spectrum, t.frequency_hz) for t in table]
-        for i, (transition, section) in enumerate(zip(table, sections)):
+        for i, transition in enumerate(table):
             lines = (out / f"cross_section_{i:02d}_q{transition.qubit}.csv"
                      ).read_text().splitlines()
             assert lines[0] == "omega1_hz,re,im"
             cells = np.array([[float(cell) for cell in line.split(",")]
                               for line in lines[1:]])
-            for column, expected in zip(cells.T, (section.omega1_hz,
-                                                  section.freq_trace.real,
-                                                  section.freq_trace.imag)):
+            b = int(np.argmin(np.abs(spectrum.omega2_hz - transition.frequency_hz)))
+            trace = spectrum.grid[:, b]
+            for column, expected in zip(cells.T, (spectrum.omega1_hz,
+                                                  trace.real, trace.imag)):
                 assert column.tobytes() == np.ascontiguousarray(expected).tobytes()
 
     def test_export_memory_bounded(self, tmp_path):
@@ -381,8 +382,9 @@ class TestTomographCommand:
             noise = reference.samples - reference_fid(cfg.system, rho0, params).samples
             assert np.std(noise) == pytest.approx(0.05, rel=0.2)
             scales = {
-                name: tomograph_state(cfg.system, rho0, params, signal_a=signal_a,
-                                      signal_b=signal_b, reference=measured).scale_factor
+                name: tomograph_state(cfg.system, rho0, params,
+                                      signal_a=dft_t2(signal_a), signal_b=signal_b,
+                                      reference=measured).scale_factor
                 for name, measured in (("noisy", reference), ("clean", None))}
         assert result["scale_factor"] == scales["noisy"]
         assert scales["noisy"] != scales["clean"]
@@ -398,6 +400,30 @@ class TestTomographCommand:
         assert any("skipped" in note for note in result["notes"])
         assert np.max(np.abs(np.array(result["matrix_re"]))) < 1e-9
         assert "skipped" in capsys.readouterr().out
+
+    def test_simulate_draw_order(self):
+        # a fresh rng draws A's gradient delays, then B's, then the noise of
+        # A, B and the reference: realistic-gradient runs stay reproducible
+        cfg = config_from_dict(demo_config(n_t1=16, n_t2=32, noise_rms=0.01,
+                                           realistic_gradient=True,
+                                           gradient_draws=5, gradient_tau_max_s=0.03))
+        params = resolve_params(cfg)
+        rho0, signal_a, signal_b, reference = _simulate_signals(
+            cfg, params, np.random.default_rng(cfg.options.seed))
+
+        rng = np.random.default_rng(cfg.options.seed)
+        delays_a, delays_b = (rng.uniform(0.0, 0.03, size=5) for _ in range(2))
+        expected = [
+            run_sequence_A(cfg.system, rho0, params, gradient_delays_s=delays_a).grid,
+            run_sequence_B(cfg.system, rho0, params, gradient_delays_s=delays_b).samples,
+            reference_fid(cfg.system, rho0, params).samples]
+        for clean in expected:
+            clean += (rng.standard_normal(clean.shape)
+                      + 1j * rng.standard_normal(clean.shape)) * (0.01 / np.sqrt(2.0))
+        assert np.array_equal(rho0, coefficients_to_density(cfg.system, cfg.coefficients))
+        for got, want in zip((signal_a.grid, signal_b.samples, reference.samples), expected):
+            assert np.array_equal(got, want)
+        assert signal_a.meta["gradient"] == signal_b.meta["gradient"] == "realistic"
 
     def test_realistic_gradient_mode(self, tmp_path):
         payload = demo_config(n_t1=64, n_t2=128, realistic_gradient=True,

@@ -119,46 +119,49 @@ class TestGradientProject:
             assert np.array_equal(out, gradient_project(rho))
 
 
+def draw_delays(seed, draws, tau_max_s=0.02):
+    """``draws`` delays uniform in [0, tau_max_s], as the CLI draws them."""
+    return np.random.default_rng(seed).uniform(0.0, tau_max_s, size=draws)
+
+
 class TestRealisticGradient:
     def test_diagonal_untouched(self, two_spin_system):
         rho = np.diag([1.0, 2.0, -1.5, -1.5]).astype(complex)
-        rng = np.random.default_rng(6)
-        out = realistic_gradient_project(rho, two_spin_system, rng, draws=8)
+        out = realistic_gradient_project(rho, two_spin_system, draw_delays(6, 8))
         assert np.allclose(out, rho)
 
     def test_zero_quantum_survives_single_draw(self, two_spin_system):
         # IxIx + IyIy is purely zero quantum plus its conjugate
         rho = (product_operator(two_spin_system, "xx")
                + product_operator(two_spin_system, "yy"))
-        rng = np.random.default_rng(7)
-        out = realistic_gradient_project(rho, two_spin_system, rng, draws=1,
-                                         tau_max_s=0.0)
+        out = realistic_gradient_project(rho, two_spin_system, [0.0])
         assert abs(out[1, 2]) == pytest.approx(abs(rho[1, 2]), rel=1e-12)
 
     def test_averaging_suppresses_zero_quantum(self, two_spin_system):
         rho = (product_operator(two_spin_system, "xx")
                + product_operator(two_spin_system, "yy"))
-        single = realistic_gradient_project(
-            rho, two_spin_system, np.random.default_rng(8), draws=1, tau_max_s=0.02)
-        averaged = realistic_gradient_project(
-            rho, two_spin_system, np.random.default_rng(8), draws=64, tau_max_s=0.02)
+        single = realistic_gradient_project(rho, two_spin_system, draw_delays(8, 1))
+        averaged = realistic_gradient_project(rho, two_spin_system, draw_delays(8, 64))
         assert abs(averaged[1, 2]) < 0.5 * abs(single[1, 2])
         assert abs(averaged[1, 2]) < 0.35 * abs(rho[1, 2])
 
     def test_higher_orders_removed(self, two_spin_system):
         rho = product_operator(two_spin_system, "xo")
-        rng = np.random.default_rng(9)
-        out = realistic_gradient_project(rho, two_spin_system, rng, draws=4)
+        out = realistic_gradient_project(rho, two_spin_system, draw_delays(9, 4))
         assert np.allclose(out, 0.0)
+
+    def test_empty_delays_rejected(self, two_spin_system):
+        rho = product_operator(two_spin_system, "xx")
+        with pytest.raises(ValueError, match="at least one delay"):
+            realistic_gradient_project(rho, two_spin_system, np.empty(0))
 
     def test_batch_matches_single(self, two_spin_system):
         rng = np.random.default_rng(10)
         batch = np.stack([random_hermitian_traceless(rng, 4) for _ in range(3)])
-        projected = realistic_gradient_project(
-            batch, two_spin_system, np.random.default_rng(11), draws=5)
+        delays = draw_delays(11, 5)
+        projected = realistic_gradient_project(batch, two_spin_system, delays)
         for rho, out in zip(batch, projected):
-            single = realistic_gradient_project(
-                rho, two_spin_system, np.random.default_rng(11), draws=5)
+            single = realistic_gradient_project(rho, two_spin_system, delays)
             assert np.array_equal(out, single)
 
     @pytest.mark.parametrize("shape", [(), (5,)])
@@ -166,10 +169,9 @@ class TestRealisticGradient:
         rng = np.random.default_rng(12)
         rho = np.stack([random_hermitian_traceless(rng, 16)
                         for _ in range(int(np.prod(shape)))]).reshape(shape + (16, 16))
-        averaged = realistic_gradient_project(
-            rho, four_spin_system, np.random.default_rng(13), draws=128, tau_max_s=2.0)
-        looped = loop_realistic_gradient(
-            rho, four_spin_system, np.random.default_rng(13), draws=128, tau_max_s=2.0)
+        delays = draw_delays(13, 128, tau_max_s=2.0)
+        averaged = realistic_gradient_project(rho, four_spin_system, delays)
+        looped = loop_realistic_gradient(rho, four_spin_system, delays)
         assert averaged.shape == rho.shape
         assert np.max(np.abs(averaged - looped)) <= 1e-14 * np.max(np.abs(looped))
 

@@ -193,24 +193,13 @@ class TestSequenceA:
         ratio = norms[np.radians(5.0)] / norms[np.radians(2.5)]
         assert abs(ratio / expected - 1.0) < 0.01
 
-    def test_realistic_gradient_needs_rng(self, two_spin_system):
-        rho0 = product_operator(two_spin_system, "xo")
-        with pytest.raises(ValueError, match="rng"):
-            run_sequence_A(two_spin_system, rho0, small_params(), gradient="realistic")
-
-    def test_realistic_gradient_needs_a_draw(self, two_spin_system):
-        rho0 = product_operator(two_spin_system, "xo")
-        with pytest.raises(ValueError, match="draws"):
-            run_sequence_A(two_spin_system, rho0, small_params(),
-                           gradient="realistic", rng=np.random.default_rng(5),
-                           gradient_draws=0)
-
     def test_realistic_gradient_runs(self, two_spin_system):
         rho0 = coefficients_to_density(two_spin_system, DEMO_COEFFS)
+        delays = np.random.default_rng(5).uniform(0.0, 0.02, size=4)
         signal = run_sequence_A(two_spin_system, rho0, small_params(),
-                                gradient="realistic",
-                                rng=np.random.default_rng(5), gradient_draws=4)
+                                gradient_delays_s=delays)
         assert np.all(np.isfinite(signal.grid))
+        assert signal.meta["gradient"] == "realistic"
 
 
 class TestSequenceB:

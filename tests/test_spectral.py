@@ -57,6 +57,20 @@ class TestDftCore:
         with pytest.raises(ValueError, match="t2_s"):
             dft_fid(signal)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 64, 100])
+    @pytest.mark.parametrize("zero_fill", [1, 2, 4])
+    def test_one_zero_fill_rule(self, n, zero_fill):
+        # every transform's axis is hybrid_omega2_axis: fftfreq of zero_fill
+        # times the next power of two, bit for bit
+        dwell = 1e-3
+        expected = np.fft.fftshift(np.fft.fftfreq(zero_fill * 2 ** int(np.ceil(np.log2(n))),
+                                                  dwell))
+        assert hybrid_omega2_axis(n, dwell, zero_fill).tobytes() == expected.tobytes()
+        spectrum = dft_fid(Signal1D(samples=np.ones(n, dtype=complex), dwell_s=dwell),
+                           apodization=None, zero_fill=zero_fill)
+        assert spectrum.omega_hz.tobytes() == expected.tobytes()
+        assert len(spectrum.values) == len(expected)
+
     def test_hybrid_axis_helper_matches_dft(self, two_spin_system):
         rho0 = coefficients_to_density(two_spin_system, DEMO_COEFFS)
         params = default_acquisition(two_spin_system, n_t1=8, n_t2=64)
@@ -71,7 +85,7 @@ class TestLineShapes:
         t = np.arange(n) * dwell
         trace = np.cos(2 * np.pi * f * t) * np.exp(-t / tau)
         hybrid = HybridSpectrum(grid=trace[:, None].astype(complex),
-                                t1_s=t, omega2_hz=np.array([0.0]),
+                                dwell_t1_s=dwell, omega2_hz=np.array([0.0]),
                                 meta={"t2_s": tau})
         spectrum = dft_t1(hybrid, apodization=None, zero_fill=1,
                           first_point_half=True)
@@ -87,7 +101,7 @@ class TestLineShapes:
         t = np.arange(n) * dwell
         trace = np.sin(2 * np.pi * f * t) * np.exp(-t / tau)
         hybrid = HybridSpectrum(grid=trace[:, None].astype(complex),
-                                t1_s=t, omega2_hz=np.array([0.0]),
+                                dwell_t1_s=dwell, omega2_hz=np.array([0.0]),
                                 meta={"t2_s": tau})
         spectrum = dft_t1(hybrid, apodization=None, zero_fill=1,
                           first_point_half=True)
@@ -177,8 +191,7 @@ class TestCrossSection:
         rng = np.random.default_rng(32)
         grid = rng.normal(size=(n_t1, n_f2)) + 1j * rng.normal(size=(n_t1, n_f2))
         axis = np.linspace(-500.0, 500.0, n_f2)
-        t1 = np.arange(n_t1) * 1e-3
-        return HybridSpectrum(grid=grid, t1_s=t1, omega2_hz=axis,
+        return HybridSpectrum(grid=grid, dwell_t1_s=1e-3, omega2_hz=axis,
                               meta={"t2_s": 0.05, "processing_t2": {"zero_fill": 2}})
 
     def test_nearest_bin_column(self):
@@ -194,8 +207,8 @@ class TestCrossSection:
         hybrid_a = self.make_hybrid()
         hybrid_b = self.make_hybrid()
         summed = HybridSpectrum(grid=hybrid_a.grid + hybrid_b.grid,
-                                t1_s=hybrid_a.t1_s, omega2_hz=hybrid_a.omega2_hz,
-                                meta=hybrid_a.meta)
+                                dwell_t1_s=hybrid_a.dwell_t1_s,
+                                omega2_hz=hybrid_a.omega2_hz, meta=hybrid_a.meta)
         anchor = float(hybrid_a.omega2_hz[20])
         a = cross_section(hybrid_a, anchor)
         b = cross_section(hybrid_b, anchor)
@@ -233,20 +246,11 @@ class TestCrossSection:
         hybrid = self.make_hybrid()
         section = cross_section(hybrid, 50.0)
         signal = Signal1D(samples=section.time_trace,
-                          dwell_s=float(hybrid.t1_s[1] - hybrid.t1_s[0]),
+                          dwell_s=hybrid.dwell_t1_s,
                           meta={"t2_s": hybrid.meta["t2_s"]})
         again = dft_fid(signal, apodization="matched", zero_fill=2,
                         first_point_half=True)
         assert np.max(np.abs(again.values - section.freq_trace)) < 1e-10
-
-    def test_spectrum_sourced_section_has_frequency_form_only(self, demo_hybrid):
-        _, hybrid = demo_hybrid
-        spectrum = dft_t1(hybrid)
-        section = cross_section(spectrum, 1300.0)
-        assert section.time_trace is None
-        b = nearest_bin(spectrum.omega2_hz, 1300.0)
-        assert np.allclose(section.freq_trace, spectrum.grid[:, b])
-        assert np.allclose(section.omega1_hz, spectrum.omega1_hz)
 
     @pytest.mark.parametrize("n_f2", [3 * T1_BLOCK_COLUMNS + 5, T1_BLOCK_COLUMNS - 3])
     def test_streamed_magnitude_bit_exact(self, n_f2):
@@ -274,7 +278,9 @@ class TestCrossSection:
         f = axis[96]
         t2 = np.arange(n_t2) * dwell
         grid = np.tile(np.exp(2j * np.pi * f * t2), (n_t1, 1))
-        signal = Signal2D(grid=grid, dwell_t1_s=1e-3, dwell_t2_s=dwell, meta={})
+        # t2_s only feeds the t1 transform's matched apodization
+        signal = Signal2D(grid=grid, dwell_t1_s=1e-3, dwell_t2_s=dwell,
+                          meta={"t2_s": 0.05})
         hybrid = dft_t2(signal, apodization=None, zero_fill=1,
                         first_point_half=False)
         on_peak = cross_section(hybrid, f)
