@@ -20,8 +20,8 @@ from .errors import (AxisRangeError, ConfigError, DegenerateTransitionError,
 from .experiment import (AcquisitionParams, Signal1D, Signal2D, Transition,
                          TransitionTable, default_acquisition, reference_fid,
                          run_sequence_A, run_sequence_B, transition_table)
-from .spectral import (CrossSection, HybridSpectrum, Spectrum1D, Spectrum2D,
-                       cross_section, dft_fid, dft_t1, dft_t2,
+from .spectral import (HybridSpectrum, Spectrum1D, Spectrum2D,
+                       cross_sections, dft_fid, dft_t1, dft_t2,
                        hybrid_omega2_axis, peak_amplitudes)
 from .tomography import (DesignMatrix, TomographyResult, build_design_matrix,
                          fidelity, fit_diagonal, fit_offdiagonal,
@@ -31,14 +31,14 @@ from .tomography import (DesignMatrix, TomographyResult, build_design_matrix,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AXES", "AcquisitionParams", "AxisRangeError", "ConfigError", "CrossSection",
+    "AXES", "AcquisitionParams", "AxisRangeError", "ConfigError",
     "DegenerateTransitionError", "DesignMatrix", "EvolutionCache",
     "HybridSpectrum", "LineOverlapError", "NyquistError",
     "RankDeficiencyError", "Signal1D", "Signal2D", "SpinSystem",
     "SpinTomoError", "Spectrum1D", "Spectrum2D", "TomographyResult",
     "Transition", "TransitionTable", "all_labels", "apply_unitary",
     "build_design_matrix", "build_spin_system", "coefficients_to_density",
-    "coherence_order_decompose", "cross_section", "default_acquisition",
+    "coherence_order_decompose", "cross_sections", "default_acquisition",
     "density_to_coefficients", "detect_signal", "dft_fid", "dft_t1", "dft_t2",
     "diagonal_labels", "evolution_cache", "evolve", "fidelity", "fit_diagonal",
     "fit_offdiagonal", "format_label", "gradient_project", "hamiltonian",

@@ -31,8 +31,8 @@ from .errors import (AxisRangeError, ConfigError, DegenerateTransitionError,
 from .experiment import (default_acquisition, export_signal1d, export_signal2d,
                          reference_fid, run_sequence_A, run_sequence_B,
                          transition_table)
-from .spectral import (cross_section, dft_fid, dft_t1_magnitude, dft_t2,
-                       export_cross_section, export_spectrum1d,
+from .spectral import (cross_sections, dft_fid, dft_t1_magnitude, dft_t2,
+                       export_cross_sections, export_spectrum1d,
                        export_spectrum2d)
 from .tomography import build_design_matrix, tomograph_state
 
@@ -317,17 +317,28 @@ def _export_simulation(cfg: RunConfig, signal_a, signal_b, out: Path, table):
                   "shape": list(magnitude.shape), "axes": ["omega1", "omega2"]},
     })
 
-    # Named by transition-table index (the index design_summary.json lists):
-    # frequencies can agree to any printed precision.  Each section is the
-    # t1 transform of one hybrid column, as in the 2D spectrum.
-    for i, transition in enumerate(table):
-        section = cross_section(hybrid, transition.frequency_hz)
-        _atomic_write(out / f"cross_section_{i:02d}_q{transition.qubit}.csv",
-                      lambda p: export_cross_section(section, p))
+    _export_cross_sections(hybrid, table, out)
 
     spectrum_b = dft_fid(signal_b)
     _atomic_write(out / "spectrum_b.csv", lambda p: export_spectrum1d(spectrum_b, p))
     return hybrid
+
+
+def _export_cross_sections(hybrid, table, out: Path) -> None:
+    """All cross-sections in one array; row i is transition-table index i
+    (the index design_summary.json lists), since frequencies can agree to any
+    printed precision."""
+    _, sections = cross_sections(hybrid, table.frequencies())
+    _atomic_write(out / "cross_sections.npy", lambda p: export_cross_sections(sections, p))
+    _write_json(out / "cross_sections.json", {
+        "omega1_hz": [float(f) for f in sections.omega1_hz],
+        "sections": [{"index": i, "qubit": t.qubit, "frequency_hz": float(t.frequency_hz),
+                      "bin_hz": float(bin_hz)}
+                     for i, (t, bin_hz) in enumerate(zip(table, sections.omega2_hz))],
+        "array": {"file": "cross_sections.npy", "dtype": "complex128",
+                  "shape": [len(table), len(sections.omega1_hz)],
+                  "axes": ["section", "omega1"]},
+    })
 
 
 def _build_design(cfg: RunConfig, params, table):

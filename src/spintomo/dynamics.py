@@ -92,6 +92,11 @@ def gradient_project(rho: np.ndarray) -> np.ndarray:
     return out
 
 
+# Delays whose evolution factors are built at once: the memory of the mean
+# stays bounded however many delays are drawn.
+GRADIENT_DELAY_BLOCK = 64
+
+
 def realistic_gradient_project(rho: np.ndarray, system: SpinSystem,
                                delays_s) -> np.ndarray:
     """Gradient that spares zero-quantum coherences, followed by randomized delays.
@@ -100,15 +105,25 @@ def realistic_gradient_project(rho: np.ndarray, system: SpinSystem,
     over free evolution for each of the drawn ``delays_s`` (in seconds).
     Zero-quantum phases average towards zero; the diagonal is untouched.
     Evolution is element-wise, so the mean of the delays' evolution factors
-    is applied once.  Accepts a single matrix or a (..., dim, dim) batch;
+    is applied once.  The factors are summed :data:`GRADIENT_DELAY_BLOCK`
+    delays at a time, in draw order, so the mean is bit for bit that of all
+    factors at once.  Accepts a single matrix or a (..., dim, dim) batch;
     every matrix of a batch sees the same delays.
     """
     delays_s = np.ravel(delays_s)
     if not delays_s.size:
         raise ValueError("the realistic gradient needs at least one delay")
     cache = evolution_cache(system)
+    total = None
+    for start in range(0, delays_s.size, GRADIENT_DELAY_BLOCK):
+        factors = _evolution_factor(system, cache,
+                                    delays_s[start:start + GRADIENT_DELAY_BLOCK],
+                                    with_decay=True)
+        if total is not None:
+            factors[0] += total  # the running sum continues row by row
+        total = factors.sum(axis=0)
     kept = np.asarray(rho, dtype=complex) * (cache.orders == 0)
-    return kept * _evolution_factor(system, cache, delays_s, with_decay=True).mean(axis=0)
+    return kept * (total / delays_s.size)
 
 
 def coherence_order_decompose(rho: np.ndarray, system: SpinSystem) -> dict:

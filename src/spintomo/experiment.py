@@ -254,6 +254,15 @@ def _meta(sequence: str, system: SpinSystem, params: AcquisitionParams,
             "params": params.to_dict(), **extra}
 
 
+def _gradient_meta(delays_s) -> dict:
+    """The gradient entries of a signal's metadata.  A realistic gradient
+    records its drawn delays in seconds, so the signal can be rerun exactly."""
+    if delays_s is None:
+        return {"gradient": "ideal"}
+    return {"gradient": "realistic",
+            "gradient_delays_s": [float(d) for d in np.ravel(delays_s)]}
+
+
 def sequence_A_steps(system: SpinSystem, params: AcquisitionParams):
     """The fixed linear steps of sequence A around the gradient.
 
@@ -289,10 +298,9 @@ def run_sequence_A(system: SpinSystem, rho0: np.ndarray, params: AcquisitionPara
     sigma = pulse_read @ sigma @ pulse_read.conj().T
 
     grid = _fid_from_states(sigma, system, params.t2_times)
-    gradient = "ideal" if gradient_delays_s is None else "realistic"
     return Signal2D(grid=grid, dwell_t1_s=params.dwell_t1_s,
                     dwell_t2_s=params.dwell_t2_s,
-                    meta=_meta("A", system, params, gradient=gradient))
+                    meta=_meta("A", system, params, **_gradient_meta(gradient_delays_s)))
 
 
 def run_sequence_B(system: SpinSystem, rho0: np.ndarray, params: AcquisitionParams,
@@ -316,9 +324,8 @@ def run_sequence_B(system: SpinSystem, rho0: np.ndarray, params: AcquisitionPara
     pulse = rotation_pulse(system, params.beta_rad, 0.0)
     sigma = pulse @ sigma @ pulse.conj().T
     samples = _fid_from_states(sigma[None, :, :], system, params.t2_times)[0]
-    gradient = "ideal" if gradient_delays_s is None else "realistic"
     return Signal1D(samples=samples, dwell_s=params.dwell_t2_s,
-                    meta=_meta("B", system, params, gradient=gradient))
+                    meta=_meta("B", system, params, **_gradient_meta(gradient_delays_s)))
 
 
 def reference_fid(system: SpinSystem, rho0: np.ndarray,

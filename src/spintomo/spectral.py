@@ -54,24 +54,6 @@ class Spectrum1D:
     meta: dict = field(default_factory=dict)
 
 
-@dataclass(eq=False)
-class CrossSection:
-    """Trace parallel to Omega1 at one Omega2 position.
-
-    ``time_trace`` is the t1-domain form, one hybrid column, and
-    ``freq_trace`` its :func:`dft_t1`, with the processing recorded in
-    ``meta``.
-    """
-
-    anchor_hz: float
-    bin_hz: float
-    time_trace: np.ndarray
-    t1_s: np.ndarray
-    freq_trace: np.ndarray
-    omega1_hz: np.ndarray
-    meta: dict = field(default_factory=dict)
-
-
 def _resolve_rate(apodization, meta: dict) -> float:
     """Apodization spec -> decay rate in 1/s (0 disables)."""
     if apodization is None:
@@ -113,12 +95,30 @@ def _dft(data, dwell_s: float, meta: dict, apodization, zero_fill: int,
     return freqs, spec, processing
 
 
+# t1 rows per _dft call when the hybrid is filled: the complex temporaries of
+# one block stay a small part of the hybrid grid.
+T2_BLOCK_ROWS = 64
+
+
 def dft_t2(signal: Signal2D, apodization="matched", zero_fill: int = 2,
            first_point_half: bool = True) -> HybridSpectrum:
-    """Transform along t2 for every t1 row."""
-    freqs, spec, processing = _dft(signal.grid, signal.dwell_t2_s, signal.meta,
-                                   apodization, zero_fill, first_point_half, axis=1)
-    return HybridSpectrum(grid=spec, dwell_t1_s=signal.dwell_t1_s, omega2_hz=freqs,
+    """Transform along t2 for every t1 row.
+
+    Each block of :data:`T2_BLOCK_ROWS` rows goes through :func:`_dft` on its
+    own into a preallocated hybrid grid.  The transform acts on every row
+    alone, so the grid is bit for bit the transform of the whole array.
+    """
+    n_t1 = signal.grid.shape[0]
+    grid = None
+    for start in range(0, n_t1, T2_BLOCK_ROWS):
+        rows = slice(start, start + T2_BLOCK_ROWS)
+        freqs, block, processing = _dft(signal.grid[rows], signal.dwell_t2_s,
+                                        signal.meta, apodization, zero_fill,
+                                        first_point_half, axis=1)
+        if grid is None:
+            grid = np.empty((n_t1, block.shape[1]), dtype=complex)
+        grid[rows] = block
+    return HybridSpectrum(grid=grid, dwell_t1_s=signal.dwell_t1_s, omega2_hz=freqs,
                           meta={**signal.meta, "processing_t2": processing})
 
 
@@ -195,27 +195,26 @@ def hybrid_omega2_axis(n_t2: int, dwell_t2_s: float, zero_fill: int = 2) -> np.n
     return np.fft.fftshift(np.fft.fftfreq(n_fft, dwell_t2_s))
 
 
-def cross_section(hybrid: HybridSpectrum, omega2_hz: float) -> CrossSection:
-    """The trace parallel to Omega1 at the Omega2 bin nearest ``omega2_hz``.
+def cross_sections(hybrid: HybridSpectrum, omega2_hz) -> tuple[list, Spectrum2D]:
+    """``(bins, sections)``: the Omega2 bin nearest each of ``omega2_hz`` and
+    the traces parallel to Omega1 there, column ``k`` for request ``k``.
 
-    It is :func:`dft_t1` of that one hybrid column, as
-    :func:`dft_t1_magnitude` transforms blocks of columns, so it equals the
-    column of the whole 2D spectrum; the t1-domain column comes with it.
+    ``sections`` is one :func:`dft_t1` of the gathered hybrid columns, its
+    ``omega2_hz`` the bin frequencies.  The transform acts on every column
+    alone, so each trace equals that column of the whole 2D spectrum.  Each
+    request whose bin lies more than half a linewidth away warns.
     """
     axis = hybrid.omega2_hz
-    b = _axis_bin(axis, omega2_hz, "omega2")
-    column = slice(b, b + 1)
-    spectrum = dft_t1(replace(hybrid, grid=hybrid.grid[:, column], omega2_hz=axis[column]))
-    if abs(axis[b] - omega2_hz) > 0.5 / (np.pi * hybrid.meta["t2_s"]):
-        warnings.warn(
-            f"nearest Omega2 bin ({axis[b]:.6g} Hz) is more than half a "
-            f"linewidth from requested {omega2_hz:.6g} Hz",
-            stacklevel=2,
-        )
-    return CrossSection(anchor_hz=float(omega2_hz), bin_hz=float(axis[b]),
-                        time_trace=hybrid.grid[:, b].copy(), t1_s=hybrid.t1_s,
-                        freq_trace=spectrum.grid[:, 0], omega1_hz=spectrum.omega1_hz,
-                        meta=spectrum.meta)
+    half_linewidth = 0.5 / (np.pi * hybrid.meta["t2_s"])
+    bins = [_axis_bin(axis, f, "omega2") for f in omega2_hz]
+    for f, b in zip(omega2_hz, bins):
+        if abs(axis[b] - f) > half_linewidth:
+            warnings.warn(
+                f"nearest Omega2 bin ({axis[b]:.6g} Hz) is more than half a "
+                f"linewidth from requested {f:.6g} Hz",
+                stacklevel=2,
+            )
+    return bins, dft_t1(replace(hybrid, grid=hybrid.grid[:, bins], omega2_hz=axis[bins]))
 
 
 def peak_amplitudes(spectrum: Spectrum1D, table: TransitionTable) -> dict:
@@ -289,11 +288,12 @@ def export_spectrum2d(magnitude: np.ndarray, path) -> None:
         np.save(handle, magnitude, allow_pickle=False)
 
 
-def export_cross_section(section: CrossSection, csv_path) -> None:
-    """Frequency-domain trace as omega1_hz, re, im columns."""
-    trace = section.freq_trace
-    _write_csv(csv_path, "omega1_hz,re,im\n",
-               np.column_stack([section.omega1_hz, trace.real, trace.imag]))
+def export_cross_sections(sections: Spectrum2D, path) -> None:
+    """The complex128 traces of :func:`cross_sections` as ``.npy``, one row
+    per trace, shape (n_sections, n_omega1); the axis and the transitions
+    are in the sidecar."""
+    with open(path, "wb") as handle:
+        np.save(handle, np.ascontiguousarray(sections.grid.T), allow_pickle=False)
 
 
 def export_spectrum1d(spectrum: Spectrum1D, csv_path) -> None:

@@ -15,6 +15,7 @@ from spintomo.cli import (_atomic_write, _export_simulation, _simulate_signals,
                           _write_json, _write_report, config_from_dict, main,
                           parse_config, resolve_params)
 from spintomo.errors import ConfigError
+from spintomo.experiment import export_signal1d
 
 from conftest import DEMO_COEFFS, local_maxima_above
 
@@ -45,8 +46,8 @@ def demo_config(n_t1=64, n_t2=128, **options):
 # TOMOGRAPH_FILES.  Nothing else, no temp file, is left behind.
 SIMULATE_FILES = sorted(
     ["signal_a.npy", "signal_a.json", "signal_b.csv", "signal_b.json",
-     "spectrum_2d.npy", "spectrum_2d_axes.json", "spectrum_b.csv"]
-    + [f"cross_section_{i:02d}_q{q}.csv" for i, q in enumerate((1, 1, 2, 2))])
+     "spectrum_2d.npy", "spectrum_2d_axes.json", "spectrum_b.csv",
+     "cross_sections.npy", "cross_sections.json"])
 TOMOGRAPH_FILES = ["design_summary.json", "report.txt", "result.json"]
 
 
@@ -183,6 +184,7 @@ class TestSimulateCommand:
         sidecar = json.loads((out / "signal_a.json").read_text())
         assert sidecar["dwell_t1_s"] == resolve_params(parse_config(path)).dwell_t1_s
         assert sidecar["n_t2"] == 128
+        assert "gradient_delays_s" not in sidecar["meta"]
 
     def test_grids_load_bit_exact(self, tmp_path):
         path = write_config(tmp_path, demo_config(n_t1=32, n_t2=64, noise_rms=0.01))
@@ -193,22 +195,29 @@ class TestSimulateCommand:
             cfg = parse_config(path)
             _, signal_a, _, _ = _simulate_signals(
                 cfg, resolve_params(cfg), np.random.default_rng(cfg.options.seed))
+            table = transition_table(cfg.system)
         spectrum = dft_t1(dft_t2(signal_a))
         sidecar = json.loads((out / "signal_a.json").read_text())
         axes = json.loads((out / "spectrum_2d_axes.json").read_text())
+        sections = json.loads((out / "cross_sections.json").read_text())
         assert sidecar["array"]["axes"] == ["t1", "t2"]
         assert axes["array"]["axes"] == ["omega1", "omega2"]
         assert axes["array"]["shape"] == [len(axes["omega1_hz"]), len(axes["omega2_hz"])]
+        assert sections["array"]["axes"] == ["section", "omega1"]
+        assert sections["array"]["shape"] == [len(table), len(sections["omega1_hz"])]
+        bins = [int(np.argmin(np.abs(spectrum.omega2_hz - t.frequency_hz))) for t in table]
         for layout, expected in ((sidecar["array"], signal_a.grid),
-                                 (axes["array"], np.abs(spectrum.grid))):
+                                 (axes["array"], np.abs(spectrum.grid)),
+                                 (sections["array"], spectrum.grid[:, bins].T.copy())):
             grid = np.load(out / layout["file"], allow_pickle=False)
             assert grid.dtype == np.dtype(layout["dtype"]) == expected.dtype
             assert list(grid.shape) == layout["shape"] == list(expected.shape)
+            assert grid.flags.c_contiguous
             assert grid.tobytes() == expected.tobytes()
 
     def test_cross_sections_bit_exact(self, tmp_path):
-        # each CSV is the t1 transform of one hybrid column, cell for cell the
-        # column of the whole 2D spectrum
+        # each row is the t1 transform of one hybrid column, cell for cell the
+        # column of the whole 2D spectrum at the transition's Omega2 bin
         path = write_config(tmp_path, demo_config(n_t1=32, n_t2=64, noise_rms=0.01))
         out = tmp_path / "out"
         with warnings.catch_warnings():
@@ -219,17 +228,15 @@ class TestSimulateCommand:
                 cfg, resolve_params(cfg), np.random.default_rng(cfg.options.seed))
             spectrum = dft_t1(dft_t2(signal_a))
             table = transition_table(cfg.system)
-        for i, transition in enumerate(table):
-            lines = (out / f"cross_section_{i:02d}_q{transition.qubit}.csv"
-                     ).read_text().splitlines()
-            assert lines[0] == "omega1_hz,re,im"
-            cells = np.array([[float(cell) for cell in line.split(",")]
-                              for line in lines[1:]])
+        sections = np.load(out / "cross_sections.npy", allow_pickle=False)
+        sidecar = json.loads((out / "cross_sections.json").read_text())
+        assert sections.shape == (len(table), len(spectrum.omega1_hz))
+        assert np.array(sidecar["omega1_hz"]).tobytes() == spectrum.omega1_hz.tobytes()
+        for i, (transition, entry) in enumerate(zip(table, sidecar["sections"])):
             b = int(np.argmin(np.abs(spectrum.omega2_hz - transition.frequency_hz)))
-            trace = spectrum.grid[:, b]
-            for column, expected in zip(cells.T, (spectrum.omega1_hz,
-                                                  trace.real, trace.imag)):
-                assert column.tobytes() == np.ascontiguousarray(expected).tobytes()
+            assert entry["frequency_hz"] == transition.frequency_hz
+            assert entry["bin_hz"] == spectrum.omega2_hz[b]
+            assert sections[i].tobytes() == np.ascontiguousarray(spectrum.grid[:, b]).tobytes()
 
     def test_export_memory_bounded(self, tmp_path):
         # the complex 2D spectrum is never held: with it, its shifted copy
@@ -273,10 +280,14 @@ class TestSimulateCommand:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
-        names = sorted(p.name for p in out.glob("cross_section_*.csv"))
-        assert len(names) == 12
-        assert names[0] == "cross_section_00_q1.csv"
-        assert names[-1] == "cross_section_11_q3.csv"
+        sidecar = json.loads((out / "cross_sections.json").read_text())
+        entries = sidecar["sections"]
+        assert [e["index"] for e in entries] == list(range(12))
+        assert [e["qubit"] for e in entries] == [1] * 4 + [2] * 4 + [3] * 4
+        table = transition_table(parse_config(path).system)
+        assert [e["frequency_hz"] for e in entries] == list(table.frequencies())
+        assert len(set(round(e["frequency_hz"], 1) for e in entries)) < 12
+        assert sidecar["array"]["shape"][0] == 12
 
     def test_failed_export_keeps_previous_file(self, tmp_path):
         target = tmp_path / "signal_a.csv"
@@ -424,6 +435,28 @@ class TestTomographCommand:
         for got, want in zip((signal_a.grid, signal_b.samples, reference.samples), expected):
             assert np.array_equal(got, want)
         assert signal_a.meta["gradient"] == signal_b.meta["gradient"] == "realistic"
+
+    def test_recorded_delays_reproduce_signals(self, tmp_path):
+        # the sidecars' delays rerun both noiseless sequences bit for bit
+        path = write_config(tmp_path, demo_config(n_t1=16, n_t2=32, realistic_gradient=True,
+                                                  gradient_draws=70))
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+        cfg = parse_config(path)
+        params = resolve_params(cfg)
+        rho0 = coefficients_to_density(cfg.system, cfg.coefficients)
+        delays_a, delays_b = (
+            json.loads((out / f"signal_{name}.json").read_text())["meta"]["gradient_delays_s"]
+            for name in "ab")
+        assert len(delays_a) == len(delays_b) == 70 and delays_a != delays_b
+        signal_a = run_sequence_A(cfg.system, rho0, params, gradient_delays_s=delays_a)
+        signal_b = run_sequence_B(cfg.system, rho0, params, gradient_delays_s=delays_b)
+        assert (np.load(out / "signal_a.npy", allow_pickle=False).tobytes()
+                == signal_a.grid.tobytes())
+        export_signal1d(signal_b, tmp_path / "signal_b.csv")
+        assert (tmp_path / "signal_b.csv").read_bytes() == (out / "signal_b.csv").read_bytes()
 
     def test_realistic_gradient_mode(self, tmp_path):
         payload = demo_config(n_t1=64, n_t2=128, realistic_gradient=True,

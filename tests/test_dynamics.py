@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,8 @@ from spintomo import (apply_unitary, coefficients_to_density,
                       evolution_cache, evolve, gradient_project,
                       product_operator, realistic_gradient_project,
                       rotation_pulse)
-from spintomo.dynamics import detection_elements
+from spintomo.dynamics import (GRADIENT_DELAY_BLOCK, _evolution_factor,
+                               detection_elements)
 
 from conftest import (DEMO_COEFFS, clustered_systems, local_maxima_above,
                       loop_realistic_gradient, nonzero_detection_elements,
@@ -174,6 +177,31 @@ class TestRealisticGradient:
         looped = loop_realistic_gradient(rho, four_spin_system, delays)
         assert averaged.shape == rho.shape
         assert np.max(np.abs(averaged - looped)) <= 1e-14 * np.max(np.abs(looped))
+
+    @pytest.mark.parametrize("draws", [1, 2 * GRADIENT_DELAY_BLOCK,
+                                       32 * GRADIENT_DELAY_BLOCK + 1])
+    def test_blocks_match_one_shot_mean(self, four_spin_system, draws):
+        rho = random_hermitian_traceless(np.random.default_rng(14), 16)
+        delays = draw_delays(15, draws, tau_max_s=2.0)
+        cache = evolution_cache(four_spin_system)
+        one_shot = (rho * (cache.orders == 0)) * _evolution_factor(
+            four_spin_system, cache, delays, with_decay=True).mean(axis=0)
+        blocked = realistic_gradient_project(rho, four_spin_system, delays)
+        assert blocked.tobytes() == one_shot.tobytes()
+
+    def test_memory_independent_of_draws(self, four_spin_system):
+        # all factors at once peaked at 1.4 MB for 128 draws, 80 MB for 8192
+        rho = random_hermitian_traceless(np.random.default_rng(16), 16)
+        peaks = {}
+        for draws in (128, 8192):
+            delays = draw_delays(17, draws)
+            tracemalloc.start()
+            try:
+                realistic_gradient_project(rho, four_spin_system, delays)
+                _, peaks[draws] = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peaks[8192] < 2 * peaks[128]
 
 
 class TestCoherenceOrderDecompose:

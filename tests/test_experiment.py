@@ -14,7 +14,7 @@ from spintomo import (AcquisitionParams, DegenerateTransitionError,
 from spintomo.core import single_quantum_transitions
 from spintomo.experiment import (CSV_BLOCK_ROWS, _write_csv, export_signal1d,
                                  export_signal2d)
-from spintomo.spectral import cross_section
+from spintomo.spectral import cross_sections
 
 from conftest import (DEMO_COEFFS, clustered_systems, fit_t1_trace, loop_pairs,
                       random_hermitian_traceless, reference_sequence_a,
@@ -160,9 +160,9 @@ class TestSequenceA:
         params = default_acquisition(two_spin_system, n_t1=256, n_t2=256)
         rho0 = product_operator(two_spin_system, "xo")
         hybrid = dft_t2(run_sequence_A(two_spin_system, rho0, params))
-        section = cross_section(hybrid, 1300.0)
+        (b,), _ = cross_sections(hybrid, [1300.0])
         frequencies = [1300.0, 1100.0, 1900.0, 1700.0, 3000.0, 600.0]
-        amplitudes, residual = fit_t1_trace(section.time_trace, section.t1_s,
+        amplitudes, residual = fit_t1_trace(hybrid.grid[:, b], hybrid.t1_s,
                                             frequencies, two_spin_system.t2_s)
         assert residual < 1e-9
         top = abs(amplitudes[("cos", 1300.0)])

@@ -1,16 +1,19 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from spintomo import (AxisRangeError, LineOverlapError, Signal1D, Signal2D,
                       SpinTomoError, Transition, TransitionTable,
-                      coefficients_to_density, cross_section,
+                      coefficients_to_density, cross_sections,
                       default_acquisition, dft_fid, dft_t1, dft_t2,
                       hybrid_omega2_axis, peak_amplitudes, run_sequence_A,
                       transition_table)
 from spintomo.core import single_quantum_transitions
-from spintomo.spectral import (T1_BLOCK_COLUMNS, HybridSpectrum,
-                               dft_t1_magnitude, nearest_bin)
+from spintomo.spectral import (T1_BLOCK_COLUMNS, T2_BLOCK_ROWS, HybridSpectrum,
+                               _dft, dft_t1_magnitude, nearest_bin)
 
 from conftest import DEMO_COEFFS, clustered_systems, local_maxima_above, loop_pairs
 
@@ -70,6 +73,37 @@ class TestDftCore:
                            apodization=None, zero_fill=zero_fill)
         assert spectrum.omega_hz.tobytes() == expected.tobytes()
         assert len(spectrum.values) == len(expected)
+
+    @staticmethod
+    def random_signal(n_t1, n_t2):
+        rng = np.random.default_rng(34)
+        grid = rng.normal(size=(n_t1, n_t2)) + 1j * rng.normal(size=(n_t1, n_t2))
+        return Signal2D(grid=grid, dwell_t1_s=1e-3, dwell_t2_s=2e-4,
+                        meta={"t2_s": 0.05})
+
+    @pytest.mark.parametrize("n_t1", [3 * T2_BLOCK_ROWS + 5, T2_BLOCK_ROWS - 3])
+    def test_t2_row_blocks_bit_exact(self, n_t1):
+        # a last block shorter than the rest, and a grid shorter than a block
+        signal = self.random_signal(n_t1, 100)
+        hybrid = dft_t2(signal)
+        freqs, expected, processing = _dft(signal.grid, signal.dwell_t2_s, signal.meta,
+                                           "matched", 2, True, axis=1)
+        assert hybrid.grid.dtype == expected.dtype and hybrid.grid.shape == expected.shape
+        assert hybrid.grid.tobytes() == expected.tobytes()
+        assert hybrid.omega2_hz.tobytes() == freqs.tobytes()
+        assert hybrid.meta["processing_t2"] == processing
+
+    def test_t2_transform_memory_bounded(self):
+        # the whole-array transform held its complex copy, the zero-filled
+        # output and the shifted copy at once: 2.53x the hybrid's bytes
+        signal = self.random_signal(32 * T2_BLOCK_ROWS + 32, 128)
+        tracemalloc.start()
+        try:
+            hybrid = dft_t2(signal)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.3 * hybrid.grid.nbytes
 
     def test_hybrid_axis_helper_matches_dft(self, two_spin_system):
         rho0 = coefficients_to_density(two_spin_system, DEMO_COEFFS)
@@ -197,11 +231,9 @@ class TestCrossSection:
     def test_nearest_bin_column(self):
         hybrid = self.make_hybrid()
         request = float(hybrid.omega2_hz[12]) + 0.5
-        section = cross_section(hybrid, request)
-        b = nearest_bin(hybrid.omega2_hz, request)
-        assert b == 12
-        assert np.allclose(section.time_trace, hybrid.grid[:, b])
-        assert section.bin_hz == hybrid.omega2_hz[b]
+        bins, sections = cross_sections(hybrid, [request])
+        assert bins == [nearest_bin(hybrid.omega2_hz, request)] == [12]
+        assert sections.omega2_hz[0] == hybrid.omega2_hz[12]
 
     def test_linearity(self):
         hybrid_a = self.make_hybrid()
@@ -210,47 +242,69 @@ class TestCrossSection:
                                 dwell_t1_s=hybrid_a.dwell_t1_s,
                                 omega2_hz=hybrid_a.omega2_hz, meta=hybrid_a.meta)
         anchor = float(hybrid_a.omega2_hz[20])
-        a = cross_section(hybrid_a, anchor)
-        b = cross_section(hybrid_b, anchor)
-        s = cross_section(summed, anchor)
-        assert np.allclose(s.time_trace, a.time_trace + b.time_trace)
-        assert np.allclose(s.freq_trace, a.freq_trace + b.freq_trace)
+        (_, a), (_, b), (_, s) = (cross_sections(hybrid, [anchor])
+                                  for hybrid in (hybrid_a, hybrid_b, summed))
+        assert np.allclose(s.grid, a.grid + b.grid)
 
     def test_out_of_range_rejected(self):
         hybrid = self.make_hybrid()
         with pytest.raises(ValueError, match="outside"):
-            cross_section(hybrid, 1e4)
+            cross_sections(hybrid, [1e4])
 
     def test_half_bin_beyond_axis_end_reads_end_bin(self):
         hybrid = self.make_hybrid()
         axis = hybrid.omega2_hz
         half_bin = 0.5 * (axis[1] - axis[0])
-        for request, end in ((axis[-1] + 0.99 * half_bin, -1),
+        for request, end in ((axis[-1] + 0.99 * half_bin, len(axis) - 1),
                              (axis[0] - 0.99 * half_bin, 0)):
             with pytest.warns(UserWarning, match="half a"):  # 16 Hz off, 6.4 Hz wide
-                section = cross_section(hybrid, request)
-            assert section.bin_hz == axis[end]
-            assert np.array_equal(section.time_trace, hybrid.grid[:, end])
+                bins, sections = cross_sections(hybrid, [request])
+            assert bins == [end]
+            assert sections.omega2_hz[0] == axis[end]
         for request in (axis[-1] + 1.01 * half_bin, axis[0] - 1.01 * half_bin):
             with pytest.raises(AxisRangeError, match="outside") as info:
-                cross_section(hybrid, request)
+                cross_sections(hybrid, [request])
             assert isinstance(info.value, SpinTomoError)
 
     def test_far_bin_warns(self):
         hybrid = self.make_hybrid(n_f2=4)
         hybrid.omega2_hz = np.array([-300.0, -100.0, 100.0, 300.0])
         with pytest.warns(UserWarning, match="half a"):
-            cross_section(hybrid, 190.0)
+            cross_sections(hybrid, [190.0])
+
+    def test_each_far_section_warns(self):
+        hybrid = self.make_hybrid(n_f2=4)
+        hybrid.omega2_hz = np.array([-300.0, -100.0, 100.0, 300.0])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            bins, _ = cross_sections(hybrid, [190.0, 100.5, -190.0, 300.0, 190.0])
+        assert bins == [2, 2, 1, 3, 2]
+        assert [str(w.message).split("requested ")[1] for w in caught] == [
+            "190 Hz", "-190 Hz", "190 Hz"]
+
+    def test_sections_are_spectrum_columns(self):
+        # one transform of the gathered columns, in request order and with
+        # repeats, equals those columns of the whole 2D spectrum bit for bit
+        hybrid = self.make_hybrid(n_t1=100, n_f2=40)
+        spectrum = dft_t1(hybrid)
+        requests = hybrid.omega2_hz[[30, 3, 30, 17, 39, 0]] + 1.0
+        bins, sections = cross_sections(hybrid, requests)
+        assert bins == [30, 3, 30, 17, 39, 0]
+        assert sections.grid.shape == (len(spectrum.omega1_hz), len(requests))
+        assert sections.omega1_hz.tobytes() == spectrum.omega1_hz.tobytes()
+        assert sections.omega2_hz.tobytes() == spectrum.omega2_hz[bins].tobytes()
+        for k, b in enumerate(bins):
+            assert sections.grid[:, k].tobytes() == spectrum.grid[:, b].tobytes()
 
     def test_time_and_frequency_forms_consistent(self):
         hybrid = self.make_hybrid()
-        section = cross_section(hybrid, 50.0)
-        signal = Signal1D(samples=section.time_trace,
+        (b,), sections = cross_sections(hybrid, [50.0])
+        signal = Signal1D(samples=hybrid.grid[:, b],
                           dwell_s=hybrid.dwell_t1_s,
                           meta={"t2_s": hybrid.meta["t2_s"]})
         again = dft_fid(signal, apodization="matched", zero_fill=2,
                         first_point_half=True)
-        assert np.max(np.abs(again.values - section.freq_trace)) < 1e-10
+        assert np.max(np.abs(again.values - sections.grid[:, 0])) < 1e-10
 
     @pytest.mark.parametrize("n_f2", [3 * T1_BLOCK_COLUMNS + 5, T1_BLOCK_COLUMNS - 3])
     def test_streamed_magnitude_bit_exact(self, n_f2):
@@ -283,9 +337,9 @@ class TestCrossSection:
                           meta={"t2_s": 0.05})
         hybrid = dft_t2(signal, apodization=None, zero_fill=1,
                         first_point_half=False)
-        on_peak = cross_section(hybrid, f)
-        off_peak = cross_section(hybrid, axis[40])
-        assert np.max(np.abs(off_peak.time_trace)) <= 1e-9 * np.max(np.abs(on_peak.time_trace))
+        (on_peak, off_peak), _ = cross_sections(hybrid, [f, axis[40]])
+        assert (np.max(np.abs(hybrid.grid[:, off_peak]))
+                <= 1e-9 * np.max(np.abs(hybrid.grid[:, on_peak])))
 
 
 class TestPeakAmplitudes:
