@@ -292,7 +292,11 @@ def _simulate_signals(cfg: RunConfig, params, rng):
 
 
 def _export_simulation(cfg: RunConfig, signal_a, signal_b, out: Path, table):
-    """Write signals, spectra and cross-sections; return the t2 hybrid."""
+    """Write signals, spectra and cross-sections; return the t2 hybrid.
+
+    Signal A's ``grid`` is released (set to None) once transformed: nothing
+    reads it afterwards.
+    """
     _atomic_write(out / "signal_a.npy", lambda p: export_signal2d(signal_a, p))
     _write_json(out / "signal_a.json", {
         "dwell_t1_s": signal_a.dwell_t1_s, "dwell_t2_s": signal_a.dwell_t2_s,
@@ -307,6 +311,7 @@ def _export_simulation(cfg: RunConfig, signal_a, signal_b, out: Path, table):
     })
 
     hybrid = dft_t2(signal_a)
+    signal_a.grid = None
     omega1_hz, magnitude = dft_t1_magnitude(hybrid)
     _atomic_write(out / "spectrum_2d.npy", lambda p: export_spectrum2d(magnitude, p))
     _write_json(out / "spectrum_2d_axes.json", {

@@ -7,7 +7,11 @@ at the selected transitions form one column of a design matrix, and the
 measured cross-sections are solved against those columns.  Every step of that
 chain is linear, so the design is one closed-form linear operator built from
 the same pulses, evolution factors and t2 transform the simulator uses; it is
-applied and solved in factored form, never stored as a dense matrix.
+applied and solved in factored form, never stored as a dense matrix.  The
+product operators enter only as the flip-group table of
+:func:`~spintomo.core.monomial_table` (labels that share a flip mask share
+their nonzero positions), and the Gram A^T A is built one block row of flip
+groups at a time.
 This sidesteps any hand-derived lineshape algebra and stays exact for
 arbitrary register sizes, including partially overlapping lines, because
 model and measurement share every processing step bin for bin.
@@ -66,13 +70,18 @@ class DesignMatrix:
 
     Rows of A are the real and imaginary parts of the t1-mean-subtracted
     cross-section traces at the selected transitions; one column per
-    off-diagonal label.  A is never stored, only its factors in
-    A x = Ec ((B^T x)[:, None] * response): ``evolution`` Ec, the t1-mean-free
-    evolution factors (n_t1 x dim^2), ``response``, the rest of the chain per
-    bin (dim^2 x bins), and ``monomials`` B, the flattened product operators
-    (labels x dim^2).  ``eigenvalues`` (ascending) and ``eigenvectors`` are
-    the eigenpairs of A^T A.  ``rank``, ``condition_number`` and the
-    offending label lists describe the numerical solvability of the fit.
+    off-diagonal label.  A is never stored, only its factors.  A product
+    operator has one nonzero per row r, at column r ^ f for its flip mask f
+    (:func:`~spintomo.core.monomial_table`), so the dim labels of one mask
+    share the positions S_f = {(r, r ^ f)}.  ``order`` sorts the labels by
+    mask and ``values`` [f, l, r] is the flip-group table in that order.
+    ``evolution`` Ec, the t1-mean-free evolution factors (n_t1 x positions),
+    and ``response``, the rest of the chain per bin (positions x bins), are
+    kept on the off-diagonal positions only, S_f after S_f:
+    A x = Ec (u[:, None] * response) with u = values[f]^T x_f on S_f.
+    ``eigenvalues`` (ascending) and ``eigenvectors`` are the eigenpairs of
+    A^T A.  ``rank``, ``condition_number`` and the offending label lists
+    describe the numerical solvability of the fit.
     """
 
     labels: tuple
@@ -80,9 +89,10 @@ class DesignMatrix:
     params: AcquisitionParams
     transition_indices: tuple
     bins: tuple
+    order: np.ndarray
     evolution: np.ndarray
     response: np.ndarray
-    monomials: np.ndarray
+    values: np.ndarray
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     rank: int
@@ -97,14 +107,16 @@ class DesignMatrix:
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """A x, stacked like the measurement (:func:`_stack`)."""
-        return _stack(self.evolution @ ((self.monomials.T @ x)[:, None] * self.response))
+        grouped = x[self.order].reshape(len(self.values), 1, -1) @ self.values
+        return _stack(self.evolution @ (grouped.reshape(-1, 1) * self.response))
 
     def adjoint(self, y: np.ndarray) -> np.ndarray:
         """A^T y for a real vector y stacked like the measurement."""
         parts = y.reshape(len(self.bins), 2, self.params.n_t1)
         traces = (parts[:, 0] + 1j * parts[:, 1]).T
         weights = np.sum(self.response.conj() * (self.evolution.conj().T @ traces), axis=1)
-        return (self.monomials.conj() @ weights).real
+        grouped = self.values.conj() @ weights.reshape(len(self.values), -1, 1)
+        return grouped.real.reshape(-1)[np.argsort(self.order)]
 
     @property
     def is_full_rank(self) -> bool:
@@ -219,7 +231,7 @@ def _stack_cross_sections(hybrid_grid: np.ndarray, bins) -> np.ndarray:
 
 
 def _design_parts(system: SpinSystem, params: AcquisitionParams, bins, labels):
-    """``(evolution, response, monomials)``, the factors of the sequence-A design.
+    """``(order, evolution, response, values)``, the flip-grouped design factors.
 
     The sequence maps an input state rho to the hybrid spectrum
 
@@ -232,8 +244,8 @@ def _design_parts(system: SpinSystem, params: AcquisitionParams, bins, labels):
     pulse R onto detected element p, and K[p, b] is :func:`dft_t2` of the
     unit FID of element p at bin b, so the t2 processing is the
     measurement's own.  Removing the t1 mean of E removes it from every trace.
-    Row i of ``monomials`` is basis operator i flattened over rs
-    (:func:`~spintomo.core.monomial_table`).
+    E and G are kept only at the positions the off-diagonal ``labels`` touch,
+    grouped by flip mask as :class:`DesignMatrix` describes.
     """
     evolution, pulse_90, pulse_read = sequence_A_steps(system, params)
     rows, cols, _ = detection_elements(system)
@@ -243,16 +255,39 @@ def _design_parts(system: SpinSystem, params: AcquisitionParams, bins, labels):
                          meta={"t2_s": system.t2_s})
     kernel = dft_t2(unit_fids).grid[:, list(bins)]
     dim = system.dim
-    to_diagonal = (pulse_90[:, :, None] * pulse_90.conj()[:, None, :]).reshape(dim, dim * dim)
+    columns, values = monomial_table(system.n, labels)
+    order = np.argsort(columns[:, 0], kind="stable")
+    left = np.tile(np.arange(dim), len(labels) // dim)
+    right = columns[order[::dim]].reshape(-1)
+    to_diagonal = pulse_90[:, left] * pulse_90[:, right].conj()
     to_detected = pulse_read[rows, :] * pulse_read[cols, :].conj()
     response = to_diagonal.T @ (to_detected.T @ kernel)
 
-    evolution = evolution.reshape(params.n_t1, dim * dim)
+    evolution = evolution.reshape(params.n_t1, dim * dim)[:, left * dim + right]
     evolution -= evolution.mean(axis=0)
-    columns, values = monomial_table(system.n, labels)
-    monomials = np.zeros((len(labels), dim * dim), dtype=complex)
-    np.put_along_axis(monomials, np.arange(dim) * dim + columns, values, axis=1)
-    return evolution, response, monomials
+    return order, evolution, response, values[order].reshape(-1, dim, dim)
+
+
+def _gram(evolution: np.ndarray, response: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The lower block triangle of A^T A, labels in group order.
+
+    A^T A = Re(conj(B) H B^T) with B the product operators and H =
+    (Ec^H Ec) * (conj(response) response^T).  B is block diagonal over the
+    flip groups, so block row f is Re(conj(V_f) H[S_f, :] B^T), built from
+    the dim rows H[S_f, :] alone: neither H nor a dense B is ever held.
+    Blocks above the diagonal are left zero; ``eigh`` reads only the lower
+    triangle.
+    """
+    groups, dim, _ = values.shape
+    gram = np.zeros((groups * dim, groups * dim))
+    for f in range(groups):
+        block, stop = slice(f * dim, (f + 1) * dim), (f + 1) * dim
+        rows = ((evolution[:, block].conj().T @ evolution[:, :stop])
+                * (response[block].conj() @ response[:stop].T))
+        rows = (values[f].conj() @ rows).reshape(dim, f + 1, dim).transpose(1, 0, 2)
+        rows = (rows @ values[:f + 1].transpose(0, 2, 1)).real
+        gram[block, :stop] = rows.transpose(1, 0, 2).reshape(dim, stop)
+    return gram
 
 
 def _solve_seminormal(apply, adjoint, eigenvalues: np.ndarray,
@@ -322,15 +357,14 @@ def build_design_matrix(system: SpinSystem, params: AcquisitionParams,
         if sum(c in "xy" for c in label) == 1
         and (label.index("x") if "x" in label else label.index("y")) + 1 in missing
     )
-    evolution, response, monomials = _design_parts(system, params, bins, labels)
-
-    # A^T A = Re(conj(B) H B^T) with H = (Ec^H Ec) * (conj(response) response^T)
-    products = (evolution.conj().T @ evolution) * (response.conj() @ response.T)
-    gram = (monomials.conj() @ (products @ monomials.T)).real
-    squared_norms = np.diag(gram)
+    order, evolution, response, values = _design_parts(system, params, bins, labels)
+    gram = _gram(evolution, response, values)
+    eigenvalues, eigenvectors = np.linalg.eigh(gram)
+    inverse = np.argsort(order)
+    eigenvectors = eigenvectors[inverse]
+    squared_norms = np.diag(gram)[inverse]
     zero_labels = tuple(label for label, norm in zip(labels, squared_norms)
                         if norm <= 1e-24 * squared_norms.max())
-    eigenvalues, eigenvectors = np.linalg.eigh(gram)
     rank = int(np.sum(eigenvalues > RANK_TOL * eigenvalues[-1]))
     cond = (float(np.sqrt(eigenvalues[-1] / eigenvalues[0])) if eigenvalues[0] > 0
             else float("inf"))
@@ -343,9 +377,10 @@ def build_design_matrix(system: SpinSystem, params: AcquisitionParams,
         params=params,
         transition_indices=indices,
         bins=bins,
+        order=order,
         evolution=evolution,
         response=response,
-        monomials=monomials,
+        values=values,
         eigenvalues=eigenvalues,
         eigenvectors=eigenvectors,
         rank=rank,

@@ -18,7 +18,7 @@ from spintomo import (AcquisitionParams, all_labels, build_design_matrix,
                       default_acquisition, dft_fid, peak_amplitudes,
                       run_sequence_A, run_sequence_B, tomograph_state,
                       transition_table)
-from spintomo.cli import main
+from spintomo.cli import main, parse_config, resolve_params
 
 from conftest import (DEMO_COEFFS, TWO_SPIN_J, TWO_SPIN_LARMOR, TWO_SPIN_T2,
                       local_maxima_above, random_coefficients)
@@ -266,3 +266,35 @@ def test_criterion_8_dft_correctness():
             spectrum = dft_fid(osc, apodization=None, zero_fill=1,
                                first_point_half=False)
             assert int(np.argmax(np.abs(spectrum.values))) == target
+
+
+# Largest noiseless coefficient error on the 5-qubit demo register: the demo
+# state gave 6.0e-13 and twelve random states (seeds 0-11, every coefficient
+# uniform in [-10, 10]) at most 1.4e-11; the bound adds a 7x margin.
+FIVE_QUBIT_COEFFICIENT_BOUND = 1e-10
+
+
+def test_criterion_9_five_qubit_reconstruction(tmp_path):
+    with criterion(9, "5-qubit demo state and random states reconstructed "
+                      f"to {FIVE_QUBIT_COEFFICIENT_BOUND:g} per coefficient"):
+        out = tmp_path / "demo5"
+        code = main(["tomograph", "--config",
+                     str(CONFIG_DIR / "demo_5qubit.json"), "--out", str(out)])
+        assert code == 0
+        result = json.loads((out / "result.json").read_text())
+        assert result["fidelity"] >= 0.9999
+        assert result["max_coefficient_error"] <= FIVE_QUBIT_COEFFICIENT_BOUND
+        summary = json.loads((out / "design_summary.json").read_text())
+        assert summary["rank"] == summary["columns"] == 992
+        assert summary["condition_number"] <= 1e6
+
+        cfg = parse_config(CONFIG_DIR / "demo_5qubit.json")
+        params = resolve_params(cfg)
+        design = build_design_matrix(cfg.system, params)
+        for seed in (0, 1):
+            rng = np.random.default_rng(seed)
+            state = random_coefficients(rng, all_labels(5), -10.0, 10.0)
+            rho0 = coefficients_to_density(cfg.system, state)
+            result = tomograph_state(cfg.system, rho0, params, design=design,
+                                     normalize=False)
+            assert result.max_coefficient_error <= FIVE_QUBIT_COEFFICIENT_BOUND

@@ -253,6 +253,8 @@ class TestSimulateCommand:
             tracemalloc.stop()
         magnitude = np.load(tmp_path / "spectrum_2d.npy", allow_pickle=False)
         assert peak <= 1.5 * (hybrid.grid.nbytes + magnitude.nbytes)
+        # the time-domain grid is released once transformed
+        assert signal_a.grid is None
 
     def test_output_mode_follows_umask(self, tmp_path):
         path = write_config(tmp_path, demo_config(n_t1=16))
@@ -560,6 +562,24 @@ class TestBasisCommand:
         summary = read_strict_json(out / "design_summary.json")
         assert summary["condition_number"] is None
         assert summary["solvable"] is False
+
+    def test_five_qubit_larmor_sum_names_nullspace(self, tmp_path, capsys):
+        # with nu2 + nu3 = nu5 the design has eight exact null vectors, all on
+        # coherences that flip spins 2, 3 and 5 together; the demo register,
+        # nu5 97.5 Hz off that sum, is full rank
+        payload = json.loads((CONFIG_DIR / "demo_5qubit.json").read_text())
+        larmor = payload["spin_system"]["larmor_hz"]
+        larmor[4] = larmor[1] + larmor[2]
+        path = write_config(tmp_path, payload)
+        out = tmp_path / "out"
+        assert main(["basis", "--config", str(path), "--out", str(out)]) == 3
+        summary = json.loads((out / "design_summary.json").read_text())
+        assert summary["rank"] == summary["columns"] - 8 == 984
+        labels = summary["nullspace_labels"]
+        assert len(labels) == 32
+        assert all(label.split()[q] in "xy" for label in labels for q in (1, 2, 4))
+        assert not summary["zero_labels"] and not summary["undetermined_labels"]
+        assert ", ".join(labels) in capsys.readouterr().err
 
     def test_rank_deficient_selection(self, tmp_path, capsys):
         payload = demo_config(n_t1=64, n_t2=128)

@@ -1,6 +1,6 @@
 import tracemalloc
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -15,9 +15,11 @@ from spintomo import (DegenerateTransitionError, RankDeficiencyError,
                       reconstruct, reference_fid, reference_normalize,
                       run_sequence_A, run_sequence_B, tomograph_state,
                       transition_table)
+from spintomo.dynamics import detection_elements
+from spintomo.experiment import Signal2D, detection_fids, sequence_A_steps
 from spintomo.spectral import _peak_readout
 from spintomo.tomography import (CONDITION_WARN_THRESHOLD, RANK_TOL,
-                                 _diagonal_response_matrix,
+                                 _diagonal_response_matrix, _gram,
                                  _reference_response_matrix, _solve_seminormal,
                                  _stack_cross_sections)
 
@@ -43,6 +45,31 @@ def oracle_matrix(system, params, design):
                                   params)).grid, design.bins)
         for label in design.labels
     ])
+
+
+def kronecker_gram(system, params, design):
+    """A^T A = Re(conj(B) H B^T) over all dim^2 positions.
+
+    B holds the dense Kronecker :func:`product_operator` matrices, flattened,
+    and H = (Ec^H Ec) * (conj(G) G^T) the t1 evolution factors and the rest
+    of the chain at every position, diagonal ones included: the dense form
+    the flip-grouped Gram replaced, kept as the reference.
+    """
+    evolution, pulse_90, pulse_read = sequence_A_steps(system, params)
+    evolution = evolution.reshape(params.n_t1, -1)
+    evolution = evolution - evolution.mean(axis=0)
+    rows, cols, _ = detection_elements(system)
+    unit_fids = Signal2D(grid=detection_fids(system, params.t2_times),
+                         dwell_t1_s=params.dwell_t1_s, dwell_t2_s=params.dwell_t2_s,
+                         meta={"t2_s": system.t2_s})
+    kernel = dft_t2(unit_fids).grid[:, list(design.bins)]
+    to_diagonal = (pulse_90[:, :, None] * pulse_90.conj()[:, None, :]).reshape(system.dim, -1)
+    to_detected = pulse_read[rows, :] * pulse_read[cols, :].conj()
+    response = to_diagonal.T @ (to_detected.T @ kernel)
+    products = (evolution.conj().T @ evolution) * (response.conj() @ response.T)
+    operators = np.array([product_operator(system, label).ravel()
+                          for label in design.labels])
+    return (operators.conj() @ products @ operators.T).real
 
 
 def relative_difference(design, oracle):
@@ -369,6 +396,60 @@ class TestDesignMatrix:
         with pytest.raises(RankDeficiencyError) as info:
             fit_offdiagonal(dft_t2(signal), design)
         assert info.value.labels == design.unsolved_labels == design.nullspace_labels
+
+
+# (n, larmor_hz, couplings_hz, t2_s, n_t1, n_t2): the 2-qubit demo, a 3-qubit
+# register and the 4-qubit demo, on their shipped or default grids
+GROUPED_CASES = {
+    "2q-demo": (2, TWO_SPIN_LARMOR, {(1, 2): TWO_SPIN_J}, TWO_SPIN_T2, 512, 512),
+    "3q": (3, (487.5, 1033.2, 1561.9), {(1, 2): 47.1, (1, 3): 23.6, (2, 3): 68.4},
+           0.01, 1024, 512),
+    "4q-demo": (4, FOUR_SPIN_LARMOR, FOUR_SPIN_COUPLINGS, 0.010, 2048, 512),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(GROUPED_CASES))
+def grouped_case(request):
+    n, larmor, couplings, t2_s, n_t1, n_t2 = GROUPED_CASES[request.param]
+    system = build_spin_system(n, larmor, couplings, t2_s)
+    params = default_acquisition(system, n_t1=n_t1, n_t2=n_t2)
+    return system, params, build_design_matrix(system, params)
+
+
+class TestFlipGroupedOperator:
+    def test_gram_matches_kronecker_products(self, grouped_case):
+        # _gram fills the lower block triangle in group order
+        system, params, design = grouped_case
+        expected = kronecker_gram(system, params, design)
+        expected = np.tril(expected[np.ix_(design.order, design.order)])
+        lower = np.tril(_gram(design.evolution, design.response, design.values))
+        assert relative_max_difference(lower, expected) <= 1e-14
+        assert design.is_full_rank
+
+    def test_adjoint_is_transpose(self, grouped_case):
+        _, _, design = grouped_case
+        rng = np.random.default_rng(11)
+        x = rng.standard_normal(design.shape[1])
+        y = rng.standard_normal(design.shape[0])
+        forward, backward = design.apply(x), design.adjoint(y)
+        scale = max(np.linalg.norm(forward) * np.linalg.norm(y),
+                    np.linalg.norm(x) * np.linalg.norm(backward))
+        assert abs(forward @ y - x @ backward) <= 1e-12 * scale
+
+    def test_no_field_holds_dense_product_operators(self, grouped_case):
+        # a dense product-operator table would take labels x dim^2 entries;
+        # the flip-group table takes dim per label, and the t1 and response
+        # factors one column or row per off-diagonal position
+        system, params, design = grouped_case
+        dim, labels = system.dim, len(design.labels)
+        positions = dim * dim - dim
+        shapes = {field.name: getattr(design, field.name).shape
+                  for field in fields(design)
+                  if isinstance(getattr(design, field.name), np.ndarray)}
+        assert shapes == {
+            "order": (labels,), "evolution": (params.n_t1, positions),
+            "response": (positions, len(design.bins)), "values": (dim - 1, dim, dim),
+            "eigenvalues": (labels,), "eigenvectors": (labels, labels)}
 
 
 class TestSeminormalSolve:
