@@ -18,7 +18,7 @@ import math
 import os
 import sys
 import uuid
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -269,12 +269,18 @@ def _apply_noise(rng, array: np.ndarray, rms: float) -> np.ndarray:
     return array + noise
 
 
-def _simulate_signals(cfg: RunConfig, params, rng):
+def _simulate_signals(cfg: RunConfig, params, rng=None):
     """The input state, signals A and B and the reference FID, all noised.
 
     ``rng`` draws the realistic gradient's delays, A's then B's, before any
     noise, and the reference's noise last, so A and B do not depend on it.
+    Without one, a Generator seeded with the run's seed is made only when
+    the run draws something: a noiseless ideal-gradient run never loads
+    ``numpy.random``.
     """
+    options = cfg.options
+    if rng is None and (options.noise_rms > 0 or options.realistic_gradient):
+        rng = np.random.default_rng(options.seed)
     system = cfg.system
     rho0 = coefficients_to_density(system, cfg.coefficients)
     delays = [None, None]
@@ -292,10 +298,12 @@ def _simulate_signals(cfg: RunConfig, params, rng):
 
 
 def _export_simulation(cfg: RunConfig, signal_a, signal_b, out: Path, table):
-    """Write signals, spectra and cross-sections; return the t2 hybrid.
+    """Write signals, spectra and cross-sections; return the t2 hybrid at the
+    distinct Omega2 bins of the transitions, in ascending order.
 
-    Signal A's ``grid`` is released (set to None) once transformed: nothing
-    reads it afterwards.
+    Those columns hold every bin a design can fit, and the rest of the
+    hybrid is released with it.  Signal A's ``grid`` is released (set to
+    None) once transformed: nothing reads it afterwards.
     """
     _atomic_write(out / "signal_a.npy", lambda p: export_signal2d(signal_a, p))
     _write_json(out / "signal_a.json", {
@@ -304,10 +312,12 @@ def _export_simulation(cfg: RunConfig, signal_a, signal_b, out: Path, table):
         "array": {"file": "signal_a.npy", "dtype": "complex128",
                   "shape": list(signal_a.grid.shape), "axes": ["t1", "t2"]},
     })
-    _atomic_write(out / "signal_b.csv", lambda p: export_signal1d(signal_b, p))
+    _atomic_write(out / "signal_b.npy", lambda p: export_signal1d(signal_b, p))
     _write_json(out / "signal_b.json", {
         "dwell_s": signal_b.dwell_s, "n_samples": int(len(signal_b.samples)),
         "meta": signal_b.meta,
+        "array": {"file": "signal_b.npy", "dtype": "complex128",
+                  "shape": [len(signal_b.samples)], "axes": ["t2"]},
     })
 
     hybrid = dft_t2(signal_a)
@@ -322,18 +332,24 @@ def _export_simulation(cfg: RunConfig, signal_a, signal_b, out: Path, table):
                   "shape": list(magnitude.shape), "axes": ["omega1", "omega2"]},
     })
 
-    _export_cross_sections(hybrid, table, out)
+    bins = sorted(set(_export_cross_sections(hybrid, table, out)))
 
     spectrum_b = dft_fid(signal_b)
-    _atomic_write(out / "spectrum_b.csv", lambda p: export_spectrum1d(spectrum_b, p))
-    return hybrid
+    _atomic_write(out / "spectrum_b.npy", lambda p: export_spectrum1d(spectrum_b, p))
+    _write_json(out / "spectrum_b.json", {
+        "omega_hz": [float(f) for f in spectrum_b.omega_hz],
+        "units": {"omega": "Hz"},
+        "array": {"file": "spectrum_b.npy", "dtype": "complex128",
+                  "shape": [len(spectrum_b.values)], "axes": ["omega"]},
+    })
+    return replace(hybrid, grid=hybrid.grid[:, bins], omega2_hz=hybrid.omega2_hz[bins])
 
 
-def _export_cross_sections(hybrid, table, out: Path) -> None:
+def _export_cross_sections(hybrid, table, out: Path) -> list:
     """All cross-sections in one array; row i is transition-table index i
     (the index design_summary.json lists), since frequencies can agree to any
-    printed precision."""
-    _, sections = cross_sections(hybrid, table.frequencies())
+    printed precision.  Returns each transition's Omega2 bin."""
+    bins, sections = cross_sections(hybrid, table.frequencies())
     _atomic_write(out / "cross_sections.npy", lambda p: export_cross_sections(sections, p))
     _write_json(out / "cross_sections.json", {
         "omega1_hz": [float(f) for f in sections.omega1_hz],
@@ -344,6 +360,7 @@ def _export_cross_sections(hybrid, table, out: Path) -> None:
                   "shape": [len(table), len(sections.omega1_hz)],
                   "axes": ["section", "omega1"]},
     })
+    return bins
 
 
 def _build_design(cfg: RunConfig, params, table):
@@ -404,8 +421,7 @@ def _write_report(path: Path, result, cfg: RunConfig) -> None:
 def cmd_simulate(cfg: RunConfig, out: Path) -> int:
     params = resolve_params(cfg)
     table = transition_table(cfg.system)
-    rng = np.random.default_rng(cfg.options.seed)
-    _, signal_a, signal_b, _ = _simulate_signals(cfg, params, rng)
+    _, signal_a, signal_b, _ = _simulate_signals(cfg, params)
     _export_simulation(cfg, signal_a, signal_b, out, table)
     print(f"simulation artifacts written to {out}")
     return 0
@@ -414,8 +430,7 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> int:
 def cmd_tomograph(cfg: RunConfig, out: Path) -> int:
     params = resolve_params(cfg)
     table = transition_table(cfg.system)
-    rng = np.random.default_rng(cfg.options.seed)
-    rho0, signal_a, signal_b, reference = _simulate_signals(cfg, params, rng)
+    rho0, signal_a, signal_b, reference = _simulate_signals(cfg, params)
     hybrid = _export_simulation(cfg, signal_a, signal_b, out, table)
 
     design = _build_design(cfg, params, table)

@@ -13,9 +13,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import hashlib
 import itertools
-import json
 import warnings
 from dataclasses import dataclass
 from typing import Iterable, Mapping
@@ -76,11 +74,6 @@ class SpinSystem:
             "couplings_hz": [[j, k, value] for j, k, value in self.couplings_hz],
             "t2_s": self.t2_s,
         }
-
-    def digest(self) -> str:
-        """Short stable hash of the system parameters."""
-        payload = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
 def build_spin_system(n, larmor_hz, couplings_hz=None, t2_s=0.01) -> SpinSystem:

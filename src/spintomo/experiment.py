@@ -249,8 +249,7 @@ def _fid_from_states(sigma: np.ndarray, system: SpinSystem,
 def _meta(sequence: str, system: SpinSystem, params: AcquisitionParams,
           **extra) -> dict:
     """A signal's metadata: the sequence, the system and the acquisition."""
-    return {"sequence": sequence, "system": system.to_dict(),
-            "system_digest": system.digest(), "t2_s": system.t2_s,
+    return {"sequence": sequence, "system": system.to_dict(), "t2_s": system.t2_s,
             "params": params.to_dict(), **extra}
 
 
@@ -345,39 +344,20 @@ def reference_fid(system: SpinSystem, rho0: np.ndarray,
 # Exports
 
 
-# Rows of a CSV table formatted per write.
-CSV_BLOCK_ROWS = 1024
-
-
-def _write_csv(path, header: str, table: np.ndarray) -> None:
-    """Write ``header``, then each row of the 2-D float64 ``table`` as one line.
-
-    Every value is the shortest round-trip ``repr`` of a Python float; lines
-    end in LF.  Each block of :data:`CSV_BLOCK_ROWS` rows is formatted by one
-    ``%`` over its values and written at once, so memory stays at one block
-    of text however large the table.
-    """
-    line = ",".join(["%r"] * table.shape[1]) + "\n"
-    with open(path, "w", newline="\n") as handle:
-        handle.write(header)
-        for start in range(0, len(table), CSV_BLOCK_ROWS):
-            block = table[start:start + CSV_BLOCK_ROWS]
-            handle.write((line * len(block)) % tuple(block.ravel().tolist()))
-
-
-def export_signal2d(signal: Signal2D, path) -> None:
-    """The complex128 (n_t1, n_t2) grid as ``.npy``; the axes are in the sidecar.
+def _save_npy(path, array: np.ndarray) -> None:
+    """``array`` as ``.npy`` at ``path``, without pickled objects.
 
     Saved through a handle, since ``np.save`` adds ``.npy`` to a bare path.
     """
     with open(path, "wb") as handle:
-        np.save(handle, np.asarray(signal.grid, dtype=np.complex128),
-                allow_pickle=False)
+        np.save(handle, array, allow_pickle=False)
 
 
-def export_signal1d(signal: Signal1D, csv_path) -> None:
-    """CSV with columns t2_s, re, im."""
-    samples = signal.samples
-    t2_s = np.arange(len(samples)) * signal.dwell_s
-    _write_csv(csv_path, "t2_s,re,im\n",
-               np.column_stack([t2_s, samples.real, samples.imag]))
+def export_signal2d(signal: Signal2D, path) -> None:
+    """The complex128 (n_t1, n_t2) grid as ``.npy``; the axes are in the sidecar."""
+    _save_npy(path, np.asarray(signal.grid, dtype=np.complex128))
+
+
+def export_signal1d(signal: Signal1D, path) -> None:
+    """The complex128 samples (n_t2,) as ``.npy``; the dwell is in the sidecar."""
+    _save_npy(path, np.asarray(signal.samples, dtype=np.complex128))

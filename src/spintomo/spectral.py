@@ -19,7 +19,7 @@ import numpy as np
 
 from .core import _close_pairs
 from .errors import AxisRangeError, LineOverlapError
-from .experiment import Signal1D, Signal2D, TransitionTable, _write_csv
+from .experiment import Signal1D, Signal2D, TransitionTable, _save_npy
 
 
 @dataclass(eq=False)
@@ -284,20 +284,16 @@ def export_spectrum2d(magnitude: np.ndarray, path) -> None:
     :func:`dft_t1_magnitude` builds the grid one block of Omega2 columns at a
     time, so the complex 2D spectrum is never held.
     """
-    with open(path, "wb") as handle:
-        np.save(handle, magnitude, allow_pickle=False)
+    _save_npy(path, magnitude)
 
 
 def export_cross_sections(sections: Spectrum2D, path) -> None:
     """The complex128 traces of :func:`cross_sections` as ``.npy``, one row
     per trace, shape (n_sections, n_omega1); the axis and the transitions
     are in the sidecar."""
-    with open(path, "wb") as handle:
-        np.save(handle, np.ascontiguousarray(sections.grid.T), allow_pickle=False)
+    _save_npy(path, np.ascontiguousarray(sections.grid.T))
 
 
-def export_spectrum1d(spectrum: Spectrum1D, csv_path) -> None:
-    """Spectrum as omega_hz, re, im columns."""
-    values = spectrum.values
-    _write_csv(csv_path, "omega_hz,re,im\n",
-               np.column_stack([spectrum.omega_hz, values.real, values.imag]))
+def export_spectrum1d(spectrum: Spectrum1D, path) -> None:
+    """The complex128 spectrum (n_omega,) as ``.npy``; the axis is in the sidecar."""
+    _save_npy(path, np.asarray(spectrum.values, dtype=np.complex128))

@@ -80,12 +80,13 @@ class DesignMatrix:
     kept on the off-diagonal positions only, S_f after S_f:
     A x = Ec (u[:, None] * response) with u = values[f]^T x_f on S_f.
     ``eigenvalues`` (ascending) and ``eigenvectors`` are the eigenpairs of
-    A^T A.  ``rank``, ``condition_number`` and the offending label lists
-    describe the numerical solvability of the fit.
+    A^T A.  ``bins`` index the default :func:`~spintomo.spectral.dft_t2`
+    Omega2 axis of ``params``.  ``rank``, ``condition_number`` and the
+    offending label lists describe the numerical solvability of the fit.
     """
 
     labels: tuple
-    system_digest: str
+    system: SpinSystem
     params: AcquisitionParams
     transition_indices: tuple
     bins: tuple
@@ -220,13 +221,25 @@ def _stack(traces: np.ndarray) -> np.ndarray:
     return np.stack([traces.real.T, traces.imag.T], axis=1).reshape(-1)
 
 
-def _stack_cross_sections(hybrid_grid: np.ndarray, bins) -> np.ndarray:
-    """Real measurement vector: per bin, mean-free trace split into re and im.
+def _stack_cross_sections(hybrid: HybridSpectrum, design: DesignMatrix) -> np.ndarray:
+    """Real measurement vector: per design bin, mean-free trace split into re and im.
 
-    The t1-constant component of a cross-section carries no off-diagonal
-    information, so each trace has its t1 mean removed before stacking.
+    ``hybrid`` holds Omega2 columns of the default t2 transform, all of them
+    or any ascending subset.  Each design bin is found by its frequency on
+    :func:`~spintomo.spectral.hybrid_omega2_axis`; a hybrid without one
+    raises ValueError.  The t1-constant component of a cross-section carries
+    no off-diagonal information, so each trace has its t1 mean removed
+    before stacking.
     """
-    traces = hybrid_grid[:, list(bins)]
+    params = design.params
+    wanted = hybrid_omega2_axis(params.n_t2, params.dwell_t2_s)[list(design.bins)]
+    axis = hybrid.omega2_hz
+    columns = np.minimum(np.searchsorted(axis, wanted), max(len(axis) - 1, 0))
+    missing = wanted[axis[columns] != wanted] if len(axis) else wanted
+    if len(missing):
+        raise ValueError("hybrid spectrum lacks the Omega2 bin(s) "
+                         f"{[float(f) for f in missing]} Hz the design fits")
+    traces = hybrid.grid[:, columns]
     return _stack(traces - traces.mean(axis=0))
 
 
@@ -368,12 +381,11 @@ def build_design_matrix(system: SpinSystem, params: AcquisitionParams,
     rank = int(np.sum(eigenvalues > RANK_TOL * eigenvalues[-1]))
     cond = (float(np.sqrt(eigenvalues[-1] / eigenvalues[0])) if eigenvalues[0] > 0
             else float("inf"))
-    null_weight = np.abs(eigenvectors[:, :len(labels) - rank]).max(axis=1, initial=0.0)
-    nullspace_labels = tuple(label for label, w in zip(labels, null_weight) if w > 0.1)
+    nullspace_labels = _nullspace_labels(labels, eigenvectors[:, :len(labels) - rank])
 
     design = DesignMatrix(
         labels=labels,
-        system_digest=system.digest(),
+        system=system,
         params=params,
         transition_indices=indices,
         bins=bins,
@@ -394,9 +406,20 @@ def build_design_matrix(system: SpinSystem, params: AcquisitionParams,
     return design
 
 
+def _nullspace_labels(labels, null_vectors: np.ndarray) -> tuple:
+    """Labels whose row of the null-space eigenvectors has norm above 0.1.
+
+    The row norm sqrt(sum w^2) is the length of the label's unit vector
+    projected onto the null space, so it does not depend on which
+    orthonormal basis of a degenerate null space ``eigh`` returns.
+    """
+    weights = np.linalg.norm(null_vectors, axis=1)
+    return tuple(label for label, w in zip(labels, weights) if w > 0.1)
+
+
 def _check_hybrid_matches_design(hybrid: HybridSpectrum, design: DesignMatrix) -> None:
-    digest = hybrid.meta.get("system_digest")
-    if digest is not None and digest != design.system_digest:
+    system = hybrid.meta.get("system")
+    if system is not None and system != design.system.to_dict():
         raise ValueError("signal was recorded on a different spin system than the design matrix")
     params = hybrid.meta.get("params")
     if params is not None and params != design.params.to_dict():
@@ -413,9 +436,10 @@ def fit_offdiagonal(hybrid: HybridSpectrum, design: DesignMatrix) -> Offdiagonal
     """Least-squares solve of the stacked cross-sections against the design.
 
     ``hybrid`` is the :func:`dft_t2` of the sequence-A signal under default
-    processing.  Refuses rank-deficient designs outright rather than
-    returning a silent pseudo-inverse answer.  The solve reuses the design's
-    stored eigenpairs.
+    processing, or those of its Omega2 columns that hold the design's bins
+    (see :func:`_stack_cross_sections`).  Refuses rank-deficient designs
+    outright rather than returning a silent pseudo-inverse answer.  The
+    solve reuses the design's stored eigenpairs.
     """
     _check_hybrid_matches_design(hybrid, design)
     if not design.is_solvable:
@@ -426,7 +450,7 @@ def fit_offdiagonal(hybrid: HybridSpectrum, design: DesignMatrix) -> Offdiagonal
             f"{[' '.join(l) for l in bad]}",
             labels=bad,
         )
-    target = _stack_cross_sections(hybrid.grid, design.bins)
+    target = _stack_cross_sections(hybrid, design)
     solution, residual_vector = _solve_seminormal(
         design.apply, design.adjoint, design.eigenvalues, design.eigenvectors,
         target, design.labels)
@@ -649,10 +673,10 @@ def tomograph_state(system: SpinSystem, rho0: np.ndarray,
 
     Pre-simulated (possibly noise-added) measurements can be passed in:
     ``signal_a`` as the default :func:`dft_t2` hybrid of the sequence-A
-    signal, ``signal_b`` and the reference FID.  Whatever is missing is
-    simulated from ``rho0`` with ideal settings, and the design is built over
-    every transition.  Otherwise the input state serves only as the scoring
-    reference.
+    signal (or the columns of it :func:`fit_offdiagonal` reads), ``signal_b``
+    and the reference FID.  Whatever is missing is simulated from ``rho0``
+    with ideal settings, and the design is built over every transition.
+    Otherwise the input state serves only as the scoring reference.
     """
     if design is None:
         design = build_design_matrix(system, params)

@@ -1,6 +1,8 @@
 import json
 import os
 import stat
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -8,14 +10,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spintomo import (TomographyResult, coefficients_to_density, dft_t1,
+from spintomo import (TomographyResult, coefficients_to_density, dft_fid, dft_t1,
                       dft_t2, reference_fid, run_sequence_A, run_sequence_B,
                       tomograph_state, transition_table)
-from spintomo.cli import (_atomic_write, _export_simulation, _simulate_signals,
+import spintomo
+from spintomo.cli import (_atomic_write, _build_design, _export_simulation,
+                          _simulate_signals,
                           _write_json, _write_report, config_from_dict, main,
                           parse_config, resolve_params)
-from spintomo.errors import ConfigError
-from spintomo.experiment import export_signal1d
+from spintomo.errors import ConfigError, RankDeficiencyError
+from spintomo.tomography import _stack_cross_sections
 
 from conftest import DEMO_COEFFS, local_maxima_above
 
@@ -45,10 +49,24 @@ def demo_config(n_t1=64, n_t2=128, **options):
 # Every file of a `simulate` run of demo_config(); `tomograph` adds
 # TOMOGRAPH_FILES.  Nothing else, no temp file, is left behind.
 SIMULATE_FILES = sorted(
-    ["signal_a.npy", "signal_a.json", "signal_b.csv", "signal_b.json",
-     "spectrum_2d.npy", "spectrum_2d_axes.json", "spectrum_b.csv",
+    ["signal_a.npy", "signal_a.json", "signal_b.npy", "signal_b.json",
+     "spectrum_2d.npy", "spectrum_2d_axes.json", "spectrum_b.npy", "spectrum_b.json",
      "cross_sections.npy", "cross_sections.json"])
 TOMOGRAPH_FILES = ["design_summary.json", "report.txt", "result.json"]
+
+
+# Runs main() on argv[1:] in a fresh interpreter and prints, as JSON, its
+# exit code, the modules the run loaded beyond numpy and the interpreter's
+# own, and whether numpy.random is loaded at the end.
+MODULES_CHILD = """
+import json, sys
+import numpy
+before = set(sys.modules)
+from spintomo.cli import main
+code = main(sys.argv[1:])
+print(json.dumps({"code": code, "loaded": sorted(set(sys.modules) - before),
+                  "numpy_random": "numpy.random" in sys.modules}))
+"""
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -193,21 +211,29 @@ class TestSimulateCommand:
             warnings.simplefilter("ignore")
             assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
             cfg = parse_config(path)
-            _, signal_a, _, _ = _simulate_signals(
+            _, signal_a, signal_b, _ = _simulate_signals(
                 cfg, resolve_params(cfg), np.random.default_rng(cfg.options.seed))
             table = transition_table(cfg.system)
         spectrum = dft_t1(dft_t2(signal_a))
+        spectrum_b = dft_fid(signal_b)
         sidecar = json.loads((out / "signal_a.json").read_text())
+        sidecar_b = json.loads((out / "signal_b.json").read_text())
         axes = json.loads((out / "spectrum_2d_axes.json").read_text())
+        axes_b = json.loads((out / "spectrum_b.json").read_text())
         sections = json.loads((out / "cross_sections.json").read_text())
         assert sidecar["array"]["axes"] == ["t1", "t2"]
+        assert sidecar_b["array"]["axes"] == ["t2"]
         assert axes["array"]["axes"] == ["omega1", "omega2"]
         assert axes["array"]["shape"] == [len(axes["omega1_hz"]), len(axes["omega2_hz"])]
+        assert axes_b["array"]["axes"] == ["omega"]
+        assert np.array(axes_b["omega_hz"]).tobytes() == spectrum_b.omega_hz.tobytes()
         assert sections["array"]["axes"] == ["section", "omega1"]
         assert sections["array"]["shape"] == [len(table), len(sections["omega1_hz"])]
         bins = [int(np.argmin(np.abs(spectrum.omega2_hz - t.frequency_hz))) for t in table]
         for layout, expected in ((sidecar["array"], signal_a.grid),
+                                 (sidecar_b["array"], signal_b.samples),
                                  (axes["array"], np.abs(spectrum.grid)),
+                                 (axes_b["array"], spectrum_b.values),
                                  (sections["array"], spectrum.grid[:, bins].T.copy())):
             grid = np.load(out / layout["file"], allow_pickle=False)
             assert grid.dtype == np.dtype(layout["dtype"]) == expected.dtype
@@ -252,9 +278,15 @@ class TestSimulateCommand:
         finally:
             tracemalloc.stop()
         magnitude = np.load(tmp_path / "spectrum_2d.npy", allow_pickle=False)
-        assert peak <= 1.5 * (hybrid.grid.nbytes + magnitude.nbytes)
+        full_hybrid_nbytes = 512 * magnitude.shape[1] * np.dtype(complex).itemsize
+        assert peak <= 1.5 * (full_hybrid_nbytes + magnitude.nbytes)
         # the time-domain grid is released once transformed
         assert signal_a.grid is None
+        # only the distinct Omega2 bins of the transitions are kept, ascending
+        sections = json.loads((tmp_path / "cross_sections.json").read_text())["sections"]
+        kept = sorted({entry["bin_hz"] for entry in sections})
+        assert hybrid.omega2_hz.tolist() == kept
+        assert hybrid.grid.shape == (512, len(kept))
 
     def test_output_mode_follows_umask(self, tmp_path):
         path = write_config(tmp_path, demo_config(n_t1=16))
@@ -265,7 +297,7 @@ class TestSimulateCommand:
         finally:
             os.umask(previous)
         files = list(out.iterdir())
-        assert {p.suffix for p in files} == {".csv", ".json", ".npy"}
+        assert {p.suffix for p in files} == {".json", ".npy"}
         assert {stat.S_IMODE(p.stat().st_mode) for p in files} == {0o644}
 
     def test_cross_sections_named_by_transition_index(self, tmp_path):
@@ -328,9 +360,7 @@ class TestSimulateCommand:
         path = write_config(tmp_path, payload)
         out = tmp_path / "out1"
         assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
-        fid = (out / "spectrum_b.csv").read_text().strip().splitlines()[1:]
-        values = np.array([complex(float(r.split(",")[1]), float(r.split(",")[2]))
-                           for r in fid])
+        values = np.load(out / "spectrum_b.npy", allow_pickle=False)
         peaks = local_maxima_above(np.abs(values), 1e-3 * np.abs(values).max())
         assert len(peaks) == 1
 
@@ -437,6 +467,67 @@ class TestTomographCommand:
         for got, want in zip((signal_a.grid, signal_b.samples, reference.samples), expected):
             assert np.array_equal(got, want)
         assert signal_a.meta["gradient"] == signal_b.meta["gradient"] == "realistic"
+        # without an rng the run seeds its own and draws the same stream
+        _, default_a, default_b, default_reference = _simulate_signals(cfg, params)
+        for got, want in zip((default_a.grid, default_b.samples, default_reference.samples),
+                             expected):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("options, draws", [
+        ({}, False),
+        ({"noise_rms": 0.01}, True),
+        ({"realistic_gradient": True, "gradient_draws": 4}, True),
+    ])
+    def test_run_loads_only_what_it_uses(self, tmp_path, options, draws):
+        # no SHA-256 digest of the system, so no OpenSSL; numpy.random only
+        # when a seed draws noise or gradient delays
+        path = write_config(tmp_path, demo_config(n_t1=32, n_t2=64, **options))
+        env = dict(os.environ)
+        src = str(Path(spintomo.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        child = subprocess.run(
+            [sys.executable, "-c", MODULES_CHILD, "tomograph", "--config", str(path),
+             "--out", str(tmp_path / "out")],
+            env=env, capture_output=True, text=True, timeout=120, check=True)
+        report = json.loads(child.stdout.strip().splitlines()[-1])
+        assert report["code"] == 0
+        assert report["numpy_random"] is draws
+        if not draws:
+            assert "_hashlib" not in report["loaded"]
+            assert "numpy.random" not in report["loaded"]
+
+    @pytest.mark.parametrize("config, qubits", [
+        ("demo_2qubit.json", None), ("demo_4qubit.json", None), ("demo_2qubit.json", [2])])
+    def test_reduced_hybrid_fits_like_full(self, tmp_path, config, qubits):
+        # the exported hybrid keeps only the transitions' distinct Omega2
+        # bins; the fit finds the design's among them by frequency and
+        # reads the same columns it reads from the full hybrid
+        payload = json.loads((CONFIG_DIR / config).read_text())
+        if qubits:
+            payload["acquisition"]["cross_section_qubits"] = qubits
+        cfg = config_from_dict(payload)
+        params = resolve_params(cfg)
+        table = transition_table(cfg.system)
+        rho0, signal_a, signal_b, _ = _simulate_signals(cfg, params)
+        full = dft_t2(signal_a)
+        reduced = _export_simulation(cfg, signal_a, signal_b, tmp_path, table)
+        assert reduced.grid.shape[1] < full.grid.shape[1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            design = _build_design(cfg, params, table)
+        assert (_stack_cross_sections(reduced, design).tobytes()
+                == _stack_cross_sections(full, design).tobytes())
+        fits = {}
+        for name, hybrid in (("full", full), ("reduced", reduced)):
+            try:
+                fits[name] = tomograph_state(cfg.system, rho0, params, design=design,
+                                             signal_a=hybrid, signal_b=signal_b,
+                                             normalize=False).coefficients
+            except RankDeficiencyError as exc:
+                fits[name] = str(exc)
+        assert fits["reduced"] == fits["full"]
+        assert isinstance(fits["full"], str) == bool(qubits)
 
     def test_recorded_delays_reproduce_signals(self, tmp_path):
         # the sidecars' delays rerun both noiseless sequences bit for bit
@@ -457,8 +548,8 @@ class TestTomographCommand:
         signal_b = run_sequence_B(cfg.system, rho0, params, gradient_delays_s=delays_b)
         assert (np.load(out / "signal_a.npy", allow_pickle=False).tobytes()
                 == signal_a.grid.tobytes())
-        export_signal1d(signal_b, tmp_path / "signal_b.csv")
-        assert (tmp_path / "signal_b.csv").read_bytes() == (out / "signal_b.csv").read_bytes()
+        assert (np.load(out / "signal_b.npy", allow_pickle=False).tobytes()
+                == signal_b.samples.tobytes())
 
     def test_realistic_gradient_mode(self, tmp_path):
         payload = demo_config(n_t1=64, n_t2=128, realistic_gradient=True,

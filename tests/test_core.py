@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from spintomo import (all_labels, build_spin_system, coefficients_to_density,
-                      density_to_coefficients, diagonal_labels, format_label,
-                      hamiltonian, observable_labels, offdiagonal_labels,
-                      parse_label, product_operator, rotation_pulse)
+from spintomo import (all_labels, build_design_matrix, build_spin_system,
+                      coefficients_to_density, default_acquisition,
+                      density_to_coefficients, dft_t2, diagonal_labels,
+                      fit_offdiagonal, format_label, hamiltonian,
+                      observable_labels, offdiagonal_labels, parse_label,
+                      product_operator, rotation_pulse, run_sequence_A)
 from spintomo.core import (monomial_table, operator_norm_squared,
                            single_quantum_transitions)
 
@@ -55,9 +57,20 @@ class TestBuildSpinSystem:
         with pytest.warns(UserWarning, match="coincide"):
             build_spin_system(2, [1200.0, 1800.0], {}, 0.010)
 
-    def test_digest_stable(self, two_spin_system):
+    def test_rebuilt_system_matches(self, two_spin_system):
+        # a signal names its register by to_dict() in its metadata; the fit
+        # compares that with the design's, so an equal rebuild is accepted
         rebuilt = build_spin_system(2, [1200.0, 1800.0], {(1, 2): 200.0}, 0.010)
-        assert rebuilt.digest() == two_spin_system.digest()
+        assert rebuilt.to_dict() == two_spin_system.to_dict()
+        params = default_acquisition(two_spin_system, n_t1=32, n_t2=64)
+        design = build_design_matrix(two_spin_system, params)
+        hybrid = dft_t2(run_sequence_A(rebuilt, coefficients_to_density(
+            rebuilt, DEMO_COEFFS), params))
+        assert hybrid.meta["system"] == rebuilt.to_dict()
+        fit = fit_offdiagonal(hybrid, design)
+        for label, value in DEMO_COEFFS.items():
+            if label in fit.coefficients:
+                assert fit.coefficients[label] == pytest.approx(value, abs=1e-9)
 
 
 class TestHamiltonian:

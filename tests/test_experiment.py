@@ -3,7 +3,6 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from hypothesis.extra import numpy as hnp
 
 from spintomo import (AcquisitionParams, DegenerateTransitionError,
                       NyquistError, SpinSystem, build_spin_system,
@@ -12,8 +11,7 @@ from spintomo import (AcquisitionParams, DegenerateTransitionError,
                       reference_fid, run_sequence_A, run_sequence_B,
                       transition_table)
 from spintomo.core import single_quantum_transitions
-from spintomo.experiment import (CSV_BLOCK_ROWS, _write_csv, export_signal1d,
-                                 export_signal2d)
+from spintomo.experiment import export_signal1d, export_signal2d
 from spintomo.spectral import cross_sections
 
 from conftest import (DEMO_COEFFS, clustered_systems, fit_t1_trace, loop_pairs,
@@ -283,29 +281,6 @@ class TestReferenceFid:
         assert abs(loud.samples[0] - 1.0) < 1e-12
 
 
-def read_csv_cells(path, header_lines):
-    """Every data cell parsed with float(); the file must use LF line ends."""
-    data = path.read_bytes()
-    assert b"\r" not in data
-    lines = data.decode().split("\n")
-    assert lines[-1] == ""
-    return lines[:header_lines], np.array(
-        [[float(cell) for cell in line.split(",")] for line in lines[header_lines:-1]])
-
-
-def assert_same_bits(actual, expected):
-    """Bit equality, except that any NaN equals any NaN."""
-    actual, expected = np.asarray(actual, dtype=float), np.asarray(expected, dtype=float)
-    assert actual.shape == expected.shape
-    nan = np.isnan(expected)
-    assert np.array_equal(np.isnan(actual), nan)
-    assert np.array_equal(actual[~nan].view(np.int64), expected[~nan].view(np.int64))
-
-
-FLOAT_EDGES = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e16, -3.0e300,
-               1e-5, -9.99e-5, 1.0 / 3.0, 123456789.0]
-
-
 class TestExports:
     def test_signal2d_npy_bit_exact(self, two_spin_system, tmp_path):
         rho0 = coefficients_to_density(two_spin_system, DEMO_COEFFS)
@@ -320,38 +295,12 @@ class TestExports:
         assert grid.shape == (params.n_t1, params.n_t2)
         assert grid.tobytes() == signal.grid.tobytes()
 
-    def test_signal1d_csv(self, two_spin_system, tmp_path):
+    def test_signal1d_npy_bit_exact(self, two_spin_system, tmp_path):
         rho0 = coefficients_to_density(two_spin_system, DEMO_COEFFS)
-        params = small_params()
-        signal = run_sequence_B(two_spin_system, rho0, params)
-        path = tmp_path / "fid.csv"
+        signal = run_sequence_B(two_spin_system, rho0, small_params(n_t2=24))
+        path = tmp_path / "fid.tmp"
         export_signal1d(signal, path)
-        header, cells = read_csv_cells(path, 1)
-        assert header == ["t2_s,re,im"]
-        assert cells.shape == (len(signal.samples), 3)
-        assert_same_bits(cells[:, 0], params.t2_times)
-        assert_same_bits(cells[:, 1], signal.samples.real)
-        assert_same_bits(cells[:, 2], signal.samples.imag)
-
-    @pytest.mark.parametrize("rows", [0, 1, CSV_BLOCK_ROWS, 2 * CSV_BLOCK_ROWS + 3])
-    def test_write_csv_blocks_match_row_by_row(self, tmp_path, rows):
-        table = np.random.default_rng(rows).normal(size=(rows, 3)) * 10.0 ** np.arange(-3, 3, 2)
-        if rows:
-            table[-1] = [np.nan, -0.0, -np.inf]
-        expected = "t,re,im\n" + "".join(
-            ",".join(repr(value) for value in row) + "\n" for row in table.tolist())
-        _write_csv(tmp_path / "table.csv", "t,re,im\n", table)
-        assert (tmp_path / "table.csv").read_bytes() == expected.encode()
-
-    @given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=6),
-                      elements=st.one_of(st.floats(allow_subnormal=True),
-                                         st.sampled_from(FLOAT_EDGES))))
-    @example(np.array([[np.nan, np.inf, -np.inf], [-0.0, 5e-324, 1e16]]))
-    @example(np.array([[-np.nan], [np.inf]]))
-    @settings(deadline=None)
-    def test_write_csv_round_trip(self, tmp_path_factory, table):
-        path = tmp_path_factory.mktemp("csv") / "table.csv"
-        _write_csv(path, "a,b\n", table)
-        header, cells = read_csv_cells(path, 1)
-        assert header == ["a,b"]
-        assert_same_bits(cells, table)
+        assert [p.name for p in tmp_path.iterdir()] == ["fid.tmp"]
+        samples = np.load(path, allow_pickle=False)
+        assert samples.dtype == np.complex128 and samples.shape == (24,)
+        assert samples.tobytes() == signal.samples.tobytes()

@@ -1,6 +1,8 @@
+import json
 import tracemalloc
 import warnings
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,18 +17,21 @@ from spintomo import (DegenerateTransitionError, RankDeficiencyError,
                       reconstruct, reference_fid, reference_normalize,
                       run_sequence_A, run_sequence_B, tomograph_state,
                       transition_table)
+from spintomo.cli import config_from_dict, resolve_params
 from spintomo.dynamics import detection_elements
 from spintomo.experiment import Signal2D, detection_fids, sequence_A_steps
 from spintomo.spectral import _peak_readout
 from spintomo.tomography import (CONDITION_WARN_THRESHOLD, RANK_TOL,
                                  _diagonal_response_matrix, _gram,
-                                 _reference_response_matrix, _solve_seminormal,
-                                 _stack_cross_sections)
+                                 _nullspace_labels, _reference_response_matrix,
+                                 _solve_seminormal, _stack_cross_sections)
 
 from conftest import (DEMO_COEFFS, FOUR_SPIN_COUPLINGS, FOUR_SPIN_LARMOR,
                       FOUR_SPIN_STATE, TWO_SPIN_J, TWO_SPIN_LARMOR, TWO_SPIN_T2,
                       dense_design, fit_t1_trace, random_coefficients,
                       random_hermitian_traceless)
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 @pytest.fixture(scope="module")
@@ -42,7 +47,7 @@ def oracle_matrix(system, params, design):
     return np.column_stack([
         _stack_cross_sections(
             dft_t2(run_sequence_A(system, product_operator(system, label),
-                                  params)).grid, design.bins)
+                                  params)), design)
         for label in design.labels
     ])
 
@@ -397,6 +402,36 @@ class TestDesignMatrix:
             fit_offdiagonal(dft_t2(signal), design)
         assert info.value.labels == design.unsolved_labels == design.nullspace_labels
 
+    def test_nullspace_labels_basis_free(self):
+        # the 5-qubit demo register with nu5 = nu2 + nu3 has eight exact null
+        # vectors; any orthonormal basis of that space lists the same labels
+        payload = json.loads((CONFIG_DIR / "demo_5qubit.json").read_text())
+        larmor = payload["spin_system"]["larmor_hz"]
+        larmor[4] = larmor[1] + larmor[2]
+        cfg = config_from_dict(payload)
+        design = build_design_matrix(cfg.system, resolve_params(cfg))
+        null = design.eigenvectors[:, :len(design.labels) - design.rank]
+        assert null.shape[1] == 8 and len(design.nullspace_labels) == 32
+        rng = np.random.default_rng(12)
+        for _ in range(5):
+            rotation, _ = np.linalg.qr(rng.standard_normal((8, 8)))
+            assert _nullspace_labels(design.labels, null @ rotation) == design.nullspace_labels
+
+    def test_nullspace_labels_follow_the_projector(self):
+        # 400 labels and a 4-dimensional null space: a typical row holds about
+        # 0.1 of weight spread over all four vectors, so its largest entry
+        # depends on the basis, while its norm, the square root of the null
+        # projector's diagonal, does not
+        rng = np.random.default_rng(13)
+        labels = tuple(range(400))
+        null, _ = np.linalg.qr(rng.standard_normal((400, 4)))
+        projector = np.sqrt(np.diag(null @ null.T))
+        expected = tuple(label for label in labels if projector[label] > 0.1)
+        assert 100 < len(expected) < 300
+        for _ in range(5):
+            rotation, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+            assert _nullspace_labels(labels, null @ rotation) == expected
+
 
 # (n, larmor_hz, couplings_hz, t2_s, n_t1, n_t2): the 2-qubit demo, a 3-qubit
 # register and the 4-qubit demo, on their shipped or default grids
@@ -558,7 +593,7 @@ class TestFitOffdiagonal:
             fit = fit_offdiagonal(dft_t2(signal), design)
         assert fit.relative_residual > 1e-6
         # least-squares optimality: residual orthogonal to the column space
-        target = _stack_cross_sections(dft_t2(signal).grid, design.bins)
+        target = _stack_cross_sections(dft_t2(signal), design)
         solution = np.array([fit.coefficients[l] for l in design.labels])
         dense = dense_design(design)
         residual_vec = dense @ solution - target
@@ -571,6 +606,28 @@ class TestFitOffdiagonal:
         signal = run_sequence_A(system, coefficients_to_density(system, DEMO_COEFFS), params)
         with pytest.raises(ValueError, match="processing"):
             fit_offdiagonal(dft_t2(signal, zero_fill=4), design)
+
+    def test_other_spin_system_rejected(self, two_spin_setup):
+        # same acquisition, a register 10 Hz off on spin 1
+        system, params, design = two_spin_setup
+        other = build_spin_system(2, (TWO_SPIN_LARMOR[0] + 10.0, TWO_SPIN_LARMOR[1]),
+                                  {(1, 2): TWO_SPIN_J}, TWO_SPIN_T2)
+        signal = run_sequence_A(other, coefficients_to_density(other, DEMO_COEFFS), params)
+        with pytest.raises(ValueError, match="different spin system"):
+            fit_offdiagonal(dft_t2(signal), design)
+
+    def test_hybrid_missing_design_bin_rejected(self, two_spin_setup):
+        system, params, design = two_spin_setup
+        signal = run_sequence_A(system, coefficients_to_density(system, DEMO_COEFFS), params)
+        hybrid = dft_t2(signal)
+        keep = sorted(set(design.bins[1:]) - {design.bins[0]})
+        lacking = replace(hybrid, grid=hybrid.grid[:, keep], omega2_hz=hybrid.omega2_hz[keep])
+        with pytest.raises(ValueError, match="lacks the Omega2 bin"):
+            fit_offdiagonal(lacking, design)
+        fit = fit_offdiagonal(replace(hybrid, grid=hybrid.grid[:, sorted(set(design.bins))],
+                                      omega2_hz=hybrid.omega2_hz[sorted(set(design.bins))]),
+                              design)
+        assert fit.coefficients == fit_offdiagonal(hybrid, design).coefficients
 
     def test_mismatched_params_rejected(self, two_spin_setup):
         system, params, design = two_spin_setup
