@@ -8,21 +8,19 @@ deviation density matrix by forward-model least squares.
 
 from .core import (AXES, SpinSystem, all_labels, build_spin_system,
                    coefficients_to_density, density_to_coefficients,
-                   diagonal_labels, format_label, hamiltonian,
-                   observable_labels, offdiagonal_labels, parse_label,
-                   product_operator, rotation_pulse)
-from .dynamics import (EvolutionCache, apply_unitary, coherence_order_decompose,
-                       detect_signal, evolution_cache, evolve, gradient_project,
+                   diagonal_labels, format_label, observable_labels,
+                   offdiagonal_labels, parse_label, product_operator,
+                   rotation_pulse)
+from .dynamics import (evolution_rates, gradient_project,
                        realistic_gradient_project)
 from .errors import (AxisRangeError, ConfigError, DegenerateTransitionError,
-                     LineOverlapError, NyquistError, RankDeficiencyError,
-                     SpinTomoError)
+                     NyquistError, RankDeficiencyError, SpinTomoError)
 from .experiment import (AcquisitionParams, Signal1D, Signal2D, Transition,
                          TransitionTable, default_acquisition, reference_fid,
                          run_sequence_A, run_sequence_B, transition_table)
 from .spectral import (HybridSpectrum, Spectrum1D, Spectrum2D,
                        cross_sections, dft_fid, dft_t1, dft_t2,
-                       hybrid_omega2_axis, peak_amplitudes)
+                       hybrid_omega2_axis)
 from .tomography import (DesignMatrix, TomographyResult, build_design_matrix,
                          fidelity, fit_diagonal, fit_offdiagonal,
                          max_relative_element_error, reconstruct,
@@ -32,20 +30,18 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AXES", "AcquisitionParams", "AxisRangeError", "ConfigError",
-    "DegenerateTransitionError", "DesignMatrix", "EvolutionCache",
-    "HybridSpectrum", "LineOverlapError", "NyquistError",
-    "RankDeficiencyError", "Signal1D", "Signal2D", "SpinSystem",
-    "SpinTomoError", "Spectrum1D", "Spectrum2D", "TomographyResult",
-    "Transition", "TransitionTable", "all_labels", "apply_unitary",
+    "DegenerateTransitionError", "DesignMatrix", "HybridSpectrum",
+    "NyquistError", "RankDeficiencyError", "Signal1D", "Signal2D",
+    "SpinSystem", "SpinTomoError", "Spectrum1D", "Spectrum2D",
+    "TomographyResult", "Transition", "TransitionTable", "all_labels",
     "build_design_matrix", "build_spin_system", "coefficients_to_density",
-    "coherence_order_decompose", "cross_sections", "default_acquisition",
-    "density_to_coefficients", "detect_signal", "dft_fid", "dft_t1", "dft_t2",
-    "diagonal_labels", "evolution_cache", "evolve", "fidelity", "fit_diagonal",
-    "fit_offdiagonal", "format_label", "gradient_project", "hamiltonian",
-    "hybrid_omega2_axis", "max_relative_element_error",
+    "cross_sections", "default_acquisition", "density_to_coefficients",
+    "dft_fid", "dft_t1", "dft_t2", "diagonal_labels", "evolution_rates",
+    "fidelity", "fit_diagonal", "fit_offdiagonal", "format_label",
+    "gradient_project", "hybrid_omega2_axis", "max_relative_element_error",
     "observable_labels", "offdiagonal_labels", "parse_label",
-    "peak_amplitudes", "product_operator", "realistic_gradient_project",
-    "reconstruct", "reference_fid", "reference_normalize", "rotation_pulse",
+    "product_operator", "realistic_gradient_project", "reconstruct",
+    "reference_fid", "reference_normalize", "rotation_pulse",
     "run_sequence_A", "run_sequence_B", "tomograph_state",
     "transition_table",
 ]

@@ -26,8 +26,7 @@ import numpy as np
 from .core import (SpinSystem, build_spin_system, coefficients_to_density,
                    format_label, parse_label)
 from .errors import (AxisRangeError, ConfigError, DegenerateTransitionError,
-                     LineOverlapError, NyquistError, RankDeficiencyError,
-                     SpinTomoError)
+                     NyquistError, RankDeficiencyError, SpinTomoError)
 from .experiment import (default_acquisition, export_signal1d, export_signal2d,
                          reference_fid, run_sequence_A, run_sequence_B,
                          transition_table)
@@ -303,7 +302,8 @@ def _export_simulation(cfg: RunConfig, signal_a, signal_b, out: Path, table):
 
     Those columns hold every bin a design can fit, and the rest of the
     hybrid is released with it.  Signal A's ``grid`` is released (set to
-    None) once transformed: nothing reads it afterwards.
+    None) once transformed and the magnitude grid once written: nothing
+    reads either afterwards.
     """
     _atomic_write(out / "signal_a.npy", lambda p: export_signal2d(signal_a, p))
     _write_json(out / "signal_a.json", {
@@ -331,6 +331,7 @@ def _export_simulation(cfg: RunConfig, signal_a, signal_b, out: Path, table):
         "array": {"file": "spectrum_2d.npy", "dtype": "float64",
                   "shape": list(magnitude.shape), "axes": ["omega1", "omega2"]},
     })
+    del magnitude
 
     bins = sorted(set(_export_cross_sections(hybrid, table, out)))
 
@@ -500,7 +501,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (NyquistError, DegenerateTransitionError, RankDeficiencyError,
-            LineOverlapError, AxisRangeError, np.linalg.LinAlgError) as exc:
+            AxisRangeError, np.linalg.LinAlgError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
     except SpinTomoError as exc:

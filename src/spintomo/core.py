@@ -58,15 +58,6 @@ class SpinSystem:
     def dim(self) -> int:
         return 2 ** self.n
 
-    @property
-    def coupling_map(self) -> dict:
-        return {(j, k): value for j, k, value in self.couplings_hz}
-
-    def coupling(self, j: int, k: int) -> float:
-        if j > k:
-            j, k = k, j
-        return self.coupling_map.get((j, k), 0.0)
-
     def to_dict(self) -> dict:
         return {
             "n": self.n,
@@ -258,21 +249,14 @@ def spin_orientations(n: int) -> np.ndarray:
 
 
 def energies(system: SpinSystem) -> np.ndarray:
-    """Diagonal Hamiltonian eigenvalues in Hz, one per basis state."""
+    """Eigenvalues in Hz, one per basis state, of the weak-coupling Hamiltonian
+    H = sum_j w_j I_jz + sum_{j<k} J_jk I_jz I_kz, which is diagonal in the
+    computational basis."""
     m = spin_orientations(system.n)
     values = m @ np.asarray(system.larmor_hz)
     for j, k, coupling in system.couplings_hz:
         values = values + coupling * m[:, j - 1] * m[:, k - 1]
     return values
-
-
-def hamiltonian(system: SpinSystem) -> np.ndarray:
-    """Weak-coupling Hamiltonian as a real diagonal matrix in Hz.
-
-    H = sum_j w_j I_jz + sum_{j<k} J_jk I_jz I_kz, evaluated in the
-    computational basis where it is diagonal.
-    """
-    return np.diag(energies(system))
 
 
 def down_counts(n: int) -> np.ndarray:

@@ -25,14 +25,6 @@ class DegenerateTransitionError(SpinTomoError):
         self.pairs = tuple(pairs)
 
 
-class LineOverlapError(SpinTomoError):
-    """Spectral lines closer than one linewidth cannot be read separately."""
-
-    def __init__(self, message, pairs=()):
-        super().__init__(message)
-        self.pairs = tuple(pairs)
-
-
 class RankDeficiencyError(SpinTomoError):
     """Least-squares system does not determine all requested coefficients."""
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from .core import (DEGENERACY_TOL_HZ, SpinSystem, _close_pairs, is_hermitian,
                    rotation_pulse, single_quantum_transitions)
-from .dynamics import (detection_elements, evolution_cache, gradient_project,
+from .dynamics import (detection_elements, evolution_rates, gradient_project,
                        realistic_gradient_project)
 from .errors import DegenerateTransitionError, NyquistError
 
@@ -141,19 +141,24 @@ def transition_table(system: SpinSystem,
     return TransitionTable(entries=entries)
 
 
+# Default spectral width of both dimensions, in units of the largest
+# transition frequency.
+SPECTRAL_WIDTH_FACTOR = 4.0
+
+
 def default_acquisition(system: SpinSystem, n_t1: int | None = None,
                         n_t2: int = 512,
                         alpha_rad: float = np.pi / 4,
                         beta_rad: float = np.radians(10.0),
                         dwell_t1_s: float | None = None,
-                        dwell_t2_s: float | None = None,
-                        sw_factor: float = 4.0) -> AcquisitionParams:
-    """Sensible defaults: spectral width sw_factor times the largest transition.
+                        dwell_t2_s: float | None = None) -> AcquisitionParams:
+    """Sensible defaults: spectral width :data:`SPECTRAL_WIDTH_FACTOR` times
+    the largest transition.
 
     The t1 increment count grows with the register size to keep resolution as
     the number of lines grows.
     """
-    sw = sw_factor * transition_table(system).max_frequency()
+    sw = SPECTRAL_WIDTH_FACTOR * transition_table(system).max_frequency()
     if not sw > 0 and (dwell_t1_s is None or dwell_t2_s is None):
         raise ValueError("every transition is at 0 Hz, so no default dwell "
                          "follows from it; set dwell_t1_s and dwell_t2_s")
@@ -227,12 +232,12 @@ def _apply_gradient(sigma: np.ndarray, system: SpinSystem, delays_s) -> np.ndarr
 def detection_fids(system: SpinSystem, t2_times: np.ndarray) -> np.ndarray:
     """Unit FIDs of the detected elements, one row per element.
 
-    Row p is exp((2i*pi*f_p - 1/T2) * t2) for element p of
+    Row p is exp(rate_p * t2), with rate_p = 2i*pi*f_p - 1/T2 the
+    :func:`~spintomo.dynamics.evolution_rates` entry of element p of
     :func:`~spintomo.dynamics.detection_elements`.
     """
-    _, _, freqs = detection_elements(system)
-    rates = 2.0j * np.pi * freqs - 1.0 / system.t2_s
-    return np.exp(np.outer(rates, t2_times))
+    rows, cols, _ = detection_elements(system)
+    return np.exp(np.outer(evolution_rates(system)[rows, cols], t2_times))
 
 
 def _fid_from_states(sigma: np.ndarray, system: SpinSystem,
@@ -266,12 +271,11 @@ def sequence_A_steps(system: SpinSystem, params: AcquisitionParams):
     """The fixed linear steps of sequence A around the gradient.
 
     Returns ``(evolution, pulse_90, pulse_read)``: the (n_t1, dim, dim)
-    element-wise factors exp(t1 * expo) of free evolution with decay over the
+    element-wise factors exp(t1 * rates) of free evolution with decay over the
     t1 grid, the (pi/2) pulse about +y and the alpha read pulse about -y.
     """
-    cache = evolution_cache(system)
-    expo = -2.0j * np.pi * cache.frequencies - (1.0 - np.eye(system.dim)) / system.t2_s
-    evolution = np.exp(params.t1_times[:, None, None] * expo[None, :, :])
+    rates = evolution_rates(system)
+    evolution = np.exp(params.t1_times[:, None, None] * rates[None, :, :])
     pulse_90 = rotation_pulse(system, np.pi / 2.0, 0.0)
     pulse_read = rotation_pulse(system, params.alpha_rad, np.pi)
     return evolution, pulse_90, pulse_read

@@ -17,8 +17,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import _close_pairs
-from .errors import AxisRangeError, LineOverlapError
+from .errors import AxisRangeError
 from .experiment import Signal1D, Signal2D, TransitionTable, _save_npy
 
 
@@ -31,10 +30,6 @@ class HybridSpectrum:
     dwell_t1_s: float
     omega2_hz: np.ndarray
     meta: dict = field(default_factory=dict)
-
-    @property
-    def t1_s(self) -> np.ndarray:
-        return np.arange(self.grid.shape[0]) * self.dwell_t1_s
 
 
 @dataclass(eq=False)
@@ -217,42 +212,17 @@ def cross_sections(hybrid: HybridSpectrum, omega2_hz) -> tuple[list, Spectrum2D]
     return bins, dft_t1(replace(hybrid, grid=hybrid.grid[:, bins], omega2_hz=axis[bins]))
 
 
-def peak_amplitudes(spectrum: Spectrum1D, table: TransitionTable) -> dict:
+def _peak_readout(spectrum: Spectrum1D, table: TransitionTable) -> np.ndarray:
     """Complex amplitude at each transition, read from the spectrum.
 
     The line center is known (the transition frequency), so a three-bin
     quadratic interpolation of the complex spectrum is evaluated there to
     correct for off-bin centering.  The readout is linear in the spectrum,
-    which lets forward-model fits reproduce it exactly.  Lines closer than
-    one linewidth overlap and cannot be read independently, so they raise
-    :class:`LineOverlapError`; a forward model that reads the same bins
-    absorbs the overlap and uses :func:`_peak_readout` instead.
-    """
-    t2_s = spectrum.meta.get("t2_s")
-    if t2_s:
-        linewidth = 1.0 / (np.pi * t2_s)
-        entries = table.entries
-        close = [(entries[i], entries[k]) for i, k in
-                 _close_pairs(table.frequencies(), linewidth)
-                 if abs(entries[i].frequency_hz - entries[k].frequency_hz) < linewidth]
-        if close:
-            desc = "; ".join(
-                f"{a.frequency_hz:.6g} Hz vs {b.frequency_hz:.6g} Hz"
-                for a, b in close[:6]
-            )
-            raise LineOverlapError(
-                f"{len(close)} line pair(s) closer than the linewidth "
-                f"({linewidth:.3g} Hz): {desc}", pairs=close)
-
-    amplitudes = _peak_readout(spectrum, table)
-    return {transition: complex(a) for transition, a in zip(table, amplitudes)}
-
-
-def _peak_readout(spectrum: Spectrum1D, table: TransitionTable) -> np.ndarray:
-    """The readout of :func:`peak_amplitudes` without the overlap check.
-
-    ``spectrum.values`` may hold a stack of spectra along its last axis; the
-    result has one column per transition in place of that axis.
+    which lets forward-model fits reproduce it exactly; lines closer than a
+    linewidth overlap, and a forward model that reads the same bins absorbs
+    the overlap.  ``spectrum.values`` may hold a stack of spectra along its
+    last axis; the result has one column per transition in place of that
+    axis.
     """
     axis = spectrum.omega_hz
     values = spectrum.values

@@ -38,8 +38,8 @@ from .experiment import (AcquisitionParams, Signal1D, Signal2D, TransitionTable,
                          check_nyquist, detection_fids, reference_fid,
                          run_sequence_A, run_sequence_B, sequence_A_steps,
                          transition_table)
-from .spectral import (HybridSpectrum, _peak_readout, dft_fid, dft_t2,
-                       hybrid_omega2_axis, nearest_bin)
+from .spectral import (HybridSpectrum, _axis_bin, _peak_readout, dft_fid,
+                       dft_t2, hybrid_omega2_axis)
 
 log = logging.getLogger(__name__)
 
@@ -211,9 +211,11 @@ def _resolve_transitions(table: TransitionTable, selected) -> tuple:
 
 
 def _hybrid_bins(table: TransitionTable, indices, params: AcquisitionParams):
-    """Omega2 bin index for each selected transition under default processing."""
+    """Omega2 bin index for each selected transition under default processing,
+    by the axis-end rule :func:`~spintomo.spectral.cross_sections` applies."""
     axis = hybrid_omega2_axis(params.n_t2, params.dwell_t2_s)
-    return tuple(nearest_bin(axis, table.entries[i].frequency_hz) for i in indices)
+    return tuple(_axis_bin(axis, table.entries[i].frequency_hz, "omega2")
+                 for i in indices)
 
 
 def _stack(traces: np.ndarray) -> np.ndarray:

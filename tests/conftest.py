@@ -4,10 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from spintomo import (apply_unitary, build_spin_system, detect_signal,
-                      evolution_cache, evolve, gradient_project, rotation_pulse)
-from spintomo.core import energies
-from spintomo.dynamics import raising_operator
+from spintomo import build_spin_system, gradient_project, rotation_pulse
+from spintomo.core import down_counts, energies
 
 # Two-spin demonstration system and state used across the suite.
 TWO_SPIN_LARMOR = (1200.0, 1800.0)
@@ -58,6 +56,49 @@ def random_coefficients(rng, labels, low=-10.0, high=10.0):
 def dense_design(design):
     """The design operator's matrix, one column per label, from unit vectors."""
     return np.column_stack([design.apply(e) for e in np.eye(design.shape[1])])
+
+
+# ---------------------------------------------------------------------------
+# Step-by-step oracle: one density matrix at a time, written from the energies
+# and Kronecker products, sharing no evolution code with the package.
+
+
+def evolve(rho, system, t_s, with_decay=True):
+    """Free evolution for ``t_s``: element (r, s) rotates as
+    exp(-2i*pi*(E_r - E_s)*t) and, with ``with_decay``, off-diagonal
+    elements shrink by exp(-t/T2)."""
+    level = energies(system)
+    factor = np.exp(-2.0j * np.pi * (level[:, None] - level[None, :]) * t_s)
+    if with_decay:
+        factor = factor * np.exp(-(1.0 - np.eye(system.dim)) * (t_s / system.t2_s))
+    return np.asarray(rho, dtype=complex) * factor
+
+
+def apply_unitary(rho, unitary):
+    """Conjugation U rho U^dagger."""
+    rho = np.asarray(rho, dtype=complex)
+    unitary = np.asarray(unitary, dtype=complex)
+    if rho.shape != unitary.shape:
+        raise ValueError(f"shape mismatch: rho {rho.shape}, unitary {unitary.shape}")
+    return unitary @ rho @ unitary.conj().T
+
+
+def raising_operator(system):
+    """Total raising operator sum_j (I_jx + i I_jy); the detection operator."""
+    plus = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+    total = np.zeros((system.dim, system.dim), dtype=complex)
+    for j in range(1, system.n + 1):
+        op = np.array([[1.0 + 0.0j]])
+        for k in range(1, system.n + 1):
+            op = np.kron(op, plus if k == j else np.eye(2))
+        total += op
+    return total
+
+
+def detect_signal(rho, system):
+    """Quadrature observable Tr[(sum_j I_j+) rho]."""
+    rho = np.asarray(rho, dtype=complex)
+    return complex(np.einsum("rs,sr->", raising_operator(system), rho))
 
 
 def reference_sequence_a(system, rho0, params):
@@ -124,8 +165,8 @@ def fit_t1_trace(trace, t1, frequencies, time_constant):
 def loop_pairs(frequencies, close):
     """Every index pair (i, k), i < k, whose gap satisfies ``close``.
 
-    The quadratic pair search that transition_table and peak_amplitudes
-    used before their sort-and-scan, kept as the reference.
+    The quadratic pair search that transition_table used before its
+    sort-and-scan, kept as the reference.
     """
     return [(i, k) for i in range(len(frequencies))
             for k in range(i + 1, len(frequencies))
@@ -149,7 +190,8 @@ def loop_realistic_gradient(rho, system, delays_s):
     The form realistic_gradient_project had before it averaged the delays'
     evolution factors, kept as the reference.
     """
-    kept = np.asarray(rho, dtype=complex) * (evolution_cache(system).orders == 0)
+    down = down_counts(system.n)
+    kept = np.asarray(rho, dtype=complex) * (down[:, None] == down[None, :])
     acc = np.zeros_like(kept)
     for tau in delays_s:
         acc += evolve(kept, system, float(tau), with_decay=True)

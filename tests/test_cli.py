@@ -587,18 +587,27 @@ class TestTomographCommand:
         assert capsys.readouterr().err == ""
 
     def test_line_beyond_axis_exit_code(self, tmp_path, capsys):
-        # one t2 sample: the axis is [-2792, 0] Hz and the line at 1861 Hz is
-        # more than half a bin beyond its end
-        payload = {"spin_system": {"n": 1, "larmor_hz": [1861.0], "t2_s": 0.01},
-                   "state": {"coefficients": [["x", 1.0], ["z", 0.5]]},
-                   "acquisition": {"n_t1": 16, "n_t2": 1, "dwell_t2_s": 1.791e-4}}
-        path = write_config(tmp_path, payload)
-        code = main(["tomograph", "--config", str(path), "--out",
-                     str(tmp_path / "out")])
-        assert code == 3
-        err = capsys.readouterr().err
-        assert err.startswith("numerical error: omega2 = 1861 Hz outside axis range")
-        assert len(err.splitlines()) == 1
+        # the design reads its bins by the axis-end rule of the cross-sections,
+        # so basis refuses what tomograph refuses.
+        # One t2 sample: the axis is [-2792, 0] Hz, the line is at 1861 Hz.
+        one_sample = {"spin_system": {"n": 1, "larmor_hz": [1861.0], "t2_s": 0.01},
+                      "state": {"coefficients": [["x", 1.0], ["z", 0.5]]},
+                      "acquisition": {"n_t1": 16, "n_t2": 1, "dwell_t2_s": 1.791e-4}}
+        # The demo at 3801 Hz spectral width passes Nyquist, but its axis
+        # ends one bin below +1900.5 Hz, more than half a bin below 1900 Hz.
+        demo = demo_config()
+        demo["acquisition"]["dwell_t2_s"] = 1.0 / 3801.0
+        for name, payload, line in (("one", one_sample, 1861), ("demo", demo, 1900)):
+            (tmp_path / name).mkdir()
+            path = write_config(tmp_path / name, payload)
+            for command in ("tomograph", "basis"):
+                code = main([command, "--config", str(path), "--out",
+                             str(tmp_path / name / command)])
+                err = capsys.readouterr().err
+                assert code == 3, (name, command)
+                assert err.startswith(
+                    f"numerical error: omega2 = {line} Hz outside axis range"), err
+                assert len(err.splitlines()) == 1
 
     def test_degenerate_system_exit_code(self, tmp_path, capsys):
         payload = demo_config()

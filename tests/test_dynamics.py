@@ -4,30 +4,31 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from spintomo import (apply_unitary, coefficients_to_density,
-                      coherence_order_decompose, detect_signal,
-                      evolution_cache, evolve, gradient_project,
-                      product_operator, realistic_gradient_project,
-                      rotation_pulse)
-from spintomo.dynamics import (GRADIENT_DELAY_BLOCK, _evolution_factor,
-                               detection_elements)
+from spintomo import (coefficients_to_density, evolution_rates,
+                      gradient_project, product_operator,
+                      realistic_gradient_project, rotation_pulse)
+from spintomo.core import down_counts, energies
+from spintomo.dynamics import GRADIENT_DELAY_BLOCK, detection_elements
 
-from conftest import (DEMO_COEFFS, clustered_systems, local_maxima_above,
+from conftest import (DEMO_COEFFS, apply_unitary, clustered_systems,
+                      detect_signal, evolve, local_maxima_above,
                       loop_realistic_gradient, nonzero_detection_elements,
                       random_hermitian_traceless)
 
 
-class TestEvolutionCache:
-    def test_antisymmetry(self, two_spin_system):
-        cache = evolution_cache(two_spin_system)
-        assert np.allclose(cache.frequencies, -cache.frequencies.T)
-        assert np.array_equal(cache.orders, -cache.orders.T)
-        assert np.allclose(np.diag(cache.frequencies), 0.0)
-        assert np.all(np.diag(cache.orders) == 0)
-
-    def test_down_counts(self, two_spin_system):
-        cache = evolution_cache(two_spin_system)
-        assert list(cache.down) == [0, 1, 1, 2]
+class TestEvolutionRates:
+    def test_rotation_and_decay_match_oracle(self, two_spin_system):
+        rates = evolution_rates(two_spin_system)
+        off = ~np.eye(4, dtype=bool)
+        assert np.all(np.diag(rates) == 0)
+        assert np.all(rates.real[off] == -1.0 / two_spin_system.t2_s)
+        assert np.array_equal(rates.imag, -rates.imag.T)
+        # element (0, 2) rotates at the 1300 Hz transition of spin 1
+        assert rates[0, 2].imag == pytest.approx(-2 * np.pi * 1300.0, rel=1e-12)
+        rho = random_hermitian_traceless(np.random.default_rng(0), 4)
+        for t in (0.0, 3.3e-3, 0.2):
+            assert np.allclose(rho * np.exp(rates * t), evolve(rho, two_spin_system, t),
+                               rtol=1e-13, atol=1e-13)
 
 
 class TestEvolve:
@@ -64,10 +65,6 @@ class TestEvolve:
         rho = random_hermitian_traceless(rng, 4)
         evolved = evolve(rho, two_spin_system, 5e-3, with_decay=True)
         assert np.allclose(np.diag(evolved), np.diag(rho))
-
-    def test_negative_time_rejected(self, two_spin_system):
-        with pytest.raises(ValueError, match="non-negative"):
-            evolve(np.zeros((4, 4)), two_spin_system, -1e-3)
 
 
 class TestApplyUnitary:
@@ -158,6 +155,13 @@ class TestRealisticGradient:
         with pytest.raises(ValueError, match="at least one delay"):
             realistic_gradient_project(rho, two_spin_system, np.empty(0))
 
+    @pytest.mark.parametrize("bad", [-1e-3, np.nan])
+    def test_negative_delay_rejected(self, two_spin_system, bad):
+        rho = product_operator(two_spin_system, "xx")
+        delays = np.append(draw_delays(7, 2 * GRADIENT_DELAY_BLOCK), bad)
+        with pytest.raises(ValueError, match="non-negative"):
+            realistic_gradient_project(rho, two_spin_system, delays)
+
     def test_batch_matches_single(self, two_spin_system):
         rng = np.random.default_rng(10)
         batch = np.stack([random_hermitian_traceless(rng, 4) for _ in range(3)])
@@ -183,9 +187,10 @@ class TestRealisticGradient:
     def test_blocks_match_one_shot_mean(self, four_spin_system, draws):
         rho = random_hermitian_traceless(np.random.default_rng(14), 16)
         delays = draw_delays(15, draws, tau_max_s=2.0)
-        cache = evolution_cache(four_spin_system)
-        one_shot = (rho * (cache.orders == 0)) * _evolution_factor(
-            four_spin_system, cache, delays, with_decay=True).mean(axis=0)
+        rates = evolution_rates(four_spin_system)
+        down = down_counts(four_spin_system.n)
+        zero_quantum = down[:, None] == down[None, :]
+        one_shot = (rho * zero_quantum) * np.exp(delays[:, None, None] * rates).mean(axis=0)
         blocked = realistic_gradient_project(rho, four_spin_system, delays)
         assert blocked.tobytes() == one_shot.tobytes()
 
@@ -202,33 +207,6 @@ class TestRealisticGradient:
             finally:
                 tracemalloc.stop()
         assert peaks[8192] < 2 * peaks[128]
-
-
-class TestCoherenceOrderDecompose:
-    def test_diagonal_is_order_zero(self, two_spin_system):
-        rho = np.diag([1.0, -1.0, 2.0, -2.0]).astype(complex)
-        parts = coherence_order_decompose(rho, two_spin_system)
-        assert set(parts) == {0}
-        assert np.allclose(parts[0], rho)
-
-    def test_two_spin_xx_orders(self, two_spin_system):
-        rho = product_operator(two_spin_system, "xx")
-        parts = coherence_order_decompose(rho, two_spin_system)
-        assert set(parts) == {-2, 0, 2}
-
-    def test_partition(self, two_spin_system):
-        rng = np.random.default_rng(10)
-        rho = random_hermitian_traceless(rng, 4)
-        parts = coherence_order_decompose(rho, two_spin_system)
-        assert np.allclose(sum(parts.values()), rho)
-
-    def test_projection_inside_order_zero(self, two_spin_system):
-        rng = np.random.default_rng(11)
-        rho = random_hermitian_traceless(rng, 4)
-        projected = gradient_project(rho)
-        order_zero = coherence_order_decompose(rho, two_spin_system).get(0, 0)
-        # the diagonal is a subset of the order-zero component
-        assert np.allclose(np.diag(projected), np.diag(order_zero))
 
 
 class TestDetectSignal:
@@ -269,7 +247,7 @@ class TestSpectralSupport:
     def test_fid_peaks_at_cache_frequencies(self, two_spin_system):
         # detected spectrum of a freely evolving operator may only contain
         # eigenvalue-difference frequencies
-        cache = evolution_cache(two_spin_system)
+        level = energies(two_spin_system)
         rho = product_operator(two_spin_system, "xo")
         n, dwell = 512, 1.0 / 7600.0
         fid = np.array([
@@ -281,6 +259,6 @@ class TestSpectralSupport:
         bin_width = freqs[1] - freqs[0]
         magnitude = np.abs(spectrum)
         peaks = local_maxima_above(magnitude, 1e-6 * magnitude.max())
-        allowed = np.unique(cache.frequencies)
+        allowed = np.unique(level[:, None] - level[None, :])
         for index in peaks:
             assert np.min(np.abs(allowed - freqs[index])) <= bin_width

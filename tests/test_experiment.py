@@ -89,7 +89,8 @@ class TestTransitionTable:
     def test_build_warns_iff_table_rejects(self, system):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            build_spin_system(system.n, system.larmor_hz, system.coupling_map,
+            build_spin_system(system.n, system.larmor_hz,
+                              {(j, k): value for j, k, value in system.couplings_hz},
                               system.t2_s)
         warned = any("will reject" in str(w.message) for w in caught)
         try:
@@ -160,7 +161,7 @@ class TestSequenceA:
         hybrid = dft_t2(run_sequence_A(two_spin_system, rho0, params))
         (b,), _ = cross_sections(hybrid, [1300.0])
         frequencies = [1300.0, 1100.0, 1900.0, 1700.0, 3000.0, 600.0]
-        amplitudes, residual = fit_t1_trace(hybrid.grid[:, b], hybrid.t1_s,
+        amplitudes, residual = fit_t1_trace(hybrid.grid[:, b], params.t1_times,
                                             frequencies, two_spin_system.t2_s)
         assert residual < 1e-9
         top = abs(amplitudes[("cos", 1300.0)])

@@ -3,19 +3,17 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from spintomo import (AxisRangeError, LineOverlapError, Signal1D, Signal2D,
+from spintomo import (AxisRangeError, Signal1D, Signal2D,
                       SpinTomoError, Transition, TransitionTable,
                       coefficients_to_density, cross_sections,
                       default_acquisition, dft_fid, dft_t1, dft_t2,
-                      hybrid_omega2_axis, peak_amplitudes, run_sequence_A,
+                      hybrid_omega2_axis, run_sequence_A,
                       transition_table)
-from spintomo.core import single_quantum_transitions
 from spintomo.spectral import (T1_BLOCK_COLUMNS, T2_BLOCK_ROWS, HybridSpectrum,
-                               _dft, dft_t1_magnitude, nearest_bin)
+                               _dft, _peak_readout, dft_t1_magnitude, nearest_bin)
 
-from conftest import DEMO_COEFFS, clustered_systems, local_maxima_above, loop_pairs
+from conftest import DEMO_COEFFS, local_maxima_above
 
 
 def oscillator_fid(n, dwell, frequency, decay_s=None, amplitude=1.0):
@@ -355,8 +353,8 @@ class TestPeakAmplitudes:
         signal = Signal1D(samples=np.zeros(64, dtype=complex), dwell_s=1e-3,
                           meta={"t2_s": 0.05})
         spectrum = dft_fid(signal)
-        amps = peak_amplitudes(spectrum, self.table_for([100.0]))
-        assert all(abs(v) <= 1e-12 for v in amps.values())
+        amps = _peak_readout(spectrum, self.table_for([100.0]))
+        assert np.all(np.abs(amps) <= 1e-12)
 
     def test_two_lorentzians_match_closed_form(self):
         n, dwell, tau = 512, 1e-3, 0.05
@@ -378,25 +376,17 @@ class TestPeakAmplitudes:
             total = amplitude * (1.0 - ratio ** n) / (1.0 - ratio)
             return total - 0.5 * amplitude  # first-point correction
 
-        amps = peak_amplitudes(spectrum, self.table_for([f1, f2]))
-        for read_f, amplitude in zip((f1, f2), amps.values()):
+        amps = _peak_readout(spectrum, self.table_for([f1, f2]))
+        for read_f, amplitude in zip((f1, f2), amps):
             expected = line_sum(a1, f1, read_f) + line_sum(a2, f2, read_f)
             assert abs(amplitude - expected) < 0.01 * abs(expected)
-
-    def test_overlap_strict_raises(self):
-        signal = Signal1D(samples=np.zeros(64, dtype=complex), dwell_s=1e-3,
-                          meta={"t2_s": 0.05})
-        spectrum = dft_fid(signal)
-        table = self.table_for([100.0, 103.0])
-        with pytest.raises(LineOverlapError, match="100"):
-            peak_amplitudes(spectrum, table)
 
     def test_out_of_axis_rejected(self):
         signal = Signal1D(samples=np.zeros(64, dtype=complex), dwell_s=1e-3,
                           meta={"t2_s": 0.05})
         spectrum = dft_fid(signal)
         with pytest.raises(ValueError, match="outside"):
-            peak_amplitudes(spectrum, self.table_for([1e5]))
+            _peak_readout(spectrum, self.table_for([1e5]))
 
     def test_half_bin_beyond_axis_end_reads_end_bin(self):
         signal = oscillator_fid(64, 1e-3, 200.0)
@@ -404,27 +394,8 @@ class TestPeakAmplitudes:
         spectrum = dft_fid(signal)
         axis = spectrum.omega_hz
         half_bin = 0.5 * (axis[1] - axis[0])
-        amplitudes = peak_amplitudes(spectrum, self.table_for(
+        amplitudes = _peak_readout(spectrum, self.table_for(
             [axis[-1] + 0.99 * half_bin, axis[0] - 0.99 * half_bin]))
-        assert list(amplitudes.values()) == [spectrum.values[-1], spectrum.values[0]]
+        assert list(amplitudes) == [spectrum.values[-1], spectrum.values[0]]
         with pytest.raises(AxisRangeError):
-            peak_amplitudes(spectrum, self.table_for([axis[-1] + 1.01 * half_bin]))
-
-    @settings(max_examples=200, deadline=None)
-    @given(clustered_systems(), st.sampled_from([0.001, 0.01, 0.1]))
-    def test_overlap_pairs_match_pairwise_loop(self, system, t2_s):
-        entries = tuple(Transition(qubit=j, upper=r, lower=s, frequency_hz=f)
-                        for j, r, s, f in single_quantum_transitions(system))
-        table = TransitionTable(entries=entries)
-        linewidth = 1.0 / (np.pi * t2_s)
-        expected = loop_pairs([t.frequency_hz for t in entries],
-                              lambda gap: gap < linewidth)
-        signal = Signal1D(samples=np.zeros(64, dtype=complex), dwell_s=1e-4,
-                          meta={"t2_s": t2_s})
-        spectrum = dft_fid(signal)
-        if not expected:
-            assert len(peak_amplitudes(spectrum, table)) == len(entries)
-            return
-        with pytest.raises(LineOverlapError) as info:
-            peak_amplitudes(spectrum, table)
-        assert list(info.value.pairs) == [(entries[i], entries[k]) for i, k in expected]
+            _peak_readout(spectrum, self.table_for([axis[-1] + 1.01 * half_bin]))
