@@ -27,13 +27,10 @@ from .core import (SpinSystem, build_spin_system, coefficients_to_density,
                    format_label, parse_label)
 from .errors import (AxisRangeError, ConfigError, DegenerateTransitionError,
                      NyquistError, RankDeficiencyError, SpinTomoError)
-from .experiment import (default_acquisition, export_signal1d, export_signal2d,
-                         reference_fid, run_sequence_A, run_sequence_B,
-                         transition_table)
-from .spectral import (cross_sections, dft_fid, dft_t1_magnitude, dft_t2,
-                       export_cross_sections, export_spectrum1d,
-                       export_spectrum2d)
-from .tomography import build_design_matrix, tomograph_state
+from .experiment import (check_nyquist, default_acquisition, reference_fid,
+                         run_sequence_A, run_sequence_B, transition_table)
+from .spectral import cross_sections, dft_fid, dft_t1_magnitude, dft_t2
+from .tomography import _hybrid_bins, build_design_matrix, tomograph_state
 
 
 @dataclass
@@ -243,10 +240,6 @@ def _atomic_write(path: Path, write) -> None:
         raise
 
 
-def _atomic_write_text(path: Path, text: str) -> None:
-    _atomic_write(path, lambda tmp: Path(tmp).write_text(text))
-
-
 def _finite_or_null(value):
     """``value`` with every non-finite float in it replaced by None."""
     if isinstance(value, dict):
@@ -258,8 +251,28 @@ def _finite_or_null(value):
 
 def _write_json(path: Path, payload: dict) -> None:
     """Strict JSON: a non-finite number (an infinite condition number) is null."""
-    _atomic_write_text(path, json.dumps(_finite_or_null(payload), indent=2,
-                                        sort_keys=True, allow_nan=False) + "\n")
+    text = json.dumps(_finite_or_null(payload), indent=2, sort_keys=True,
+                      allow_nan=False) + "\n"
+    _atomic_write(path, lambda tmp: Path(tmp).write_text(text))
+
+
+def _write_array(out: Path, name: str, array: np.ndarray, axes, sidecar: str,
+                 **fields) -> None:
+    """``array`` as the ``.npy`` file ``out / name``, then its JSON sidecar
+    ``out / sidecar``: ``fields`` plus an ``array`` entry with the file, the
+    axis names and the dtype and shape read off the array just saved.
+
+    Saved through a handle, since ``np.save`` adds ``.npy`` to a bare path,
+    and without pickled objects.
+    """
+    def save(tmp):
+        with open(tmp, "wb") as handle:
+            np.save(handle, array, allow_pickle=False)
+
+    _atomic_write(out / name, save)
+    _write_json(out / sidecar, {**fields, "array": {
+        "file": name, "dtype": array.dtype.name, "shape": list(array.shape),
+        "axes": axes}})
 
 
 def _apply_noise(rng, array: np.ndarray, rms: float) -> np.ndarray:
@@ -302,66 +315,44 @@ def _export_simulation(cfg: RunConfig, signal_a, signal_b, out: Path, table):
 
     Those columns hold every bin a design can fit, and the rest of the
     hybrid is released with it.  Signal A's ``grid`` is released (set to
-    None) once transformed and the magnitude grid once written: nothing
-    reads either afterwards.
+    None) once transformed, and the magnitude grid and the cross-sections
+    once written: nothing reads them afterwards.
     """
-    _atomic_write(out / "signal_a.npy", lambda p: export_signal2d(signal_a, p))
-    _write_json(out / "signal_a.json", {
-        "dwell_t1_s": signal_a.dwell_t1_s, "dwell_t2_s": signal_a.dwell_t2_s,
-        "n_t1": signal_a.n_t1, "n_t2": signal_a.n_t2, "meta": signal_a.meta,
-        "array": {"file": "signal_a.npy", "dtype": "complex128",
-                  "shape": list(signal_a.grid.shape), "axes": ["t1", "t2"]},
-    })
-    _atomic_write(out / "signal_b.npy", lambda p: export_signal1d(signal_b, p))
-    _write_json(out / "signal_b.json", {
-        "dwell_s": signal_b.dwell_s, "n_samples": int(len(signal_b.samples)),
-        "meta": signal_b.meta,
-        "array": {"file": "signal_b.npy", "dtype": "complex128",
-                  "shape": [len(signal_b.samples)], "axes": ["t2"]},
-    })
+    _write_array(out, "signal_a.npy", signal_a.grid, ["t1", "t2"], "signal_a.json",
+                 dwell_t1_s=signal_a.dwell_t1_s, dwell_t2_s=signal_a.dwell_t2_s,
+                 n_t1=signal_a.grid.shape[0], n_t2=signal_a.grid.shape[1],
+                 meta=signal_a.meta)
+    _write_array(out, "signal_b.npy", signal_b.samples, ["t2"], "signal_b.json",
+                 dwell_s=signal_b.dwell_s, n_samples=len(signal_b.samples),
+                 meta=signal_b.meta)
 
     hybrid = dft_t2(signal_a)
     signal_a.grid = None
     omega1_hz, magnitude = dft_t1_magnitude(hybrid)
-    _atomic_write(out / "spectrum_2d.npy", lambda p: export_spectrum2d(magnitude, p))
-    _write_json(out / "spectrum_2d_axes.json", {
-        "omega1_hz": [float(f) for f in omega1_hz],
-        "omega2_hz": [float(f) for f in hybrid.omega2_hz],
-        "units": {"omega1": "Hz", "omega2": "Hz"},
-        "array": {"file": "spectrum_2d.npy", "dtype": "float64",
-                  "shape": list(magnitude.shape), "axes": ["omega1", "omega2"]},
-    })
+    _write_array(out, "spectrum_2d.npy", magnitude, ["omega1", "omega2"],
+                 "spectrum_2d_axes.json",
+                 omega1_hz=[float(f) for f in omega1_hz],
+                 omega2_hz=[float(f) for f in hybrid.omega2_hz],
+                 units={"omega1": "Hz", "omega2": "Hz"})
     del magnitude
 
-    bins = sorted(set(_export_cross_sections(hybrid, table, out)))
+    # Row i is transition-table index i (the index design_summary.json
+    # lists), since frequencies can agree to any printed precision.
+    bins, sections = cross_sections(hybrid, table.frequencies())
+    _write_array(out, "cross_sections.npy", np.ascontiguousarray(sections.grid.T),
+                 ["section", "omega1"], "cross_sections.json",
+                 omega1_hz=[float(f) for f in sections.omega1_hz],
+                 sections=[{"index": i, "qubit": t.qubit,
+                            "frequency_hz": float(t.frequency_hz), "bin_hz": float(bin_hz)}
+                           for i, (t, bin_hz) in enumerate(zip(table, sections.omega2_hz))])
+    del sections
+    bins = sorted(set(bins))
 
     spectrum_b = dft_fid(signal_b)
-    _atomic_write(out / "spectrum_b.npy", lambda p: export_spectrum1d(spectrum_b, p))
-    _write_json(out / "spectrum_b.json", {
-        "omega_hz": [float(f) for f in spectrum_b.omega_hz],
-        "units": {"omega": "Hz"},
-        "array": {"file": "spectrum_b.npy", "dtype": "complex128",
-                  "shape": [len(spectrum_b.values)], "axes": ["omega"]},
-    })
+    _write_array(out, "spectrum_b.npy", spectrum_b.values, ["omega"], "spectrum_b.json",
+                 omega_hz=[float(f) for f in spectrum_b.omega_hz],
+                 units={"omega": "Hz"})
     return replace(hybrid, grid=hybrid.grid[:, bins], omega2_hz=hybrid.omega2_hz[bins])
-
-
-def _export_cross_sections(hybrid, table, out: Path) -> list:
-    """All cross-sections in one array; row i is transition-table index i
-    (the index design_summary.json lists), since frequencies can agree to any
-    printed precision.  Returns each transition's Omega2 bin."""
-    bins, sections = cross_sections(hybrid, table.frequencies())
-    _atomic_write(out / "cross_sections.npy", lambda p: export_cross_sections(sections, p))
-    _write_json(out / "cross_sections.json", {
-        "omega1_hz": [float(f) for f in sections.omega1_hz],
-        "sections": [{"index": i, "qubit": t.qubit, "frequency_hz": float(t.frequency_hz),
-                      "bin_hz": float(bin_hz)}
-                     for i, (t, bin_hz) in enumerate(zip(table, sections.omega2_hz))],
-        "array": {"file": "cross_sections.npy", "dtype": "complex128",
-                  "shape": [len(table), len(sections.omega1_hz)],
-                  "axes": ["section", "omega1"]},
-    })
-    return bins
 
 
 def _build_design(cfg: RunConfig, params, table):
@@ -412,16 +403,27 @@ def _write_report(path: Path, result, cfg: RunConfig) -> None:
         lines.append(f"reference scale factor: {result.scale_factor:.10f}")
     for note in result.notes:
         lines.append(f"note: {note}")
-    _atomic_write_text(path, "\n".join(lines) + "\n")
+    text = "\n".join(lines) + "\n"
+    _atomic_write(path, lambda tmp: Path(tmp).write_text(text))
 
 
 # ---------------------------------------------------------------------------
 # Commands
 
 
+def _checked_table(cfg: RunConfig, params):
+    """The transition table, once every line passes the Nyquist rule and the
+    axis-end rule of the cross-sections, so a register either rule refuses is
+    refused before anything is simulated or written."""
+    table = transition_table(cfg.system)
+    check_nyquist(table, params)
+    _hybrid_bins(table, range(len(table)), params)
+    return table
+
+
 def cmd_simulate(cfg: RunConfig, out: Path) -> int:
     params = resolve_params(cfg)
-    table = transition_table(cfg.system)
+    table = _checked_table(cfg, params)
     _, signal_a, signal_b, _ = _simulate_signals(cfg, params)
     _export_simulation(cfg, signal_a, signal_b, out, table)
     print(f"simulation artifacts written to {out}")
@@ -430,7 +432,7 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> int:
 
 def cmd_tomograph(cfg: RunConfig, out: Path) -> int:
     params = resolve_params(cfg)
-    table = transition_table(cfg.system)
+    table = _checked_table(cfg, params)
     rho0, signal_a, signal_b, reference = _simulate_signals(cfg, params)
     hybrid = _export_simulation(cfg, signal_a, signal_b, out, table)
 

@@ -194,14 +194,6 @@ class Signal2D:
     dwell_t2_s: float
     meta: dict = field(default_factory=dict)
 
-    @property
-    def n_t1(self) -> int:
-        return self.grid.shape[0]
-
-    @property
-    def n_t2(self) -> int:
-        return self.grid.shape[1]
-
 
 @dataclass(eq=False)
 class Signal1D:
@@ -342,26 +334,3 @@ def reference_fid(system: SpinSystem, rho0: np.ndarray,
     samples = _fid_from_states(rho0[None, :, :], system, params.t2_times)[0]
     return Signal1D(samples=samples, dwell_s=params.dwell_t2_s,
                     meta=_meta("reference", system, params))
-
-
-# ---------------------------------------------------------------------------
-# Exports
-
-
-def _save_npy(path, array: np.ndarray) -> None:
-    """``array`` as ``.npy`` at ``path``, without pickled objects.
-
-    Saved through a handle, since ``np.save`` adds ``.npy`` to a bare path.
-    """
-    with open(path, "wb") as handle:
-        np.save(handle, array, allow_pickle=False)
-
-
-def export_signal2d(signal: Signal2D, path) -> None:
-    """The complex128 (n_t1, n_t2) grid as ``.npy``; the axes are in the sidecar."""
-    _save_npy(path, np.asarray(signal.grid, dtype=np.complex128))
-
-
-def export_signal1d(signal: Signal1D, path) -> None:
-    """The complex128 samples (n_t2,) as ``.npy``; the dwell is in the sidecar."""
-    _save_npy(path, np.asarray(signal.samples, dtype=np.complex128))

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import AxisRangeError
-from .experiment import Signal1D, Signal2D, TransitionTable, _save_npy
+from .experiment import Signal1D, Signal2D, TransitionTable
 
 
 @dataclass(eq=False)
@@ -164,19 +164,16 @@ def dft_fid(signal: Signal1D, apodization="matched", zero_fill: int = 2,
                       meta={**signal.meta, "processing": processing})
 
 
-def nearest_bin(axis_hz: np.ndarray, frequency_hz: float) -> int:
-    return int(np.argmin(np.abs(np.asarray(axis_hz) - frequency_hz)))
-
-
 def _axis_bin(axis_hz: np.ndarray, frequency_hz: float, name: str) -> int:
-    """:func:`nearest_bin`, for a frequency at most half a bin beyond the axis
-    ends (it reads the end bin); one farther out raises :class:`AxisRangeError`."""
+    """The bin of ``axis_hz`` nearest ``frequency_hz``, for a frequency at most
+    half a bin beyond the axis ends (it reads the end bin); one farther out
+    raises :class:`AxisRangeError`."""
     half_bin = 0.5 * float(axis_hz[1] - axis_hz[0]) if len(axis_hz) > 1 else 0.0
     if not (axis_hz[0] - half_bin <= frequency_hz <= axis_hz[-1] + half_bin):
         raise AxisRangeError(
             f"{name} = {frequency_hz:.6g} Hz outside axis range "
             f"[{axis_hz[0]:.6g}, {axis_hz[-1]:.6g}] Hz")
-    return nearest_bin(axis_hz, frequency_hz)
+    return int(np.argmin(np.abs(axis_hz - frequency_hz)))
 
 
 def hybrid_omega2_axis(n_t2: int, dwell_t2_s: float, zero_fill: int = 2) -> np.ndarray:
@@ -241,29 +238,3 @@ def _peak_readout(spectrum: Spectrum1D, table: TransitionTable) -> np.ndarray:
         out[..., i] = (mid + 0.5 * (right - left) * offset
                        + 0.5 * (right - 2.0 * mid + left) * offset ** 2)
     return out
-
-
-# ---------------------------------------------------------------------------
-# Exports
-
-
-def export_spectrum2d(magnitude: np.ndarray, path) -> None:
-    """The float64 magnitude grid (n_omega1, n_omega2) as ``.npy``; the axes
-    are in the sidecar.
-
-    :func:`dft_t1_magnitude` builds the grid one block of Omega2 columns at a
-    time, so the complex 2D spectrum is never held.
-    """
-    _save_npy(path, magnitude)
-
-
-def export_cross_sections(sections: Spectrum2D, path) -> None:
-    """The complex128 traces of :func:`cross_sections` as ``.npy``, one row
-    per trace, shape (n_sections, n_omega1); the axis and the transitions
-    are in the sidecar."""
-    _save_npy(path, np.ascontiguousarray(sections.grid.T))
-
-
-def export_spectrum1d(spectrum: Spectrum1D, path) -> None:
-    """The complex128 spectrum (n_omega,) as ``.npy``; the axis is in the sidecar."""
-    _save_npy(path, np.asarray(spectrum.values, dtype=np.complex128))

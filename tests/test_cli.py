@@ -588,7 +588,8 @@ class TestTomographCommand:
 
     def test_line_beyond_axis_exit_code(self, tmp_path, capsys):
         # the design reads its bins by the axis-end rule of the cross-sections,
-        # so basis refuses what tomograph refuses.
+        # so basis refuses what tomograph refuses; simulate and tomograph
+        # check it before simulating, so none of them writes a file.
         # One t2 sample: the axis is [-2792, 0] Hz, the line is at 1861 Hz.
         one_sample = {"spin_system": {"n": 1, "larmor_hz": [1861.0], "t2_s": 0.01},
                       "state": {"coefficients": [["x", 1.0], ["z", 0.5]]},
@@ -600,14 +601,15 @@ class TestTomographCommand:
         for name, payload, line in (("one", one_sample, 1861), ("demo", demo, 1900)):
             (tmp_path / name).mkdir()
             path = write_config(tmp_path / name, payload)
-            for command in ("tomograph", "basis"):
-                code = main([command, "--config", str(path), "--out",
-                             str(tmp_path / name / command)])
+            for command in ("tomograph", "simulate", "basis"):
+                out = tmp_path / name / command
+                code = main([command, "--config", str(path), "--out", str(out)])
                 err = capsys.readouterr().err
                 assert code == 3, (name, command)
                 assert err.startswith(
                     f"numerical error: omega2 = {line} Hz outside axis range"), err
                 assert len(err.splitlines()) == 1
+                assert list(out.iterdir()) == [], (name, command)
 
     def test_degenerate_system_exit_code(self, tmp_path, capsys):
         payload = demo_config()

@@ -1,3 +1,4 @@
+import json
 import warnings
 
 import numpy as np
@@ -11,7 +12,7 @@ from spintomo import (AcquisitionParams, DegenerateTransitionError,
                       reference_fid, run_sequence_A, run_sequence_B,
                       transition_table)
 from spintomo.core import single_quantum_transitions
-from spintomo.experiment import export_signal1d, export_signal2d
+from spintomo.cli import _write_array
 from spintomo.spectral import cross_sections
 
 from conftest import (DEMO_COEFFS, clustered_systems, fit_t1_trace, loop_pairs,
@@ -288,20 +289,24 @@ class TestExports:
         params = small_params(n_t2=24)  # n_t2 != n_t1: a transposed grid fails
         signal = run_sequence_A(two_spin_system, rho0, params)
         # a name without the .npy suffix is kept as given
-        path = tmp_path / "signal.tmp"
-        export_signal2d(signal, path)
-        assert [p.name for p in tmp_path.iterdir()] == ["signal.tmp"]
-        grid = np.load(path, allow_pickle=False)
+        _write_array(tmp_path, "signal.tmp", signal.grid, ["t1", "t2"], "signal.json")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["signal.json", "signal.tmp"]
+        grid = np.load(tmp_path / "signal.tmp", allow_pickle=False)
         assert grid.dtype == np.complex128
         assert grid.shape == (params.n_t1, params.n_t2)
         assert grid.tobytes() == signal.grid.tobytes()
+        layout = json.loads((tmp_path / "signal.json").read_text())["array"]
+        assert layout == {"file": "signal.tmp", "dtype": grid.dtype.name,
+                          "shape": list(grid.shape), "axes": ["t1", "t2"]}
 
     def test_signal1d_npy_bit_exact(self, two_spin_system, tmp_path):
         rho0 = coefficients_to_density(two_spin_system, DEMO_COEFFS)
         signal = run_sequence_B(two_spin_system, rho0, small_params(n_t2=24))
-        path = tmp_path / "fid.tmp"
-        export_signal1d(signal, path)
-        assert [p.name for p in tmp_path.iterdir()] == ["fid.tmp"]
-        samples = np.load(path, allow_pickle=False)
+        _write_array(tmp_path, "fid.tmp", signal.samples, ["t2"], "fid.json")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["fid.json", "fid.tmp"]
+        samples = np.load(tmp_path / "fid.tmp", allow_pickle=False)
         assert samples.dtype == np.complex128 and samples.shape == (24,)
         assert samples.tobytes() == signal.samples.tobytes()
+        layout = json.loads((tmp_path / "fid.json").read_text())["array"]
+        assert layout == {"file": "fid.tmp", "dtype": samples.dtype.name,
+                          "shape": list(samples.shape), "axes": ["t2"]}

@@ -11,7 +11,7 @@ from spintomo import (AxisRangeError, Signal1D, Signal2D,
                       hybrid_omega2_axis, run_sequence_A,
                       transition_table)
 from spintomo.spectral import (T1_BLOCK_COLUMNS, T2_BLOCK_ROWS, HybridSpectrum,
-                               _dft, _peak_readout, dft_t1_magnitude, nearest_bin)
+                               _axis_bin, _dft, _peak_readout, dft_t1_magnitude)
 
 from conftest import DEMO_COEFFS, local_maxima_above
 
@@ -123,8 +123,8 @@ class TestLineShapes:
                           first_point_half=True)
         real = spectrum.grid[:, 0].real
         axis = spectrum.omega1_hz
-        plus = nearest_bin(axis, +f)
-        minus = nearest_bin(axis, -f)
+        plus = _axis_bin(axis, +f, "omega1")
+        minus = _axis_bin(axis, -f, "omega1")
         assert real[plus] == pytest.approx(real.max(), rel=1e-6)
         assert real[minus] == pytest.approx(real[plus], rel=1e-6)
 
@@ -139,8 +139,8 @@ class TestLineShapes:
                           first_point_half=True)
         real = spectrum.grid[:, 0].real
         axis = spectrum.omega1_hz
-        plus = nearest_bin(axis, +f)
-        minus = nearest_bin(axis, -f)
+        plus = _axis_bin(axis, +f, "omega1")
+        minus = _axis_bin(axis, -f, "omega1")
         scale = np.max(np.abs(real))
         # dispersive shape: near-zero crossing at each line center with
         # opposite-signed lobes on either side
@@ -166,7 +166,7 @@ class TestLineShapes:
             spectrum = dft_fid(signal, apodization=apod)
             power = np.abs(spectrum.values) ** 2
             window = 40
-            b = nearest_bin(spectrum.omega_hz, f)
+            b = _axis_bin(spectrum.omega_hz, f, "omega")
             sl = slice(b - window, b + window + 1)
             centers[apod] = (np.sum(spectrum.omega_hz[sl] * power[sl])
                              / np.sum(power[sl]))
@@ -230,7 +230,8 @@ class TestCrossSection:
         hybrid = self.make_hybrid()
         request = float(hybrid.omega2_hz[12]) + 0.5
         bins, sections = cross_sections(hybrid, [request])
-        assert bins == [nearest_bin(hybrid.omega2_hz, request)] == [12]
+        nearest = int(np.argmin(np.abs(hybrid.omega2_hz - request)))
+        assert bins == [nearest] == [12]
         assert sections.omega2_hz[0] == hybrid.omega2_hz[12]
 
     def test_linearity(self):
