@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 configuration error, 3 numerical or rank error.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import logging
 import math
@@ -256,23 +257,39 @@ def _write_json(path: Path, payload: dict) -> None:
     _atomic_write(path, lambda tmp: Path(tmp).write_text(text))
 
 
-def _write_array(out: Path, name: str, array: np.ndarray, axes, sidecar: str,
+def _write_array(out: Path, name: str, array, axes, sidecar: str, shape=None,
                  **fields) -> None:
     """``array`` as the ``.npy`` file ``out / name``, then its JSON sidecar
     ``out / sidecar``: ``fields`` plus an ``array`` entry with the file, the
-    axis names and the dtype and shape read off the array just saved.
+    axis names and the dtype and shape read off the header just written.
 
-    Saved through a handle, since ``np.save`` adds ``.npy`` to a bare path,
-    and without pickled objects.
+    With ``shape``, ``array`` yields the column blocks of an array of that
+    shape, left to right, each written column-major as it comes, so the whole
+    array is never held.  Saved through a handle, since ``np.save`` adds
+    ``.npy`` to a bare path, and without pickled objects.
     """
+    fmt = np.lib.format
+    if shape is None:
+        header = fmt.header_data_from_array_1_0(array)
+    else:
+        blocks = iter(array)
+        first = next(blocks)
+        header = {"descr": fmt.dtype_to_descr(first.dtype), "fortran_order": True,
+                  "shape": tuple(shape)}
+
     def save(tmp):
         with open(tmp, "wb") as handle:
-            np.save(handle, array, allow_pickle=False)
+            if shape is None:
+                np.save(handle, array, allow_pickle=False)
+                return
+            fmt.write_array_header_1_0(handle, header)
+            for block in itertools.chain([first], blocks):
+                handle.write(block.tobytes(order="F"))
 
     _atomic_write(out / name, save)
     _write_json(out / sidecar, {**fields, "array": {
-        "file": name, "dtype": array.dtype.name, "shape": list(array.shape),
-        "axes": axes}})
+        "file": name, "dtype": fmt.descr_to_dtype(header["descr"]).name,
+        "shape": list(header["shape"]), "axes": axes}})
 
 
 def _apply_noise(rng, array: np.ndarray, rms: float) -> np.ndarray:
@@ -315,8 +332,8 @@ def _export_simulation(cfg: RunConfig, signal_a, signal_b, out: Path, table):
 
     Those columns hold every bin a design can fit, and the rest of the
     hybrid is released with it.  Signal A's ``grid`` is released (set to
-    None) once transformed, and the magnitude grid and the cross-sections
-    once written: nothing reads them afterwards.
+    None) once transformed, and the cross-sections once written; the 2D
+    magnitude is written one column block at a time and never held whole.
     """
     _write_array(out, "signal_a.npy", signal_a.grid, ["t1", "t2"], "signal_a.json",
                  dwell_t1_s=signal_a.dwell_t1_s, dwell_t2_s=signal_a.dwell_t2_s,
@@ -330,11 +347,10 @@ def _export_simulation(cfg: RunConfig, signal_a, signal_b, out: Path, table):
     signal_a.grid = None
     omega1_hz, magnitude = dft_t1_magnitude(hybrid)
     _write_array(out, "spectrum_2d.npy", magnitude, ["omega1", "omega2"],
-                 "spectrum_2d_axes.json",
+                 "spectrum_2d_axes.json", shape=(len(omega1_hz), len(hybrid.omega2_hz)),
                  omega1_hz=[float(f) for f in omega1_hz],
                  omega2_hz=[float(f) for f in hybrid.omega2_hz],
                  units={"omega1": "Hz", "omega2": "Hz"})
-    del magnitude
 
     # Row i is transition-table index i (the index design_summary.json
     # lists), since frequencies can agree to any printed precision.

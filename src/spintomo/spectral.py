@@ -130,29 +130,27 @@ def dft_t1(hybrid: HybridSpectrum, apodization="matched", zero_fill: int = 2,
                       meta={**hybrid.meta, "processing_t1": processing})
 
 
-# Omega2 columns per dft_t1 call when the magnitude grid is filled: the complex
-# temporaries of one block stay a small part of the grid.
+# Omega2 columns per dft_t1 call when the magnitude is streamed: the complex
+# temporaries of one block stay a small part of the hybrid.
 T1_BLOCK_COLUMNS = 16
 
 
-def dft_t1_magnitude(hybrid: HybridSpectrum) -> tuple[np.ndarray, np.ndarray]:
-    """``(omega1_hz, |dft_t1(hybrid).grid|)`` without holding the complex spectrum.
+def dft_t1_magnitude(hybrid: HybridSpectrum):
+    """``(omega1_hz, blocks)``: the Omega1 axis of :func:`dft_t1` and a
+    generator of ``|dft_t1(hybrid).grid|`` in blocks of
+    :data:`T1_BLOCK_COLUMNS` Omega2 columns, left to right.
 
-    Each block of :data:`T1_BLOCK_COLUMNS` Omega2 columns goes through
-    :func:`dft_t1` on its own and only its magnitude is kept.  The transform
-    acts on every column alone, so the float64 grid is bit for bit the
-    magnitude of the whole transform.
+    Each block goes through :func:`dft_t1` on its own.  The transform acts on
+    every column alone, so the float64 blocks side by side are bit for bit
+    the magnitude of the whole transform, which is never held.
     """
-    n_columns = hybrid.grid.shape[1]
-    magnitude = None
-    for start in range(0, n_columns, T1_BLOCK_COLUMNS):
-        columns = slice(start, start + T1_BLOCK_COLUMNS)
-        block = dft_t1(replace(hybrid, grid=hybrid.grid[:, columns],
-                               omega2_hz=hybrid.omega2_hz[columns]))
-        if magnitude is None:
-            magnitude = np.empty((block.grid.shape[0], n_columns))
-        np.abs(block.grid, out=magnitude[:, columns])
-    return block.omega1_hz, magnitude
+    def blocks():
+        for start in range(0, hybrid.grid.shape[1], T1_BLOCK_COLUMNS):
+            columns = slice(start, start + T1_BLOCK_COLUMNS)
+            yield np.abs(dft_t1(replace(hybrid, grid=hybrid.grid[:, columns],
+                                        omega2_hz=hybrid.omega2_hz[columns])).grid)
+
+    return hybrid_omega2_axis(hybrid.grid.shape[0], hybrid.dwell_t1_s), blocks()
 
 
 def dft_fid(signal: Signal1D, apodization="matched", zero_fill: int = 2,

@@ -238,7 +238,12 @@ class TestSimulateCommand:
             grid = np.load(out / layout["file"], allow_pickle=False)
             assert grid.dtype == np.dtype(layout["dtype"]) == expected.dtype
             assert list(grid.shape) == layout["shape"] == list(expected.shape)
-            assert grid.flags.c_contiguous
+            # the 2D magnitude is streamed one column block at a time, so its
+            # file is column-major; every other grid is row-major
+            if layout["file"] == "spectrum_2d.npy":
+                assert grid.flags.f_contiguous
+            else:
+                assert grid.flags.c_contiguous
             assert grid.tobytes() == expected.tobytes()
 
     def test_cross_sections_bit_exact(self, tmp_path):
@@ -265,8 +270,10 @@ class TestSimulateCommand:
             assert sections[i].tobytes() == np.ascontiguousarray(spectrum.grid[:, b]).tobytes()
 
     def test_export_memory_bounded(self, tmp_path):
-        # the complex 2D spectrum is never held: with it, its shifted copy
-        # and its abs temporary the peak was 3.0x hybrid + magnitude
+        # the 2D spectrum is written one column block of its magnitude at a
+        # time: neither the complex spectrum nor the magnitude grid is ever
+        # allocated, so the full t2 hybrid sets the peak (1.47x of it
+        # measured; holding the magnitude grid as well took it to 2.26x)
         cfg = config_from_dict(demo_config(n_t1=512, n_t2=256))
         _, signal_a, signal_b, _ = _simulate_signals(
             cfg, resolve_params(cfg), np.random.default_rng(0))
@@ -279,7 +286,7 @@ class TestSimulateCommand:
             tracemalloc.stop()
         magnitude = np.load(tmp_path / "spectrum_2d.npy", allow_pickle=False)
         full_hybrid_nbytes = 512 * magnitude.shape[1] * np.dtype(complex).itemsize
-        assert peak <= 1.5 * (full_hybrid_nbytes + magnitude.nbytes)
+        assert peak <= 1.6 * full_hybrid_nbytes
         # the time-domain grid is released once transformed
         assert signal_a.grid is None
         # only the distinct Omega2 bins of the transitions are kept, ascending
@@ -405,7 +412,11 @@ class TestTomographCommand:
             warnings.simplefilter("ignore")
             assert main(["tomograph", "--config", str(path), "--out", str(out_a)]) == 0
             assert main(["tomograph", "--config", str(path), "--out", str(out_b)]) == 0
-        assert (out_a / "result.json").read_bytes() == (out_b / "result.json").read_bytes()
+        names = sorted(p.name for p in out_a.iterdir())
+        assert names == sorted(p.name for p in out_b.iterdir())
+        assert {Path(name).suffix for name in names} == {".json", ".npy", ".txt"}
+        for name in names:
+            assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
 
     def test_scale_from_noisy_reference_measurement(self, tmp_path):
         # the reference FID is simulated with the signals and gets its own

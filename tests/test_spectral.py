@@ -1,3 +1,5 @@
+import io
+import json
 import tracemalloc
 import warnings
 
@@ -10,6 +12,7 @@ from spintomo import (AxisRangeError, Signal1D, Signal2D,
                       default_acquisition, dft_fid, dft_t1, dft_t2,
                       hybrid_omega2_axis, run_sequence_A,
                       transition_table)
+from spintomo.cli import _write_array
 from spintomo.spectral import (T1_BLOCK_COLUMNS, T2_BLOCK_ROWS, HybridSpectrum,
                                _axis_bin, _dft, _peak_readout, dft_t1_magnitude)
 
@@ -306,15 +309,28 @@ class TestCrossSection:
         assert np.max(np.abs(again.values - sections.grid[:, 0])) < 1e-10
 
     @pytest.mark.parametrize("n_f2", [3 * T1_BLOCK_COLUMNS + 5, T1_BLOCK_COLUMNS - 3])
-    def test_streamed_magnitude_bit_exact(self, n_f2):
+    def test_streamed_magnitude_bit_exact(self, n_f2, tmp_path):
         # a last block narrower than the rest, and a grid narrower than a block
         hybrid = self.make_hybrid(n_t1=100, n_f2=n_f2)
         spectrum = dft_t1(hybrid)
-        omega1_hz, magnitude = dft_t1_magnitude(hybrid)
+        omega1_hz, blocks = dft_t1_magnitude(hybrid)
+        magnitude = np.concatenate(list(blocks), axis=1)
         expected = np.abs(spectrum.grid)
         assert magnitude.dtype == expected.dtype and magnitude.shape == expected.shape
         assert magnitude.tobytes() == expected.tobytes()
         assert omega1_hz.tobytes() == spectrum.omega1_hz.tobytes()
+        # written as they come, the blocks make the file np.save writes of the
+        # column-major grid, and the sidecar describes that file
+        _, blocks = dft_t1_magnitude(hybrid)
+        _write_array(tmp_path, "m.npy", blocks, ["omega1", "omega2"], "m.json",
+                     shape=expected.shape)
+        saved = io.BytesIO()
+        np.save(saved, np.asfortranarray(expected))
+        assert (tmp_path / "m.npy").read_bytes() == saved.getvalue()
+        layout = json.loads((tmp_path / "m.json").read_text())["array"]
+        grid = np.load(tmp_path / "m.npy", allow_pickle=False)
+        assert layout["dtype"] == grid.dtype.name == "float64"
+        assert layout["shape"] == list(grid.shape) == [len(omega1_hz), n_f2]
 
     def test_non_power_of_two_lengths_zero_filled(self):
         signal = Signal1D(samples=np.ones(100, dtype=complex), dwell_s=1e-3,
