@@ -22,7 +22,8 @@ from .spectral import (HybridSpectrum, Spectrum1D, Spectrum2D,
                        cross_sections, dft_fid, dft_t1, dft_t2,
                        hybrid_omega2_axis)
 from .tomography import (DesignMatrix, TomographyResult, build_design_matrix,
-                         fidelity, fit_diagonal, fit_offdiagonal,
+                         detection_basis, fid_coordinates, fidelity,
+                         fit_diagonal, fit_offdiagonal,
                          max_relative_element_error, reconstruct,
                          reference_normalize, tomograph_state)
 
@@ -36,9 +37,10 @@ __all__ = [
     "TomographyResult", "Transition", "TransitionTable", "all_labels",
     "build_design_matrix", "build_spin_system", "coefficients_to_density",
     "cross_sections", "default_acquisition", "density_to_coefficients",
-    "dft_fid", "dft_t1", "dft_t2", "diagonal_labels", "evolution_rates",
-    "fidelity", "fit_diagonal", "fit_offdiagonal", "format_label",
-    "gradient_project", "hybrid_omega2_axis", "max_relative_element_error",
+    "detection_basis", "dft_fid", "dft_t1", "dft_t2", "diagonal_labels",
+    "evolution_rates", "fid_coordinates", "fidelity", "fit_diagonal",
+    "fit_offdiagonal", "format_label", "gradient_project",
+    "hybrid_omega2_axis", "max_relative_element_error",
     "observable_labels", "offdiagonal_labels", "parse_label",
     "product_operator", "realistic_gradient_project", "reconstruct",
     "reference_fid", "reference_normalize", "rotation_pulse",

@@ -19,7 +19,7 @@ import math
 import os
 import sys
 import uuid
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -30,8 +30,10 @@ from .errors import (AxisRangeError, ConfigError, DegenerateTransitionError,
                      NyquistError, RankDeficiencyError, SpinTomoError)
 from .experiment import (check_nyquist, default_acquisition, reference_fid,
                          run_sequence_A, run_sequence_B, transition_table)
-from .spectral import cross_sections, dft_fid, dft_t1_magnitude, dft_t2
-from .tomography import _hybrid_bins, build_design_matrix, tomograph_state
+from .spectral import (_axis_bin, cross_sections, dft_fid, dft_t1_magnitude, dft_t2,
+                       hybrid_omega2_axis)
+from .tomography import (build_design_matrix, detection_basis, fid_coordinates,
+                         tomograph_state)
 
 
 @dataclass
@@ -251,10 +253,15 @@ def _finite_or_null(value):
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    """Strict JSON: a non-finite number (an infinite condition number) is null."""
-    text = json.dumps(_finite_or_null(payload), indent=2, sort_keys=True,
-                      allow_nan=False) + "\n"
-    _atomic_write(path, lambda tmp: Path(tmp).write_text(text))
+    """Strict JSON, streamed into the file as it is encoded: a non-finite
+    number (an infinite condition number) is null."""
+    def write(tmp):
+        with open(tmp, "w") as handle:
+            json.dump(_finite_or_null(payload), handle, indent=2, sort_keys=True,
+                      allow_nan=False)
+            handle.write("\n")
+
+    _atomic_write(path, write)
 
 
 def _write_array(out: Path, name: str, array, axes, sidecar: str, shape=None,
@@ -326,14 +333,12 @@ def _simulate_signals(cfg: RunConfig, params, rng=None):
     return rho0, signal_a, signal_b, reference
 
 
-def _export_simulation(cfg: RunConfig, signal_a, signal_b, out: Path, table):
-    """Write signals, spectra and cross-sections; return the t2 hybrid at the
-    distinct Omega2 bins of the transitions, in ascending order.
+def _export_simulation(cfg: RunConfig, signal_a, signal_b, out: Path, table) -> None:
+    """Write signals, spectra and cross-sections.
 
-    Those columns hold every bin a design can fit, and the rest of the
-    hybrid is released with it.  Signal A's ``grid`` is released (set to
-    None) once transformed, and the cross-sections once written; the 2D
-    magnitude is written one column block at a time and never held whole.
+    The 2D magnitude is written one column block at a time and never held
+    whole; the t2 hybrid is released once the cross-sections are written.
+    Signal A's ``grid`` is left to the caller.
     """
     _write_array(out, "signal_a.npy", signal_a.grid, ["t1", "t2"], "signal_a.json",
                  dwell_t1_s=signal_a.dwell_t1_s, dwell_t2_s=signal_a.dwell_t2_s,
@@ -344,7 +349,6 @@ def _export_simulation(cfg: RunConfig, signal_a, signal_b, out: Path, table):
                  meta=signal_b.meta)
 
     hybrid = dft_t2(signal_a)
-    signal_a.grid = None
     omega1_hz, magnitude = dft_t1_magnitude(hybrid)
     _write_array(out, "spectrum_2d.npy", magnitude, ["omega1", "omega2"],
                  "spectrum_2d_axes.json", shape=(len(omega1_hz), len(hybrid.omega2_hz)),
@@ -354,21 +358,19 @@ def _export_simulation(cfg: RunConfig, signal_a, signal_b, out: Path, table):
 
     # Row i is transition-table index i (the index design_summary.json
     # lists), since frequencies can agree to any printed precision.
-    bins, sections = cross_sections(hybrid, table.frequencies())
+    _, sections = cross_sections(hybrid, table.frequencies())
     _write_array(out, "cross_sections.npy", np.ascontiguousarray(sections.grid.T),
                  ["section", "omega1"], "cross_sections.json",
                  omega1_hz=[float(f) for f in sections.omega1_hz],
                  sections=[{"index": i, "qubit": t.qubit,
                             "frequency_hz": float(t.frequency_hz), "bin_hz": float(bin_hz)}
                            for i, (t, bin_hz) in enumerate(zip(table, sections.omega2_hz))])
-    del sections
-    bins = sorted(set(bins))
+    del sections, hybrid
 
     spectrum_b = dft_fid(signal_b)
     _write_array(out, "spectrum_b.npy", spectrum_b.values, ["omega"], "spectrum_b.json",
                  omega_hz=[float(f) for f in spectrum_b.omega_hz],
                  units={"omega": "Hz"})
-    return replace(hybrid, grid=hybrid.grid[:, bins], omega2_hz=hybrid.omega2_hz[bins])
 
 
 def _build_design(cfg: RunConfig, params, table):
@@ -429,11 +431,13 @@ def _write_report(path: Path, result, cfg: RunConfig) -> None:
 
 def _checked_table(cfg: RunConfig, params):
     """The transition table, once every line passes the Nyquist rule and the
-    axis-end rule of the cross-sections, so a register either rule refuses is
-    refused before anything is simulated or written."""
+    axis-end rule of the cross-sections, so every command refuses a register
+    either rule refuses, before anything is simulated or written."""
     table = transition_table(cfg.system)
     check_nyquist(table, params)
-    _hybrid_bins(table, range(len(table)), params)
+    axis = hybrid_omega2_axis(params.n_t2, params.dwell_t2_s)
+    for transition in table:
+        _axis_bin(axis, transition.frequency_hz, "omega2")
     return table
 
 
@@ -450,13 +454,20 @@ def cmd_tomograph(cfg: RunConfig, out: Path) -> int:
     params = resolve_params(cfg)
     table = _checked_table(cfg, params)
     rho0, signal_a, signal_b, reference = _simulate_signals(cfg, params)
-    hybrid = _export_simulation(cfg, signal_a, signal_b, out, table)
+    _export_simulation(cfg, signal_a, signal_b, out, table)
+    # Signal A is fitted by its coordinates, taken once the spectra are
+    # released: the SVD and the product map library code and BLAS buffers
+    # that stay resident, so taken earlier they would raise the export peak.
+    # The grid goes before the design is built.
+    selected = selected_transition_indices(cfg, table)
+    coordinates = fid_coordinates(signal_a, detection_basis(cfg.system, params, selected))
+    signal_a.grid = None
 
-    design = _build_design(cfg, params, table)
+    design = build_design_matrix(cfg.system, params, selected, coordinates.basis)
     _write_json(out / "design_summary.json", _design_summary(design))
 
     result = tomograph_state(cfg.system, rho0, params, design=design,
-                             signal_a=hybrid, signal_b=signal_b,
+                             signal_a=coordinates, signal_b=signal_b,
                              normalize=cfg.options.reference_normalize,
                              reference=reference)
     _write_json(out / "result.json", result.to_json_dict())
@@ -473,7 +484,7 @@ def cmd_tomograph(cfg: RunConfig, out: Path) -> int:
 
 def cmd_basis(cfg: RunConfig, out: Path) -> int:
     params = resolve_params(cfg)
-    design = _build_design(cfg, params, transition_table(cfg.system))
+    design = _build_design(cfg, params, _checked_table(cfg, params))
     _write_json(out / "design_summary.json", _design_summary(design))
     print(f"design matrix {design.shape[0]}x{design.shape[1]}, "
           f"rank {design.rank}/{len(design.labels)}, "

@@ -1,4 +1,4 @@
-"""Fourier processing: apodized, zero-filled DFTs and peak readout.
+"""Fourier processing: apodized, zero-filled DFTs and cross-sections.
 
 Frequency axes run negative to positive with zero at the center (fftshift
 layout), in Hz.  Detected coherences rotate as exp(+2i*pi*f*t), so a line at
@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import AxisRangeError
-from .experiment import Signal1D, Signal2D, TransitionTable
+from .experiment import Signal1D, Signal2D
 
 
 @dataclass(eq=False)
@@ -130,9 +130,11 @@ def dft_t1(hybrid: HybridSpectrum, apodization="matched", zero_fill: int = 2,
                       meta={**hybrid.meta, "processing_t1": processing})
 
 
-# Omega2 columns per dft_t1 call when the magnitude is streamed: the complex
-# temporaries of one block stay a small part of the hybrid.
-T1_BLOCK_COLUMNS = 16
+# Omega2 columns per dft_t1 call when the magnitude is streamed or the
+# cross-sections are taken.  The complex temporaries of one block stay a small
+# part of the hybrid: the caller may still hold the time grid beside it, and
+# then these steps, not the t2 transform, set the peak if the blocks grow.
+T1_BLOCK_COLUMNS = 8
 
 
 def dft_t1_magnitude(hybrid: HybridSpectrum):
@@ -189,8 +191,10 @@ def cross_sections(hybrid: HybridSpectrum, omega2_hz) -> tuple[list, Spectrum2D]
     """``(bins, sections)``: the Omega2 bin nearest each of ``omega2_hz`` and
     the traces parallel to Omega1 there, column ``k`` for request ``k``.
 
-    ``sections`` is one :func:`dft_t1` of the gathered hybrid columns, its
-    ``omega2_hz`` the bin frequencies.  The transform acts on every column
+    ``sections`` holds the :func:`dft_t1` of the gathered hybrid columns, its
+    ``omega2_hz`` the bin frequencies.  They are transformed
+    :data:`T1_BLOCK_COLUMNS` at a time into one section-major array, whose
+    transpose is ``sections.grid``.  The transform acts on every column
     alone, so each trace equals that column of the whole 2D spectrum.  Each
     request whose bin lies more than half a linewidth away warns.
     """
@@ -204,35 +208,11 @@ def cross_sections(hybrid: HybridSpectrum, omega2_hz) -> tuple[list, Spectrum2D]
                 f"linewidth from requested {f:.6g} Hz",
                 stacklevel=2,
             )
-    return bins, dft_t1(replace(hybrid, grid=hybrid.grid[:, bins], omega2_hz=axis[bins]))
-
-
-def _peak_readout(spectrum: Spectrum1D, table: TransitionTable) -> np.ndarray:
-    """Complex amplitude at each transition, read from the spectrum.
-
-    The line center is known (the transition frequency), so a three-bin
-    quadratic interpolation of the complex spectrum is evaluated there to
-    correct for off-bin centering.  The readout is linear in the spectrum,
-    which lets forward-model fits reproduce it exactly; lines closer than a
-    linewidth overlap, and a forward model that reads the same bins absorbs
-    the overlap.  ``spectrum.values`` may hold a stack of spectra along its
-    last axis; the result has one column per transition in place of that
-    axis.
-    """
-    axis = spectrum.omega_hz
-    values = spectrum.values
-    bin_width = float(axis[1] - axis[0])
-    out = np.empty(values.shape[:-1] + (len(table),), dtype=complex)
-    for i, transition in enumerate(table):
-        f = transition.frequency_hz
-        b = _axis_bin(axis, f, "transition")
-        if b == 0 or b == len(axis) - 1:
-            out[..., i] = values[..., b]
-            continue
-        # Quadratic through the three bins around the known line center,
-        # evaluated at the center's fractional offset.
-        offset = (f - axis[b]) / bin_width
-        left, mid, right = values[..., b - 1], values[..., b], values[..., b + 1]
-        out[..., i] = (mid + 0.5 * (right - left) * offset
-                       + 0.5 * (right - 2.0 * mid + left) * offset ** 2)
-    return out
+    rows = None
+    for start in range(0, max(len(bins), 1), T1_BLOCK_COLUMNS):
+        block = bins[start:start + T1_BLOCK_COLUMNS]
+        spectrum = dft_t1(replace(hybrid, grid=hybrid.grid[:, block], omega2_hz=axis[block]))
+        if rows is None:
+            rows = np.empty((len(bins), len(spectrum.omega1_hz)), dtype=complex)
+        rows[start:start + len(block)] = spectrum.grid.T
+    return bins, replace(spectrum, grid=rows.T, omega2_hz=axis[bins])

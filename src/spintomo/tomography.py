@@ -1,24 +1,32 @@
 """Forward-model inversion of the simulated measurements.
 
-Off-diagonal coefficients come from a linear least-squares fit of the
-two-dimensional data: every off-diagonal basis operator is pushed through the
-same sequence and processing as the measurement, its t1-domain cross-sections
-at the selected transitions form one column of a design matrix, and the
-measured cross-sections are solved against those columns.  Every step of that
-chain is linear, so the design is one closed-form linear operator built from
-the same pulses, evolution factors and t2 transform the simulator uses; it is
-applied and solved in factored form, never stored as a dense matrix.  The
+Every signal the pipeline fits -- each t1 row of sequence A, sequence B and
+the reference -- is a sum of the detected elements' unit FIDs
+(:func:`~spintomo.experiment.detection_fids`).  The off-diagonal and
+diagonal fits read a signal by its coordinates ``samples @ conj(Q)`` in one
+orthonormal basis Q of the span of those FIDs (:func:`detection_basis`) and
+solve them in least squares against the forward model's coordinates in the
+same basis: time-domain least squares, as in AMARES (Vanhamme, van den
+Boogaart & Van Huffel, J. Magn. Reson. 129, 35, 1997).  The fits depend on
+the span only, not on which orthonormal basis of it Q is.
+
+Off-diagonal coefficients come from the two-dimensional data: every
+off-diagonal basis operator is pushed through sequence A, and its
+t1-mean-free coordinates form one column of a design matrix.  Every step of
+that chain is linear, so the design is one closed-form linear operator built
+from the same pulses, evolution factors and unit FIDs the simulator uses; it
+is applied and solved in factored form, never stored as a dense matrix.  The
 product operators enter only as the flip-group table of
 :func:`~spintomo.core.monomial_table` (labels that share a flip mask share
 their nonzero positions), and the Gram A^T A is built one block row of flip
-groups at a time.
-This sidesteps any hand-derived lineshape algebra and stays exact for
-arbitrary register sizes, including partially overlapping lines, because
-model and measurement share every processing step bin for bin.
+groups at a time.  Model and measurement share every detected FID, so the
+noiseless reconstruction is exact for arbitrary register sizes, including
+overlapping lines, without any lineshape algebra.
 
-Diagonal coefficients come from the one-dimensional readout the same way:
-peak amplitudes of the measured spectrum are fit against the simulated
-amplitudes of each diagonal basis operator at the same pulse angle.
+Diagonal coefficients come from the one-dimensional data the same way:
+signal B's coordinates are fit against those of each diagonal basis operator
+at the same pulse angle.  The pulse-free reference FID then sets one global
+scale against the reference the fitted matrix predicts.
 """
 
 from __future__ import annotations
@@ -30,23 +38,21 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import (SpinSystem, coefficients_to_density, density_to_coefficients,
-                   diagonal_labels, monomial_table, observable_labels,
-                   offdiagonal_labels, rotation_pulse)
+                   diagonal_labels, monomial_table, offdiagonal_labels,
+                   rotation_pulse)
 from .dynamics import detection_elements
 from .errors import RankDeficiencyError
 from .experiment import (AcquisitionParams, Signal1D, Signal2D, TransitionTable,
                          check_nyquist, detection_fids, reference_fid,
                          run_sequence_A, run_sequence_B, sequence_A_steps,
                          transition_table)
-from .spectral import (HybridSpectrum, _axis_bin, _peak_readout, dft_fid,
-                       dft_t2, hybrid_omega2_axis)
 
 log = logging.getLogger(__name__)
 
 RESIDUAL_WARN_THRESHOLD = 1e-6
 
-# Least squares loses about kappa * eps of the solution: the diagonal and
-# reference fits warn when their condition number exceeds this.
+# Least squares loses about kappa * eps of the solution: the diagonal fit
+# warns when its condition number exceeds this.
 CONDITION_WARN_THRESHOLD = 1e6
 
 # Corrected semi-normal equations stop refining after this many steps, or
@@ -63,33 +69,37 @@ RANK_TOL = 10 * np.finfo(float).eps
 # of freedom (an F statistic) must exceed this.  Pure noise gives about 1.
 REFERENCE_MIN_F = 25.0
 
+# Singular values of the unit FIDs at or below this fraction of the largest
+# add no direction to the detection basis.
+BASIS_TOL = 1e-12
+
 
 @dataclass(eq=False)
 class DesignMatrix:
-    """Linear map A from off-diagonal coefficients to stacked cross-sections.
+    """Linear map A from off-diagonal coefficients to stacked signal-A coordinates.
 
     Rows of A are the real and imaginary parts of the t1-mean-subtracted
-    cross-section traces at the selected transitions; one column per
+    coordinates of signal A in ``basis`` (n_t2 x r), the
+    :func:`detection_basis` of the selected transitions; one column per
     off-diagonal label.  A is never stored, only its factors.  A product
     operator has one nonzero per row r, at column r ^ f for its flip mask f
     (:func:`~spintomo.core.monomial_table`), so the dim labels of one mask
     share the positions S_f = {(r, r ^ f)}.  ``order`` sorts the labels by
     mask and ``values`` [f, l, r] is the flip-group table in that order.
     ``evolution`` Ec, the t1-mean-free evolution factors (n_t1 x positions),
-    and ``response``, the rest of the chain per bin (positions x bins), are
-    kept on the off-diagonal positions only, S_f after S_f:
+    and ``response``, the rest of the chain per coordinate (positions x r),
+    are kept on the off-diagonal positions only, S_f after S_f:
     A x = Ec (u[:, None] * response) with u = values[f]^T x_f on S_f.
     ``eigenvalues`` (ascending) and ``eigenvectors`` are the eigenpairs of
-    A^T A.  ``bins`` index the default :func:`~spintomo.spectral.dft_t2`
-    Omega2 axis of ``params``.  ``rank``, ``condition_number`` and the
-    offending label lists describe the numerical solvability of the fit.
+    A^T A.  ``rank``, ``condition_number`` and the offending label lists
+    describe the numerical solvability of the fit.
     """
 
     labels: tuple
     system: SpinSystem
     params: AcquisitionParams
     transition_indices: tuple
-    bins: tuple
+    basis: np.ndarray
     order: np.ndarray
     evolution: np.ndarray
     response: np.ndarray
@@ -104,7 +114,7 @@ class DesignMatrix:
 
     @property
     def shape(self) -> tuple:
-        return (2 * self.params.n_t1 * len(self.bins), len(self.labels))
+        return (2 * self.params.n_t1 * self.basis.shape[1], len(self.labels))
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """A x, stacked like the measurement (:func:`_stack`)."""
@@ -113,7 +123,7 @@ class DesignMatrix:
 
     def adjoint(self, y: np.ndarray) -> np.ndarray:
         """A^T y for a real vector y stacked like the measurement."""
-        parts = y.reshape(len(self.bins), 2, self.params.n_t1)
+        parts = y.reshape(self.basis.shape[1], 2, self.params.n_t1)
         traces = (parts[:, 0] + 1j * parts[:, 1]).T
         weights = np.sum(self.response.conj() * (self.evolution.conj().T @ traces), axis=1)
         grouped = self.values.conj() @ weights.reshape(len(self.values), -1, 1)
@@ -127,9 +137,9 @@ class DesignMatrix:
     def is_solvable(self) -> bool:
         """Numerically full rank and structurally complete.
 
-        Single-quantum labels of a qubit with no selected cross-section are
-        carried only by lineshape tails leaking into other qubits' bins; the
-        fit refuses to determine them from that.
+        Single-quantum labels of a qubit with no selected transition are
+        carried only by the part of its lines' FIDs that leaks into the
+        other qubits' span; the fit refuses to determine them from that.
         """
         return self.is_full_rank and not self.undetermined_labels
 
@@ -210,65 +220,68 @@ def _resolve_transitions(table: TransitionTable, selected) -> tuple:
     return indices
 
 
-def _hybrid_bins(table: TransitionTable, indices, params: AcquisitionParams):
-    """Omega2 bin index for each selected transition under default processing,
-    by the axis-end rule :func:`~spintomo.spectral.cross_sections` applies."""
-    axis = hybrid_omega2_axis(params.n_t2, params.dwell_t2_s)
-    return tuple(_axis_bin(axis, table.entries[i].frequency_hz, "omega2")
-                 for i in indices)
+def detection_basis(system: SpinSystem, params: AcquisitionParams,
+                    selected_transitions=None) -> np.ndarray:
+    """Q, an orthonormal basis (n_t2 x r) of the span of the selected lines'
+    unit FIDs, from one SVD.
+
+    ``selected_transitions`` index the transition table; default is all of
+    them.  Directions whose singular value is at or below :data:`BASIS_TOL`
+    of the largest are dropped, so r can fall short of the number of lines
+    when short or overlapping FIDs are nearly dependent.
+    """
+    table = transition_table(system)
+    wanted = {(table.entries[i].lower, table.entries[i].upper)
+              for i in _resolve_transitions(table, selected_transitions)}
+    rows, cols, _ = detection_elements(system)
+    keep = [p for p, pair in enumerate(zip(rows.tolist(), cols.tolist())) if pair in wanted]
+    vectors, singular, _ = np.linalg.svd(detection_fids(system, params.t2_times)[keep].T,
+                                         full_matrices=False)
+    return vectors[:, singular > BASIS_TOL * singular[0]]
+
+
+@dataclass(eq=False)
+class FidCoordinates:
+    """Signal A's coordinates ``grid @ conj(basis)`` in a :func:`detection_basis`:
+    ``values`` has one row per t1 sample and one column per basis vector.
+    ``meta`` is the signal's."""
+
+    values: np.ndarray
+    basis: np.ndarray
+    meta: dict
+
+
+def fid_coordinates(signal: Signal2D, basis: np.ndarray) -> FidCoordinates:
+    """The coordinates of every t1 row of ``signal`` in ``basis``."""
+    return FidCoordinates(values=signal.grid @ basis.conj(), basis=basis,
+                          meta=signal.meta)
 
 
 def _stack(traces: np.ndarray) -> np.ndarray:
-    """Real vector of complex (t1, bin) traces: per bin, re, then im."""
+    """Real vector of complex (t1, coordinate) traces: per coordinate, re, then im."""
     return np.stack([traces.real.T, traces.imag.T], axis=1).reshape(-1)
 
 
-def _stack_cross_sections(hybrid: HybridSpectrum, design: DesignMatrix) -> np.ndarray:
-    """Real measurement vector: per design bin, mean-free trace split into re and im.
-
-    ``hybrid`` holds Omega2 columns of the default t2 transform, all of them
-    or any ascending subset.  Each design bin is found by its frequency on
-    :func:`~spintomo.spectral.hybrid_omega2_axis`; a hybrid without one
-    raises ValueError.  The t1-constant component of a cross-section carries
-    no off-diagonal information, so each trace has its t1 mean removed
-    before stacking.
-    """
-    params = design.params
-    wanted = hybrid_omega2_axis(params.n_t2, params.dwell_t2_s)[list(design.bins)]
-    axis = hybrid.omega2_hz
-    columns = np.minimum(np.searchsorted(axis, wanted), max(len(axis) - 1, 0))
-    missing = wanted[axis[columns] != wanted] if len(axis) else wanted
-    if len(missing):
-        raise ValueError("hybrid spectrum lacks the Omega2 bin(s) "
-                         f"{[float(f) for f in missing]} Hz the design fits")
-    traces = hybrid.grid[:, columns]
-    return _stack(traces - traces.mean(axis=0))
-
-
-def _design_parts(system: SpinSystem, params: AcquisitionParams, bins, labels):
+def _design_parts(system: SpinSystem, params: AcquisitionParams, basis, labels):
     """``(order, evolution, response, values)``, the flip-grouped design factors.
 
-    The sequence maps an input state rho to the hybrid spectrum
+    The sequence maps an input state rho to the coordinates of signal A
 
-        hybrid[t1, b] = sum_rs E[t1, rs] * G[rs, b] * rho[r, s]
+        coordinates[t1, c] = sum_rs E[t1, rs] * G[rs, c] * rho[r, s]
 
     with E the t1 evolution factors and G = V^T W^T K the rest of the chain:
     V[k, rs] = P[k, r] conj(P[k, s]) keeps what the (pi/2) pulse P puts on the
     diagonal (the ideal gradient discards the rest), W[p, k] =
     R[rows_p, k] conj(R[cols_p, k]) carries population k through the read
-    pulse R onto detected element p, and K[p, b] is :func:`dft_t2` of the
-    unit FID of element p at bin b, so the t2 processing is the
-    measurement's own.  Removing the t1 mean of E removes it from every trace.
-    E and G are kept only at the positions the off-diagonal ``labels`` touch,
-    grouped by flip mask as :class:`DesignMatrix` describes.
+    pulse R onto detected element p, and K = F conj(Q) holds the coordinates
+    of each detected element's unit FID (row of F) in ``basis`` Q.  Removing
+    the t1 mean of E removes it from every trace.  E and G are kept only at
+    the positions the off-diagonal ``labels`` touch, grouped by flip mask as
+    :class:`DesignMatrix` describes.
     """
     evolution, pulse_90, pulse_read = sequence_A_steps(system, params)
     rows, cols, _ = detection_elements(system)
-    unit_fids = Signal2D(grid=detection_fids(system, params.t2_times),
-                         dwell_t1_s=params.dwell_t1_s,
-                         dwell_t2_s=params.dwell_t2_s,
-                         meta={"t2_s": system.t2_s})
-    kernel = dft_t2(unit_fids).grid[:, list(bins)]
+    kernel = detection_fids(system, params.t2_times) @ basis.conj()
     dim = system.dim
     columns, values = monomial_table(system.n, labels)
     order = np.argsort(columns[:, 0], kind="stable")
@@ -342,17 +355,21 @@ def _solve_seminormal(apply, adjoint, eigenvalues: np.ndarray,
 
 
 def build_design_matrix(system: SpinSystem, params: AcquisitionParams,
-                        selected_transitions=None) -> DesignMatrix:
-    """The design operator of every off-diagonal basis operator's cross-sections.
+                        selected_transitions=None, basis=None) -> DesignMatrix:
+    """The design operator of every off-diagonal basis operator's signal-A
+    coordinates.
 
     ``selected_transitions`` are indices into the transition table; default is
-    all of them.  One cross-section per qubit is the minimum that can
-    determine every off-diagonal coefficient; using all of them averages down
-    numerical error.  A selection that leaves some qubit uncovered leaves that
-    qubit's single-quantum labels supported only by lineshape-tail leakage;
-    they are reported through ``undetermined_labels`` and the fit refuses to
-    run.  Rank, condition number, zero labels (``diag(A^T A)``) and null-space
-    labels come from one ``eigh`` of the labels x labels A^T A.
+    all of them.  ``basis`` is their :func:`detection_basis`, computed when
+    not given; the fitted coordinates must be taken in the same one.  One
+    qubit's lines are the minimum that can determine that qubit's
+    single-quantum coefficients; using all of them averages down numerical
+    error.  A selection that leaves some qubit uncovered leaves that qubit's
+    single-quantum labels supported only by the leakage of its lines' FIDs
+    into the selected span; they are reported through
+    ``undetermined_labels`` and the fit refuses to run.  Rank, condition
+    number, zero labels (``diag(A^T A)``) and null-space labels come from one
+    ``eigh`` of the labels x labels A^T A.
     """
     table = transition_table(system)
     check_nyquist(table, params)
@@ -365,14 +382,15 @@ def build_design_matrix(system: SpinSystem, params: AcquisitionParams,
             "single-quantum coefficients cannot be determined",
             stacklevel=2,
         )
-    bins = _hybrid_bins(table, indices, params)
+    if basis is None:
+        basis = detection_basis(system, params, indices)
     labels = offdiagonal_labels(system.n)
     undetermined = tuple(
         label for label in labels
         if sum(c in "xy" for c in label) == 1
         and (label.index("x") if "x" in label else label.index("y")) + 1 in missing
     )
-    order, evolution, response, values = _design_parts(system, params, bins, labels)
+    order, evolution, response, values = _design_parts(system, params, basis, labels)
     gram = _gram(evolution, response, values)
     eigenvalues, eigenvectors = np.linalg.eigh(gram)
     inverse = np.argsort(order)
@@ -390,7 +408,7 @@ def build_design_matrix(system: SpinSystem, params: AcquisitionParams,
         system=system,
         params=params,
         transition_indices=indices,
-        bins=bins,
+        basis=basis,
         order=order,
         evolution=evolution,
         response=response,
@@ -419,31 +437,27 @@ def _nullspace_labels(labels, null_vectors: np.ndarray) -> tuple:
     return tuple(label for label, w in zip(labels, weights) if w > 0.1)
 
 
-def _check_hybrid_matches_design(hybrid: HybridSpectrum, design: DesignMatrix) -> None:
-    system = hybrid.meta.get("system")
+def _check_signal_matches_design(signal: FidCoordinates, design: DesignMatrix) -> None:
+    system = signal.meta.get("system")
     if system is not None and system != design.system.to_dict():
         raise ValueError("signal was recorded on a different spin system than the design matrix")
-    params = hybrid.meta.get("params")
+    params = signal.meta.get("params")
     if params is not None and params != design.params.to_dict():
         raise ValueError("signal acquisition parameters differ from the design matrix")
-    processing = hybrid.meta.get("processing_t2", {})
-    if (processing.get("apodization") != "matched"
-            or processing.get("zero_fill") != 2
-            or not processing.get("first_point_half")):
-        raise ValueError("hybrid spectrum was not made with the default "
-                         "t2 processing the design matrix assumes")
+    if not np.array_equal(signal.basis, design.basis):
+        raise ValueError("signal coordinates were taken in another basis than the design's")
 
 
-def fit_offdiagonal(hybrid: HybridSpectrum, design: DesignMatrix) -> OffdiagonalFit:
-    """Least-squares solve of the stacked cross-sections against the design.
+def fit_offdiagonal(signal: FidCoordinates, design: DesignMatrix) -> OffdiagonalFit:
+    """Least-squares solve of signal A's coordinates against the design.
 
-    ``hybrid`` is the :func:`dft_t2` of the sequence-A signal under default
-    processing, or those of its Omega2 columns that hold the design's bins
-    (see :func:`_stack_cross_sections`).  Refuses rank-deficient designs
-    outright rather than returning a silent pseudo-inverse answer.  The
-    solve reuses the design's stored eigenpairs.
+    ``signal`` holds the :func:`fid_coordinates` of the sequence-A signal in
+    the design's ``basis``; each coordinate's t1 mean carries no
+    off-diagonal information and is removed.  Refuses rank-deficient
+    designs outright rather than returning a silent pseudo-inverse answer.
+    The solve reuses the design's stored eigenpairs.
     """
-    _check_hybrid_matches_design(hybrid, design)
+    _check_signal_matches_design(signal, design)
     if not design.is_solvable:
         bad = design.unsolved_labels
         raise RankDeficiencyError(
@@ -452,7 +466,7 @@ def fit_offdiagonal(hybrid: HybridSpectrum, design: DesignMatrix) -> Offdiagonal
             f"{[' '.join(l) for l in bad]}",
             labels=bad,
         )
-    target = _stack_cross_sections(hybrid, design)
+    target = _stack(signal.values - signal.values.mean(axis=0))
     solution, residual_vector = _solve_seminormal(
         design.apply, design.adjoint, design.eigenvalues, design.eigenvectors,
         target, design.labels)
@@ -470,43 +484,44 @@ def fit_offdiagonal(hybrid: HybridSpectrum, design: DesignMatrix) -> Offdiagonal
                           relative_residual=relative)
 
 
+def _split(values: np.ndarray) -> np.ndarray:
+    """Real array of complex ``values``: re, then im, along the last axis."""
+    return np.concatenate([values.real, values.imag], axis=-1)
+
+
 def _diagonal_response_matrix(system: SpinSystem, params: AcquisitionParams,
-                              table: TransitionTable):
-    """Sequence-B line amplitudes of every diagonal basis operator at once.
+                              basis: np.ndarray):
+    """Sequence-B coordinates of every diagonal basis operator at once.
 
     The ideal gradient keeps a diagonal operator d as it is, the beta pulse P
     carries population k onto detected element p with weight W[p, k] =
-    P[rows_p, k] conj(P[cols_p, k]), and the readout is linear: K[p, t] is
-    the peak amplitude at transition t of the :func:`dft_fid` of element p's
-    unit FID.  Row-stacked amplitudes (re, then im) are ``d^T W^T K``.
+    P[rows_p, k] conj(P[cols_p, k]), and element p's unit FID is row p of F.
+    The signal is ``d^T W^T F``; its coordinates in ``basis``, re then im,
+    are the columns.
     """
     labels = diagonal_labels(system.n)
     _, diagonals = monomial_table(system.n, labels)
     rows, cols, _ = detection_elements(system)
     pulse = rotation_pulse(system, params.beta_rad, 0.0)
     to_detected = pulse[rows, :] * pulse[cols, :].conj()
-    unit_fids = Signal1D(samples=detection_fids(system, params.t2_times),
-                         dwell_s=params.dwell_t2_s, meta={"t2_s": system.t2_s})
-    kernel = _peak_readout(dft_fid(unit_fids), table)
-    amplitudes = diagonals @ (to_detected.T @ kernel)
-    return labels, np.concatenate([amplitudes.real, amplitudes.imag], axis=1).T
+    signals = diagonals @ (to_detected.T @ detection_fids(system, params.t2_times))
+    return labels, _split(signals @ basis.conj()).T
 
 
 def fit_diagonal(signal: Signal1D, system: SpinSystem,
                  params: AcquisitionParams) -> DiagonalFit:
     """Recover the 2^n - 1 diagonal coefficients from the 1D readout.
 
-    Measured line amplitudes are fit against the simulated response of each
-    diagonal basis operator at the same beta, so the finite-pulse-angle terms
-    cancel exactly; the linear-response approximation never enters.
-    Overlapping lines are absorbed by that shared forward model, so the
-    amplitudes are read by the response's own readout, without an overlap
-    check; only a singular response is refused.
+    Signal B's coordinates in the :func:`detection_basis` of every line are
+    fit against the simulated coordinates of each diagonal basis operator at
+    the same beta, so the finite-pulse-angle terms cancel exactly; the
+    linear-response approximation never enters.  Overlapping lines are
+    absorbed by that shared forward model, so there is no overlap check;
+    only a singular response is refused.
     """
-    table = transition_table(system)
-    labels, response = _diagonal_response_matrix(system, params, table)
-    amps = _peak_readout(dft_fid(signal), table)
-    target = np.concatenate([amps.real, amps.imag])
+    basis = detection_basis(system, params)
+    labels, response = _diagonal_response_matrix(system, params, basis)
+    target = _split(signal.samples @ basis.conj())
 
     svals = np.linalg.svd(response, compute_uv=False)
     if svals[0] == 0 or svals[-1] <= svals[0] * 1e-10:
@@ -516,7 +531,13 @@ def fit_diagonal(signal: Signal1D, system: SpinSystem,
             labels=labels,
         )
     condition = float(svals[0] / svals[-1])
-    _warn_ill_conditioned("diagonal", condition)
+    if condition > CONDITION_WARN_THRESHOLD:
+        warnings.warn(
+            f"diagonal fit condition number {condition:.3g} exceeds "
+            f"{CONDITION_WARN_THRESHOLD:g}; rounding alone may cost a relative "
+            f"error of about {condition * np.finfo(float).eps:.1g}",
+            stacklevel=2,
+        )
     solution, _, _, _ = np.linalg.lstsq(response, target, rcond=None)
     residual = float(np.linalg.norm(response @ solution - target))
     scale = float(np.linalg.norm(target))
@@ -524,16 +545,6 @@ def fit_diagonal(signal: Signal1D, system: SpinSystem,
     coefficients = {label: float(q) for label, q in zip(labels, solution)}
     return DiagonalFit(coefficients=coefficients, residual_norm=residual,
                        relative_residual=relative, condition_number=condition)
-
-
-def _warn_ill_conditioned(fit: str, condition: float) -> None:
-    if condition > CONDITION_WARN_THRESHOLD:
-        warnings.warn(
-            f"{fit} fit condition number {condition:.3g} exceeds "
-            f"{CONDITION_WARN_THRESHOLD:g}; rounding alone may cost a relative "
-            f"error of about {condition * np.finfo(float).eps:.1g}",
-            stacklevel=3,
-        )
 
 
 def reconstruct(system: SpinSystem, offdiagonal_coefficients,
@@ -583,59 +594,39 @@ def max_relative_element_error(reference: np.ndarray, reconstructed: np.ndarray,
     return float(np.max(np.abs(rec - ref) / denom))
 
 
-def _reference_response_matrix(system: SpinSystem, params: AcquisitionParams):
-    """Pulse-free reference FIDs of every observable basis operator at once.
-
-    Operator L contributes its entry B_L[rows_p, cols_p] times the unit FID
-    of each detected element p; columns stack the samples' re, then im.
-    """
-    labels = observable_labels(system.n)
-    columns, values = monomial_table(system.n, labels)
-    rows, cols, _ = detection_elements(system)
-    on_detected = np.where(columns[:, rows] == cols, values[:, rows], 0.0)
-    samples = on_detected @ detection_fids(system, params.t2_times)
-    return labels, np.concatenate([samples.real, samples.imag], axis=1).T
-
-
 def reference_normalize(system: SpinSystem, reference: Signal1D,
                         result: TomographyResult,
                         params: AcquisitionParams) -> TomographyResult:
     """Rescale fitted coefficients against a pulse-free reference detection.
 
     ``reference`` is the measured :func:`reference_fid` of the input state.
-    The observable single-quantum coefficients it carries are fitted and
-    compared with the fitted values; their common ratio (a least-squares
-    average over the observable labels) becomes a single global scale
-    factor.  With ideal pulses the factor is 1 to numerical precision.
-    Normalization is skipped when the reference does not determine every
-    observable coefficient (too few samples for the labels), or carries no
-    observable content above its own residual (see :data:`REFERENCE_MIN_F`).
+    The fitted matrix predicts it (its own :func:`reference_fid`); the one
+    scale that fits the prediction to the measurement in least squares
+    scales every coefficient.  The prediction lies in the span of the unit
+    FIDs, so the scale is that of the two signals' coordinates in any
+    :func:`detection_basis` of every line; the significance check takes the
+    residual of the whole FID, 2 n_t2 - 1 degrees of freedom, so a register
+    with few lines still gets a sharp test.  With ideal pulses the factor is
+    1 to numerical precision.  Normalization is skipped when the reference
+    carries no observable content above its own residual (see
+    :data:`REFERENCE_MIN_F`), or the fitted observable coefficients are zero.
     """
     def skipped(reason):
         return replace(result, scale_factor=None, notes=result.notes + (
             f"reference normalization skipped: {reason}",))
 
-    labels, response_matrix = _reference_response_matrix(system, params)
-    target = np.concatenate([reference.samples.real, reference.samples.imag])
-    q_ref, _, rank, svals = np.linalg.lstsq(response_matrix, target, rcond=None)
-    if rank < len(labels):
-        return skipped(f"the reference determines {rank} of {len(labels)} "
-                       "observable coefficients")
-    fitted = response_matrix @ q_ref
-    # mean squares per fitted and per residual degree of freedom
-    explained = np.linalg.norm(fitted) ** 2 / max(rank, 1)
-    unexplained = np.linalg.norm(target - fitted) ** 2 / max(len(target) - rank, 1)
-    silent = np.linalg.norm(target) <= 1e-12 * max(1.0, float(np.max(np.abs(result.matrix))))
-    if silent or explained <= REFERENCE_MIN_F * unexplained:
+    target = _split(reference.samples)
+    predicted = _split(reference_fid(system, result.matrix, params).samples)
+    if np.linalg.norm(target) <= 1e-12 * max(1.0, float(np.max(np.abs(result.matrix)))):
         return skipped("no directly observable single-quantum content")
-    _warn_ill_conditioned("reference", float(svals[0] / svals[-1]))
-
-    q_fit = np.array([result.coefficients.get(label, 0.0) for label in labels])
-    mask = np.abs(q_ref) > 1e-9 * max(1.0, float(np.max(np.abs(q_ref))))
-    denom = float(np.dot(q_fit[mask], q_fit[mask]))
+    denom = float(predicted @ predicted)
     if denom <= 0.0:
         return skipped("fitted observable coefficients are zero")
-    scale = float(np.dot(q_ref[mask], q_fit[mask])) / denom
+    scale = float(target @ predicted) / denom
+    residual = target - scale * predicted
+    # mean squares per fitted and per residual degree of freedom
+    if scale ** 2 * denom <= REFERENCE_MIN_F * (residual @ residual) / max(len(target) - 1, 1):
+        return skipped("no directly observable single-quantum content")
 
     coefficients = {label: q * scale for label, q in result.coefficients.items()}
     matrix = coefficients_to_density(system, coefficients)
@@ -667,23 +658,23 @@ def _score(system: SpinSystem, reference, coefficients: dict, matrix) -> tuple:
 
 def tomograph_state(system: SpinSystem, rho0: np.ndarray,
                     params: AcquisitionParams, design: DesignMatrix | None = None,
-                    signal_a: HybridSpectrum | None = None,
+                    signal_a: FidCoordinates | None = None,
                     signal_b: Signal1D | None = None,
                     normalize: bool = True,
                     reference: Signal1D | None = None) -> TomographyResult:
     """Full pipeline: simulate both experiments, invert, reassemble, score.
 
     Pre-simulated (possibly noise-added) measurements can be passed in:
-    ``signal_a`` as the default :func:`dft_t2` hybrid of the sequence-A
-    signal (or the columns of it :func:`fit_offdiagonal` reads), ``signal_b``
-    and the reference FID.  Whatever is missing is simulated from ``rho0``
-    with ideal settings, and the design is built over every transition.
-    Otherwise the input state serves only as the scoring reference.
+    ``signal_a`` as the :func:`fid_coordinates` of the sequence-A signal in
+    the design's ``basis``, ``signal_b`` and the reference FID.  Whatever is
+    missing is simulated from ``rho0`` with ideal settings, and the design is
+    built over every transition.  Otherwise the input state serves only as
+    the scoring reference.
     """
     if design is None:
         design = build_design_matrix(system, params)
     if signal_a is None:
-        signal_a = dft_t2(run_sequence_A(system, rho0, params))
+        signal_a = fid_coordinates(run_sequence_A(system, rho0, params), design.basis)
     if signal_b is None:
         signal_b = run_sequence_B(system, rho0, params)
 

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from spintomo import build_spin_system, gradient_project, rotation_pulse
+from spintomo import (build_spin_system, gradient_project, rotation_pulse,
+                      transition_table)
 from spintomo.core import down_counts, energies
 
 # Two-spin demonstration system and state used across the suite.
@@ -139,6 +140,34 @@ def local_maxima_above(values, threshold):
         if values[i] > threshold and values[i] >= values[i - 1] and values[i] > values[i + 1]:
             out.append(i)
     return out
+
+
+def line_traces(design, column_index):
+    """Complex t1 traces (one row per transition, table order) of one design
+    column's amplitude on each line: the column's coordinates fitted, per t1
+    sample, by the unit FIDs of every line."""
+    system, params = design.system, design.params
+    parts = design.apply(np.eye(len(design.labels))[column_index]).reshape(-1, 2, params.n_t1)
+    coordinates = parts[:, 0] + 1j * parts[:, 1]
+    rates = 2j * np.pi * transition_table(system).frequencies() - 1.0 / system.t2_s
+    lines = np.exp(np.outer(rates, params.t2_times)) @ design.basis.conj()
+    amplitudes, _, _, _ = np.linalg.lstsq(lines.T, coordinates, rcond=None)
+    return amplitudes
+
+
+def peak_readout(spectrum, frequencies):
+    """Complex amplitude of a 1D spectrum at each of ``frequencies``, none at
+    an axis end: a quadratic through the three bins around the frequency,
+    evaluated at its fractional offset from the nearest bin."""
+    axis, values = spectrum.omega_hz, spectrum.values
+    out = []
+    for f in frequencies:
+        b = int(np.argmin(np.abs(axis - f)))
+        offset = (f - axis[b]) / (axis[1] - axis[0])
+        left, mid, right = values[b - 1], values[b], values[b + 1]
+        out.append(mid + 0.5 * (right - left) * offset
+                   + 0.5 * (right - 2.0 * mid + left) * offset ** 2)
+    return np.array(out)
 
 
 def fit_t1_trace(trace, t1, frequencies, time_constant):

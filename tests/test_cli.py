@@ -10,16 +10,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spintomo import (TomographyResult, coefficients_to_density, dft_fid, dft_t1,
-                      dft_t2, reference_fid, run_sequence_A, run_sequence_B,
-                      tomograph_state, transition_table)
+from spintomo import (TomographyResult, coefficients_to_density, detection_basis,
+                      dft_fid, dft_t1, dft_t2, fid_coordinates, reference_fid,
+                      run_sequence_A, run_sequence_B, tomograph_state,
+                      transition_table)
 import spintomo
 from spintomo.cli import (_atomic_write, _build_design, _export_simulation,
                           _simulate_signals,
                           _write_json, _write_report, config_from_dict, main,
                           parse_config, resolve_params)
 from spintomo.errors import ConfigError, RankDeficiencyError
-from spintomo.tomography import _stack_cross_sections
 
 from conftest import DEMO_COEFFS, local_maxima_above
 
@@ -280,20 +280,13 @@ class TestSimulateCommand:
         table = transition_table(cfg.system)
         tracemalloc.start()
         try:
-            hybrid = _export_simulation(cfg, signal_a, signal_b, tmp_path, table)
+            _export_simulation(cfg, signal_a, signal_b, tmp_path, table)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         magnitude = np.load(tmp_path / "spectrum_2d.npy", allow_pickle=False)
         full_hybrid_nbytes = 512 * magnitude.shape[1] * np.dtype(complex).itemsize
         assert peak <= 1.6 * full_hybrid_nbytes
-        # the time-domain grid is released once transformed
-        assert signal_a.grid is None
-        # only the distinct Omega2 bins of the transitions are kept, ascending
-        sections = json.loads((tmp_path / "cross_sections.json").read_text())["sections"]
-        kept = sorted({entry["bin_hz"] for entry in sections})
-        assert hybrid.omega2_hz.tolist() == kept
-        assert hybrid.grid.shape == (512, len(kept))
 
     def test_output_mode_follows_umask(self, tmp_path):
         path = write_config(tmp_path, demo_config(n_t1=16))
@@ -435,13 +428,24 @@ class TestTomographCommand:
                 cfg, params, np.random.default_rng(cfg.options.seed))
             noise = reference.samples - reference_fid(cfg.system, rho0, params).samples
             assert np.std(noise) == pytest.approx(0.05, rel=0.2)
+            signal_a = fid_coordinates(signal_a, detection_basis(cfg.system, params))
             scales = {
                 name: tomograph_state(cfg.system, rho0, params,
-                                      signal_a=dft_t2(signal_a), signal_b=signal_b,
+                                      signal_a=signal_a, signal_b=signal_b,
                                       reference=measured).scale_factor
                 for name, measured in (("noisy", reference), ("clean", None))}
         assert result["scale_factor"] == scales["noisy"]
         assert scales["noisy"] != scales["clean"]
+
+    def test_five_qubit_demo_normalizes(self, tmp_path):
+        # the reference fixes one scale, so normalization no longer needs
+        # the reference to determine all 160 observable coefficients
+        out = tmp_path / "demo5"
+        assert main(["tomograph", "--config", str(CONFIG_DIR / "demo_5qubit.json"),
+                     "--out", str(out)]) == 0
+        result = json.loads((out / "result.json").read_text())
+        assert result["scale_factor"] == pytest.approx(1.0, abs=1e-9)
+        assert not [note for note in result["notes"] if "skipped" in note]
 
     def test_zero_state(self, tmp_path, capsys):
         payload = demo_config(n_t1=32, n_t2=256)
@@ -510,35 +514,36 @@ class TestTomographCommand:
 
     @pytest.mark.parametrize("config, qubits", [
         ("demo_2qubit.json", None), ("demo_4qubit.json", None), ("demo_2qubit.json", [2])])
-    def test_reduced_hybrid_fits_like_full(self, tmp_path, config, qubits):
-        # the exported hybrid keeps only the transitions' distinct Omega2
-        # bins; the fit finds the design's among them by frequency and
-        # reads the same columns it reads from the full hybrid
+    def test_tomograph_fits_like_whole_signal(self, tmp_path, config, qubits):
+        # tomograph takes signal A's coordinates once the exports are written
+        # and then drops the grid; its result is the fit of the whole signal,
+        # and a selection that leaves a qubit uncovered is refused either way
         payload = json.loads((CONFIG_DIR / config).read_text())
         if qubits:
             payload["acquisition"]["cross_section_qubits"] = qubits
-        cfg = config_from_dict(payload)
-        params = resolve_params(cfg)
-        table = transition_table(cfg.system)
-        rho0, signal_a, signal_b, _ = _simulate_signals(cfg, params)
-        full = dft_t2(signal_a)
-        reduced = _export_simulation(cfg, signal_a, signal_b, tmp_path, table)
-        assert reduced.grid.shape[1] < full.grid.shape[1]
+        path = write_config(tmp_path, payload)
+        out = tmp_path / "out"
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            design = _build_design(cfg, params, table)
-        assert (_stack_cross_sections(reduced, design).tobytes()
-                == _stack_cross_sections(full, design).tobytes())
-        fits = {}
-        for name, hybrid in (("full", full), ("reduced", reduced)):
+            code = main(["tomograph", "--config", str(path), "--out", str(out)])
+            cfg = parse_config(path)
+            params = resolve_params(cfg)
+            rho0, signal_a, signal_b, reference = _simulate_signals(cfg, params)
+            design = _build_design(cfg, params, transition_table(cfg.system))
             try:
-                fits[name] = tomograph_state(cfg.system, rho0, params, design=design,
-                                             signal_a=hybrid, signal_b=signal_b,
-                                             normalize=False).coefficients
-            except RankDeficiencyError as exc:
-                fits[name] = str(exc)
-        assert fits["reduced"] == fits["full"]
-        assert isinstance(fits["full"], str) == bool(qubits)
+                expected = tomograph_state(
+                    cfg.system, rho0, params, design=design,
+                    signal_a=fid_coordinates(signal_a, design.basis), signal_b=signal_b,
+                    normalize=cfg.options.reference_normalize, reference=reference)
+            except RankDeficiencyError:
+                expected = None
+        assert (expected is None) == bool(qubits)
+        if expected is None:
+            assert code == 3
+            return
+        assert code == 0
+        result = json.loads((out / "result.json").read_text())
+        assert result["coefficients"] == expected.to_json_dict()["coefficients"]
 
     def test_recorded_delays_reproduce_signals(self, tmp_path):
         # the sidecars' delays rerun both noiseless sequences bit for bit
@@ -598,9 +603,9 @@ class TestTomographCommand:
         assert capsys.readouterr().err == ""
 
     def test_line_beyond_axis_exit_code(self, tmp_path, capsys):
-        # the design reads its bins by the axis-end rule of the cross-sections,
-        # so basis refuses what tomograph refuses; simulate and tomograph
-        # check it before simulating, so none of them writes a file.
+        # every command checks the axis-end rule of the cross-sections
+        # before simulating or building anything, so basis refuses what
+        # tomograph refuses and none of them writes a file.
         # One t2 sample: the axis is [-2792, 0] Hz, the line is at 1861 Hz.
         one_sample = {"spin_system": {"n": 1, "larmor_hz": [1861.0], "t2_s": 0.01},
                       "state": {"coefficients": [["x", 1.0], ["z", 0.5]]},

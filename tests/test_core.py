@@ -7,10 +7,10 @@ import scipy.linalg
 import spintomo
 from spintomo import (all_labels, build_design_matrix, build_spin_system,
                       coefficients_to_density, default_acquisition,
-                      density_to_coefficients, dft_t2, diagonal_labels,
-                      fit_offdiagonal, format_label, observable_labels,
-                      offdiagonal_labels, parse_label, product_operator,
-                      rotation_pulse, run_sequence_A)
+                      density_to_coefficients, diagonal_labels,
+                      fid_coordinates, fit_offdiagonal, format_label,
+                      observable_labels, offdiagonal_labels, parse_label,
+                      product_operator, rotation_pulse, run_sequence_A)
 from spintomo.core import (energies, monomial_table, operator_norm_squared,
                            single_quantum_transitions)
 
@@ -68,10 +68,10 @@ class TestBuildSpinSystem:
         assert rebuilt.to_dict() == two_spin_system.to_dict()
         params = default_acquisition(two_spin_system, n_t1=32, n_t2=64)
         design = build_design_matrix(two_spin_system, params)
-        hybrid = dft_t2(run_sequence_A(rebuilt, coefficients_to_density(
-            rebuilt, DEMO_COEFFS), params))
-        assert hybrid.meta["system"] == rebuilt.to_dict()
-        fit = fit_offdiagonal(hybrid, design)
+        signal = fid_coordinates(run_sequence_A(rebuilt, coefficients_to_density(
+            rebuilt, DEMO_COEFFS), params), design.basis)
+        assert signal.meta["system"] == rebuilt.to_dict()
+        fit = fit_offdiagonal(signal, design)
         for label, value in DEMO_COEFFS.items():
             if label in fit.coefficients:
                 assert fit.coefficients[label] == pytest.approx(value, abs=1e-9)

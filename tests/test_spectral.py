@@ -6,15 +6,14 @@ import warnings
 import numpy as np
 import pytest
 
-from spintomo import (AxisRangeError, Signal1D, Signal2D,
-                      SpinTomoError, Transition, TransitionTable,
+from spintomo import (AxisRangeError, Signal1D, Signal2D, SpinTomoError,
                       coefficients_to_density, cross_sections,
                       default_acquisition, dft_fid, dft_t1, dft_t2,
                       hybrid_omega2_axis, run_sequence_A,
                       transition_table)
 from spintomo.cli import _write_array
 from spintomo.spectral import (T1_BLOCK_COLUMNS, T2_BLOCK_ROWS, HybridSpectrum,
-                               _axis_bin, _dft, _peak_readout, dft_t1_magnitude)
+                               _axis_bin, _dft, dft_t1_magnitude)
 
 from conftest import DEMO_COEFFS, local_maxima_above
 
@@ -356,63 +355,3 @@ class TestCrossSection:
         assert (np.max(np.abs(hybrid.grid[:, off_peak]))
                 <= 1e-9 * np.max(np.abs(hybrid.grid[:, on_peak])))
 
-
-class TestPeakAmplitudes:
-    @staticmethod
-    def table_for(frequencies):
-        entries = tuple(
-            Transition(qubit=i + 1, upper=0, lower=1, frequency_hz=f)
-            for i, f in enumerate(frequencies)
-        )
-        return TransitionTable(entries=entries)
-
-    def test_zero_signal(self):
-        signal = Signal1D(samples=np.zeros(64, dtype=complex), dwell_s=1e-3,
-                          meta={"t2_s": 0.05})
-        spectrum = dft_fid(signal)
-        amps = _peak_readout(spectrum, self.table_for([100.0]))
-        assert np.all(np.abs(amps) <= 1e-12)
-
-    def test_two_lorentzians_match_closed_form(self):
-        n, dwell, tau = 512, 1e-3, 0.05
-        axis = np.fft.fftshift(np.fft.fftfreq(2 * n, dwell))
-        bin_width = axis[1] - axis[0]
-        f1 = float(axis[len(axis) // 2 + 150])          # exactly on a bin
-        f2 = float(axis[len(axis) // 2 + 400]) + 0.3 * bin_width  # off bin
-        a1, a2 = 2.0, -0.7
-        t = np.arange(n) * dwell
-        samples = (a1 * np.exp(2j * np.pi * f1 * t) + a2 * np.exp(2j * np.pi * f2 * t)) \
-            * np.exp(-t / tau)
-        signal = Signal1D(samples=samples, dwell_s=dwell, meta={"t2_s": tau})
-        spectrum = dft_fid(signal, apodization=None, zero_fill=2,
-                           first_point_half=True)
-
-        def line_sum(amplitude, line_f, read_f):
-            rate = 2j * np.pi * (line_f - read_f) - 1.0 / tau
-            ratio = np.exp(rate * dwell)
-            total = amplitude * (1.0 - ratio ** n) / (1.0 - ratio)
-            return total - 0.5 * amplitude  # first-point correction
-
-        amps = _peak_readout(spectrum, self.table_for([f1, f2]))
-        for read_f, amplitude in zip((f1, f2), amps):
-            expected = line_sum(a1, f1, read_f) + line_sum(a2, f2, read_f)
-            assert abs(amplitude - expected) < 0.01 * abs(expected)
-
-    def test_out_of_axis_rejected(self):
-        signal = Signal1D(samples=np.zeros(64, dtype=complex), dwell_s=1e-3,
-                          meta={"t2_s": 0.05})
-        spectrum = dft_fid(signal)
-        with pytest.raises(ValueError, match="outside"):
-            _peak_readout(spectrum, self.table_for([1e5]))
-
-    def test_half_bin_beyond_axis_end_reads_end_bin(self):
-        signal = oscillator_fid(64, 1e-3, 200.0)
-        signal.meta["t2_s"] = 0.05
-        spectrum = dft_fid(signal)
-        axis = spectrum.omega_hz
-        half_bin = 0.5 * (axis[1] - axis[0])
-        amplitudes = _peak_readout(spectrum, self.table_for(
-            [axis[-1] + 0.99 * half_bin, axis[0] - 0.99 * half_bin]))
-        assert list(amplitudes) == [spectrum.values[-1], spectrum.values[0]]
-        with pytest.raises(AxisRangeError):
-            _peak_readout(spectrum, self.table_for([axis[-1] + 1.01 * half_bin]))
