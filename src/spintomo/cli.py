@@ -333,12 +333,15 @@ def _simulate_signals(cfg: RunConfig, params, rng=None):
     return rho0, signal_a, signal_b, reference
 
 
-def _export_simulation(cfg: RunConfig, signal_a, signal_b, out: Path, table) -> None:
-    """Write signals, spectra and cross-sections.
+def _export_simulation(cfg: RunConfig, signal_a, signal_b, out: Path, table,
+                       params=None):
+    """Write signals, spectra and cross-sections.  With ``params``, return
+    signal A's :func:`fid_coordinates` in the :func:`detection_basis` of the
+    configured cross-sections (None without).
 
     The 2D magnitude is written one column block at a time and never held
-    whole; the t2 hybrid is released once the cross-sections are written.
-    Signal A's ``grid`` is left to the caller.
+    whole; the t2 hybrid is released once the cross-sections are written,
+    and signal A's ``grid`` (set to None) once the coordinates are taken.
     """
     _write_array(out, "signal_a.npy", signal_a.grid, ["t1", "t2"], "signal_a.json",
                  dwell_t1_s=signal_a.dwell_t1_s, dwell_t2_s=signal_a.dwell_t2_s,
@@ -371,11 +374,18 @@ def _export_simulation(cfg: RunConfig, signal_a, signal_b, out: Path, table) -> 
     _write_array(out, "spectrum_b.npy", spectrum_b.values, ["omega"], "spectrum_b.json",
                  omega_hz=[float(f) for f in spectrum_b.omega_hz],
                  units={"omega": "Hz"})
+    # Taken last: the SVD and the product map library code and BLAS buffers
+    # that stay resident, so taken before the spectra they would raise the peak.
+    coordinates = None if params is None else fid_coordinates(signal_a, detection_basis(
+        cfg.system, params, selected_transition_indices(cfg, table)))
+    signal_a.grid = None
+    return coordinates
 
 
-def _build_design(cfg: RunConfig, params, table):
+def _build_design(cfg: RunConfig, params, table, basis=None):
+    """The design over the configured cross-sections, in the fitted coordinates' ``basis``."""
     selected = selected_transition_indices(cfg, table)
-    return build_design_matrix(cfg.system, params, selected)
+    return build_design_matrix(cfg.system, params, selected, basis)
 
 
 def _design_summary(design) -> dict:
@@ -454,16 +464,9 @@ def cmd_tomograph(cfg: RunConfig, out: Path) -> int:
     params = resolve_params(cfg)
     table = _checked_table(cfg, params)
     rho0, signal_a, signal_b, reference = _simulate_signals(cfg, params)
-    _export_simulation(cfg, signal_a, signal_b, out, table)
-    # Signal A is fitted by its coordinates, taken once the spectra are
-    # released: the SVD and the product map library code and BLAS buffers
-    # that stay resident, so taken earlier they would raise the export peak.
-    # The grid goes before the design is built.
-    selected = selected_transition_indices(cfg, table)
-    coordinates = fid_coordinates(signal_a, detection_basis(cfg.system, params, selected))
-    signal_a.grid = None
+    coordinates = _export_simulation(cfg, signal_a, signal_b, out, table, params)
 
-    design = build_design_matrix(cfg.system, params, selected, coordinates.basis)
+    design = _build_design(cfg, params, table, coordinates.basis)
     _write_json(out / "design_summary.json", _design_summary(design))
 
     result = tomograph_state(cfg.system, rho0, params, design=design,

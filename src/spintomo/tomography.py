@@ -152,14 +152,12 @@ class DesignMatrix:
 @dataclass
 class OffdiagonalFit:
     coefficients: dict
-    residual_norm: float
     relative_residual: float
 
 
 @dataclass
 class DiagonalFit:
     coefficients: dict
-    residual_norm: float
     relative_residual: float
     condition_number: float
 
@@ -252,7 +250,11 @@ class FidCoordinates:
 
 
 def fid_coordinates(signal: Signal2D, basis: np.ndarray) -> FidCoordinates:
-    """The coordinates of every t1 row of ``signal`` in ``basis``."""
+    """The coordinates of every t1 row of ``signal`` in ``basis``.
+
+    A fit needs its design's ``basis`` itself, which a second SVD need not
+    match bit for bit: pass the design's, or pass this one to the design.
+    """
     return FidCoordinates(values=signal.grid @ basis.conj(), basis=basis,
                           meta=signal.meta)
 
@@ -360,8 +362,9 @@ def build_design_matrix(system: SpinSystem, params: AcquisitionParams,
     coordinates.
 
     ``selected_transitions`` are indices into the transition table; default is
-    all of them.  ``basis`` is their :func:`detection_basis`, computed when
-    not given; the fitted coordinates must be taken in the same one.  One
+    all of them.  ``basis`` is the basis the fitted coordinates are taken in,
+    their :func:`detection_basis` when not given; any orthonormal basis of
+    that span gives the same fit.  One
     qubit's lines are the minimum that can determine that qubit's
     single-quantum coefficients; using all of them averages down numerical
     error.  A selection that leaves some qubit uncovered leaves that qubit's
@@ -480,8 +483,7 @@ def fit_offdiagonal(signal: FidCoordinates, design: DesignMatrix) -> Offdiagonal
             stacklevel=2,
         )
     coefficients = {label: float(q) for label, q in zip(design.labels, solution)}
-    return OffdiagonalFit(coefficients=coefficients, residual_norm=residual,
-                          relative_residual=relative)
+    return OffdiagonalFit(coefficients=coefficients, relative_residual=relative)
 
 
 def _split(values: np.ndarray) -> np.ndarray:
@@ -543,8 +545,8 @@ def fit_diagonal(signal: Signal1D, system: SpinSystem,
     scale = float(np.linalg.norm(target))
     relative = residual / scale if scale > 0 else 0.0
     coefficients = {label: float(q) for label, q in zip(labels, solution)}
-    return DiagonalFit(coefficients=coefficients, residual_norm=residual,
-                       relative_residual=relative, condition_number=condition)
+    return DiagonalFit(coefficients=coefficients, relative_residual=relative,
+                       condition_number=condition)
 
 
 def reconstruct(system: SpinSystem, offdiagonal_coefficients,
@@ -668,11 +670,12 @@ def tomograph_state(system: SpinSystem, rho0: np.ndarray,
     ``signal_a`` as the :func:`fid_coordinates` of the sequence-A signal in
     the design's ``basis``, ``signal_b`` and the reference FID.  Whatever is
     missing is simulated from ``rho0`` with ideal settings, and the design is
-    built over every transition.  Otherwise the input state serves only as
-    the scoring reference.
+    built over every transition, in ``signal_a``'s basis when it is given.
+    Otherwise the input state serves only as the scoring reference.
     """
     if design is None:
-        design = build_design_matrix(system, params)
+        design = build_design_matrix(system, params,
+                                     basis=None if signal_a is None else signal_a.basis)
     if signal_a is None:
         signal_a = fid_coordinates(run_sequence_A(system, rho0, params), design.basis)
     if signal_b is None:

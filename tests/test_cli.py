@@ -275,18 +275,23 @@ class TestSimulateCommand:
         # allocated, so the full t2 hybrid sets the peak (1.47x of it
         # measured; holding the magnitude grid as well took it to 2.26x)
         cfg = config_from_dict(demo_config(n_t1=512, n_t2=256))
-        _, signal_a, signal_b, _ = _simulate_signals(
-            cfg, resolve_params(cfg), np.random.default_rng(0))
+        params = resolve_params(cfg)
+        _, signal_a, signal_b, _ = _simulate_signals(cfg, params, np.random.default_rng(0))
+        grid = signal_a.grid
         table = transition_table(cfg.system)
         tracemalloc.start()
         try:
-            _export_simulation(cfg, signal_a, signal_b, tmp_path, table)
+            coordinates = _export_simulation(cfg, signal_a, signal_b, tmp_path, table, params)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         magnitude = np.load(tmp_path / "spectrum_2d.npy", allow_pickle=False)
         full_hybrid_nbytes = 512 * magnitude.shape[1] * np.dtype(complex).itemsize
         assert peak <= 1.6 * full_hybrid_nbytes
+        # the time-domain grid is released once its coordinates are taken
+        assert signal_a.grid is None
+        assert coordinates.basis.shape == detection_basis(cfg.system, params).shape
+        assert np.array_equal(coordinates.values, grid @ coordinates.basis.conj())
 
     def test_output_mode_follows_umask(self, tmp_path):
         path = write_config(tmp_path, demo_config(n_t1=16))

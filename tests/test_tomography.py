@@ -938,6 +938,22 @@ class TestEndToEnd:
         assert abs(np.trace(result.matrix)) < 1e-10
         assert np.max(np.abs(result.matrix - result.matrix.conj().T)) < 1e-10
 
+    def test_design_built_in_the_coordinates_basis(self, two_spin_setup):
+        # without a design, tomograph_state builds one in the basis signal A's
+        # coordinates were taken in, not in a second SVD that must match it
+        # bit for bit; any basis of the span gives the same coefficients
+        system, params, design = two_spin_setup
+        rho0 = coefficients_to_density(system, DEMO_COEFFS)
+        rng = np.random.default_rng(16)
+        rank = design.basis.shape[1]
+        unitary, _ = np.linalg.qr(rng.standard_normal((rank, rank))
+                                  + 1j * rng.standard_normal((rank, rank)))
+        signal = run_sequence_A(system, rho0, params)
+        fits = [tomograph_state(system, rho0, params, signal_a=fid_coordinates(signal, basis),
+                                normalize=False).coefficients
+                for basis in (design.basis, design.basis @ unitary)]
+        assert max(abs(fits[0][l] - fits[1][l]) for l in fits[0]) <= 1e-12
+
     def test_result_json_payload(self, two_spin_setup):
         system, params, design = two_spin_setup
         rho0 = coefficients_to_density(system, DEMO_COEFFS)
