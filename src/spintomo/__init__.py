@@ -8,9 +8,8 @@ deviation density matrix by forward-model least squares.
 
 from .core import (AXES, SpinSystem, all_labels, build_spin_system,
                    coefficients_to_density, density_to_coefficients,
-                   diagonal_labels, format_label, observable_labels,
-                   offdiagonal_labels, parse_label, product_operator,
-                   rotation_pulse)
+                   diagonal_labels, format_label, offdiagonal_labels,
+                   parse_label, product_operator, rotation_pulse)
 from .dynamics import (evolution_rates, gradient_project,
                        realistic_gradient_project)
 from .errors import (AxisRangeError, ConfigError, DegenerateTransitionError,
@@ -41,7 +40,7 @@ __all__ = [
     "evolution_rates", "fid_coordinates", "fidelity", "fit_diagonal",
     "fit_offdiagonal", "format_label", "gradient_project",
     "hybrid_omega2_axis", "max_relative_element_error",
-    "observable_labels", "offdiagonal_labels", "parse_label",
+    "offdiagonal_labels", "parse_label",
     "product_operator", "realistic_gradient_project", "reconstruct",
     "reference_fid", "reference_normalize", "rotation_pulse",
     "run_sequence_A", "run_sequence_B", "tomograph_state",

@@ -176,15 +176,6 @@ def offdiagonal_labels(n: int) -> tuple:
     return tuple(label for label in all_labels(n) if set(label) & {"x", "y"})
 
 
-def observable_labels(n: int) -> tuple:
-    """Single-quantum labels: exactly one transverse axis, o/z elsewhere.
-
-    These are the only labels with directly detectable signal content.
-    """
-    return tuple(label for label in all_labels(n)
-                 if sum(c in "xy" for c in label) == 1)
-
-
 def operator_norm_squared(label: str) -> float:
     """Trace of the squared basis operator: 2^n / 4^m with m non-identity axes."""
     n = len(label)

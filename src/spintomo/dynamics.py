@@ -45,19 +45,12 @@ def gradient_project(rho: np.ndarray) -> np.ndarray:
 GRADIENT_DELAY_BLOCK = 64
 
 
-def realistic_gradient_project(rho: np.ndarray, system: SpinSystem,
-                               delays_s) -> np.ndarray:
-    """Gradient that spares zero-quantum coherences, followed by randomized delays.
+def delay_average(system: SpinSystem, delays_s) -> np.ndarray:
+    """The (dim, dim) mean of the free-evolution factors exp(delay * rates)
+    over the drawn ``delays_s`` (in seconds, none negative).
 
-    Keeps diagonal and zero-quantum elements (equal down-spin counts), then
-    ensemble-averages the state over free evolution for each of the drawn
-    ``delays_s`` (in seconds, none negative).  Zero-quantum phases average
-    towards zero; the diagonal is untouched.  Evolution is element-wise, so
-    the mean of the delays' factors exp(delay * rates) is applied once.  The
-    factors are summed :data:`GRADIENT_DELAY_BLOCK` delays at a time, in
+    The factors are summed :data:`GRADIENT_DELAY_BLOCK` delays at a time, in
     draw order, so the mean is bit for bit that of all factors at once.
-    Accepts a single matrix or a (..., dim, dim) batch; every matrix of a
-    batch sees the same delays.
     """
     delays_s = np.ravel(delays_s)
     if not delays_s.size:
@@ -72,9 +65,24 @@ def realistic_gradient_project(rho: np.ndarray, system: SpinSystem,
         if total is not None:
             factors[0] += total  # the running sum continues row by row
         total = factors.sum(axis=0)
+    return total / delays_s.size
+
+
+def realistic_gradient_project(rho: np.ndarray, system: SpinSystem,
+                               delays_s) -> np.ndarray:
+    """Gradient that spares zero-quantum coherences, followed by randomized delays.
+
+    Keeps diagonal and zero-quantum elements (equal down-spin counts), then
+    ensemble-averages the state over free evolution for each of the drawn
+    ``delays_s``.  Zero-quantum phases average towards zero; the diagonal is
+    untouched.  Evolution is element-wise, so the :func:`delay_average` of
+    the delays' factors is applied once.  Accepts a single matrix or a
+    (..., dim, dim) batch; every matrix of a batch sees the same delays.
+    """
+    mean = delay_average(system, delays_s)
     down = down_counts(system.n)
     kept = np.asarray(rho, dtype=complex) * (down[:, None] == down[None, :])
-    return kept * (total / delays_s.size)
+    return kept * mean
 
 
 def detection_elements(system: SpinSystem):

@@ -8,11 +8,12 @@ Sequence B (one-dimensional, reads out the diagonal):
 
     gradient -> beta about +y -> detect(t2)
 
-Both are implemented with a vectorized t1 axis: every step of the sequence is
-linear in the density matrix, and free evolution is an element-wise phase, so
-the whole t1 series is propagated as one (n_t1, dim, dim) array.  Rows of the
-result are bit-identical to running the per-step chain one t1 increment at a
-time.
+Every step is linear in the density matrix, and free evolution is an
+element-wise factor, so sequence A after t1 is one linear map of the evolved
+state (:func:`sequence_A_map`): the pulses and the gradient carry it onto the
+support the gradient keeps, then onto the detected elements, whose unit FIDs
+make the t2 samples.  The grid is filled :data:`T2_BLOCK_ROWS` t1 rows at a
+time through that map, so no state is held for the whole t1 axis.
 """
 
 from __future__ import annotations
@@ -22,11 +23,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (DEGENERACY_TOL_HZ, SpinSystem, _close_pairs, is_hermitian,
-                   rotation_pulse, single_quantum_transitions)
-from .dynamics import (detection_elements, evolution_rates, gradient_project,
-                       realistic_gradient_project)
+from .core import (DEGENERACY_TOL_HZ, SpinSystem, _close_pairs, down_counts,
+                   is_hermitian, rotation_pulse, single_quantum_transitions)
+from .dynamics import (delay_average, detection_elements, evolution_rates,
+                       gradient_project, realistic_gradient_project)
 from .errors import DegenerateTransitionError, NyquistError
+
+# t1 rows made or transformed at once wherever a (t1, t2) grid is filled: the
+# temporaries of one block stay a small part of the grid.
+T2_BLOCK_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -213,14 +218,6 @@ def _validate_state(rho: np.ndarray, system: SpinSystem) -> np.ndarray:
     return rho
 
 
-def _apply_gradient(sigma: np.ndarray, system: SpinSystem, delays_s) -> np.ndarray:
-    """The gradient step for a batch (..., dim, dim) of states: ideal without
-    delays, else :func:`~spintomo.dynamics.realistic_gradient_project`."""
-    if delays_s is None:
-        return gradient_project(sigma)
-    return realistic_gradient_project(sigma, system, delays_s)
-
-
 def detection_fids(system: SpinSystem, t2_times: np.ndarray) -> np.ndarray:
     """Unit FIDs of the detected elements, one row per element.
 
@@ -259,18 +256,36 @@ def _gradient_meta(delays_s) -> dict:
             "gradient_delays_s": [float(d) for d in np.ravel(delays_s)]}
 
 
-def sequence_A_steps(system: SpinSystem, params: AcquisitionParams):
-    """The fixed linear steps of sequence A around the gradient.
+def sequence_A_map(system: SpinSystem, params: AcquisitionParams, left, right,
+                   gradient_delays_s=None):
+    """``(to_support, to_detected)``: sequence A after t1 evolution as two
+    matrices over the positions (left[j], right[j]) of the evolved state.
 
-    Returns ``(evolution, pulse_90, pulse_read)``: the (n_t1, dim, dim)
-    element-wise factors exp(t1 * rates) of free evolution with decay over the
-    t1 grid, the (pi/2) pulse about +y and the alpha read pulse about -y.
+    The (pi/2) pulse P about +y and the gradient carry position j onto the
+    support (a_k, b_k) the gradient keeps, and the alpha read pulse R about
+    -y carries the support onto the detected elements (rows_p, cols_p) of
+    :func:`~spintomo.dynamics.detection_elements`:
+
+        to_support[k, j] = w_k P[a_k, left_j] conj(P[b_k, right_j])
+        to_detected[p, k] = R[rows_p, a_k] conj(R[cols_p, b_k])
+
+    The ideal gradient keeps the diagonal, a_k = b_k = k, with w_k = 1.  A
+    realistic one keeps the zero-quantum block, with w the
+    :func:`~spintomo.dynamics.delay_average` of ``gradient_delays_s``.
     """
-    rates = evolution_rates(system)
-    evolution = np.exp(params.t1_times[:, None, None] * rates[None, :, :])
+    if gradient_delays_s is None:
+        a = b = np.arange(system.dim)
+    else:
+        down = down_counts(system.n)
+        a, b = np.nonzero(down[:, None] == down[None, :])
     pulse_90 = rotation_pulse(system, np.pi / 2.0, 0.0)
     pulse_read = rotation_pulse(system, params.alpha_rad, np.pi)
-    return evolution, pulse_90, pulse_read
+    rows, cols, _ = detection_elements(system)
+    to_support = pulse_90[a][:, left] * pulse_90[b][:, right].conj()
+    if gradient_delays_s is not None:
+        to_support *= delay_average(system, gradient_delays_s)[a, b, None]
+    to_detected = pulse_read[rows][:, a] * pulse_read[cols][:, b].conj()
+    return to_support, to_detected
 
 
 def run_sequence_A(system: SpinSystem, rho0: np.ndarray, params: AcquisitionParams,
@@ -281,18 +296,24 @@ def run_sequence_A(system: SpinSystem, rho0: np.ndarray, params: AcquisitionPara
     (pi/2) pulse about +y, project through the gradient, apply the read pulse
     of angle alpha about -y, then record the FID.  The gradient is ideal
     unless ``gradient_delays_s`` holds the drawn delays of a realistic one.
-    Purely diagonal input produces an identically zero grid.
+    The rows are filled :data:`T2_BLOCK_ROWS` at a time through
+    :func:`sequence_A_map`.  Purely diagonal input produces a zero grid, to
+    rounding.
     """
     rho0 = _validate_state(rho0, system)
     check_nyquist(transition_table(system), params)
-    evolution, pulse_90, pulse_read = sequence_A_steps(system, params)
-
-    sigma = rho0[None, :, :] * evolution
-    sigma = pulse_90 @ sigma @ pulse_90.conj().T
-    sigma = _apply_gradient(sigma, system, gradient_delays_s)
-    sigma = pulse_read @ sigma @ pulse_read.conj().T
-
-    grid = _fid_from_states(sigma, system, params.t2_times)
+    left, right = np.indices(rho0.shape).reshape(2, -1)
+    to_support, to_detected = sequence_A_map(system, params, left, right,
+                                             gradient_delays_s)
+    onto_detected = to_support.T @ to_detected.T  # positions x detected elements
+    fids = detection_fids(system, params.t2_times)
+    rates, t1_times = evolution_rates(system).ravel(), params.t1_times
+    grid = np.empty((params.n_t1, params.n_t2), dtype=complex)
+    for start in range(0, params.n_t1, T2_BLOCK_ROWS):
+        rows = slice(start, start + T2_BLOCK_ROWS)
+        states = np.exp(np.outer(t1_times[rows], rates))
+        states *= rho0.ravel()
+        np.matmul(states @ onto_detected, fids, out=grid[rows])
     return Signal2D(grid=grid, dwell_t1_s=params.dwell_t1_s,
                     dwell_t2_s=params.dwell_t2_s,
                     meta=_meta("A", system, params, **_gradient_meta(gradient_delays_s)))
@@ -315,7 +336,8 @@ def run_sequence_B(system: SpinSystem, rho0: np.ndarray, params: AcquisitionPara
             "linear-response regime (15 deg)",
             stacklevel=2,
         )
-    sigma = _apply_gradient(rho0, system, gradient_delays_s)
+    sigma = (gradient_project(rho0) if gradient_delays_s is None
+             else realistic_gradient_project(rho0, system, gradient_delays_s))
     pulse = rotation_pulse(system, params.beta_rad, 0.0)
     sigma = pulse @ sigma @ pulse.conj().T
     samples = _fid_from_states(sigma[None, :, :], system, params.t2_times)[0]

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import AxisRangeError
-from .experiment import Signal1D, Signal2D
+from .experiment import T2_BLOCK_ROWS, Signal1D, Signal2D
 
 
 @dataclass(eq=False)
@@ -88,11 +88,6 @@ def _dft(data, dwell_s: float, meta: dict, apodization, zero_fill: int,
         "first_point_half": bool(first_point_half),
     }
     return freqs, spec, processing
-
-
-# t1 rows per _dft call when the hybrid is filled: the complex temporaries of
-# one block stay a small part of the hybrid grid.
-T2_BLOCK_ROWS = 64
 
 
 def dft_t2(signal: Signal2D, apodization="matched", zero_fill: int = 2,

@@ -40,12 +40,12 @@ import numpy as np
 from .core import (SpinSystem, coefficients_to_density, density_to_coefficients,
                    diagonal_labels, monomial_table, offdiagonal_labels,
                    rotation_pulse)
-from .dynamics import detection_elements
+from .dynamics import detection_elements, evolution_rates
 from .errors import RankDeficiencyError
-from .experiment import (AcquisitionParams, Signal1D, Signal2D, TransitionTable,
-                         check_nyquist, detection_fids, reference_fid,
-                         run_sequence_A, run_sequence_B, sequence_A_steps,
-                         transition_table)
+from .experiment import (T2_BLOCK_ROWS, AcquisitionParams, Signal1D, Signal2D,
+                         TransitionTable, check_nyquist, detection_fids,
+                         reference_fid, run_sequence_A, run_sequence_B,
+                         sequence_A_map, transition_table)
 
 log = logging.getLogger(__name__)
 
@@ -250,13 +250,18 @@ class FidCoordinates:
 
 
 def fid_coordinates(signal: Signal2D, basis: np.ndarray) -> FidCoordinates:
-    """The coordinates of every t1 row of ``signal`` in ``basis``.
+    """The coordinates of every t1 row of ``signal`` in ``basis``, taken
+    :data:`~spintomo.experiment.T2_BLOCK_ROWS` rows at a time.
 
     A fit needs its design's ``basis`` itself, which a second SVD need not
     match bit for bit: pass the design's, or pass this one to the design.
     """
-    return FidCoordinates(values=signal.grid @ basis.conj(), basis=basis,
-                          meta=signal.meta)
+    projection = basis.conj()
+    values = np.empty((signal.grid.shape[0], basis.shape[1]), dtype=complex)
+    for start in range(0, len(values), T2_BLOCK_ROWS):
+        rows = slice(start, start + T2_BLOCK_ROWS)
+        values[rows] = signal.grid[rows] @ projection
+    return FidCoordinates(values=values, basis=basis, meta=signal.meta)
 
 
 def _stack(traces: np.ndarray) -> np.ndarray:
@@ -272,28 +277,28 @@ def _design_parts(system: SpinSystem, params: AcquisitionParams, basis, labels):
         coordinates[t1, c] = sum_rs E[t1, rs] * G[rs, c] * rho[r, s]
 
     with E the t1 evolution factors and G = V^T W^T K the rest of the chain:
-    V[k, rs] = P[k, r] conj(P[k, s]) keeps what the (pi/2) pulse P puts on the
-    diagonal (the ideal gradient discards the rest), W[p, k] =
-    R[rows_p, k] conj(R[cols_p, k]) carries population k through the read
-    pulse R onto detected element p, and K = F conj(Q) holds the coordinates
-    of each detected element's unit FID (row of F) in ``basis`` Q.  Removing
-    the t1 mean of E removes it from every trace.  E and G are kept only at
-    the positions the off-diagonal ``labels`` touch, grouped by flip mask as
-    :class:`DesignMatrix` describes.
+    V and W are the ``to_support`` and ``to_detected`` factors of
+    :func:`~spintomo.experiment.sequence_A_map` for the ideal gradient, which
+    keeps what the (pi/2) pulse puts on the diagonal and carries it through
+    the read pulse onto the detected elements, and K = F conj(Q) holds the
+    coordinates of each detected element's unit FID (row of F) in ``basis``
+    Q.  Removing the t1 mean of E removes it from every trace.  E and G are
+    computed only at the positions the off-diagonal ``labels`` touch,
+    grouped by flip mask as :class:`DesignMatrix` describes.
     """
-    evolution, pulse_90, pulse_read = sequence_A_steps(system, params)
-    rows, cols, _ = detection_elements(system)
     kernel = detection_fids(system, params.t2_times) @ basis.conj()
     dim = system.dim
     columns, values = monomial_table(system.n, labels)
     order = np.argsort(columns[:, 0], kind="stable")
     left = np.tile(np.arange(dim), len(labels) // dim)
     right = columns[order[::dim]].reshape(-1)
-    to_diagonal = pulse_90[:, left] * pulse_90[:, right].conj()
-    to_detected = pulse_read[rows, :] * pulse_read[cols, :].conj()
+    to_diagonal, to_detected = sequence_A_map(system, params, left, right)
     response = to_diagonal.T @ (to_detected.T @ kernel)
 
-    evolution = evolution.reshape(params.n_t1, dim * dim)[:, left * dim + right]
+    # column-major, so each position's t1 trace is contiguous and its mean
+    # is summed pairwise
+    evolution = np.outer(evolution_rates(system)[left, right], params.t1_times)
+    evolution = np.exp(evolution, out=evolution).T
     evolution -= evolution.mean(axis=0)
     return order, evolution, response, values[order].reshape(-1, dim, dim)
 
@@ -511,17 +516,19 @@ def _diagonal_response_matrix(system: SpinSystem, params: AcquisitionParams,
 
 
 def fit_diagonal(signal: Signal1D, system: SpinSystem,
-                 params: AcquisitionParams) -> DiagonalFit:
+                 params: AcquisitionParams, basis=None) -> DiagonalFit:
     """Recover the 2^n - 1 diagonal coefficients from the 1D readout.
 
-    Signal B's coordinates in the :func:`detection_basis` of every line are
-    fit against the simulated coordinates of each diagonal basis operator at
-    the same beta, so the finite-pulse-angle terms cancel exactly; the
-    linear-response approximation never enters.  Overlapping lines are
-    absorbed by that shared forward model, so there is no overlap check;
-    only a singular response is refused.
+    Signal B's coordinates in ``basis``, the :func:`detection_basis` of every
+    line (computed when not given), are fit against the simulated
+    coordinates of each diagonal basis operator at the same beta, so the
+    finite-pulse-angle terms cancel exactly; the linear-response
+    approximation never enters.  Overlapping lines are absorbed by that
+    shared forward model, so there is no overlap check; only a singular
+    response is refused.
     """
-    basis = detection_basis(system, params)
+    if basis is None:
+        basis = detection_basis(system, params)
     labels, response = _diagonal_response_matrix(system, params, basis)
     target = _split(signal.samples @ basis.conj())
 
@@ -671,7 +678,8 @@ def tomograph_state(system: SpinSystem, rho0: np.ndarray,
     the design's ``basis``, ``signal_b`` and the reference FID.  Whatever is
     missing is simulated from ``rho0`` with ideal settings, and the design is
     built over every transition, in ``signal_a``'s basis when it is given.
-    Otherwise the input state serves only as the scoring reference.
+    Otherwise the input state serves only as the scoring reference.  A
+    design over every transition lends its basis to the diagonal fit.
     """
     if design is None:
         design = build_design_matrix(system, params,
@@ -682,7 +690,8 @@ def tomograph_state(system: SpinSystem, rho0: np.ndarray,
         signal_b = run_sequence_B(system, rho0, params)
 
     off = fit_offdiagonal(signal_a, design)
-    diag = fit_diagonal(signal_b, system, params)
+    every_line = len(design.transition_indices) == len(transition_table(system))
+    diag = fit_diagonal(signal_b, system, params, design.basis if every_line else None)
     matrix = reconstruct(system, off.coefficients, diag.coefficients)
     coefficients = dict(off.coefficients)
     coefficients.update(diag.coefficients)

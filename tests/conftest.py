@@ -102,24 +102,33 @@ def detect_signal(rho, system):
     return complex(np.einsum("rs,sr->", raising_operator(system), rho))
 
 
-def reference_sequence_a(system, rho0, params):
-    """Step-by-step sequence A, one density matrix per grid point.
+def reference_sequence_a(system, rho0, params, delays_s=None):
+    """Step-by-step sequence A, one density matrix per t1 increment.
 
-    Independent of the vectorized production path: uses only the primitive
-    single-state operations.
+    Independent of the production path: uses only the primitive
+    single-state operations.  The gradient is ideal, or with ``delays_s``
+    the randomized-delay average of :func:`loop_realistic_gradient`.  Row i
+    is the FID Tr[I+ evolve(rho, t2)] at every t2, the sum of the elements of
+    rho times those of evolve(I+^T, t2).  ``rho0`` may also be a stack of
+    states, for a stack of grids: evolution is element-wise, so each t1
+    factor evolve(1, t1) is computed once for all of them.
     """
-    grid = np.zeros((params.n_t1, params.n_t2), dtype=complex)
+    states = np.asarray(rho0, dtype=complex).reshape(-1, system.dim, system.dim)
     pulse_90 = rotation_pulse(system, np.pi / 2.0, 0.0)
     pulse_read = rotation_pulse(system, params.alpha_rad, np.pi)
+    plus = raising_operator(system)
+    probes = np.array([evolve(plus.T, system, float(t2)).ravel() for t2 in params.t2_times])
+    grids = np.zeros((len(states), params.n_t1, params.n_t2), dtype=complex)
+    ones = np.ones((system.dim, system.dim))
     for i, t1 in enumerate(params.t1_times):
-        rho = evolve(rho0, system, float(t1), with_decay=True)
-        rho = apply_unitary(rho, pulse_90)
-        rho = gradient_project(rho)
-        rho = apply_unitary(rho, pulse_read)
-        for k, t2 in enumerate(params.t2_times):
-            probed = evolve(rho, system, float(t2), with_decay=True)
-            grid[i, k] = detect_signal(probed, system)
-    return grid
+        factor = evolve(ones, system, float(t1), with_decay=True)
+        for grid, state in zip(grids, states):
+            rho = apply_unitary(state * factor, pulse_90)
+            rho = (gradient_project(rho) if delays_s is None
+                   else loop_realistic_gradient(rho, system, delays_s))
+            rho = apply_unitary(rho, pulse_read)
+            grid[i] = probes @ rho.ravel()
+    return grids.reshape(np.shape(rho0)[:-2] + grids.shape[1:])
 
 
 def reference_sequence_b(system, rho0, params):

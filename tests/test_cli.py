@@ -11,10 +11,11 @@ import numpy as np
 import pytest
 
 from spintomo import (TomographyResult, coefficients_to_density, detection_basis,
-                      dft_fid, dft_t1, dft_t2, fid_coordinates, reference_fid,
-                      run_sequence_A, run_sequence_B, tomograph_state,
-                      transition_table)
+                      dft_fid, dft_t1, dft_t2, diagonal_labels, fid_coordinates,
+                      fit_diagonal, format_label, reference_fid, run_sequence_A,
+                      run_sequence_B, tomograph_state, transition_table)
 import spintomo
+import spintomo.tomography
 from spintomo.cli import (_atomic_write, _build_design, _export_simulation,
                           _simulate_signals,
                           _write_json, _write_report, config_from_dict, main,
@@ -403,18 +404,44 @@ class TestTomographCommand:
         assert "fidelity" in capsys.readouterr().out
 
     def test_byte_identical_results(self, tmp_path):
-        path = write_config(tmp_path, demo_config(n_t1=64, n_t2=128,
-                                                  noise_rms=0.005))
-        out_a, out_b = tmp_path / "a", tmp_path / "b"
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            assert main(["tomograph", "--config", str(path), "--out", str(out_a)]) == 0
-            assert main(["tomograph", "--config", str(path), "--out", str(out_b)]) == 0
-        names = sorted(p.name for p in out_a.iterdir())
-        assert names == sorted(p.name for p in out_b.iterdir())
-        assert {Path(name).suffix for name in names} == {".json", ".npy", ".txt"}
-        for name in names:
-            assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
+        for gradient in ({}, {"realistic_gradient": True, "gradient_draws": 70}):
+            path = write_config(tmp_path, demo_config(n_t1=64, n_t2=128,
+                                                      noise_rms=0.005, **gradient))
+            out_a, out_b = tmp_path / "a", tmp_path / "b"
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                assert main(["tomograph", "--config", str(path), "--out", str(out_a)]) == 0
+                assert main(["tomograph", "--config", str(path), "--out", str(out_b)]) == 0
+            names = sorted(p.name for p in out_a.iterdir())
+            assert names == sorted(p.name for p in out_b.iterdir())
+            assert {Path(name).suffix for name in names} == {".json", ".npy", ".txt"}
+            for name in names:
+                assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
+            meta = json.loads((out_a / "signal_a.json").read_text())["meta"]
+            assert meta["gradient"] == ("realistic" if gradient else "ideal")
+
+    def test_one_detection_basis_per_run(self, tmp_path, monkeypatch):
+        # signal A's basis spans every line, so the diagonal fit reads signal
+        # B in it rather than running the same SVD again, bit for bit as before
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return detection_basis(*args, **kwargs)
+
+        monkeypatch.setattr(spintomo.cli, "detection_basis", counted)
+        monkeypatch.setattr(spintomo.tomography, "detection_basis", counted)
+        path = write_config(tmp_path, demo_config(reference_normalize=False))
+        assert main(["tomograph", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+        assert len(calls) == 1
+        cfg = parse_config(path)
+        params = resolve_params(cfg)
+        _, _, signal_b, _ = _simulate_signals(cfg, params)
+        expected = fit_diagonal(signal_b, cfg.system, params).coefficients
+        assert len(calls) == 2
+        result = dict(json.loads((tmp_path / "out" / "result.json").read_text())["coefficients"])
+        for label in diagonal_labels(cfg.system.n):
+            assert result[format_label(label)] == expected[label]
 
     def test_scale_from_noisy_reference_measurement(self, tmp_path):
         # the reference FID is simulated with the signals and gets its own

@@ -9,8 +9,8 @@ from spintomo import (all_labels, build_design_matrix, build_spin_system,
                       coefficients_to_density, default_acquisition,
                       density_to_coefficients, diagonal_labels,
                       fid_coordinates, fit_offdiagonal, format_label,
-                      observable_labels, offdiagonal_labels, parse_label,
-                      product_operator, rotation_pulse, run_sequence_A)
+                      offdiagonal_labels, parse_label, product_operator,
+                      rotation_pulse, run_sequence_A)
 from spintomo.core import (energies, monomial_table, operator_norm_squared,
                            single_quantum_transitions)
 
@@ -105,7 +105,6 @@ class TestLabels:
         assert len(all_labels(2)) == 15
         assert len(diagonal_labels(2)) == 3
         assert len(offdiagonal_labels(2)) == 12
-        assert len(observable_labels(2)) == 8
         assert len(all_labels(4)) == 255
         assert len(diagonal_labels(4)) == 15
         assert len(offdiagonal_labels(4)) == 240

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -13,10 +14,11 @@ from spintomo import (AcquisitionParams, DegenerateTransitionError,
                       transition_table)
 from spintomo.core import single_quantum_transitions
 from spintomo.cli import _write_array
+from spintomo.experiment import T2_BLOCK_ROWS
 from spintomo.spectral import cross_sections
 
-from conftest import (DEMO_COEFFS, clustered_systems, fit_t1_trace, loop_pairs,
-                      random_hermitian_traceless, reference_sequence_a,
+from conftest import (DEMO_COEFFS, FOUR_SPIN_STATE, clustered_systems, fit_t1_trace,
+                      loop_pairs, random_hermitian_traceless, reference_sequence_a,
                       reference_sequence_b)
 
 
@@ -133,6 +135,35 @@ class TestSequenceA:
         expected = reference_sequence_a(two_spin_system, rho0, params)
         scale = np.max(np.abs(expected))
         assert np.max(np.abs(signal.grid - expected)) < 1e-12 * max(scale, 1.0)
+
+    @pytest.mark.parametrize("gradient", ["ideal", "realistic"])
+    def test_four_spin_matches_stepwise_reference(self, four_spin_system, gradient):
+        # a last t1 block shorter than the rest; drawn delays check the
+        # weighted zero-quantum support against the per-delay average
+        rng = np.random.default_rng(24)
+        rho0 = random_hermitian_traceless(rng, four_spin_system.dim)
+        params = default_acquisition(four_spin_system, n_t1=T2_BLOCK_ROWS + 5, n_t2=32)
+        delays = None if gradient == "ideal" else rng.uniform(0.0, 0.02, size=16)
+        signal = run_sequence_A(four_spin_system, rho0, params, gradient_delays_s=delays)
+        expected = reference_sequence_a(four_spin_system, rho0, params, delays)
+        assert np.max(np.abs(signal.grid - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    def test_memory_bounded(self, four_spin_system):
+        # propagating the whole t1 axis held (n_t1, dim, dim) state batches,
+        # so the peak less the grid grew with n_t1
+        rho0 = coefficients_to_density(four_spin_system, FOUR_SPIN_STATE)
+        extra = {}
+        for n_t1 in (256, 1024):
+            params = default_acquisition(four_spin_system, n_t1=n_t1, n_t2=64)
+            tracemalloc.start()
+            try:
+                signal = run_sequence_A(four_spin_system, rho0, params)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            extra[n_t1] = peak - signal.grid.nbytes
+        # the slack covers the t1 times themselves, 8 bytes a row
+        assert extra[1024] <= extra[256] + 2 ** 14
 
     def test_diagonal_state_silent(self, two_spin_system):
         rho0 = np.diag([2.0, -1.0, 0.5, -1.5]).astype(complex)

@@ -15,11 +15,11 @@ from spintomo import (DegenerateTransitionError, RankDeficiencyError,
                       fidelity, fit_diagonal, fit_offdiagonal,
                       max_relative_element_error, offdiagonal_labels,
                       product_operator, reconstruct, reference_fid,
-                      reference_normalize, run_sequence_A, run_sequence_B,
-                      tomograph_state, transition_table)
+                      reference_normalize, rotation_pulse, run_sequence_A,
+                      run_sequence_B, tomograph_state, transition_table)
 from spintomo.cli import config_from_dict, resolve_params
-from spintomo.dynamics import detection_elements
-from spintomo.experiment import detection_fids, sequence_A_steps
+from spintomo.dynamics import detection_elements, evolution_rates
+from spintomo.experiment import detection_fids
 from spintomo.tomography import (CONDITION_WARN_THRESHOLD, RANK_TOL,
                                  _diagonal_response_matrix, _gram,
                                  _nullspace_labels, _solve_seminormal, _split,
@@ -28,7 +28,7 @@ from spintomo.tomography import (CONDITION_WARN_THRESHOLD, RANK_TOL,
 from conftest import (DEMO_COEFFS, FOUR_SPIN_COUPLINGS, FOUR_SPIN_LARMOR,
                       FOUR_SPIN_STATE, TWO_SPIN_J, TWO_SPIN_LARMOR, TWO_SPIN_T2,
                       dense_design, fit_t1_trace, line_traces, random_coefficients,
-                      random_hermitian_traceless)
+                      random_hermitian_traceless, reference_sequence_a)
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -49,12 +49,14 @@ def stacked_signal(signal, design):
 
 
 def oracle_matrix(system, params, design):
-    """Per-label design: each basis operator simulated through sequence A."""
-    return np.column_stack([
-        stacked_signal(run_sequence_A(system, product_operator(system, label), params),
-                       design)
-        for label in design.labels
-    ])
+    """Per-label design: each basis operator through the step-by-step
+    sequence A of conftest, its t1-mean-free coordinates in the design's basis."""
+    operators = [product_operator(system, label) for label in design.labels]
+    columns = []
+    for grid in reference_sequence_a(system, operators, params):
+        values = grid @ design.basis.conj()
+        columns.append(_stack(values - values.mean(axis=0)))
+    return np.column_stack(columns)
 
 
 def kronecker_gram(system, params, design):
@@ -65,9 +67,10 @@ def kronecker_gram(system, params, design):
     of the chain at every position, diagonal ones included: the dense form
     the flip-grouped Gram replaced, kept as the reference.
     """
-    evolution, pulse_90, pulse_read = sequence_A_steps(system, params)
-    evolution = evolution.reshape(params.n_t1, -1)
+    evolution = np.exp(params.t1_times[:, None] * evolution_rates(system).ravel())
     evolution = evolution - evolution.mean(axis=0)
+    pulse_90 = rotation_pulse(system, np.pi / 2.0, 0.0)
+    pulse_read = rotation_pulse(system, params.alpha_rad, np.pi)
     rows, cols, _ = detection_elements(system)
     kernel = detection_fids(system, params.t2_times) @ design.basis.conj()
     to_diagonal = (pulse_90[:, :, None] * pulse_90.conj()[:, None, :]).reshape(system.dim, -1)
