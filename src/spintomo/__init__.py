@@ -10,8 +10,7 @@ from .core import (AXES, SpinSystem, all_labels, build_spin_system,
                    coefficients_to_density, density_to_coefficients,
                    diagonal_labels, format_label, offdiagonal_labels,
                    parse_label, product_operator, rotation_pulse)
-from .dynamics import (evolution_rates, gradient_project,
-                       realistic_gradient_project)
+from .dynamics import evolution_rates
 from .errors import (AxisRangeError, ConfigError, DegenerateTransitionError,
                      NyquistError, RankDeficiencyError, SpinTomoError)
 from .experiment import (AcquisitionParams, Signal1D, Signal2D, Transition,
@@ -38,10 +37,10 @@ __all__ = [
     "cross_sections", "default_acquisition", "density_to_coefficients",
     "detection_basis", "dft_fid", "dft_t1", "dft_t2", "diagonal_labels",
     "evolution_rates", "fid_coordinates", "fidelity", "fit_diagonal",
-    "fit_offdiagonal", "format_label", "gradient_project",
+    "fit_offdiagonal", "format_label",
     "hybrid_omega2_axis", "max_relative_element_error",
     "offdiagonal_labels", "parse_label",
-    "product_operator", "realistic_gradient_project", "reconstruct",
+    "product_operator", "reconstruct",
     "reference_fid", "reference_normalize", "rotation_pulse",
     "run_sequence_A", "run_sequence_B", "tomograph_state",
     "transition_table",

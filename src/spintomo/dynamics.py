@@ -1,4 +1,5 @@
-"""Free-evolution rates, the two gradients and the detected elements.
+"""Free-evolution rates, the delay average of a realistic gradient and the
+detected elements.
 
 All functions are pure; none mutates its input.  The weak-coupling
 Hamiltonian is diagonal in the computational basis, so free evolution works
@@ -10,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import SpinSystem, down_counts, energies, single_quantum_transitions
+from .core import SpinSystem, energies, single_quantum_transitions
 
 
 def evolution_rates(system: SpinSystem) -> np.ndarray:
@@ -25,21 +26,6 @@ def evolution_rates(system: SpinSystem) -> np.ndarray:
             - (1.0 - np.eye(system.dim)) / system.t2_s)
 
 
-def gradient_project(rho: np.ndarray) -> np.ndarray:
-    """Idealized field-gradient pulse: zero every off-diagonal element.
-
-    Real gradients spare homonuclear zero-quantum coherences; this models the
-    end result of the randomized-delay averaging that suppresses them (see
-    :func:`realistic_gradient_project` for the explicit mechanism).  Accepts
-    a single matrix or a (..., dim, dim) batch.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    idx = np.arange(rho.shape[-1])
-    out = np.zeros_like(rho)
-    out[..., idx, idx] = rho[..., idx, idx]
-    return out
-
-
 # Delays whose evolution factors are built at once: the memory of the mean
 # stays bounded however many delays are drawn.
 GRADIENT_DELAY_BLOCK = 64
@@ -49,8 +35,11 @@ def delay_average(system: SpinSystem, delays_s) -> np.ndarray:
     """The (dim, dim) mean of the free-evolution factors exp(delay * rates)
     over the drawn ``delays_s`` (in seconds, none negative).
 
-    The factors are summed :data:`GRADIENT_DELAY_BLOCK` delays at a time, in
-    draw order, so the mean is bit for bit that of all factors at once.
+    A realistic gradient keeps the zero-quantum elements, each times its
+    mean factor: delays randomized between the scans average their phases
+    towards zero (:func:`~spintomo.experiment.gradient_support`).  The
+    factors are summed :data:`GRADIENT_DELAY_BLOCK` delays at a time, in draw
+    order, so the mean is bit for bit that of all factors at once.
     """
     delays_s = np.ravel(delays_s)
     if not delays_s.size:
@@ -66,23 +55,6 @@ def delay_average(system: SpinSystem, delays_s) -> np.ndarray:
             factors[0] += total  # the running sum continues row by row
         total = factors.sum(axis=0)
     return total / delays_s.size
-
-
-def realistic_gradient_project(rho: np.ndarray, system: SpinSystem,
-                               delays_s) -> np.ndarray:
-    """Gradient that spares zero-quantum coherences, followed by randomized delays.
-
-    Keeps diagonal and zero-quantum elements (equal down-spin counts), then
-    ensemble-averages the state over free evolution for each of the drawn
-    ``delays_s``.  Zero-quantum phases average towards zero; the diagonal is
-    untouched.  Evolution is element-wise, so the :func:`delay_average` of
-    the delays' factors is applied once.  Accepts a single matrix or a
-    (..., dim, dim) batch; every matrix of a batch sees the same delays.
-    """
-    mean = delay_average(system, delays_s)
-    down = down_counts(system.n)
-    kept = np.asarray(rho, dtype=complex) * (down[:, None] == down[None, :])
-    return kept * mean
 
 
 def detection_elements(system: SpinSystem):

@@ -9,11 +9,16 @@ Sequence B (one-dimensional, reads out the diagonal):
     gradient -> beta about +y -> detect(t2)
 
 Every step is linear in the density matrix, and free evolution is an
-element-wise factor, so sequence A after t1 is one linear map of the evolved
-state (:func:`sequence_A_map`): the pulses and the gradient carry it onto the
-support the gradient keeps, then onto the detected elements, whose unit FIDs
-make the t2 samples.  The grid is filled :data:`T2_BLOCK_ROWS` t1 rows at a
-time through that map, so no state is held for the whole t1 axis.
+element-wise factor, so both sequences are linear maps written with one
+formula: a pulse carries element (a, b) onto element (r, c) with weight
+P[r, a] conj(P[c, b]).  The gradient keeps a support of elements
+(:func:`gradient_support`), and the detector reads the single-quantum
+elements, whose unit FIDs make the t2 samples.  Sequence A after t1
+(:func:`sequence_A_map`) carries the evolved state onto the support, then
+onto the detected elements; sequence B (:func:`sequence_B_map`) carries the
+input state's support onto the detected elements.  The grid of sequence A is
+filled :data:`T2_BLOCK_ROWS` t1 rows at a time, so no state is held for the
+whole t1 axis.
 """
 
 from __future__ import annotations
@@ -25,8 +30,7 @@ import numpy as np
 
 from .core import (DEGENERACY_TOL_HZ, SpinSystem, _close_pairs, down_counts,
                    is_hermitian, rotation_pulse, single_quantum_transitions)
-from .dynamics import (delay_average, detection_elements, evolution_rates,
-                       gradient_project, realistic_gradient_project)
+from .dynamics import delay_average, detection_elements, evolution_rates
 from .errors import DegenerateTransitionError, NyquistError
 
 # t1 rows made or transformed at once wherever a (t1, t2) grid is filled: the
@@ -229,17 +233,6 @@ def detection_fids(system: SpinSystem, t2_times: np.ndarray) -> np.ndarray:
     return np.exp(np.outer(evolution_rates(system)[rows, cols], t2_times))
 
 
-def _fid_from_states(sigma: np.ndarray, system: SpinSystem,
-                     t2_times: np.ndarray) -> np.ndarray:
-    """Detected FIDs for a batch of states under free evolution with decay.
-
-    Only single-quantum elements reach the detector; each contributes its
-    current amplitude times its unit FID.
-    """
-    rows, cols, _ = detection_elements(system)
-    return sigma[..., rows, cols] @ detection_fids(system, t2_times)
-
-
 def _meta(sequence: str, system: SpinSystem, params: AcquisitionParams,
           **extra) -> dict:
     """A signal's metadata: the sequence, the system and the acquisition."""
@@ -256,36 +249,66 @@ def _gradient_meta(delays_s) -> dict:
             "gradient_delays_s": [float(d) for d in np.ravel(delays_s)]}
 
 
+def gradient_support(system: SpinSystem, gradient_delays_s=None):
+    """``(a, b, w)``: the elements (a_k, b_k) the gradient keeps, weight w_k.
+
+    The ideal gradient keeps the diagonal, a_k = b_k = k, with w_k = 1.  A
+    realistic one keeps the zero-quantum block (equal down-spin counts), with
+    w the :func:`~spintomo.dynamics.delay_average` of ``gradient_delays_s``.
+    """
+    if gradient_delays_s is None:
+        a = np.arange(system.dim)
+        return a, a, np.ones(system.dim)
+    down = down_counts(system.n)
+    a, b = np.nonzero(down[:, None] == down[None, :])
+    return a, b, delay_average(system, gradient_delays_s)[a, b]
+
+
+def _pulse_transfer(pulse: np.ndarray, rows, cols, a, b) -> np.ndarray:
+    """W[p, k] = pulse[rows_p, a_k] conj(pulse[cols_p, b_k]): the weight
+    with which ``pulse`` carries element (a_k, b_k) onto (rows_p, cols_p)."""
+    return pulse[rows][:, a] * pulse[cols][:, b].conj()
+
+
 def sequence_A_map(system: SpinSystem, params: AcquisitionParams, left, right,
                    gradient_delays_s=None):
     """``(to_support, to_detected)``: sequence A after t1 evolution as two
     matrices over the positions (left[j], right[j]) of the evolved state.
 
     The (pi/2) pulse P about +y and the gradient carry position j onto the
-    support (a_k, b_k) the gradient keeps, and the alpha read pulse R about
-    -y carries the support onto the detected elements (rows_p, cols_p) of
-    :func:`~spintomo.dynamics.detection_elements`:
+    :func:`gradient_support` (a_k, b_k, w_k), and the alpha read pulse R
+    about -y carries the support onto the detected elements (rows_p, cols_p)
+    of :func:`~spintomo.dynamics.detection_elements`:
 
         to_support[k, j] = w_k P[a_k, left_j] conj(P[b_k, right_j])
         to_detected[p, k] = R[rows_p, a_k] conj(R[cols_p, b_k])
-
-    The ideal gradient keeps the diagonal, a_k = b_k = k, with w_k = 1.  A
-    realistic one keeps the zero-quantum block, with w the
-    :func:`~spintomo.dynamics.delay_average` of ``gradient_delays_s``.
     """
-    if gradient_delays_s is None:
-        a = b = np.arange(system.dim)
-    else:
-        down = down_counts(system.n)
-        a, b = np.nonzero(down[:, None] == down[None, :])
-    pulse_90 = rotation_pulse(system, np.pi / 2.0, 0.0)
-    pulse_read = rotation_pulse(system, params.alpha_rad, np.pi)
+    a, b, weights = gradient_support(system, gradient_delays_s)
     rows, cols, _ = detection_elements(system)
-    to_support = pulse_90[a][:, left] * pulse_90[b][:, right].conj()
-    if gradient_delays_s is not None:
-        to_support *= delay_average(system, gradient_delays_s)[a, b, None]
-    to_detected = pulse_read[rows][:, a] * pulse_read[cols][:, b].conj()
+    to_support = _pulse_transfer(rotation_pulse(system, np.pi / 2.0, 0.0),
+                                 a, b, left, right)
+    to_support *= weights[:, None]
+    to_detected = _pulse_transfer(rotation_pulse(system, params.alpha_rad, np.pi),
+                                  rows, cols, a, b)
     return to_support, to_detected
+
+
+def sequence_B_map(system: SpinSystem, params: AcquisitionParams,
+                   gradient_delays_s=None):
+    """``(a, b, to_detected)``: sequence B as one matrix over the
+    :func:`gradient_support` (a_k, b_k, w_k) of the input state.
+
+    The beta pulse P about +y carries the support onto the detected elements
+    (rows_p, cols_p) of :func:`~spintomo.dynamics.detection_elements`:
+
+        to_detected[p, k] = w_k P[rows_p, a_k] conj(P[cols_p, b_k])
+    """
+    a, b, weights = gradient_support(system, gradient_delays_s)
+    rows, cols, _ = detection_elements(system)
+    to_detected = _pulse_transfer(rotation_pulse(system, params.beta_rad, 0.0),
+                                  rows, cols, a, b)
+    to_detected *= weights
+    return a, b, to_detected
 
 
 def run_sequence_A(system: SpinSystem, rho0: np.ndarray, params: AcquisitionParams,
@@ -326,7 +349,8 @@ def run_sequence_B(system: SpinSystem, rho0: np.ndarray, params: AcquisitionPara
     The gradient is as in :func:`run_sequence_A`.  The beta pulse converts
     population differences into single-quantum coherences; amplitudes stay
     proportional to the diagonal coefficients for small beta (linear
-    response), hence the warning above 15 degrees.
+    response), hence the warning above 15 degrees.  The FID is the kept
+    support of the input state carried through :func:`sequence_B_map`.
     """
     rho0 = _validate_state(rho0, system)
     check_nyquist(transition_table(system), params)
@@ -336,11 +360,8 @@ def run_sequence_B(system: SpinSystem, rho0: np.ndarray, params: AcquisitionPara
             "linear-response regime (15 deg)",
             stacklevel=2,
         )
-    sigma = (gradient_project(rho0) if gradient_delays_s is None
-             else realistic_gradient_project(rho0, system, gradient_delays_s))
-    pulse = rotation_pulse(system, params.beta_rad, 0.0)
-    sigma = pulse @ sigma @ pulse.conj().T
-    samples = _fid_from_states(sigma[None, :, :], system, params.t2_times)[0]
+    a, b, to_detected = sequence_B_map(system, params, gradient_delays_s)
+    samples = (to_detected @ rho0[a, b]) @ detection_fids(system, params.t2_times)
     return Signal1D(samples=samples, dwell_s=params.dwell_t2_s,
                     meta=_meta("B", system, params, **_gradient_meta(gradient_delays_s)))
 
@@ -353,6 +374,7 @@ def reference_fid(system: SpinSystem, rho0: np.ndarray,
     pulses the calibration factor is 1.
     """
     rho0 = _validate_state(rho0, system)
-    samples = _fid_from_states(rho0[None, :, :], system, params.t2_times)[0]
+    rows, cols, _ = detection_elements(system)
+    samples = rho0[rows, cols] @ detection_fids(system, params.t2_times)
     return Signal1D(samples=samples, dwell_s=params.dwell_t2_s,
                     meta=_meta("reference", system, params))

@@ -38,14 +38,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import (SpinSystem, coefficients_to_density, density_to_coefficients,
-                   diagonal_labels, monomial_table, offdiagonal_labels,
-                   rotation_pulse)
+                   diagonal_labels, monomial_table, offdiagonal_labels)
 from .dynamics import detection_elements, evolution_rates
 from .errors import RankDeficiencyError
 from .experiment import (T2_BLOCK_ROWS, AcquisitionParams, Signal1D, Signal2D,
                          TransitionTable, check_nyquist, detection_fids,
                          reference_fid, run_sequence_A, run_sequence_B,
-                         sequence_A_map, transition_table)
+                         sequence_A_map, sequence_B_map, transition_table)
 
 log = logging.getLogger(__name__)
 
@@ -125,7 +124,9 @@ class DesignMatrix:
         """A^T y for a real vector y stacked like the measurement."""
         parts = y.reshape(self.basis.shape[1], 2, self.params.n_t1)
         traces = (parts[:, 0] + 1j * parts[:, 1]).T
-        weights = np.sum(self.response.conj() * (self.evolution.conj().T @ traces), axis=1)
+        # (traces^H Ec)^H, not Ec^H traces: no conjugated copy of Ec
+        products = (traces.conj().T @ self.evolution).conj().T
+        weights = np.sum(self.response.conj() * products, axis=1)
         grouped = self.values.conj() @ weights.reshape(len(self.values), -1, 1)
         return grouped.real.reshape(-1)[np.argsort(self.order)]
 
@@ -500,17 +501,15 @@ def _diagonal_response_matrix(system: SpinSystem, params: AcquisitionParams,
                               basis: np.ndarray):
     """Sequence-B coordinates of every diagonal basis operator at once.
 
-    The ideal gradient keeps a diagonal operator d as it is, the beta pulse P
-    carries population k onto detected element p with weight W[p, k] =
-    P[rows_p, k] conj(P[cols_p, k]), and element p's unit FID is row p of F.
+    The ideal gradient keeps a diagonal operator d as it is, and the
+    ``to_detected`` weights W of :func:`~spintomo.experiment.sequence_B_map`
+    carry it onto the detected elements, whose unit FIDs are the rows of F.
     The signal is ``d^T W^T F``; its coordinates in ``basis``, re then im,
     are the columns.
     """
     labels = diagonal_labels(system.n)
     _, diagonals = monomial_table(system.n, labels)
-    rows, cols, _ = detection_elements(system)
-    pulse = rotation_pulse(system, params.beta_rad, 0.0)
-    to_detected = pulse[rows, :] * pulse[cols, :].conj()
+    _, _, to_detected = sequence_B_map(system, params)
     signals = diagonals @ (to_detected.T @ detection_fids(system, params.t2_times))
     return labels, _split(signals @ basis.conj()).T
 
@@ -532,7 +531,7 @@ def fit_diagonal(signal: Signal1D, system: SpinSystem,
     labels, response = _diagonal_response_matrix(system, params, basis)
     target = _split(signal.samples @ basis.conj())
 
-    svals = np.linalg.svd(response, compute_uv=False)
+    solution, _, _, svals = np.linalg.lstsq(response, target, rcond=None)
     if svals[0] == 0 or svals[-1] <= svals[0] * 1e-10:
         raise RankDeficiencyError(
             "diagonal response system is singular; line positions do not "
@@ -547,7 +546,6 @@ def fit_diagonal(signal: Signal1D, system: SpinSystem,
             f"error of about {condition * np.finfo(float).eps:.1g}",
             stacklevel=2,
         )
-    solution, _, _, _ = np.linalg.lstsq(response, target, rcond=None)
     residual = float(np.linalg.norm(response @ solution - target))
     scale = float(np.linalg.norm(target))
     relative = residual / scale if scale > 0 else 0.0

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from spintomo import (build_spin_system, gradient_project, rotation_pulse,
-                      transition_table)
+from spintomo import build_spin_system, rotation_pulse, transition_table
 from spintomo.core import down_counts, energies
 
 # Two-spin demonstration system and state used across the suite.
@@ -102,44 +101,54 @@ def detect_signal(rho, system):
     return complex(np.einsum("rs,sr->", raising_operator(system), rho))
 
 
+def fid_probes(system, t2_times):
+    """Row k is evolve(I+^T, t2_k), flattened: the FID Tr[I+ evolve(rho, t2_k)]
+    is the sum of the elements of rho times those of row k."""
+    plus = raising_operator(system)
+    return np.array([evolve(plus.T, system, float(t2)).ravel() for t2 in t2_times])
+
+
+def ideal_gradient(rho):
+    """The ideal gradient: only the diagonal of the state survives."""
+    return np.diag(np.diag(np.asarray(rho, dtype=complex)))
+
+
 def reference_sequence_a(system, rho0, params, delays_s=None):
     """Step-by-step sequence A, one density matrix per t1 increment.
 
     Independent of the production path: uses only the primitive
     single-state operations.  The gradient is ideal, or with ``delays_s``
     the randomized-delay average of :func:`loop_realistic_gradient`.  Row i
-    is the FID Tr[I+ evolve(rho, t2)] at every t2, the sum of the elements of
-    rho times those of evolve(I+^T, t2).  ``rho0`` may also be a stack of
+    is the FID Tr[I+ evolve(rho, t2)] at every t2, read through
+    :func:`fid_probes`.  ``rho0`` may also be a stack of
     states, for a stack of grids: evolution is element-wise, so each t1
     factor evolve(1, t1) is computed once for all of them.
     """
     states = np.asarray(rho0, dtype=complex).reshape(-1, system.dim, system.dim)
     pulse_90 = rotation_pulse(system, np.pi / 2.0, 0.0)
     pulse_read = rotation_pulse(system, params.alpha_rad, np.pi)
-    plus = raising_operator(system)
-    probes = np.array([evolve(plus.T, system, float(t2)).ravel() for t2 in params.t2_times])
+    probes = fid_probes(system, params.t2_times)
     grids = np.zeros((len(states), params.n_t1, params.n_t2), dtype=complex)
     ones = np.ones((system.dim, system.dim))
     for i, t1 in enumerate(params.t1_times):
         factor = evolve(ones, system, float(t1), with_decay=True)
         for grid, state in zip(grids, states):
             rho = apply_unitary(state * factor, pulse_90)
-            rho = (gradient_project(rho) if delays_s is None
+            rho = (ideal_gradient(rho) if delays_s is None
                    else loop_realistic_gradient(rho, system, delays_s))
             rho = apply_unitary(rho, pulse_read)
             grid[i] = probes @ rho.ravel()
     return grids.reshape(np.shape(rho0)[:-2] + grids.shape[1:])
 
 
-def reference_sequence_b(system, rho0, params):
-    samples = np.zeros(params.n_t2, dtype=complex)
-    pulse = rotation_pulse(system, params.beta_rad, 0.0)
-    rho = gradient_project(rho0)
-    rho = apply_unitary(rho, pulse)
-    for k, t2 in enumerate(params.t2_times):
-        probed = evolve(rho, system, float(t2), with_decay=True)
-        samples[k] = detect_signal(probed, system)
-    return samples
+def reference_sequence_b(system, rho0, params, delays_s=None):
+    """Step-by-step sequence B: the gradient (ideal, or with ``delays_s`` the
+    randomized-delay average of :func:`loop_realistic_gradient`), the beta
+    pulse, then the FID Tr[I+ evolve(rho, t2)] read through :func:`fid_probes`."""
+    rho = (ideal_gradient(rho0) if delays_s is None
+           else loop_realistic_gradient(rho0, system, delays_s))
+    rho = apply_unitary(rho, rotation_pulse(system, params.beta_rad, 0.0))
+    return fid_probes(system, params.t2_times) @ rho.ravel()
 
 
 def local_maxima_above(values, threshold):
@@ -225,7 +234,7 @@ def nonzero_detection_elements(system):
 def loop_realistic_gradient(rho, system, delays_s):
     """The randomized-delay average as a sum of one :func:`evolve` per delay.
 
-    The form realistic_gradient_project had before it averaged the delays'
+    The form the realistic gradient had before it averaged the delays'
     evolution factors, kept as the reference.
     """
     down = down_counts(system.n)

@@ -4,16 +4,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from spintomo import (coefficients_to_density, evolution_rates,
-                      gradient_project, product_operator,
-                      realistic_gradient_project, rotation_pulse)
-from spintomo.core import down_counts, energies
-from spintomo.dynamics import GRADIENT_DELAY_BLOCK, detection_elements
+from spintomo import (AcquisitionParams, coefficients_to_density,
+                      evolution_rates, product_operator, rotation_pulse,
+                      run_sequence_B)
+from spintomo.core import energies
+from spintomo.dynamics import (GRADIENT_DELAY_BLOCK, delay_average,
+                               detection_elements)
+from spintomo.experiment import gradient_support
 
 from conftest import (DEMO_COEFFS, apply_unitary, clustered_systems,
                       detect_signal, evolve, local_maxima_above,
-                      loop_realistic_gradient, nonzero_detection_elements,
-                      random_hermitian_traceless)
+                      nonzero_detection_elements, random_hermitian_traceless,
+                      reference_sequence_b)
 
 
 class TestEvolutionRates:
@@ -96,27 +98,32 @@ class TestApplyUnitary:
 
 
 class TestGradientProject:
+    """The ideal gradient keeps the diagonal of the state, weight 1."""
+
     def test_transverse_killed(self, two_spin_system):
         rho = product_operator(two_spin_system, "xo")
-        assert np.allclose(gradient_project(rho), 0.0)
+        a, b, _ = gradient_support(two_spin_system)
+        assert np.all(rho[a, b] == 0.0)
+        signal = run_sequence_B(two_spin_system, rho, small_params())
+        assert np.max(np.abs(signal.samples)) <= 1e-12
 
     def test_demo_state_diagonal(self, two_spin_system):
+        a, b, weights = gradient_support(two_spin_system)
+        assert np.array_equal(a, np.arange(4)) and np.array_equal(b, a)
+        assert np.all(weights == 1.0)
         rho = coefficients_to_density(two_spin_system, DEMO_COEFFS)
-        projected = gradient_project(rho)
-        assert np.allclose(projected, np.diag([3.325, -2.325, -1.025, 0.025]))
+        assert np.allclose(rho[a, b], [3.325, -2.325, -1.025, 0.025])
 
     def test_idempotent(self, two_spin_system):
-        rng = np.random.default_rng(5)
-        rho = random_hermitian_traceless(rng, 4)
-        once = gradient_project(rho)
-        assert np.allclose(gradient_project(once), once)
-
-    def test_batch_matches_single(self, two_spin_system):
-        rng = np.random.default_rng(4)
-        batch = np.stack([random_hermitian_traceless(rng, 4) for _ in range(3)])
-        projected = gradient_project(batch)
-        for rho, out in zip(batch, projected):
-            assert np.array_equal(out, gradient_project(rho))
+        # sequence B reads only the kept support: a state already reduced to
+        # it gives the same FID, bit for bit
+        rho = random_hermitian_traceless(np.random.default_rng(5), 4)
+        a, b, _ = gradient_support(two_spin_system)
+        once = np.zeros_like(rho)
+        once[a, b] = rho[a, b]
+        params = small_params()
+        assert np.array_equal(run_sequence_B(two_spin_system, once, params).samples,
+                              run_sequence_B(two_spin_system, rho, params).samples)
 
 
 def draw_delays(seed, draws, tau_max_s=0.02):
@@ -124,85 +131,82 @@ def draw_delays(seed, draws, tau_max_s=0.02):
     return np.random.default_rng(seed).uniform(0.0, tau_max_s, size=draws)
 
 
+def zero_quantum_weight(system, delays):
+    """The gradient's weight on element (1, 2), the two-spin zero quantum."""
+    a, b, weights = gradient_support(system, delays)
+    return weights[(a == 1) & (b == 2)].item()
+
+
+def small_params(n_t2=16):
+    return AcquisitionParams(n_t1=4, n_t2=n_t2, dwell_t1_s=1.0 / 7600.0,
+                             dwell_t2_s=1.0 / 7600.0)
+
+
 class TestRealisticGradient:
+    """The realistic gradient keeps the zero-quantum block, each element
+    times the :func:`delay_average` of the drawn delays."""
+
     def test_diagonal_untouched(self, two_spin_system):
-        rho = np.diag([1.0, 2.0, -1.5, -1.5]).astype(complex)
-        out = realistic_gradient_project(rho, two_spin_system, draw_delays(6, 8))
-        assert np.allclose(out, rho)
+        a, b, weights = gradient_support(two_spin_system, draw_delays(6, 8))
+        assert np.array_equal(a[a == b], np.arange(4))
+        assert np.all(weights[a == b] == 1.0)
 
     def test_zero_quantum_survives_single_draw(self, two_spin_system):
-        # IxIx + IyIy is purely zero quantum plus its conjugate
+        assert zero_quantum_weight(two_spin_system, [0.0]) == 1.0
+        # IxIx + IyIy is purely zero quantum plus its conjugate: silent under
+        # the ideal gradient, read in full after one delay of 0
         rho = (product_operator(two_spin_system, "xx")
                + product_operator(two_spin_system, "yy"))
-        out = realistic_gradient_project(rho, two_spin_system, [0.0])
-        assert abs(out[1, 2]) == pytest.approx(abs(rho[1, 2]), rel=1e-12)
+        params = small_params(n_t2=32)
+        signal = run_sequence_B(two_spin_system, rho, params, gradient_delays_s=[0.0])
+        expected = reference_sequence_b(two_spin_system, rho, params, [0.0])
+        assert np.max(np.abs(expected)) > 0.1
+        assert np.max(np.abs(signal.samples - expected)) <= 1e-12 * np.max(np.abs(expected))
 
     def test_averaging_suppresses_zero_quantum(self, two_spin_system):
-        rho = (product_operator(two_spin_system, "xx")
-               + product_operator(two_spin_system, "yy"))
-        single = realistic_gradient_project(rho, two_spin_system, draw_delays(8, 1))
-        averaged = realistic_gradient_project(rho, two_spin_system, draw_delays(8, 64))
-        assert abs(averaged[1, 2]) < 0.5 * abs(single[1, 2])
-        assert abs(averaged[1, 2]) < 0.35 * abs(rho[1, 2])
+        single = abs(zero_quantum_weight(two_spin_system, draw_delays(8, 1)))
+        averaged = abs(zero_quantum_weight(two_spin_system, draw_delays(8, 64)))
+        assert averaged < 0.5 * single
+        assert averaged < 0.35
 
-    def test_higher_orders_removed(self, two_spin_system):
+    def test_higher_orders_removed(self, two_spin_system, four_spin_system):
+        # the support is every pair of equal down-spin count and nothing else
+        a, b, _ = gradient_support(four_spin_system, draw_delays(6, 8))
+        down = [bin(r).count("1") for r in range(16)]
+        kept = {(r, s) for r in range(16) for s in range(16) if down[r] == down[s]}
+        assert set(zip(a.tolist(), b.tolist())) == kept and len(a) == 70
         rho = product_operator(two_spin_system, "xo")
-        out = realistic_gradient_project(rho, two_spin_system, draw_delays(9, 4))
-        assert np.allclose(out, 0.0)
+        signal = run_sequence_B(two_spin_system, rho, small_params(),
+                                gradient_delays_s=draw_delays(9, 4))
+        assert np.max(np.abs(signal.samples)) <= 1e-12
 
     def test_empty_delays_rejected(self, two_spin_system):
-        rho = product_operator(two_spin_system, "xx")
         with pytest.raises(ValueError, match="at least one delay"):
-            realistic_gradient_project(rho, two_spin_system, np.empty(0))
+            delay_average(two_spin_system, np.empty(0))
 
     @pytest.mark.parametrize("bad", [-1e-3, np.nan])
     def test_negative_delay_rejected(self, two_spin_system, bad):
-        rho = product_operator(two_spin_system, "xx")
         delays = np.append(draw_delays(7, 2 * GRADIENT_DELAY_BLOCK), bad)
         with pytest.raises(ValueError, match="non-negative"):
-            realistic_gradient_project(rho, two_spin_system, delays)
-
-    def test_batch_matches_single(self, two_spin_system):
-        rng = np.random.default_rng(10)
-        batch = np.stack([random_hermitian_traceless(rng, 4) for _ in range(3)])
-        delays = draw_delays(11, 5)
-        projected = realistic_gradient_project(batch, two_spin_system, delays)
-        for rho, out in zip(batch, projected):
-            single = realistic_gradient_project(rho, two_spin_system, delays)
-            assert np.array_equal(out, single)
-
-    @pytest.mark.parametrize("shape", [(), (5,)])
-    def test_matches_per_draw_loop(self, four_spin_system, shape):
-        rng = np.random.default_rng(12)
-        rho = np.stack([random_hermitian_traceless(rng, 16)
-                        for _ in range(int(np.prod(shape)))]).reshape(shape + (16, 16))
-        delays = draw_delays(13, 128, tau_max_s=2.0)
-        averaged = realistic_gradient_project(rho, four_spin_system, delays)
-        looped = loop_realistic_gradient(rho, four_spin_system, delays)
-        assert averaged.shape == rho.shape
-        assert np.max(np.abs(averaged - looped)) <= 1e-14 * np.max(np.abs(looped))
+            delay_average(two_spin_system, delays)
 
     @pytest.mark.parametrize("draws", [1, 2 * GRADIENT_DELAY_BLOCK,
                                        32 * GRADIENT_DELAY_BLOCK + 1])
     def test_blocks_match_one_shot_mean(self, four_spin_system, draws):
-        rho = random_hermitian_traceless(np.random.default_rng(14), 16)
         delays = draw_delays(15, draws, tau_max_s=2.0)
         rates = evolution_rates(four_spin_system)
-        down = down_counts(four_spin_system.n)
-        zero_quantum = down[:, None] == down[None, :]
-        one_shot = (rho * zero_quantum) * np.exp(delays[:, None, None] * rates).mean(axis=0)
-        blocked = realistic_gradient_project(rho, four_spin_system, delays)
+        one_shot = np.exp(delays[:, None, None] * rates).mean(axis=0)
+        blocked = delay_average(four_spin_system, delays)
         assert blocked.tobytes() == one_shot.tobytes()
 
     def test_memory_independent_of_draws(self, four_spin_system):
         # all factors at once peaked at 1.4 MB for 128 draws, 80 MB for 8192
-        rho = random_hermitian_traceless(np.random.default_rng(16), 16)
         peaks = {}
         for draws in (128, 8192):
             delays = draw_delays(17, draws)
             tracemalloc.start()
             try:
-                realistic_gradient_project(rho, four_spin_system, delays)
+                delay_average(four_spin_system, delays)
                 _, peaks[draws] = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()

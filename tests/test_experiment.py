@@ -234,6 +234,20 @@ class TestSequenceA:
 
 
 class TestSequenceB:
+    @pytest.mark.parametrize("gradient", [None, (16, 0.02), (128, 2.0)],
+                             ids=["ideal", "16-draws-over-0.02s", "128-draws-over-2s"])
+    @pytest.mark.parametrize("register", ["two_spin_system", "four_spin_system"])
+    def test_matches_stepwise_reference_under_each_gradient(self, request, register,
+                                                            gradient):
+        system = request.getfixturevalue(register)
+        rng = np.random.default_rng(25)
+        rho0 = random_hermitian_traceless(rng, system.dim)
+        params = default_acquisition(system, n_t1=4, n_t2=64)
+        delays = None if gradient is None else rng.uniform(0.0, gradient[1], size=gradient[0])
+        signal = run_sequence_B(system, rho0, params, gradient_delays_s=delays)
+        expected = reference_sequence_b(system, rho0, params, delays)
+        assert np.max(np.abs(signal.samples - expected)) <= 1e-12 * np.max(np.abs(expected))
+
     def test_matches_stepwise_reference(self, two_spin_system):
         rng = np.random.default_rng(23)
         rho0 = random_hermitian_traceless(rng, 4)

@@ -28,7 +28,8 @@ from spintomo.tomography import (CONDITION_WARN_THRESHOLD, RANK_TOL,
 from conftest import (DEMO_COEFFS, FOUR_SPIN_COUPLINGS, FOUR_SPIN_LARMOR,
                       FOUR_SPIN_STATE, TWO_SPIN_J, TWO_SPIN_LARMOR, TWO_SPIN_T2,
                       dense_design, fit_t1_trace, line_traces, random_coefficients,
-                      random_hermitian_traceless, reference_sequence_a)
+                      random_hermitian_traceless, reference_sequence_a,
+                      reference_sequence_b)
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -91,14 +92,12 @@ def relative_max_difference(matrix, oracle):
 
 
 def diagonal_oracle(system, params, basis):
-    """Per-label diagonal response: each o/z operator through sequence B."""
-    columns = []
-    for label in diagonal_labels(system.n):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            signal = run_sequence_B(system, product_operator(system, label), params)
-        columns.append(_split(signal.samples @ basis.conj()))
-    return np.column_stack(columns)
+    """Per-label diagonal response: each o/z operator through the step-by-step
+    sequence B of conftest."""
+    return np.column_stack([
+        _split(reference_sequence_b(system, product_operator(system, label), params)
+               @ basis.conj())
+        for label in diagonal_labels(system.n)])
 
 
 @st.composite
@@ -359,6 +358,19 @@ class TestDesignMatrix:
         assert design.shape == (131072, 240)
         assert design.rank == 240
         assert peak < 64 * 2 ** 20
+
+    def test_adjoint_copies_no_evolution_table(self):
+        # conjugating Ec before the product copied all of it on every call
+        system = build_spin_system(4, FOUR_SPIN_LARMOR, FOUR_SPIN_COUPLINGS, 0.010)
+        design = build_design_matrix(system, default_acquisition(system, n_t1=256, n_t2=64))
+        y = np.random.default_rng(0).normal(size=design.shape[0])
+        tracemalloc.start()
+        try:
+            design.adjoint(y)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < design.evolution.nbytes
 
     def test_wide_design_lists_every_label(self, two_spin_setup):
         # one t1 increment leaves 8 rows for 12 labels after mean removal
