@@ -299,10 +299,29 @@ def _write_array(out: Path, name: str, array, axes, sidecar: str, shape=None,
         "shape": list(header["shape"]), "axes": axes}})
 
 
+# Samples noised per block, so the draw's temporaries (a few arrays of 64 KiB)
+# do not grow with the grid.
+NOISE_BLOCK = 4096
+
+
 def _apply_noise(rng, array: np.ndarray, rms: float) -> np.ndarray:
-    noise = (rng.standard_normal(array.shape)
-             + 1j * rng.standard_normal(array.shape)) * (rms / np.sqrt(2.0))
-    return array + noise
+    """Add circular complex Gaussian noise with E|n|^2 = ``rms``^2 to the
+    contiguous ``array`` in place, and return ``array``.
+
+    Box-Muller on the little-endian 64-bit words of ``rng``, a
+    :class:`random.Random`: flattened sample k takes words 2k and 2k+1, whose
+    top 53 bits give u1 in (0, 1] and u2 in [0, 1), and gets
+    rms*sqrt(-ln u1)*exp(2*pi*i*u2), so each component has variance rms^2/2.
+    The words are drawn :data:`NOISE_BLOCK` samples at a time; sample k
+    depends only on its place in the stream, not on the block.
+    """
+    flat = array.reshape(-1, copy=False)
+    for start in range(0, flat.size, NOISE_BLOCK):
+        block = flat[start:start + NOISE_BLOCK]
+        words = np.frombuffer(rng.randbytes(16 * block.size), "<u8") >> 11
+        u = words.reshape(-1, 2) * 2.0 ** -53
+        block += rms * np.sqrt(-np.log(u[:, 0] + 2.0 ** -53)) * np.exp(2j * np.pi * u[:, 1])
+    return array
 
 
 def _simulate_signals(cfg: RunConfig, params, rng=None):
@@ -310,26 +329,28 @@ def _simulate_signals(cfg: RunConfig, params, rng=None):
 
     ``rng`` draws the realistic gradient's delays, A's then B's, before any
     noise, and the reference's noise last, so A and B do not depend on it.
-    Without one, a Generator seeded with the run's seed is made only when
-    the run draws something: a noiseless ideal-gradient run never loads
-    ``numpy.random``.
+    Without one, ``random.Random(seed)`` is made only when the run draws
+    something.  No run loads ``numpy.random``.
     """
     options = cfg.options
     if rng is None and (options.noise_rms > 0 or options.realistic_gradient):
-        rng = np.random.default_rng(options.seed)
+        # numpy has loaded random already (through tempfile).  Imported at
+        # the top, before numpy, it reordered the imports and the heap, and
+        # raised the peak RSS of runs that never draw.
+        import random
+        rng = random.Random(options.seed)
     system = cfg.system
     rho0 = coefficients_to_density(system, cfg.coefficients)
     delays = [None, None]
-    if cfg.options.realistic_gradient:
-        delays = [rng.uniform(0.0, cfg.options.gradient_tau_max_s,
-                              size=cfg.options.gradient_draws) for _ in delays]
+    if options.realistic_gradient:
+        delays = [np.array([rng.uniform(0.0, options.gradient_tau_max_s)
+                            for _ in range(options.gradient_draws)]) for _ in delays]
     signal_a = run_sequence_A(system, rho0, params, gradient_delays_s=delays[0])
     signal_b = run_sequence_B(system, rho0, params, gradient_delays_s=delays[1])
     reference = reference_fid(system, rho0, params)
-    if cfg.options.noise_rms > 0:
-        signal_a.grid = _apply_noise(rng, signal_a.grid, cfg.options.noise_rms)
-        signal_b.samples = _apply_noise(rng, signal_b.samples, cfg.options.noise_rms)
-        reference.samples = _apply_noise(rng, reference.samples, cfg.options.noise_rms)
+    if options.noise_rms > 0:
+        for samples in (signal_a.grid, signal_b.samples, reference.samples):
+            _apply_noise(rng, samples, options.noise_rms)
     return rho0, signal_a, signal_b, reference
 
 

@@ -1,5 +1,7 @@
 import json
+import math
 import os
+import random
 import stat
 import subprocess
 import sys
@@ -15,8 +17,9 @@ from spintomo import (TomographyResult, coefficients_to_density, detection_basis
                       fit_diagonal, format_label, reference_fid, run_sequence_A,
                       run_sequence_B, tomograph_state, transition_table)
 import spintomo
+import spintomo.cli
 import spintomo.tomography
-from spintomo.cli import (_atomic_write, _build_design, _export_simulation,
+from spintomo.cli import (_apply_noise, _atomic_write, _build_design, _export_simulation,
                           _simulate_signals,
                           _write_json, _write_report, config_from_dict, main,
                           parse_config, resolve_params)
@@ -58,16 +61,34 @@ TOMOGRAPH_FILES = ["design_summary.json", "report.txt", "result.json"]
 
 # Runs main() on argv[1:] in a fresh interpreter and prints, as JSON, its
 # exit code, the modules the run loaded beyond numpy and the interpreter's
-# own, and whether numpy.random is loaded at the end.
+# own, whether numpy.random is loaded at the end, and the seeds given to
+# stdlib generators during the run.
 MODULES_CHILD = """
-import json, sys
+import json, random, sys
 import numpy
 before = set(sys.modules)
+seeds = []
+seed = random.Random.seed
+def record(self, a=None, version=2):
+    seeds.append(a)
+    seed(self, a, version)
+random.Random.seed = record
 from spintomo.cli import main
 code = main(sys.argv[1:])
 print(json.dumps({"code": code, "loaded": sorted(set(sys.modules) - before),
-                  "numpy_random": "numpy.random" in sys.modules}))
+                  "numpy_random": "numpy.random" in sys.modules, "seeds": seeds}))
 """
+
+
+def box_muller(rng, shape, rms):
+    """Noise of ``shape`` drawn the way the simulator draws it, one 64-bit word
+    at a time: sample k takes words 2k and 2k+1, whose top 53 bits give u1 in
+    (0, 1] and u2 in [0, 1), and is rms*sqrt(-ln u1)*exp(2*pi*i*u2)."""
+    words = np.array([rng.getrandbits(64) for _ in range(2 * math.prod(shape))],
+                     dtype=np.uint64) >> 11
+    u1 = (words[0::2] + 1) * 2.0 ** -53
+    u2 = words[1::2] * 2.0 ** -53
+    return (rms * np.sqrt(-np.log(u1)) * np.exp(2j * np.pi * u2)).reshape(shape)
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -213,7 +234,7 @@ class TestSimulateCommand:
             assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
             cfg = parse_config(path)
             _, signal_a, signal_b, _ = _simulate_signals(
-                cfg, resolve_params(cfg), np.random.default_rng(cfg.options.seed))
+                cfg, resolve_params(cfg), random.Random(cfg.options.seed))
             table = transition_table(cfg.system)
         spectrum = dft_t1(dft_t2(signal_a))
         spectrum_b = dft_fid(signal_b)
@@ -257,7 +278,7 @@ class TestSimulateCommand:
             assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
             cfg = parse_config(path)
             _, signal_a, _, _ = _simulate_signals(
-                cfg, resolve_params(cfg), np.random.default_rng(cfg.options.seed))
+                cfg, resolve_params(cfg), random.Random(cfg.options.seed))
             spectrum = dft_t1(dft_t2(signal_a))
             table = transition_table(cfg.system)
         sections = np.load(out / "cross_sections.npy", allow_pickle=False)
@@ -277,7 +298,7 @@ class TestSimulateCommand:
         # measured; holding the magnitude grid as well took it to 2.26x)
         cfg = config_from_dict(demo_config(n_t1=512, n_t2=256))
         params = resolve_params(cfg)
-        _, signal_a, signal_b, _ = _simulate_signals(cfg, params, np.random.default_rng(0))
+        _, signal_a, signal_b, _ = _simulate_signals(cfg, params)
         grid = signal_a.grid
         table = transition_table(cfg.system)
         tracemalloc.start()
@@ -457,7 +478,7 @@ class TestTomographCommand:
             cfg = parse_config(path)
             params = resolve_params(cfg)
             rho0, signal_a, signal_b, reference = _simulate_signals(
-                cfg, params, np.random.default_rng(cfg.options.seed))
+                cfg, params, random.Random(cfg.options.seed))
             noise = reference.samples - reference_fid(cfg.system, rho0, params).samples
             assert np.std(noise) == pytest.approx(0.05, rel=0.2)
             signal_a = fid_coordinates(signal_a, detection_basis(cfg.system, params))
@@ -492,24 +513,24 @@ class TestTomographCommand:
         assert "skipped" in capsys.readouterr().out
 
     def test_simulate_draw_order(self):
-        # a fresh rng draws A's gradient delays, then B's, then the noise of
-        # A, B and the reference: realistic-gradient runs stay reproducible
+        # random.Random(seed) draws A's gradient delays, then B's, then the
+        # noise of A, B and the reference: realistic-gradient runs stay
+        # reproducible
         cfg = config_from_dict(demo_config(n_t1=16, n_t2=32, noise_rms=0.01,
                                            realistic_gradient=True,
                                            gradient_draws=5, gradient_tau_max_s=0.03))
         params = resolve_params(cfg)
         rho0, signal_a, signal_b, reference = _simulate_signals(
-            cfg, params, np.random.default_rng(cfg.options.seed))
+            cfg, params, random.Random(cfg.options.seed))
 
-        rng = np.random.default_rng(cfg.options.seed)
-        delays_a, delays_b = (rng.uniform(0.0, 0.03, size=5) for _ in range(2))
+        rng = random.Random(cfg.options.seed)
+        delays_a, delays_b = ([rng.uniform(0.0, 0.03) for _ in range(5)] for _ in range(2))
         expected = [
             run_sequence_A(cfg.system, rho0, params, gradient_delays_s=delays_a).grid,
             run_sequence_B(cfg.system, rho0, params, gradient_delays_s=delays_b).samples,
             reference_fid(cfg.system, rho0, params).samples]
         for clean in expected:
-            clean += (rng.standard_normal(clean.shape)
-                      + 1j * rng.standard_normal(clean.shape)) * (0.01 / np.sqrt(2.0))
+            clean += box_muller(rng, clean.shape, 0.01)
         assert np.array_equal(rho0, coefficients_to_density(cfg.system, cfg.coefficients))
         for got, want in zip((signal_a.grid, signal_b.samples, reference.samples), expected):
             assert np.array_equal(got, want)
@@ -526,8 +547,9 @@ class TestTomographCommand:
         ({"realistic_gradient": True, "gradient_draws": 4}, True),
     ])
     def test_run_loads_only_what_it_uses(self, tmp_path, options, draws):
-        # no SHA-256 digest of the system, so no OpenSSL; numpy.random only
-        # when a seed draws noise or gradient delays
+        # no SHA-256 digest of the system, so no OpenSSL, and no numpy.random:
+        # noise and gradient delays come from random.Random(seed), which is
+        # seeded only when the run draws
         path = write_config(tmp_path, demo_config(n_t1=32, n_t2=64, **options))
         env = dict(os.environ)
         src = str(Path(spintomo.__file__).resolve().parents[1])
@@ -539,10 +561,10 @@ class TestTomographCommand:
             env=env, capture_output=True, text=True, timeout=120, check=True)
         report = json.loads(child.stdout.strip().splitlines()[-1])
         assert report["code"] == 0
-        assert report["numpy_random"] is draws
-        if not draws:
-            assert "_hashlib" not in report["loaded"]
-            assert "numpy.random" not in report["loaded"]
+        assert report["numpy_random"] is False
+        assert "_hashlib" not in report["loaded"]
+        assert "numpy.random" not in report["loaded"]
+        assert report["seeds"] == ([7] if draws else [])
 
     @pytest.mark.parametrize("config, qubits", [
         ("demo_2qubit.json", None), ("demo_4qubit.json", None), ("demo_2qubit.json", [2])])
@@ -669,6 +691,64 @@ class TestTomographCommand:
                          str(tmp_path / "out")])
         assert code == 3
         assert "degenerate" in capsys.readouterr().err.lower()
+
+
+class TestNoise:
+    RMS = 0.01
+
+    def noised(self, seed=2026, shape=(1024, 128)):
+        return _apply_noise(random.Random(seed), np.zeros(shape, complex), self.RMS)
+
+    def test_white_circular_gaussian(self):
+        noise = self.noised().ravel()
+        n = noise.size
+        assert n >= 2 ** 17
+        sigma = self.RMS / np.sqrt(2.0)
+        for part in (noise.real, noise.imag):
+            assert abs(part.mean()) <= 5 * sigma / np.sqrt(n)
+            assert part.var() == pytest.approx(sigma ** 2, rel=0.02)
+            # Gaussian: the fourth moment is three times the squared variance
+            assert np.mean(part ** 4) / np.mean(part ** 2) ** 2 == pytest.approx(3.0, abs=0.1)
+        assert abs(np.corrcoef(noise.real, noise.imag)[0, 1]) <= 5 / np.sqrt(n)
+        # white: neighbouring samples, across the drawn blocks, are uncorrelated
+        lag1 = np.vdot(noise[:-1], noise[1:]) / np.vdot(noise, noise).real
+        assert abs(lag1) <= 5 / np.sqrt(n)
+        assert np.mean(np.abs(noise) ** 2) == pytest.approx(self.RMS ** 2, rel=0.02)
+
+    def test_seed_fixes_the_bytes(self):
+        assert self.noised(3).tobytes() == self.noised(3).tobytes()
+        assert self.noised(3).tobytes() != self.noised(4).tobytes()
+
+    @pytest.mark.parametrize("block", [1, 37, 4095])
+    def test_independent_of_block_size(self, monkeypatch, block):
+        expected = self.noised(shape=(64, 130))
+        monkeypatch.setattr(spintomo.cli, "NOISE_BLOCK", block)
+        assert self.noised(shape=(64, 130)).tobytes() == expected.tobytes()
+
+    def test_in_place(self):
+        signal = np.arange(24, dtype=complex).reshape(4, 6)
+        clean = signal.copy()
+        assert _apply_noise(random.Random(1), signal, self.RMS) is signal
+        assert np.array_equal(signal, clean + self.noised(1, (4, 6)))
+        # a view that cannot be noised in place is refused, never noised as a copy
+        with pytest.raises(ValueError):
+            _apply_noise(random.Random(1), signal.T, self.RMS)
+
+    def test_memory_bounded(self):
+        # drawn and noised a block at a time: the peak is a fraction of a
+        # 1024 x 128 grid and does not grow with the grid (2.06x of the grid,
+        # and growing with it, when all noise was drawn at once)
+        peaks = {}
+        for n_t1 in (1024, 4096):
+            grid = np.zeros((n_t1, 128), complex)
+            tracemalloc.start()
+            try:
+                _apply_noise(random.Random(0), grid, self.RMS)
+                _, peaks[n_t1] = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peaks[1024] <= 0.5 * 1024 * 128 * np.dtype(complex).itemsize
+        assert peaks[4096] <= peaks[1024] + 2 ** 14
 
 
 class TestResultFiles:
