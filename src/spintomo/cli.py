@@ -17,6 +17,7 @@ import json
 import logging
 import math
 import os
+import random
 import sys
 import uuid
 from dataclasses import dataclass, field
@@ -315,7 +316,9 @@ def _apply_noise(rng, array: np.ndarray, rms: float) -> np.ndarray:
     The words are drawn :data:`NOISE_BLOCK` samples at a time; sample k
     depends only on its place in the stream, not on the block.
     """
-    flat = array.reshape(-1, copy=False)
+    if not array.flags.c_contiguous:
+        raise ValueError("noise is added in place to a C-contiguous array")
+    flat = array.reshape(-1)
     for start in range(0, flat.size, NOISE_BLOCK):
         block = flat[start:start + NOISE_BLOCK]
         words = np.frombuffer(rng.randbytes(16 * block.size), "<u8") >> 11
@@ -324,20 +327,16 @@ def _apply_noise(rng, array: np.ndarray, rms: float) -> np.ndarray:
     return array
 
 
-def _simulate_signals(cfg: RunConfig, params, rng=None):
+def _simulate_signals(cfg: RunConfig, params):
     """The input state, signals A and B and the reference FID, all noised.
 
-    ``rng`` draws the realistic gradient's delays, A's then B's, before any
-    noise, and the reference's noise last, so A and B do not depend on it.
-    Without one, ``random.Random(seed)`` is made only when the run draws
-    something.  No run loads ``numpy.random``.
+    ``random.Random(seed)``, made only when the run draws something, draws
+    the realistic gradient's delays, A's then B's, before any noise, and the
+    reference's noise last, so A and B do not depend on it.  No run loads
+    ``numpy.random``.
     """
     options = cfg.options
-    if rng is None and (options.noise_rms > 0 or options.realistic_gradient):
-        # numpy has loaded random already (through tempfile).  Imported at
-        # the top, before numpy, it reordered the imports and the heap, and
-        # raised the peak RSS of runs that never draw.
-        import random
+    if options.noise_rms > 0 or options.realistic_gradient:
         rng = random.Random(options.seed)
     system = cfg.system
     rho0 = coefficients_to_density(system, cfg.coefficients)
