@@ -44,7 +44,8 @@ from .errors import RankDeficiencyError
 from .experiment import (T2_BLOCK_ROWS, AcquisitionParams, Signal1D, Signal2D,
                          TransitionTable, check_nyquist, detection_fids,
                          reference_fid, run_sequence_A, run_sequence_B,
-                         sequence_A_map, sequence_B_map, transition_table)
+                         sequence_A_map, sequence_B_map, t1_blocks, t1_factors,
+                         transition_table)
 
 log = logging.getLogger(__name__)
 
@@ -85,13 +86,17 @@ class DesignMatrix:
     (:func:`~spintomo.core.monomial_table`), so the dim labels of one mask
     share the positions S_f = {(r, r ^ f)}.  ``order`` sorts the labels by
     mask and ``values`` [f, l, r] is the flip-group table in that order.
-    ``evolution`` Ec, the t1-mean-free evolution factors (n_t1 x positions),
-    and ``response``, the rest of the chain per coordinate (positions x r),
-    are kept on the off-diagonal positions only, S_f after S_f:
-    A x = Ec (u[:, None] * response) with u = values[f]^T x_f on S_f.
-    ``eigenvalues`` (ascending) and ``eigenvectors`` are the eigenpairs of
-    A^T A.  ``rank``, ``condition_number`` and the offending label lists
-    describe the numerical solvability of the fit.
+    The rest is kept on the off-diagonal positions only, S_f after S_f:
+    their evolution ``rates``, ``response``, the rest of the chain per
+    coordinate (positions x r), the first t1 block's evolution factors
+    ``head`` and the t1 ``mean`` of all of them.  The t1 factors are the
+    simulator's :func:`~spintomo.experiment.t1_blocks`, remade from ``head``
+    a few blocks at a time on every product, so no field grows with n_t1:
+    A x = Ec (u[:, None] * response) with Ec the factors less ``mean`` and
+    u = values[f]^T x_f on S_f.  ``eigenvalues`` (ascending) and
+    ``eigenvectors`` are the eigenpairs of A^T A.  ``rank``,
+    ``condition_number`` and the offending label lists describe the
+    numerical solvability of the fit.
     """
 
     labels: tuple
@@ -100,7 +105,9 @@ class DesignMatrix:
     transition_indices: tuple
     basis: np.ndarray
     order: np.ndarray
-    evolution: np.ndarray
+    rates: np.ndarray
+    mean: np.ndarray
+    head: np.ndarray
     response: np.ndarray
     values: np.ndarray
     eigenvalues: np.ndarray
@@ -115,19 +122,37 @@ class DesignMatrix:
     def shape(self) -> tuple:
         return (2 * self.params.n_t1 * self.basis.shape[1], len(self.labels))
 
+    def _t1_blocks(self):
+        """Yield ``(rows, Ec[rows])``, the t1-mean-free factors bit for bit as
+        :func:`_design_parts` makes them for the Gram, as many t1 blocks at a
+        time as keep them within the size of the t1 traces: larger products
+        run faster, and a product's factors take no more memory than its
+        result or operand."""
+        blocks = max(1, self.params.n_t1 * self.basis.shape[1] // self.head.size)
+        for rows, factors in t1_blocks(self.rates, self.params.t1_times, self.head, blocks):
+            factors -= self.mean
+            yield rows, factors
+
     def apply(self, x: np.ndarray) -> np.ndarray:
         """A x, stacked like the measurement (:func:`_stack`)."""
         grouped = x[self.order].reshape(len(self.values), 1, -1) @ self.values
-        return _stack(self.evolution @ (grouped.reshape(-1, 1) * self.response))
+        chain = grouped.reshape(-1, 1) * self.response
+        traces = np.empty((self.params.n_t1, self.basis.shape[1]), dtype=complex)
+        for rows, factors in self._t1_blocks():
+            np.matmul(factors, chain, out=traces[rows])
+        return _stack(traces)
 
     def adjoint(self, y: np.ndarray) -> np.ndarray:
         """A^T y for a real vector y stacked like the measurement."""
         parts = y.reshape(self.basis.shape[1], 2, self.params.n_t1)
-        traces = (parts[:, 0] + 1j * parts[:, 1]).T
-        # (traces^H Ec)^H, not Ec^H traces: no conjugated copy of Ec
-        products = (traces.conj().T @ self.evolution).conj().T
-        weights = np.sum(self.response.conj() * products, axis=1)
-        grouped = self.values.conj() @ weights.reshape(len(self.values), -1, 1)
+        conjugates = (parts[:, 0] - 1j * parts[:, 1]).T
+        # conj(Ec^H traces), one run of t1 blocks at a time
+        total = np.zeros(self.response.shape, dtype=complex)
+        for rows, factors in self._t1_blocks():
+            total += factors.T @ conjugates[rows]
+        weights = np.sum(self.response * total, axis=1)
+        # Re(conj(V) conj(w)) = Re(V w)
+        grouped = self.values @ weights.reshape(len(self.values), -1, 1)
         return grouped.real.reshape(-1)[np.argsort(self.order)]
 
     @property
@@ -271,7 +296,8 @@ def _stack(traces: np.ndarray) -> np.ndarray:
 
 
 def _design_parts(system: SpinSystem, params: AcquisitionParams, basis, labels):
-    """``(order, evolution, response, values)``, the flip-grouped design factors.
+    """``(order, rates, mean, evolution, response, values)``, the flip-grouped
+    design factors.
 
     The sequence maps an input state rho to the coordinates of signal A
 
@@ -285,7 +311,10 @@ def _design_parts(system: SpinSystem, params: AcquisitionParams, basis, labels):
     coordinates of each detected element's unit FID (row of F) in ``basis``
     Q.  Removing the t1 mean of E removes it from every trace.  E and G are
     computed only at the positions the off-diagonal ``labels`` touch,
-    grouped by flip mask as :class:`DesignMatrix` describes.
+    grouped by flip mask as :class:`DesignMatrix` describes: ``rates`` are
+    those positions' evolution rates and E is the simulator's
+    :func:`~spintomo.experiment.t1_blocks` of them.  ``evolution`` is E less
+    its t1 ``mean``, the whole n_t1 x positions table, for :func:`_gram`.
     """
     kernel = detection_fids(system, params.t2_times) @ basis.conj()
     dim = system.dim
@@ -296,12 +325,15 @@ def _design_parts(system: SpinSystem, params: AcquisitionParams, basis, labels):
     to_diagonal, to_detected = sequence_A_map(system, params, left, right)
     response = to_diagonal.T @ (to_detected.T @ kernel)
 
+    rates = evolution_rates(system)[left, right]
     # column-major, so each position's t1 trace is contiguous and its mean
     # is summed pairwise
-    evolution = np.outer(evolution_rates(system)[left, right], params.t1_times)
-    evolution = np.exp(evolution, out=evolution).T
-    evolution -= evolution.mean(axis=0)
-    return order, evolution, response, values[order].reshape(-1, dim, dim)
+    evolution = np.empty((params.n_t1, len(rates)), dtype=complex, order="F")
+    for rows, factors in t1_blocks(rates, params.t1_times):
+        evolution[rows] = factors
+    mean = evolution.mean(axis=0)
+    evolution -= mean
+    return order, rates, mean, evolution, response, values[order].reshape(-1, dim, dim)
 
 
 def _gram(evolution: np.ndarray, response: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -399,8 +431,10 @@ def build_design_matrix(system: SpinSystem, params: AcquisitionParams,
         if sum(c in "xy" for c in label) == 1
         and (label.index("x") if "x" in label else label.index("y")) + 1 in missing
     )
-    order, evolution, response, values = _design_parts(system, params, basis, labels)
+    order, rates, mean, evolution, response, values = _design_parts(
+        system, params, basis, labels)
     gram = _gram(evolution, response, values)
+    del evolution  # freed before eigh, where the build peaks
     eigenvalues, eigenvectors = np.linalg.eigh(gram)
     inverse = np.argsort(order)
     eigenvectors = eigenvectors[inverse]
@@ -419,7 +453,9 @@ def build_design_matrix(system: SpinSystem, params: AcquisitionParams,
         transition_indices=indices,
         basis=basis,
         order=order,
-        evolution=evolution,
+        rates=rates,
+        mean=mean,
+        head=t1_factors(rates, params.t1_times[:T2_BLOCK_ROWS]),
         response=response,
         values=values,
         eigenvalues=eigenvalues,

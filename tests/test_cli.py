@@ -214,6 +214,17 @@ class TestConfigParsing:
         assert code == 2
         assert "config" in capsys.readouterr().err
 
+    def test_unreadable_config_exits_2(self, tmp_path, capsys):
+        # a directory cannot be read, and FF FE opens no UTF-8 text
+        utf16 = tmp_path / "utf16.json"
+        utf16.write_bytes(json.dumps(demo_config()).encode("utf-16"))
+        assert utf16.read_bytes()[:2] == b"\xff\xfe"
+        for path in (tmp_path, utf16):
+            code = main(["simulate", "--config", str(path),
+                         "--out", str(tmp_path / "out")])
+            assert code == 2
+            assert "config error: cannot read config file" in capsys.readouterr().err
+
 
 class TestSimulateCommand:
     def test_artifacts_written(self, tmp_path):

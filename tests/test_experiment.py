@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 import tracemalloc
 import warnings
 
@@ -14,7 +15,9 @@ from spintomo import (AcquisitionParams, DegenerateTransitionError,
                       transition_table)
 from spintomo.core import single_quantum_transitions
 from spintomo.cli import _write_array
-from spintomo.experiment import T2_BLOCK_ROWS
+from spintomo.cli import config_from_dict, resolve_params
+from spintomo.dynamics import evolution_rates
+from spintomo.experiment import T2_BLOCK_ROWS, t1_blocks
 from spintomo.spectral import cross_sections
 
 from conftest import (DEMO_COEFFS, FOUR_SPIN_STATE, clustered_systems, fit_t1_trace,
@@ -164,6 +167,21 @@ class TestSequenceA:
             extra[n_t1] = peak - signal.grid.nbytes
         # the slack covers the t1 times themselves, 8 bytes a row
         assert extra[1024] <= extra[256] + 2 ** 14
+
+    def test_block_phases_match_one_exp(self):
+        # exp(r t1[j]) exp(r t1[s]) differs from exp(r t1[s + j]) only by the
+        # rounding of the phase, which reaches 1e4 rad on the 5-qubit demo
+        config = Path(__file__).resolve().parent.parent / "configs" / "demo_5qubit.json"
+        cfg = config_from_dict(json.loads(config.read_text()))
+        params = resolve_params(cfg)
+        rates, t1_times = evolution_rates(cfg.system).ravel(), params.t1_times
+        direct = np.exp(np.outer(t1_times, rates))
+        blocked = np.concatenate([factors.copy() for _, factors in t1_blocks(rates, t1_times)])
+        largest_phase = float(np.max(np.abs(np.outer(t1_times, rates))))
+        assert largest_phase > 1e3
+        error = np.max(np.abs(blocked - direct) / np.abs(direct))
+        assert error <= 16 * np.finfo(float).eps * largest_phase
+        assert np.array_equal(blocked[:T2_BLOCK_ROWS], direct[:T2_BLOCK_ROWS])
 
     def test_diagonal_state_silent(self, two_spin_system):
         rho0 = np.diag([2.0, -1.0, 0.5, -1.5]).astype(complex)

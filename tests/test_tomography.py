@@ -19,11 +19,14 @@ from spintomo import (DegenerateTransitionError, RankDeficiencyError,
                       run_sequence_B, tomograph_state, transition_table)
 from spintomo.cli import config_from_dict, resolve_params
 from spintomo.dynamics import detection_elements, evolution_rates
-from spintomo.experiment import detection_fids
+from spintomo import experiment
+from spintomo.core import monomial_table
+from spintomo.experiment import (T2_BLOCK_ROWS, detection_fids, t1_blocks,
+                                 t1_factors)
 from spintomo.tomography import (CONDITION_WARN_THRESHOLD, RANK_TOL,
-                                 _diagonal_response_matrix, _gram,
-                                 _nullspace_labels, _solve_seminormal, _split,
-                                 _stack)
+                                 _design_parts, _diagonal_response_matrix,
+                                 _gram, _nullspace_labels, _solve_seminormal,
+                                 _split, _stack)
 
 from conftest import (DEMO_COEFFS, FOUR_SPIN_COUPLINGS, FOUR_SPIN_LARMOR,
                       FOUR_SPIN_STATE, TWO_SPIN_J, TWO_SPIN_LARMOR, TWO_SPIN_T2,
@@ -362,7 +365,8 @@ class TestDesignMatrix:
     def test_adjoint_copies_no_evolution_table(self):
         # conjugating Ec before the product copied all of it on every call
         system = build_spin_system(4, FOUR_SPIN_LARMOR, FOUR_SPIN_COUPLINGS, 0.010)
-        design = build_design_matrix(system, default_acquisition(system, n_t1=256, n_t2=64))
+        params = default_acquisition(system, n_t1=256, n_t2=64)
+        design = build_design_matrix(system, params)
         y = np.random.default_rng(0).normal(size=design.shape[0])
         tracemalloc.start()
         try:
@@ -370,7 +374,21 @@ class TestDesignMatrix:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < design.evolution.nbytes
+        positions = system.dim ** 2 - system.dim
+        assert peak < params.n_t1 * positions * np.dtype(complex).itemsize
+
+    def test_fields_independent_of_n_t1(self):
+        # the t1 factors are kept as the first block and the positions' rates
+        # and mean, so eight times the increments keep the same bytes
+        system = build_spin_system(4, FOUR_SPIN_LARMOR, FOUR_SPIN_COUPLINGS, 0.010)
+        sizes = []
+        for n_t1 in (256, 2048):
+            design = build_design_matrix(system, default_acquisition(system, n_t1=n_t1,
+                                                                     n_t2=64))
+            sizes.append({field.name: getattr(design, field.name).nbytes
+                          for field in fields(design)
+                          if isinstance(getattr(design, field.name), np.ndarray)})
+        assert sizes[0] == sizes[1]
 
     def test_wide_design_lists_every_label(self, two_spin_setup):
         # one t1 increment leaves 8 rows for 12 labels after mean removal
@@ -440,7 +458,9 @@ class TestFlipGroupedOperator:
         system, params, design = grouped_case
         expected = kronecker_gram(system, params, design)
         expected = np.tril(expected[np.ix_(design.order, design.order)])
-        lower = np.tril(_gram(design.evolution, design.response, design.values))
+        _, _, _, evolution, response, values = _design_parts(system, params, design.basis,
+                                                              design.labels)
+        lower = np.tril(_gram(evolution, response, values))
         assert relative_max_difference(lower, expected) <= 1e-14
         assert design.is_full_rank
 
@@ -456,8 +476,9 @@ class TestFlipGroupedOperator:
 
     def test_no_field_holds_dense_product_operators(self, grouped_case):
         # a dense product-operator table would take labels x dim^2 entries;
-        # the flip-group table takes dim per label, and the t1 and response
-        # factors one column or row per off-diagonal position
+        # the flip-group table takes dim per label, and the rates, t1 mean,
+        # first-block factors and response one entry, column or row per
+        # off-diagonal position
         system, params, design = grouped_case
         dim, labels = system.dim, len(design.labels)
         positions = dim * dim - dim
@@ -467,10 +488,43 @@ class TestFlipGroupedOperator:
         rank = design.basis.shape[1]
         assert shapes == {
             "basis": (params.n_t2, rank), "order": (labels,),
-            "evolution": (params.n_t1, positions), "response": (positions, rank),
+            "rates": (positions,), "mean": (positions,),
+            "head": (T2_BLOCK_ROWS, positions), "response": (positions, rank),
             "values": (dim - 1, dim, dim), "eigenvalues": (labels,),
             "eigenvectors": (labels, labels)}
 
+    def test_block_factors_match_simulator(self, grouped_case, monkeypatch):
+        # the fit is exact to 1e-10 on a condition number of 1e5 only because
+        # the design's t1 factors are the simulator's, bit for bit
+        system, params, design = grouped_case
+        simulated = []
+
+        def recorded(*args):
+            for rows, factors in t1_blocks(*args):
+                simulated.append(factors.copy())
+                yield rows, factors
+
+        monkeypatch.setattr(experiment, "t1_blocks", recorded)
+        run_sequence_A(system, np.zeros((system.dim, system.dim)), params)
+        dim = system.dim
+        columns, _ = monomial_table(system.n, design.labels)
+        left = np.tile(np.arange(dim), len(design.labels) // dim)
+        right = columns[design.order[::dim]].reshape(-1)
+        assert np.array_equal(design.rates, evolution_rates(system)[left, right])
+        phases = t1_factors(design.rates, params.t1_times, T2_BLOCK_ROWS)
+        for phase, states in zip(phases, simulated, strict=True):
+            states = states[:, left * dim + right]
+            assert np.array_equal(design.head[:len(states)] * phase, states)
+
+    def test_products_use_the_gram_table(self, grouped_case):
+        # apply and adjoint remake, block by block, the very t1-mean-free
+        # table the Gram was built from
+        system, params, design = grouped_case
+        _, rates, mean, evolution, _, _ = _design_parts(system, params, design.basis,
+                                                        design.labels)
+        assert np.array_equal(rates, design.rates) and np.array_equal(mean, design.mean)
+        remade = np.concatenate([factors.copy() for _, factors in design._t1_blocks()])
+        assert np.array_equal(remade, evolution)
 
     def test_fit_depends_only_on_the_span(self, grouped_case):
         # Q U spans what Q spans for any unitary U, and the fit is least
