@@ -56,8 +56,7 @@ class RunConfig:
     options: RunOptions = field(default_factory=RunOptions)
 
 
-_ACQ_KEYS = {"n_t1", "n_t2", "dwell_t1_s", "dwell_t2_s", "alpha_deg",
-             "beta_deg", "cross_section_qubits"}
+_ACQ_KEYS = {"n_t1", "n_t2", "dwell_t1_s", "dwell_t2_s", "alpha_deg", "beta_deg"}
 _OPT_KEYS = {"noise_rms", "realistic_gradient", "gradient_draws",
              "gradient_tau_max_s", "seed", "output_dir", "reference_normalize"}
 
@@ -142,15 +141,6 @@ def config_from_dict(raw: dict) -> RunConfig:
     for key in ("alpha_deg", "beta_deg"):
         if key in acq:
             acq[key] = _config_float(acq[key], f"acquisition.{key}")
-    if "cross_section_qubits" in acq:
-        qubits = acq["cross_section_qubits"]
-        path = "acquisition.cross_section_qubits"
-        if not isinstance(qubits, list) or not qubits:
-            raise ConfigError(f"'{path}' must be a non-empty list of qubits")
-        qubits = {_config_int(q, path, 1) for q in qubits}
-        if max(qubits) > system.n:
-            raise ConfigError(f"'{path}' must list qubits in 1..{system.n}")
-        acq["cross_section_qubits"] = sorted(qubits)
 
     opt_block = dict(raw.get("options") or {})
     _reject_unknown(opt_block, _OPT_KEYS, "options")
@@ -213,13 +203,6 @@ def resolve_params(cfg: RunConfig):
         return default_acquisition(cfg.system, **kwargs)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-
-
-def selected_transition_indices(cfg: RunConfig, table):
-    qubits = cfg.acquisition.get("cross_section_qubits")
-    if not qubits:
-        return None
-    return [i for i, t in enumerate(table) if t.qubit in set(qubits)]
 
 
 # ---------------------------------------------------------------------------
@@ -358,8 +341,8 @@ def _simulate_signals(cfg: RunConfig, params):
 def _export_simulation(cfg: RunConfig, signal_a, signal_b, out: Path, table,
                        params=None):
     """Write signals, spectra and cross-sections.  With ``params``, return
-    signal A's :func:`fid_coordinates` in the :func:`detection_basis` of the
-    configured cross-sections (None without).
+    signal A's :func:`fid_coordinates` in the :func:`detection_basis` of
+    every line (None without).
 
     The 2D magnitude is written one column block at a time and never held
     whole; the t2 hybrid is released once the cross-sections are written,
@@ -381,8 +364,8 @@ def _export_simulation(cfg: RunConfig, signal_a, signal_b, out: Path, table,
                  omega2_hz=[float(f) for f in hybrid.omega2_hz],
                  units={"omega1": "Hz", "omega2": "Hz"})
 
-    # Row i is transition-table index i (the index design_summary.json
-    # lists), since frequencies can agree to any printed precision.
+    # Row i is transition-table index i, since frequencies can agree to any
+    # printed precision.
     _, sections = cross_sections(hybrid, table.frequencies())
     _write_array(out, "cross_sections.npy", np.ascontiguousarray(sections.grid.T),
                  ["section", "omega1"], "cross_sections.json",
@@ -398,16 +381,10 @@ def _export_simulation(cfg: RunConfig, signal_a, signal_b, out: Path, table,
                  units={"omega": "Hz"})
     # Taken last: the SVD and the product map library code and BLAS buffers
     # that stay resident, so taken before the spectra they would raise the peak.
-    coordinates = None if params is None else fid_coordinates(signal_a, detection_basis(
-        cfg.system, params, selected_transition_indices(cfg, table)))
+    coordinates = None if params is None else fid_coordinates(
+        signal_a, detection_basis(cfg.system, params))
     signal_a.grid = None
     return coordinates
-
-
-def _build_design(cfg: RunConfig, params, table, basis=None):
-    """The design over the configured cross-sections, in the fitted coordinates' ``basis``."""
-    selected = selected_transition_indices(cfg, table)
-    return build_design_matrix(cfg.system, params, selected, basis)
 
 
 def _design_summary(design) -> dict:
@@ -417,12 +394,9 @@ def _design_summary(design) -> dict:
         "rank": design.rank,
         "columns": len(design.labels),
         "full_rank": design.is_full_rank,
-        "solvable": design.is_solvable,
         "condition_number": design.condition_number,
         "zero_labels": [format_label(l) for l in design.zero_labels],
         "nullspace_labels": [format_label(l) for l in design.nullspace_labels],
-        "undetermined_labels": [format_label(l) for l in design.undetermined_labels],
-        "transition_indices": list(design.transition_indices),
     }
 
 
@@ -488,7 +462,7 @@ def cmd_tomograph(cfg: RunConfig, out: Path) -> int:
     rho0, signal_a, signal_b, reference = _simulate_signals(cfg, params)
     coordinates = _export_simulation(cfg, signal_a, signal_b, out, table, params)
 
-    design = _build_design(cfg, params, table, coordinates.basis)
+    design = build_design_matrix(cfg.system, params, coordinates.basis)
     _write_json(out / "design_summary.json", _design_summary(design))
 
     result = tomograph_state(cfg.system, rho0, params, design=design,
@@ -509,12 +483,13 @@ def cmd_tomograph(cfg: RunConfig, out: Path) -> int:
 
 def cmd_basis(cfg: RunConfig, out: Path) -> int:
     params = resolve_params(cfg)
-    design = _build_design(cfg, params, _checked_table(cfg, params))
+    _checked_table(cfg, params)
+    design = build_design_matrix(cfg.system, params)
     _write_json(out / "design_summary.json", _design_summary(design))
     print(f"design matrix {design.shape[0]}x{design.shape[1]}, "
           f"rank {design.rank}/{len(design.labels)}, "
           f"condition number {design.condition_number:.6g}")
-    if not design.is_solvable:
+    if not design.is_full_rank:
         print("design does not determine these labels: "
               + ", ".join(format_label(l) for l in design.unsolved_labels),
               file=sys.stderr)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -353,30 +353,19 @@ def density_to_coefficients(system: SpinSystem, rho: np.ndarray) -> dict:
 # RF rotations
 
 
-def rotation_pulse(system: SpinSystem, theta_rad: float, phase_rad: float,
-                   targets: Iterable[int] | None = None) -> np.ndarray:
-    """Unitary of an ideal RF pulse of flip angle theta and phase phi.
+def rotation_pulse(system: SpinSystem, theta_rad: float, phase_rad: float) -> np.ndarray:
+    """Unitary of an ideal non-selective RF pulse of flip angle theta and phase phi.
 
-    The rotation generator per target spin is Ix*sin(phi) + Iy*cos(phi), so
-    phase 0 rotates about +y and phase pi about -y.  Non-targeted spins get
-    the identity.  With ``targets=None`` the pulse is non-selective.
+    The rotation generator per spin is Ix*sin(phi) + Iy*cos(phi), so phase 0
+    rotates about +y and phase pi about -y.
 
     Built from the closed form u = cos(theta/2) - 2i sin(theta/2) (Ix sin(phi)
     + Iy cos(phi)), which is exactly unitary.
     """
-    if targets is None:
-        targets = range(1, system.n + 1)
-    targets = sorted(set(int(t) for t in targets))
-    if not targets:
-        raise ValueError("pulse needs at least one target spin")
-    if targets[0] < 1 or targets[-1] > system.n:
-        raise ValueError(f"targets {targets} outside 1..{system.n}")
-
     axis = SPIN_X * np.sin(phase_rad) + SPIN_Y * np.cos(phase_rad)
     single = (np.cos(theta_rad / 2.0) * IDENTITY_2
               - 2.0j * np.sin(theta_rad / 2.0) * axis)
     out = np.array([[1.0 + 0.0j]])
-    target_set = set(targets)
-    for j in range(1, system.n + 1):
-        out = np.kron(out, single if j in target_set else IDENTITY_2)
+    for _ in range(system.n):
+        out = np.kron(out, single)
     return out

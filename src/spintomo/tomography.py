@@ -39,13 +39,12 @@ import numpy as np
 
 from .core import (SpinSystem, coefficients_to_density, density_to_coefficients,
                    diagonal_labels, monomial_table, offdiagonal_labels)
-from .dynamics import detection_elements, evolution_rates
+from .dynamics import evolution_rates
 from .errors import RankDeficiencyError
 from .experiment import (T2_BLOCK_ROWS, AcquisitionParams, Signal1D, Signal2D,
-                         TransitionTable, check_nyquist, detection_fids,
-                         reference_fid, run_sequence_A, run_sequence_B,
-                         sequence_A_map, sequence_B_map, t1_blocks, t1_factors,
-                         transition_table)
+                         check_nyquist, detection_fids, reference_fid,
+                         run_sequence_A, run_sequence_B, sequence_A_map,
+                         sequence_B_map, t1_blocks, t1_factors, transition_table)
 
 log = logging.getLogger(__name__)
 
@@ -80,8 +79,8 @@ class DesignMatrix:
 
     Rows of A are the real and imaginary parts of the t1-mean-subtracted
     coordinates of signal A in ``basis`` (n_t2 x r), the
-    :func:`detection_basis` of the selected transitions; one column per
-    off-diagonal label.  A is never stored, only its factors.  A product
+    :func:`detection_basis` of every line; one column per off-diagonal
+    label.  A is never stored, only its factors.  A product
     operator has one nonzero per row r, at column r ^ f for its flip mask f
     (:func:`~spintomo.core.monomial_table`), so the dim labels of one mask
     share the positions S_f = {(r, r ^ f)}.  ``order`` sorts the labels by
@@ -95,14 +94,13 @@ class DesignMatrix:
     A x = Ec (u[:, None] * response) with Ec the factors less ``mean`` and
     u = values[f]^T x_f on S_f.  ``eigenvalues`` (ascending) and
     ``eigenvectors`` are the eigenpairs of A^T A.  ``rank``,
-    ``condition_number`` and the offending label lists describe the
-    numerical solvability of the fit.
+    ``condition_number`` and the zero and null-space label lists describe
+    the numerical solvability of the fit.
     """
 
     labels: tuple
     system: SpinSystem
     params: AcquisitionParams
-    transition_indices: tuple
     basis: np.ndarray
     order: np.ndarray
     rates: np.ndarray
@@ -116,7 +114,6 @@ class DesignMatrix:
     condition_number: float
     zero_labels: tuple = ()
     nullspace_labels: tuple = ()
-    undetermined_labels: tuple = ()
 
     @property
     def shape(self) -> tuple:
@@ -160,19 +157,9 @@ class DesignMatrix:
         return self.rank == len(self.labels)
 
     @property
-    def is_solvable(self) -> bool:
-        """Numerically full rank and structurally complete.
-
-        Single-quantum labels of a qubit with no selected transition are
-        carried only by the part of its lines' FIDs that leaks into the
-        other qubits' span; the fit refuses to determine them from that.
-        """
-        return self.is_full_rank and not self.undetermined_labels
-
-    @property
     def unsolved_labels(self) -> tuple:
-        """Labels an unsolvable design names: undetermined, else null-space, else zero."""
-        return self.undetermined_labels or self.nullspace_labels or self.zero_labels
+        """Labels a rank-deficient design names: null-space, else zero."""
+        return self.nullspace_labels or self.zero_labels
 
 
 @dataclass
@@ -230,36 +217,15 @@ class TomographyResult:
         return out
 
 
-def _resolve_transitions(table: TransitionTable, selected) -> tuple:
-    if selected is None:
-        return tuple(range(len(table)))
-    indices = tuple(int(i) for i in selected)
-    if not indices:
-        raise ValueError("selected_transitions must not be empty")
-    for i in indices:
-        if not 0 <= i < len(table):
-            raise ValueError(f"transition index {i} outside 0..{len(table) - 1}")
-    if len(set(indices)) != len(indices):
-        raise ValueError("selected_transitions contains duplicates")
-    return indices
+def detection_basis(system: SpinSystem, params: AcquisitionParams) -> np.ndarray:
+    """Q, an orthonormal basis (n_t2 x r) of the span of every line's unit
+    FID, from one SVD.
 
-
-def detection_basis(system: SpinSystem, params: AcquisitionParams,
-                    selected_transitions=None) -> np.ndarray:
-    """Q, an orthonormal basis (n_t2 x r) of the span of the selected lines'
-    unit FIDs, from one SVD.
-
-    ``selected_transitions`` index the transition table; default is all of
-    them.  Directions whose singular value is at or below :data:`BASIS_TOL`
-    of the largest are dropped, so r can fall short of the number of lines
-    when short or overlapping FIDs are nearly dependent.
+    Directions whose singular value is at or below :data:`BASIS_TOL` of the
+    largest are dropped, so r can fall short of the number of lines when
+    short or overlapping FIDs are nearly dependent.
     """
-    table = transition_table(system)
-    wanted = {(table.entries[i].lower, table.entries[i].upper)
-              for i in _resolve_transitions(table, selected_transitions)}
-    rows, cols, _ = detection_elements(system)
-    keep = [p for p, pair in enumerate(zip(rows.tolist(), cols.tolist())) if pair in wanted]
-    vectors, singular, _ = np.linalg.svd(detection_fids(system, params.t2_times)[keep].T,
+    vectors, singular, _ = np.linalg.svd(detection_fids(system, params.t2_times).T,
                                          full_matrices=False)
     return vectors[:, singular > BASIS_TOL * singular[0]]
 
@@ -395,42 +361,20 @@ def _solve_seminormal(apply, adjoint, eigenvalues: np.ndarray,
 
 
 def build_design_matrix(system: SpinSystem, params: AcquisitionParams,
-                        selected_transitions=None, basis=None) -> DesignMatrix:
+                        basis=None) -> DesignMatrix:
     """The design operator of every off-diagonal basis operator's signal-A
-    coordinates.
+    coordinates, over the unit FIDs of every line.
 
-    ``selected_transitions`` are indices into the transition table; default is
-    all of them.  ``basis`` is the basis the fitted coordinates are taken in,
-    their :func:`detection_basis` when not given; any orthonormal basis of
-    that span gives the same fit.  One
-    qubit's lines are the minimum that can determine that qubit's
-    single-quantum coefficients; using all of them averages down numerical
-    error.  A selection that leaves some qubit uncovered leaves that qubit's
-    single-quantum labels supported only by the leakage of its lines' FIDs
-    into the selected span; they are reported through
-    ``undetermined_labels`` and the fit refuses to run.  Rank, condition
-    number, zero labels (``diag(A^T A)``) and null-space labels come from one
-    ``eigh`` of the labels x labels A^T A.
+    ``basis`` is the basis the fitted coordinates are taken in, their
+    :func:`detection_basis` when not given; any orthonormal basis of that
+    span gives the same fit.  Rank, condition number, zero labels
+    (``diag(A^T A)``) and null-space labels come from one ``eigh`` of the
+    labels x labels A^T A.
     """
-    table = transition_table(system)
-    check_nyquist(table, params)
-    indices = _resolve_transitions(table, selected_transitions)
-    covered = {table.entries[i].qubit for i in indices}
-    missing = sorted(set(range(1, system.n + 1)) - covered)
-    if missing:
-        warnings.warn(
-            f"no cross-section selected for qubit(s) {missing}; their "
-            "single-quantum coefficients cannot be determined",
-            stacklevel=2,
-        )
+    check_nyquist(transition_table(system), params)
     if basis is None:
-        basis = detection_basis(system, params, indices)
+        basis = detection_basis(system, params)
     labels = offdiagonal_labels(system.n)
-    undetermined = tuple(
-        label for label in labels
-        if sum(c in "xy" for c in label) == 1
-        and (label.index("x") if "x" in label else label.index("y")) + 1 in missing
-    )
     order, rates, mean, evolution, response, values = _design_parts(
         system, params, basis, labels)
     gram = _gram(evolution, response, values)
@@ -450,7 +394,6 @@ def build_design_matrix(system: SpinSystem, params: AcquisitionParams,
         labels=labels,
         system=system,
         params=params,
-        transition_indices=indices,
         basis=basis,
         order=order,
         rates=rates,
@@ -464,7 +407,6 @@ def build_design_matrix(system: SpinSystem, params: AcquisitionParams,
         condition_number=cond,
         zero_labels=zero_labels,
         nullspace_labels=nullspace_labels,
-        undetermined_labels=undetermined,
     )
     log.info("design matrix: shape %s, rank %d/%d, condition %.3g",
              design.shape, rank, len(labels), cond)
@@ -503,7 +445,7 @@ def fit_offdiagonal(signal: FidCoordinates, design: DesignMatrix) -> Offdiagonal
     The solve reuses the design's stored eigenpairs.
     """
     _check_signal_matches_design(signal, design)
-    if not design.is_solvable:
+    if not design.is_full_rank:
         bad = design.unsolved_labels
         raise RankDeficiencyError(
             f"design matrix does not determine all {len(design.labels)} "
@@ -711,9 +653,9 @@ def tomograph_state(system: SpinSystem, rho0: np.ndarray,
     ``signal_a`` as the :func:`fid_coordinates` of the sequence-A signal in
     the design's ``basis``, ``signal_b`` and the reference FID.  Whatever is
     missing is simulated from ``rho0`` with ideal settings, and the design is
-    built over every transition, in ``signal_a``'s basis when it is given.
-    Otherwise the input state serves only as the scoring reference.  A
-    design over every transition lends its basis to the diagonal fit.
+    built in ``signal_a``'s basis when it is given.  Otherwise the input
+    state serves only as the scoring reference.  The design lends its basis
+    to the diagonal fit.
     """
     if design is None:
         design = build_design_matrix(system, params,
@@ -724,8 +666,7 @@ def tomograph_state(system: SpinSystem, rho0: np.ndarray,
         signal_b = run_sequence_B(system, rho0, params)
 
     off = fit_offdiagonal(signal_a, design)
-    every_line = len(design.transition_indices) == len(transition_table(system))
-    diag = fit_diagonal(signal_b, system, params, design.basis if every_line else None)
+    diag = fit_diagonal(signal_b, system, params, design.basis)
     matrix = reconstruct(system, off.coefficients, diag.coefficients)
     coefficients = dict(off.coefficients)
     coefficients.update(diag.coefficients)

@@ -12,18 +12,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spintomo import (TomographyResult, coefficients_to_density, detection_basis,
-                      dft_fid, dft_t1, dft_t2, diagonal_labels, fid_coordinates,
-                      fit_diagonal, format_label, reference_fid, run_sequence_A,
-                      run_sequence_B, tomograph_state, transition_table)
+from spintomo import (TomographyResult, build_design_matrix, coefficients_to_density,
+                      detection_basis, dft_fid, dft_t1, dft_t2, diagonal_labels,
+                      fid_coordinates, fit_diagonal, format_label, reference_fid,
+                      run_sequence_A, run_sequence_B, tomograph_state, transition_table)
 import spintomo
 import spintomo.cli
 import spintomo.tomography
-from spintomo.cli import (_apply_noise, _atomic_write, _build_design, _export_simulation,
+from spintomo.cli import (_apply_noise, _atomic_write, _export_simulation,
                           _simulate_signals,
                           _write_json, _write_report, config_from_dict, main,
                           parse_config, resolve_params)
-from spintomo.errors import ConfigError, RankDeficiencyError
+from spintomo.errors import ConfigError
 
 from conftest import DEMO_COEFFS, local_maxima_above
 
@@ -147,12 +147,6 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="couplings_hz"):
             config_from_dict(payload)
 
-    def test_bad_cross_section_qubits(self):
-        payload = demo_config()
-        payload["acquisition"]["cross_section_qubits"] = [3]
-        with pytest.raises(ConfigError, match="cross_section_qubits"):
-            config_from_dict(payload)
-
     def test_gradient_draws_below_one_rejected(self, tmp_path, capsys):
         payload = demo_config(realistic_gradient=True, gradient_draws=0)
         with pytest.raises(ConfigError, match="gradient_draws"):
@@ -169,6 +163,16 @@ class TestConfigParsing:
                   "--threads", "3"])
         assert info.value.code == 2
 
+    def test_cross_section_qubits_removed(self, tmp_path, capsys):
+        # every line feeds the fit: even the list of every qubit is refused
+        payload = demo_config(n_t1=32, n_t2=64)
+        payload["acquisition"]["cross_section_qubits"] = [1, 2]
+        path = write_config(tmp_path, payload)
+        out = tmp_path / "out"
+        assert main(["tomograph", "--config", str(path), "--out", str(out)]) == 2
+        assert "unknown key(s) ['cross_section_qubits']" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("block, key, value, argv", [
         ("acquisition", "n_t1", 0, []),
         ("acquisition", "n_t1", "abc", []),
@@ -176,8 +180,8 @@ class TestConfigParsing:
         ("acquisition", "dwell_t1_s", -1, []),
         ("acquisition", "alpha_deg", "x", []),
         pytest.param("acquisition", "alpha_deg", 10 ** 400, [], id="alpha_deg-too-large"),
-        ("acquisition", "cross_section_qubits", ["a"], []),
-        ("acquisition", "cross_section_qubits", [1.9, 2], []),
+        ("acquisition", "n_t1", True, []),
+        ("acquisition", "dwell_t2_s", 0, []),
         ("options", "seed", -1, []),
         ("options", "seed", 7, ["--seed", "-1"]),
         ("options", "noise_rms", float("inf"), []),
@@ -568,16 +572,11 @@ class TestTomographCommand:
         assert "numpy.random" not in report["loaded"]
         assert report["seeds"] == ([7] if draws else [])
 
-    @pytest.mark.parametrize("config, qubits", [
-        ("demo_2qubit.json", None), ("demo_4qubit.json", None), ("demo_2qubit.json", [2])])
-    def test_tomograph_fits_like_whole_signal(self, tmp_path, config, qubits):
+    @pytest.mark.parametrize("config", ["demo_2qubit.json", "demo_4qubit.json"])
+    def test_tomograph_fits_like_whole_signal(self, tmp_path, config):
         # tomograph takes signal A's coordinates once the exports are written
-        # and then drops the grid; its result is the fit of the whole signal,
-        # and a selection that leaves a qubit uncovered is refused either way
-        payload = json.loads((CONFIG_DIR / config).read_text())
-        if qubits:
-            payload["acquisition"]["cross_section_qubits"] = qubits
-        path = write_config(tmp_path, payload)
+        # and then drops the grid; its result is the fit of the whole signal
+        path = CONFIG_DIR / config
         out = tmp_path / "out"
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -585,18 +584,11 @@ class TestTomographCommand:
             cfg = parse_config(path)
             params = resolve_params(cfg)
             rho0, signal_a, signal_b, reference = _simulate_signals(cfg, params)
-            design = _build_design(cfg, params, transition_table(cfg.system))
-            try:
-                expected = tomograph_state(
-                    cfg.system, rho0, params, design=design,
-                    signal_a=fid_coordinates(signal_a, design.basis), signal_b=signal_b,
-                    normalize=cfg.options.reference_normalize, reference=reference)
-            except RankDeficiencyError:
-                expected = None
-        assert (expected is None) == bool(qubits)
-        if expected is None:
-            assert code == 3
-            return
+            design = build_design_matrix(cfg.system, params)
+            expected = tomograph_state(
+                cfg.system, rho0, params, design=design,
+                signal_a=fid_coordinates(signal_a, design.basis), signal_b=signal_b,
+                normalize=cfg.options.reference_normalize, reference=reference)
         assert code == 0
         result = json.loads((out / "result.json").read_text())
         assert result["coefficients"] == expected.to_json_dict()["coefficients"]
@@ -773,9 +765,11 @@ class TestBasisCommand:
         out = tmp_path / "out"
         assert main(["basis", "--config", str(path), "--out", str(out)]) == 0
         summary = json.loads((out / "design_summary.json").read_text())
+        assert set(summary) == {"columns", "condition_number", "full_rank", "labels",
+                                "nullspace_labels", "rank", "shape", "zero_labels"}
         assert summary["columns"] == 12
         assert summary["rank"] == 12
-        assert summary["solvable"] is True
+        assert summary["full_rank"] is True
         assert len(summary["labels"]) == 12
         assert "digest" not in summary and "cache_file" not in summary
         assert not (out / "cache").exists()
@@ -792,7 +786,7 @@ class TestBasisCommand:
         assert "condition number inf" in capsys.readouterr().out
         summary = read_strict_json(out / "design_summary.json")
         assert summary["condition_number"] is None
-        assert summary["solvable"] is False
+        assert summary["full_rank"] is False
 
     def test_five_qubit_larmor_sum_names_nullspace(self, tmp_path, capsys):
         # with nu2 + nu3 = nu5 the design has eight exact null vectors, all on
@@ -809,18 +803,5 @@ class TestBasisCommand:
         labels = summary["nullspace_labels"]
         assert len(labels) == 32
         assert all(label.split()[q] in "xy" for label in labels for q in (1, 2, 4))
-        assert not summary["zero_labels"] and not summary["undetermined_labels"]
+        assert not summary["zero_labels"]
         assert ", ".join(labels) in capsys.readouterr().err
-
-    def test_rank_deficient_selection(self, tmp_path, capsys):
-        payload = demo_config(n_t1=64, n_t2=128)
-        payload["acquisition"]["cross_section_qubits"] = [1]
-        path = write_config(tmp_path, payload)
-        out = tmp_path / "out"
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            code = main(["basis", "--config", str(path), "--out", str(out)])
-        assert code == 3
-        summary = json.loads((out / "design_summary.json").read_text())
-        assert set(summary["undetermined_labels"]) == {"o x", "o y", "z x", "z y"}
-        assert "o x" in capsys.readouterr().err

@@ -167,7 +167,7 @@ class TestForwardModelProperties:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             design = build_design_matrix(system, params)
-            assume(design.is_solvable
+            assume(design.is_full_rank
                    and design.condition_number <= ROUND_TRIP_MAX_KAPPA)
             try:
                 result = tomograph_state(
@@ -189,25 +189,6 @@ class TestDesignMatrix:
         assert design.is_full_rank
         assert design.condition_number < 100
         assert not design.zero_labels
-
-    def test_spin1_only_selection_refused(self, two_spin_setup):
-        # the spin-2 single-quantum columns are not numerically zero (the
-        # spin-2 lines' FIDs are not orthogonal to the spin-1 span) but
-        # determining them from that leakage alone is refused as a structural
-        # deficiency
-        system, params, _ = two_spin_setup
-        table = transition_table(system)
-        spin1 = [i for i, t in enumerate(table) if t.qubit == 1]
-        with pytest.warns(UserWarning, match="qubit"):
-            design = build_design_matrix(system, params, selected_transitions=spin1)
-        assert set(design.undetermined_labels) == {"ox", "oy", "zx", "zy"}
-        assert not design.is_solvable
-        rho0 = coefficients_to_density(system, DEMO_COEFFS)
-        signal = fid_coordinates(run_sequence_A(system, rho0, params), design.basis)
-        with pytest.raises(RankDeficiencyError) as info:
-            fit_offdiagonal(signal, design)
-        assert set(info.value.labels) == {"ox", "oy", "zx", "zy"}
-        assert info.value.labels == design.unsolved_labels == design.undetermined_labels
 
     def test_column_frequency_support(self, two_spin_setup):
         # each column must live exactly on the frequency group its label's
@@ -304,8 +285,7 @@ class TestDesignMatrix:
         kappa = svals[0] / svals[-1]
         assert design.condition_number == pytest.approx(
             kappa, rel=kappa ** 2 * np.finfo(float).eps)
-        assert not (design.zero_labels or design.nullspace_labels
-                    or design.undetermined_labels)
+        assert not (design.zero_labels or design.nullspace_labels)
 
     @settings(max_examples=25, deadline=None)
     @given(registers_and_grids(), st.floats(0.01, 0.5))
