@@ -31,7 +31,7 @@ from .errors import (AxisRangeError, ConfigError, DegenerateTransitionError,
                      NyquistError, RankDeficiencyError, SpinTomoError)
 from .experiment import (check_nyquist, default_acquisition, reference_fid,
                          run_sequence_A, run_sequence_B, transition_table)
-from .spectral import (_axis_bin, cross_sections, dft_fid, dft_t1_magnitude, dft_t2,
+from .spectral import (_axis_bin, cross_sections, dft_fid, dft_t1_magnitude,
                        hybrid_omega2_axis)
 from .tomography import (build_design_matrix, detection_basis, fid_coordinates,
                          tomograph_state)
@@ -344,9 +344,11 @@ def _export_simulation(cfg: RunConfig, signal_a, signal_b, out: Path, table,
     signal A's :func:`fid_coordinates` in the :func:`detection_basis` of
     every line (None without).
 
-    The 2D magnitude is written one column block at a time and never held
-    whole; the t2 hybrid is released once the cross-sections are written,
-    and signal A's ``grid`` (set to None) once the coordinates are taken.
+    The t2 hybrid is never held whole: the 2D magnitude is streamed one
+    column block at a time from slabs of Omega2 columns, each about the size
+    of signal A's grid, and the cross-sections are transformed from the
+    transition bins' own hybrid columns.  Signal A's ``grid`` is released
+    (set to None) once the coordinates are taken.
     """
     _write_array(out, "signal_a.npy", signal_a.grid, ["t1", "t2"], "signal_a.json",
                  dwell_t1_s=signal_a.dwell_t1_s, dwell_t2_s=signal_a.dwell_t2_s,
@@ -356,24 +358,24 @@ def _export_simulation(cfg: RunConfig, signal_a, signal_b, out: Path, table,
                  dwell_s=signal_b.dwell_s, n_samples=len(signal_b.samples),
                  meta=signal_b.meta)
 
-    hybrid = dft_t2(signal_a)
-    omega1_hz, magnitude = dft_t1_magnitude(hybrid)
+    omega2_hz = hybrid_omega2_axis(signal_a.grid.shape[1], signal_a.dwell_t2_s)
+    omega1_hz, magnitude = dft_t1_magnitude(signal_a)
     _write_array(out, "spectrum_2d.npy", magnitude, ["omega1", "omega2"],
-                 "spectrum_2d_axes.json", shape=(len(omega1_hz), len(hybrid.omega2_hz)),
+                 "spectrum_2d_axes.json", shape=(len(omega1_hz), len(omega2_hz)),
                  omega1_hz=[float(f) for f in omega1_hz],
-                 omega2_hz=[float(f) for f in hybrid.omega2_hz],
+                 omega2_hz=[float(f) for f in omega2_hz],
                  units={"omega1": "Hz", "omega2": "Hz"})
 
     # Row i is transition-table index i, since frequencies can agree to any
     # printed precision.
-    _, sections = cross_sections(hybrid, table.frequencies())
+    _, sections = cross_sections(signal_a, table.frequencies())
     _write_array(out, "cross_sections.npy", np.ascontiguousarray(sections.grid.T),
                  ["section", "omega1"], "cross_sections.json",
                  omega1_hz=[float(f) for f in sections.omega1_hz],
                  sections=[{"index": i, "qubit": t.qubit,
                             "frequency_hz": float(t.frequency_hz), "bin_hz": float(bin_hz)}
                            for i, (t, bin_hz) in enumerate(zip(table, sections.omega2_hz))])
-    del sections, hybrid
+    del sections
 
     spectrum_b = dft_fid(signal_b)
     _write_array(out, "spectrum_b.npy", spectrum_b.values, ["omega"], "spectrum_b.json",

@@ -91,24 +91,28 @@ def _dft(data, dwell_s: float, meta: dict, apodization, zero_fill: int,
 
 
 def dft_t2(signal: Signal2D, apodization="matched", zero_fill: int = 2,
-           first_point_half: bool = True) -> HybridSpectrum:
-    """Transform along t2 for every t1 row.
+           first_point_half: bool = True, columns=slice(None), out=None) -> HybridSpectrum:
+    """Transform along t2 for every t1 row, keeping the Omega2 bins
+    ``columns`` (a slice or a list of bin indices; every bin by default).
 
     Each block of :data:`T2_BLOCK_ROWS` rows goes through :func:`_dft` on its
-    own into a preallocated hybrid grid.  The transform acts on every row
-    alone, so the grid is bit for bit the transform of the whole array.
+    own, and the kept bins are copied into ``out`` (n_t1 rows, one column
+    per kept bin) when given, else into a new grid.  The transform acts on
+    every row alone, so each kept cell is bit for bit that cell of the
+    transform of the whole array.
     """
     n_t1 = signal.grid.shape[0]
-    grid = None
+    grid = out
     for start in range(0, n_t1, T2_BLOCK_ROWS):
         rows = slice(start, start + T2_BLOCK_ROWS)
         freqs, block, processing = _dft(signal.grid[rows], signal.dwell_t2_s,
                                         signal.meta, apodization, zero_fill,
                                         first_point_half, axis=1)
+        block = block[:, columns]
         if grid is None:
             grid = np.empty((n_t1, block.shape[1]), dtype=complex)
         grid[rows] = block
-    return HybridSpectrum(grid=grid, dwell_t1_s=signal.dwell_t1_s, omega2_hz=freqs,
+    return HybridSpectrum(grid=grid, dwell_t1_s=signal.dwell_t1_s, omega2_hz=freqs[columns],
                           meta={**signal.meta, "processing_t2": processing})
 
 
@@ -126,28 +130,43 @@ def dft_t1(hybrid: HybridSpectrum, apodization="matched", zero_fill: int = 2,
 
 
 # Omega2 columns per dft_t1 call when the magnitude is streamed or the
-# cross-sections are taken.  The complex temporaries of one block stay a small
-# part of the hybrid: the caller may still hold the time grid beside it, and
-# then these steps, not the t2 transform, set the peak if the blocks grow.
+# cross-sections are taken, so the complex temporaries of one block stay a
+# small part of the time grid.  The hybrid slabs of dft_t1_magnitude are a
+# whole number of blocks wide, so each block is the one the whole hybrid
+# would give.
 T1_BLOCK_COLUMNS = 8
 
 
-def dft_t1_magnitude(hybrid: HybridSpectrum):
-    """``(omega1_hz, blocks)``: the Omega1 axis of :func:`dft_t1` and a
-    generator of ``|dft_t1(hybrid).grid|`` in blocks of
-    :data:`T1_BLOCK_COLUMNS` Omega2 columns, left to right.
+def dft_t1_magnitude(signal: Signal2D):
+    """``(omega1_hz, blocks)``: the Omega1 axis of the 2D spectrum
+    ``dft_t1(dft_t2(signal))`` (default processing) and a generator of its
+    magnitude in blocks of :data:`T1_BLOCK_COLUMNS` Omega2 columns, left to
+    right.
 
-    Each block goes through :func:`dft_t1` on its own.  The transform acts on
-    every column alone, so the float64 blocks side by side are bit for bit
-    the magnitude of the whole transform, which is never held.
+    The hybrid is made by :func:`dft_t2` one slab of Omega2 columns at a
+    time, each written into one reused buffer: n_t2 rounded up to a whole
+    number of blocks wide and never past the axis end.  A power-of-two n_t2
+    of 8 or more thus takes ``zero_fill`` (2) passes, and beside the time
+    grid only one slab, about its size, is ever held.  Each block goes
+    through :func:`dft_t1` on its own.  The transforms act on every row and
+    column alone, so the float64 blocks side by side are bit for bit the
+    magnitude of the whole transform, which is never held.
     """
-    def blocks():
-        for start in range(0, hybrid.grid.shape[1], T1_BLOCK_COLUMNS):
-            columns = slice(start, start + T1_BLOCK_COLUMNS)
-            yield np.abs(dft_t1(replace(hybrid, grid=hybrid.grid[:, columns],
-                                        omega2_hz=hybrid.omega2_hz[columns])).grid)
+    n_t1, n_t2 = signal.grid.shape
+    n_fft = len(hybrid_omega2_axis(n_t2, signal.dwell_t2_s))
+    width = min(-(-n_t2 // T1_BLOCK_COLUMNS) * T1_BLOCK_COLUMNS, n_fft)
 
-    return hybrid_omega2_axis(hybrid.grid.shape[0], hybrid.dwell_t1_s), blocks()
+    def blocks():
+        buffer = np.empty((n_t1, width), dtype=complex)
+        for start in range(0, n_fft, width):
+            stop = min(start + width, n_fft)
+            hybrid = dft_t2(signal, columns=slice(start, stop), out=buffer[:, :stop - start])
+            for first in range(0, stop - start, T1_BLOCK_COLUMNS):
+                columns = slice(first, first + T1_BLOCK_COLUMNS)
+                yield np.abs(dft_t1(replace(hybrid, grid=hybrid.grid[:, columns],
+                                            omega2_hz=hybrid.omega2_hz[columns])).grid)
+
+    return hybrid_omega2_axis(n_t1, signal.dwell_t1_s), blocks()
 
 
 def dft_fid(signal: Signal1D, apodization="matched", zero_fill: int = 2,
@@ -182,19 +201,23 @@ def hybrid_omega2_axis(n_t2: int, dwell_t2_s: float, zero_fill: int = 2) -> np.n
     return np.fft.fftshift(np.fft.fftfreq(n_fft, dwell_t2_s))
 
 
-def cross_sections(hybrid: HybridSpectrum, omega2_hz) -> tuple[list, Spectrum2D]:
+def cross_sections(data, omega2_hz) -> tuple[list, Spectrum2D]:
     """``(bins, sections)``: the Omega2 bin nearest each of ``omega2_hz`` and
     the traces parallel to Omega1 there, column ``k`` for request ``k``.
 
+    ``data`` is the hybrid, or a :class:`Signal2D` of which :func:`dft_t2`
+    (default processing) keeps the requested bins' columns alone.
     ``sections`` holds the :func:`dft_t1` of the gathered hybrid columns, its
     ``omega2_hz`` the bin frequencies.  They are transformed
     :data:`T1_BLOCK_COLUMNS` at a time into one section-major array, whose
-    transpose is ``sections.grid``.  The transform acts on every column
-    alone, so each trace equals that column of the whole 2D spectrum.  Each
-    request whose bin lies more than half a linewidth away warns.
+    transpose is ``sections.grid``.  The transforms act on every row and
+    column alone, so each trace equals that column of the whole 2D spectrum.
+    Each request whose bin lies more than half a linewidth away warns.
     """
-    axis = hybrid.omega2_hz
-    half_linewidth = 0.5 / (np.pi * hybrid.meta["t2_s"])
+    whole = isinstance(data, HybridSpectrum)
+    axis = data.omega2_hz if whole else hybrid_omega2_axis(data.grid.shape[1],
+                                                           data.dwell_t2_s)
+    half_linewidth = 0.5 / (np.pi * data.meta["t2_s"])
     bins = [_axis_bin(axis, f, "omega2") for f in omega2_hz]
     for f, b in zip(omega2_hz, bins):
         if abs(axis[b] - f) > half_linewidth:
@@ -203,11 +226,14 @@ def cross_sections(hybrid: HybridSpectrum, omega2_hz) -> tuple[list, Spectrum2D]
                 f"linewidth from requested {f:.6g} Hz",
                 stacklevel=2,
             )
+    hybrid = (replace(data, grid=data.grid[:, bins], omega2_hz=axis[bins]) if whole
+              else dft_t2(data, columns=bins))
     rows = None
     for start in range(0, max(len(bins), 1), T1_BLOCK_COLUMNS):
-        block = bins[start:start + T1_BLOCK_COLUMNS]
-        spectrum = dft_t1(replace(hybrid, grid=hybrid.grid[:, block], omega2_hz=axis[block]))
+        block = slice(start, start + T1_BLOCK_COLUMNS)
+        spectrum = dft_t1(replace(hybrid, grid=hybrid.grid[:, block],
+                                  omega2_hz=hybrid.omega2_hz[block]))
         if rows is None:
             rows = np.empty((len(bins), len(spectrum.omega1_hz)), dtype=complex)
-        rows[start:start + len(block)] = spectrum.grid.T
-    return bins, replace(spectrum, grid=rows.T, omega2_hz=axis[bins])
+        rows[block] = spectrum.grid.T
+    return bins, replace(spectrum, grid=rows.T, omega2_hz=hybrid.omega2_hz)

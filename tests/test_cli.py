@@ -230,6 +230,12 @@ class TestConfigParsing:
             assert "config error: cannot read config file" in capsys.readouterr().err
 
 
+# t2 lengths of the byte-identity export tests: a power of two; 100 samples,
+# a 256-bin axis whose last hybrid slab is narrower than the others; and two
+# samples, a 4-bin axis narrower than one t1 block of the 2D magnitude
+EXPORT_N_T2 = pytest.mark.parametrize("n_t2", [64, 100, 2])
+
+
 class TestSimulateCommand:
     def test_artifacts_written(self, tmp_path):
         path = write_config(tmp_path, demo_config())
@@ -241,8 +247,9 @@ class TestSimulateCommand:
         assert sidecar["n_t2"] == 128
         assert "gradient_delays_s" not in sidecar["meta"]
 
-    def test_grids_load_bit_exact(self, tmp_path):
-        path = write_config(tmp_path, demo_config(n_t1=32, n_t2=64, noise_rms=0.01))
+    @EXPORT_N_T2
+    def test_grids_load_bit_exact(self, tmp_path, n_t2):
+        path = write_config(tmp_path, demo_config(n_t1=32, n_t2=n_t2, noise_rms=0.01))
         out = tmp_path / "out"
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -282,10 +289,11 @@ class TestSimulateCommand:
                 assert grid.flags.c_contiguous
             assert grid.tobytes() == expected.tobytes()
 
-    def test_cross_sections_bit_exact(self, tmp_path):
+    @EXPORT_N_T2
+    def test_cross_sections_bit_exact(self, tmp_path, n_t2):
         # each row is the t1 transform of one hybrid column, cell for cell the
         # column of the whole 2D spectrum at the transition's Omega2 bin
-        path = write_config(tmp_path, demo_config(n_t1=32, n_t2=64, noise_rms=0.01))
+        path = write_config(tmp_path, demo_config(n_t1=32, n_t2=n_t2, noise_rms=0.01))
         out = tmp_path / "out"
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -305,10 +313,11 @@ class TestSimulateCommand:
             assert sections[i].tobytes() == np.ascontiguousarray(spectrum.grid[:, b]).tobytes()
 
     def test_export_memory_bounded(self, tmp_path):
-        # the 2D spectrum is written one column block of its magnitude at a
-        # time: neither the complex spectrum nor the magnitude grid is ever
-        # allocated, so the full t2 hybrid sets the peak (1.47x of it
-        # measured; holding the magnitude grid as well took it to 2.26x)
+        # the 2D magnitude is streamed one column block at a time from slabs
+        # of the t2 hybrid, each half the zero-filled hybrid, in one reused
+        # buffer, and the cross-sections transform only their own columns:
+        # 1.02x the full hybrid measured (1.47x holding the whole hybrid,
+        # 2.26x holding the magnitude grid as well)
         cfg = config_from_dict(demo_config(n_t1=512, n_t2=256))
         params = resolve_params(cfg)
         _, signal_a, signal_b, _ = _simulate_signals(cfg, params)
@@ -322,7 +331,7 @@ class TestSimulateCommand:
             tracemalloc.stop()
         magnitude = np.load(tmp_path / "spectrum_2d.npy", allow_pickle=False)
         full_hybrid_nbytes = 512 * magnitude.shape[1] * np.dtype(complex).itemsize
-        assert peak <= 1.6 * full_hybrid_nbytes
+        assert peak <= 1.2 * full_hybrid_nbytes
         # the time-domain grid is released once its coordinates are taken
         assert signal_a.grid is None
         assert coordinates.basis.shape == detection_basis(cfg.system, params).shape

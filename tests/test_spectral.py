@@ -12,7 +12,7 @@ from spintomo import (AxisRangeError, Signal1D, Signal2D, SpinTomoError,
                       hybrid_omega2_axis, run_sequence_A,
                       transition_table)
 from spintomo.cli import _write_array
-from spintomo.spectral import (T1_BLOCK_COLUMNS, T2_BLOCK_ROWS, HybridSpectrum,
+from spintomo.spectral import (T2_BLOCK_ROWS, HybridSpectrum,
                                _axis_bin, _dft, dft_t1_magnitude)
 
 from conftest import DEMO_COEFFS, local_maxima_above
@@ -92,6 +92,19 @@ class TestDftCore:
         assert hybrid.grid.tobytes() == expected.tobytes()
         assert hybrid.omega2_hz.tobytes() == freqs.tobytes()
         assert hybrid.meta["processing_t2"] == processing
+
+    def test_t2_kept_columns_bit_exact(self):
+        # a slice of bins written into a given buffer, and a list of bins in
+        # any order and with repeats, are copies of those hybrid columns
+        signal = self.random_signal(T2_BLOCK_ROWS + 5, 100)
+        whole = dft_t2(signal)
+        out = np.empty((signal.grid.shape[0], 40), dtype=complex)
+        for columns, buffer in ((slice(200, 240), out), ([255, 3, 3, 128], None)):
+            part = dft_t2(signal, columns=columns, out=buffer)
+            assert buffer is None or part.grid is buffer
+            assert part.grid.tobytes() == whole.grid[:, columns].tobytes()
+            assert part.omega2_hz.tobytes() == whole.omega2_hz[columns].tobytes()
+            assert part.meta == whole.meta
 
     def test_t2_transform_memory_bounded(self):
         # the whole-array transform held its complex copy, the zero-filled
@@ -307,12 +320,13 @@ class TestCrossSection:
                         first_point_half=True)
         assert np.max(np.abs(again.values - sections.grid[:, 0])) < 1e-10
 
-    @pytest.mark.parametrize("n_f2", [3 * T1_BLOCK_COLUMNS + 5, T1_BLOCK_COLUMNS - 3])
-    def test_streamed_magnitude_bit_exact(self, n_f2, tmp_path):
-        # a last block narrower than the rest, and a grid narrower than a block
-        hybrid = self.make_hybrid(n_t1=100, n_f2=n_f2)
-        spectrum = dft_t1(hybrid)
-        omega1_hz, blocks = dft_t1_magnitude(hybrid)
+    @pytest.mark.parametrize("n_t2", [100, 2])
+    def test_streamed_magnitude_bit_exact(self, n_t2, tmp_path):
+        # a 256-bin axis whose last hybrid slab is narrower than the rest, and
+        # a 4-bin axis narrower than one block
+        signal = TestDftCore.random_signal(100, n_t2)
+        spectrum = dft_t1(dft_t2(signal))
+        omega1_hz, blocks = dft_t1_magnitude(signal)
         magnitude = np.concatenate(list(blocks), axis=1)
         expected = np.abs(spectrum.grid)
         assert magnitude.dtype == expected.dtype and magnitude.shape == expected.shape
@@ -320,7 +334,7 @@ class TestCrossSection:
         assert omega1_hz.tobytes() == spectrum.omega1_hz.tobytes()
         # written as they come, the blocks make the file np.save writes of the
         # column-major grid, and the sidecar describes that file
-        _, blocks = dft_t1_magnitude(hybrid)
+        _, blocks = dft_t1_magnitude(signal)
         _write_array(tmp_path, "m.npy", blocks, ["omega1", "omega2"], "m.json",
                      shape=expected.shape)
         saved = io.BytesIO()
@@ -329,7 +343,7 @@ class TestCrossSection:
         layout = json.loads((tmp_path / "m.json").read_text())["array"]
         grid = np.load(tmp_path / "m.npy", allow_pickle=False)
         assert layout["dtype"] == grid.dtype.name == "float64"
-        assert layout["shape"] == list(grid.shape) == [len(omega1_hz), n_f2]
+        assert layout["shape"] == list(grid.shape) == list(expected.shape)
 
     def test_non_power_of_two_lengths_zero_filled(self):
         signal = Signal1D(samples=np.ones(100, dtype=complex), dwell_s=1e-3,
