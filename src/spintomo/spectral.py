@@ -137,36 +137,42 @@ def dft_t1(hybrid: HybridSpectrum, apodization="matched", zero_fill: int = 2,
 T1_BLOCK_COLUMNS = 8
 
 
-def dft_t1_magnitude(signal: Signal2D):
-    """``(omega1_hz, blocks)``: the Omega1 axis of the 2D spectrum
-    ``dft_t1(dft_t2(signal))`` (default processing) and a generator of its
-    magnitude in blocks of :data:`T1_BLOCK_COLUMNS` Omega2 columns, left to
-    right.
+def dft_t1_magnitude(data):
+    """``(omega1_hz, blocks)``: the Omega1 axis of the 2D spectrum and a
+    generator of its magnitude in blocks of :data:`T1_BLOCK_COLUMNS` Omega2
+    columns, left to right.
 
-    The hybrid is made by :func:`dft_t2` one slab of Omega2 columns at a
-    time, each written into one reused buffer: n_t2 rounded up to a whole
-    number of blocks wide and never past the axis end.  A power-of-two n_t2
-    of 8 or more thus takes ``zero_fill`` (2) passes, and beside the time
-    grid only one slab, about its size, is ever held.  Each block goes
-    through :func:`dft_t1` on its own.  The transforms act on every row and
-    column alone, so the float64 blocks side by side are bit for bit the
-    magnitude of the whole transform, which is never held.
+    ``data`` is the hybrid, whose spectrum is ``dft_t1(data)``, or a
+    :class:`Signal2D`, whose spectrum is ``dft_t1(dft_t2(data))`` (default
+    processing).  From a signal the hybrid is made by :func:`dft_t2` one slab
+    of Omega2 columns at a time, each written into one reused buffer: n_t2
+    rounded up to a whole number of blocks wide and never past the axis end.
+    A power-of-two n_t2 of 8 or more thus takes ``zero_fill`` (2) passes, and
+    beside the time grid only one slab, about its size, is ever held.  Each
+    block goes through :func:`dft_t1` on its own.  The transforms act on every
+    row and column alone, so the float64 blocks side by side are bit for bit
+    the magnitude of the whole transform, which is never held.
     """
-    n_t1, n_t2 = signal.grid.shape
-    n_fft = len(hybrid_omega2_axis(n_t2, signal.dwell_t2_s))
-    width = min(-(-n_t2 // T1_BLOCK_COLUMNS) * T1_BLOCK_COLUMNS, n_fft)
-
-    def blocks():
+    def slabs():
+        if isinstance(data, HybridSpectrum):
+            yield data
+            return
+        n_t1, n_t2 = data.grid.shape
+        n_fft = len(hybrid_omega2_axis(n_t2, data.dwell_t2_s))
+        width = min(-(-n_t2 // T1_BLOCK_COLUMNS) * T1_BLOCK_COLUMNS, n_fft)
         buffer = np.empty((n_t1, width), dtype=complex)
         for start in range(0, n_fft, width):
             stop = min(start + width, n_fft)
-            hybrid = dft_t2(signal, columns=slice(start, stop), out=buffer[:, :stop - start])
-            for first in range(0, stop - start, T1_BLOCK_COLUMNS):
+            yield dft_t2(data, columns=slice(start, stop), out=buffer[:, :stop - start])
+
+    def blocks():
+        for hybrid in slabs():
+            for first in range(0, hybrid.grid.shape[1], T1_BLOCK_COLUMNS):
                 columns = slice(first, first + T1_BLOCK_COLUMNS)
                 yield np.abs(dft_t1(replace(hybrid, grid=hybrid.grid[:, columns],
                                             omega2_hz=hybrid.omega2_hz[columns])).grid)
 
-    return hybrid_omega2_axis(n_t1, signal.dwell_t1_s), blocks()
+    return hybrid_omega2_axis(data.grid.shape[0], data.dwell_t1_s), blocks()
 
 
 def dft_fid(signal: Signal1D, apodization="matched", zero_fill: int = 2,

@@ -230,10 +230,10 @@ class TestConfigParsing:
             assert "config error: cannot read config file" in capsys.readouterr().err
 
 
-# t2 lengths of the byte-identity export tests: a power of two; 100 samples,
-# a 256-bin axis whose last hybrid slab is narrower than the others; and two
+# t2 lengths beside 64 of the byte-identity export tests: 100 samples, a
+# 256-bin axis whose last hybrid slab is narrower than the others; and two
 # samples, a 4-bin axis narrower than one t1 block of the 2D magnitude
-EXPORT_N_T2 = pytest.mark.parametrize("n_t2", [64, 100, 2])
+OTHER_N_T2 = pytest.mark.parametrize("n_t2", [100, 2])
 
 
 class TestSimulateCommand:
@@ -247,8 +247,7 @@ class TestSimulateCommand:
         assert sidecar["n_t2"] == 128
         assert "gradient_delays_s" not in sidecar["meta"]
 
-    @EXPORT_N_T2
-    def test_grids_load_bit_exact(self, tmp_path, n_t2):
+    def test_grids_load_bit_exact(self, tmp_path, n_t2=64):
         path = write_config(tmp_path, demo_config(n_t1=32, n_t2=n_t2, noise_rms=0.01))
         out = tmp_path / "out"
         with warnings.catch_warnings():
@@ -289,8 +288,11 @@ class TestSimulateCommand:
                 assert grid.flags.c_contiguous
             assert grid.tobytes() == expected.tobytes()
 
-    @EXPORT_N_T2
-    def test_cross_sections_bit_exact(self, tmp_path, n_t2):
+    @OTHER_N_T2
+    def test_grids_load_bit_exact_other_t2(self, tmp_path, n_t2):
+        self.test_grids_load_bit_exact(tmp_path, n_t2)
+
+    def test_cross_sections_bit_exact(self, tmp_path, n_t2=64):
         # each row is the t1 transform of one hybrid column, cell for cell the
         # column of the whole 2D spectrum at the transition's Omega2 bin
         path = write_config(tmp_path, demo_config(n_t1=32, n_t2=n_t2, noise_rms=0.01))
@@ -311,6 +313,10 @@ class TestSimulateCommand:
             assert entry["frequency_hz"] == transition.frequency_hz
             assert entry["bin_hz"] == spectrum.omega2_hz[b]
             assert sections[i].tobytes() == np.ascontiguousarray(spectrum.grid[:, b]).tobytes()
+
+    @OTHER_N_T2
+    def test_cross_sections_bit_exact_other_t2(self, tmp_path, n_t2):
+        self.test_cross_sections_bit_exact(tmp_path, n_t2)
 
     def test_export_memory_bounded(self, tmp_path):
         # the 2D magnitude is streamed one column block at a time from slabs
