@@ -89,31 +89,34 @@ def config_from_dict(raw: dict) -> RunConfig:
         if block not in raw:
             raise ConfigError(f"missing required block '{block}'")
 
-    sys_block = raw["spin_system"]
+    sys_block = _config_container(raw["spin_system"], "spin_system")
     _reject_unknown(sys_block, {"n", "larmor_hz", "couplings_hz", "t2_s"}, "spin_system")
     for key in ("n", "larmor_hz", "t2_s"):
         if key not in sys_block:
             raise ConfigError(f"missing 'spin_system.{key}'")
+    larmor_hz = _config_container(sys_block["larmor_hz"], "spin_system.larmor_hz", list)
     couplings = {}
-    for key, value in (sys_block.get("couplings_hz") or {}).items():
-        parts = str(key).split(",")
-        if len(parts) != 2:
+    for key, value in _config_container(sys_block.get("couplings_hz"),
+                                     "spin_system.couplings_hz").items():
+        try:
+            j, k = (int(part) for part in str(key).split(","))
+        except ValueError:
             raise ConfigError(
                 f"coupling key {key!r} in 'spin_system.couplings_hz' must be 'j,k'")
-        try:
-            couplings[(int(parts[0]), int(parts[1]))] = float(value)
-        except (TypeError, ValueError):
-            raise ConfigError(f"bad coupling entry {key!r}: {value!r}")
+        couplings[(j, k)] = _config_float(value, f"spin_system.couplings_hz.{key}")
+    n = _config_int(sys_block["n"], "spin_system.n", 1)
+    larmor = [_config_float(f, f"spin_system.larmor_hz[{i}]") for i, f in enumerate(larmor_hz)]
+    t2_s = _config_float(sys_block["t2_s"], "spin_system.t2_s", 0.0, strict=True)
     try:
-        system = build_spin_system(sys_block["n"], sys_block["larmor_hz"],
-                                   couplings, sys_block["t2_s"])
-    except (TypeError, ValueError) as exc:
+        system = build_spin_system(n, larmor, couplings, t2_s)
+    except ValueError as exc:
         raise ConfigError(f"invalid 'spin_system': {exc}")
 
-    state_block = raw["state"]
+    state_block = _config_container(raw["state"], "state")
     _reject_unknown(state_block, {"coefficients"}, "state")
+    entries = _config_container(state_block.get("coefficients"), "state.coefficients", list)
     coefficients = {}
-    for entry in state_block.get("coefficients", []):
+    for i, entry in enumerate(entries):
         if not (isinstance(entry, (list, tuple)) and len(entry) == 2):
             raise ConfigError(
                 f"'state.coefficients' entries must be [label, value]; got {entry!r}")
@@ -124,13 +127,9 @@ def config_from_dict(raw: dict) -> RunConfig:
         if label in coefficients:
             raise ConfigError(
                 f"duplicate label {format_label(label)!r} in 'state.coefficients'")
-        try:
-            coefficients[label] = float(entry[1])
-        except (TypeError, ValueError):
-            raise ConfigError(
-                f"coefficient for {format_label(label)!r} must be a number")
+        coefficients[label] = _config_float(entry[1], f"state.coefficients[{i}]")
 
-    acq = dict(raw.get("acquisition") or {})
+    acq = dict(_config_container(raw.get("acquisition"), "acquisition"))
     _reject_unknown(acq, _ACQ_KEYS, "acquisition")
     for key in ("n_t1", "n_t2"):
         if key in acq:
@@ -142,7 +141,7 @@ def config_from_dict(raw: dict) -> RunConfig:
         if key in acq:
             acq[key] = _config_float(acq[key], f"acquisition.{key}")
 
-    opt_block = dict(raw.get("options") or {})
+    opt_block = _config_container(raw.get("options"), "options")
     _reject_unknown(opt_block, _OPT_KEYS, "options")
     options = RunOptions()
     for key, minimum in (("noise_rms", 0.0), ("gradient_tau_max_s", 0.0)):
@@ -161,6 +160,17 @@ def config_from_dict(raw: dict) -> RunConfig:
 
     return RunConfig(system=system, coefficients=coefficients,
                      acquisition=acq, options=options)
+
+
+def _config_container(value, path: str, kind=dict):
+    """``value`` if it is a JSON object (``kind`` dict) or array (list); an
+    empty one if it is null (None)."""
+    if value is None:
+        return kind()
+    if not isinstance(value, kind):
+        raise ConfigError(f"'{path}' must be a JSON {'object' if kind is dict else 'array'}, "
+                          f"got {value!r}")
+    return value
 
 
 def _config_int(value, path: str, minimum: int) -> int:
@@ -338,17 +348,13 @@ def _simulate_signals(cfg: RunConfig, params):
     return rho0, signal_a, signal_b, reference
 
 
-def _export_simulation(cfg: RunConfig, signal_a, signal_b, out: Path, table,
-                       params=None):
-    """Write signals, spectra and cross-sections.  With ``params``, return
-    signal A's :func:`fid_coordinates` in the :func:`detection_basis` of
-    every line (None without).
+def _export_simulation(signal_a, signal_b, out: Path, table) -> None:
+    """Write signals, spectra and cross-sections.
 
     The t2 hybrid is never held whole: the 2D magnitude is streamed one
     column block at a time from slabs of Omega2 columns, each about the size
     of signal A's grid, and the cross-sections are transformed from the
-    transition bins' own hybrid columns.  Signal A's ``grid`` is released
-    (set to None) once the coordinates are taken.
+    transition bins' own hybrid columns.
     """
     _write_array(out, "signal_a.npy", signal_a.grid, ["t1", "t2"], "signal_a.json",
                  dwell_t1_s=signal_a.dwell_t1_s, dwell_t2_s=signal_a.dwell_t2_s,
@@ -381,12 +387,6 @@ def _export_simulation(cfg: RunConfig, signal_a, signal_b, out: Path, table,
     _write_array(out, "spectrum_b.npy", spectrum_b.values, ["omega"], "spectrum_b.json",
                  omega_hz=[float(f) for f in spectrum_b.omega_hz],
                  units={"omega": "Hz"})
-    # Taken last: the SVD and the product map library code and BLAS buffers
-    # that stay resident, so taken before the spectra they would raise the peak.
-    coordinates = None if params is None else fid_coordinates(
-        signal_a, detection_basis(cfg.system, params))
-    signal_a.grid = None
-    return coordinates
 
 
 def _design_summary(design) -> dict:
@@ -453,7 +453,7 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> int:
     params = resolve_params(cfg)
     table = _checked_table(cfg, params)
     _, signal_a, signal_b, _ = _simulate_signals(cfg, params)
-    _export_simulation(cfg, signal_a, signal_b, out, table)
+    _export_simulation(signal_a, signal_b, out, table)
     print(f"simulation artifacts written to {out}")
     return 0
 
@@ -462,7 +462,11 @@ def cmd_tomograph(cfg: RunConfig, out: Path) -> int:
     params = resolve_params(cfg)
     table = _checked_table(cfg, params)
     rho0, signal_a, signal_b, reference = _simulate_signals(cfg, params)
-    coordinates = _export_simulation(cfg, signal_a, signal_b, out, table, params)
+    _export_simulation(signal_a, signal_b, out, table)
+    # Taken after the exports, whose peak the SVD's resident library code and
+    # BLAS buffers would raise; the time grid is released once they are taken.
+    coordinates = fid_coordinates(signal_a, detection_basis(cfg.system, params))
+    signal_a.grid = None
 
     design = build_design_matrix(cfg.system, params, coordinates.basis)
     _write_json(out / "design_summary.json", _design_summary(design))
@@ -524,7 +528,10 @@ def main(argv=None) -> int:
         if args.seed is not None:
             cfg.options.seed = _config_int(args.seed, "--seed", 0)
         out = Path(args.out) if args.out is not None else Path(cfg.options.output_dir)
-        out.mkdir(parents=True, exist_ok=True)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create output directory {out}: {exc}")
         handler = {"simulate": cmd_simulate, "tomograph": cmd_tomograph,
                    "basis": cmd_basis}[args.command]
         return handler(cfg, out)

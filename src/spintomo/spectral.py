@@ -137,33 +137,28 @@ def dft_t1(hybrid: HybridSpectrum, apodization="matched", zero_fill: int = 2,
 T1_BLOCK_COLUMNS = 8
 
 
-def dft_t1_magnitude(data):
-    """``(omega1_hz, blocks)``: the Omega1 axis of the 2D spectrum and a
-    generator of its magnitude in blocks of :data:`T1_BLOCK_COLUMNS` Omega2
-    columns, left to right.
+def dft_t1_magnitude(signal: Signal2D):
+    """``(omega1_hz, blocks)``: the Omega1 axis of ``dft_t1(dft_t2(signal))``
+    (default processing) and a generator of its magnitude in blocks of
+    :data:`T1_BLOCK_COLUMNS` Omega2 columns, left to right.
 
-    ``data`` is the hybrid, whose spectrum is ``dft_t1(data)``, or a
-    :class:`Signal2D`, whose spectrum is ``dft_t1(dft_t2(data))`` (default
-    processing).  From a signal the hybrid is made by :func:`dft_t2` one slab
-    of Omega2 columns at a time, each written into one reused buffer: n_t2
-    rounded up to a whole number of blocks wide and never past the axis end.
-    A power-of-two n_t2 of 8 or more thus takes ``zero_fill`` (2) passes, and
-    beside the time grid only one slab, about its size, is ever held.  Each
-    block goes through :func:`dft_t1` on its own.  The transforms act on every
-    row and column alone, so the float64 blocks side by side are bit for bit
-    the magnitude of the whole transform, which is never held.
+    The hybrid is made by :func:`dft_t2` one slab of Omega2 columns at a
+    time, each written into one reused buffer: n_t2 rounded up to a whole
+    number of blocks wide and never past the axis end.  A power-of-two n_t2
+    of 8 or more thus takes ``zero_fill`` (2) passes, and beside the time
+    grid only one slab, about its size, is ever held.  Each block goes
+    through :func:`dft_t1` on its own.  The transforms act on every row and
+    column alone, so the float64 blocks side by side are bit for bit the
+    magnitude of the whole transform, which is never held.
     """
     def slabs():
-        if isinstance(data, HybridSpectrum):
-            yield data
-            return
-        n_t1, n_t2 = data.grid.shape
-        n_fft = len(hybrid_omega2_axis(n_t2, data.dwell_t2_s))
+        n_t1, n_t2 = signal.grid.shape
+        n_fft = len(hybrid_omega2_axis(n_t2, signal.dwell_t2_s))
         width = min(-(-n_t2 // T1_BLOCK_COLUMNS) * T1_BLOCK_COLUMNS, n_fft)
         buffer = np.empty((n_t1, width), dtype=complex)
         for start in range(0, n_fft, width):
             stop = min(start + width, n_fft)
-            yield dft_t2(data, columns=slice(start, stop), out=buffer[:, :stop - start])
+            yield dft_t2(signal, columns=slice(start, stop), out=buffer[:, :stop - start])
 
     def blocks():
         for hybrid in slabs():
@@ -172,7 +167,7 @@ def dft_t1_magnitude(data):
                 yield np.abs(dft_t1(replace(hybrid, grid=hybrid.grid[:, columns],
                                             omega2_hz=hybrid.omega2_hz[columns])).grid)
 
-    return hybrid_omega2_axis(data.grid.shape[0], data.dwell_t1_s), blocks()
+    return hybrid_omega2_axis(signal.grid.shape[0], signal.dwell_t1_s), blocks()
 
 
 def dft_fid(signal: Signal1D, apodization="matched", zero_fill: int = 2,
@@ -207,23 +202,21 @@ def hybrid_omega2_axis(n_t2: int, dwell_t2_s: float, zero_fill: int = 2) -> np.n
     return np.fft.fftshift(np.fft.fftfreq(n_fft, dwell_t2_s))
 
 
-def cross_sections(data, omega2_hz) -> tuple[list, Spectrum2D]:
+def cross_sections(signal: Signal2D, omega2_hz) -> tuple[list, Spectrum2D]:
     """``(bins, sections)``: the Omega2 bin nearest each of ``omega2_hz`` and
-    the traces parallel to Omega1 there, column ``k`` for request ``k``.
+    the traces parallel to Omega1 there, column ``k`` for request ``k``, of
+    the 2D spectrum ``dft_t1(dft_t2(signal))`` (default processing).
 
-    ``data`` is the hybrid, or a :class:`Signal2D` of which :func:`dft_t2`
-    (default processing) keeps the requested bins' columns alone.
-    ``sections`` holds the :func:`dft_t1` of the gathered hybrid columns, its
+    :func:`dft_t2` keeps the requested bins' hybrid columns alone.
+    ``sections`` holds the :func:`dft_t1` of those columns, its
     ``omega2_hz`` the bin frequencies.  They are transformed
     :data:`T1_BLOCK_COLUMNS` at a time into one section-major array, whose
     transpose is ``sections.grid``.  The transforms act on every row and
     column alone, so each trace equals that column of the whole 2D spectrum.
     Each request whose bin lies more than half a linewidth away warns.
     """
-    whole = isinstance(data, HybridSpectrum)
-    axis = data.omega2_hz if whole else hybrid_omega2_axis(data.grid.shape[1],
-                                                           data.dwell_t2_s)
-    half_linewidth = 0.5 / (np.pi * data.meta["t2_s"])
+    axis = hybrid_omega2_axis(signal.grid.shape[1], signal.dwell_t2_s)
+    half_linewidth = 0.5 / (np.pi * signal.meta["t2_s"])
     bins = [_axis_bin(axis, f, "omega2") for f in omega2_hz]
     for f, b in zip(omega2_hz, bins):
         if abs(axis[b] - f) > half_linewidth:
@@ -232,8 +225,7 @@ def cross_sections(data, omega2_hz) -> tuple[list, Spectrum2D]:
                 f"linewidth from requested {f:.6g} Hz",
                 stacklevel=2,
             )
-    hybrid = (replace(data, grid=data.grid[:, bins], omega2_hz=axis[bins]) if whole
-              else dft_t2(data, columns=bins))
+    hybrid = dft_t2(signal, columns=bins)
     rows = None
     for start in range(0, max(len(bins), 1), T1_BLOCK_COLUMNS):
         block = slice(start, start + T1_BLOCK_COLUMNS)

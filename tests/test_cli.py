@@ -189,18 +189,63 @@ class TestConfigParsing:
         ("options", "realistic_gradient", "false", []),
         ("options", "reference_normalize", "false", []),
         ("options", "gradient_tau_max_s", -1, []),
+        pytest.param("spin_system", "n", 2.5, [], id="n-fractional"),
+        pytest.param("spin_system", "n", "2", [], id="n-string"),
+        pytest.param("spin_system", "larmor_hz", ["1200", "1800"], [], id="larmor-strings"),
+        pytest.param("spin_system", "larmor_hz", [True, 1800.0], [], id="larmor-true"),
+        pytest.param("spin_system", "larmor_hz", [10 ** 400, 1800.0], [],
+                     id="larmor-too-large"),
+        pytest.param("spin_system", "t2_s", "0.01", [], id="t2-string"),
+        pytest.param("spin_system", "t2_s", 10 ** 400, [], id="t2-too-large"),
+        pytest.param("spin_system", "couplings_hz", {"1,2": "200"}, [], id="coupling-string"),
+        pytest.param("spin_system", "couplings_hz", {"1,2": 10 ** 400}, [],
+                     id="coupling-too-large"),
+        pytest.param("spin_system", "couplings_hz", [1, 2], [], id="couplings-list"),
+        pytest.param("state", "coefficients", [["x x", "1.5"]], [], id="coefficient-string"),
+        pytest.param("state", "coefficients", [["x x", True]], [], id="coefficient-true"),
+        pytest.param("state", "coefficients", [["x x", float("nan")]], [],
+                     id="coefficient-nan"),
+        pytest.param("state", "coefficients", [["x x", float("inf")]], [],
+                     id="coefficient-inf"),
+        pytest.param("state", "coefficients", [["x x", 10 ** 400]], [],
+                     id="coefficient-too-large"),
     ])
     def test_bad_value_exits_2(self, tmp_path, capsys, block, key, value, argv):
         payload = demo_config(n_t1=32, n_t2=64, realistic_gradient=True,
                               gradient_draws=2)
         payload[block][key] = value
         path = write_config(tmp_path, payload)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            code = main(["tomograph", "--config", str(path),
-                         "--out", str(tmp_path / "out"), *argv])
-        assert code == 2
-        assert "config error" in capsys.readouterr().err
+        for command in ("simulate", "tomograph", "basis"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                code = main([command, "--config", str(path),
+                             "--out", str(tmp_path / "out"), *argv])
+            assert code == 2
+            assert "config error" in capsys.readouterr().err
+            assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("block", ["spin_system", "state"])
+    def test_list_block_exits_2(self, tmp_path, capsys, block):
+        payload = demo_config(n_t1=32, n_t2=64)
+        payload[block] = [1, 2]
+        path = write_config(tmp_path, payload)
+        assert main(["basis", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert f"config error: '{block}' must be a JSON object" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_uncreatable_output_dir_exits_2(self, tmp_path, capsys):
+        # an existing file, and a path under it, given by --out or the config
+        blocker = tmp_path / "file"
+        blocker.write_text("kept")
+        payload = demo_config(n_t1=32, n_t2=64, output_dir=str(blocker / "sub"))
+        path = write_config(tmp_path, payload)
+        for command in ("simulate", "tomograph", "basis"):
+            for out in (["--out", str(blocker)], ["--out", str(blocker / "sub")], []):
+                assert main([command, "--config", str(path), *out]) == 2
+                err = capsys.readouterr().err
+                assert err.startswith("config error: cannot create output directory")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "file"]
+        assert blocker.read_text() == "kept"
 
     def test_zero_frequency_register_exits_2(self, tmp_path, capsys):
         # a lone line at 0 Hz gives no default spectral width to sample at
@@ -318,30 +363,60 @@ class TestSimulateCommand:
     def test_cross_sections_bit_exact_other_t2(self, tmp_path, n_t2):
         self.test_cross_sections_bit_exact(tmp_path, n_t2)
 
-    def test_export_memory_bounded(self, tmp_path):
+    def test_export_memory_bounded(self, tmp_path, monkeypatch):
         # the 2D magnitude is streamed one column block at a time from slabs
         # of the t2 hybrid, each half the zero-filled hybrid, in one reused
         # buffer, and the cross-sections transform only their own columns:
         # 1.02x the full hybrid measured (1.47x holding the whole hybrid,
-        # 2.26x holding the magnitude grid as well)
-        cfg = config_from_dict(demo_config(n_t1=512, n_t2=256))
-        params = resolve_params(cfg)
-        _, signal_a, signal_b, _ = _simulate_signals(cfg, params)
-        grid = signal_a.grid
-        table = transition_table(cfg.system)
-        tracemalloc.start()
-        try:
-            coordinates = _export_simulation(cfg, signal_a, signal_b, tmp_path, table, params)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        magnitude = np.load(tmp_path / "spectrum_2d.npy", allow_pickle=False)
+        # 2.26x holding the magnitude grid as well).  tomograph takes signal
+        # A's coordinates after the exports, then releases the time grid.
+        seen = {}
+
+        def simulate(cfg, params):
+            signals = _simulate_signals(cfg, params)
+            seen["params"], seen["signal_a"], seen["grid"] = params, signals[1], signals[1].grid
+            return signals
+
+        def export(*args):
+            tracemalloc.start()
+            try:
+                assert _export_simulation(*args) is None
+                _, seen["peak"] = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+
+        def fit(*args, signal_a, **kwargs):
+            seen["coordinates"] = signal_a
+            return tomograph_state(*args, signal_a=signal_a, **kwargs)
+
+        monkeypatch.setattr(spintomo.cli, "_simulate_signals", simulate)
+        monkeypatch.setattr(spintomo.cli, "_export_simulation", export)
+        monkeypatch.setattr(spintomo.cli, "tomograph_state", fit)
+        path = write_config(tmp_path, demo_config(n_t1=512, n_t2=256))
+        assert main(["tomograph", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+        magnitude = np.load(tmp_path / "out" / "spectrum_2d.npy", allow_pickle=False)
         full_hybrid_nbytes = 512 * magnitude.shape[1] * np.dtype(complex).itemsize
-        assert peak <= 1.2 * full_hybrid_nbytes
+        assert seen["peak"] <= 1.2 * full_hybrid_nbytes
         # the time-domain grid is released once its coordinates are taken
-        assert signal_a.grid is None
-        assert coordinates.basis.shape == detection_basis(cfg.system, params).shape
-        assert np.array_equal(coordinates.values, grid @ coordinates.basis.conj())
+        assert seen["signal_a"].grid is None
+        coordinates = seen["coordinates"]
+        basis = detection_basis(parse_config(path).system, seen["params"])
+        assert coordinates.basis.shape == basis.shape
+        assert np.array_equal(coordinates.values, seen["grid"] @ coordinates.basis.conj())
+
+    def test_simulate_exports_equal_tomograph_exports(self, tmp_path):
+        # both commands write the ten exports through one function, and
+        # tomograph takes signal A's coordinates only after it
+        path = write_config(tmp_path, demo_config(n_t1=32, n_t2=64, noise_rms=0.01,
+                                                  realistic_gradient=True, gradient_draws=2))
+        for command in ("simulate", "tomograph"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                assert main([command, "--config", str(path),
+                             "--out", str(tmp_path / command)]) == 0
+        for name in SIMULATE_FILES:
+            simulated = (tmp_path / "simulate" / name).read_bytes()
+            assert simulated == (tmp_path / "tomograph" / name).read_bytes(), name
 
     def test_output_mode_follows_umask(self, tmp_path):
         path = write_config(tmp_path, demo_config(n_t1=16))

@@ -208,8 +208,9 @@ class TestSequenceA:
         # amplitudes at its two transition frequencies and nothing else
         params = default_acquisition(two_spin_system, n_t1=256, n_t2=256)
         rho0 = product_operator(two_spin_system, "xo")
-        hybrid = dft_t2(run_sequence_A(two_spin_system, rho0, params))
-        (b,), _ = cross_sections(hybrid, [1300.0])
+        signal = run_sequence_A(two_spin_system, rho0, params)
+        hybrid = dft_t2(signal)
+        (b,), _ = cross_sections(signal, [1300.0])
         frequencies = [1300.0, 1100.0, 1900.0, 1700.0, 3000.0, 600.0]
         amplitudes, residual = fit_t1_trace(hybrid.grid[:, b], params.t1_times,
                                             frequencies, two_spin_system.t2_s)

@@ -2,6 +2,7 @@ import io
 import json
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -234,75 +235,80 @@ class TestDemoSpectra:
 
 
 class TestCrossSection:
-    def make_hybrid(self, n_t1=64, n_f2=32):
-        rng = np.random.default_rng(32)
-        grid = rng.normal(size=(n_t1, n_f2)) + 1j * rng.normal(size=(n_t1, n_f2))
-        axis = np.linspace(-500.0, 500.0, n_f2)
-        return HybridSpectrum(grid=grid, dwell_t1_s=1e-3, omega2_hz=axis,
-                              meta={"t2_s": 0.05, "processing_t2": {"zero_fill": 2}})
+    def make_signal(self, n_t1=64, n_t2=16, seed=32):
+        # 1 ms dwells: a 1000 Hz wide Omega2 axis, of 2 * n_t2 bins for a power of two
+        rng = np.random.default_rng(seed)
+        grid = rng.normal(size=(n_t1, n_t2)) + 1j * rng.normal(size=(n_t1, n_t2))
+        return Signal2D(grid=grid, dwell_t1_s=1e-3, dwell_t2_s=1e-3, meta={"t2_s": 0.05})
+
+    @staticmethod
+    def axis(signal):
+        return hybrid_omega2_axis(signal.grid.shape[1], signal.dwell_t2_s)
 
     def test_nearest_bin_column(self):
-        hybrid = self.make_hybrid()
-        request = float(hybrid.omega2_hz[12]) + 0.5
-        bins, sections = cross_sections(hybrid, [request])
-        nearest = int(np.argmin(np.abs(hybrid.omega2_hz - request)))
+        signal = self.make_signal()
+        axis = self.axis(signal)
+        request = float(axis[12]) + 0.5
+        bins, sections = cross_sections(signal, [request])
+        nearest = int(np.argmin(np.abs(axis - request)))
         assert bins == [nearest] == [12]
-        assert sections.omega2_hz[0] == hybrid.omega2_hz[12]
+        assert sections.omega2_hz[0] == axis[12]
 
     def test_linearity(self):
-        hybrid_a = self.make_hybrid()
-        hybrid_b = self.make_hybrid()
-        summed = HybridSpectrum(grid=hybrid_a.grid + hybrid_b.grid,
-                                dwell_t1_s=hybrid_a.dwell_t1_s,
-                                omega2_hz=hybrid_a.omega2_hz, meta=hybrid_a.meta)
-        anchor = float(hybrid_a.omega2_hz[20])
-        (_, a), (_, b), (_, s) = (cross_sections(hybrid, [anchor])
-                                  for hybrid in (hybrid_a, hybrid_b, summed))
+        signal_a, signal_b = self.make_signal(), self.make_signal(seed=33)
+        summed = replace(signal_a, grid=signal_a.grid + signal_b.grid)
+        anchor = float(self.axis(signal_a)[20])
+        (_, a), (_, b), (_, s) = (cross_sections(signal, [anchor])
+                                  for signal in (signal_a, signal_b, summed))
         assert np.allclose(s.grid, a.grid + b.grid)
 
     def test_out_of_range_rejected(self):
-        hybrid = self.make_hybrid()
+        signal = self.make_signal()
         with pytest.raises(ValueError, match="outside"):
-            cross_sections(hybrid, [1e4])
+            cross_sections(signal, [1e4])
 
     def test_half_bin_beyond_axis_end_reads_end_bin(self):
-        hybrid = self.make_hybrid()
-        axis = hybrid.omega2_hz
+        signal = self.make_signal()
+        axis = self.axis(signal)
         half_bin = 0.5 * (axis[1] - axis[0])
         for request, end in ((axis[-1] + 0.99 * half_bin, len(axis) - 1),
                              (axis[0] - 0.99 * half_bin, 0)):
-            with pytest.warns(UserWarning, match="half a"):  # 16 Hz off, 6.4 Hz wide
-                bins, sections = cross_sections(hybrid, [request])
+            with pytest.warns(UserWarning, match="half a"):  # 15.5 Hz off, 6.4 Hz wide
+                bins, sections = cross_sections(signal, [request])
             assert bins == [end]
             assert sections.omega2_hz[0] == axis[end]
         for request in (axis[-1] + 1.01 * half_bin, axis[0] - 1.01 * half_bin):
             with pytest.raises(AxisRangeError, match="outside") as info:
-                cross_sections(hybrid, [request])
+                cross_sections(signal, [request])
             assert isinstance(info.value, SpinTomoError)
 
+    def four_bin_signal(self):
+        # n_t2 = 2 at 1.25 ms: the Omega2 bins are -400, -200, 0 and 200 Hz
+        signal = self.make_signal(n_t2=2)
+        signal.dwell_t2_s = 1.25e-3
+        assert np.allclose(self.axis(signal), [-400.0, -200.0, 0.0, 200.0])
+        return signal
+
     def test_far_bin_warns(self):
-        hybrid = self.make_hybrid(n_f2=4)
-        hybrid.omega2_hz = np.array([-300.0, -100.0, 100.0, 300.0])
         with pytest.warns(UserWarning, match="half a"):
-            cross_sections(hybrid, [190.0])
+            cross_sections(self.four_bin_signal(), [90.0])
 
     def test_each_far_section_warns(self):
-        hybrid = self.make_hybrid(n_f2=4)
-        hybrid.omega2_hz = np.array([-300.0, -100.0, 100.0, 300.0])
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            bins, _ = cross_sections(hybrid, [190.0, 100.5, -190.0, 300.0, 190.0])
+            bins, _ = cross_sections(self.four_bin_signal(),
+                                     [90.0, 0.5, -110.0, 200.0, 90.0])
         assert bins == [2, 2, 1, 3, 2]
         assert [str(w.message).split("requested ")[1] for w in caught] == [
-            "190 Hz", "-190 Hz", "190 Hz"]
+            "90 Hz", "-110 Hz", "90 Hz"]
 
     def test_sections_are_spectrum_columns(self):
         # one transform of the gathered columns, in request order and with
         # repeats, equals those columns of the whole 2D spectrum bit for bit
-        hybrid = self.make_hybrid(n_t1=100, n_f2=40)
-        spectrum = dft_t1(hybrid)
-        requests = hybrid.omega2_hz[[30, 3, 30, 17, 39, 0]] + 1.0
-        bins, sections = cross_sections(hybrid, requests)
+        signal = self.make_signal(n_t1=100, n_t2=20)
+        spectrum = dft_t1(dft_t2(signal))
+        requests = spectrum.omega2_hz[[30, 3, 30, 17, 39, 0]] + 1.0
+        bins, sections = cross_sections(signal, requests)
         assert bins == [30, 3, 30, 17, 39, 0]
         assert sections.grid.shape == (len(spectrum.omega1_hz), len(requests))
         assert sections.omega1_hz.tobytes() == spectrum.omega1_hz.tobytes()
@@ -311,43 +317,19 @@ class TestCrossSection:
             assert sections.grid[:, k].tobytes() == spectrum.grid[:, b].tobytes()
 
     def test_time_and_frequency_forms_consistent(self):
-        hybrid = self.make_hybrid()
-        (b,), sections = cross_sections(hybrid, [50.0])
-        signal = Signal1D(samples=hybrid.grid[:, b],
-                          dwell_s=hybrid.dwell_t1_s,
-                          meta={"t2_s": hybrid.meta["t2_s"]})
-        again = dft_fid(signal, apodization="matched", zero_fill=2,
+        signal = self.make_signal()
+        (b,), sections = cross_sections(signal, [62.5])
+        trace = Signal1D(samples=dft_t2(signal).grid[:, b],
+                         dwell_s=signal.dwell_t1_s,
+                         meta={"t2_s": signal.meta["t2_s"]})
+        again = dft_fid(trace, apodization="matched", zero_fill=2,
                         first_point_half=True)
         assert np.max(np.abs(again.values - sections.grid[:, 0])) < 1e-10
 
-    @pytest.mark.parametrize("n_f2", [3 * T1_BLOCK_COLUMNS + 5, T1_BLOCK_COLUMNS - 3])
-    def test_streamed_magnitude_bit_exact(self, n_f2, tmp_path):
-        # a last block narrower than the rest, and a grid narrower than a block
-        hybrid = self.make_hybrid(n_t1=100, n_f2=n_f2)
-        spectrum = dft_t1(hybrid)
-        omega1_hz, blocks = dft_t1_magnitude(hybrid)
-        magnitude = np.concatenate(list(blocks), axis=1)
-        expected = np.abs(spectrum.grid)
-        assert magnitude.dtype == expected.dtype and magnitude.shape == expected.shape
-        assert magnitude.tobytes() == expected.tobytes()
-        assert omega1_hz.tobytes() == spectrum.omega1_hz.tobytes()
-        # written as they come, the blocks make the file np.save writes of the
-        # column-major grid, and the sidecar describes that file
-        _, blocks = dft_t1_magnitude(hybrid)
-        _write_array(tmp_path, "m.npy", blocks, ["omega1", "omega2"], "m.json",
-                     shape=expected.shape)
-        saved = io.BytesIO()
-        np.save(saved, np.asfortranarray(expected))
-        assert (tmp_path / "m.npy").read_bytes() == saved.getvalue()
-        layout = json.loads((tmp_path / "m.json").read_text())["array"]
-        grid = np.load(tmp_path / "m.npy", allow_pickle=False)
-        assert layout["dtype"] == grid.dtype.name == "float64"
-        assert layout["shape"] == list(grid.shape) == [len(omega1_hz), n_f2]
-
-    @pytest.mark.parametrize("n_t2", [100, 2])
-    def test_streamed_magnitude_from_signal_bit_exact(self, n_t2, tmp_path):
-        # a 256-bin axis whose last hybrid slab is narrower than the rest, and
-        # a 4-bin axis narrower than one block
+    @pytest.mark.parametrize("n_t2", [3 * T1_BLOCK_COLUMNS + 5, T1_BLOCK_COLUMNS - 3])
+    def test_streamed_magnitude_bit_exact(self, n_t2, tmp_path):
+        # an n_t2 that is no whole number of blocks, and one narrower than a
+        # block: two hybrid slabs of 32 and of 8 columns
         signal = TestDftCore.random_signal(100, n_t2)
         spectrum = dft_t1(dft_t2(signal))
         omega1_hz, blocks = dft_t1_magnitude(signal)
@@ -369,6 +351,12 @@ class TestCrossSection:
         assert layout["dtype"] == grid.dtype.name == "float64"
         assert layout["shape"] == list(grid.shape) == list(expected.shape)
 
+    @pytest.mark.parametrize("n_t2", [100, 2])
+    def test_streamed_magnitude_from_signal_bit_exact(self, n_t2, tmp_path):
+        # a 256-bin axis whose last hybrid slab is narrower than the rest, and
+        # a 4-bin axis narrower than one block
+        self.test_streamed_magnitude_bit_exact(n_t2, tmp_path)
+
     def test_non_power_of_two_lengths_zero_filled(self):
         signal = Signal1D(samples=np.ones(100, dtype=complex), dwell_s=1e-3,
                           meta={})
@@ -377,19 +365,20 @@ class TestCrossSection:
         assert len(spectrum.omega_hz) == 256
 
     def test_peakless_trace_near_zero(self):
-        # noiseless oscillator without decay: off-line columns are exactly empty
+        # every row is weighted by the inverse of the default t2 processing
+        # (matched apodization, halved first point), so the processed rows are
+        # a noiseless oscillator without decay: off-line columns are empty
         n_t1, n_t2 = 16, 128
-        dwell = 1e-3
-        axis = hybrid_omega2_axis(n_t2, dwell, zero_fill=1)
-        f = axis[96]
+        dwell, t2_s = 1e-3, 0.05
+        axis = hybrid_omega2_axis(n_t2, dwell)
+        f = axis[192]
         t2 = np.arange(n_t2) * dwell
-        grid = np.tile(np.exp(2j * np.pi * f * t2), (n_t1, 1))
-        # t2_s only feeds the t1 transform's matched apodization
-        signal = Signal2D(grid=grid, dwell_t1_s=1e-3, dwell_t2_s=dwell,
-                          meta={"t2_s": 0.05})
-        hybrid = dft_t2(signal, apodization=None, zero_fill=1,
-                        first_point_half=False)
-        (on_peak, off_peak), _ = cross_sections(hybrid, [f, axis[40]])
-        assert (np.max(np.abs(hybrid.grid[:, off_peak]))
-                <= 1e-9 * np.max(np.abs(hybrid.grid[:, on_peak])))
-
+        row = np.exp(2j * np.pi * f * t2) * np.exp(t2 / t2_s)
+        row[0] *= 2.0
+        signal = Signal2D(grid=np.tile(row, (n_t1, 1)), dwell_t1_s=1e-3, dwell_t2_s=dwell,
+                          meta={"t2_s": t2_s})
+        # an even number of zero-filled bins off the line: a node of its sinc
+        (on_peak, off_peak), sections = cross_sections(signal, [f, axis[80]])
+        assert (on_peak, off_peak) == (192, 80)
+        assert (np.max(np.abs(sections.grid[:, 1]))
+                <= 1e-9 * np.max(np.abs(sections.grid[:, 0])))
