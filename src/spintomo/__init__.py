@@ -22,8 +22,8 @@ from .spectral import (HybridSpectrum, Spectrum1D, Spectrum2D,
 from .tomography import (DesignMatrix, TomographyResult, build_design_matrix,
                          detection_basis, fid_coordinates, fidelity,
                          fit_diagonal, fit_offdiagonal,
-                         max_relative_element_error, reconstruct,
-                         reference_normalize, tomograph_state)
+                         max_relative_element_error, reference_normalize,
+                         tomograph_state)
 
 __version__ = "0.1.0"
 
@@ -39,8 +39,7 @@ __all__ = [
     "evolution_rates", "fid_coordinates", "fidelity", "fit_diagonal",
     "fit_offdiagonal", "format_label",
     "hybrid_omega2_axis", "max_relative_element_error",
-    "offdiagonal_labels", "parse_label",
-    "product_operator", "reconstruct",
+    "offdiagonal_labels", "parse_label", "product_operator",
     "reference_fid", "reference_normalize", "rotation_pulse",
     "run_sequence_A", "run_sequence_B", "tomograph_state",
     "transition_table",

@@ -103,6 +103,8 @@ def config_from_dict(raw: dict) -> RunConfig:
         except ValueError:
             raise ConfigError(
                 f"coupling key {key!r} in 'spin_system.couplings_hz' must be 'j,k'")
+        if (j, k) in couplings:
+            raise ConfigError(f"duplicate coupling pair '{j},{k}' in 'spin_system.couplings_hz'")
         couplings[(j, k)] = _config_float(value, f"spin_system.couplings_hz.{key}")
     n = _config_int(sys_block["n"], "spin_system.n", 1)
     larmor = [_config_float(f, f"spin_system.larmor_hz[{i}]") for i, f in enumerate(larmor_hz)]
@@ -156,7 +158,9 @@ def config_from_dict(raw: dict) -> RunConfig:
                 raise ConfigError(f"'options.{key}' must be true or false, "
                                   f"got {opt_block[key]!r}")
             setattr(options, key, opt_block[key])
-    options.output_dir = str(opt_block.get("output_dir", options.output_dir))
+    options.output_dir = opt_block.get("output_dir", options.output_dir)
+    if not isinstance(options.output_dir, str):
+        raise ConfigError(f"'options.output_dir' must be a string, got {options.output_dir!r}")
 
     return RunConfig(system=system, coefficients=coefficients,
                      acquisition=acq, options=options)

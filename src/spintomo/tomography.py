@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import logging
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -163,13 +163,9 @@ class DesignMatrix:
 
 
 @dataclass
-class OffdiagonalFit:
-    coefficients: dict
-    relative_residual: float
+class Fit:
+    """One fit's coefficients, relative residual and condition number."""
 
-
-@dataclass
-class DiagonalFit:
     coefficients: dict
     relative_residual: float
     condition_number: float
@@ -435,14 +431,15 @@ def _check_signal_matches_design(signal: FidCoordinates, design: DesignMatrix) -
         raise ValueError("signal coordinates were taken in another basis than the design's")
 
 
-def fit_offdiagonal(signal: FidCoordinates, design: DesignMatrix) -> OffdiagonalFit:
+def fit_offdiagonal(signal: FidCoordinates, design: DesignMatrix) -> Fit:
     """Least-squares solve of signal A's coordinates against the design.
 
     ``signal`` holds the :func:`fid_coordinates` of the sequence-A signal in
     the design's ``basis``; each coordinate's t1 mean carries no
     off-diagonal information and is removed.  Refuses rank-deficient
     designs outright rather than returning a silent pseudo-inverse answer.
-    The solve reuses the design's stored eigenpairs.
+    The solve reuses the design's stored eigenpairs, and the fit reports
+    the design's condition number.
     """
     _check_signal_matches_design(signal, design)
     if not design.is_full_rank:
@@ -467,7 +464,8 @@ def fit_offdiagonal(signal: FidCoordinates, design: DesignMatrix) -> Offdiagonal
             stacklevel=2,
         )
     coefficients = {label: float(q) for label, q in zip(design.labels, solution)}
-    return OffdiagonalFit(coefficients=coefficients, relative_residual=relative)
+    return Fit(coefficients=coefficients, relative_residual=relative,
+               condition_number=design.condition_number)
 
 
 def _split(values: np.ndarray) -> np.ndarray:
@@ -493,7 +491,7 @@ def _diagonal_response_matrix(system: SpinSystem, params: AcquisitionParams,
 
 
 def fit_diagonal(signal: Signal1D, system: SpinSystem,
-                 params: AcquisitionParams, basis=None) -> DiagonalFit:
+                 params: AcquisitionParams, basis=None) -> Fit:
     """Recover the 2^n - 1 diagonal coefficients from the 1D readout.
 
     Signal B's coordinates in ``basis``, the :func:`detection_basis` of every
@@ -528,19 +526,8 @@ def fit_diagonal(signal: Signal1D, system: SpinSystem,
     scale = float(np.linalg.norm(target))
     relative = residual / scale if scale > 0 else 0.0
     coefficients = {label: float(q) for label, q in zip(labels, solution)}
-    return DiagonalFit(coefficients=coefficients, relative_residual=relative,
-                       condition_number=condition)
-
-
-def reconstruct(system: SpinSystem, offdiagonal_coefficients,
-                diagonal_coefficients) -> np.ndarray:
-    """Merge the two disjoint coefficient sets and assemble the matrix."""
-    overlap = set(offdiagonal_coefficients) & set(diagonal_coefficients)
-    if overlap:
-        raise ValueError(f"coefficient sets overlap on labels {sorted(overlap)}")
-    merged = dict(offdiagonal_coefficients)
-    merged.update(diagonal_coefficients)
-    return coefficients_to_density(system, merged)
+    return Fit(coefficients=coefficients, relative_residual=relative,
+               condition_number=condition)
 
 
 def fidelity(reference: np.ndarray, reconstructed: np.ndarray) -> float:
@@ -579,45 +566,36 @@ def max_relative_element_error(reference: np.ndarray, reconstructed: np.ndarray,
     return float(np.max(np.abs(rec - ref) / denom))
 
 
-def reference_normalize(system: SpinSystem, reference: Signal1D,
-                        result: TomographyResult,
-                        params: AcquisitionParams) -> TomographyResult:
-    """Rescale fitted coefficients against a pulse-free reference detection.
+def reference_normalize(system: SpinSystem, reference: Signal1D, matrix: np.ndarray,
+                        params: AcquisitionParams) -> tuple:
+    """``(scale, None)``, the factor that fits ``matrix`` to a pulse-free
+    reference detection, or ``(None, reason)`` when there is none.
 
     ``reference`` is the measured :func:`reference_fid` of the input state.
-    The fitted matrix predicts it (its own :func:`reference_fid`); the one
+    The fitted ``matrix`` predicts it (its own :func:`reference_fid`); the one
     scale that fits the prediction to the measurement in least squares
     scales every coefficient.  The prediction lies in the span of the unit
     FIDs, so the scale is that of the two signals' coordinates in any
     :func:`detection_basis` of every line; the significance check takes the
     residual of the whole FID, 2 n_t2 - 1 degrees of freedom, so a register
     with few lines still gets a sharp test.  With ideal pulses the factor is
-    1 to numerical precision.  Normalization is skipped when the reference
-    carries no observable content above its own residual (see
+    1 to numerical precision.  There is no scale when the reference carries
+    no observable content above its own residual (see
     :data:`REFERENCE_MIN_F`), or the fitted observable coefficients are zero.
     """
-    def skipped(reason):
-        return replace(result, scale_factor=None, notes=result.notes + (
-            f"reference normalization skipped: {reason}",))
-
     target = _split(reference.samples)
-    predicted = _split(reference_fid(system, result.matrix, params).samples)
-    if np.linalg.norm(target) <= 1e-12 * max(1.0, float(np.max(np.abs(result.matrix)))):
-        return skipped("no directly observable single-quantum content")
+    predicted = _split(reference_fid(system, matrix, params).samples)
+    if np.linalg.norm(target) <= 1e-12 * max(1.0, float(np.max(np.abs(matrix)))):
+        return None, "no directly observable single-quantum content"
     denom = float(predicted @ predicted)
     if denom <= 0.0:
-        return skipped("fitted observable coefficients are zero")
+        return None, "fitted observable coefficients are zero"
     scale = float(target @ predicted) / denom
     residual = target - scale * predicted
     # mean squares per fitted and per residual degree of freedom
     if scale ** 2 * denom <= REFERENCE_MIN_F * (residual @ residual) / max(len(target) - 1, 1):
-        return skipped("no directly observable single-quantum content")
-
-    coefficients = {label: q * scale for label, q in result.coefficients.items()}
-    matrix = coefficients_to_density(system, coefficients)
-    scores, notes = _score(system, result.reference, coefficients, matrix)
-    return replace(result, coefficients=coefficients, matrix=matrix,
-                   scale_factor=scale, notes=result.notes + notes, **scores)
+        return None, "no directly observable single-quantum content"
+    return scale, None
 
 
 def _score(system: SpinSystem, reference, coefficients: dict, matrix) -> tuple:
@@ -647,7 +625,7 @@ def tomograph_state(system: SpinSystem, rho0: np.ndarray,
                     signal_b: Signal1D | None = None,
                     normalize: bool = True,
                     reference: Signal1D | None = None) -> TomographyResult:
-    """Full pipeline: simulate both experiments, invert, reassemble, score.
+    """Full pipeline: simulate both experiments, invert, assemble, scale, score.
 
     Pre-simulated (possibly noise-added) measurements can be passed in:
     ``signal_a`` as the :func:`fid_coordinates` of the sequence-A signal in
@@ -655,7 +633,9 @@ def tomograph_state(system: SpinSystem, rho0: np.ndarray,
     missing is simulated from ``rho0`` with ideal settings, and the design is
     built in ``signal_a``'s basis when it is given.  Otherwise the input
     state serves only as the scoring reference.  The design lends its basis
-    to the diagonal fit.
+    to the diagonal fit.  The two fits' coefficients are merged once; with
+    ``normalize``, the :func:`reference_normalize` scale multiplies them, and
+    the matrix is assembled from the scaled set and scored once.
     """
     if design is None:
         design = build_design_matrix(system, params,
@@ -667,24 +647,29 @@ def tomograph_state(system: SpinSystem, rho0: np.ndarray,
 
     off = fit_offdiagonal(signal_a, design)
     diag = fit_diagonal(signal_b, system, params, design.basis)
-    matrix = reconstruct(system, off.coefficients, diag.coefficients)
-    coefficients = dict(off.coefficients)
-    coefficients.update(diag.coefficients)
+    coefficients = {**off.coefficients, **diag.coefficients}
+    matrix = coefficients_to_density(system, coefficients)
+    scale, skipped = None, ()
+    if normalize:
+        if reference is None:
+            reference = reference_fid(system, rho0, params)
+        scale, reason = reference_normalize(system, reference, matrix, params)
+        if scale is None:
+            skipped = (f"reference normalization skipped: {reason}",)
+        else:
+            coefficients = {label: q * scale for label, q in coefficients.items()}
+            matrix = coefficients_to_density(system, coefficients)
 
     scores, notes = _score(system, rho0, coefficients, matrix)
-    result = TomographyResult(
+    return TomographyResult(
         coefficients=coefficients,
         matrix=matrix,
         residual_offdiagonal=off.relative_residual,
         residual_diagonal=diag.relative_residual,
-        condition_number=design.condition_number,
+        condition_number=off.condition_number,
         condition_number_diagonal=diag.condition_number,
+        scale_factor=scale,
         reference=rho0,
-        notes=notes,
+        notes=notes + skipped,
         **scores,
     )
-    if normalize:
-        if reference is None:
-            reference = reference_fid(system, rho0, params)
-        result = reference_normalize(system, reference, result, params)
-    return result

@@ -141,6 +141,13 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="duplicate"):
             config_from_dict(payload)
 
+    def test_duplicate_coupling(self):
+        # both keys parse to the pair (1, 2); the later one must not win
+        payload = demo_config()
+        payload["spin_system"]["couplings_hz"] = {"1,2": 200.0, "1, 2": 50.0}
+        with pytest.raises(ConfigError, match="duplicate coupling pair '1,2'"):
+            config_from_dict(payload)
+
     def test_bad_coupling_key(self):
         payload = demo_config()
         payload["spin_system"]["couplings_hz"] = {"12": 200.0}
@@ -189,6 +196,8 @@ class TestConfigParsing:
         ("options", "realistic_gradient", "false", []),
         ("options", "reference_normalize", "false", []),
         ("options", "gradient_tau_max_s", -1, []),
+        ("options", "output_dir", None, []),
+        ("options", "output_dir", 5, []),
         pytest.param("spin_system", "n", 2.5, [], id="n-fractional"),
         pytest.param("spin_system", "n", "2", [], id="n-string"),
         pytest.param("spin_system", "larmor_hz", ["1200", "1800"], [], id="larmor-strings"),
@@ -201,6 +210,8 @@ class TestConfigParsing:
         pytest.param("spin_system", "couplings_hz", {"1,2": 10 ** 400}, [],
                      id="coupling-too-large"),
         pytest.param("spin_system", "couplings_hz", [1, 2], [], id="couplings-list"),
+        pytest.param("spin_system", "couplings_hz", {"1,2": 200.0, "1, 2": 50.0}, [],
+                     id="coupling-duplicate"),
         pytest.param("state", "coefficients", [["x x", "1.5"]], [], id="coefficient-string"),
         pytest.param("state", "coefficients", [["x x", True]], [], id="coefficient-true"),
         pytest.param("state", "coefficients", [["x x", float("nan")]], [],
@@ -610,7 +621,10 @@ class TestTomographCommand:
         assert main(["tomograph", "--config", str(path), "--out", str(out)]) == 0
         result = json.loads((out / "result.json").read_text())
         assert result["fidelity"] is None
-        assert any("skipped" in note for note in result["notes"])
+        # the score's note, then the reference normalization's
+        assert result["notes"] == [
+            "fidelity skipped: zero-norm matrix",
+            "reference normalization skipped: no directly observable single-quantum content"]
         assert np.max(np.abs(np.array(result["matrix_re"]))) < 1e-9
         assert "skipped" in capsys.readouterr().out
 

@@ -11,12 +11,12 @@ from hypothesis import assume, given, settings, strategies as st
 from spintomo import (DegenerateTransitionError, RankDeficiencyError,
                       all_labels, build_design_matrix, build_spin_system,
                       coefficients_to_density, default_acquisition,
-                      detection_basis, diagonal_labels, fid_coordinates,
-                      fidelity, fit_diagonal, fit_offdiagonal,
+                      density_to_coefficients, detection_basis, diagonal_labels,
+                      fid_coordinates, fidelity, fit_diagonal, fit_offdiagonal,
                       max_relative_element_error, offdiagonal_labels,
-                      product_operator, reconstruct, reference_fid,
-                      reference_normalize, rotation_pulse, run_sequence_A,
-                      run_sequence_B, tomograph_state, transition_table)
+                      product_operator, reference_fid, reference_normalize,
+                      rotation_pulse, run_sequence_A, run_sequence_B,
+                      tomograph_state, transition_table)
 from spintomo.cli import config_from_dict, resolve_params
 from spintomo.dynamics import detection_elements, evolution_rates
 from spintomo import experiment
@@ -778,17 +778,16 @@ class TestConditionWarnings:
 
 class TestReconstructAndScores:
     def test_merge(self, two_spin_setup):
-        system, _, _ = two_spin_setup
-        matrix = reconstruct(system, {"xo": 1.0}, {"zo": 2.0})
-        expected = coefficients_to_density(system, {"xo": 1.0, "zo": 2.0})
-        assert np.allclose(matrix, expected)
+        # one dict, off-diagonal labels first, then the diagonal ones
+        system, params, design = two_spin_setup
+        rho0 = coefficients_to_density(system, DEMO_COEFFS)
+        result = tomograph_state(system, rho0, params, design=design, normalize=False)
+        assert list(result.coefficients) == (list(offdiagonal_labels(system.n))
+                                             + list(diagonal_labels(system.n)))
+        matrix = result.matrix
+        assert np.array_equal(matrix, coefficients_to_density(system, result.coefficients))
         assert abs(np.trace(matrix)) < 1e-12
         assert np.allclose(matrix, matrix.conj().T)
-
-    def test_overlap_rejected(self, two_spin_setup):
-        system, _, _ = two_spin_setup
-        with pytest.raises(ValueError, match="overlap"):
-            reconstruct(system, {"xo": 1.0}, {"xo": 2.0})
 
     def test_fidelity_identical(self, two_spin_setup):
         system, _, _ = two_spin_setup
@@ -820,20 +819,18 @@ class TestReferenceNormalize:
         assert result.scale_factor == pytest.approx(1.0, abs=1e-6)
 
     def test_gain_error_corrected(self, two_spin_setup):
-        from dataclasses import replace
         system, params, design = two_spin_setup
         rho0 = coefficients_to_density(system, DEMO_COEFFS)
         result = tomograph_state(system, rho0, params, design=design,
                                  normalize=False)
         for gain in (2.0, 1.01):
-            skewed = replace(
-                result,
-                coefficients={k: gain * v for k, v in result.coefficients.items()},
-                matrix=gain * result.matrix)
-            fixed = reference_normalize(system, reference_fid(system, rho0, params),
-                                        skewed, params)
-            assert fixed.scale_factor == pytest.approx(1.0 / gain, rel=1e-6)
-            assert fixed.max_relative_element_error < 1e-3
+            scale, reason = reference_normalize(system, reference_fid(system, rho0, params),
+                                                gain * result.matrix, params)
+            assert reason is None
+            assert scale == pytest.approx(1.0 / gain, rel=1e-6)
+            fixed = coefficients_to_density(
+                system, {k: scale * gain * v for k, v in result.coefficients.items()})
+            assert max_relative_element_error(rho0, fixed) < 1e-3
 
     def test_scale_follows_measured_reference(self, two_spin_setup):
         # the scale comes from the reference handed in, not from the input
@@ -901,14 +898,35 @@ class TestReferenceNormalize:
         rho0 = coefficients_to_density(system, DEMO_COEFFS)
         result = tomograph_state(system, rho0, params, design=design,
                                  normalize=False)
-        skewed = replace(result,
-                         coefficients={k: 2.0 * v for k, v in result.coefficients.items()},
-                         matrix=2.0 * result.matrix)
         short = replace(params, n_t2=3)
-        fixed = reference_normalize(system, reference_fid(system, rho0, short),
-                                    skewed, short)
-        assert fixed.scale_factor == pytest.approx(0.5, rel=1e-9)
-        assert fixed.max_coefficient_error <= 1e-9
+        scale, reason = reference_normalize(system, reference_fid(system, rho0, short),
+                                            2.0 * result.matrix, short)
+        assert reason is None
+        assert scale == pytest.approx(0.5, rel=1e-9)
+        fitted = result.coefficients
+        assert max(abs(scale * 2.0 * fitted[label] - q)
+                   for label, q in density_to_coefficients(system, rho0).items()) <= 1e-9
+
+    def test_scaled_result_is_the_unscaled_fit_times_the_scale(self):
+        # the scale multiplies the merged coefficients once, and the matrix is
+        # assembled from the scaled set: both bit for bit, labels in fit order
+        system = build_spin_system(2, TWO_SPIN_LARMOR, {(1, 2): TWO_SPIN_J}, TWO_SPIN_T2)
+        params = default_acquisition(system, n_t1=64, n_t2=128)
+        design = build_design_matrix(system, params)
+        rho0 = coefficients_to_density(system, DEMO_COEFFS)
+        rng = np.random.default_rng(3)
+        reference = reference_fid(system, rho0, params)
+        reference.samples = reference.samples + 0.01 / np.sqrt(2.0) * (
+            rng.standard_normal(params.n_t2) + 1j * rng.standard_normal(params.n_t2))
+        unscaled = tomograph_state(system, rho0, params, design=design, normalize=False)
+        result = tomograph_state(system, rho0, params, design=design, reference=reference)
+        scale = result.scale_factor
+        assert scale == pytest.approx(1.0000609, abs=1e-7)
+        assert list(result.coefficients.items()) == [
+            (label, q * scale) for label, q in unscaled.coefficients.items()]
+        assert np.array_equal(result.matrix,
+                              coefficients_to_density(system, result.coefficients))
+        assert result.notes == ()
 
     def test_skips_without_observable_content(self, two_spin_setup):
         system, params, design = two_spin_setup
@@ -956,17 +974,15 @@ class TestReferenceNormalize:
         params = default_acquisition(system, n_t1=16, n_t2=128)
         rho0 = coefficients_to_density(system, {"z": 1.0})
         base = tomograph_state(system, rho0, params, normalize=False)
-        fitted = {**base.coefficients, "x": 0.3}
-        result = replace(base, coefficients=fitted,
-                         matrix=coefficients_to_density(system, fitted))
+        matrix = coefficients_to_density(system, {**base.coefficients, "x": 0.3})
         rng = np.random.default_rng(7)
         for _ in range(40):
             reference = reference_fid(system, rho0, params)
             reference.samples = 1e-3 / np.sqrt(2.0) * (
                 rng.standard_normal(params.n_t2) + 1j * rng.standard_normal(params.n_t2))
-            fixed = reference_normalize(system, reference, result, params)
-            assert fixed.scale_factor is None
-            assert fixed.coefficients == result.coefficients
+            scale, reason = reference_normalize(system, reference, matrix, params)
+            assert scale is None
+            assert reason == "no directly observable single-quantum content"
 
 
 class TestEndToEnd:
