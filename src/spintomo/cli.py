@@ -159,8 +159,9 @@ def config_from_dict(raw: dict) -> RunConfig:
                                   f"got {opt_block[key]!r}")
             setattr(options, key, opt_block[key])
     options.output_dir = opt_block.get("output_dir", options.output_dir)
-    if not isinstance(options.output_dir, str):
-        raise ConfigError(f"'options.output_dir' must be a string, got {options.output_dir!r}")
+    if not isinstance(options.output_dir, str) or not options.output_dir:
+        raise ConfigError(f"'options.output_dir' must be a non-empty string, "
+                          f"got {options.output_dir!r}")
 
     return RunConfig(system=system, coefficients=coefficients,
                      acquisition=acq, options=options)
@@ -475,10 +476,9 @@ def cmd_tomograph(cfg: RunConfig, out: Path) -> int:
     design = build_design_matrix(cfg.system, params, coordinates.basis)
     _write_json(out / "design_summary.json", _design_summary(design))
 
-    result = tomograph_state(cfg.system, rho0, params, design=design,
-                             signal_a=coordinates, signal_b=signal_b,
-                             normalize=cfg.options.reference_normalize,
-                             reference=reference)
+    result = tomograph_state(design, coordinates, signal_b,
+                             reference if cfg.options.reference_normalize else None,
+                             truth=rho0)
     _write_json(out / "result.json", result.to_json_dict())
     _write_report(out / "report.txt", result, cfg)
 
@@ -531,6 +531,8 @@ def main(argv=None) -> int:
         cfg = parse_config(args.config)
         if args.seed is not None:
             cfg.options.seed = _config_int(args.seed, "--seed", 0)
+        if args.out == "":
+            raise ConfigError("cannot create output directory '': the path is empty")
         out = Path(args.out) if args.out is not None else Path(cfg.options.output_dir)
         try:
             out.mkdir(parents=True, exist_ok=True)

@@ -1,4 +1,4 @@
-"""Forward-model inversion of the simulated measurements.
+"""Forward-model inversion of the two measurements.
 
 Every signal the pipeline fits -- each t1 row of sequence A, sequence B and
 the reference -- is a sum of the detected elements' unit FIDs
@@ -26,7 +26,8 @@ overlapping lines, without any lineshape algebra.
 Diagonal coefficients come from the one-dimensional data the same way:
 signal B's coordinates are fit against those of each diagonal basis operator
 at the same pulse angle.  The pulse-free reference FID then sets one global
-scale against the reference the fitted matrix predicts.
+scale against the reference the fitted matrix predicts.  The inversion reads
+the measurements and the design only, never the input state.
 """
 
 from __future__ import annotations
@@ -42,8 +43,7 @@ from .core import (SpinSystem, coefficients_to_density, density_to_coefficients,
 from .dynamics import evolution_rates
 from .errors import RankDeficiencyError
 from .experiment import (T2_BLOCK_ROWS, AcquisitionParams, Signal1D, Signal2D,
-                         check_nyquist, detection_fids, reference_fid,
-                         run_sequence_A, run_sequence_B, sequence_A_map,
+                         check_nyquist, detection_fids, reference_fid, sequence_A_map,
                          sequence_B_map, t1_blocks, t1_factors, transition_table)
 
 log = logging.getLogger(__name__)
@@ -420,15 +420,14 @@ def _nullspace_labels(labels, null_vectors: np.ndarray) -> tuple:
     return tuple(label for label, w in zip(labels, weights) if w > 0.1)
 
 
-def _check_signal_matches_design(signal: FidCoordinates, design: DesignMatrix) -> None:
-    system = signal.meta.get("system")
+def _check_meta(meta: dict, design: DesignMatrix) -> None:
+    """Refuse a measurement recorded on another register or grid than the design's."""
+    system = meta.get("system")
     if system is not None and system != design.system.to_dict():
         raise ValueError("signal was recorded on a different spin system than the design matrix")
-    params = signal.meta.get("params")
+    params = meta.get("params")
     if params is not None and params != design.params.to_dict():
         raise ValueError("signal acquisition parameters differ from the design matrix")
-    if not np.array_equal(signal.basis, design.basis):
-        raise ValueError("signal coordinates were taken in another basis than the design's")
 
 
 def fit_offdiagonal(signal: FidCoordinates, design: DesignMatrix) -> Fit:
@@ -441,7 +440,9 @@ def fit_offdiagonal(signal: FidCoordinates, design: DesignMatrix) -> Fit:
     The solve reuses the design's stored eigenpairs, and the fit reports
     the design's condition number.
     """
-    _check_signal_matches_design(signal, design)
+    _check_meta(signal.meta, design)
+    if not np.array_equal(signal.basis, design.basis):
+        raise ValueError("signal coordinates were taken in another basis than the design's")
     if not design.is_full_rank:
         bad = design.unsolved_labels
         raise RankDeficiencyError(
@@ -490,22 +491,20 @@ def _diagonal_response_matrix(system: SpinSystem, params: AcquisitionParams,
     return labels, _split(signals @ basis.conj()).T
 
 
-def fit_diagonal(signal: Signal1D, system: SpinSystem,
-                 params: AcquisitionParams, basis=None) -> Fit:
+def fit_diagonal(signal: Signal1D, design: DesignMatrix) -> Fit:
     """Recover the 2^n - 1 diagonal coefficients from the 1D readout.
 
-    Signal B's coordinates in ``basis``, the :func:`detection_basis` of every
-    line (computed when not given), are fit against the simulated
-    coordinates of each diagonal basis operator at the same beta, so the
+    Signal B's coordinates in the design's ``basis``, which spans every line,
+    are fit against the forward-model coordinates of each diagonal basis
+    operator on the design's register and at its beta, so the
     finite-pulse-angle terms cancel exactly; the linear-response
     approximation never enters.  Overlapping lines are absorbed by that
-    shared forward model, so there is no overlap check; only a singular
-    response is refused.
+    shared forward model, so there is no overlap check.  Only a singular
+    response, or a signal recorded on another register or grid, is refused.
     """
-    if basis is None:
-        basis = detection_basis(system, params)
-    labels, response = _diagonal_response_matrix(system, params, basis)
-    target = _split(signal.samples @ basis.conj())
+    _check_meta(signal.meta, design)
+    labels, response = _diagonal_response_matrix(design.system, design.params, design.basis)
+    target = _split(signal.samples @ design.basis.conj())
 
     solution, _, _, svals = np.linalg.lstsq(response, target, rcond=None)
     if svals[0] == 0 or svals[-1] <= svals[0] * 1e-10:
@@ -619,48 +618,36 @@ def _score(system: SpinSystem, reference, coefficients: dict, matrix) -> tuple:
     return scores, ()
 
 
-def tomograph_state(system: SpinSystem, rho0: np.ndarray,
-                    params: AcquisitionParams, design: DesignMatrix | None = None,
-                    signal_a: FidCoordinates | None = None,
-                    signal_b: Signal1D | None = None,
-                    normalize: bool = True,
-                    reference: Signal1D | None = None) -> TomographyResult:
-    """Full pipeline: simulate both experiments, invert, assemble, scale, score.
+def tomograph_state(design: DesignMatrix, signal_a: FidCoordinates, signal_b: Signal1D,
+                    reference: Signal1D | None = None, truth=None) -> TomographyResult:
+    """Invert the two measurements: fit, assemble, scale, score.
 
-    Pre-simulated (possibly noise-added) measurements can be passed in:
-    ``signal_a`` as the :func:`fid_coordinates` of the sequence-A signal in
-    the design's ``basis``, ``signal_b`` and the reference FID.  Whatever is
-    missing is simulated from ``rho0`` with ideal settings, and the design is
-    built in ``signal_a``'s basis when it is given.  Otherwise the input
-    state serves only as the scoring reference.  The design lends its basis
-    to the diagonal fit.  The two fits' coefficients are merged once; with
-    ``normalize``, the :func:`reference_normalize` scale multiplies them, and
-    the matrix is assembled from the scaled set and scored once.
+    ``signal_a`` is the :func:`fid_coordinates` of the sequence-A signal in
+    the design's ``basis`` and ``signal_b`` the sequence-B FID; the register
+    and acquisition are the design's, and every measurement recorded on
+    another is refused.  Nothing is simulated.  The two fits' coefficients
+    are merged once.  With a measured ``reference`` FID the
+    :func:`reference_normalize` scale multiplies them; without one they stay
+    as fitted.  The matrix is assembled from that set.  ``truth``, the input
+    state when it is known, is read only to score the result and is kept as
+    its ``reference``; without it every score is None.
     """
-    if design is None:
-        design = build_design_matrix(system, params,
-                                     basis=None if signal_a is None else signal_a.basis)
-    if signal_a is None:
-        signal_a = fid_coordinates(run_sequence_A(system, rho0, params), design.basis)
-    if signal_b is None:
-        signal_b = run_sequence_B(system, rho0, params)
-
+    system = design.system
     off = fit_offdiagonal(signal_a, design)
-    diag = fit_diagonal(signal_b, system, params, design.basis)
+    diag = fit_diagonal(signal_b, design)
     coefficients = {**off.coefficients, **diag.coefficients}
     matrix = coefficients_to_density(system, coefficients)
     scale, skipped = None, ()
-    if normalize:
-        if reference is None:
-            reference = reference_fid(system, rho0, params)
-        scale, reason = reference_normalize(system, reference, matrix, params)
+    if reference is not None:
+        _check_meta(reference.meta, design)
+        scale, reason = reference_normalize(system, reference, matrix, design.params)
         if scale is None:
             skipped = (f"reference normalization skipped: {reason}",)
         else:
             coefficients = {label: q * scale for label, q in coefficients.items()}
             matrix = coefficients_to_density(system, coefficients)
 
-    scores, notes = _score(system, rho0, coefficients, matrix)
+    scores, notes = _score(system, truth, coefficients, matrix)
     return TomographyResult(
         coefficients=coefficients,
         matrix=matrix,
@@ -669,7 +656,7 @@ def tomograph_state(system: SpinSystem, rho0: np.ndarray,
         condition_number=off.condition_number,
         condition_number_diagonal=diag.condition_number,
         scale_factor=scale,
-        reference=rho0,
+        reference=truth,
         notes=notes + skipped,
         **scores,
     )

@@ -198,6 +198,7 @@ class TestConfigParsing:
         ("options", "gradient_tau_max_s", -1, []),
         ("options", "output_dir", None, []),
         ("options", "output_dir", 5, []),
+        pytest.param("options", "output_dir", "", [], id="options-output_dir-empty"),
         pytest.param("spin_system", "n", 2.5, [], id="n-fractional"),
         pytest.param("spin_system", "n", "2", [], id="n-string"),
         pytest.param("spin_system", "larmor_hz", ["1200", "1800"], [], id="larmor-strings"),
@@ -244,14 +245,17 @@ class TestConfigParsing:
         assert f"config error: '{block}' must be a JSON object" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    def test_uncreatable_output_dir_exits_2(self, tmp_path, capsys):
-        # an existing file, and a path under it, given by --out or the config
+    def test_uncreatable_output_dir_exits_2(self, tmp_path, capsys, monkeypatch):
+        # an existing file, and a path under it, given by --out or the config,
+        # and an empty --out, which would be the working directory
+        monkeypatch.chdir(tmp_path)
         blocker = tmp_path / "file"
         blocker.write_text("kept")
         payload = demo_config(n_t1=32, n_t2=64, output_dir=str(blocker / "sub"))
         path = write_config(tmp_path, payload)
         for command in ("simulate", "tomograph", "basis"):
-            for out in (["--out", str(blocker)], ["--out", str(blocker / "sub")], []):
+            for out in (["--out", str(blocker)], ["--out", str(blocker / "sub")], [],
+                        ["--out", ""]):
                 assert main([command, "--config", str(path), *out]) == 2
                 err = capsys.readouterr().err
                 assert err.startswith("config error: cannot create output directory")
@@ -396,9 +400,9 @@ class TestSimulateCommand:
             finally:
                 tracemalloc.stop()
 
-        def fit(*args, signal_a, **kwargs):
+        def fit(design, signal_a, *args, **kwargs):
             seen["coordinates"] = signal_a
-            return tomograph_state(*args, signal_a=signal_a, **kwargs)
+            return tomograph_state(design, signal_a, *args, **kwargs)
 
         monkeypatch.setattr(spintomo.cli, "_simulate_signals", simulate)
         monkeypatch.setattr(spintomo.cli, "_export_simulation", export)
@@ -572,7 +576,7 @@ class TestTomographCommand:
         cfg = parse_config(path)
         params = resolve_params(cfg)
         _, _, signal_b, _ = _simulate_signals(cfg, params)
-        expected = fit_diagonal(signal_b, cfg.system, params).coefficients
+        expected = fit_diagonal(signal_b, build_design_matrix(cfg.system, params)).coefficients
         assert len(calls) == 2
         result = dict(json.loads((tmp_path / "out" / "result.json").read_text())["coefficients"])
         for label in diagonal_labels(cfg.system.n):
@@ -594,12 +598,13 @@ class TestTomographCommand:
             rho0, signal_a, signal_b, reference = _simulate_signals(cfg, params)
             noise = reference.samples - reference_fid(cfg.system, rho0, params).samples
             assert np.std(noise) == pytest.approx(0.05, rel=0.2)
-            signal_a = fid_coordinates(signal_a, detection_basis(cfg.system, params))
+            design = build_design_matrix(cfg.system, params)
+            signal_a = fid_coordinates(signal_a, design.basis)
             scales = {
-                name: tomograph_state(cfg.system, rho0, params,
-                                      signal_a=signal_a, signal_b=signal_b,
-                                      reference=measured).scale_factor
-                for name, measured in (("noisy", reference), ("clean", None))}
+                name: tomograph_state(design, signal_a, signal_b, measured,
+                                      truth=rho0).scale_factor
+                for name, measured in (("noisy", reference),
+                                       ("clean", reference_fid(cfg.system, rho0, params)))}
         assert result["scale_factor"] == scales["noisy"]
         assert scales["noisy"] != scales["clean"]
 
@@ -690,9 +695,8 @@ class TestTomographCommand:
             rho0, signal_a, signal_b, reference = _simulate_signals(cfg, params)
             design = build_design_matrix(cfg.system, params)
             expected = tomograph_state(
-                cfg.system, rho0, params, design=design,
-                signal_a=fid_coordinates(signal_a, design.basis), signal_b=signal_b,
-                normalize=cfg.options.reference_normalize, reference=reference)
+                design, fid_coordinates(signal_a, design.basis), signal_b,
+                reference if cfg.options.reference_normalize else None, truth=rho0)
         assert code == 0
         result = json.loads((out / "result.json").read_text())
         assert result["coefficients"] == expected.to_json_dict()["coefficients"]

@@ -30,7 +30,8 @@ from spintomo.tomography import (CONDITION_WARN_THRESHOLD, RANK_TOL,
 
 from conftest import (DEMO_COEFFS, FOUR_SPIN_COUPLINGS, FOUR_SPIN_LARMOR,
                       FOUR_SPIN_STATE, TWO_SPIN_J, TWO_SPIN_LARMOR, TWO_SPIN_T2,
-                      dense_design, fit_t1_trace, line_traces, random_coefficients,
+                      dense_design, fit_t1_trace, line_traces, noiseless_measurements,
+                      noiseless_tomography, random_coefficients,
                       random_hermitian_traceless, reference_sequence_a,
                       reference_sequence_b)
 
@@ -170,9 +171,8 @@ class TestForwardModelProperties:
             assume(design.is_full_rank
                    and design.condition_number <= ROUND_TRIP_MAX_KAPPA)
             try:
-                result = tomograph_state(
-                    system, coefficients_to_density(system, coefficients), params,
-                    design=design)
+                result = noiseless_tomography(
+                    design, coefficients_to_density(system, coefficients))
             except RankDeficiencyError:
                 assume(False)  # lines too close for the diagonal fit
         assume(result.condition_number_diagonal <= ROUND_TRIP_MAX_KAPPA)
@@ -670,17 +670,17 @@ class TestFitOffdiagonal:
 
 class TestFitDiagonal:
     def test_demo_state(self, two_spin_setup):
-        system, params, _ = two_spin_setup
+        system, params, design = two_spin_setup
         rho0 = coefficients_to_density(system, DEMO_COEFFS)
-        fit = fit_diagonal(run_sequence_B(system, rho0, params), system, params)
+        fit = fit_diagonal(run_sequence_B(system, rho0, params), design)
         assert fit.coefficients["zo"] == pytest.approx(1.0, rel=5e-3)
         assert fit.coefficients["oz"] == pytest.approx(2.3, rel=5e-3)
         assert fit.coefficients["zz"] == pytest.approx(6.7, rel=5e-3)
 
     def test_zero_diagonal(self, two_spin_setup):
-        system, params, _ = two_spin_setup
+        system, params, design = two_spin_setup
         rho0 = product_operator(system, "xy")
-        fit = fit_diagonal(run_sequence_B(system, rho0, params), system, params)
+        fit = fit_diagonal(run_sequence_B(system, rho0, params), design)
         assert all(abs(v) <= 1e-10 for v in fit.coefficients.values())
 
     def test_random_round_trip_small_beta(self, two_spin_setup):
@@ -689,7 +689,8 @@ class TestFitDiagonal:
         rng = np.random.default_rng(44)
         truth = random_coefficients(rng, diagonal_labels(2))
         rho0 = coefficients_to_density(system, truth)
-        fit = fit_diagonal(run_sequence_B(system, rho0, params), system, params)
+        fit = fit_diagonal(run_sequence_B(system, rho0, params),
+                           build_design_matrix(system, params))
         scale = max(abs(v) for v in truth.values())
         for label, value in truth.items():
             assert abs(fit.coefficients[label] - value) <= 1e-3 * scale
@@ -702,25 +703,39 @@ class TestFitDiagonal:
         results = {}
         for beta_deg in (10.0, 1.0):
             params = default_acquisition(system, beta_rad=np.radians(beta_deg))
-            fit = fit_diagonal(run_sequence_B(system, rho0, params), system, params)
+            fit = fit_diagonal(run_sequence_B(system, rho0, params),
+                               build_design_matrix(system, params))
             results[beta_deg] = fit.coefficients
         for label in diagonal_labels(2):
             assert results[10.0][label] == pytest.approx(results[1.0][label],
                                                          abs=1e-6)
 
     def test_offdiagonal_perturbation_ignored(self, two_spin_setup):
-        system, params, _ = two_spin_setup
+        system, params, design = two_spin_setup
         diag = {"zo": 1.5, "oz": -2.0, "zz": 3.0}
         base = fit_diagonal(
-            run_sequence_B(system, coefficients_to_density(system, diag), params),
-            system, params)
+            run_sequence_B(system, coefficients_to_density(system, diag), params), design)
         noisy = dict(diag)
         noisy.update({"xx": 4.0, "xo": -1.0, "zy": 2.5})
         again = fit_diagonal(
-            run_sequence_B(system, coefficients_to_density(system, noisy), params),
-            system, params)
+            run_sequence_B(system, coefficients_to_density(system, noisy), params), design)
         for label in diagonal_labels(2):
             assert abs(base.coefficients[label] - again.coefficients[label]) <= 1e-10
+
+    def test_other_spin_system_rejected(self, two_spin_setup):
+        # signal B of a register with spin 1 at 1250 Hz, not 1200 Hz, would
+        # be fitted with wrong coefficients (zo 0.28, not 1.0) and a residual
+        # of 0.54
+        system, params, design = two_spin_setup
+        other = build_spin_system(2, (1250.0, TWO_SPIN_LARMOR[1]), {(1, 2): TWO_SPIN_J},
+                                  TWO_SPIN_T2)
+        signal = run_sequence_B(other, coefficients_to_density(other, DEMO_COEFFS), params)
+        with pytest.raises(ValueError, match="different spin system"):
+            fit_diagonal(signal, design)
+        signal.meta = {**signal.meta, "system": system.to_dict(),
+                       "params": {**params.to_dict(), "n_t2": 64}}
+        with pytest.raises(ValueError, match="acquisition parameters"):
+            fit_diagonal(signal, design)
 
     def test_four_spin_overlap_absorbed_without_warning(self):
         # 4-qubit lines sit closer than the 32 Hz linewidth; the shared
@@ -730,7 +745,7 @@ class TestFitDiagonal:
         rho0 = coefficients_to_density(system, FOUR_SPIN_STATE)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            result = tomograph_state(system, rho0, params)
+            result = noiseless_tomography(build_design_matrix(system, params), rho0)
         assert not [w for w in caught if "closer than" in str(w.message)]
         # kappa is 3.6e6 on this grid; the largest error, 1.4e-9, is the
         # same as a QR solve of the dense design gives
@@ -751,7 +766,7 @@ class TestConditionWarnings:
         rho0 = coefficients_to_density(system, DEMO_COEFFS)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            result = tomograph_state(system, rho0, params)
+            result = noiseless_tomography(build_design_matrix(system, params), rho0)
         return result, [str(w.message) for w in caught if "condition number" in str(w.message)]
 
     def test_reference_scale_does_not_warn(self):
@@ -770,8 +785,7 @@ class TestConditionWarnings:
         system, params, design = two_spin_setup
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            result = tomograph_state(system, coefficients_to_density(system, DEMO_COEFFS),
-                                     params, design=design)
+            result = noiseless_tomography(design, coefficients_to_density(system, DEMO_COEFFS))
         assert result.scale_factor is not None
         assert not [w for w in caught if "condition number" in str(w.message)]
 
@@ -781,7 +795,7 @@ class TestReconstructAndScores:
         # one dict, off-diagonal labels first, then the diagonal ones
         system, params, design = two_spin_setup
         rho0 = coefficients_to_density(system, DEMO_COEFFS)
-        result = tomograph_state(system, rho0, params, design=design, normalize=False)
+        result = noiseless_tomography(design, rho0, normalize=False)
         assert list(result.coefficients) == (list(offdiagonal_labels(system.n))
                                              + list(diagonal_labels(system.n)))
         matrix = result.matrix
@@ -814,15 +828,13 @@ class TestReferenceNormalize:
     def test_ideal_scale_is_unity(self, two_spin_setup):
         system, params, design = two_spin_setup
         rho0 = coefficients_to_density(system, DEMO_COEFFS)
-        result = tomograph_state(system, rho0, params, design=design,
-                                 normalize=True)
+        result = noiseless_tomography(design, rho0)
         assert result.scale_factor == pytest.approx(1.0, abs=1e-6)
 
     def test_gain_error_corrected(self, two_spin_setup):
         system, params, design = two_spin_setup
         rho0 = coefficients_to_density(system, DEMO_COEFFS)
-        result = tomograph_state(system, rho0, params, design=design,
-                                 normalize=False)
+        result = noiseless_tomography(design, rho0, normalize=False)
         for gain in (2.0, 1.01):
             scale, reason = reference_normalize(system, reference_fid(system, rho0, params),
                                                 gain * result.matrix, params)
@@ -840,8 +852,9 @@ class TestReferenceNormalize:
         rho0 = coefficients_to_density(system, DEMO_COEFFS)
         louder = coefficients_to_density(
             system, {label: 1.5 * value for label, value in DEMO_COEFFS.items()})
-        result = tomograph_state(system, rho0, params, design=design,
-                                 reference=reference_fid(system, louder, params))
+        signal_a, signal_b, _ = noiseless_measurements(design, rho0)
+        result = tomograph_state(design, signal_a, signal_b,
+                                 reference_fid(system, louder, params), truth=rho0)
         assert result.scale_factor == pytest.approx(1.5, rel=1e-9)
         for label, value in DEMO_COEFFS.items():
             assert result.coefficients[label] == pytest.approx(1.5 * value, rel=1e-6)
@@ -869,12 +882,23 @@ class TestReferenceNormalize:
             reference = replace(clean_ref, samples=noisy(clean_ref.samples))
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                result = tomograph_state(system, rho0, params, design=design,
-                                         signal_a=signal_a, signal_b=signal_b,
-                                         reference=reference)
+                result = tomograph_state(design, signal_a, signal_b, reference,
+                                         truth=rho0)
             scales.append(result.scale_factor)
         assert abs(np.mean(scales) - 1.0) <= 1e-3
         assert np.std(scales) > 0
+
+    def test_reference_of_other_register_rejected(self, two_spin_setup):
+        # a reference recorded on another register is refused, not fitted:
+        # this one would scale every coefficient by 0.71
+        system, params, design = two_spin_setup
+        rho0 = coefficients_to_density(system, DEMO_COEFFS)
+        signal_a, signal_b, _ = noiseless_measurements(design, rho0)
+        other = build_spin_system(2, (1250.0, TWO_SPIN_LARMOR[1]), {(1, 2): TWO_SPIN_J},
+                                  TWO_SPIN_T2)
+        reference = reference_fid(other, coefficients_to_density(other, DEMO_COEFFS), params)
+        with pytest.raises(ValueError, match="different spin system"):
+            tomograph_state(design, signal_a, signal_b, reference, truth=rho0)
 
     def test_skips_on_noise_only_reference(self, two_spin_setup):
         # a reference holding only noise gives no scale, rather than one
@@ -885,8 +909,8 @@ class TestReferenceNormalize:
         reference = reference_fid(system, rho0, params)
         reference.samples = 1e-3 * (rng.standard_normal(params.n_t2)
                                     + 1j * rng.standard_normal(params.n_t2))
-        result = tomograph_state(system, rho0, params, design=design,
-                                 reference=reference)
+        signal_a, signal_b, _ = noiseless_measurements(design, rho0)
+        result = tomograph_state(design, signal_a, signal_b, reference, truth=rho0)
         assert result.scale_factor is None
         assert any("skipped" in note for note in result.notes)
 
@@ -896,8 +920,7 @@ class TestReferenceNormalize:
         # the fitted coefficients predict
         system, params, design = two_spin_setup
         rho0 = coefficients_to_density(system, DEMO_COEFFS)
-        result = tomograph_state(system, rho0, params, design=design,
-                                 normalize=False)
+        result = noiseless_tomography(design, rho0, normalize=False)
         short = replace(params, n_t2=3)
         scale, reason = reference_normalize(system, reference_fid(system, rho0, short),
                                             2.0 * result.matrix, short)
@@ -918,8 +941,9 @@ class TestReferenceNormalize:
         reference = reference_fid(system, rho0, params)
         reference.samples = reference.samples + 0.01 / np.sqrt(2.0) * (
             rng.standard_normal(params.n_t2) + 1j * rng.standard_normal(params.n_t2))
-        unscaled = tomograph_state(system, rho0, params, design=design, normalize=False)
-        result = tomograph_state(system, rho0, params, design=design, reference=reference)
+        signal_a, signal_b, _ = noiseless_measurements(design, rho0)
+        unscaled = tomograph_state(design, signal_a, signal_b, truth=rho0)
+        result = tomograph_state(design, signal_a, signal_b, reference, truth=rho0)
         scale = result.scale_factor
         assert scale == pytest.approx(1.0000609, abs=1e-7)
         assert list(result.coefficients.items()) == [
@@ -931,8 +955,7 @@ class TestReferenceNormalize:
     def test_skips_without_observable_content(self, two_spin_setup):
         system, params, design = two_spin_setup
         rho0 = coefficients_to_density(system, {"zz": 4.0, "xx": 1.0})
-        result = tomograph_state(system, rho0, params, design=design,
-                                 normalize=True)
+        result = noiseless_tomography(design, rho0)
         assert result.scale_factor is None
         assert any("skipped" in note for note in result.notes)
 
@@ -955,12 +978,11 @@ class TestReferenceNormalize:
         signal_b.samples = noisy(signal_b.samples)
         reference = reference_fid(system, rho0, params)
         reference.samples = noisy(reference.samples)
-        kwargs = dict(design=design, signal_a=fid_coordinates(signal_a, design.basis),
-                      signal_b=signal_b, reference=reference)
+        measured = (fid_coordinates(signal_a, design.basis), signal_b)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            result = tomograph_state(system, rho0, params, **kwargs)
-            unscaled = tomograph_state(system, rho0, params, normalize=False, **kwargs)
+            result = tomograph_state(design, *measured, reference, truth=rho0)
+            unscaled = tomograph_state(design, *measured, truth=rho0)
         assert result.scale_factor is None
         assert any("no directly observable" in note for note in result.notes)
         assert result.coefficients == unscaled.coefficients
@@ -973,7 +995,7 @@ class TestReferenceNormalize:
         system = build_spin_system(1, [500.0], {}, 0.010)
         params = default_acquisition(system, n_t1=16, n_t2=128)
         rho0 = coefficients_to_density(system, {"z": 1.0})
-        base = tomograph_state(system, rho0, params, normalize=False)
+        base = noiseless_tomography(build_design_matrix(system, params), rho0, normalize=False)
         matrix = coefficients_to_density(system, {**base.coefficients, "x": 0.3})
         rng = np.random.default_rng(7)
         for _ in range(40):
@@ -990,39 +1012,72 @@ class TestEndToEnd:
         system = build_spin_system(1, [500.0], {}, 0.010)
         params = default_acquisition(system, n_t1=64, n_t2=128)
         rho0 = coefficients_to_density(system, {"x": 1.0, "y": -0.5, "z": 2.0})
-        result = tomograph_state(system, rho0, params)
+        result = noiseless_tomography(build_design_matrix(system, params), rho0)
         assert result.fidelity >= 0.9999
         assert result.max_relative_element_error <= 1e-3
 
     def test_demo_state_pipeline(self, two_spin_setup):
         system, params, design = two_spin_setup
         rho0 = coefficients_to_density(system, DEMO_COEFFS)
-        result = tomograph_state(system, rho0, params, design=design)
+        result = noiseless_tomography(design, rho0)
         assert result.fidelity >= 0.9999
         assert result.max_relative_element_error <= 1e-3
         assert abs(np.trace(result.matrix)) < 1e-10
         assert np.max(np.abs(result.matrix - result.matrix.conj().T)) < 1e-10
 
     def test_design_built_in_the_coordinates_basis(self, two_spin_setup):
-        # without a design, tomograph_state builds one in the basis signal A's
-        # coordinates were taken in, not in a second SVD that must match it
-        # bit for bit; any basis of the span gives the same coefficients
+        # a design built in the basis Q U that signal A's coordinates were
+        # taken in fits them, with signal B read in the same basis; any
+        # basis of the span gives the same coefficients
         system, params, design = two_spin_setup
         rho0 = coefficients_to_density(system, DEMO_COEFFS)
         rng = np.random.default_rng(16)
         rank = design.basis.shape[1]
         unitary, _ = np.linalg.qr(rng.standard_normal((rank, rank))
                                   + 1j * rng.standard_normal((rank, rank)))
-        signal = run_sequence_A(system, rho0, params)
-        fits = [tomograph_state(system, rho0, params, signal_a=fid_coordinates(signal, basis),
-                                normalize=False).coefficients
+        signal_a = run_sequence_A(system, rho0, params)
+        signal_b = run_sequence_B(system, rho0, params)
+        fits = [tomograph_state(build_design_matrix(system, params, basis),
+                                fid_coordinates(signal_a, basis), signal_b).coefficients
                 for basis in (design.basis, design.basis @ unitary)]
         assert max(abs(fits[0][l] - fits[1][l]) for l in fits[0]) <= 1e-12
+
+    def test_truth_is_read_only_to_score(self, two_spin_setup):
+        # the same measurements scored against the state and against twice
+        # the state give the same fit, scale included: only the scores move
+        system, params, design = two_spin_setup
+        rho0 = coefficients_to_density(system, DEMO_COEFFS)
+        measured = noiseless_measurements(design, rho0)
+        results = [tomograph_state(design, *measured, truth=truth)
+                   for truth in (rho0, 2.0 * rho0)]
+        assert results[0].coefficients == results[1].coefficients
+        assert results[0].scale_factor == results[1].scale_factor == pytest.approx(1.0, abs=1e-9)
+        assert results[0].coefficients["xo"] == pytest.approx(1.0, abs=1e-9)
+        assert results[0].max_coefficient_error <= 1e-9
+        assert results[1].max_coefficient_error > 1.0
+
+    def test_without_truth_no_scores(self, two_spin_setup):
+        # the truth fills the scores only: without it the fit, matrix,
+        # residuals and scale are bit for bit the same and every score is None
+        system, params, design = two_spin_setup
+        rho0 = coefficients_to_density(system, DEMO_COEFFS)
+        measured = noiseless_measurements(design, rho0)
+        scored = tomograph_state(design, *measured, truth=rho0)
+        result = tomograph_state(design, *measured)
+        assert list(result.coefficients.items()) == list(scored.coefficients.items())
+        assert np.array_equal(result.matrix, scored.matrix)
+        for name in ("residual_offdiagonal", "residual_diagonal", "condition_number",
+                     "condition_number_diagonal", "scale_factor", "notes"):
+            assert getattr(result, name) == getattr(scored, name)
+        for name in ("fidelity", "reference", "element_errors",
+                     "max_relative_element_error", "max_coefficient_error"):
+            assert getattr(result, name) is None
+            assert getattr(scored, name) is not None
 
     def test_result_json_payload(self, two_spin_setup):
         system, params, design = two_spin_setup
         rho0 = coefficients_to_density(system, DEMO_COEFFS)
-        result = tomograph_state(system, rho0, params, design=design)
+        result = noiseless_tomography(design, rho0)
         payload = result.to_json_dict()
         assert len(payload["coefficients"]) == 15 or len(payload["coefficients"]) == len(result.coefficients)
         assert payload["fidelity"] == result.fidelity
