@@ -14,16 +14,15 @@ from .dynamics import evolution_rates
 from .errors import (AxisRangeError, ConfigError, DegenerateTransitionError,
                      NyquistError, RankDeficiencyError, SpinTomoError)
 from .experiment import (AcquisitionParams, Signal1D, Signal2D, Transition,
-                         TransitionTable, default_acquisition, reference_fid,
-                         run_sequence_A, run_sequence_B, transition_table)
+                         TransitionTable, default_acquisition, run_sequence_A,
+                         run_sequence_B, transition_table)
 from .spectral import (HybridSpectrum, Spectrum1D, Spectrum2D,
                        cross_sections, dft_fid, dft_t1, dft_t2,
                        hybrid_omega2_axis)
 from .tomography import (DesignMatrix, TomographyResult, build_design_matrix,
                          detection_basis, fid_coordinates, fidelity,
                          fit_diagonal, fit_offdiagonal,
-                         max_relative_element_error, reference_normalize,
-                         tomograph_state)
+                         max_relative_element_error, tomograph_state)
 
 __version__ = "0.1.0"
 
@@ -39,8 +38,6 @@ __all__ = [
     "evolution_rates", "fid_coordinates", "fidelity", "fit_diagonal",
     "fit_offdiagonal", "format_label",
     "hybrid_omega2_axis", "max_relative_element_error",
-    "offdiagonal_labels", "parse_label", "product_operator",
-    "reference_fid", "reference_normalize", "rotation_pulse",
-    "run_sequence_A", "run_sequence_B", "tomograph_state",
-    "transition_table",
+    "offdiagonal_labels", "parse_label", "product_operator", "rotation_pulse",
+    "run_sequence_A", "run_sequence_B", "tomograph_state", "transition_table",
 ]

@@ -29,8 +29,8 @@ from .core import (SpinSystem, build_spin_system, coefficients_to_density,
                    format_label, parse_label)
 from .errors import (AxisRangeError, ConfigError, DegenerateTransitionError,
                      NyquistError, RankDeficiencyError, SpinTomoError)
-from .experiment import (check_nyquist, default_acquisition, reference_fid,
-                         run_sequence_A, run_sequence_B, transition_table)
+from .experiment import (check_nyquist, default_acquisition, run_sequence_A,
+                         run_sequence_B, transition_table)
 from .spectral import (_axis_bin, cross_sections, dft_fid, dft_t1_magnitude,
                        hybrid_omega2_axis)
 from .tomography import (build_design_matrix, detection_basis, fid_coordinates,
@@ -45,7 +45,6 @@ class RunOptions:
     gradient_tau_max_s: float = 0.02
     seed: int = 0
     output_dir: str = "out"
-    reference_normalize: bool = True
 
 
 @dataclass
@@ -58,7 +57,7 @@ class RunConfig:
 
 _ACQ_KEYS = {"n_t1", "n_t2", "dwell_t1_s", "dwell_t2_s", "alpha_deg", "beta_deg"}
 _OPT_KEYS = {"noise_rms", "realistic_gradient", "gradient_draws",
-             "gradient_tau_max_s", "seed", "output_dir", "reference_normalize"}
+             "gradient_tau_max_s", "seed", "output_dir"}
 
 
 def _reject_unknown(block: dict, allowed, path: str) -> None:
@@ -152,12 +151,11 @@ def config_from_dict(raw: dict) -> RunConfig:
     for key, minimum in (("gradient_draws", 1), ("seed", 0)):
         if key in opt_block:
             setattr(options, key, _config_int(opt_block[key], f"options.{key}", minimum))
-    for key in ("realistic_gradient", "reference_normalize"):
-        if key in opt_block:
-            if not isinstance(opt_block[key], bool):
-                raise ConfigError(f"'options.{key}' must be true or false, "
-                                  f"got {opt_block[key]!r}")
-            setattr(options, key, opt_block[key])
+    if "realistic_gradient" in opt_block:
+        if not isinstance(opt_block["realistic_gradient"], bool):
+            raise ConfigError(f"'options.realistic_gradient' must be true or false, "
+                              f"got {opt_block['realistic_gradient']!r}")
+        options.realistic_gradient = opt_block["realistic_gradient"]
     options.output_dir = opt_block.get("output_dir", options.output_dir)
     if not isinstance(options.output_dir, str) or not options.output_dir:
         raise ConfigError(f"'options.output_dir' must be a non-empty string, "
@@ -328,12 +326,11 @@ def _apply_noise(rng, array: np.ndarray, rms: float) -> np.ndarray:
 
 
 def _simulate_signals(cfg: RunConfig, params):
-    """The input state, signals A and B and the reference FID, all noised.
+    """The input state and signals A and B, both noised.
 
     ``random.Random(seed)``, made only when the run draws something, draws
-    the realistic gradient's delays, A's then B's, before any noise, and the
-    reference's noise last, so A and B do not depend on it.  No run loads
-    ``numpy.random``.
+    the realistic gradient's delays, A's then B's, before any noise.  No run
+    loads ``numpy.random``.
     """
     options = cfg.options
     if options.noise_rms > 0 or options.realistic_gradient:
@@ -346,11 +343,10 @@ def _simulate_signals(cfg: RunConfig, params):
                             for _ in range(options.gradient_draws)]) for _ in delays]
     signal_a = run_sequence_A(system, rho0, params, gradient_delays_s=delays[0])
     signal_b = run_sequence_B(system, rho0, params, gradient_delays_s=delays[1])
-    reference = reference_fid(system, rho0, params)
     if options.noise_rms > 0:
-        for samples in (signal_a.grid, signal_b.samples, reference.samples):
+        for samples in (signal_a.grid, signal_b.samples):
             _apply_noise(rng, samples, options.noise_rms)
-    return rho0, signal_a, signal_b, reference
+    return rho0, signal_a, signal_b
 
 
 def _export_simulation(signal_a, signal_b, out: Path, table) -> None:
@@ -412,7 +408,7 @@ def _format_matrix(matrix: np.ndarray) -> str:
                            max_line_width=120)
 
 
-def _write_report(path: Path, result, cfg: RunConfig) -> None:
+def _write_report(path: Path, result) -> None:
     lines = ["state reconstruction report", "=" * 28, ""]
     if result.reference is not None:
         lines += ["input matrix:", _format_matrix(result.reference), ""]
@@ -430,8 +426,6 @@ def _write_report(path: Path, result, cfg: RunConfig) -> None:
     lines.append(f"off-diagonal fit residual (relative): {result.residual_offdiagonal:.3e}")
     lines.append(f"diagonal fit residual (relative): {result.residual_diagonal:.3e}")
     lines.append(f"design condition number: {result.condition_number:.6g}")
-    if result.scale_factor is not None:
-        lines.append(f"reference scale factor: {result.scale_factor:.10f}")
     for note in result.notes:
         lines.append(f"note: {note}")
     text = "\n".join(lines) + "\n"
@@ -457,7 +451,7 @@ def _checked_table(cfg: RunConfig, params):
 def cmd_simulate(cfg: RunConfig, out: Path) -> int:
     params = resolve_params(cfg)
     table = _checked_table(cfg, params)
-    _, signal_a, signal_b, _ = _simulate_signals(cfg, params)
+    _, signal_a, signal_b = _simulate_signals(cfg, params)
     _export_simulation(signal_a, signal_b, out, table)
     print(f"simulation artifacts written to {out}")
     return 0
@@ -466,7 +460,7 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> int:
 def cmd_tomograph(cfg: RunConfig, out: Path) -> int:
     params = resolve_params(cfg)
     table = _checked_table(cfg, params)
-    rho0, signal_a, signal_b, reference = _simulate_signals(cfg, params)
+    rho0, signal_a, signal_b = _simulate_signals(cfg, params)
     _export_simulation(signal_a, signal_b, out, table)
     # Taken after the exports, whose peak the SVD's resident library code and
     # BLAS buffers would raise; the time grid is released once they are taken.
@@ -476,11 +470,9 @@ def cmd_tomograph(cfg: RunConfig, out: Path) -> int:
     design = build_design_matrix(cfg.system, params, coordinates.basis)
     _write_json(out / "design_summary.json", _design_summary(design))
 
-    result = tomograph_state(design, coordinates, signal_b,
-                             reference if cfg.options.reference_normalize else None,
-                             truth=rho0)
+    result = tomograph_state(design, coordinates, signal_b, truth=rho0)
     _write_json(out / "result.json", result.to_json_dict())
-    _write_report(out / "report.txt", result, cfg)
+    _write_report(out / "report.txt", result)
 
     if result.fidelity is None:
         print("fidelity skipped:", "; ".join(result.notes) or "no reference")

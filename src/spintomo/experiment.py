@@ -391,17 +391,3 @@ def run_sequence_B(system: SpinSystem, rho0: np.ndarray, params: AcquisitionPara
     samples = (to_detected @ rho0[a, b]) @ detection_fids(system, params.t2_times)
     return Signal1D(samples=samples, dwell_s=params.dwell_t2_s,
                     meta=_meta("B", system, params, **_gradient_meta(gradient_delays_s)))
-
-
-def reference_fid(system: SpinSystem, rho0: np.ndarray,
-                  params: AcquisitionParams) -> Signal1D:
-    """Pulse-free detection of the directly observable single-quantum content.
-
-    Used to calibrate a global scale for fitted coefficients; with ideal
-    pulses the calibration factor is 1.
-    """
-    rho0 = _validate_state(rho0, system)
-    rows, cols, _ = detection_elements(system)
-    samples = rho0[rows, cols] @ detection_fids(system, params.t2_times)
-    return Signal1D(samples=samples, dwell_s=params.dwell_t2_s,
-                    meta=_meta("reference", system, params))

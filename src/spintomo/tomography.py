@@ -1,7 +1,7 @@
 """Forward-model inversion of the two measurements.
 
-Every signal the pipeline fits -- each t1 row of sequence A, sequence B and
-the reference -- is a sum of the detected elements' unit FIDs
+Every signal the pipeline fits, each t1 row of sequence A and sequence B,
+is a sum of the detected elements' unit FIDs
 (:func:`~spintomo.experiment.detection_fids`).  The off-diagonal and
 diagonal fits read a signal by its coordinates ``samples @ conj(Q)`` in one
 orthonormal basis Q of the span of those FIDs (:func:`detection_basis`) and
@@ -25,14 +25,14 @@ overlapping lines, without any lineshape algebra.
 
 Diagonal coefficients come from the one-dimensional data the same way:
 signal B's coordinates are fit against those of each diagonal basis operator
-at the same pulse angle.  The pulse-free reference FID then sets one global
-scale against the reference the fitted matrix predicts.  The inversion reads
-the measurements and the design only, never the input state.
+at the same pulse angle.  The inversion reads the two measurements and the
+design only, never the input state.
 """
 
 from __future__ import annotations
 
 import logging
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -43,8 +43,8 @@ from .core import (SpinSystem, coefficients_to_density, density_to_coefficients,
 from .dynamics import evolution_rates
 from .errors import RankDeficiencyError
 from .experiment import (T2_BLOCK_ROWS, AcquisitionParams, Signal1D, Signal2D,
-                         check_nyquist, detection_fids, reference_fid, sequence_A_map,
-                         sequence_B_map, t1_blocks, t1_factors, transition_table)
+                         check_nyquist, detection_fids, sequence_A_map, sequence_B_map,
+                         t1_blocks, t1_factors, transition_table)
 
 log = logging.getLogger(__name__)
 
@@ -62,11 +62,6 @@ REFINEMENT_TOL = 1e-6
 
 # Gram eigenvalues at or below RANK_TOL times the largest count as zero.
 RANK_TOL = 10 * np.finfo(float).eps
-
-# Reference normalization needs the fitted reference to stand out from its
-# own residual: the ratio of mean squares per fitted and per residual degree
-# of freedom (an F statistic) must exceed this.  Pure noise gives about 1.
-REFERENCE_MIN_F = 25.0
 
 # Singular values of the unit FIDs at or below this fraction of the largest
 # add no direction to the detection basis.
@@ -182,7 +177,6 @@ class TomographyResult:
     residual_diagonal: float
     condition_number: float
     condition_number_diagonal: float
-    scale_factor: float | None = None
     reference: np.ndarray | None = None
     element_errors: np.ndarray | None = None
     max_relative_element_error: float | None = None
@@ -202,7 +196,6 @@ class TomographyResult:
             "residual_diagonal": self.residual_diagonal,
             "condition_number": self.condition_number,
             "condition_number_diagonal": self.condition_number_diagonal,
-            "scale_factor": self.scale_factor,
             "max_relative_element_error": self.max_relative_element_error,
             "max_coefficient_error": self.max_coefficient_error,
             "notes": list(self.notes),
@@ -420,14 +413,27 @@ def _nullspace_labels(labels, null_vectors: np.ndarray) -> tuple:
     return tuple(label for label, w in zip(labels, weights) if w > 0.1)
 
 
-def _check_meta(meta: dict, design: DesignMatrix) -> None:
-    """Refuse a measurement recorded on another register or grid than the design's."""
+def _check_meta(meta: dict, design: DesignMatrix, sequence: str) -> None:
+    """Refuse a measurement of another sequence than ``sequence``, or one
+    recorded on another register or grid than the design's."""
+    recorded = meta.get("sequence")
+    if recorded is not None and recorded != sequence:
+        raise ValueError(f"signal of sequence {recorded!r} given where sequence "
+                         f"{sequence!r} is fitted")
     system = meta.get("system")
     if system is not None and system != design.system.to_dict():
         raise ValueError("signal was recorded on a different spin system than the design matrix")
     params = meta.get("params")
     if params is not None and params != design.params.to_dict():
         raise ValueError("signal acquisition parameters differ from the design matrix")
+
+
+def _warn(message: str) -> None:
+    """Warn on behalf of the first caller outside this module."""
+    frame, level = sys._getframe(1), 2
+    while frame.f_back is not None and frame.f_code.co_filename == __file__:
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, stacklevel=level)
 
 
 def fit_offdiagonal(signal: FidCoordinates, design: DesignMatrix) -> Fit:
@@ -440,7 +446,7 @@ def fit_offdiagonal(signal: FidCoordinates, design: DesignMatrix) -> Fit:
     The solve reuses the design's stored eigenpairs, and the fit reports
     the design's condition number.
     """
-    _check_meta(signal.meta, design)
+    _check_meta(signal.meta, design, "A")
     if not np.array_equal(signal.basis, design.basis):
         raise ValueError("signal coordinates were taken in another basis than the design's")
     if not design.is_full_rank:
@@ -459,11 +465,8 @@ def fit_offdiagonal(signal: FidCoordinates, design: DesignMatrix) -> Fit:
     scale = float(np.linalg.norm(target))
     relative = residual / scale if scale > 0 else 0.0
     if relative > RESIDUAL_WARN_THRESHOLD and scale > 0:
-        warnings.warn(
-            f"off-diagonal fit residual {relative:.3g} exceeds "
-            f"{RESIDUAL_WARN_THRESHOLD}; model mismatch or noisy data",
-            stacklevel=2,
-        )
+        _warn(f"off-diagonal fit residual {relative:.3g} exceeds "
+              f"{RESIDUAL_WARN_THRESHOLD}; model mismatch or noisy data")
     coefficients = {label: float(q) for label, q in zip(design.labels, solution)}
     return Fit(coefficients=coefficients, relative_residual=relative,
                condition_number=design.condition_number)
@@ -500,9 +503,10 @@ def fit_diagonal(signal: Signal1D, design: DesignMatrix) -> Fit:
     finite-pulse-angle terms cancel exactly; the linear-response
     approximation never enters.  Overlapping lines are absorbed by that
     shared forward model, so there is no overlap check.  Only a singular
-    response, or a signal recorded on another register or grid, is refused.
+    response, or a signal of another sequence or recorded on another register
+    or grid, is refused.
     """
-    _check_meta(signal.meta, design)
+    _check_meta(signal.meta, design, "B")
     labels, response = _diagonal_response_matrix(design.system, design.params, design.basis)
     target = _split(signal.samples @ design.basis.conj())
 
@@ -515,12 +519,9 @@ def fit_diagonal(signal: Signal1D, design: DesignMatrix) -> Fit:
         )
     condition = float(svals[0] / svals[-1])
     if condition > CONDITION_WARN_THRESHOLD:
-        warnings.warn(
-            f"diagonal fit condition number {condition:.3g} exceeds "
-            f"{CONDITION_WARN_THRESHOLD:g}; rounding alone may cost a relative "
-            f"error of about {condition * np.finfo(float).eps:.1g}",
-            stacklevel=2,
-        )
+        _warn(f"diagonal fit condition number {condition:.3g} exceeds "
+              f"{CONDITION_WARN_THRESHOLD:g}; rounding alone may cost a relative "
+              f"error of about {condition * np.finfo(float).eps:.1g}")
     residual = float(np.linalg.norm(response @ solution - target))
     scale = float(np.linalg.norm(target))
     relative = residual / scale if scale > 0 else 0.0
@@ -565,38 +566,6 @@ def max_relative_element_error(reference: np.ndarray, reconstructed: np.ndarray,
     return float(np.max(np.abs(rec - ref) / denom))
 
 
-def reference_normalize(system: SpinSystem, reference: Signal1D, matrix: np.ndarray,
-                        params: AcquisitionParams) -> tuple:
-    """``(scale, None)``, the factor that fits ``matrix`` to a pulse-free
-    reference detection, or ``(None, reason)`` when there is none.
-
-    ``reference`` is the measured :func:`reference_fid` of the input state.
-    The fitted ``matrix`` predicts it (its own :func:`reference_fid`); the one
-    scale that fits the prediction to the measurement in least squares
-    scales every coefficient.  The prediction lies in the span of the unit
-    FIDs, so the scale is that of the two signals' coordinates in any
-    :func:`detection_basis` of every line; the significance check takes the
-    residual of the whole FID, 2 n_t2 - 1 degrees of freedom, so a register
-    with few lines still gets a sharp test.  With ideal pulses the factor is
-    1 to numerical precision.  There is no scale when the reference carries
-    no observable content above its own residual (see
-    :data:`REFERENCE_MIN_F`), or the fitted observable coefficients are zero.
-    """
-    target = _split(reference.samples)
-    predicted = _split(reference_fid(system, matrix, params).samples)
-    if np.linalg.norm(target) <= 1e-12 * max(1.0, float(np.max(np.abs(matrix)))):
-        return None, "no directly observable single-quantum content"
-    denom = float(predicted @ predicted)
-    if denom <= 0.0:
-        return None, "fitted observable coefficients are zero"
-    scale = float(target @ predicted) / denom
-    residual = target - scale * predicted
-    # mean squares per fitted and per residual degree of freedom
-    if scale ** 2 * denom <= REFERENCE_MIN_F * (residual @ residual) / max(len(target) - 1, 1):
-        return None, "no directly observable single-quantum content"
-    return scale, None
-
-
 def _score(system: SpinSystem, reference, coefficients: dict, matrix) -> tuple:
     """(scores, notes): the result's error fields against a reference state.
 
@@ -619,35 +588,22 @@ def _score(system: SpinSystem, reference, coefficients: dict, matrix) -> tuple:
 
 
 def tomograph_state(design: DesignMatrix, signal_a: FidCoordinates, signal_b: Signal1D,
-                    reference: Signal1D | None = None, truth=None) -> TomographyResult:
-    """Invert the two measurements: fit, assemble, scale, score.
+                    truth=None) -> TomographyResult:
+    """Invert the two measurements: fit, assemble, score.
 
     ``signal_a`` is the :func:`fid_coordinates` of the sequence-A signal in
     the design's ``basis`` and ``signal_b`` the sequence-B FID; the register
     and acquisition are the design's, and every measurement recorded on
-    another is refused.  Nothing is simulated.  The two fits' coefficients
-    are merged once.  With a measured ``reference`` FID the
-    :func:`reference_normalize` scale multiplies them; without one they stay
-    as fitted.  The matrix is assembled from that set.  ``truth``, the input
-    state when it is known, is read only to score the result and is kept as
-    its ``reference``; without it every score is None.
+    another is refused.  Nothing is simulated.  The matrix is assembled once
+    from the two fits' coefficients.  ``truth``, the input state when it is
+    known, is read only to score the result and is kept as its
+    ``reference``; without it every score is None.
     """
-    system = design.system
     off = fit_offdiagonal(signal_a, design)
     diag = fit_diagonal(signal_b, design)
     coefficients = {**off.coefficients, **diag.coefficients}
-    matrix = coefficients_to_density(system, coefficients)
-    scale, skipped = None, ()
-    if reference is not None:
-        _check_meta(reference.meta, design)
-        scale, reason = reference_normalize(system, reference, matrix, design.params)
-        if scale is None:
-            skipped = (f"reference normalization skipped: {reason}",)
-        else:
-            coefficients = {label: q * scale for label, q in coefficients.items()}
-            matrix = coefficients_to_density(system, coefficients)
-
-    scores, notes = _score(system, truth, coefficients, matrix)
+    matrix = coefficients_to_density(design.system, coefficients)
+    scores, notes = _score(design.system, truth, coefficients, matrix)
     return TomographyResult(
         coefficients=coefficients,
         matrix=matrix,
@@ -655,8 +611,7 @@ def tomograph_state(design: DesignMatrix, signal_a: FidCoordinates, signal_b: Si
         residual_diagonal=diag.relative_residual,
         condition_number=off.condition_number,
         condition_number_diagonal=diag.condition_number,
-        scale_factor=scale,
         reference=truth,
-        notes=notes + skipped,
+        notes=notes,
         **scores,
     )

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from spintomo import (build_spin_system, fid_coordinates, reference_fid, rotation_pulse,
-                      run_sequence_A, run_sequence_B, tomograph_state, transition_table)
+from spintomo import (build_spin_system, fid_coordinates, rotation_pulse, run_sequence_A,
+                      run_sequence_B, tomograph_state, transition_table)
 from spintomo.core import down_counts, energies
 
 # Two-spin demonstration system and state used across the suite.
@@ -55,20 +55,17 @@ def random_coefficients(rng, labels, low=-10.0, high=10.0):
 
 
 def noiseless_measurements(design, rho0):
-    """``(signal_a, signal_b, reference)``: the noiseless measurements of
-    ``rho0`` on the design's register and grid, signal A as its coordinates
-    in the design's basis."""
+    """``(signal_a, signal_b)``: the noiseless measurements of ``rho0`` on the
+    design's register and grid, signal A as its coordinates in the design's
+    basis."""
     system, params = design.system, design.params
     return (fid_coordinates(run_sequence_A(system, rho0, params), design.basis),
-            run_sequence_B(system, rho0, params), reference_fid(system, rho0, params))
+            run_sequence_B(system, rho0, params))
 
 
-def noiseless_tomography(design, rho0, normalize=True):
-    """The inversion of the noiseless measurements of ``rho0``, scored against
-    it; without ``normalize`` the reference is not passed."""
-    signal_a, signal_b, reference = noiseless_measurements(design, rho0)
-    return tomograph_state(design, signal_a, signal_b,
-                           reference if normalize else None, truth=rho0)
+def noiseless_tomography(design, rho0):
+    """The inversion of the noiseless measurements of ``rho0``, scored against it."""
+    return tomograph_state(design, *noiseless_measurements(design, rho0), truth=rho0)
 
 
 def dense_design(design):

@@ -37,13 +37,15 @@ def criterion(number, description):
 
 
 def test_criterion_1_two_qubit_reconstruction(tmp_path):
-    with criterion(1, "2-qubit demo state reconstructed to 0.1% per element"):
+    with criterion(1, "2-qubit demo state reconstructed to 0.1% per element, "
+                      "every coefficient to 1e-10"):
         out = tmp_path / "demo2"
         code = main(["tomograph", "--config",
                      str(CONFIG_DIR / "demo_2qubit.json"), "--out", str(out)])
         assert code == 0
         result = json.loads((out / "result.json").read_text())
         assert result["max_relative_element_error"] <= 1e-3
+        assert result["max_coefficient_error"] <= 1e-10
         # spot-check the headline element against the configured input
         matrix = np.array(result["matrix_re"]) + 1j * np.array(result["matrix_im"])
         assert matrix[0, 0].real == pytest.approx(3.325, rel=1e-3)
@@ -291,5 +293,5 @@ def test_criterion_9_five_qubit_reconstruction(tmp_path):
             rng = np.random.default_rng(seed)
             state = random_coefficients(rng, all_labels(5), -10.0, 10.0)
             rho0 = coefficients_to_density(cfg.system, state)
-            result = noiseless_tomography(design, rho0, normalize=False)
+            result = noiseless_tomography(design, rho0)
             assert result.max_coefficient_error <= FIVE_QUBIT_COEFFICIENT_BOUND

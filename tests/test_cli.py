@@ -14,8 +14,7 @@ import pytest
 
 from spintomo import (TomographyResult, build_design_matrix, coefficients_to_density,
                       detection_basis, dft_fid, dft_t1, dft_t2, diagonal_labels,
-                      fid_coordinates, fit_diagonal, format_label, reference_fid,
-                      run_sequence_A, run_sequence_B, tomograph_state, transition_table)
+                      fid_coordinates, fit_diagonal, format_label, run_sequence_A, run_sequence_B, tomograph_state, transition_table)
 import spintomo
 import spintomo.cli
 import spintomo.tomography
@@ -180,6 +179,18 @@ class TestConfigParsing:
         assert "unknown key(s) ['cross_section_qubits']" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", [True, False])
+    def test_reference_normalize_removed(self, tmp_path, capsys, value):
+        # the fit has no reference scale to switch on or off
+        path = write_config(tmp_path, demo_config(n_t1=32, n_t2=64,
+                                                  reference_normalize=value))
+        out = tmp_path / "out"
+        for command in ("simulate", "tomograph", "basis"):
+            assert main([command, "--config", str(path), "--out", str(out)]) == 2
+            assert ("config error: unknown key(s) ['reference_normalize'] in 'options'"
+                    in capsys.readouterr().err)
+            assert not out.exists()
+
     @pytest.mark.parametrize("block, key, value, argv", [
         ("acquisition", "n_t1", 0, []),
         ("acquisition", "n_t1", "abc", []),
@@ -314,7 +325,7 @@ class TestSimulateCommand:
             warnings.simplefilter("ignore")
             assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
             cfg = parse_config(path)
-            _, signal_a, signal_b, _ = _simulate_signals(cfg, resolve_params(cfg))
+            _, signal_a, signal_b = _simulate_signals(cfg, resolve_params(cfg))
             table = transition_table(cfg.system)
         spectrum = dft_t1(dft_t2(signal_a))
         spectrum_b = dft_fid(signal_b)
@@ -361,7 +372,7 @@ class TestSimulateCommand:
             warnings.simplefilter("ignore")
             assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
             cfg = parse_config(path)
-            _, signal_a, _, _ = _simulate_signals(cfg, resolve_params(cfg))
+            _, signal_a, _ = _simulate_signals(cfg, resolve_params(cfg))
             spectrum = dft_t1(dft_t2(signal_a))
             table = transition_table(cfg.system)
         sections = np.load(out / "cross_sections.npy", allow_pickle=False)
@@ -537,7 +548,8 @@ class TestTomographCommand:
         result = json.loads((out / "result.json").read_text())
         assert result["fidelity"] > 0.9999
         assert result["max_relative_element_error"] < 1e-3
-        assert result["scale_factor"] == pytest.approx(1.0, abs=1e-6)
+        assert result["max_coefficient_error"] <= 1e-10
+        assert "scale_factor" not in result
         assert sorted(p.name for p in out.iterdir()) == sorted(
             SIMULATE_FILES + TOMOGRAPH_FILES)
         assert "fidelity" in capsys.readouterr().out
@@ -570,53 +582,17 @@ class TestTomographCommand:
 
         monkeypatch.setattr(spintomo.cli, "detection_basis", counted)
         monkeypatch.setattr(spintomo.tomography, "detection_basis", counted)
-        path = write_config(tmp_path, demo_config(reference_normalize=False))
+        path = write_config(tmp_path, demo_config())
         assert main(["tomograph", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
         assert len(calls) == 1
         cfg = parse_config(path)
         params = resolve_params(cfg)
-        _, _, signal_b, _ = _simulate_signals(cfg, params)
+        _, _, signal_b = _simulate_signals(cfg, params)
         expected = fit_diagonal(signal_b, build_design_matrix(cfg.system, params)).coefficients
         assert len(calls) == 2
         result = dict(json.loads((tmp_path / "out" / "result.json").read_text())["coefficients"])
         for label in diagonal_labels(cfg.system.n):
             assert result[format_label(label)] == expected[label]
-
-    def test_scale_from_noisy_reference_measurement(self, tmp_path):
-        # the reference FID is simulated with the signals and gets its own
-        # noise from the same RNG; the scale factor is fitted to it, never to
-        # the noise-free input state
-        path = write_config(tmp_path, demo_config(n_t1=64, n_t2=128, noise_rms=0.05))
-        out = tmp_path / "out"
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            assert main(["tomograph", "--config", str(path), "--out", str(out)]) == 0
-            result = json.loads((out / "result.json").read_text())
-
-            cfg = parse_config(path)
-            params = resolve_params(cfg)
-            rho0, signal_a, signal_b, reference = _simulate_signals(cfg, params)
-            noise = reference.samples - reference_fid(cfg.system, rho0, params).samples
-            assert np.std(noise) == pytest.approx(0.05, rel=0.2)
-            design = build_design_matrix(cfg.system, params)
-            signal_a = fid_coordinates(signal_a, design.basis)
-            scales = {
-                name: tomograph_state(design, signal_a, signal_b, measured,
-                                      truth=rho0).scale_factor
-                for name, measured in (("noisy", reference),
-                                       ("clean", reference_fid(cfg.system, rho0, params)))}
-        assert result["scale_factor"] == scales["noisy"]
-        assert scales["noisy"] != scales["clean"]
-
-    def test_five_qubit_demo_normalizes(self, tmp_path):
-        # the reference fixes one scale, so normalization no longer needs
-        # the reference to determine all 160 observable coefficients
-        out = tmp_path / "demo5"
-        assert main(["tomograph", "--config", str(CONFIG_DIR / "demo_5qubit.json"),
-                     "--out", str(out)]) == 0
-        result = json.loads((out / "result.json").read_text())
-        assert result["scale_factor"] == pytest.approx(1.0, abs=1e-9)
-        assert not [note for note in result["notes"] if "skipped" in note]
 
     def test_zero_state(self, tmp_path, capsys):
         payload = demo_config(n_t1=32, n_t2=256)
@@ -626,33 +602,28 @@ class TestTomographCommand:
         assert main(["tomograph", "--config", str(path), "--out", str(out)]) == 0
         result = json.loads((out / "result.json").read_text())
         assert result["fidelity"] is None
-        # the score's note, then the reference normalization's
-        assert result["notes"] == [
-            "fidelity skipped: zero-norm matrix",
-            "reference normalization skipped: no directly observable single-quantum content"]
+        assert result["notes"] == ["fidelity skipped: zero-norm matrix"]
         assert np.max(np.abs(np.array(result["matrix_re"]))) < 1e-9
         assert "skipped" in capsys.readouterr().out
 
     def test_simulate_draw_order(self):
         # random.Random(seed) draws A's gradient delays, then B's, then the
-        # noise of A, B and the reference: realistic-gradient runs stay
-        # reproducible
+        # noise of A and B: realistic-gradient runs stay reproducible
         cfg = config_from_dict(demo_config(n_t1=16, n_t2=32, noise_rms=0.01,
                                            realistic_gradient=True,
                                            gradient_draws=5, gradient_tau_max_s=0.03))
         params = resolve_params(cfg)
-        rho0, signal_a, signal_b, reference = _simulate_signals(cfg, params)
+        rho0, signal_a, signal_b = _simulate_signals(cfg, params)
 
         rng = random.Random(cfg.options.seed)
         delays_a, delays_b = ([rng.uniform(0.0, 0.03) for _ in range(5)] for _ in range(2))
         expected = [
             run_sequence_A(cfg.system, rho0, params, gradient_delays_s=delays_a).grid,
-            run_sequence_B(cfg.system, rho0, params, gradient_delays_s=delays_b).samples,
-            reference_fid(cfg.system, rho0, params).samples]
+            run_sequence_B(cfg.system, rho0, params, gradient_delays_s=delays_b).samples]
         for clean in expected:
             clean += box_muller(rng, clean.shape, 0.01)
         assert np.array_equal(rho0, coefficients_to_density(cfg.system, cfg.coefficients))
-        for got, want in zip((signal_a.grid, signal_b.samples, reference.samples), expected):
+        for got, want in zip((signal_a.grid, signal_b.samples), expected):
             assert np.array_equal(got, want)
         assert signal_a.meta["gradient"] == signal_b.meta["gradient"] == "realistic"
 
@@ -692,11 +663,10 @@ class TestTomographCommand:
             code = main(["tomograph", "--config", str(path), "--out", str(out)])
             cfg = parse_config(path)
             params = resolve_params(cfg)
-            rho0, signal_a, signal_b, reference = _simulate_signals(cfg, params)
+            rho0, signal_a, signal_b = _simulate_signals(cfg, params)
             design = build_design_matrix(cfg.system, params)
             expected = tomograph_state(
-                design, fid_coordinates(signal_a, design.basis), signal_b,
-                reference if cfg.options.reference_normalize else None, truth=rho0)
+                design, fid_coordinates(signal_a, design.basis), signal_b, truth=rho0)
         assert code == 0
         result = json.loads((out / "result.json").read_text())
         assert result["coefficients"] == expected.to_json_dict()["coefficients"]
@@ -863,7 +833,7 @@ class TestResultFiles:
         assert payload["condition_number"] is None
         assert payload["condition_number_diagonal"] is None
         assert payload["coefficients"] == [["x o", 1.0]]
-        _write_report(tmp_path / "report.txt", result, None)
+        _write_report(tmp_path / "report.txt", result)
         assert "design condition number: inf" in (tmp_path / "report.txt").read_text()
 
 

@@ -11,7 +11,7 @@ from spintomo import (AcquisitionParams, DegenerateTransitionError,
                       NyquistError, SpinSystem, build_spin_system,
                       coefficients_to_density,
                       default_acquisition, dft_t2, product_operator,
-                      reference_fid, run_sequence_A, run_sequence_B,
+                      run_sequence_A, run_sequence_B,
                       transition_table)
 from spintomo.core import single_quantum_transitions
 from spintomo.cli import _write_array
@@ -334,17 +334,6 @@ class TestSequenceB:
         for f, amplitude in zip(freqs, fitted):
             assert amplitude.real == pytest.approx(expected[f], rel=1e-9)
             assert abs(amplitude.imag) < 1e-12
-
-
-class TestReferenceFid:
-    def test_only_observable_content(self, two_spin_system):
-        params = small_params(n_t2=32)
-        silent = reference_fid(
-            two_spin_system, product_operator(two_spin_system, "xx"), params)
-        assert np.max(np.abs(silent.samples)) < 1e-12
-        loud = reference_fid(
-            two_spin_system, product_operator(two_spin_system, "xo"), params)
-        assert abs(loud.samples[0] - 1.0) < 1e-12
 
 
 class TestExports:

@@ -8,15 +8,14 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from spintomo import (DegenerateTransitionError, RankDeficiencyError,
-                      all_labels, build_design_matrix, build_spin_system,
+from spintomo import (DegenerateTransitionError, RankDeficiencyError, Signal1D,
+                      Signal2D, all_labels, build_design_matrix, build_spin_system,
                       coefficients_to_density, default_acquisition,
-                      density_to_coefficients, detection_basis, diagonal_labels,
+                      detection_basis, diagonal_labels,
                       fid_coordinates, fidelity, fit_diagonal, fit_offdiagonal,
                       max_relative_element_error, offdiagonal_labels,
-                      product_operator, reference_fid, reference_normalize,
-                      rotation_pulse, run_sequence_A, run_sequence_B,
-                      tomograph_state, transition_table)
+                      product_operator, rotation_pulse, run_sequence_A,
+                      run_sequence_B, tomograph_state, transition_table)
 from spintomo.cli import config_from_dict, resolve_params
 from spintomo.dynamics import detection_elements, evolution_rates
 from spintomo import experiment
@@ -667,6 +666,18 @@ class TestFitOffdiagonal:
         with pytest.raises(ValueError, match="parameters"):
             fit_offdiagonal(fid_coordinates(signal, detection_basis(system, other)), design)
 
+    def test_signal_b_rejected(self, two_spin_setup):
+        # signal B repeated on every t1 row: right register and grid, no t1
+        # modulation, so its t1-mean-free target is only rounding noise
+        system, params, design = two_spin_setup
+        signal_b = run_sequence_B(system, coefficients_to_density(system, DEMO_COEFFS), params)
+        swapped = Signal2D(grid=np.tile(signal_b.samples, (params.n_t1, 1)),
+                           dwell_t1_s=params.dwell_t1_s, dwell_t2_s=params.dwell_t2_s,
+                           meta=signal_b.meta)
+        with pytest.raises(ValueError, match="signal of sequence 'B' given where "
+                                             "sequence 'A' is fitted"):
+            fit_offdiagonal(fid_coordinates(swapped, design.basis), design)
+
 
 class TestFitDiagonal:
     def test_demo_state(self, two_spin_setup):
@@ -737,6 +748,16 @@ class TestFitDiagonal:
         with pytest.raises(ValueError, match="acquisition parameters"):
             fit_diagonal(signal, design)
 
+    def test_signal_a_row_rejected(self, two_spin_setup):
+        # the first t1 row of signal A is a FID on the same register and
+        # grid, and would be fitted silently as signal B
+        system, params, design = two_spin_setup
+        signal_a = run_sequence_A(system, coefficients_to_density(system, DEMO_COEFFS), params)
+        row = Signal1D(samples=signal_a.grid[0], dwell_s=params.dwell_t2_s, meta=signal_a.meta)
+        with pytest.raises(ValueError, match="signal of sequence 'A' given where "
+                                             "sequence 'B' is fitted"):
+            fit_diagonal(row, design)
+
     def test_four_spin_overlap_absorbed_without_warning(self):
         # 4-qubit lines sit closer than the 32 Hz linewidth; the shared
         # forward model absorbs the overlap, so nothing warns about it
@@ -756,9 +777,7 @@ class TestFitDiagonal:
 class TestConditionWarnings:
     # J = 0.05 Hz splits each Larmor line into two 0.05 Hz apart, which a
     # 3- or 4-sample FID barely separates: the diagonal fit has kappa 1.8e6
-    # on 3 samples and 5.0e5 on 4.  The reference scale is one number, fitted
-    # against the reference the fitted coefficients predict, so no condition
-    # number of the reference can warn.
+    # on 3 samples and 5.0e5 on 4.
     @staticmethod
     def fit_warnings(n_t2):
         system = build_spin_system(2, TWO_SPIN_LARMOR, {(1, 2): 0.05}, TWO_SPIN_T2)
@@ -769,9 +788,8 @@ class TestConditionWarnings:
             result = noiseless_tomography(build_design_matrix(system, params), rho0)
         return result, [str(w.message) for w in caught if "condition number" in str(w.message)]
 
-    def test_reference_scale_does_not_warn(self):
+    def test_diagonal_fit_below_threshold_does_not_warn(self):
         result, messages = self.fit_warnings(n_t2=4)
-        assert result.scale_factor == pytest.approx(1.0, abs=1e-9)
         assert result.condition_number_diagonal < CONDITION_WARN_THRESHOLD
         assert messages == []
 
@@ -785,8 +803,7 @@ class TestConditionWarnings:
         system, params, design = two_spin_setup
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            result = noiseless_tomography(design, coefficients_to_density(system, DEMO_COEFFS))
-        assert result.scale_factor is not None
+            noiseless_tomography(design, coefficients_to_density(system, DEMO_COEFFS))
         assert not [w for w in caught if "condition number" in str(w.message)]
 
 
@@ -795,7 +812,7 @@ class TestReconstructAndScores:
         # one dict, off-diagonal labels first, then the diagonal ones
         system, params, design = two_spin_setup
         rho0 = coefficients_to_density(system, DEMO_COEFFS)
-        result = noiseless_tomography(design, rho0, normalize=False)
+        result = noiseless_tomography(design, rho0)
         assert list(result.coefficients) == (list(offdiagonal_labels(system.n))
                                              + list(diagonal_labels(system.n)))
         matrix = result.matrix
@@ -824,187 +841,33 @@ class TestReconstructAndScores:
         assert max_relative_element_error(ref, rec) == pytest.approx(1e-3, rel=1e-6)
 
 
-class TestReferenceNormalize:
-    def test_ideal_scale_is_unity(self, two_spin_setup):
+class TestWarningLocation:
+    # a fit's warning names the first caller outside the library, however
+    # the fit is reached, not a line inside it
+    def test_residual_warning_names_the_caller(self, two_spin_setup):
         system, params, design = two_spin_setup
-        rho0 = coefficients_to_density(system, DEMO_COEFFS)
-        result = noiseless_tomography(design, rho0)
-        assert result.scale_factor == pytest.approx(1.0, abs=1e-6)
+        signal_a, signal_b = noiseless_measurements(
+            design, coefficients_to_density(system, DEMO_COEFFS))
+        rng = np.random.default_rng(43)
+        noisy = replace(signal_a, values=signal_a.values
+                        + 0.05 * rng.standard_normal(signal_a.values.shape))
+        with pytest.warns(UserWarning, match="off-diagonal fit residual") as direct:
+            fit_offdiagonal(noisy, design)
+        with pytest.warns(UserWarning, match="off-diagonal fit residual") as inverted:
+            tomograph_state(design, noisy, signal_b)
+        assert [w.filename for w in direct] == [w.filename for w in inverted] == [__file__]
 
-    def test_gain_error_corrected(self, two_spin_setup):
-        system, params, design = two_spin_setup
-        rho0 = coefficients_to_density(system, DEMO_COEFFS)
-        result = noiseless_tomography(design, rho0, normalize=False)
-        for gain in (2.0, 1.01):
-            scale, reason = reference_normalize(system, reference_fid(system, rho0, params),
-                                                gain * result.matrix, params)
-            assert reason is None
-            assert scale == pytest.approx(1.0 / gain, rel=1e-6)
-            fixed = coefficients_to_density(
-                system, {k: scale * gain * v for k, v in result.coefficients.items()})
-            assert max_relative_element_error(rho0, fixed) < 1e-3
-
-    def test_scale_follows_measured_reference(self, two_spin_setup):
-        # the scale comes from the reference handed in, not from the input
-        # state: a reference of a state with 1.5 times the observable
-        # content scales every coefficient by 1.5
-        system, params, design = two_spin_setup
-        rho0 = coefficients_to_density(system, DEMO_COEFFS)
-        louder = coefficients_to_density(
-            system, {label: 1.5 * value for label, value in DEMO_COEFFS.items()})
-        signal_a, signal_b, _ = noiseless_measurements(design, rho0)
-        result = tomograph_state(design, signal_a, signal_b,
-                                 reference_fid(system, louder, params), truth=rho0)
-        assert result.scale_factor == pytest.approx(1.5, rel=1e-9)
-        for label, value in DEMO_COEFFS.items():
-            assert result.coefficients[label] == pytest.approx(1.5 * value, rel=1e-6)
-
-    def test_noisy_reference_scale_unbiased(self, two_spin_setup):
-        # signals and reference carry independent noise; the fitted scale
-        # averages to 1 over seeds
-        system, params, design = two_spin_setup
-        rho0 = coefficients_to_density(system, DEMO_COEFFS)
-        clean_a = run_sequence_A(system, rho0, params)
-        clean_b = run_sequence_B(system, rho0, params)
-        clean_ref = reference_fid(system, rho0, params)
-        scales = []
-        for seed in range(20):
-            rng = np.random.default_rng(seed)
-
-            def noisy(values, rms=0.05):
-                return values + rms / np.sqrt(2.0) * (
-                    rng.standard_normal(values.shape)
-                    + 1j * rng.standard_normal(values.shape))
-
-            signal_a = fid_coordinates(replace(clean_a, grid=noisy(clean_a.grid)),
-                                       design.basis)
-            signal_b = replace(clean_b, samples=noisy(clean_b.samples))
-            reference = replace(clean_ref, samples=noisy(clean_ref.samples))
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                result = tomograph_state(design, signal_a, signal_b, reference,
-                                         truth=rho0)
-            scales.append(result.scale_factor)
-        assert abs(np.mean(scales) - 1.0) <= 1e-3
-        assert np.std(scales) > 0
-
-    def test_reference_of_other_register_rejected(self, two_spin_setup):
-        # a reference recorded on another register is refused, not fitted:
-        # this one would scale every coefficient by 0.71
-        system, params, design = two_spin_setup
-        rho0 = coefficients_to_density(system, DEMO_COEFFS)
-        signal_a, signal_b, _ = noiseless_measurements(design, rho0)
-        other = build_spin_system(2, (1250.0, TWO_SPIN_LARMOR[1]), {(1, 2): TWO_SPIN_J},
-                                  TWO_SPIN_T2)
-        reference = reference_fid(other, coefficients_to_density(other, DEMO_COEFFS), params)
-        with pytest.raises(ValueError, match="different spin system"):
-            tomograph_state(design, signal_a, signal_b, reference, truth=rho0)
-
-    def test_skips_on_noise_only_reference(self, two_spin_setup):
-        # a reference holding only noise gives no scale, rather than one
-        # fitted to the noise
-        system, params, design = two_spin_setup
-        rho0 = coefficients_to_density(system, {"zz": 4.0, "xx": 1.0})
-        rng = np.random.default_rng(3)
-        reference = reference_fid(system, rho0, params)
-        reference.samples = 1e-3 * (rng.standard_normal(params.n_t2)
-                                    + 1j * rng.standard_normal(params.n_t2))
-        signal_a, signal_b, _ = noiseless_measurements(design, rho0)
-        result = tomograph_state(design, signal_a, signal_b, reference, truth=rho0)
-        assert result.scale_factor is None
-        assert any("skipped" in note for note in result.notes)
-
-    def test_short_reference_gives_correct_scale(self, two_spin_setup):
-        # three samples cannot determine the 8 observable coefficients, but
-        # they fix the one scale between the measured reference and the one
-        # the fitted coefficients predict
-        system, params, design = two_spin_setup
-        rho0 = coefficients_to_density(system, DEMO_COEFFS)
-        result = noiseless_tomography(design, rho0, normalize=False)
-        short = replace(params, n_t2=3)
-        scale, reason = reference_normalize(system, reference_fid(system, rho0, short),
-                                            2.0 * result.matrix, short)
-        assert reason is None
-        assert scale == pytest.approx(0.5, rel=1e-9)
-        fitted = result.coefficients
-        assert max(abs(scale * 2.0 * fitted[label] - q)
-                   for label, q in density_to_coefficients(system, rho0).items()) <= 1e-9
-
-    def test_scaled_result_is_the_unscaled_fit_times_the_scale(self):
-        # the scale multiplies the merged coefficients once, and the matrix is
-        # assembled from the scaled set: both bit for bit, labels in fit order
-        system = build_spin_system(2, TWO_SPIN_LARMOR, {(1, 2): TWO_SPIN_J}, TWO_SPIN_T2)
-        params = default_acquisition(system, n_t1=64, n_t2=128)
+    def test_condition_warning_names_the_caller(self):
+        system = build_spin_system(2, TWO_SPIN_LARMOR, {(1, 2): 0.05}, TWO_SPIN_T2)
+        params = default_acquisition(system, n_t1=64, n_t2=3)
         design = build_design_matrix(system, params)
-        rho0 = coefficients_to_density(system, DEMO_COEFFS)
-        rng = np.random.default_rng(3)
-        reference = reference_fid(system, rho0, params)
-        reference.samples = reference.samples + 0.01 / np.sqrt(2.0) * (
-            rng.standard_normal(params.n_t2) + 1j * rng.standard_normal(params.n_t2))
-        signal_a, signal_b, _ = noiseless_measurements(design, rho0)
-        unscaled = tomograph_state(design, signal_a, signal_b, truth=rho0)
-        result = tomograph_state(design, signal_a, signal_b, reference, truth=rho0)
-        scale = result.scale_factor
-        assert scale == pytest.approx(1.0000609, abs=1e-7)
-        assert list(result.coefficients.items()) == [
-            (label, q * scale) for label, q in unscaled.coefficients.items()]
-        assert np.array_equal(result.matrix,
-                              coefficients_to_density(system, result.coefficients))
-        assert result.notes == ()
-
-    def test_skips_without_observable_content(self, two_spin_setup):
-        system, params, design = two_spin_setup
-        rho0 = coefficients_to_density(system, {"zz": 4.0, "xx": 1.0})
-        result = noiseless_tomography(design, rho0)
-        assert result.scale_factor is None
-        assert any("skipped" in note for note in result.notes)
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_noisy_run_without_observable_content_unscaled(self, two_spin_setup, seed):
-        # the reference and the fitted observable coefficients both hold only
-        # noise; a scale fitted between them would be noise over noise, so the
-        # significance check must skip it and leave the coefficients as fitted
-        system, params, design = two_spin_setup
-        rho0 = coefficients_to_density(system, {"zz": 4.0, "xx": 1.0})
-        rng = np.random.default_rng(seed)
-
-        def noisy(values, rms=1e-3):
-            return values + rms / np.sqrt(2.0) * (
-                rng.standard_normal(values.shape) + 1j * rng.standard_normal(values.shape))
-
-        signal_a = run_sequence_A(system, rho0, params)
-        signal_a.grid = noisy(signal_a.grid)
-        signal_b = run_sequence_B(system, rho0, params)
-        signal_b.samples = noisy(signal_b.samples)
-        reference = reference_fid(system, rho0, params)
-        reference.samples = noisy(reference.samples)
-        measured = (fid_coordinates(signal_a, design.basis), signal_b)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            result = tomograph_state(design, *measured, reference, truth=rho0)
-            unscaled = tomograph_state(design, *measured, truth=rho0)
-        assert result.scale_factor is None
-        assert any("no directly observable" in note for note in result.notes)
-        assert result.coefficients == unscaled.coefficients
-
-
-    def test_single_line_noise_never_sets_scale(self):
-        # one line spans one coordinate: an F test on the coordinates alone
-        # (1 residual degree of freedom) passes 4 of these 40 noise-only
-        # references; the whole FID's residual rejects every one
-        system = build_spin_system(1, [500.0], {}, 0.010)
-        params = default_acquisition(system, n_t1=16, n_t2=128)
-        rho0 = coefficients_to_density(system, {"z": 1.0})
-        base = noiseless_tomography(build_design_matrix(system, params), rho0, normalize=False)
-        matrix = coefficients_to_density(system, {**base.coefficients, "x": 0.3})
-        rng = np.random.default_rng(7)
-        for _ in range(40):
-            reference = reference_fid(system, rho0, params)
-            reference.samples = 1e-3 / np.sqrt(2.0) * (
-                rng.standard_normal(params.n_t2) + 1j * rng.standard_normal(params.n_t2))
-            scale, reason = reference_normalize(system, reference, matrix, params)
-            assert scale is None
-            assert reason == "no directly observable single-quantum content"
+        signal_a, signal_b = noiseless_measurements(
+            design, coefficients_to_density(system, DEMO_COEFFS))
+        with pytest.warns(UserWarning, match="diagonal fit condition number") as direct:
+            fit_diagonal(signal_b, design)
+        with pytest.warns(UserWarning, match="diagonal fit condition number") as inverted:
+            tomograph_state(design, signal_a, signal_b)
+        assert [w.filename for w in direct] == [w.filename for w in inverted] == [__file__]
 
 
 class TestEndToEnd:
@@ -1044,21 +907,20 @@ class TestEndToEnd:
 
     def test_truth_is_read_only_to_score(self, two_spin_setup):
         # the same measurements scored against the state and against twice
-        # the state give the same fit, scale included: only the scores move
+        # the state give the same fit: only the scores move
         system, params, design = two_spin_setup
         rho0 = coefficients_to_density(system, DEMO_COEFFS)
         measured = noiseless_measurements(design, rho0)
         results = [tomograph_state(design, *measured, truth=truth)
                    for truth in (rho0, 2.0 * rho0)]
         assert results[0].coefficients == results[1].coefficients
-        assert results[0].scale_factor == results[1].scale_factor == pytest.approx(1.0, abs=1e-9)
         assert results[0].coefficients["xo"] == pytest.approx(1.0, abs=1e-9)
         assert results[0].max_coefficient_error <= 1e-9
         assert results[1].max_coefficient_error > 1.0
 
     def test_without_truth_no_scores(self, two_spin_setup):
-        # the truth fills the scores only: without it the fit, matrix,
-        # residuals and scale are bit for bit the same and every score is None
+        # the truth fills the scores only: without it the fit, matrix
+        # and residuals are bit for bit the same and every score is None
         system, params, design = two_spin_setup
         rho0 = coefficients_to_density(system, DEMO_COEFFS)
         measured = noiseless_measurements(design, rho0)
@@ -1067,7 +929,7 @@ class TestEndToEnd:
         assert list(result.coefficients.items()) == list(scored.coefficients.items())
         assert np.array_equal(result.matrix, scored.matrix)
         for name in ("residual_offdiagonal", "residual_diagonal", "condition_number",
-                     "condition_number_diagonal", "scale_factor", "notes"):
+                     "condition_number_diagonal", "notes"):
             assert getattr(result, name) == getattr(scored, name)
         for name in ("fidelity", "reference", "element_errors",
                      "max_relative_element_error", "max_coefficient_error"):
