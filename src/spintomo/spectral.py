@@ -50,26 +50,21 @@ class Spectrum1D:
 
 
 def _resolve_rate(apodization, meta: dict) -> float:
-    """Apodization spec -> decay rate in 1/s (0 disables)."""
+    """Decay rate in 1/s of ``apodization``: 0 for None, 1/T2 for "matched"."""
     if apodization is None:
         return 0.0
-    if isinstance(apodization, str):
-        if apodization != "matched":
-            raise ValueError(f"unknown apodization {apodization!r}")
-        t2_s = meta.get("t2_s")
-        if not t2_s:
-            raise ValueError("matched apodization needs t2_s in the signal metadata")
-        return 1.0 / float(t2_s)
-    rate = float(apodization)
-    if rate < 0:
-        raise ValueError("apodization rate must be non-negative")
-    return rate
+    if apodization != "matched":
+        raise ValueError(f"unknown apodization {apodization!r}")
+    t2_s = meta.get("t2_s")
+    if not t2_s:
+        raise ValueError("matched apodization needs t2_s in the signal metadata")
+    return 1.0 / float(t2_s)
 
 
 def _dft(data, dwell_s: float, meta: dict, apodization, zero_fill: int,
          first_point_half: bool, axis: int = -1):
-    """(frequency axis, spectrum, processing record): apodize, halve the first
-    point, zero-fill and FFT ``data`` along ``axis``, in fftshift layout."""
+    """(frequency axis, spectrum): apodize, halve the first point, zero-fill
+    and FFT ``data`` along ``axis``, in fftshift layout."""
     rate = _resolve_rate(apodization, meta)
     x = np.array(data, dtype=complex)
     n = x.shape[axis]
@@ -80,14 +75,7 @@ def _dft(data, dwell_s: float, meta: dict, apodization, zero_fill: int,
     if first_point_half:
         np.moveaxis(x, axis, 0)[0] *= 0.5
     freqs = hybrid_omega2_axis(n, dwell_s, zero_fill)
-    spec = np.fft.fftshift(np.fft.fft(x, n=len(freqs), axis=axis), axes=axis)
-    processing = {
-        "apodization": apodization if isinstance(apodization, str) else rate or None,
-        "apod_rate_per_s": rate,
-        "zero_fill": int(zero_fill),
-        "first_point_half": bool(first_point_half),
-    }
-    return freqs, spec, processing
+    return freqs, np.fft.fftshift(np.fft.fft(x, n=len(freqs), axis=axis), axes=axis)
 
 
 def dft_t2(signal: Signal2D, apodization="matched", zero_fill: int = 2,
@@ -105,15 +93,14 @@ def dft_t2(signal: Signal2D, apodization="matched", zero_fill: int = 2,
     grid = out
     for start in range(0, n_t1, T2_BLOCK_ROWS):
         rows = slice(start, start + T2_BLOCK_ROWS)
-        freqs, block, processing = _dft(signal.grid[rows], signal.dwell_t2_s,
-                                        signal.meta, apodization, zero_fill,
-                                        first_point_half, axis=1)
+        freqs, block = _dft(signal.grid[rows], signal.dwell_t2_s, signal.meta,
+                            apodization, zero_fill, first_point_half, axis=1)
         block = block[:, columns]
         if grid is None:
             grid = np.empty((n_t1, block.shape[1]), dtype=complex)
         grid[rows] = block
     return HybridSpectrum(grid=grid, dwell_t1_s=signal.dwell_t1_s, omega2_hz=freqs[columns],
-                          meta={**signal.meta, "processing_t2": processing})
+                          meta=signal.meta)
 
 
 def dft_t1(hybrid: HybridSpectrum, apodization="matched", zero_fill: int = 2,
@@ -123,10 +110,10 @@ def dft_t1(hybrid: HybridSpectrum, apodization="matched", zero_fill: int = 2,
     Cosine-modulated t1 content produces symmetric absorptive pairs at
     +-Omega1, sine-modulated content antisymmetric dispersive pairs.
     """
-    freqs, spec, processing = _dft(hybrid.grid, hybrid.dwell_t1_s, hybrid.meta,
-                                   apodization, zero_fill, first_point_half, axis=0)
+    freqs, spec = _dft(hybrid.grid, hybrid.dwell_t1_s, hybrid.meta,
+                       apodization, zero_fill, first_point_half, axis=0)
     return Spectrum2D(grid=spec, omega1_hz=freqs, omega2_hz=hybrid.omega2_hz,
-                      meta={**hybrid.meta, "processing_t1": processing})
+                      meta=hybrid.meta)
 
 
 # Omega2 columns per dft_t1 call when the magnitude is streamed or the
@@ -173,10 +160,9 @@ def dft_t1_magnitude(signal: Signal2D):
 def dft_fid(signal: Signal1D, apodization="matched", zero_fill: int = 2,
             first_point_half: bool = True) -> Spectrum1D:
     """Transform a one-dimensional FID."""
-    freqs, spec, processing = _dft(signal.samples, signal.dwell_s, signal.meta,
-                                   apodization, zero_fill, first_point_half)
-    return Spectrum1D(values=spec, omega_hz=freqs,
-                      meta={**signal.meta, "processing": processing})
+    freqs, spec = _dft(signal.samples, signal.dwell_s, signal.meta,
+                       apodization, zero_fill, first_point_half)
+    return Spectrum1D(values=spec, omega_hz=freqs, meta=signal.meta)
 
 
 def _axis_bin(axis_hz: np.ndarray, frequency_hz: float, name: str) -> int:

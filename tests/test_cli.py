@@ -606,6 +606,23 @@ class TestTomographCommand:
         assert np.max(np.abs(np.array(result["matrix_re"]))) < 1e-9
         assert "skipped" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("config, state", [
+        ("demo_2qubit.json", [["z o", 1.0], ["o z", 2.3], ["z z", 6.7]]),
+        ("demo_4qubit.json", [["z o o o", 0.6], ["o z o o", 0.75], ["o o z o", 1.0],
+                              ["o o o z", 1.4]]),
+    ])
+    def test_thermal_state(self, tmp_path, config, state):
+        # no off-diagonal content: signal A's t1-mean-free target is rounding
+        # alone, which the fit solves to zero without a refusal or a warning
+        payload = json.loads((CONFIG_DIR / config).read_text())
+        payload["state"]["coefficients"] = state
+        path = write_config(tmp_path, payload)
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["tomograph", "--config", str(path), "--out", str(out)]) == 0
+        assert json.loads((out / "result.json").read_text())["max_coefficient_error"] <= 1e-10
+
     def test_simulate_draw_order(self):
         # random.Random(seed) draws A's gradient delays, then B's, then the
         # noise of A and B: realistic-gradient runs stay reproducible

@@ -61,6 +61,14 @@ class TestDftCore:
         with pytest.raises(ValueError, match="t2_s"):
             dft_fid(signal)
 
+    @pytest.mark.parametrize("apodization", ["lorentzian", 20.0, 0.0])
+    def test_unknown_apodization(self, apodization):
+        # None and "matched" are the only values; a rate is not one
+        signal = Signal1D(samples=np.ones(8, dtype=complex), dwell_s=1e-3,
+                          meta={"t2_s": 0.05})
+        with pytest.raises(ValueError, match="unknown apodization"):
+            dft_fid(signal, apodization=apodization)
+
     @pytest.mark.parametrize("n", [1, 2, 3, 64, 100])
     @pytest.mark.parametrize("zero_fill", [1, 2, 4])
     def test_one_zero_fill_rule(self, n, zero_fill):
@@ -87,12 +95,11 @@ class TestDftCore:
         # a last block shorter than the rest, and a grid shorter than a block
         signal = self.random_signal(n_t1, 100)
         hybrid = dft_t2(signal)
-        freqs, expected, processing = _dft(signal.grid, signal.dwell_t2_s, signal.meta,
-                                           "matched", 2, True, axis=1)
+        freqs, expected = _dft(signal.grid, signal.dwell_t2_s, signal.meta,
+                               "matched", 2, True, axis=1)
         assert hybrid.grid.dtype == expected.dtype and hybrid.grid.shape == expected.shape
         assert hybrid.grid.tobytes() == expected.tobytes()
         assert hybrid.omega2_hz.tobytes() == freqs.tobytes()
-        assert hybrid.meta["processing_t2"] == processing
 
     def test_t2_kept_columns_bit_exact(self):
         # a slice of bins written into a given buffer, and a list of bins in
