@@ -24,7 +24,6 @@ whole t1 axis; each block's evolution is the first block's times one phase
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -371,22 +370,14 @@ def run_sequence_A(system: SpinSystem, rho0: np.ndarray, params: AcquisitionPara
 
 def run_sequence_B(system: SpinSystem, rho0: np.ndarray, params: AcquisitionParams,
                    gradient_delays_s=None) -> Signal1D:
-    """One-dimensional diagonal readout: gradient, small beta pulse, detect.
+    """One-dimensional diagonal readout: gradient, beta pulse, detect.
 
     The gradient is as in :func:`run_sequence_A`.  The beta pulse converts
-    population differences into single-quantum coherences; amplitudes stay
-    proportional to the diagonal coefficients for small beta (linear
-    response), hence the warning above 15 degrees.  The FID is the kept
-    support of the input state carried through :func:`sequence_B_map`.
+    population differences into single-quantum coherences.  The FID is the
+    kept support of the input state carried through :func:`sequence_B_map`.
     """
     rho0 = _validate_state(rho0, system)
     check_nyquist(transition_table(system), params)
-    if params.beta_rad > np.radians(15.0):
-        warnings.warn(
-            f"beta = {np.degrees(params.beta_rad):.1f} deg exceeds the "
-            "linear-response regime (15 deg)",
-            stacklevel=2,
-        )
     a, b, to_detected = sequence_B_map(system, params, gradient_delays_s)
     samples = (to_detected @ rho0[a, b]) @ detection_fids(system, params.t2_times)
     return Signal1D(samples=samples, dwell_s=params.dwell_t2_s,

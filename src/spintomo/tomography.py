@@ -50,10 +50,6 @@ log = logging.getLogger(__name__)
 
 RESIDUAL_WARN_THRESHOLD = 1e-6
 
-# Least squares loses about kappa * eps of the solution: the diagonal fit
-# warns when its condition number exceeds this.
-CONDITION_WARN_THRESHOLD = 1e6
-
 # Corrected semi-normal equations stop refining after this many steps, or
 # earlier once a step is no smaller than the one before.
 MAX_REFINEMENT_STEPS = 3
@@ -69,7 +65,30 @@ BASIS_TOL = 1e-12
 
 
 @dataclass(eq=False)
-class DesignMatrix:
+class Eigensystem:
+    """The eigenpairs of A^T A for the columns ``labels`` of a linear map A,
+    eigenvalues ascending and eigenvectors in label order, and what
+    :func:`_eigensystem` reads from them of solving for those labels."""
+
+    labels: tuple
+    eigenvalues: np.ndarray
+    eigenvectors: np.ndarray
+    rank: int
+    condition_number: float
+    nullspace_labels: tuple
+
+    @property
+    def is_full_rank(self) -> bool:
+        return self.rank == len(self.labels)
+
+    @property
+    def unsolved_labels(self) -> tuple:
+        """Labels a rank-deficient A leaves undetermined."""
+        return self.nullspace_labels
+
+
+@dataclass(eq=False, kw_only=True)
+class DesignMatrix(Eigensystem):
     """Linear map A from off-diagonal coefficients to stacked signal-A coordinates.
 
     Rows of A are the real and imaginary parts of the t1-mean-subtracted
@@ -87,13 +106,10 @@ class DesignMatrix:
     simulator's :func:`~spintomo.experiment.t1_blocks`, remade from ``head``
     a few blocks at a time on every product, so no field grows with n_t1:
     A x = Ec (u[:, None] * response) with Ec the factors less ``mean`` and
-    u = values[f]^T x_f on S_f.  ``eigenvalues`` (ascending) and
-    ``eigenvectors`` are the eigenpairs of A^T A.  ``rank``,
-    ``condition_number`` and the zero and null-space label lists describe
-    the numerical solvability of the fit.
+    u = values[f]^T x_f on S_f.  Its :class:`Eigensystem` is that of A^T A,
+    with the labels of zero columns besides.
     """
 
-    labels: tuple
     system: SpinSystem
     params: AcquisitionParams
     basis: np.ndarray
@@ -103,12 +119,7 @@ class DesignMatrix:
     head: np.ndarray
     response: np.ndarray
     values: np.ndarray
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-    rank: int
-    condition_number: float
     zero_labels: tuple = ()
-    nullspace_labels: tuple = ()
 
     @property
     def shape(self) -> tuple:
@@ -146,10 +157,6 @@ class DesignMatrix:
         # Re(conj(V) conj(w)) = Re(V w)
         grouped = self.values @ weights.reshape(len(self.values), -1, 1)
         return grouped.real.reshape(-1)[np.argsort(self.order)]
-
-    @property
-    def is_full_rank(self) -> bool:
-        return self.rank == len(self.labels)
 
     @property
     def unsolved_labels(self) -> tuple:
@@ -322,7 +329,7 @@ def _solve_seminormal(apply, adjoint, eigenvalues: np.ndarray,
     one before, for at most :data:`MAX_REFINEMENT_STEPS` steps.  A is read
     only through ``apply`` and ``adjoint``.  Each step shrinks the error by
     about kappa^2 eps, so the refinement converges when the smallest
-    eigenvalue is well above rounding: the caller refuses, by
+    eigenvalue is well above rounding: :func:`_fit` refuses, by
     :data:`RANK_TOL`, every A where it is not.
     """
     def seminormal(rhs):
@@ -361,19 +368,13 @@ def build_design_matrix(system: SpinSystem, params: AcquisitionParams,
         system, params, basis, labels)
     gram = _gram(evolution, response, values)
     del evolution  # freed before eigh, where the build peaks
-    eigenvalues, eigenvectors = np.linalg.eigh(gram)
     inverse = np.argsort(order)
-    eigenvectors = eigenvectors[inverse]
+    eigen = _eigensystem(gram, labels, inverse)
     squared_norms = np.diag(gram)[inverse]
     zero_labels = tuple(label for label, norm in zip(labels, squared_norms)
                         if norm <= 1e-24 * squared_norms.max())
-    rank = int(np.sum(eigenvalues > RANK_TOL * eigenvalues[-1]))
-    cond = (float(np.sqrt(eigenvalues[-1] / eigenvalues[0])) if eigenvalues[0] > 0
-            else float("inf"))
-    nullspace_labels = _nullspace_labels(labels, eigenvectors[:, :len(labels) - rank])
 
     design = DesignMatrix(
-        labels=labels,
         system=system,
         params=params,
         basis=basis,
@@ -383,16 +384,24 @@ def build_design_matrix(system: SpinSystem, params: AcquisitionParams,
         head=t1_factors(rates, params.t1_times[:T2_BLOCK_ROWS]),
         response=response,
         values=values,
-        eigenvalues=eigenvalues,
-        eigenvectors=eigenvectors,
-        rank=rank,
-        condition_number=cond,
         zero_labels=zero_labels,
-        nullspace_labels=nullspace_labels,
+        **vars(eigen),
     )
     log.info("design matrix: shape %s, rank %d/%d, condition %.3g",
-             design.shape, rank, len(labels), cond)
+             design.shape, eigen.rank, len(labels), eigen.condition_number)
     return design
+
+
+def _eigensystem(gram: np.ndarray, labels, inverse=slice(None)) -> Eigensystem:
+    """One ``eigh`` of A^T A, whose row ``inverse[i]`` is label i's.  The
+    rank counts eigenvalues above :data:`RANK_TOL` of the largest."""
+    eigenvalues, eigenvectors = np.linalg.eigh(gram)
+    eigenvectors = eigenvectors[inverse]
+    rank = int(np.sum(eigenvalues > RANK_TOL * eigenvalues[-1]))
+    cond = (float(np.sqrt(eigenvalues[-1] / eigenvalues[0])) if eigenvalues[0] > 0
+            else float("inf"))
+    return Eigensystem(labels, eigenvalues, eigenvectors, rank, cond,
+                       _nullspace_labels(labels, eigenvectors[:, :len(labels) - rank]))
 
 
 def _nullspace_labels(labels, null_vectors: np.ndarray) -> tuple:
@@ -407,17 +416,14 @@ def _nullspace_labels(labels, null_vectors: np.ndarray) -> tuple:
 
 
 def _check_meta(meta: dict, design: DesignMatrix, sequence: str) -> None:
-    """Refuse a measurement of another sequence than ``sequence``, or one
-    recorded on another register or grid than the design's."""
-    recorded = meta.get("sequence")
-    if recorded is not None and recorded != sequence:
-        raise ValueError(f"signal of sequence {recorded!r} given where sequence "
-                         f"{sequence!r} is fitted")
-    system = meta.get("system")
-    if system is not None and system != design.system.to_dict():
+    """Refuse a measurement whose metadata does not record ``sequence`` and
+    the design's register and grid, whether it records others or none."""
+    if meta.get("sequence") != sequence:
+        raise ValueError(f"signal of sequence {meta.get('sequence')!r} given where "
+                         f"sequence {sequence!r} is fitted")
+    if meta.get("system") != design.system.to_dict():
         raise ValueError("signal was recorded on a different spin system than the design matrix")
-    params = meta.get("params")
-    if params is not None and params != design.params.to_dict():
+    if meta.get("params") != design.params.to_dict():
         raise ValueError("signal acquisition parameters differ from the design matrix")
 
 
@@ -429,47 +435,54 @@ def _warn(message: str) -> None:
     warnings.warn(message, stacklevel=level)
 
 
+def _fit(eigen, apply, adjoint, target: np.ndarray, floor: float = 0.0) -> Fit:
+    """Least-squares fit of ``target`` to the columns of A, read through
+    ``apply`` and ``adjoint``, on ``eigen``, the :class:`Eigensystem` of A^T A.
+
+    One rule refuses: a rank short of the labels raises
+    :class:`RankDeficiencyError` naming ``eigen.unsolved_labels``, never a
+    silent pseudo-inverse answer; every A that passes is one the refined
+    :func:`_solve_seminormal` converges on.  The relative residual reads
+    0.0 when the target's norm is at or below ``floor``.
+    """
+    if not eigen.is_full_rank:
+        bad = eigen.unsolved_labels
+        raise RankDeficiencyError(
+            f"design does not determine all {len(eigen.labels)} coefficients "
+            f"(rank {eigen.rank}); undetermined labels: {[' '.join(l) for l in bad]}",
+            labels=bad,
+        )
+    solution, residual = _solve_seminormal(
+        apply, adjoint, eigen.eigenvalues, eigen.eigenvectors, target)
+    scale = float(np.linalg.norm(target))
+    relative = float(np.linalg.norm(residual)) / scale if scale > floor else 0.0
+    coefficients = {label: float(q) for label, q in zip(eigen.labels, solution)}
+    return Fit(coefficients=coefficients, relative_residual=relative,
+               condition_number=eigen.condition_number)
+
+
 def fit_offdiagonal(signal: FidCoordinates, design: DesignMatrix) -> Fit:
     """Least-squares solve of signal A's coordinates against the design.
 
     ``signal`` holds the :func:`fid_coordinates` of the sequence-A signal in
     the design's ``basis``; each coordinate's t1 mean carries no
-    off-diagonal information and is removed.  One rule refuses: a design
-    whose rank, cut at :data:`RANK_TOL`, is short raises
-    :class:`RankDeficiencyError` naming its ``unsolved_labels``, never a
-    silent pseudo-inverse answer.  Every design that passes is one the
-    refined solve converges on; it reuses the design's stored eigenpairs,
-    and the fit reports the design's condition number.
+    off-diagonal information and is removed.  The solve and its one refusal
+    are :func:`_fit`'s on the design's stored eigenpairs, and the fit
+    reports the design's condition number.
     """
     _check_meta(signal.meta, design, "A")
     if not np.array_equal(signal.basis, design.basis):
         raise ValueError("signal coordinates were taken in another basis than the design's")
-    if not design.is_full_rank:
-        bad = design.unsolved_labels
-        raise RankDeficiencyError(
-            f"design matrix does not determine all {len(design.labels)} "
-            f"coefficients (rank {design.rank}); undetermined labels: "
-            f"{[' '.join(l) for l in bad]}",
-            labels=bad,
-        )
     target = _stack(signal.values - signal.values.mean(axis=0))
-    solution, residual_vector = _solve_seminormal(
-        design.apply, design.adjoint, design.eigenvalues, design.eigenvectors, target)
-    residual = float(np.linalg.norm(residual_vector))
-    scale = float(np.linalg.norm(target))
-    relative = residual / scale if scale > 0 else 0.0
-    # A state without off-diagonal content leaves a target that is only the
-    # rounding of the t1 mean's removal, below 1e2 eps of the coordinates,
-    # and its relative residual of about 1 compares rounding with rounding.
-    # An off-diagonal coefficient of 1e-16 already lifts the target past
-    # 1e13 eps of them.
-    if (relative > RESIDUAL_WARN_THRESHOLD
-            and scale > 1e4 * np.finfo(float).eps * np.linalg.norm(signal.values)):
-        _warn(f"off-diagonal fit residual {relative:.3g} exceeds "
+    # Without off-diagonal content the target is the rounding of the t1
+    # mean's removal, below 1e2 eps of the coordinates, and its residual reads
+    # 0; one off-diagonal coefficient of 1e-16 lifts it past 1e13 eps.
+    fit = _fit(design, design.apply, design.adjoint, target,
+               floor=1e4 * np.finfo(float).eps * np.linalg.norm(signal.values))
+    if fit.relative_residual > RESIDUAL_WARN_THRESHOLD:
+        _warn(f"off-diagonal fit residual {fit.relative_residual:.3g} exceeds "
               f"{RESIDUAL_WARN_THRESHOLD}; model mismatch or noisy data")
-    coefficients = {label: float(q) for label, q in zip(design.labels, solution)}
-    return Fit(coefficients=coefficients, relative_residual=relative,
-               condition_number=design.condition_number)
+    return fit
 
 
 def _split(values: np.ndarray) -> np.ndarray:
@@ -500,34 +513,18 @@ def fit_diagonal(signal: Signal1D, design: DesignMatrix) -> Fit:
     Signal B's coordinates in the design's ``basis``, which spans every line,
     are fit against the forward-model coordinates of each diagonal basis
     operator on the design's register and at its beta, so the
-    finite-pulse-angle terms cancel exactly; the linear-response
-    approximation never enters.  Overlapping lines are absorbed by that
-    shared forward model, so there is no overlap check.  Only a singular
-    response, or a signal of another sequence or recorded on another register
-    or grid, is refused.
+    finite-pulse-angle terms are modelled exactly.  Overlapping lines are
+    absorbed by that shared forward model, so there is no overlap check.
+    The solve and its one refusal, naming the labels the response leaves
+    undetermined, are :func:`_fit`'s, on the eigenpairs of the response's
+    Gram; a signal of another sequence or recorded on another register or
+    grid is refused too.
     """
     _check_meta(signal.meta, design, "B")
     labels, response = _diagonal_response_matrix(design.system, design.params, design.basis)
     target = _split(signal.samples @ design.basis.conj())
-
-    solution, _, _, svals = np.linalg.lstsq(response, target, rcond=None)
-    if svals[0] == 0 or svals[-1] <= svals[0] * 1e-10:
-        raise RankDeficiencyError(
-            "diagonal response system is singular; line positions do not "
-            "separate the diagonal coefficients",
-            labels=labels,
-        )
-    condition = float(svals[0] / svals[-1])
-    if condition > CONDITION_WARN_THRESHOLD:
-        _warn(f"diagonal fit condition number {condition:.3g} exceeds "
-              f"{CONDITION_WARN_THRESHOLD:g}; rounding alone may cost a relative "
-              f"error of about {condition * np.finfo(float).eps:.1g}")
-    residual = float(np.linalg.norm(response @ solution - target))
-    scale = float(np.linalg.norm(target))
-    relative = residual / scale if scale > 0 else 0.0
-    coefficients = {label: float(q) for label, q in zip(labels, solution)}
-    return Fit(coefficients=coefficients, relative_residual=relative,
-               condition_number=condition)
+    return _fit(_eigensystem(response.T @ response, labels),
+                response.dot, response.T.dot, target)
 
 
 def fidelity(reference: np.ndarray, reconstructed: np.ndarray) -> float:

@@ -613,7 +613,8 @@ class TestTomographCommand:
     ])
     def test_thermal_state(self, tmp_path, config, state):
         # no off-diagonal content: signal A's t1-mean-free target is rounding
-        # alone, which the fit solves to zero without a refusal or a warning
+        # alone, which the fit solves to zero without a refusal or a warning,
+        # and whose residual it reports as 0, not as rounding over rounding
         payload = json.loads((CONFIG_DIR / config).read_text())
         payload["state"]["coefficients"] = state
         path = write_config(tmp_path, payload)
@@ -621,7 +622,9 @@ class TestTomographCommand:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(["tomograph", "--config", str(path), "--out", str(out)]) == 0
-        assert json.loads((out / "result.json").read_text())["max_coefficient_error"] <= 1e-10
+        result = json.loads((out / "result.json").read_text())
+        assert result["max_coefficient_error"] <= 1e-10
+        assert result["residual_offdiagonal"] == 0.0
 
     def test_simulate_draw_order(self):
         # random.Random(seed) draws A's gradient delays, then B's, then the

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from spintomo import (AcquisitionParams, DegenerateTransitionError,
-                      NyquistError, SpinSystem, build_spin_system,
+                      NyquistError, RankDeficiencyError, SpinSystem,
+                      build_design_matrix, build_spin_system,
                       coefficients_to_density,
                       default_acquisition, dft_t2, product_operator,
                       run_sequence_A, run_sequence_B,
@@ -21,8 +22,8 @@ from spintomo.experiment import T2_BLOCK_ROWS, t1_blocks
 from spintomo.spectral import cross_sections
 
 from conftest import (DEMO_COEFFS, FOUR_SPIN_STATE, clustered_systems, fit_t1_trace,
-                      loop_pairs, random_hermitian_traceless, reference_sequence_a,
-                      reference_sequence_b)
+                      loop_pairs, noiseless_tomography, random_hermitian_traceless,
+                      reference_sequence_a, reference_sequence_b)
 
 
 def small_params(alpha_rad=np.pi / 4, beta_rad=np.radians(10.0), n_t1=16, n_t2=16):
@@ -303,11 +304,24 @@ class TestSequenceB:
         assert np.max(np.abs(doubled - 2.0 * single)) < 1e-12 * max(
             1.0, np.max(np.abs(single)))
 
-    def test_large_beta_warns(self, two_spin_system):
-        rho0 = coefficients_to_density(two_spin_system, {"zo": 1.0})
-        with pytest.warns(UserWarning, match="linear-response"):
-            run_sequence_B(two_spin_system, rho0,
-                           small_params(beta_rad=np.radians(20.0)))
+    def test_large_beta_recovers_coefficients(self, two_spin_system):
+        # the diagonal fit models the beta pulse exactly, so a large angle
+        # costs nothing and nothing warns
+        params = default_acquisition(two_spin_system, beta_rad=np.radians(30.0))
+        rho0 = coefficients_to_density(two_spin_system, DEMO_COEFFS)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = noiseless_tomography(build_design_matrix(two_spin_system, params), rho0)
+        assert result.max_coefficient_error <= 1e-10
+
+    def test_right_angle_beta_leaves_zz_undetermined(self, two_spin_system):
+        # the two-spin-order term reaches the lines with cos(beta), which is
+        # zero at 90 degrees: the diagonal fit names zz alone
+        params = default_acquisition(two_spin_system, beta_rad=np.radians(90.0))
+        rho0 = coefficients_to_density(two_spin_system, DEMO_COEFFS)
+        with pytest.raises(RankDeficiencyError, match=r"\['z z'\]") as info:
+            noiseless_tomography(build_design_matrix(two_spin_system, params), rho0)
+        assert info.value.labels == ("zz",)
 
     def test_finite_beta_line_amplitudes(self, two_spin_system):
         # exact finite-angle line amplitudes carry a cos(beta) on the
