@@ -6,16 +6,16 @@ diagonal), processes the signals into spectra, and inverts them back into the
 deviation density matrix by forward-model least squares.
 """
 
-from .core import (AXES, SpinSystem, all_labels, build_spin_system,
+from .core import (AXES, SpinSystem, Transition, all_labels, build_spin_system,
                    coefficients_to_density, density_to_coefficients,
                    diagonal_labels, format_label, offdiagonal_labels,
                    parse_label, product_operator, rotation_pulse)
 from .dynamics import evolution_rates
 from .errors import (AxisRangeError, ConfigError, DegenerateTransitionError,
                      NyquistError, RankDeficiencyError, SpinTomoError)
-from .experiment import (AcquisitionParams, Signal1D, Signal2D, Transition,
-                         TransitionTable, default_acquisition, run_sequence_A,
-                         run_sequence_B, transition_table)
+from .experiment import (AcquisitionParams, Signal1D, Signal2D,
+                         default_acquisition, run_sequence_A, run_sequence_B,
+                         transition_table)
 from .spectral import (HybridSpectrum, Spectrum1D, Spectrum2D,
                        cross_sections, dft_fid, dft_t1, dft_t2,
                        hybrid_omega2_axis)
@@ -31,7 +31,7 @@ __all__ = [
     "DegenerateTransitionError", "DesignMatrix", "HybridSpectrum",
     "NyquistError", "RankDeficiencyError", "Signal1D", "Signal2D",
     "SpinSystem", "SpinTomoError", "Spectrum1D", "Spectrum2D",
-    "TomographyResult", "Transition", "TransitionTable", "all_labels",
+    "TomographyResult", "Transition", "all_labels",
     "build_design_matrix", "build_spin_system", "coefficients_to_density",
     "cross_sections", "default_acquisition", "density_to_coefficients",
     "detection_basis", "dft_fid", "dft_t1", "dft_t2", "diagonal_labels",

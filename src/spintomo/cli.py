@@ -375,12 +375,12 @@ def _export_simulation(signal_a, signal_b, out: Path, table) -> None:
 
     # Row i is transition-table index i, since frequencies can agree to any
     # printed precision.
-    _, sections = cross_sections(signal_a, table.frequencies())
+    _, sections = cross_sections(signal_a, [t.frequency_hz for t in table])
     _write_array(out, "cross_sections.npy", np.ascontiguousarray(sections.grid.T),
                  ["section", "omega1"], "cross_sections.json",
                  omega1_hz=[float(f) for f in sections.omega1_hz],
                  sections=[{"index": i, "qubit": t.qubit,
-                            "frequency_hz": float(t.frequency_hz), "bin_hz": float(bin_hz)}
+                            "frequency_hz": t.frequency_hz, "bin_hz": float(bin_hz)}
                            for i, (t, bin_hz) in enumerate(zip(table, sections.omega2_hz))])
     del sections
 
@@ -493,7 +493,7 @@ def cmd_basis(cfg: RunConfig, out: Path) -> int:
           f"condition number {design.condition_number:.6g}")
     if not design.is_full_rank:
         print("design does not determine these labels: "
-              + ", ".join(format_label(l) for l in design.unsolved_labels),
+              + ", ".join(format_label(l) for l in design.nullspace_labels),
               file=sys.stderr)
         return 3
     return 0

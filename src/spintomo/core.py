@@ -14,9 +14,8 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import itertools
-import warnings
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -28,8 +27,8 @@ SPIN_Y = 0.5 * np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SPIN_Z = 0.5 * np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 SINGLE_SPIN_OPS = {"o": IDENTITY_2, "x": SPIN_X, "y": SPIN_Y, "z": SPIN_Z}
 
-# Single-quantum lines closer than this cannot be told apart: building such a
-# system warns and the transition table refuses it.
+# Single-quantum lines closer than this cannot be told apart: the transition
+# table refuses such a system.
 DEGENERACY_TOL_HZ = 1e-6
 
 
@@ -88,9 +87,8 @@ def build_spin_system(n, larmor_hz, couplings_hz=None, t2_s=0.01) -> SpinSystem:
 
     Notes
     -----
-    Single-quantum transitions within :data:`DEGENERACY_TOL_HZ` of each
-    other only raise a warning here; experiment setup enforces the same
-    rule as a hard error.
+    Lines that coincide are not checked here: every command and pipeline
+    stage refuses them through :func:`~spintomo.experiment.transition_table`.
     """
     n = int(n)
     if n < 1:
@@ -121,17 +119,7 @@ def build_spin_system(n, larmor_hz, couplings_hz=None, t2_s=0.01) -> SpinSystem:
     if len(seen) != len(pairs):
         raise ValueError("duplicate coupling keys")
 
-    system = SpinSystem(n=n, larmor_hz=larmor, couplings_hz=tuple(sorted(pairs)), t2_s=t2_s)
-
-    freqs = [f for *_, f in single_quantum_transitions(system)]
-    pairs = _close_pairs(freqs, DEGENERACY_TOL_HZ)
-    if pairs:
-        warnings.warn(
-            f"single-quantum transitions coincide near {freqs[pairs[0][0]]:.6g} Hz; "
-            "tomography setup will reject this system",
-            stacklevel=2,
-        )
-    return system
+    return SpinSystem(n=n, larmor_hz=larmor, couplings_hz=tuple(sorted(pairs)), t2_s=t2_s)
 
 
 # ---------------------------------------------------------------------------
@@ -273,13 +261,27 @@ def _close_pairs(frequencies, limit_hz: float) -> list:
     return sorted(pairs)
 
 
-def single_quantum_transitions(system: SpinSystem):
-    """All single-spin-flip transitions as (qubit, upper_state, lower_state, freq_hz).
+class Transition(NamedTuple):
+    """Single-quantum transition: spin ``qubit`` flips between two eigenstates.
 
-    ``upper_state`` has the flipping spin up, ``lower_state`` has it down and is
-    identical otherwise.  The frequency is the eigenvalue difference
-    E(upper) - E(lower), which is the sign convention under which detected
-    coherences appear at positive Larmor-like frequencies.
+    ``upper`` has the spin up, ``lower`` has it down and is identical
+    otherwise; ``frequency_hz`` is the eigenvalue difference E(upper) -
+    E(lower), the sign convention under which detected coherences appear at
+    positive Larmor-like frequencies.
+    """
+
+    qubit: int
+    upper: int
+    lower: int
+    frequency_hz: float
+
+
+def single_quantum_transitions(system: SpinSystem) -> tuple:
+    """All n * 2^(n-1) single-spin-flip :class:`Transition` records, by qubit
+    and then by upper state.
+
+    Lines may coincide here; :func:`~spintomo.experiment.transition_table`
+    is the same tuple once none do.
     """
     level = energies(system)
     n = system.n
@@ -290,8 +292,8 @@ def single_quantum_transitions(system: SpinSystem):
             if r & bit:
                 continue
             s = r | bit
-            out.append((j, r, s, float(level[r] - level[s])))
-    return out
+            out.append(Transition(j, r, s, float(level[r] - level[s])))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

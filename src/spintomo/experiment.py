@@ -97,14 +97,6 @@ class AcquisitionParams:
     def t2_times(self) -> np.ndarray:
         return np.arange(self.n_t2) * self.dwell_t2_s
 
-    @property
-    def spectral_width_1(self) -> float:
-        return 1.0 / self.dwell_t1_s
-
-    @property
-    def spectral_width_2(self) -> float:
-        return 1.0 / self.dwell_t2_s
-
     def to_dict(self) -> dict:
         return {
             "n_t1": self.n_t1,
@@ -116,42 +108,9 @@ class AcquisitionParams:
         }
 
 
-@dataclass(frozen=True)
-class Transition:
-    """Single-quantum transition: spin ``qubit`` flips between two eigenstates.
-
-    ``upper`` has the spin up, ``lower`` has it down; ``frequency_hz`` is the
-    eigenvalue difference E(upper) - E(lower).
-    """
-
-    qubit: int
-    upper: int
-    lower: int
-    frequency_hz: float
-
-
-@dataclass(frozen=True)
-class TransitionTable:
-    """All n * 2^(n-1) single-quantum transitions of a system."""
-
-    entries: tuple
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def frequencies(self) -> np.ndarray:
-        return np.array([t.frequency_hz for t in self.entries])
-
-    def max_frequency(self) -> float:
-        return float(np.max(np.abs(self.frequencies())))
-
-
-def transition_table(system: SpinSystem,
-                     tol_hz: float = DEGENERACY_TOL_HZ) -> TransitionTable:
-    """Enumerate single-quantum transitions, refusing degenerate sets.
+def transition_table(system: SpinSystem, tol_hz: float = DEGENERACY_TOL_HZ) -> tuple:
+    """The :func:`~spintomo.core.single_quantum_transitions` of ``system``,
+    refusing degenerate sets.
 
     Raises
     ------
@@ -159,13 +118,15 @@ def transition_table(system: SpinSystem,
         If any two transitions coincide within ``tol_hz``; the message lists
         the colliding pairs.  Uncoupled spins always trip this (their
         2^(n-1) transitions collapse onto the bare Larmor frequency).
+
+    Notes
+    -----
+    This is the one check that the lines can be told apart: every command
+    and pipeline stage calls it before any work.
     """
-    entries = tuple(
-        Transition(qubit=j, upper=r, lower=s, frequency_hz=f)
-        for j, r, s, f in single_quantum_transitions(system)
-    )
-    collisions = [(entries[i], entries[k]) for i, k in
-                  _close_pairs([t.frequency_hz for t in entries], tol_hz)]
+    table = single_quantum_transitions(system)
+    collisions = [(table[i], table[k]) for i, k in
+                  _close_pairs([t.frequency_hz for t in table], tol_hz)]
     if collisions:
         desc = "; ".join(
             f"qubit {a.qubit} ({a.frequency_hz:.6g} Hz) vs qubit {b.qubit} "
@@ -176,7 +137,7 @@ def transition_table(system: SpinSystem,
             f"{len(collisions)} degenerate transition pair(s): {desc}",
             pairs=collisions,
         )
-    return TransitionTable(entries=entries)
+    return table
 
 
 # Default spectral width of both dimensions, in units of the largest
@@ -196,7 +157,7 @@ def default_acquisition(system: SpinSystem, n_t1: int | None = None,
     The t1 increment count grows with the register size to keep resolution as
     the number of lines grows.
     """
-    sw = SPECTRAL_WIDTH_FACTOR * transition_table(system).max_frequency()
+    sw = SPECTRAL_WIDTH_FACTOR * max(abs(t.frequency_hz) for t in transition_table(system))
     if not sw > 0 and (dwell_t1_s is None or dwell_t2_s is None):
         raise ValueError("every transition is at 0 Hz, so no default dwell "
                          "follows from it; set dwell_t1_s and dwell_t2_s")
@@ -212,10 +173,11 @@ def default_acquisition(system: SpinSystem, n_t1: int | None = None,
     )
 
 
-def check_nyquist(table: TransitionTable, params: AcquisitionParams) -> None:
-    """Both spectral widths must exceed twice the largest transition frequency."""
-    fmax = table.max_frequency()
-    for name, sw in (("t1", params.spectral_width_1), ("t2", params.spectral_width_2)):
+def check_nyquist(table, params: AcquisitionParams) -> None:
+    """Both spectral widths, 1/dwell, must exceed twice the largest frequency
+    of the :func:`transition_table` ``table``."""
+    fmax = max(abs(t.frequency_hz) for t in table)
+    for name, sw in (("t1", 1.0 / params.dwell_t1_s), ("t2", 1.0 / params.dwell_t2_s)):
         if sw <= 2.0 * fmax:
             raise NyquistError(
                 f"{name} spectral width {sw:.6g} Hz does not exceed twice the "

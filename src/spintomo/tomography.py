@@ -81,11 +81,6 @@ class Eigensystem:
     def is_full_rank(self) -> bool:
         return self.rank == len(self.labels)
 
-    @property
-    def unsolved_labels(self) -> tuple:
-        """Labels a rank-deficient A leaves undetermined."""
-        return self.nullspace_labels
-
 
 @dataclass(eq=False, kw_only=True)
 class DesignMatrix(Eigensystem):
@@ -157,11 +152,6 @@ class DesignMatrix(Eigensystem):
         # Re(conj(V) conj(w)) = Re(V w)
         grouped = self.values @ weights.reshape(len(self.values), -1, 1)
         return grouped.real.reshape(-1)[np.argsort(self.order)]
-
-    @property
-    def unsolved_labels(self) -> tuple:
-        """Labels a rank-deficient design names: null-space, else zero."""
-        return self.nullspace_labels or self.zero_labels
 
 
 @dataclass
@@ -440,13 +430,13 @@ def _fit(eigen, apply, adjoint, target: np.ndarray, floor: float = 0.0) -> Fit:
     ``apply`` and ``adjoint``, on ``eigen``, the :class:`Eigensystem` of A^T A.
 
     One rule refuses: a rank short of the labels raises
-    :class:`RankDeficiencyError` naming ``eigen.unsolved_labels``, never a
+    :class:`RankDeficiencyError` naming ``eigen.nullspace_labels``, never a
     silent pseudo-inverse answer; every A that passes is one the refined
     :func:`_solve_seminormal` converges on.  The relative residual reads
     0.0 when the target's norm is at or below ``floor``.
     """
     if not eigen.is_full_rank:
-        bad = eigen.unsolved_labels
+        bad = eigen.nullspace_labels
         raise RankDeficiencyError(
             f"design does not determine all {len(eigen.labels)} coefficients "
             f"(rank {eigen.rank}); undetermined labels: {[' '.join(l) for l in bad]}",

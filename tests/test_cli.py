@@ -475,7 +475,7 @@ class TestSimulateCommand:
         assert [e["index"] for e in entries] == list(range(12))
         assert [e["qubit"] for e in entries] == [1] * 4 + [2] * 4 + [3] * 4
         table = transition_table(parse_config(path).system)
-        assert [e["frequency_hz"] for e in entries] == list(table.frequencies())
+        assert [e["frequency_hz"] for e in entries] == [t.frequency_hz for t in table]
         assert len(set(round(e["frequency_hz"], 1) for e in entries)) < 12
         assert sidecar["array"]["shape"][0] == 12
 
@@ -774,15 +774,18 @@ class TestTomographCommand:
                 assert list(out.iterdir()) == [], (name, command)
 
     def test_degenerate_system_exit_code(self, tmp_path, capsys):
+        # the transition table is the one refusal: no warning comes before it
         payload = demo_config()
         payload["spin_system"]["couplings_hz"] = {}
         path = write_config(tmp_path, payload)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            code = main(["tomograph", "--config", str(path), "--out",
-                         str(tmp_path / "out")])
-        assert code == 3
-        assert "degenerate" in capsys.readouterr().err.lower()
+        for command in ("simulate", "tomograph", "basis"):
+            out = tmp_path / command
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = main([command, "--config", str(path), "--out", str(out)])
+            assert code == 3, command
+            assert "2 degenerate transition pair" in capsys.readouterr().err
+            assert list(out.iterdir()) == [], command
 
 
 class TestNoise:

@@ -5,12 +5,13 @@ import pytest
 import scipy.linalg
 
 import spintomo
-from spintomo import (all_labels, build_design_matrix, build_spin_system,
-                      coefficients_to_density, default_acquisition,
-                      density_to_coefficients, diagonal_labels,
-                      fid_coordinates, fit_offdiagonal, format_label,
-                      offdiagonal_labels, parse_label, product_operator,
-                      rotation_pulse, run_sequence_A)
+from spintomo import (DegenerateTransitionError, all_labels, build_design_matrix,
+                      build_spin_system, coefficients_to_density,
+                      default_acquisition, density_to_coefficients,
+                      diagonal_labels, fid_coordinates, fit_offdiagonal,
+                      format_label, offdiagonal_labels, parse_label,
+                      product_operator, rotation_pulse, run_sequence_A,
+                      transition_table)
 from spintomo.core import (energies, monomial_table, operator_norm_squared,
                            single_quantum_transitions)
 
@@ -57,9 +58,13 @@ class TestBuildSpinSystem:
         with pytest.raises(ValueError, match="coupling key"):
             build_spin_system(2, [100.0, 200.0], {(2, 1): 5.0}, 0.010)
 
-    def test_degenerate_transitions_warn(self):
-        with pytest.warns(UserWarning, match="coincide"):
-            build_spin_system(2, [1200.0, 1800.0], {}, 0.010)
+    def test_degenerate_transitions_build_silently(self):
+        # the transition table is the one refusal of coinciding lines
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            system = build_spin_system(2, [1200.0, 1800.0], {}, 0.010)
+        with pytest.raises(DegenerateTransitionError, match="2 degenerate transition pair"):
+            transition_table(system)
 
     def test_rebuilt_system_matches(self, two_spin_system):
         # a signal names its register by to_dict() in its metadata; the fit
@@ -89,8 +94,7 @@ class TestHamiltonian:
         assert level[1] - level[3] == pytest.approx(1100.0)
 
     def test_zero_system(self):
-        with pytest.warns(UserWarning, match="coincide"):
-            system = build_spin_system(2, [0.0, 0.0], {(1, 2): 0.0}, 0.010)
+        system = build_spin_system(2, [0.0, 0.0], {(1, 2): 0.0}, 0.010)
         assert np.allclose(energies(system), 0.0)
 
     def test_transition_listing(self, two_spin_system):

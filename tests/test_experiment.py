@@ -5,10 +5,10 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from spintomo import (AcquisitionParams, DegenerateTransitionError,
-                      NyquistError, RankDeficiencyError, SpinSystem,
+                      NyquistError, RankDeficiencyError,
                       build_design_matrix, build_spin_system,
                       coefficients_to_density,
                       default_acquisition, dft_t2, product_operator,
@@ -43,9 +43,7 @@ class TestTransitionTable:
         assert len(table) == 4
 
     def test_uncoupled_degenerate(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            system = build_spin_system(2, [1200.0, 1800.0], {}, 0.010)
+        system = build_spin_system(2, [1200.0, 1800.0], {}, 0.010)
         with pytest.raises(DegenerateTransitionError) as info:
             transition_table(system)
         assert info.value.pairs
@@ -53,7 +51,7 @@ class TestTransitionTable:
     def test_four_spin_all_distinct(self, four_spin_system):
         table = transition_table(four_spin_system)
         assert len(table) == 4 * 8
-        freqs = np.sort(table.frequencies())
+        freqs = np.sort([t.frequency_hz for t in table])
         assert np.min(np.diff(freqs)) > 3.9
 
     def test_four_spin_against_kron_oracle(self, four_spin_system):
@@ -89,29 +87,11 @@ class TestTransitionTable:
         assert got == [(transitions[i][1], transitions[i][2],
                         transitions[k][1], transitions[k][2]) for i, k in expected]
 
-    @settings(max_examples=200, deadline=None)
-    @given(clustered_systems())
-    @example(SpinSystem(2, (20000.0, 20000.000005), ((1, 2, 50.0),), 0.01))
-    @example(SpinSystem(2, (100.0, 100.0000005), ((1, 2, 30.0),), 0.01))
-    def test_build_warns_iff_table_rejects(self, system):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            build_spin_system(system.n, system.larmor_hz,
-                              {(j, k): value for j, k, value in system.couplings_hz},
-                              system.t2_s)
-        warned = any("will reject" in str(w.message) for w in caught)
-        try:
-            transition_table(system)
-        except DegenerateTransitionError:
-            assert warned
-        else:
-            assert not warned
-
 
 class TestAcquisitionParams:
     def test_defaults_respect_nyquist(self, two_spin_system):
         params = default_acquisition(two_spin_system)
-        assert params.spectral_width_2 == pytest.approx(4 * 1900.0)
+        assert 1.0 / params.dwell_t2_s == pytest.approx(4 * 1900.0)
         assert params.n_t1 == 512
 
     def test_four_spin_default_increments(self, four_spin_system):

@@ -214,7 +214,7 @@ class TestDemoSpectra:
         system, hybrid = demo_hybrid
         profile = np.max(np.abs(hybrid.grid), axis=0)
         bin_width = hybrid.omega2_hz[1] - hybrid.omega2_hz[0]
-        table_freqs = transition_table(system).frequencies()
+        table_freqs = np.array([t.frequency_hz for t in transition_table(system)])
         peaks = local_maxima_above(profile, 1e-6 * profile.max())
         assert peaks
         for index in peaks:
