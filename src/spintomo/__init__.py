@@ -11,8 +11,8 @@ from .core import (AXES, SpinSystem, Transition, all_labels, build_spin_system,
                    diagonal_labels, format_label, offdiagonal_labels,
                    parse_label, product_operator, rotation_pulse)
 from .dynamics import evolution_rates
-from .errors import (AxisRangeError, ConfigError, DegenerateTransitionError,
-                     NyquistError, RankDeficiencyError, SpinTomoError)
+from .errors import (ConfigError, DegenerateTransitionError, NyquistError,
+                     RankDeficiencyError, SpinTomoError)
 from .experiment import (AcquisitionParams, Signal1D, Signal2D,
                          default_acquisition, run_sequence_A, run_sequence_B,
                          transition_table)
@@ -27,7 +27,7 @@ from .tomography import (DesignMatrix, TomographyResult, build_design_matrix,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AXES", "AcquisitionParams", "AxisRangeError", "ConfigError",
+    "AXES", "AcquisitionParams", "ConfigError",
     "DegenerateTransitionError", "DesignMatrix", "HybridSpectrum",
     "NyquistError", "RankDeficiencyError", "Signal1D", "Signal2D",
     "SpinSystem", "SpinTomoError", "Spectrum1D", "Spectrum2D",

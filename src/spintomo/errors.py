@@ -13,10 +13,6 @@ class NyquistError(SpinTomoError):
     """Sampling interval too coarse for the spectral content."""
 
 
-class AxisRangeError(SpinTomoError, ValueError):
-    """A frequency lies more than half a bin beyond the ends of a spectral axis."""
-
-
 class DegenerateTransitionError(SpinTomoError):
     """Two or more single-quantum transitions coincide in frequency."""
 

@@ -115,9 +115,10 @@ def transition_table(system: SpinSystem, tol_hz: float = DEGENERACY_TOL_HZ) -> t
     Raises
     ------
     DegenerateTransitionError
-        If any two transitions coincide within ``tol_hz``; the message lists
-        the colliding pairs.  Uncoupled spins always trip this (their
-        2^(n-1) transitions collapse onto the bare Larmor frequency).
+        If any two transitions coincide within ``tol_hz``; the message names
+        each line of a colliding pair by qubit, upper and lower eigenstate
+        (kets, qubit 1 leftmost, 0 for up) and frequency.  Uncoupled spins
+        always trip this (2^(n-1) lines on each bare Larmor frequency).
 
     Notes
     -----
@@ -128,11 +129,9 @@ def transition_table(system: SpinSystem, tol_hz: float = DEGENERACY_TOL_HZ) -> t
     collisions = [(table[i], table[k]) for i, k in
                   _close_pairs([t.frequency_hz for t in table], tol_hz)]
     if collisions:
-        desc = "; ".join(
-            f"qubit {a.qubit} ({a.frequency_hz:.6g} Hz) vs qubit {b.qubit} "
-            f"({b.frequency_hz:.6g} Hz)"
-            for a, b in collisions[:8]
-        )
+        desc = "; ".join(" vs ".join(
+            f"qubit {t.qubit} |{t.upper:0{system.n}b}>-|{t.lower:0{system.n}b}> "
+            f"({t.frequency_hz:.6g} Hz)" for t in pair) for pair in collisions[:8])
         raise DegenerateTransitionError(
             f"{len(collisions)} degenerate transition pair(s): {desc}",
             pairs=collisions,

@@ -1,8 +1,8 @@
 """Fourier processing: apodized, zero-filled DFTs and cross-sections.
 
 Frequency axes run negative to positive with zero at the center (fftshift
-layout), in Hz.  Detected coherences rotate as exp(+2i*pi*f*t), so a line at
-transition frequency f lands at +f on the axis.
+layout), in Hz, and are periodic in 1/dwell.  Detected coherences rotate as
+exp(+2i*pi*f*t), so a line at frequency f lands at +f or at an alias of it.
 
 Default processing is a matched exponential apodization (rate 1/T2), two-fold
 zero fill, and halving of the first time-domain point.  Each can be switched
@@ -12,12 +12,10 @@ correction are disabled.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import AxisRangeError
 from .experiment import T2_BLOCK_ROWS, Signal1D, Signal2D
 
 
@@ -165,15 +163,14 @@ def dft_fid(signal: Signal1D, apodization="matched", zero_fill: int = 2,
     return Spectrum1D(values=spec, omega_hz=freqs, meta=signal.meta)
 
 
-def _axis_bin(axis_hz: np.ndarray, frequency_hz: float, name: str) -> int:
-    """The bin of ``axis_hz`` nearest ``frequency_hz``, for a frequency at most
-    half a bin beyond the axis ends (it reads the end bin); one farther out
-    raises :class:`AxisRangeError`."""
-    half_bin = 0.5 * float(axis_hz[1] - axis_hz[0]) if len(axis_hz) > 1 else 0.0
-    if not (axis_hz[0] - half_bin <= frequency_hz <= axis_hz[-1] + half_bin):
-        raise AxisRangeError(
-            f"{name} = {frequency_hz:.6g} Hz outside axis range "
-            f"[{axis_hz[0]:.6g}, {axis_hz[-1]:.6g}] Hz")
+def _axis_bin(axis_hz: np.ndarray, frequency_hz: float) -> int:
+    """The bin of the periodic DFT axis ``axis_hz`` nearest ``frequency_hz``:
+    ``argmin(|axis_hz - frequency_hz|)`` within half a bin of the axis ends,
+    and beyond that the bin of the alias that lies within."""
+    half_bin = 0.5 * float(axis_hz[1] - axis_hz[0])
+    low = axis_hz[0] - half_bin
+    if not (low <= frequency_hz <= axis_hz[-1] + half_bin):
+        frequency_hz = low + (frequency_hz - low) % (2 * half_bin * len(axis_hz))
     return int(np.argmin(np.abs(axis_hz - frequency_hz)))
 
 
@@ -199,18 +196,10 @@ def cross_sections(signal: Signal2D, omega2_hz) -> tuple[list, Spectrum2D]:
     :data:`T1_BLOCK_COLUMNS` at a time into one section-major array, whose
     transpose is ``sections.grid``.  The transforms act on every row and
     column alone, so each trace equals that column of the whole 2D spectrum.
-    Each request whose bin lies more than half a linewidth away warns.
+    A request beyond the axis ends reads the bin of its alias (:func:`_axis_bin`).
     """
     axis = hybrid_omega2_axis(signal.grid.shape[1], signal.dwell_t2_s)
-    half_linewidth = 0.5 / (np.pi * signal.meta["t2_s"])
-    bins = [_axis_bin(axis, f, "omega2") for f in omega2_hz]
-    for f, b in zip(omega2_hz, bins):
-        if abs(axis[b] - f) > half_linewidth:
-            warnings.warn(
-                f"nearest Omega2 bin ({axis[b]:.6g} Hz) is more than half a "
-                f"linewidth from requested {f:.6g} Hz",
-                stacklevel=2,
-            )
+    bins = [_axis_bin(axis, f) for f in omega2_hz]
     hybrid = dft_t2(signal, columns=bins)
     rows = None
     for start in range(0, max(len(bins), 1), T1_BLOCK_COLUMNS):

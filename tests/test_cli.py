@@ -5,12 +5,14 @@ import random
 import stat
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spintomo import (TomographyResult, build_design_matrix, coefficients_to_density,
                       detection_basis, dft_fid, dft_t1, dft_t2, diagonal_labels,
@@ -22,6 +24,7 @@ from spintomo.cli import (_apply_noise, _atomic_write, _export_simulation,
                           _simulate_signals,
                           _write_json, _write_report, config_from_dict, main,
                           parse_config, resolve_params)
+from spintomo.core import single_quantum_transitions
 from spintomo.errors import ConfigError
 
 from conftest import DEMO_COEFFS, local_maxima_above
@@ -749,29 +752,38 @@ class TestTomographCommand:
         assert capsys.readouterr().err == ""
 
     def test_line_beyond_axis_exit_code(self, tmp_path, capsys):
-        # every command checks the axis-end rule of the cross-sections
-        # before simulating or building anything, so basis refuses what
-        # tomograph refuses and none of them writes a file.
+        # the Omega2 axis is periodic in 1/dwell, so a line past its end has
+        # its cross-section read at the alias; no command refuses or warns,
+        # and the fits, which read no spectrum, are exact.
         # One t2 sample: the axis is [-2792, 0] Hz, the line is at 1861 Hz.
         one_sample = {"spin_system": {"n": 1, "larmor_hz": [1861.0], "t2_s": 0.01},
                       "state": {"coefficients": [["x", 1.0], ["z", 0.5]]},
                       "acquisition": {"n_t1": 16, "n_t2": 1, "dwell_t2_s": 1.791e-4}}
         # The demo at 3801 Hz spectral width passes Nyquist, but its axis
-        # ends one bin below +1900.5 Hz, more than half a bin below 1900 Hz.
+        # ends one bin below +1900.5 Hz, more than half a bin below 1900 Hz:
+        # the line's alias at -1901 Hz reads the first bin, -1900.5 Hz.
         demo = demo_config()
         demo["acquisition"]["dwell_t2_s"] = 1.0 / 3801.0
-        for name, payload, line in (("one", one_sample, 1861), ("demo", demo, 1900)):
+        for name, payload in (("one", one_sample), ("demo", demo)):
             (tmp_path / name).mkdir()
             path = write_config(tmp_path / name, payload)
             for command in ("tomograph", "simulate", "basis"):
                 out = tmp_path / name / command
-                code = main([command, "--config", str(path), "--out", str(out)])
-                err = capsys.readouterr().err
-                assert code == 3, (name, command)
-                assert err.startswith(
-                    f"numerical error: omega2 = {line} Hz outside axis range"), err
-                assert len(err.splitlines()) == 1
-                assert list(out.iterdir()) == [], (name, command)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    code = main([command, "--config", str(path), "--out", str(out)])
+                assert code == 0, (name, command)
+                assert capsys.readouterr().err == "", (name, command)
+            expected = dict(payload["state"]["coefficients"])
+            result = read_strict_json(tmp_path / name / "tomograph" / "result.json")
+            assert {label for label, _ in result["coefficients"]} >= set(expected)
+            for label, value in result["coefficients"]:
+                assert abs(value - expected.get(label, 0.0)) <= 1e-12, (name, label)
+        axes = read_strict_json(tmp_path / "demo" / "simulate" / "spectrum_2d_axes.json")
+        sections = read_strict_json(tmp_path / "demo" / "simulate" / "cross_sections.json")
+        edge = [s for s in sections["sections"] if s["frequency_hz"] == 1900.0]
+        assert len(edge) == 1
+        assert edge[0]["bin_hz"] == axes["omega2_hz"][0] == pytest.approx(-1900.5)
 
     def test_degenerate_system_exit_code(self, tmp_path, capsys):
         # the transition table is the one refusal: no warning comes before it
@@ -784,8 +796,63 @@ class TestTomographCommand:
                 warnings.simplefilter("error")
                 code = main([command, "--config", str(path), "--out", str(out)])
             assert code == 3, command
-            assert "2 degenerate transition pair" in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert "2 degenerate transition pair" in err
+            # the two lines of each pair differ in their eigenstates
+            assert ("qubit 1 |00>-|10> (1200 Hz) vs qubit 1 |01>-|11> (1200 Hz); "
+                    "qubit 2 |00>-|01> (1800 Hz) vs qubit 2 |10>-|11> (1800 Hz)") in err
             assert list(out.iterdir()) == [], command
+
+
+@st.composite
+def small_runs(draw):
+    """A config of a 1- to 3-spin register on a small grid, with zero, tiny
+    or resolved couplings, T2 from 0.1 ms to 10 s, angles that include 0, 90
+    and 180 degrees, and dwells that are the default, refused by Nyquist, or
+    put the largest line a fraction of its frequency below +sw/2, down to
+    1e-6, so it may lie past the last bin of the Omega2 axis."""
+    n = draw(st.integers(1, 3))
+    larmor = [draw(st.floats(100.0, 3000.0)) for _ in range(n)]
+    couplings = {(j, k): draw(st.sampled_from([0.0, 1e-9, 7.0, 200.0]))
+                 for j in range(1, n + 1) for k in range(j + 1, n + 1)}
+    t2_s = 10.0 ** draw(st.floats(-4.0, 1.0))
+    fmax = max(abs(t.frequency_hz) for t in single_quantum_transitions(
+        spintomo.build_spin_system(n, larmor, couplings, t2_s)))
+    angle = st.one_of(st.sampled_from([0.0, 90.0, 180.0]), st.floats(-180.0, 180.0))
+    acquisition = {"n_t1": draw(st.integers(1, 64)), "n_t2": draw(st.integers(1, 64)),
+                   "alpha_deg": draw(angle), "beta_deg": draw(angle)}
+    for key in ("dwell_t1_s", "dwell_t2_s"):
+        margin = draw(st.sampled_from([None, -0.01, 1e-6, 1e-3, 0.05, 1.0]))
+        if margin is not None:
+            acquisition[key] = 1.0 / (2.0 * fmax * (1.0 + margin))
+    labels = ["x" + "o" * (n - 1), "z" * n]
+    return {"spin_system": {"n": n, "larmor_hz": larmor, "t2_s": t2_s,
+                            "couplings_hz": {f"{j},{k}": v for (j, k), v in couplings.items()}},
+            "state": {"coefficients": [[" ".join(labels[0]), 1.0], [" ".join(labels[1]), 0.5]]},
+            "acquisition": acquisition}
+
+
+class TestExitContract:
+    # The ideal gradient and no noise: under either, the off-diagonal fit
+    # still warns about its residual, and under an error filter that warning
+    # escapes main, until the model includes the realistic gradient and a
+    # chi-squared test on a noise estimate replaces the residual threshold.
+    @settings(max_examples=40, deadline=None)
+    @given(small_runs())
+    def test_every_run_ends_in_0_2_or_3(self, payload):
+        # nothing escapes main, even with warnings as errors, and a refused
+        # simulate writes nothing; tomograph still refuses a rank-deficient
+        # design after writing its exports, so its directory is not checked
+        with tempfile.TemporaryDirectory() as tmp:
+            path = write_config(Path(tmp), payload)
+            for command in ("simulate", "tomograph", "basis"):
+                out = Path(tmp) / command
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    code = main([command, "--config", str(path), "--out", str(out)])
+                assert code in (0, 2, 3), command
+                if command == "simulate" and code:
+                    assert list(out.iterdir()) == []
 
 
 class TestNoise:

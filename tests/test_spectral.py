@@ -7,8 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from spintomo import (AxisRangeError, Signal1D, Signal2D, SpinTomoError,
-                      coefficients_to_density, cross_sections,
+from spintomo import (Signal1D, Signal2D, coefficients_to_density, cross_sections,
                       default_acquisition, dft_fid, dft_t1, dft_t2,
                       hybrid_omega2_axis, run_sequence_A,
                       transition_table)
@@ -146,8 +145,8 @@ class TestLineShapes:
                           first_point_half=True)
         real = spectrum.grid[:, 0].real
         axis = spectrum.omega1_hz
-        plus = _axis_bin(axis, +f, "omega1")
-        minus = _axis_bin(axis, -f, "omega1")
+        plus = _axis_bin(axis, +f)
+        minus = _axis_bin(axis, -f)
         assert real[plus] == pytest.approx(real.max(), rel=1e-6)
         assert real[minus] == pytest.approx(real[plus], rel=1e-6)
 
@@ -162,8 +161,8 @@ class TestLineShapes:
                           first_point_half=True)
         real = spectrum.grid[:, 0].real
         axis = spectrum.omega1_hz
-        plus = _axis_bin(axis, +f, "omega1")
-        minus = _axis_bin(axis, -f, "omega1")
+        plus = _axis_bin(axis, +f)
+        minus = _axis_bin(axis, -f)
         scale = np.max(np.abs(real))
         # dispersive shape: near-zero crossing at each line center with
         # opposite-signed lobes on either side
@@ -189,7 +188,7 @@ class TestLineShapes:
             spectrum = dft_fid(signal, apodization=apod)
             power = np.abs(spectrum.values) ** 2
             window = 40
-            b = _axis_bin(spectrum.omega_hz, f, "omega")
+            b = _axis_bin(spectrum.omega_hz, f)
             sl = slice(b - window, b + window + 1)
             centers[apod] = (np.sum(spectrum.omega_hz[sl] * power[sl])
                              / np.sum(power[sl]))
@@ -269,25 +268,45 @@ class TestCrossSection:
                                   for signal in (signal_a, signal_b, summed))
         assert np.allclose(s.grid, a.grid + b.grid)
 
-    def test_out_of_range_rejected(self):
+    def test_far_request_reads_alias_bin(self):
+        # the 1000 Hz wide axis repeats every 1000 Hz: 1e4 Hz is read at 0 Hz
+        # and -10062.5 Hz at -62.5 Hz
         signal = self.make_signal()
-        with pytest.raises(ValueError, match="outside"):
-            cross_sections(signal, [1e4])
+        axis = self.axis(signal)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            bins, sections = cross_sections(signal, [1e4, -1e4 - 62.5])
+        assert bins == [16, 14]
+        assert list(sections.omega2_hz) == [0.0, -62.5] == list(axis[bins])
 
     def test_half_bin_beyond_axis_end_reads_end_bin(self):
+        # within half a bin of an end the end bin is nearest; beyond it the
+        # other end is, in circular distance
         signal = self.make_signal()
         axis = self.axis(signal)
         half_bin = 0.5 * (axis[1] - axis[0])
-        for request, end in ((axis[-1] + 0.99 * half_bin, len(axis) - 1),
-                             (axis[0] - 0.99 * half_bin, 0)):
-            with pytest.warns(UserWarning, match="half a"):  # 15.5 Hz off, 6.4 Hz wide
+        last = len(axis) - 1
+        for request, end in ((axis[-1] + 0.99 * half_bin, last),
+                             (axis[0] - 0.99 * half_bin, 0),
+                             (axis[-1] + 1.01 * half_bin, 0),
+                             (axis[0] - 1.01 * half_bin, last)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # 15.5 Hz off a 6.4 Hz wide line
                 bins, sections = cross_sections(signal, [request])
             assert bins == [end]
             assert sections.omega2_hz[0] == axis[end]
-        for request in (axis[-1] + 1.01 * half_bin, axis[0] - 1.01 * half_bin):
-            with pytest.raises(AxisRangeError, match="outside") as info:
-                cross_sections(signal, [request])
-            assert isinstance(info.value, SpinTomoError)
+
+    def test_axis_bin_is_argmin_within_half_a_bin(self):
+        # every request at most half a bin beyond the ends, ties included,
+        # reads the bin argmin(|axis - f|) gives
+        for axis in (self.axis(self.make_signal()), hybrid_omega2_axis(1, 1.791e-4),
+                     hybrid_omega2_axis(512, 1.0 / 3801.0)):
+            half_bin = 0.5 * (axis[1] - axis[0])
+            requests = np.concatenate([axis, axis + half_bin, axis - half_bin,
+                                       axis + 0.3 * half_bin,
+                                       [axis[0] - half_bin, axis[-1] + half_bin]])
+            for f in requests:
+                assert _axis_bin(axis, f) == int(np.argmin(np.abs(axis - f)))
 
     def four_bin_signal(self):
         # n_t2 = 2 at 1.25 ms: the Omega2 bins are -400, -200, 0 and 200 Hz
@@ -296,18 +315,23 @@ class TestCrossSection:
         assert np.allclose(self.axis(signal), [-400.0, -200.0, 0.0, 200.0])
         return signal
 
-    def test_far_bin_warns(self):
-        with pytest.warns(UserWarning, match="half a"):
-            cross_sections(self.four_bin_signal(), [90.0])
+    def test_far_bin_read_silently(self):
+        # 90 Hz lies far more than half a linewidth (3.2 Hz) from its bin;
+        # the section is read there without a warning
+        signal = self.four_bin_signal()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            bins, sections = cross_sections(signal, [90.0])
+        assert bins == [2]
+        spectrum = dft_t1(dft_t2(signal))
+        assert sections.grid[:, 0].tobytes() == spectrum.grid[:, 2].tobytes()
 
-    def test_each_far_section_warns(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
+    def test_each_far_section_read_silently(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             bins, _ = cross_sections(self.four_bin_signal(),
                                      [90.0, 0.5, -110.0, 200.0, 90.0])
         assert bins == [2, 2, 1, 3, 2]
-        assert [str(w.message).split("requested ")[1] for w in caught] == [
-            "90 Hz", "-110 Hz", "90 Hz"]
 
     def test_sections_are_spectrum_columns(self):
         # one transform of the gathered columns, in request order and with
