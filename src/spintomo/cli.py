@@ -14,12 +14,10 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
-import logging
 import math
 import os
 import random
 import sys
-import uuid
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -230,7 +228,7 @@ def _atomic_write(path: Path, write) -> None:
     the file gets the mode a plain ``open`` would give (0666 less the umask).
     """
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f"{path.name}.{uuid.uuid4().hex}.tmp")
+    tmp = path.with_name(f"{path.name}.{os.urandom(16).hex()}.tmp")
     os.close(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
     try:
         write(tmp)
@@ -452,7 +450,7 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> int:
     return 0
 
 
-def cmd_tomograph(cfg: RunConfig, out: Path) -> int:
+def cmd_tomograph(cfg: RunConfig, out: Path, verbose: bool = False) -> int:
     params = resolve_params(cfg)
     table = _checked_table(cfg, params)
     rho0, signal_a, signal_b = _simulate_signals(cfg, params)
@@ -464,6 +462,8 @@ def cmd_tomograph(cfg: RunConfig, out: Path) -> int:
 
     design = build_design_matrix(cfg.system, params, coordinates.basis)
     _write_json(out / "design_summary.json", _design_summary(design))
+    if verbose:
+        print(_design_line(design), file=sys.stderr)
 
     result = tomograph_state(design, coordinates, signal_b, truth=rho0)
     _write_json(out / "result.json", result.to_json_dict())
@@ -478,14 +478,18 @@ def cmd_tomograph(cfg: RunConfig, out: Path) -> int:
     return 0
 
 
+def _design_line(design) -> str:
+    return (f"design matrix {design.shape[0]}x{design.shape[1]}, "
+            f"rank {design.rank}/{len(design.labels)}, "
+            f"condition number {design.condition_number:.6g}")
+
+
 def cmd_basis(cfg: RunConfig, out: Path) -> int:
     params = resolve_params(cfg)
     _checked_table(cfg, params)
     design = build_design_matrix(cfg.system, params)
     _write_json(out / "design_summary.json", _design_summary(design))
-    print(f"design matrix {design.shape[0]}x{design.shape[1]}, "
-          f"rank {design.rank}/{len(design.labels)}, "
-          f"condition number {design.condition_number:.6g}")
+    print(_design_line(design))
     if not design.is_full_rank:
         print("design does not determine these labels: "
               + ", ".join(format_label(l) for l in design.nullspace_labels),
@@ -504,15 +508,9 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="path to a JSON run configuration")
     parser.add_argument("--out", default=None, help="output directory (default: from config)")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
-    parser.add_argument("--verbose", action="store_true")
+    parser.add_argument("--verbose", action="store_true",
+                        help="tomograph: print the design line to stderr")
     args = parser.parse_args(argv)
-
-    logging.basicConfig(
-        level=logging.INFO if args.verbose else logging.WARNING,
-        format="%(levelname)s %(name)s: %(message)s",
-        stream=sys.stderr,
-        force=True,
-    )
 
     try:
         cfg = parse_config(args.config)
@@ -525,9 +523,9 @@ def main(argv=None) -> int:
             out.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise ConfigError(f"cannot create output directory {out}: {exc}")
-        handler = {"simulate": cmd_simulate, "tomograph": cmd_tomograph,
-                   "basis": cmd_basis}[args.command]
-        return handler(cfg, out)
+        if args.command == "tomograph":
+            return cmd_tomograph(cfg, out, args.verbose)
+        return {"simulate": cmd_simulate, "basis": cmd_basis}[args.command](cfg, out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -31,7 +31,6 @@ design only, never the input state.
 
 from __future__ import annotations
 
-import logging
 import sys
 import warnings
 from dataclasses import dataclass
@@ -45,8 +44,6 @@ from .errors import RankDeficiencyError
 from .experiment import (T2_BLOCK_ROWS, AcquisitionParams, Signal1D, Signal2D,
                          check_nyquist, detection_fids, sequence_A_map, sequence_B_map,
                          t1_blocks, t1_factors, transition_table)
-
-log = logging.getLogger(__name__)
 
 RESIDUAL_WARN_THRESHOLD = 1e-6
 
@@ -364,7 +361,7 @@ def build_design_matrix(system: SpinSystem, params: AcquisitionParams,
     zero_labels = tuple(label for label, norm in zip(labels, squared_norms)
                         if norm <= 1e-24 * squared_norms.max())
 
-    design = DesignMatrix(
+    return DesignMatrix(
         system=system,
         params=params,
         basis=basis,
@@ -377,9 +374,6 @@ def build_design_matrix(system: SpinSystem, params: AcquisitionParams,
         zero_labels=zero_labels,
         **vars(eigen),
     )
-    log.info("design matrix: shape %s, rank %d/%d, condition %.3g",
-             design.shape, eigen.rank, len(labels), eigen.condition_number)
-    return design
 
 
 def _eigensystem(gram: np.ndarray, labels, inverse=slice(None)) -> Eigensystem:

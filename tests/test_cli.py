@@ -2,6 +2,7 @@ import json
 import math
 import os
 import random
+import re
 import stat
 import subprocess
 import sys
@@ -675,6 +676,40 @@ class TestTomographCommand:
         assert "numpy.random" not in report["loaded"]
         assert report["seeds"] == ([7] if draws else [])
 
+    @pytest.mark.parametrize("command", ["simulate", "tomograph", "basis"])
+    def test_run_loads_no_logging_or_uuid(self, tmp_path, command):
+        # in a fresh interpreter, since pytest itself imports logging: a run
+        # prints its design line itself and names temp files from os.urandom
+        path = write_config(tmp_path, demo_config(n_t1=32, n_t2=64))
+        env = dict(os.environ)
+        src = str(Path(spintomo.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        child = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from spintomo.cli import main; code = main(sys.argv[1:]); "
+             "print(code, sorted({'logging', 'uuid'} & set(sys.modules)))",
+             command, "--config", str(path), "--out", str(tmp_path / "out"),
+             "--verbose"],
+            env=env, capture_output=True, text=True, timeout=120, check=True)
+        assert child.stdout.strip().splitlines()[-1] == "0 []"
+
+    @pytest.mark.parametrize("verbose", [False, True])
+    def test_verbose_prints_design_line(self, tmp_path, capsys, verbose):
+        # --verbose prints to stderr the design line basis prints to stdout
+        payload = json.loads((CONFIG_DIR / "demo_2qubit.json").read_text())
+        payload["acquisition"].update(n_t1=32, n_t2=64)
+        path = write_config(tmp_path, payload)
+        assert main(["basis", "--config", str(path), "--out", str(tmp_path / "b")]) == 0
+        line = capsys.readouterr().out
+        assert re.fullmatch(r"design matrix \d+x12, rank 12/12, condition number [0-9.]+\n",
+                            line)
+        argv = ["tomograph", "--config", str(path), "--out", str(tmp_path / "t")]
+        assert main(argv + ["--verbose"] * verbose) == 0
+        captured = capsys.readouterr()
+        assert captured.err == (line if verbose else "")
+        assert "design matrix" not in captured.out
+
     @pytest.mark.parametrize("config", ["demo_2qubit.json", "demo_4qubit.json"])
     def test_tomograph_fits_like_whole_signal(self, tmp_path, config):
         # tomograph takes signal A's coordinates once the exports are written
@@ -949,7 +984,7 @@ class TestBasisCommand:
         path = write_config(tmp_path, payload)
         out = tmp_path / "out"
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
+            warnings.simplefilter("error")
             assert main(["basis", "--config", str(path), "--out", str(out)]) == 3
         assert "condition number inf" in capsys.readouterr().out
         summary = read_strict_json(out / "design_summary.json")
