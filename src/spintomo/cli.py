@@ -12,11 +12,13 @@ Exit codes: 0 success, 2 configuration error, 3 numerical or rank error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import json
 import math
 import os
 import random
+import shutil
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -25,10 +27,9 @@ import numpy as np
 
 from .core import (SpinSystem, build_spin_system, coefficients_to_density,
                    format_label, parse_label)
-from .errors import (ConfigError, DegenerateTransitionError, NyquistError,
-                     RankDeficiencyError, SpinTomoError)
-from .experiment import (check_nyquist, default_acquisition, run_sequence_A,
-                         run_sequence_B, transition_table)
+from .errors import ConfigError, SpinTomoError
+from .experiment import (default_acquisition, run_sequence_A, run_sequence_B,
+                         transition_table)
 from .spectral import cross_sections, dft_fid, dft_t1_magnitude, hybrid_omega2_axis
 from .tomography import (build_design_matrix, detection_basis, fid_coordinates,
                          tomograph_state)
@@ -219,24 +220,24 @@ def resolve_params(cfg: RunConfig):
 # Output helpers
 
 
-def _atomic_write(path: Path, write) -> None:
-    """Let ``write(tmp_path)`` fill a unique temp file, then rename it to ``path``.
+@contextlib.contextmanager
+def _staged(out: Path):
+    """Yield a new directory in ``out`` for a command to write its files into.
 
-    Readers see the old file or the new one, never a partial one, and
-    concurrent writers into one directory never share a temp file.  The temp
-    file is removed when ``write`` raises.  It is created with mode 0666, so
-    the file gets the mode a plain ``open`` would give (0666 less the umask).
+    When the block ends normally each file is renamed into ``out``, so
+    readers see an old file or a whole new one.  However the block ends, the
+    directory is then removed: a command that fails or refuses leaves ``out``
+    as it found it.  Named from ``os.urandom``, so concurrent runs into one
+    directory never share it, and no generator is seeded for it.
     """
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f"{path.name}.{os.urandom(16).hex()}.tmp")
-    os.close(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
+    stage = out / f".staged-{os.urandom(16).hex()}"
+    stage.mkdir()
     try:
-        write(tmp)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        yield stage
+        for path in stage.iterdir():
+            os.replace(path, out / path.name)
+    finally:
+        shutil.rmtree(stage)
 
 
 def _finite_or_null(value):
@@ -251,13 +252,10 @@ def _finite_or_null(value):
 def _write_json(path: Path, payload: dict) -> None:
     """Strict JSON, streamed into the file as it is encoded: a non-finite
     number (an infinite condition number) is null."""
-    def write(tmp):
-        with open(tmp, "w") as handle:
-            json.dump(_finite_or_null(payload), handle, indent=2, sort_keys=True,
-                      allow_nan=False)
-            handle.write("\n")
-
-    _atomic_write(path, write)
+    with open(path, "w") as handle:
+        json.dump(_finite_or_null(payload), handle, indent=2, sort_keys=True,
+                  allow_nan=False)
+        handle.write("\n")
 
 
 def _write_array(out: Path, name: str, array, axes, sidecar: str, shape=None,
@@ -272,24 +270,18 @@ def _write_array(out: Path, name: str, array, axes, sidecar: str, shape=None,
     ``.npy`` to a bare path, and without pickled objects.
     """
     fmt = np.lib.format
-    if shape is None:
-        header = fmt.header_data_from_array_1_0(array)
-    else:
-        blocks = iter(array)
-        first = next(blocks)
-        header = {"descr": fmt.dtype_to_descr(first.dtype), "fortran_order": True,
-                  "shape": tuple(shape)}
-
-    def save(tmp):
-        with open(tmp, "wb") as handle:
-            if shape is None:
-                np.save(handle, array, allow_pickle=False)
-                return
+    with open(out / name, "wb") as handle:
+        if shape is None:
+            header = fmt.header_data_from_array_1_0(array)
+            np.save(handle, array, allow_pickle=False)
+        else:
+            blocks = iter(array)
+            first = next(blocks)
+            header = {"descr": fmt.dtype_to_descr(first.dtype), "fortran_order": True,
+                      "shape": tuple(shape)}
             fmt.write_array_header_1_0(handle, header)
             for block in itertools.chain([first], blocks):
                 handle.write(block.tobytes(order="F"))
-
-    _atomic_write(out / name, save)
     _write_json(out / sidecar, {**fields, "array": {
         "file": name, "dtype": fmt.descr_to_dtype(header["descr"]).name,
         "shape": list(header["shape"]), "axes": axes}})
@@ -425,49 +417,40 @@ def _write_report(path: Path, result) -> None:
     lines.append(f"design condition number: {result.condition_number:.6g}")
     for note in result.notes:
         lines.append(f"note: {note}")
-    text = "\n".join(lines) + "\n"
-    _atomic_write(path, lambda tmp: Path(tmp).write_text(text))
+    path.write_text("\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------
 # Commands
 
 
-def _checked_table(cfg: RunConfig, params):
-    """The transition table, once every line passes the Nyquist rule: every
-    command refuses a register before anything is simulated or written."""
-    table = transition_table(cfg.system)
-    check_nyquist(table, params)
-    return table
-
-
 def cmd_simulate(cfg: RunConfig, out: Path) -> int:
-    params = resolve_params(cfg)
-    table = _checked_table(cfg, params)
-    _, signal_a, signal_b = _simulate_signals(cfg, params)
-    _export_simulation(signal_a, signal_b, out, table)
+    _, signal_a, signal_b = _simulate_signals(cfg, resolve_params(cfg))
+    with _staged(out) as stage:
+        _export_simulation(signal_a, signal_b, stage, transition_table(cfg.system))
     print(f"simulation artifacts written to {out}")
     return 0
 
 
 def cmd_tomograph(cfg: RunConfig, out: Path, verbose: bool = False) -> int:
     params = resolve_params(cfg)
-    table = _checked_table(cfg, params)
     rho0, signal_a, signal_b = _simulate_signals(cfg, params)
-    _export_simulation(signal_a, signal_b, out, table)
-    # Taken after the exports, whose peak the SVD's resident library code and
-    # BLAS buffers would raise; the time grid is released once they are taken.
-    coordinates = fid_coordinates(signal_a, detection_basis(cfg.system, params))
-    signal_a.grid = None
+    with _staged(out) as stage:
+        _export_simulation(signal_a, signal_b, stage, transition_table(cfg.system))
+        # Taken after the exports, whose peak the SVD's resident library code
+        # and BLAS buffers would raise; the time grid is released once they
+        # are taken.
+        coordinates = fid_coordinates(signal_a, detection_basis(cfg.system, params))
+        signal_a.grid = None
 
-    design = build_design_matrix(cfg.system, params, coordinates.basis)
-    _write_json(out / "design_summary.json", _design_summary(design))
-    if verbose:
-        print(_design_line(design), file=sys.stderr)
+        design = build_design_matrix(cfg.system, params, coordinates.basis)
+        _write_json(stage / "design_summary.json", _design_summary(design))
+        if verbose:
+            print(_design_line(design), file=sys.stderr)
 
-    result = tomograph_state(design, coordinates, signal_b, truth=rho0)
-    _write_json(out / "result.json", result.to_json_dict())
-    _write_report(out / "report.txt", result)
+        result = tomograph_state(design, coordinates, signal_b, truth=rho0)
+        _write_json(stage / "result.json", result.to_json_dict())
+        _write_report(stage / "report.txt", result)
 
     if result.fidelity is None:
         print("fidelity skipped:", "; ".join(result.notes) or "no reference")
@@ -485,10 +468,9 @@ def _design_line(design) -> str:
 
 
 def cmd_basis(cfg: RunConfig, out: Path) -> int:
-    params = resolve_params(cfg)
-    _checked_table(cfg, params)
-    design = build_design_matrix(cfg.system, params)
-    _write_json(out / "design_summary.json", _design_summary(design))
+    design = build_design_matrix(cfg.system, resolve_params(cfg))
+    with _staged(out) as stage:
+        _write_json(stage / "design_summary.json", _design_summary(design))
     print(_design_line(design))
     if not design.is_full_rank:
         print("design does not determine these labels: "
@@ -529,13 +511,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (NyquistError, DegenerateTransitionError, RankDeficiencyError,
-            np.linalg.LinAlgError) as exc:
+    except (SpinTomoError, np.linalg.LinAlgError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
-    except SpinTomoError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

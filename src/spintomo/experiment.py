@@ -146,8 +146,8 @@ SPECTRAL_WIDTH_FACTOR = 4.0
 
 def default_acquisition(system: SpinSystem, n_t1: int | None = None,
                         n_t2: int = 512,
-                        alpha_rad: float = np.pi / 4,
-                        beta_rad: float = np.radians(10.0),
+                        alpha_rad: float = AcquisitionParams.alpha_rad,
+                        beta_rad: float = AcquisitionParams.beta_rad,
                         dwell_t1_s: float | None = None,
                         dwell_t2_s: float | None = None) -> AcquisitionParams:
     """Sensible defaults: spectral width :data:`SPECTRAL_WIDTH_FACTOR` times

@@ -129,13 +129,13 @@ class DesignMatrix(Eigensystem):
             yield rows, factors
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """A x, stacked like the measurement (:func:`_stack`)."""
+        """A x, stacked like the measurement: per coordinate, re then im."""
         grouped = x[self.order].reshape(len(self.values), 1, -1) @ self.values
         chain = grouped.reshape(-1, 1) * self.response
         traces = np.empty((self.params.n_t1, self.basis.shape[1]), dtype=complex)
         for rows, factors in self._t1_blocks():
             np.matmul(factors, chain, out=traces[rows])
-        return _stack(traces)
+        return _split(traces.T).ravel()
 
     def adjoint(self, y: np.ndarray) -> np.ndarray:
         """A^T y for a real vector y stacked like the measurement."""
@@ -237,11 +237,6 @@ def fid_coordinates(signal: Signal2D, basis: np.ndarray) -> FidCoordinates:
         rows = slice(start, start + T2_BLOCK_ROWS)
         values[rows] = signal.grid[rows] @ projection
     return FidCoordinates(values=values, basis=basis, meta=signal.meta)
-
-
-def _stack(traces: np.ndarray) -> np.ndarray:
-    """Real vector of complex (t1, coordinate) traces: per coordinate, re, then im."""
-    return np.stack([traces.real.T, traces.imag.T], axis=1).reshape(-1)
 
 
 def _design_parts(system: SpinSystem, params: AcquisitionParams, basis, labels):
@@ -457,7 +452,7 @@ def fit_offdiagonal(signal: FidCoordinates, design: DesignMatrix) -> Fit:
     _check_meta(signal.meta, design, "A")
     if not np.array_equal(signal.basis, design.basis):
         raise ValueError("signal coordinates were taken in another basis than the design's")
-    target = _stack(signal.values - signal.values.mean(axis=0))
+    target = _split((signal.values - signal.values.mean(axis=0)).T).ravel()
     # Without off-diagonal content the target is the rounding of the t1
     # mean's removal, below 1e2 eps of the coordinates, and its residual reads
     # 0; one off-diagonal coefficient of 1e-16 lifts it past 1e13 eps.

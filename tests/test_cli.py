@@ -21,7 +21,7 @@ from spintomo import (TomographyResult, build_design_matrix, coefficients_to_den
 import spintomo
 import spintomo.cli
 import spintomo.tomography
-from spintomo.cli import (_apply_noise, _atomic_write, _export_simulation,
+from spintomo.cli import (_apply_noise, _export_simulation, _staged,
                           _simulate_signals,
                           _write_json, _write_report, config_from_dict, main,
                           parse_config, resolve_params)
@@ -54,7 +54,7 @@ def demo_config(n_t1=64, n_t2=128, **options):
 
 
 # Every file of a `simulate` run of demo_config(); `tomograph` adds
-# TOMOGRAPH_FILES.  Nothing else, no temp file, is left behind.
+# TOMOGRAPH_FILES.  Nothing else, no staging directory, is left behind.
 SIMULATE_FILES = sorted(
     ["signal_a.npy", "signal_a.json", "signal_b.npy", "signal_b.json",
      "spectrum_2d.npy", "spectrum_2d_axes.json", "spectrum_b.npy", "spectrum_b.json",
@@ -484,18 +484,17 @@ class TestSimulateCommand:
         assert sidecar["array"]["shape"][0] == 12
 
     def test_failed_export_keeps_previous_file(self, tmp_path):
-        target = tmp_path / "signal_a.csv"
+        # a block that raises commits nothing, and its staging directory goes
+        target = tmp_path / "signal_a.npy"
         target.write_text("previous\n")
-
-        def partial_then_fail(path):
-            with open(path, "w") as handle:
-                handle.write("half a fi")
-            raise RuntimeError("export failed")
-
         with pytest.raises(RuntimeError, match="export failed"):
-            _atomic_write(target, partial_then_fail)
+            with _staged(tmp_path) as stage:
+                (stage / "signal_a.npy").write_text("half a fi")
+                (stage / "signal_b.npy").write_text("whole")
+                raise RuntimeError("export failed")
         assert target.read_text() == "previous\n"
-        assert [p.name for p in tmp_path.iterdir()] == ["signal_a.csv"]
+        assert not list(tmp_path.glob(".staged-*"))
+        assert [p.name for p in tmp_path.iterdir()] == ["signal_a.npy"]
 
     def test_spectrum_column_maxima_at_transitions(self, tmp_path):
         path = write_config(tmp_path, demo_config(n_t1=64, n_t2=256))
@@ -820,6 +819,25 @@ class TestTomographCommand:
         assert len(edge) == 1
         assert edge[0]["bin_hz"] == axes["omega2_hz"][0] == pytest.approx(-1900.5)
 
+    def test_refused_design_leaves_directory_as_found(self, tmp_path, capsys):
+        # at beta 90 deg z z reaches no line: the diagonal fit refuses it
+        # after the exports and the design summary, none of which is kept,
+        # and an earlier run's result stays as it was
+        payload = json.loads((CONFIG_DIR / "demo_2qubit.json").read_text())
+        payload["acquisition"]["beta_deg"] = 90.0
+        path = write_config(tmp_path, payload)
+        out = tmp_path / "out"
+        out.mkdir()
+        earlier = tmp_path / "earlier"
+        assert main(["tomograph", "--config", str(CONFIG_DIR / "demo_2qubit.json"),
+                     "--out", str(earlier)]) == 0
+        (out / "result.json").write_bytes((earlier / "result.json").read_bytes())
+        capsys.readouterr()
+        assert main(["tomograph", "--config", str(path), "--out", str(out)]) == 3
+        assert "z z" in capsys.readouterr().err
+        assert [p.name for p in out.iterdir()] == ["result.json"]
+        assert (out / "result.json").read_bytes() == (earlier / "result.json").read_bytes()
+
     def test_degenerate_system_exit_code(self, tmp_path, capsys):
         # the transition table is the one refusal: no warning comes before it
         payload = demo_config()
@@ -876,8 +894,7 @@ class TestExitContract:
     @given(small_runs())
     def test_every_run_ends_in_0_2_or_3(self, payload):
         # nothing escapes main, even with warnings as errors, and a refused
-        # simulate writes nothing; tomograph still refuses a rank-deficient
-        # design after writing its exports, so its directory is not checked
+        # simulate or tomograph leaves its directory empty
         with tempfile.TemporaryDirectory() as tmp:
             path = write_config(Path(tmp), payload)
             for command in ("simulate", "tomograph", "basis"):
@@ -886,8 +903,8 @@ class TestExitContract:
                     warnings.simplefilter("error")
                     code = main([command, "--config", str(path), "--out", str(out)])
                 assert code in (0, 2, 3), command
-                if command == "simulate" and code:
-                    assert list(out.iterdir()) == []
+                if command != "basis" and code:
+                    assert list(out.iterdir()) == [], command
 
 
 class TestNoise:

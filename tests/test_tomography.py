@@ -24,7 +24,7 @@ from spintomo.experiment import (T2_BLOCK_ROWS, detection_fids, t1_blocks,
                                  t1_factors)
 from spintomo.tomography import (RANK_TOL, _design_parts, _diagonal_response_matrix,
                                  _gram, _nullspace_labels, _solve_seminormal,
-                                 _split, _stack)
+                                 _split)
 
 from conftest import (DEMO_COEFFS, FOUR_SPIN_COUPLINGS, FOUR_SPIN_LARMOR,
                       FOUR_SPIN_STATE, TWO_SPIN_J, TWO_SPIN_LARMOR, TWO_SPIN_T2,
@@ -48,7 +48,7 @@ def stacked_signal(signal, design):
     """The fit's target: signal A's t1-mean-free coordinates in the design's
     basis, stacked like the design's rows."""
     values = fid_coordinates(signal, design.basis).values
-    return _stack(values - values.mean(axis=0))
+    return _split((values - values.mean(axis=0)).T).ravel()
 
 
 def oracle_matrix(system, params, design):
@@ -58,7 +58,7 @@ def oracle_matrix(system, params, design):
     columns = []
     for grid in reference_sequence_a(system, operators, params):
         values = grid @ design.basis.conj()
-        columns.append(_stack(values - values.mean(axis=0)))
+        columns.append(_split((values - values.mean(axis=0)).T).ravel())
     return np.column_stack(columns)
 
 
