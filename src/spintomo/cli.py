@@ -6,7 +6,8 @@ simulate    run both pulse sequences and export signals and spectra
 tomograph   simulate, invert, and score against the configured input state
 basis       build the design matrix and dump a summary
 
-Exit codes: 0 success, 2 configuration error, 3 numerical or rank error.
+Exit codes: 0 success, 2 configuration or output error, 3 numerical or rank
+error.
 """
 
 from __future__ import annotations
@@ -225,17 +226,23 @@ def _staged(out: Path):
     """Yield a new directory in ``out`` for a command to write its files into.
 
     When the block ends normally each file is renamed into ``out``, so
-    readers see an old file or a whole new one.  However the block ends, the
-    directory is then removed: a command that fails or refuses leaves ``out``
-    as it found it.  Named from ``os.urandom``, so concurrent runs into one
-    directory never share it, and no generator is seeded for it.
+    readers see an old file or a whole new one.  A name that is a directory
+    in ``out`` is refused before the first rename, since no file can replace
+    it.  However the block ends, the directory is then removed: a command
+    that fails or refuses leaves ``out`` as it found it.  Named from
+    ``os.urandom``, so concurrent runs into one directory never share it, and
+    no generator is seeded for it.
     """
     stage = out / f".staged-{os.urandom(16).hex()}"
     stage.mkdir()
     try:
         yield stage
-        for path in stage.iterdir():
-            os.replace(path, out / path.name)
+        names = [path.name for path in stage.iterdir()]
+        for name in names:
+            if (out / name).is_dir():
+                raise ConfigError(f"cannot write {out / name}: it is a directory")
+        for name in names:
+            os.replace(stage / name, out / name)
     finally:
         shutil.rmtree(stage)
 
@@ -354,10 +361,14 @@ def _export_simulation(signal_a, signal_b, out: Path, table) -> None:
                  dwell_s=signal_b.dwell_s, n_samples=len(signal_b.samples),
                  meta=signal_b.meta)
 
+    # No fit reads the magnitude, which has lost the phase: each float64
+    # block is rounded once to float32 as it is written, through map, which
+    # unlike a generator expression holds no float64 block during the next.
     omega2_hz = hybrid_omega2_axis(signal_a.grid.shape[1], signal_a.dwell_t2_s)
     omega1_hz, magnitude = dft_t1_magnitude(signal_a)
-    _write_array(out, "spectrum_2d.npy", magnitude, ["omega1", "omega2"],
-                 "spectrum_2d_axes.json", shape=(len(omega1_hz), len(omega2_hz)),
+    _write_array(out, "spectrum_2d.npy", map(lambda block: block.astype(np.float32), magnitude),
+                 ["omega1", "omega2"], "spectrum_2d_axes.json",
+                 shape=(len(omega1_hz), len(omega2_hz)),
                  omega1_hz=[float(f) for f in omega1_hz],
                  omega2_hz=[float(f) for f in omega2_hz],
                  units={"omega1": "Hz", "omega2": "Hz"})
@@ -514,6 +525,10 @@ def main(argv=None) -> int:
     except (SpinTomoError, np.linalg.LinAlgError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:
+        # staging, writing or committing the outputs failed
+        print(f"output error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

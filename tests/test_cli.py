@@ -349,11 +349,15 @@ class TestSimulateCommand:
         bins = [int(np.argmin(np.abs(spectrum.omega2_hz - t.frequency_hz))) for t in table]
         for layout, expected in ((sidecar["array"], signal_a.grid),
                                  (sidecar_b["array"], signal_b.samples),
-                                 (axes["array"], np.abs(spectrum.grid)),
+                                 (axes["array"], np.abs(spectrum.grid).astype(np.float32)),
                                  (axes_b["array"], spectrum_b.values),
                                  (sections["array"], spectrum.grid[:, bins].T.copy())):
             grid = np.load(out / layout["file"], allow_pickle=False)
             assert grid.dtype == np.dtype(layout["dtype"]) == expected.dtype
+            # the 2D magnitude, which no fit reads, is rounded once to single
+            # precision; every complex array keeps its double-precision bits
+            assert layout["dtype"] == ("float32" if layout["file"] == "spectrum_2d.npy"
+                                       else "complex128")
             assert list(grid.shape) == layout["shape"] == list(expected.shape)
             # the 2D magnitude is streamed one column block at a time, so its
             # file is column-major; every other grid is row-major
@@ -837,6 +841,32 @@ class TestTomographCommand:
         assert "z z" in capsys.readouterr().err
         assert [p.name for p in out.iterdir()] == ["result.json"]
         assert (out / "result.json").read_bytes() == (earlier / "result.json").read_bytes()
+
+    def test_directory_in_way_refused_before_commit(self, tmp_path, capsys):
+        # a directory named like an output cannot be replaced by a file: the
+        # run is refused before any file is renamed into the directory
+        out = tmp_path / "out"
+        (out / "result.json").mkdir(parents=True)
+        assert main(["tomograph", "--config", str(CONFIG_DIR / "demo_2qubit.json"),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(out / "result.json") in err
+        assert [p.name for p in out.iterdir()] == ["result.json"]
+        assert list((out / "result.json").iterdir()) == []
+
+    def test_write_failure_exits_2(self, tmp_path, capsys, monkeypatch):
+        # an OSError while writing the outputs is one line on stderr, not a
+        # traceback, and nothing is committed
+        def full(path, result):
+            raise OSError(28, "No space left on device", str(path))
+
+        monkeypatch.setattr(spintomo.cli, "_write_report", full)
+        out = tmp_path / "out"
+        assert main(["tomograph", "--config", str(CONFIG_DIR / "demo_2qubit.json"),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "No space left on device" in err
+        assert list(out.iterdir()) == []
 
     def test_degenerate_system_exit_code(self, tmp_path, capsys):
         # the transition table is the one refusal: no warning comes before it
