@@ -21,7 +21,6 @@ from .spectral import (HybridSpectrum, Spectrum1D, Spectrum2D,
                        hybrid_omega2_axis)
 from .tomography import (DesignMatrix, TomographyResult, build_design_matrix,
                          detection_basis, fid_coordinates, fidelity,
-                         fit_diagonal, fit_offdiagonal,
                          max_relative_element_error, tomograph_state)
 
 __version__ = "0.1.0"
@@ -35,8 +34,7 @@ __all__ = [
     "build_design_matrix", "build_spin_system", "coefficients_to_density",
     "cross_sections", "default_acquisition", "density_to_coefficients",
     "detection_basis", "dft_fid", "dft_t1", "dft_t2", "diagonal_labels",
-    "evolution_rates", "fid_coordinates", "fidelity", "fit_diagonal",
-    "fit_offdiagonal", "format_label",
+    "evolution_rates", "fid_coordinates", "fidelity", "format_label",
     "hybrid_omega2_axis", "max_relative_element_error",
     "offdiagonal_labels", "parse_label", "product_operator", "rotation_pulse",
     "run_sequence_A", "run_sequence_B", "tomograph_state", "transition_table",

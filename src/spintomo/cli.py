@@ -398,6 +398,7 @@ def _design_summary(design) -> dict:
         "columns": len(design.labels),
         "full_rank": design.is_full_rank,
         "condition_number": design.condition_number,
+        "condition_number_diagonal": design.condition_number_diagonal,
         "zero_labels": [format_label(l) for l in design.zero_labels],
         "nullspace_labels": [format_label(l) for l in design.nullspace_labels],
     }

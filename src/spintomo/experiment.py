@@ -19,7 +19,7 @@ onto the detected elements; sequence B (:func:`sequence_B_map`) carries the
 input state's support onto the detected elements.  The grid of sequence A is
 filled :data:`T2_BLOCK_ROWS` t1 rows at a time, so no state is held for the
 whole t1 axis; each block's evolution is the first block's times one phase
-(:func:`t1_blocks`), shared with the design of the off-diagonal fit.
+(:func:`t1_blocks`), shared with signal A's part of the design.
 """
 
 from __future__ import annotations

@@ -2,13 +2,13 @@
 
 Every signal the pipeline fits, each t1 row of sequence A and sequence B,
 is a sum of the detected elements' unit FIDs
-(:func:`~spintomo.experiment.detection_fids`).  The off-diagonal and
-diagonal fits read a signal by its coordinates ``samples @ conj(Q)`` in one
-orthonormal basis Q of the span of those FIDs (:func:`detection_basis`) and
-solve them in least squares against the forward model's coordinates in the
-same basis: time-domain least squares, as in AMARES (Vanhamme, van den
-Boogaart & Van Huffel, J. Magn. Reson. 129, 35, 1997).  The fits depend on
-the span only, not on which orthonormal basis of it Q is.
+(:func:`~spintomo.experiment.detection_fids`).  The fit reads each signal
+by its coordinates ``samples @ conj(Q)`` in one orthonormal basis Q of the
+span of those FIDs (:func:`detection_basis`) and solves them in least
+squares against the forward model's coordinates in the same basis:
+time-domain least squares, as in AMARES (Vanhamme, van den Boogaart & Van
+Huffel, J. Magn. Reson. 129, 35, 1997).  The fit depends on the span only,
+not on which orthonormal basis of it Q is.
 
 Off-diagonal coefficients come from the two-dimensional data: every
 off-diagonal basis operator is pushed through sequence A, and its
@@ -23,15 +23,17 @@ groups at a time.  Model and measurement share every detected FID, so the
 noiseless reconstruction is exact for arbitrary register sizes, including
 overlapping lines, without any lineshape algebra.
 
-Diagonal coefficients come from the one-dimensional data the same way:
-signal B's coordinates are fit against those of each diagonal basis operator
-at the same pulse angle.  The inversion reads the two measurements and the
-design only, never the input state.
+Diagonal coefficients come from the one-dimensional data the same way, at
+the same pulse angle.  The two experiments form one design over every label:
+signal A sees only the off-diagonal labels and signal B only the diagonal
+ones, so one ``eigh`` of the block-diagonal A^T A gives the rank and the one
+refusal, and one refined solve fits both signals.  Each experiment keeps its
+own condition number and rank cut; joint ones would mix their scales.  The inversion
+reads the two measurements and the design only, never the input state.
 """
 
 from __future__ import annotations
 
-import sys
 import warnings
 from dataclasses import dataclass
 
@@ -51,9 +53,10 @@ RESIDUAL_WARN_THRESHOLD = 1e-6
 # earlier once a step is no smaller than the one before.
 MAX_REFINEMENT_STEPS = 3
 
-# Gram eigenvalues at or below RANK_TOL times the largest count as zero.  The
-# refinement converges on every Gram measured above this cut, and first
-# failed at about 20 eps, so a design the rank check passes is one it solves.
+# Gram eigenvalues at or below RANK_TOL times the largest of their
+# experiment's block count as zero.  The refinement converges on every Gram
+# measured above this cut, and first failed at about 20 eps, so a design the
+# rank check passes is one it solves.
 RANK_TOL = 100 * np.finfo(float).eps
 
 # Singular values of the unit FIDs at or below this fraction of the largest
@@ -62,60 +65,63 @@ BASIS_TOL = 1e-12
 
 
 @dataclass(eq=False)
-class Eigensystem:
-    """The eigenpairs of A^T A for the columns ``labels`` of a linear map A,
-    eigenvalues ascending and eigenvectors in label order, and what
-    :func:`_eigensystem` reads from them of solving for those labels."""
+class DesignMatrix:
+    """Linear map A from every coefficient to the stacked coordinates of both
+    signals.
 
-    labels: tuple
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-    rank: int
-    condition_number: float
-    nullspace_labels: tuple
+    Columns are the off-diagonal ``labels``, then the diagonal ones.  Rows
+    are the real and imaginary parts of the t1-mean-subtracted coordinates
+    of signal A in ``basis`` (n_t2 x r), the :func:`detection_basis` of every
+    line, then those of signal B, so A is block diagonal.
 
-    @property
-    def is_full_rank(self) -> bool:
-        return self.rank == len(self.labels)
-
-
-@dataclass(eq=False, kw_only=True)
-class DesignMatrix(Eigensystem):
-    """Linear map A from off-diagonal coefficients to stacked signal-A coordinates.
-
-    Rows of A are the real and imaginary parts of the t1-mean-subtracted
-    coordinates of signal A in ``basis`` (n_t2 x r), the
-    :func:`detection_basis` of every line; one column per off-diagonal
-    label.  A is never stored, only its factors.  A product
+    Signal A's block is never stored, only its factors.  A product
     operator has one nonzero per row r, at column r ^ f for its flip mask f
     (:func:`~spintomo.core.monomial_table`), so the dim labels of one mask
-    share the positions S_f = {(r, r ^ f)}.  ``order`` sorts the labels by
-    mask and ``values`` [f, l, r] is the flip-group table in that order.
-    The rest is kept on the off-diagonal positions only, S_f after S_f:
+    share the positions S_f = {(r, r ^ f)}.  ``order`` sorts the off-diagonal
+    labels by mask and ``values`` [f, l, r] is the flip-group table in that
+    order.  The rest is kept on the off-diagonal positions only, S_f after S_f:
     their evolution ``rates``, ``response``, the rest of the chain per
     coordinate (positions x r), the first t1 block's evolution factors
     ``head`` and the t1 ``mean`` of all of them.  The t1 factors are the
     simulator's :func:`~spintomo.experiment.t1_blocks`, remade from ``head``
     a few blocks at a time on every product, so no field grows with n_t1:
     A x = Ec (u[:, None] * response) with Ec the factors less ``mean`` and
-    u = values[f]^T x_f on S_f.  Its :class:`Eigensystem` is that of A^T A,
-    with the labels of zero columns besides.
+    u = values[f]^T x_f on S_f.  Signal B's block, 2r x (2^n - 1), is held
+    dense as ``diagonal_response`` (:func:`_diagonal_response_matrix`).
+
+    ``eigenvalues`` (ascending) and ``eigenvectors`` (a row per label) are
+    A^T A's; ``rank`` counts eigenvalues above :data:`RANK_TOL` of the
+    largest of their experiment's block.  ``condition_number`` is signal A's
+    block's and ``condition_number_diagonal`` signal B's.
     """
 
     system: SpinSystem
     params: AcquisitionParams
     basis: np.ndarray
+    labels: tuple
     order: np.ndarray
     rates: np.ndarray
     mean: np.ndarray
     head: np.ndarray
     response: np.ndarray
     values: np.ndarray
-    zero_labels: tuple = ()
+    diagonal_response: np.ndarray
+    eigenvalues: np.ndarray
+    eigenvectors: np.ndarray
+    rank: int
+    condition_number: float
+    condition_number_diagonal: float
+    nullspace_labels: tuple
+    zero_labels: tuple
+
+    @property
+    def is_full_rank(self) -> bool:
+        return self.rank == len(self.labels)
 
     @property
     def shape(self) -> tuple:
-        return (2 * self.params.n_t1 * self.basis.shape[1], len(self.labels))
+        return (2 * self.params.n_t1 * self.basis.shape[1] + len(self.diagonal_response),
+                len(self.labels))
 
     def _t1_blocks(self):
         """Yield ``(rows, Ec[rows])``, the t1-mean-free factors bit for bit as
@@ -129,17 +135,20 @@ class DesignMatrix(Eigensystem):
             yield rows, factors
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """A x, stacked like the measurement: per coordinate, re then im."""
+        """A x, stacked like the measurements: signal A's rows, per coordinate
+        re then im, then signal B's."""
         grouped = x[self.order].reshape(len(self.values), 1, -1) @ self.values
         chain = grouped.reshape(-1, 1) * self.response
         traces = np.empty((self.params.n_t1, self.basis.shape[1]), dtype=complex)
         for rows, factors in self._t1_blocks():
             np.matmul(factors, chain, out=traces[rows])
-        return _split(traces.T).ravel()
+        return np.concatenate([_split(traces.T).ravel(),
+                               self.diagonal_response @ x[len(self.order):]])
 
     def adjoint(self, y: np.ndarray) -> np.ndarray:
-        """A^T y for a real vector y stacked like the measurement."""
-        parts = y.reshape(self.basis.shape[1], 2, self.params.n_t1)
+        """A^T y for a real vector y stacked like the measurements."""
+        split = len(y) - len(self.diagonal_response)
+        parts = y[:split].reshape(self.basis.shape[1], 2, self.params.n_t1)
         conjugates = (parts[:, 0] - 1j * parts[:, 1]).T
         # conj(Ec^H traces), one run of t1 blocks at a time
         total = np.zeros(self.response.shape, dtype=complex)
@@ -148,16 +157,8 @@ class DesignMatrix(Eigensystem):
         weights = np.sum(self.response * total, axis=1)
         # Re(conj(V) conj(w)) = Re(V w)
         grouped = self.values @ weights.reshape(len(self.values), -1, 1)
-        return grouped.real.reshape(-1)[np.argsort(self.order)]
-
-
-@dataclass
-class Fit:
-    """One fit's coefficients, relative residual and condition number."""
-
-    coefficients: dict
-    relative_residual: float
-    condition_number: float
+        return np.concatenate([grouped.real.reshape(-1)[np.argsort(self.order)],
+                               self.diagonal_response.T @ y[split:]])
 
 
 @dataclass(eq=False)
@@ -280,18 +281,19 @@ def _design_parts(system: SpinSystem, params: AcquisitionParams, basis, labels):
     return order, rates, mean, evolution, response, values[order].reshape(-1, dim, dim)
 
 
-def _gram(evolution: np.ndarray, response: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """The lower block triangle of A^T A, labels in group order.
+def _gram(evolution: np.ndarray, response: np.ndarray, values: np.ndarray,
+          gram: np.ndarray) -> None:
+    """Write the lower block triangle of signal A's A^T A, labels in group
+    order, into the leading rows and columns of ``gram``.
 
     A^T A = Re(conj(B) H B^T) with B the product operators and H =
     (Ec^H Ec) * (conj(response) response^T).  B is block diagonal over the
     flip groups, so block row f is Re(conj(V_f) H[S_f, :] B^T), built from
     the dim rows H[S_f, :] alone: neither H nor a dense B is ever held.
-    Blocks above the diagonal are left zero; ``eigh`` reads only the lower
-    triangle.
+    Blocks above the diagonal are left as they are; ``eigh`` reads only the
+    lower triangle.
     """
     groups, dim, _ = values.shape
-    gram = np.zeros((groups * dim, groups * dim))
     for f in range(groups):
         block, stop = slice(f * dim, (f + 1) * dim), (f + 1) * dim
         rows = ((evolution[:, block].conj().T @ evolution[:, :stop])
@@ -299,7 +301,6 @@ def _gram(evolution: np.ndarray, response: np.ndarray, values: np.ndarray) -> np
         rows = (values[f].conj() @ rows).reshape(dim, f + 1, dim).transpose(1, 0, 2)
         rows = (rows @ values[:f + 1].transpose(0, 2, 1)).real
         gram[block, :stop] = rows.transpose(1, 0, 2).reshape(dim, stop)
-    return gram
 
 
 def _solve_seminormal(apply, adjoint, eigenvalues: np.ndarray,
@@ -311,7 +312,7 @@ def _solve_seminormal(apply, adjoint, eigenvalues: np.ndarray,
     one before, for at most :data:`MAX_REFINEMENT_STEPS` steps.  A is read
     only through ``apply`` and ``adjoint``.  Each step shrinks the error by
     about kappa^2 eps, so the refinement converges when the smallest
-    eigenvalue is well above rounding: :func:`_fit` refuses, by
+    eigenvalue is well above rounding: :func:`tomograph_state` refuses, by
     :data:`RANK_TOL`, every A where it is not.
     """
     def seminormal(rhs):
@@ -333,54 +334,52 @@ def _solve_seminormal(apply, adjoint, eigenvalues: np.ndarray,
 
 def build_design_matrix(system: SpinSystem, params: AcquisitionParams,
                         basis=None) -> DesignMatrix:
-    """The design operator of every off-diagonal basis operator's signal-A
-    coordinates, over the unit FIDs of every line.
+    """The design operator of every basis operator's coordinates in both
+    signals, over the unit FIDs of every line.
 
     ``basis`` is the basis the fitted coordinates are taken in, their
     :func:`detection_basis` when not given; any orthonormal basis of that
-    span gives the same fit.  Rank, condition number, zero labels
-    (``diag(A^T A)``) and null-space labels come from one ``eigh`` of the
-    labels x labels A^T A.
+    span gives the same fit.  Signal A's block of A^T A is built in place in
+    flip-group order, and signal B's after it.  Each block's condition
+    number and largest eigenvalue come from its own eigenvalues; the
+    eigenpairs, rank, zero labels (``diag(A^T A)``) and null-space labels
+    from one ``eigh`` of the whole labels x labels A^T A.
     """
     check_nyquist(transition_table(system), params)
     if basis is None:
         basis = detection_basis(system, params)
-    labels = offdiagonal_labels(system.n)
+    offdiagonal = offdiagonal_labels(system.n)
     order, rates, mean, evolution, response, values = _design_parts(
-        system, params, basis, labels)
-    gram = _gram(evolution, response, values)
+        system, params, basis, offdiagonal)
+    diagonal, diagonal_response = _diagonal_response_matrix(system, params, basis)
+    labels, split = offdiagonal + diagonal, len(offdiagonal)
+    gram = np.zeros((len(labels), len(labels)))
+    _gram(evolution, response, values, gram)
     del evolution  # freed before eigh, where the build peaks
-    inverse = np.argsort(order)
-    eigen = _eigensystem(gram, labels, inverse)
+    gram[split:, split:] = diagonal_response.T @ diagonal_response
+    # each block's own, before eigh: a joint one would mix the two scales
+    blocks = [np.linalg.eigvalsh(gram[:split, :split]), np.linalg.eigvalsh(gram[split:, split:])]
+    kappas = [float(np.sqrt(v[-1] / v[0])) if v[0] > 0 else float("inf") for v in blocks]
+
+    eigenvalues, eigenvectors = np.linalg.eigh(gram)
+    # Each eigenvector lies in one block, and its eigenvalue counts as zero
+    # at or below RANK_TOL of that block's largest, not of the whole Gram's.
+    tops = np.repeat([blocks[0][-1], blocks[1][-1]], [split, len(diagonal)])
+    null = eigenvalues <= RANK_TOL * (tops @ eigenvectors ** 2)
+    inverse = np.argsort(np.concatenate([order, np.arange(split, len(labels))]))
+    eigenvectors = eigenvectors[inverse]
     squared_norms = np.diag(gram)[inverse]
     zero_labels = tuple(label for label, norm in zip(labels, squared_norms)
                         if norm <= 1e-24 * squared_norms.max())
 
     return DesignMatrix(
-        system=system,
-        params=params,
-        basis=basis,
-        order=order,
-        rates=rates,
-        mean=mean,
-        head=t1_factors(rates, params.t1_times[:T2_BLOCK_ROWS]),
-        response=response,
-        values=values,
-        zero_labels=zero_labels,
-        **vars(eigen),
-    )
-
-
-def _eigensystem(gram: np.ndarray, labels, inverse=slice(None)) -> Eigensystem:
-    """One ``eigh`` of A^T A, whose row ``inverse[i]`` is label i's.  The
-    rank counts eigenvalues above :data:`RANK_TOL` of the largest."""
-    eigenvalues, eigenvectors = np.linalg.eigh(gram)
-    eigenvectors = eigenvectors[inverse]
-    rank = int(np.sum(eigenvalues > RANK_TOL * eigenvalues[-1]))
-    cond = (float(np.sqrt(eigenvalues[-1] / eigenvalues[0])) if eigenvalues[0] > 0
-            else float("inf"))
-    return Eigensystem(labels, eigenvalues, eigenvectors, rank, cond,
-                       _nullspace_labels(labels, eigenvectors[:, :len(labels) - rank]))
+        system=system, params=params, basis=basis, labels=labels, order=order,
+        rates=rates, mean=mean, head=t1_factors(rates, params.t1_times[:T2_BLOCK_ROWS]),
+        response=response, values=values, diagonal_response=diagonal_response,
+        eigenvalues=eigenvalues, eigenvectors=eigenvectors, rank=len(labels) - int(null.sum()),
+        condition_number=kappas[0], condition_number_diagonal=kappas[1],
+        nullspace_labels=_nullspace_labels(labels, eigenvectors[:, null]),
+        zero_labels=zero_labels)
 
 
 def _nullspace_labels(labels, null_vectors: np.ndarray) -> tuple:
@@ -406,64 +405,6 @@ def _check_meta(meta: dict, design: DesignMatrix, sequence: str) -> None:
         raise ValueError("signal acquisition parameters differ from the design matrix")
 
 
-def _warn(message: str) -> None:
-    """Warn on behalf of the first caller outside this module."""
-    frame, level = sys._getframe(1), 2
-    while frame.f_back is not None and frame.f_code.co_filename == __file__:
-        frame, level = frame.f_back, level + 1
-    warnings.warn(message, stacklevel=level)
-
-
-def _fit(eigen, apply, adjoint, target: np.ndarray, floor: float = 0.0) -> Fit:
-    """Least-squares fit of ``target`` to the columns of A, read through
-    ``apply`` and ``adjoint``, on ``eigen``, the :class:`Eigensystem` of A^T A.
-
-    One rule refuses: a rank short of the labels raises
-    :class:`RankDeficiencyError` naming ``eigen.nullspace_labels``, never a
-    silent pseudo-inverse answer; every A that passes is one the refined
-    :func:`_solve_seminormal` converges on.  The relative residual reads
-    0.0 when the target's norm is at or below ``floor``.
-    """
-    if not eigen.is_full_rank:
-        bad = eigen.nullspace_labels
-        raise RankDeficiencyError(
-            f"design does not determine all {len(eigen.labels)} coefficients "
-            f"(rank {eigen.rank}); undetermined labels: {[' '.join(l) for l in bad]}",
-            labels=bad,
-        )
-    solution, residual = _solve_seminormal(
-        apply, adjoint, eigen.eigenvalues, eigen.eigenvectors, target)
-    scale = float(np.linalg.norm(target))
-    relative = float(np.linalg.norm(residual)) / scale if scale > floor else 0.0
-    coefficients = {label: float(q) for label, q in zip(eigen.labels, solution)}
-    return Fit(coefficients=coefficients, relative_residual=relative,
-               condition_number=eigen.condition_number)
-
-
-def fit_offdiagonal(signal: FidCoordinates, design: DesignMatrix) -> Fit:
-    """Least-squares solve of signal A's coordinates against the design.
-
-    ``signal`` holds the :func:`fid_coordinates` of the sequence-A signal in
-    the design's ``basis``; each coordinate's t1 mean carries no
-    off-diagonal information and is removed.  The solve and its one refusal
-    are :func:`_fit`'s on the design's stored eigenpairs, and the fit
-    reports the design's condition number.
-    """
-    _check_meta(signal.meta, design, "A")
-    if not np.array_equal(signal.basis, design.basis):
-        raise ValueError("signal coordinates were taken in another basis than the design's")
-    target = _split((signal.values - signal.values.mean(axis=0)).T).ravel()
-    # Without off-diagonal content the target is the rounding of the t1
-    # mean's removal, below 1e2 eps of the coordinates, and its residual reads
-    # 0; one off-diagonal coefficient of 1e-16 lifts it past 1e13 eps.
-    fit = _fit(design, design.apply, design.adjoint, target,
-               floor=1e4 * np.finfo(float).eps * np.linalg.norm(signal.values))
-    if fit.relative_residual > RESIDUAL_WARN_THRESHOLD:
-        _warn(f"off-diagonal fit residual {fit.relative_residual:.3g} exceeds "
-              f"{RESIDUAL_WARN_THRESHOLD}; model mismatch or noisy data")
-    return fit
-
-
 def _split(values: np.ndarray) -> np.ndarray:
     """Real array of complex ``values``: re, then im, along the last axis."""
     return np.concatenate([values.real, values.imag], axis=-1)
@@ -471,13 +412,15 @@ def _split(values: np.ndarray) -> np.ndarray:
 
 def _diagonal_response_matrix(system: SpinSystem, params: AcquisitionParams,
                               basis: np.ndarray):
-    """Sequence-B coordinates of every diagonal basis operator at once.
+    """``(labels, response)``: the sequence-B coordinates of every diagonal
+    basis operator at once, one column per label.
 
     The ideal gradient keeps a diagonal operator d as it is, and the
     ``to_detected`` weights W of :func:`~spintomo.experiment.sequence_B_map`
     carry it onto the detected elements, whose unit FIDs are the rows of F.
     The signal is ``d^T W^T F``; its coordinates in ``basis``, re then im,
-    are the columns.
+    are the columns.  They are modelled at the acquisition's beta, so the
+    finite-pulse-angle terms are exact.
     """
     labels = diagonal_labels(system.n)
     _, diagonals = monomial_table(system.n, labels)
@@ -486,24 +429,10 @@ def _diagonal_response_matrix(system: SpinSystem, params: AcquisitionParams,
     return labels, _split(signals @ basis.conj()).T
 
 
-def fit_diagonal(signal: Signal1D, design: DesignMatrix) -> Fit:
-    """Recover the 2^n - 1 diagonal coefficients from the 1D readout.
-
-    Signal B's coordinates in the design's ``basis``, which spans every line,
-    are fit against the forward-model coordinates of each diagonal basis
-    operator on the design's register and at its beta, so the
-    finite-pulse-angle terms are modelled exactly.  Overlapping lines are
-    absorbed by that shared forward model, so there is no overlap check.
-    The solve and its one refusal, naming the labels the response leaves
-    undetermined, are :func:`_fit`'s, on the eigenpairs of the response's
-    Gram; a signal of another sequence or recorded on another register or
-    grid is refused too.
-    """
-    _check_meta(signal.meta, design, "B")
-    labels, response = _diagonal_response_matrix(design.system, design.params, design.basis)
-    target = _split(signal.samples @ design.basis.conj())
-    return _fit(_eigensystem(response.T @ response, labels),
-                response.dot, response.T.dot, target)
+def _relative_residual(residual: np.ndarray, target: np.ndarray, floor: float = 0.0) -> float:
+    """|residual| / |target|, read as 0.0 when |target| is at or below ``floor``."""
+    scale = float(np.linalg.norm(target))
+    return float(np.linalg.norm(residual)) / scale if scale > floor else 0.0
 
 
 def fidelity(reference: np.ndarray, reconstructed: np.ndarray) -> float:
@@ -565,28 +494,58 @@ def _score(system: SpinSystem, reference, coefficients: dict, matrix) -> tuple:
 
 def tomograph_state(design: DesignMatrix, signal_a: FidCoordinates, signal_b: Signal1D,
                     truth=None) -> TomographyResult:
-    """Invert the two measurements: fit, assemble, score.
+    """Invert the two measurements: one fit of both, assemble, score.
 
     ``signal_a`` is the :func:`fid_coordinates` of the sequence-A signal in
-    the design's ``basis`` and ``signal_b`` the sequence-B FID; the register
-    and acquisition are the design's, and every measurement recorded on
-    another is refused.  Nothing is simulated.  The matrix is assembled once
-    from the two fits' coefficients.  ``truth``, the input state when it is
-    known, is read only to score the result and is kept as its
+    the design's ``basis``, less each coordinate's t1 mean, which carries no
+    off-diagonal information; ``signal_b``, the sequence-B FID, is read in
+    the same basis.  A signal of another sequence, register or grid, or
+    coordinates in another basis, is refused.  So is a design short of full
+    rank, with a :class:`RankDeficiencyError` naming its
+    ``nullspace_labels``; every other design is one :func:`_solve_seminormal`
+    converges on.  It solves both targets at once, and the residual is split
+    back by signal.  Nothing is simulated.  ``truth``, the input state when
+    it is known, is read only to score the result and is kept as its
     ``reference``; without it every score is None.
     """
-    off = fit_offdiagonal(signal_a, design)
-    diag = fit_diagonal(signal_b, design)
-    coefficients = {**off.coefficients, **diag.coefficients}
+    _check_meta(signal_a.meta, design, "A")
+    _check_meta(signal_b.meta, design, "B")
+    if not np.array_equal(signal_a.basis, design.basis):
+        raise ValueError("signal coordinates were taken in another basis than the design's")
+    if not design.is_full_rank:
+        bad = design.nullspace_labels
+        raise RankDeficiencyError(
+            f"design does not determine all {len(design.labels)} coefficients "
+            f"(rank {design.rank}); undetermined labels: {[' '.join(l) for l in bad]}",
+            labels=bad,
+        )
+    target_a = _split((signal_a.values - signal_a.values.mean(axis=0)).T).ravel()
+    target_b = _split(signal_b.samples @ design.basis.conj())
+    solution, residual = _solve_seminormal(
+        design.apply, design.adjoint, design.eigenvalues, design.eigenvectors,
+        np.concatenate([target_a, target_b]))
+    split = len(target_a)
+    # Without off-diagonal content signal A's target is the rounding of the t1
+    # mean's removal, below 1e2 eps of the coordinates, and its residual reads
+    # 0; one off-diagonal coefficient of 1e-16 lifts it past 1e13 eps.
+    residual_offdiagonal = _relative_residual(
+        residual[:split], target_a,
+        floor=1e4 * np.finfo(float).eps * np.linalg.norm(signal_a.values))
+    if residual_offdiagonal > RESIDUAL_WARN_THRESHOLD:
+        warnings.warn(f"off-diagonal fit residual {residual_offdiagonal:.3g} exceeds "
+                      f"{RESIDUAL_WARN_THRESHOLD}; model mismatch or noisy data",
+                      stacklevel=2)
+
+    coefficients = {label: float(q) for label, q in zip(design.labels, solution)}
     matrix = coefficients_to_density(design.system, coefficients)
     scores, notes = _score(design.system, truth, coefficients, matrix)
     return TomographyResult(
         coefficients=coefficients,
         matrix=matrix,
-        residual_offdiagonal=off.relative_residual,
-        residual_diagonal=diag.relative_residual,
-        condition_number=off.condition_number,
-        condition_number_diagonal=diag.condition_number,
+        residual_offdiagonal=residual_offdiagonal,
+        residual_diagonal=_relative_residual(residual[split:], target_b),
+        condition_number=design.condition_number,
+        condition_number_diagonal=design.condition_number_diagonal,
         reference=truth,
         notes=notes,
         **scores,

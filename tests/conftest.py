@@ -68,8 +68,11 @@ def noiseless_tomography(design, rho0):
 
 
 def dense_design(design):
-    """The design operator's matrix, one column per label, from unit vectors."""
-    return np.column_stack([design.apply(e) for e in np.eye(design.shape[1])])
+    """Signal A's block of the design operator's matrix, from unit vectors:
+    its rows, one column per off-diagonal label."""
+    rows = 2 * design.params.n_t1 * design.basis.shape[1]
+    return np.column_stack([design.apply(e)[:rows]
+                            for e in np.eye(design.shape[1])[:len(design.order)]])
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +182,9 @@ def line_traces(design, column_index):
     column's amplitude on each line: the column's coordinates fitted, per t1
     sample, by the unit FIDs of every line."""
     system, params = design.system, design.params
-    parts = design.apply(np.eye(len(design.labels))[column_index]).reshape(-1, 2, params.n_t1)
+    rows = 2 * params.n_t1 * design.basis.shape[1]
+    parts = design.apply(np.eye(len(design.labels))[column_index])[:rows].reshape(
+        -1, 2, params.n_t1)
     coordinates = parts[:, 0] + 1j * parts[:, 1]
     rates = 2j * np.pi * np.array([t.frequency_hz for t in transition_table(system)]) \
         - 1.0 / system.t2_s

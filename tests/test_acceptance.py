@@ -282,7 +282,7 @@ def test_criterion_9_five_qubit_reconstruction(tmp_path):
         assert result["fidelity"] >= 0.9999
         assert result["max_coefficient_error"] <= FIVE_QUBIT_COEFFICIENT_BOUND
         summary = json.loads((out / "design_summary.json").read_text())
-        assert summary["rank"] == summary["columns"] == 992
+        assert summary["rank"] == summary["columns"] == 1023
         assert summary["condition_number"] <= 1e6
 
         cfg = parse_config(CONFIG_DIR / "demo_5qubit.json")

@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from spintomo import (TomographyResult, build_design_matrix, coefficients_to_density,
                       detection_basis, dft_fid, dft_t1, dft_t2, diagonal_labels,
-                      fid_coordinates, fit_diagonal, format_label, run_sequence_A, run_sequence_B, tomograph_state, transition_table)
+                      fid_coordinates, format_label, run_sequence_A, run_sequence_B, tomograph_state, transition_table)
 import spintomo
 import spintomo.cli
 import spintomo.tomography
@@ -579,8 +579,8 @@ class TestTomographCommand:
             assert meta["gradient"] == ("realistic" if gradient else "ideal")
 
     def test_one_detection_basis_per_run(self, tmp_path, monkeypatch):
-        # signal A's basis spans every line, so the diagonal fit reads signal
-        # B in it rather than running the same SVD again, bit for bit as before
+        # signal A's basis spans every line, so the fit reads signal B in it
+        # rather than running the same SVD again, bit for bit as before
         calls = []
 
         def counted(*args, **kwargs):
@@ -594,8 +594,10 @@ class TestTomographCommand:
         assert len(calls) == 1
         cfg = parse_config(path)
         params = resolve_params(cfg)
-        _, _, signal_b = _simulate_signals(cfg, params)
-        expected = fit_diagonal(signal_b, build_design_matrix(cfg.system, params)).coefficients
+        _, signal_a, signal_b = _simulate_signals(cfg, params)
+        design = build_design_matrix(cfg.system, params)
+        expected = tomograph_state(design, fid_coordinates(signal_a, design.basis),
+                                   signal_b).coefficients
         assert len(calls) == 2
         result = dict(json.loads((tmp_path / "out" / "result.json").read_text())["coefficients"])
         for label in diagonal_labels(cfg.system.n):
@@ -705,7 +707,7 @@ class TestTomographCommand:
         path = write_config(tmp_path, payload)
         assert main(["basis", "--config", str(path), "--out", str(tmp_path / "b")]) == 0
         line = capsys.readouterr().out
-        assert re.fullmatch(r"design matrix \d+x12, rank 12/12, condition number [0-9.]+\n",
+        assert re.fullmatch(r"design matrix \d+x15, rank 15/15, condition number [0-9.]+\n",
                             line)
         argv = ["tomograph", "--config", str(path), "--out", str(tmp_path / "t")]
         assert main(argv + ["--verbose"] * verbose) == 0
@@ -824,7 +826,7 @@ class TestTomographCommand:
         assert edge[0]["bin_hz"] == axes["omega2_hz"][0] == pytest.approx(-1900.5)
 
     def test_refused_design_leaves_directory_as_found(self, tmp_path, capsys):
-        # at beta 90 deg z z reaches no line: the diagonal fit refuses it
+        # at beta 90 deg z z reaches no line: the design refuses it
         # after the exports and the design summary, none of which is kept,
         # and an earlier run's result stays as it was
         payload = json.loads((CONFIG_DIR / "demo_2qubit.json").read_text())
@@ -923,18 +925,21 @@ class TestExitContract:
     @settings(max_examples=40, deadline=None)
     @given(small_runs())
     def test_every_run_ends_in_0_2_or_3(self, payload):
-        # nothing escapes main, even with warnings as errors, and a refused
-        # simulate or tomograph leaves its directory empty
+        # nothing escapes main, even with warnings as errors, a refused
+        # simulate or tomograph leaves its directory empty, and basis
+        # refuses exactly what tomograph refuses
+        codes = {}
         with tempfile.TemporaryDirectory() as tmp:
             path = write_config(Path(tmp), payload)
             for command in ("simulate", "tomograph", "basis"):
                 out = Path(tmp) / command
                 with warnings.catch_warnings():
                     warnings.simplefilter("error")
-                    code = main([command, "--config", str(path), "--out", str(out)])
-                assert code in (0, 2, 3), command
-                if command != "basis" and code:
+                    codes[command] = main([command, "--config", str(path), "--out", str(out)])
+                assert codes[command] in (0, 2, 3), command
+                if command != "basis" and codes[command]:
                     assert list(out.iterdir()) == [], command
+        assert codes["basis"] == codes["tomograph"]
 
 
 class TestNoise:
@@ -995,6 +1000,32 @@ class TestNoise:
 
 
 class TestResultFiles:
+    def test_condition_numbers_per_experiment(self, tmp_path):
+        # each experiment's condition number is that of its own column block
+        # of the dense design, and result.json reports the design's two
+        path = CONFIG_DIR / "demo_2qubit.json"
+        cfg = parse_config(path)
+        design = build_design_matrix(cfg.system, resolve_params(cfg))
+        dense = np.column_stack([design.apply(e) for e in np.eye(design.shape[1])])
+        rows, columns = dense.shape[0] - 2 * design.basis.shape[1], 12
+        assert not np.any(dense[:rows, columns:]) and not np.any(dense[rows:, :columns])
+        assert design.condition_number == pytest.approx(
+            np.linalg.cond(dense[:rows, :columns]), rel=1e-10)
+        assert design.condition_number_diagonal == pytest.approx(
+            np.linalg.cond(dense[rows:, columns:]), rel=1e-10)
+        out = tmp_path / "out"
+        assert main(["tomograph", "--config", str(path), "--out", str(out)]) == 0
+        result = read_strict_json(out / "result.json")
+        assert result["condition_number"] == design.condition_number
+        assert result["condition_number_diagonal"] == design.condition_number_diagonal
+
+    def test_residual_warning_names_the_command_line(self, tmp_path):
+        # the fit's one caller is cmd_tomograph, whose line the warning names
+        path = write_config(tmp_path, demo_config(n_t1=32, n_t2=64, noise_rms=0.05))
+        with pytest.warns(UserWarning, match="off-diagonal fit residual") as caught:
+            assert main(["tomograph", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+        assert [w.filename for w in caught] == [spintomo.cli.__file__]
+
     def test_non_finite_condition_numbers_written_as_null(self, tmp_path):
         result = TomographyResult(
             coefficients={"xo": 1.0}, matrix=np.zeros((4, 4)), fidelity=None,
@@ -1015,12 +1046,13 @@ class TestBasisCommand:
         out = tmp_path / "out"
         assert main(["basis", "--config", str(path), "--out", str(out)]) == 0
         summary = json.loads((out / "design_summary.json").read_text())
-        assert set(summary) == {"columns", "condition_number", "full_rank", "labels",
-                                "nullspace_labels", "rank", "shape", "zero_labels"}
-        assert summary["columns"] == 12
-        assert summary["rank"] == 12
+        assert set(summary) == {"columns", "condition_number", "condition_number_diagonal",
+                                "full_rank", "labels", "nullspace_labels", "rank", "shape",
+                                "zero_labels"}
+        assert summary["columns"] == 15
+        assert summary["rank"] == 15
         assert summary["full_rank"] is True
-        assert len(summary["labels"]) == 12
+        assert len(summary["labels"]) == 15
         assert "digest" not in summary and "cache_file" not in summary
         assert not (out / "cache").exists()
 
@@ -1038,6 +1070,20 @@ class TestBasisCommand:
         assert summary["condition_number"] is None
         assert summary["full_rank"] is False
 
+    def test_beta_90_refused_like_tomograph(self, tmp_path, capsys):
+        # at beta 90 deg z z reaches no line: the design that basis reports
+        # is the one tomograph fits, so both refuse it
+        payload = json.loads((CONFIG_DIR / "demo_2qubit.json").read_text())
+        payload["acquisition"]["beta_deg"] = 90.0
+        path = write_config(tmp_path, payload)
+        out = tmp_path / "out"
+        assert main(["basis", "--config", str(path), "--out", str(out)]) == 3
+        assert "z z" in capsys.readouterr().err
+        summary = read_strict_json(out / "design_summary.json")
+        assert (summary["rank"], summary["columns"]) == (14, 15)
+        assert summary["full_rank"] is False
+        assert summary["nullspace_labels"] == ["z z"]
+
     def test_five_qubit_larmor_sum_names_nullspace(self, tmp_path, capsys):
         # with nu2 + nu3 = nu5 the design has eight exact null vectors, all on
         # coherences that flip spins 2, 3 and 5 together; the demo register,
@@ -1049,7 +1095,7 @@ class TestBasisCommand:
         out = tmp_path / "out"
         assert main(["basis", "--config", str(path), "--out", str(out)]) == 3
         summary = json.loads((out / "design_summary.json").read_text())
-        assert summary["rank"] == summary["columns"] - 8 == 984
+        assert summary["rank"] == summary["columns"] - 8 == 1015
         labels = summary["nullspace_labels"]
         assert len(labels) == 32
         assert all(label.split()[q] in "xy" for label in labels for q in (1, 2, 4))

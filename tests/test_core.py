@@ -8,10 +8,10 @@ import spintomo
 from spintomo import (DegenerateTransitionError, all_labels, build_design_matrix,
                       build_spin_system, coefficients_to_density,
                       default_acquisition, density_to_coefficients,
-                      diagonal_labels, fid_coordinates, fit_offdiagonal,
+                      diagonal_labels, fid_coordinates,
                       format_label, offdiagonal_labels, parse_label,
                       product_operator, rotation_pulse, run_sequence_A,
-                      transition_table)
+                      run_sequence_B, tomograph_state, transition_table)
 from spintomo.core import (energies, monomial_table, operator_norm_squared,
                            single_quantum_transitions)
 
@@ -73,10 +73,10 @@ class TestBuildSpinSystem:
         assert rebuilt.to_dict() == two_spin_system.to_dict()
         params = default_acquisition(two_spin_system, n_t1=32, n_t2=64)
         design = build_design_matrix(two_spin_system, params)
-        signal = fid_coordinates(run_sequence_A(rebuilt, coefficients_to_density(
-            rebuilt, DEMO_COEFFS), params), design.basis)
+        rho0 = coefficients_to_density(rebuilt, DEMO_COEFFS)
+        signal = fid_coordinates(run_sequence_A(rebuilt, rho0, params), design.basis)
         assert signal.meta["system"] == rebuilt.to_dict()
-        fit = fit_offdiagonal(signal, design)
+        fit = tomograph_state(design, signal, run_sequence_B(rebuilt, rho0, params))
         for label, value in DEMO_COEFFS.items():
             if label in fit.coefficients:
                 assert fit.coefficients[label] == pytest.approx(value, abs=1e-9)

@@ -285,7 +285,7 @@ class TestSequenceB:
             1.0, np.max(np.abs(single)))
 
     def test_large_beta_recovers_coefficients(self, two_spin_system):
-        # the diagonal fit models the beta pulse exactly, so a large angle
+        # the design models the beta pulse exactly, so a large angle
         # costs nothing and nothing warns
         params = default_acquisition(two_spin_system, beta_rad=np.radians(30.0))
         rho0 = coefficients_to_density(two_spin_system, DEMO_COEFFS)
@@ -296,7 +296,7 @@ class TestSequenceB:
 
     def test_right_angle_beta_leaves_zz_undetermined(self, two_spin_system):
         # the two-spin-order term reaches the lines with cos(beta), which is
-        # zero at 90 degrees: the diagonal fit names zz alone
+        # zero at 90 degrees: the design names zz alone
         params = default_acquisition(two_spin_system, beta_rad=np.radians(90.0))
         rho0 = coefficients_to_density(two_spin_system, DEMO_COEFFS)
         with pytest.raises(RankDeficiencyError, match=r"\['z z'\]") as info:

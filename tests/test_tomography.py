@@ -12,7 +12,7 @@ from spintomo import (DegenerateTransitionError, RankDeficiencyError, Signal1D,
                       Signal2D, all_labels, build_design_matrix, build_spin_system,
                       coefficients_to_density, default_acquisition,
                       detection_basis, diagonal_labels,
-                      fid_coordinates, fidelity, fit_diagonal, fit_offdiagonal,
+                      fid_coordinates, fidelity,
                       max_relative_element_error, offdiagonal_labels,
                       product_operator, rotation_pulse, run_sequence_A,
                       run_sequence_B, tomograph_state, transition_table)
@@ -52,9 +52,10 @@ def stacked_signal(signal, design):
 
 
 def oracle_matrix(system, params, design):
-    """Per-label design: each basis operator through the step-by-step
-    sequence A of conftest, its t1-mean-free coordinates in the design's basis."""
-    operators = [product_operator(system, label) for label in design.labels]
+    """Per-label design of signal A: each off-diagonal basis operator through
+    the step-by-step sequence A of conftest, its t1-mean-free coordinates in
+    the design's basis."""
+    operators = [product_operator(system, label) for label in offdiagonal_labels(system.n)]
     columns = []
     for grid in reference_sequence_a(system, operators, params):
         values = grid @ design.basis.conj()
@@ -81,8 +82,13 @@ def kronecker_gram(system, params, design):
     response = to_diagonal.T @ (to_detected.T @ kernel)
     products = (evolution.conj().T @ evolution) * (response.conj() @ response.T)
     operators = np.array([product_operator(system, label).ravel()
-                          for label in design.labels])
+                          for label in offdiagonal_labels(system.n)])
     return (operators.conj() @ products @ operators.T).real
+
+
+def joint_matrix(design):
+    """The whole design operator's matrix, both signals' rows, from unit vectors."""
+    return np.column_stack([design.apply(e) for e in np.eye(design.shape[1])])
 
 
 def relative_difference(design, oracle):
@@ -166,14 +172,12 @@ class TestForwardModelProperties:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             design = build_design_matrix(system, params)
+            # full rank over both signals: lines too close for the diagonal
+            # part are refused here too
             assume(design.is_full_rank
-                   and design.condition_number <= ROUND_TRIP_MAX_KAPPA)
-            try:
-                result = noiseless_tomography(
-                    design, coefficients_to_density(system, coefficients))
-            except RankDeficiencyError:
-                assume(False)  # lines too close for the diagonal fit
-        assume(result.condition_number_diagonal <= ROUND_TRIP_MAX_KAPPA)
+                   and design.condition_number <= ROUND_TRIP_MAX_KAPPA
+                   and design.condition_number_diagonal <= ROUND_TRIP_MAX_KAPPA)
+            result = noiseless_tomography(design, coefficients_to_density(system, coefficients))
         assert result.max_coefficient_error <= 1e-10
         assert max(abs(result.coefficients.get(label, 0.0) - value)
                    for label, value in coefficients.items()) <= 1e-10
@@ -182,8 +186,9 @@ class TestForwardModelProperties:
 class TestDesignMatrix:
     def test_two_spin_shape_and_rank(self, two_spin_setup):
         system, params, design = two_spin_setup
-        assert design.shape == (4 * 2 * params.n_t1, 12)
-        assert design.labels == offdiagonal_labels(2)
+        # signal A's 2 n_t1 rows per line, then signal B's 2 per line
+        assert design.shape == (4 * 2 * params.n_t1 + 4 * 2, 15)
+        assert design.labels == offdiagonal_labels(2) + diagonal_labels(2)
         assert design.is_full_rank
         assert design.condition_number < 100
         assert not design.zero_labels
@@ -267,7 +272,7 @@ class TestDesignMatrix:
         scale = max(np.linalg.norm(design.apply(x)) * np.linalg.norm(y),
                     np.linalg.norm(x) * np.linalg.norm(design.adjoint(y)))
         assert abs(forward - backward) <= 1e-12 * scale
-        dense = dense_design(design)
+        dense = joint_matrix(design)
         gram = (design.eigenvectors * design.eigenvalues) @ design.eigenvectors.T
         assert relative_max_difference(gram, dense.T @ dense) <= 1e-12
 
@@ -278,7 +283,7 @@ class TestDesignMatrix:
         oracle = oracle_matrix(system, params, design)
         assert relative_difference(design, oracle) <= 1e-12
         svals = np.linalg.svd(oracle, compute_uv=False)
-        assert design.rank == len(design.labels) == 240
+        assert design.rank == len(design.labels) == 255
         # the Gram squares kappa, so its condition number is good to kappa^2 eps
         kappa = svals[0] / svals[-1]
         assert design.condition_number == pytest.approx(
@@ -304,15 +309,15 @@ class TestDesignMatrix:
 
     def test_factors_match_svd_of_design(self, two_spin_setup):
         _, _, design = two_spin_setup
-        _, svals, vt = np.linalg.svd(dense_design(design), full_matrices=False)
+        _, svals, vt = np.linalg.svd(joint_matrix(design), full_matrices=False)
         assert np.allclose(np.sqrt(design.eigenvalues[::-1]), svals, rtol=1e-12, atol=0)
         # eigenvectors are the right singular vectors, up to sign
         assert np.allclose(np.abs(np.sum(design.eigenvectors[:, ::-1].T * vt, axis=1)),
                            1.0, atol=1e-10)
 
     def test_rank_deficient_build_memory_bounded(self, two_spin_setup):
-        # alpha = 0 detects nothing: every column of the 4096 x 12 design is
-        # exactly zero, and so is its Gram
+        # alpha = 0 detects nothing in signal A: every column of its 4096 x 12
+        # block is exactly zero, and so is that block of the Gram
         system = two_spin_setup[0]
         params = default_acquisition(system, n_t1=512, n_t2=64, alpha_rad=0.0)
         tracemalloc.start()
@@ -321,9 +326,9 @@ class TestDesignMatrix:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert design.rank == 0
-        assert set(design.zero_labels) == set(design.labels)
-        assert set(design.nullspace_labels) == set(design.labels)
+        assert design.rank == len(diagonal_labels(2)) == 3
+        assert set(design.zero_labels) == set(offdiagonal_labels(2))
+        assert set(design.nullspace_labels) == set(offdiagonal_labels(2))
         assert peak < 32 * 2 ** 20
 
     def test_four_spin_build_memory_bounded(self):
@@ -336,8 +341,8 @@ class TestDesignMatrix:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert design.shape == (131072, 240)
-        assert design.rank == 240
+        assert design.shape == (131072 + 64, 255)
+        assert design.rank == 255
         assert peak < 64 * 2 ** 20
 
     def test_adjoint_copies_no_evolution_table(self):
@@ -369,17 +374,27 @@ class TestDesignMatrix:
         assert sizes[0] == sizes[1]
 
     def test_wide_design_lists_every_label(self, two_spin_setup):
-        # one t1 increment leaves 8 rows for 12 labels after mean removal
+        # one t1 increment leaves signal A 8 rows for 12 labels after mean
+        # removal, all of them zero; signal B's 8 rows fit the 3 diagonal ones
         system = two_spin_setup[0]
         params = default_acquisition(system, n_t1=1, n_t2=64)
         design = build_design_matrix(system, params)
-        assert design.shape == (8, 12)
-        assert set(design.nullspace_labels) == set(design.labels)
-        signal = run_sequence_A(system, coefficients_to_density(system, DEMO_COEFFS),
-                                params)
+        assert design.shape == (8 + 8, 15)
+        assert set(design.nullspace_labels) == set(offdiagonal_labels(2))
+        measured = noiseless_measurements(design, coefficients_to_density(system, DEMO_COEFFS))
         with pytest.raises(RankDeficiencyError) as info:
-            fit_offdiagonal(fid_coordinates(signal, design.basis), design)
+            tomograph_state(design, *measured)
         assert info.value.labels == design.nullspace_labels
+
+    def test_rank_cut_per_experiment(self):
+        # J = 0.05 Hz on 3 t2 samples: signal B's smallest Gram eigenvalue is
+        # about 10 eps of signal A's largest, under the cut of the whole Gram,
+        # but far above the cut of B's own block, so nothing is undetermined
+        system = build_spin_system(2, TWO_SPIN_LARMOR, {(1, 2): 0.05}, TWO_SPIN_T2)
+        design = build_design_matrix(system, default_acquisition(system, n_t1=64, n_t2=3))
+        assert design.eigenvalues[0] <= RANK_TOL * design.eigenvalues[-1]
+        assert design.condition_number_diagonal < 1 / np.sqrt(RANK_TOL)
+        assert design.is_full_rank and not design.nullspace_labels
 
     def test_nullspace_labels_basis_free(self):
         # the 5-qubit demo register with nu5 = nu2 + nu3 has eight exact null
@@ -407,10 +422,10 @@ class TestDesignMatrix:
         params = resolve_params(cfg)
         design = build_design_matrix(cfg.system, params)
         assert not design.is_full_rank and design.nullspace_labels
-        signal = run_sequence_A(cfg.system, coefficients_to_density(
-            cfg.system, cfg.coefficients), params)
+        measured = noiseless_measurements(
+            design, coefficients_to_density(cfg.system, cfg.coefficients))
         with pytest.raises(RankDeficiencyError) as info:
-            fit_offdiagonal(fid_coordinates(signal, design.basis), design)
+            tomograph_state(design, *measured)
         assert info.value.labels == design.nullspace_labels
 
     def test_nullspace_labels_follow_the_projector(self):
@@ -449,14 +464,15 @@ def grouped_case(request):
 
 class TestFlipGroupedOperator:
     def test_gram_matches_kronecker_products(self, grouped_case):
-        # _gram fills the lower block triangle in group order
+        # _gram fills signal A's lower block triangle in group order
         system, params, design = grouped_case
         expected = kronecker_gram(system, params, design)
         expected = np.tril(expected[np.ix_(design.order, design.order)])
-        _, _, _, evolution, response, values = _design_parts(system, params, design.basis,
-                                                              design.labels)
-        lower = np.tril(_gram(evolution, response, values))
-        assert relative_max_difference(lower, expected) <= 1e-14
+        _, _, _, evolution, response, values = _design_parts(
+            system, params, design.basis, offdiagonal_labels(system.n))
+        gram = np.zeros(expected.shape)
+        _gram(evolution, response, values, gram)
+        assert relative_max_difference(np.tril(gram), expected) <= 1e-14
         assert design.is_full_rank
 
     def test_adjoint_is_transpose(self, grouped_case):
@@ -473,7 +489,7 @@ class TestFlipGroupedOperator:
         # a dense product-operator table would take labels x dim^2 entries;
         # the flip-group table takes dim per label, and the rates, t1 mean,
         # first-block factors and response one entry, column or row per
-        # off-diagonal position
+        # off-diagonal position; signal B's block is 2r x (dim - 1)
         system, params, design = grouped_case
         dim, labels = system.dim, len(design.labels)
         positions = dim * dim - dim
@@ -482,10 +498,11 @@ class TestFlipGroupedOperator:
                   if isinstance(getattr(design, field.name), np.ndarray)}
         rank = design.basis.shape[1]
         assert shapes == {
-            "basis": (params.n_t2, rank), "order": (labels,),
+            "basis": (params.n_t2, rank), "order": (positions,),
             "rates": (positions,), "mean": (positions,),
             "head": (T2_BLOCK_ROWS, positions), "response": (positions, rank),
-            "values": (dim - 1, dim, dim), "eigenvalues": (labels,),
+            "values": (dim - 1, dim, dim), "diagonal_response": (2 * rank, dim - 1),
+            "eigenvalues": (labels,),
             "eigenvectors": (labels, labels)}
 
     def test_block_factors_match_simulator(self, grouped_case, monkeypatch):
@@ -516,7 +533,7 @@ class TestFlipGroupedOperator:
         # table the Gram was built from
         system, params, design = grouped_case
         _, rates, mean, evolution, _, _ = _design_parts(system, params, design.basis,
-                                                        design.labels)
+                                                        offdiagonal_labels(system.n))
         assert np.array_equal(rates, design.rates) and np.array_equal(mean, design.mean)
         remade = np.concatenate([factors.copy() for _, factors in design._t1_blocks()])
         assert np.array_equal(remade, evolution)
@@ -530,13 +547,15 @@ class TestFlipGroupedOperator:
         unitary, _ = np.linalg.qr(rng.standard_normal((rank, rank))
                                   + 1j * rng.standard_normal((rank, rank)))
         rotated = build_design_matrix(system, params, basis=design.basis @ unitary)
-        signal = run_sequence_A(system, coefficients_to_density(
-            system, random_coefficients(rng, offdiagonal_labels(system.n))), params)
+        rho0 = coefficients_to_density(
+            system, random_coefficients(rng, offdiagonal_labels(system.n)))
+        signal = run_sequence_A(system, rho0, params)
         signal.grid = signal.grid + 1e-2 * (rng.standard_normal(signal.grid.shape)
                                             + 1j * rng.standard_normal(signal.grid.shape))
+        signal_b = run_sequence_B(system, rho0, params)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            fits = [fit_offdiagonal(fid_coordinates(signal, d.basis), d).coefficients
+            fits = [tomograph_state(d, fid_coordinates(signal, d.basis), signal_b).coefficients
                     for d in (design, rotated)]
         scale = max(abs(value) for value in fits[0].values())
         assert max(abs(fits[0][l] - fits[1][l]) for l in design.labels) <= 1e-12 * scale
@@ -578,42 +597,49 @@ class TestSeminormalSolve:
 
     def test_fit_reuses_stored_factors(self, two_spin_setup, monkeypatch):
         system, params, design = two_spin_setup
-        signal = run_sequence_A(system, coefficients_to_density(system, DEMO_COEFFS), params)
+        measured = noiseless_measurements(design, coefficients_to_density(system, DEMO_COEFFS))
 
         def refuse(*args, **kwargs):
             raise AssertionError("the fit factored the design again")
 
-        signal = fid_coordinates(signal, design.basis)
-        for name in ("lstsq", "svd", "qr", "pinv", "eigh"):
+        for name in ("lstsq", "svd", "qr", "pinv", "eigh", "eigvalsh"):
             monkeypatch.setattr(np.linalg, name, refuse)
-        fit = fit_offdiagonal(signal, design)
-        assert fit.coefficients["xx"] == pytest.approx(13.0, rel=1e-9)
+        result = tomograph_state(design, *measured)
+        assert result.coefficients["xx"] == pytest.approx(13.0, rel=1e-9)
+        assert result.coefficients["zz"] == pytest.approx(6.7, rel=1e-9)
+
+
+def measurements(design, rho0):
+    """``(signal_a, signal_b)``: the noiseless signals of ``rho0`` on the
+    design's register and grid, signal A as its time grid."""
+    system, params = design.system, design.params
+    return run_sequence_A(system, rho0, params), run_sequence_B(system, rho0, params)
+
+
+def fit_state(design, rho0):
+    """The one fit of the noiseless measurements of ``rho0``."""
+    return tomograph_state(design, *noiseless_measurements(design, rho0))
 
 
 class TestFitOffdiagonal:
     def test_demo_state_coefficients(self, two_spin_setup):
         system, params, design = two_spin_setup
-        rho0 = coefficients_to_density(system, DEMO_COEFFS)
-        signal = run_sequence_A(system, rho0, params)
-        fit = fit_offdiagonal(fid_coordinates(signal, design.basis), design)
+        fit = fit_state(design, coefficients_to_density(system, DEMO_COEFFS))
         assert fit.coefficients["xz"] == pytest.approx(10.0, rel=1e-3)
         assert fit.coefficients["xx"] == pytest.approx(13.0, rel=1e-3)
         assert fit.coefficients["yy"] == pytest.approx(2.5, rel=1e-3)
-        assert fit.relative_residual < 1e-9
+        assert fit.residual_offdiagonal < 1e-9
 
     def test_zero_input(self, two_spin_setup):
         system, params, design = two_spin_setup
-        signal = run_sequence_A(system, np.zeros((4, 4), dtype=complex), params)
-        fit = fit_offdiagonal(fid_coordinates(signal, design.basis), design)
+        fit = fit_state(design, np.zeros((4, 4), dtype=complex))
         assert all(abs(v) <= 1e-10 for v in fit.coefficients.values())
 
     def test_random_self_consistency(self, two_spin_setup):
         system, params, design = two_spin_setup
         rng = np.random.default_rng(41)
         truth = random_coefficients(rng, offdiagonal_labels(2))
-        rho0 = coefficients_to_density(system, truth)
-        fit = fit_offdiagonal(
-            fid_coordinates(run_sequence_A(system, rho0, params), design.basis), design)
+        fit = fit_state(design, coefficients_to_density(system, truth))
         scale = max(abs(v) for v in truth.values())
         for label, value in truth.items():
             assert abs(fit.coefficients[label] - value) < 1e-6 * scale
@@ -622,31 +648,26 @@ class TestFitOffdiagonal:
         system, params, design = two_spin_setup
         rng = np.random.default_rng(42)
         off = random_coefficients(rng, offdiagonal_labels(2))
-        base = fit_offdiagonal(fid_coordinates(
-            run_sequence_A(system, coefficients_to_density(system, off), params),
-            design.basis), design)
+        base = fit_state(design, coefficients_to_density(system, off))
         perturbed = dict(off)
         perturbed.update(random_coefficients(rng, diagonal_labels(2)))
-        again = fit_offdiagonal(fid_coordinates(
-            run_sequence_A(system, coefficients_to_density(system, perturbed), params),
-            design.basis), design)
+        again = fit_state(design, coefficients_to_density(system, perturbed))
         for label in off:
             assert abs(base.coefficients[label] - again.coefficients[label]) <= 1e-10
 
     def test_noise_warns_and_residual_orthogonal(self, two_spin_setup):
         system, params, design = two_spin_setup
         rng = np.random.default_rng(43)
-        rho0 = coefficients_to_density(system, DEMO_COEFFS)
-        signal = run_sequence_A(system, rho0, params)
+        signal, signal_b = measurements(design, coefficients_to_density(system, DEMO_COEFFS))
         signal.grid = signal.grid + 0.05 * (
             rng.standard_normal(signal.grid.shape)
             + 1j * rng.standard_normal(signal.grid.shape))
         with pytest.warns(UserWarning, match="residual"):
-            fit = fit_offdiagonal(fid_coordinates(signal, design.basis), design)
-        assert fit.relative_residual > 1e-6
+            fit = tomograph_state(design, fid_coordinates(signal, design.basis), signal_b)
+        assert fit.residual_offdiagonal > 1e-6
         # least-squares optimality: residual orthogonal to the column space
         target = stacked_signal(signal, design)
-        solution = np.array([fit.coefficients[l] for l in design.labels])
+        solution = np.array([fit.coefficients[l] for l in offdiagonal_labels(2)])
         dense = dense_design(design)
         residual_vec = dense @ solution - target
         overlap = np.max(np.abs(dense.T @ residual_vec))
@@ -657,9 +678,9 @@ class TestFitOffdiagonal:
         # the same span in another column order: the coordinates are not the
         # ones the design's rows were built for
         system, params, design = two_spin_setup
-        signal = run_sequence_A(system, coefficients_to_density(system, DEMO_COEFFS), params)
+        signal, signal_b = measurements(design, coefficients_to_density(system, DEMO_COEFFS))
         with pytest.raises(ValueError, match="another basis"):
-            fit_offdiagonal(fid_coordinates(signal, design.basis[:, ::-1]), design)
+            tomograph_state(design, fid_coordinates(signal, design.basis[:, ::-1]), signal_b)
 
     def test_other_spin_system_rejected(self, two_spin_setup):
         # same acquisition, a register 10 Hz off on spin 1
@@ -667,8 +688,9 @@ class TestFitOffdiagonal:
         other = build_spin_system(2, (TWO_SPIN_LARMOR[0] + 10.0, TWO_SPIN_LARMOR[1]),
                                   {(1, 2): TWO_SPIN_J}, TWO_SPIN_T2)
         signal = run_sequence_A(other, coefficients_to_density(other, DEMO_COEFFS), params)
+        _, signal_b = measurements(design, coefficients_to_density(system, DEMO_COEFFS))
         with pytest.raises(ValueError, match="different spin system"):
-            fit_offdiagonal(fid_coordinates(signal, design.basis), design)
+            tomograph_state(design, fid_coordinates(signal, design.basis), signal_b)
 
     def test_mismatched_params_rejected(self, two_spin_setup):
         system, params, design = two_spin_setup
@@ -676,53 +698,51 @@ class TestFitOffdiagonal:
         rho0 = coefficients_to_density(system, DEMO_COEFFS)
         signal = run_sequence_A(system, rho0, other)
         with pytest.raises(ValueError, match="parameters"):
-            fit_offdiagonal(fid_coordinates(signal, detection_basis(system, other)), design)
+            tomograph_state(design, fid_coordinates(signal, detection_basis(system, other)),
+                            run_sequence_B(system, rho0, params))
 
     def test_unrecorded_signal_rejected(self, two_spin_setup):
         # a hand-built signal records no sequence, register or grid, so
         # nothing says it was measured on the design's
         system, params, design = two_spin_setup
-        signal = run_sequence_A(system, coefficients_to_density(system, DEMO_COEFFS), params)
+        signal, signal_b = measurements(design, coefficients_to_density(system, DEMO_COEFFS))
         signal.meta = {}
         with pytest.raises(ValueError, match="signal of sequence None given"):
-            fit_offdiagonal(fid_coordinates(signal, design.basis), design)
+            tomograph_state(design, fid_coordinates(signal, design.basis), signal_b)
 
     def test_signal_b_rejected(self, two_spin_setup):
         # signal B repeated on every t1 row: right register and grid, no t1
         # modulation, so its t1-mean-free target is only rounding noise
         system, params, design = two_spin_setup
-        signal_b = run_sequence_B(system, coefficients_to_density(system, DEMO_COEFFS), params)
+        _, signal_b = measurements(design, coefficients_to_density(system, DEMO_COEFFS))
         swapped = Signal2D(grid=np.tile(signal_b.samples, (params.n_t1, 1)),
                            dwell_t1_s=params.dwell_t1_s, dwell_t2_s=params.dwell_t2_s,
                            meta=signal_b.meta)
         with pytest.raises(ValueError, match="signal of sequence 'B' given where "
                                              "sequence 'A' is fitted"):
-            fit_offdiagonal(fid_coordinates(swapped, design.basis), design)
+            tomograph_state(design, fid_coordinates(swapped, design.basis), signal_b)
 
 
 class TestFitDiagonal:
     def test_demo_state(self, two_spin_setup):
         system, params, design = two_spin_setup
-        rho0 = coefficients_to_density(system, DEMO_COEFFS)
-        fit = fit_diagonal(run_sequence_B(system, rho0, params), design)
+        fit = fit_state(design, coefficients_to_density(system, DEMO_COEFFS))
         assert fit.coefficients["zo"] == pytest.approx(1.0, rel=5e-3)
         assert fit.coefficients["oz"] == pytest.approx(2.3, rel=5e-3)
         assert fit.coefficients["zz"] == pytest.approx(6.7, rel=5e-3)
 
     def test_zero_diagonal(self, two_spin_setup):
         system, params, design = two_spin_setup
-        rho0 = product_operator(system, "xy")
-        fit = fit_diagonal(run_sequence_B(system, rho0, params), design)
-        assert all(abs(v) <= 1e-10 for v in fit.coefficients.values())
+        fit = fit_state(design, product_operator(system, "xy"))
+        assert all(abs(fit.coefficients[l]) <= 1e-10 for l in diagonal_labels(2))
 
     def test_random_round_trip_small_beta(self, two_spin_setup):
         system, _, _ = two_spin_setup
         params = default_acquisition(system, beta_rad=np.radians(1.0))
         rng = np.random.default_rng(44)
         truth = random_coefficients(rng, diagonal_labels(2))
-        rho0 = coefficients_to_density(system, truth)
-        fit = fit_diagonal(run_sequence_B(system, rho0, params),
-                           build_design_matrix(system, params))
+        fit = fit_state(build_design_matrix(system, params),
+                        coefficients_to_density(system, truth))
         scale = max(abs(v) for v in truth.values())
         for label, value in truth.items():
             assert abs(fit.coefficients[label] - value) <= 1e-3 * scale
@@ -735,8 +755,7 @@ class TestFitDiagonal:
         results = {}
         for beta_deg in (10.0, 1.0):
             params = default_acquisition(system, beta_rad=np.radians(beta_deg))
-            fit = fit_diagonal(run_sequence_B(system, rho0, params),
-                               build_design_matrix(system, params))
+            fit = fit_state(build_design_matrix(system, params), rho0)
             results[beta_deg] = fit.coefficients
         for label in diagonal_labels(2):
             assert results[10.0][label] == pytest.approx(results[1.0][label],
@@ -745,12 +764,10 @@ class TestFitDiagonal:
     def test_offdiagonal_perturbation_ignored(self, two_spin_setup):
         system, params, design = two_spin_setup
         diag = {"zo": 1.5, "oz": -2.0, "zz": 3.0}
-        base = fit_diagonal(
-            run_sequence_B(system, coefficients_to_density(system, diag), params), design)
+        base = fit_state(design, coefficients_to_density(system, diag))
         noisy = dict(diag)
         noisy.update({"xx": 4.0, "xo": -1.0, "zy": 2.5})
-        again = fit_diagonal(
-            run_sequence_B(system, coefficients_to_density(system, noisy), params), design)
+        again = fit_state(design, coefficients_to_density(system, noisy))
         for label in diagonal_labels(2):
             assert abs(base.coefficients[label] - again.coefficients[label]) <= 1e-10
 
@@ -759,31 +776,33 @@ class TestFitDiagonal:
         # be fitted with wrong coefficients (zo 0.28, not 1.0) and a residual
         # of 0.54
         system, params, design = two_spin_setup
+        signal_a, _ = noiseless_measurements(design, coefficients_to_density(system, DEMO_COEFFS))
         other = build_spin_system(2, (1250.0, TWO_SPIN_LARMOR[1]), {(1, 2): TWO_SPIN_J},
                                   TWO_SPIN_T2)
         signal = run_sequence_B(other, coefficients_to_density(other, DEMO_COEFFS), params)
         with pytest.raises(ValueError, match="different spin system"):
-            fit_diagonal(signal, design)
+            tomograph_state(design, signal_a, signal)
         signal.meta = {**signal.meta, "system": system.to_dict(),
                        "params": {**params.to_dict(), "n_t2": 64}}
         with pytest.raises(ValueError, match="acquisition parameters"):
-            fit_diagonal(signal, design)
+            tomograph_state(design, signal_a, signal)
 
     def test_unrecorded_signal_rejected(self, two_spin_setup):
         system, params, design = two_spin_setup
-        signal = run_sequence_B(system, coefficients_to_density(system, DEMO_COEFFS), params)
+        signal_a, signal = noiseless_measurements(
+            design, coefficients_to_density(system, DEMO_COEFFS))
         with pytest.raises(ValueError, match="signal of sequence None given"):
-            fit_diagonal(Signal1D(signal.samples, signal.dwell_s, meta={}), design)
+            tomograph_state(design, signal_a, Signal1D(signal.samples, signal.dwell_s, meta={}))
 
     def test_signal_a_row_rejected(self, two_spin_setup):
         # the first t1 row of signal A is a FID on the same register and
         # grid, and would be fitted silently as signal B
         system, params, design = two_spin_setup
-        signal_a = run_sequence_A(system, coefficients_to_density(system, DEMO_COEFFS), params)
+        signal_a, _ = measurements(design, coefficients_to_density(system, DEMO_COEFFS))
         row = Signal1D(samples=signal_a.grid[0], dwell_s=params.dwell_t2_s, meta=signal_a.meta)
         with pytest.raises(ValueError, match="signal of sequence 'A' given where "
                                              "sequence 'B' is fitted"):
-            fit_diagonal(row, design)
+            tomograph_state(design, fid_coordinates(signal_a, design.basis), row)
 
     def test_four_spin_overlap_absorbed_without_warning(self):
         # 4-qubit lines sit closer than the 32 Hz linewidth; the shared
@@ -803,9 +822,9 @@ class TestFitDiagonal:
 
 class TestConditionWarnings:
     # J = 0.05 Hz splits each Larmor line into two 0.05 Hz apart, which a
-    # 3- or 4-sample FID barely separates: the diagonal fit has kappa 1.8e6
-    # on 3 samples and 5.0e5 on 4.  Both sit inside the rank cut, and
-    # neither fit warns about its condition number.
+    # 3- or 4-sample FID barely separates: signal B's block has kappa 1.8e6
+    # on 3 samples and 5.0e5 on 4.  Both sit inside its rank cut, and the
+    # fit does not warn about a condition number.
     @staticmethod
     def fit_warnings(n_t2):
         system = build_spin_system(2, TWO_SPIN_LARMOR, {(1, 2): 0.05}, TWO_SPIN_T2)
@@ -871,8 +890,7 @@ class TestReconstructAndScores:
 
 
 class TestWarningLocation:
-    # a fit's warning names the first caller outside the library, however
-    # the fit is reached, not a line inside it
+    # the fit's warning names its caller, not a line inside the library
     def test_residual_warning_names_the_caller(self, two_spin_setup):
         system, params, design = two_spin_setup
         signal_a, signal_b = noiseless_measurements(
@@ -880,11 +898,9 @@ class TestWarningLocation:
         rng = np.random.default_rng(43)
         noisy = replace(signal_a, values=signal_a.values
                         + 0.05 * rng.standard_normal(signal_a.values.shape))
-        with pytest.warns(UserWarning, match="off-diagonal fit residual") as direct:
-            fit_offdiagonal(noisy, design)
         with pytest.warns(UserWarning, match="off-diagonal fit residual") as inverted:
             tomograph_state(design, noisy, signal_b)
-        assert [w.filename for w in direct] == [w.filename for w in inverted] == [__file__]
+        assert [w.filename for w in inverted] == [__file__]
 
 
 class TestEndToEnd:
