@@ -31,7 +31,7 @@ from .core import (SpinSystem, build_spin_system, coefficients_to_density,
 from .errors import ConfigError, SpinTomoError
 from .experiment import (default_acquisition, run_sequence_A, run_sequence_B,
                          transition_table)
-from .spectral import cross_sections, dft_fid, dft_t1_magnitude, hybrid_omega2_axis
+from .spectral import cross_sections, dft_fid, hybrid_omega2_axis, spectrum_columns
 from .tomography import (build_design_matrix, detection_basis, fid_coordinates,
                          tomograph_state)
 
@@ -348,10 +348,10 @@ def _simulate_signals(cfg: RunConfig, params):
 def _export_simulation(signal_a, signal_b, out: Path, table) -> None:
     """Write signals, spectra and cross-sections.
 
-    The t2 hybrid is never held whole: the 2D magnitude is streamed one
-    column block at a time from slabs of Omega2 columns, each about the size
-    of signal A's grid, and the cross-sections are transformed from the
-    transition bins' own hybrid columns.
+    The t2 hybrid is never held whole: the 2D magnitude and the
+    cross-sections both read :func:`spectrum_columns`, which streams the
+    columns they ask for one block at a time from slabs of the hybrid, each
+    at most about the size of signal A's grid.
     """
     _write_array(out, "signal_a.npy", signal_a.grid, ["t1", "t2"], "signal_a.json",
                  dwell_t1_s=signal_a.dwell_t1_s, dwell_t2_s=signal_a.dwell_t2_s,
@@ -361,12 +361,14 @@ def _export_simulation(signal_a, signal_b, out: Path, table) -> None:
                  dwell_s=signal_b.dwell_s, n_samples=len(signal_b.samples),
                  meta=signal_b.meta)
 
-    # No fit reads the magnitude, which has lost the phase: each float64
-    # block is rounded once to float32 as it is written, through map, which
-    # unlike a generator expression holds no float64 block during the next.
+    # No fit reads the magnitude, which has lost the phase: each block's
+    # float64 magnitude is rounded once to float32 as it is written, through
+    # map, which unlike a generator expression holds no block during the next.
+    omega1_hz = hybrid_omega2_axis(signal_a.grid.shape[0], signal_a.dwell_t1_s)
     omega2_hz = hybrid_omega2_axis(signal_a.grid.shape[1], signal_a.dwell_t2_s)
-    omega1_hz, magnitude = dft_t1_magnitude(signal_a)
-    _write_array(out, "spectrum_2d.npy", map(lambda block: block.astype(np.float32), magnitude),
+    columns = spectrum_columns(signal_a, range(len(omega2_hz)))
+    _write_array(out, "spectrum_2d.npy",
+                 map(lambda block: np.abs(block).astype(np.float32), columns),
                  ["omega1", "omega2"], "spectrum_2d_axes.json",
                  shape=(len(omega1_hz), len(omega2_hz)),
                  omega1_hz=[float(f) for f in omega1_hz],
@@ -426,7 +428,8 @@ def _write_report(path: Path, result) -> None:
         lines.append(f"max coefficient error: {result.max_coefficient_error:.3e}")
     lines.append(f"off-diagonal fit residual (relative): {result.residual_offdiagonal:.3e}")
     lines.append(f"diagonal fit residual (relative): {result.residual_diagonal:.3e}")
-    lines.append(f"design condition number: {result.condition_number:.6g}")
+    lines.append(f"off-diagonal design condition number: {result.condition_number:.6g}")
+    lines.append(f"diagonal design condition number: {result.condition_number_diagonal:.6g}")
     for note in result.notes:
         lines.append(f"note: {note}")
     path.write_text("\n".join(lines) + "\n")

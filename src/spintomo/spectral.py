@@ -114,45 +114,36 @@ def dft_t1(hybrid: HybridSpectrum, apodization="matched", zero_fill: int = 2,
                       meta=hybrid.meta)
 
 
-# Omega2 columns per dft_t1 call when the magnitude is streamed or the
-# cross-sections are taken, so the complex temporaries of one block stay a
-# small part of the time grid.  The hybrid slabs of dft_t1_magnitude are a
-# whole number of blocks wide, so each block is the one the whole hybrid
-# would give.
+# Omega2 columns per dft_t1 call in spectrum_columns, so the complex
+# temporaries of one block stay a small part of the time grid.  Its hybrid
+# slabs are a whole number of blocks wide but for the last, so each block is
+# the one a hybrid of every requested column would give.
 T1_BLOCK_COLUMNS = 8
 
 
-def dft_t1_magnitude(signal: Signal2D):
-    """``(omega1_hz, blocks)``: the Omega1 axis of ``dft_t1(dft_t2(signal))``
-    (default processing) and a generator of its magnitude in blocks of
-    :data:`T1_BLOCK_COLUMNS` Omega2 columns, left to right.
+def spectrum_columns(signal: Signal2D, bins):
+    """Yield the Omega2 columns ``bins`` (bin indices, in any order, repeats
+    allowed) of the 2D spectrum ``dft_t1(dft_t2(signal))`` (default
+    processing), :data:`T1_BLOCK_COLUMNS` at a time, in the order of ``bins``.
 
-    The hybrid is made by :func:`dft_t2` one slab of Omega2 columns at a
+    The hybrid is made by :func:`dft_t2` one slab of requested columns at a
     time, each written into one reused buffer: n_t2 rounded up to a whole
-    number of blocks wide and never past the axis end.  A power-of-two n_t2
-    of 8 or more thus takes ``zero_fill`` (2) passes, and beside the time
-    grid only one slab, about its size, is ever held.  Each block goes
-    through :func:`dft_t1` on its own.  The transforms act on every row and
-    column alone, so the float64 blocks side by side are bit for bit the
-    magnitude of the whole transform, which is never held.
+    number of blocks wide and never wider than the request.  Every bin of a
+    power-of-two n_t2 of 8 or more is thus made in ``zero_fill`` (2) passes,
+    and beside the time grid only one slab, about its size, is ever held.
+    Each block goes through :func:`dft_t1` on its own.  The transforms act on
+    every row and column alone, so each column yielded is bit for bit that
+    column of the whole transform, which is never held.
     """
-    def slabs():
-        n_t1, n_t2 = signal.grid.shape
-        n_fft = len(hybrid_omega2_axis(n_t2, signal.dwell_t2_s))
-        width = min(-(-n_t2 // T1_BLOCK_COLUMNS) * T1_BLOCK_COLUMNS, n_fft)
-        buffer = np.empty((n_t1, width), dtype=complex)
-        for start in range(0, n_fft, width):
-            stop = min(start + width, n_fft)
-            yield dft_t2(signal, columns=slice(start, stop), out=buffer[:, :stop - start])
-
-    def blocks():
-        for hybrid in slabs():
-            for first in range(0, hybrid.grid.shape[1], T1_BLOCK_COLUMNS):
-                columns = slice(first, first + T1_BLOCK_COLUMNS)
-                yield np.abs(dft_t1(replace(hybrid, grid=hybrid.grid[:, columns],
-                                            omega2_hz=hybrid.omega2_hz[columns])).grid)
-
-    return hybrid_omega2_axis(signal.grid.shape[0], signal.dwell_t1_s), blocks()
+    n_t1, n_t2 = signal.grid.shape
+    width = min(-(-n_t2 // T1_BLOCK_COLUMNS) * T1_BLOCK_COLUMNS, len(bins)) or 1
+    buffer = np.empty((n_t1, width), dtype=complex)
+    for start in range(0, len(bins), width):
+        slab = bins[start:start + width]
+        hybrid = dft_t2(signal, columns=slab, out=buffer[:, :len(slab)])
+        for first in range(0, len(slab), T1_BLOCK_COLUMNS):
+            columns = slice(first, first + T1_BLOCK_COLUMNS)
+            yield dft_t1(replace(hybrid, grid=hybrid.grid[:, columns])).grid
 
 
 def dft_fid(signal: Signal1D, apodization="matched", zero_fill: int = 2,
@@ -190,23 +181,20 @@ def cross_sections(signal: Signal2D, omega2_hz) -> tuple[list, Spectrum2D]:
     the traces parallel to Omega1 there, column ``k`` for request ``k``, of
     the 2D spectrum ``dft_t1(dft_t2(signal))`` (default processing).
 
-    :func:`dft_t2` keeps the requested bins' hybrid columns alone.
-    ``sections`` holds the :func:`dft_t1` of those columns, its
-    ``omega2_hz`` the bin frequencies.  They are transformed
-    :data:`T1_BLOCK_COLUMNS` at a time into one section-major array, whose
-    transpose is ``sections.grid``.  The transforms act on every row and
-    column alone, so each trace equals that column of the whole 2D spectrum.
+    The traces are the columns :func:`spectrum_columns` yields for those
+    bins, gathered into one section-major array, whose transpose is
+    ``sections.grid``; ``sections.omega2_hz`` holds the bin frequencies.
     A request beyond the axis ends reads the bin of its alias (:func:`_axis_bin`).
     """
-    axis = hybrid_omega2_axis(signal.grid.shape[1], signal.dwell_t2_s)
+    n_t1, n_t2 = signal.grid.shape
+    axis = hybrid_omega2_axis(n_t2, signal.dwell_t2_s)
+    omega1_hz = hybrid_omega2_axis(n_t1, signal.dwell_t1_s)
     bins = [_axis_bin(axis, f) for f in omega2_hz]
-    hybrid = dft_t2(signal, columns=bins)
-    rows = None
-    for start in range(0, max(len(bins), 1), T1_BLOCK_COLUMNS):
-        block = slice(start, start + T1_BLOCK_COLUMNS)
-        spectrum = dft_t1(replace(hybrid, grid=hybrid.grid[:, block],
-                                  omega2_hz=hybrid.omega2_hz[block]))
-        if rows is None:
-            rows = np.empty((len(bins), len(spectrum.omega1_hz)), dtype=complex)
-        rows[block] = spectrum.grid.T
-    return bins, replace(spectrum, grid=rows.T, omega2_hz=hybrid.omega2_hz)
+    rows = np.empty((0, len(omega1_hz)), dtype=complex)
+    blocks = spectrum_columns(signal, bins)
+    for start, block in zip(range(0, len(bins), T1_BLOCK_COLUMNS), blocks):
+        if not start:  # after the first slab's t2 transform, not beside it
+            rows = np.empty((len(bins), len(omega1_hz)), dtype=complex)
+        rows[start:start + T1_BLOCK_COLUMNS] = block.T
+    return bins, Spectrum2D(grid=rows.T, omega1_hz=omega1_hz, omega2_hz=axis[bins],
+                            meta=signal.meta)

@@ -398,11 +398,11 @@ class TestSimulateCommand:
         self.test_cross_sections_bit_exact(tmp_path, n_t2)
 
     def test_export_memory_bounded(self, tmp_path, monkeypatch):
-        # the 2D magnitude is streamed one column block at a time from slabs
-        # of the t2 hybrid, each half the zero-filled hybrid, in one reused
-        # buffer, and the cross-sections transform only their own columns:
-        # 1.02x the full hybrid measured (1.47x holding the whole hybrid,
-        # 2.26x holding the magnitude grid as well).  tomograph takes signal
+        # the 2D magnitude and the cross-sections read their columns of the
+        # 2D spectrum one block at a time from slabs of the t2 hybrid, each at
+        # most half the zero-filled hybrid, in one reused buffer: 0.94x the
+        # full hybrid measured (1.47x holding the whole hybrid, 2.26x holding
+        # the magnitude grid as well).  tomograph takes signal
         # A's coordinates after the exports, then releases the time grid.
         seen = {}
 
@@ -1002,7 +1002,8 @@ class TestNoise:
 class TestResultFiles:
     def test_condition_numbers_per_experiment(self, tmp_path):
         # each experiment's condition number is that of its own column block
-        # of the dense design, and result.json reports the design's two
+        # of the dense design, and result.json and report.txt report the
+        # design's two
         path = CONFIG_DIR / "demo_2qubit.json"
         cfg = parse_config(path)
         design = build_design_matrix(cfg.system, resolve_params(cfg))
@@ -1018,6 +1019,10 @@ class TestResultFiles:
         result = read_strict_json(out / "result.json")
         assert result["condition_number"] == design.condition_number
         assert result["condition_number_diagonal"] == design.condition_number_diagonal
+        report = (out / "report.txt").read_text().splitlines()
+        assert f"off-diagonal design condition number: {design.condition_number:.6g}" in report
+        assert (f"diagonal design condition number: {design.condition_number_diagonal:.6g}"
+                in report)
 
     def test_residual_warning_names_the_command_line(self, tmp_path):
         # the fit's one caller is cmd_tomograph, whose line the warning names
@@ -1037,7 +1042,9 @@ class TestResultFiles:
         assert payload["condition_number_diagonal"] is None
         assert payload["coefficients"] == [["x o", 1.0]]
         _write_report(tmp_path / "report.txt", result)
-        assert "design condition number: inf" in (tmp_path / "report.txt").read_text()
+        report = (tmp_path / "report.txt").read_text().splitlines()
+        assert "off-diagonal design condition number: inf" in report
+        assert "diagonal design condition number: nan" in report
 
 
 class TestBasisCommand:

@@ -13,7 +13,7 @@ from spintomo import (Signal1D, Signal2D, coefficients_to_density, cross_section
                       transition_table)
 from spintomo.cli import _write_array
 from spintomo.spectral import (T1_BLOCK_COLUMNS, T2_BLOCK_ROWS, HybridSpectrum,
-                               _axis_bin, _dft, dft_t1_magnitude)
+                               _axis_bin, _dft, spectrum_columns)
 
 from conftest import DEMO_COEFFS, local_maxima_above
 
@@ -334,18 +334,33 @@ class TestCrossSection:
         assert bins == [2, 2, 1, 3, 2]
 
     def test_sections_are_spectrum_columns(self):
-        # one transform of the gathered columns, in request order and with
-        # repeats, equals those columns of the whole 2D spectrum bit for bit
-        signal = self.make_signal(n_t1=100, n_t2=20)
+        # the gathered columns, in request order and with repeats, equal
+        # those columns of the whole 2D spectrum bit for bit: six bins in one
+        # hybrid slab, and twelve bins in 8-column slabs (n_t2 5), so in two
+        for n_t2, requested in ((20, [30, 3, 30, 17, 39, 0]),
+                                (5, [15, 2, 9, 2, 0, 7, 7, 12, 1, 15, 4, 11])):
+            signal = self.make_signal(n_t1=100, n_t2=n_t2)
+            spectrum = dft_t1(dft_t2(signal))
+            requests = spectrum.omega2_hz[requested] + 1.0
+            bins, sections = cross_sections(signal, requests)
+            assert bins == requested
+            assert sections.grid.shape == (len(spectrum.omega1_hz), len(requests))
+            assert sections.omega1_hz.tobytes() == spectrum.omega1_hz.tobytes()
+            assert sections.omega2_hz.tobytes() == spectrum.omega2_hz[bins].tobytes()
+            for k, b in enumerate(bins):
+                assert sections.grid[:, k].tobytes() == spectrum.grid[:, b].tobytes()
+
+    def test_no_request_gives_empty_sections(self):
+        # no bins and no traces, on the Omega1 axis of the whole spectrum
+        signal = self.make_signal()
         spectrum = dft_t1(dft_t2(signal))
-        requests = spectrum.omega2_hz[[30, 3, 30, 17, 39, 0]] + 1.0
-        bins, sections = cross_sections(signal, requests)
-        assert bins == [30, 3, 30, 17, 39, 0]
-        assert sections.grid.shape == (len(spectrum.omega1_hz), len(requests))
+        bins, sections = cross_sections(signal, [])
+        assert bins == []
+        assert sections.grid.shape == (len(spectrum.omega1_hz), 0)
+        assert sections.grid.dtype == complex
         assert sections.omega1_hz.tobytes() == spectrum.omega1_hz.tobytes()
-        assert sections.omega2_hz.tobytes() == spectrum.omega2_hz[bins].tobytes()
-        for k, b in enumerate(bins):
-            assert sections.grid[:, k].tobytes() == spectrum.grid[:, b].tobytes()
+        assert sections.omega2_hz.shape == (0,)
+        assert sections.meta is signal.meta
 
     def test_time_and_frequency_forms_consistent(self):
         signal = self.make_signal()
@@ -363,17 +378,17 @@ class TestCrossSection:
         # block: two hybrid slabs of 32 and of 8 columns
         signal = TestDftCore.random_signal(100, n_t2)
         spectrum = dft_t1(dft_t2(signal))
-        omega1_hz, blocks = dft_t1_magnitude(signal)
-        magnitude = np.concatenate(list(blocks), axis=1)
+        every_bin = range(len(spectrum.omega2_hz))
+        blocks = [np.abs(block) for block in spectrum_columns(signal, every_bin)]
+        assert max(block.shape[1] for block in blocks) <= T1_BLOCK_COLUMNS
+        magnitude = np.concatenate(blocks, axis=1)
         expected = np.abs(spectrum.grid)
         assert magnitude.dtype == expected.dtype and magnitude.shape == expected.shape
         assert magnitude.tobytes() == expected.tobytes()
-        assert omega1_hz.tobytes() == spectrum.omega1_hz.tobytes()
         # written as they come, the blocks make the file np.save writes of the
         # column-major grid, and the sidecar describes that file
-        _, blocks = dft_t1_magnitude(signal)
-        _write_array(tmp_path, "m.npy", blocks, ["omega1", "omega2"], "m.json",
-                     shape=expected.shape)
+        _write_array(tmp_path, "m.npy", map(np.abs, spectrum_columns(signal, every_bin)),
+                     ["omega1", "omega2"], "m.json", shape=expected.shape)
         saved = io.BytesIO()
         np.save(saved, np.asfortranarray(expected))
         assert (tmp_path / "m.npy").read_bytes() == saved.getvalue()
