@@ -21,7 +21,7 @@ import os
 import random
 import shutil
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields as dataclass_fields
 from pathlib import Path
 
 import numpy as np
@@ -55,8 +55,7 @@ class RunConfig:
 
 
 _ACQ_KEYS = {"n_t1", "n_t2", "dwell_t1_s", "dwell_t2_s", "alpha_deg", "beta_deg"}
-_OPT_KEYS = {"noise_rms", "realistic_gradient", "gradient_draws",
-             "gradient_tau_max_s", "seed", "output_dir"}
+_OPT_KEYS = {option.name for option in dataclass_fields(RunOptions)}
 
 
 def _reject_unknown(block: dict, allowed, path: str) -> None:
@@ -273,22 +272,18 @@ def _write_array(out: Path, name: str, array, axes, sidecar: str, shape=None,
 
     With ``shape``, ``array`` yields the column blocks of an array of that
     shape, left to right, each written column-major as it comes, so the whole
-    array is never held.  Saved through a handle, since ``np.save`` adds
-    ``.npy`` to a bare path, and without pickled objects.
+    array is never held; without it, ``array`` is written whole in C order.
+    Each block is written from its own buffer: a C-contiguous one is not copied.
     """
     fmt = np.lib.format
     with open(out / name, "wb") as handle:
-        if shape is None:
-            header = fmt.header_data_from_array_1_0(array)
-            np.save(handle, array, allow_pickle=False)
-        else:
-            blocks = iter(array)
-            first = next(blocks)
-            header = {"descr": fmt.dtype_to_descr(first.dtype), "fortran_order": True,
-                      "shape": tuple(shape)}
-            fmt.write_array_header_1_0(handle, header)
-            for block in itertools.chain([first], blocks):
-                handle.write(block.tobytes(order="F"))
+        blocks = iter([array] if shape is None else array)
+        first = next(blocks)
+        header = {"descr": fmt.dtype_to_descr(first.dtype), "fortran_order": shape is not None,
+                  "shape": tuple(first.shape if shape is None else shape)}
+        fmt.write_array_header_1_0(handle, header)
+        for block in itertools.chain([first], blocks):
+            handle.write(np.ascontiguousarray(block if shape is None else block.T).data)
     _write_json(out / sidecar, {**fields, "array": {
         "file": name, "dtype": fmt.descr_to_dtype(header["descr"]).name,
         "shape": list(header["shape"]), "axes": axes}})

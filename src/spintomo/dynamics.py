@@ -60,15 +60,12 @@ def delay_average(system: SpinSystem, delays_s) -> np.ndarray:
 def detection_elements(system: SpinSystem):
     """Index arrays of the density-matrix elements picked up by detection.
 
-    Returns ``(rows, cols, freqs)`` such that the detected signal is
-    ``sum_p rho[rows[p], cols[p]]`` and, under free evolution, element p
-    oscillates as exp(+2i*pi*freqs[p]*t).  Element p is the (lower, upper)
-    entry of a single-quantum transition, where the total raising operator
-    sum_j I_j+ has its (upper, lower) nonzero, and ``freqs`` are the
-    transition frequencies; elements are sorted by (upper, lower), the
-    raising operator's row-major order.
+    Returns ``(rows, cols)`` such that the detected signal is
+    ``sum_p rho[rows[p], cols[p]]``.  Element p is the (lower, upper) entry
+    of a single-quantum transition, where the total raising operator
+    sum_j I_j+ has its (upper, lower) nonzero; elements are sorted by
+    (upper, lower), the raising operator's row-major order.
     """
-    lines = sorted((upper, lower, f)
-                   for _, upper, lower, f in single_quantum_transitions(system))
-    upper, lower, freqs = (np.array(column) for column in zip(*lines))
-    return lower, upper, freqs
+    lines = sorted((upper, lower) for _, upper, lower, _ in single_quantum_transitions(system))
+    upper, lower = (np.array(column) for column in zip(*lines))
+    return lower, upper

@@ -24,7 +24,7 @@ whole t1 axis; each block's evolution is the first block's times one phase
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -98,14 +98,7 @@ class AcquisitionParams:
         return np.arange(self.n_t2) * self.dwell_t2_s
 
     def to_dict(self) -> dict:
-        return {
-            "n_t1": self.n_t1,
-            "n_t2": self.n_t2,
-            "dwell_t1_s": self.dwell_t1_s,
-            "dwell_t2_s": self.dwell_t2_s,
-            "alpha_rad": self.alpha_rad,
-            "beta_rad": self.beta_rad,
-        }
+        return asdict(self)
 
 
 def transition_table(system: SpinSystem, tol_hz: float = DEGENERACY_TOL_HZ) -> tuple:
@@ -219,7 +212,7 @@ def detection_fids(system: SpinSystem, t2_times: np.ndarray) -> np.ndarray:
     :func:`~spintomo.dynamics.evolution_rates` entry of element p of
     :func:`~spintomo.dynamics.detection_elements`.
     """
-    rows, cols, _ = detection_elements(system)
+    rows, cols = detection_elements(system)
     return np.exp(np.outer(evolution_rates(system)[rows, cols], t2_times))
 
 
@@ -274,7 +267,7 @@ def sequence_A_map(system: SpinSystem, params: AcquisitionParams, left, right,
         to_detected[p, k] = R[rows_p, a_k] conj(R[cols_p, b_k])
     """
     a, b, weights = gradient_support(system, gradient_delays_s)
-    rows, cols, _ = detection_elements(system)
+    rows, cols = detection_elements(system)
     to_support = _pulse_transfer(rotation_pulse(system, np.pi / 2.0, 0.0),
                                  a, b, left, right)
     to_support *= weights[:, None]
@@ -294,7 +287,7 @@ def sequence_B_map(system: SpinSystem, params: AcquisitionParams,
         to_detected[p, k] = w_k P[rows_p, a_k] conj(P[cols_p, b_k])
     """
     a, b, weights = gradient_support(system, gradient_delays_s)
-    rows, cols, _ = detection_elements(system)
+    rows, cols = detection_elements(system)
     to_detected = _pulse_transfer(rotation_pulse(system, params.beta_rad, 0.0),
                                   rows, cols, a, b)
     to_detected *= weights

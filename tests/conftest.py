@@ -241,14 +241,13 @@ def loop_pairs(frequencies, close):
 
 
 def nonzero_detection_elements(system):
-    """``(rows, cols, freqs)`` from the nonzeros of the total raising operator.
+    """``(rows, cols)`` from the nonzeros of the total raising operator.
 
     The derivation detection_elements used before it read the transition
     list, kept as the reference.
     """
     r_idx, s_idx = np.nonzero(raising_operator(system))
-    level = energies(system)
-    return s_idx, r_idx, level[r_idx] - level[s_idx]
+    return s_idx, r_idx
 
 
 def loop_realistic_gradient(rho, system, delays_s):

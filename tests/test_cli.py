@@ -94,6 +94,10 @@ def box_muller(rng, shape, rms):
     return (rms * np.sqrt(-np.log(u1)) * np.exp(2j * np.pi * u2)).reshape(shape)
 
 
+# A table entry for a key the config leaves out.
+MISSING = object()
+
+
 def write_config(tmp_path, payload, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload, indent=2))
@@ -236,11 +240,22 @@ class TestConfigParsing:
                      id="coefficient-inf"),
         pytest.param("state", "coefficients", [["x x", 10 ** 400]], [],
                      id="coefficient-too-large"),
+        pytest.param("spin_system", "t2_s", MISSING, [], id="t2-missing"),
+        pytest.param("spin_system", "larmor_hz", [1200.0, 1800.0, 2400.0], [],
+                     id="larmor-three-for-two"),
+        pytest.param("spin_system", "couplings_hz", {"1,3": 200.0}, [], id="coupling-beyond-n"),
+        pytest.param("spin_system", "couplings_hz", {"2,1": 200.0}, [], id="coupling-reversed"),
+        pytest.param("state", "coefficients", [["x x", 1.0, 2.0]], [],
+                     id="coefficient-three-items"),
+        pytest.param("state", "coefficients", ["x x"], [], id="coefficient-bare-label"),
     ])
     def test_bad_value_exits_2(self, tmp_path, capsys, block, key, value, argv):
         payload = demo_config(n_t1=32, n_t2=64, realistic_gradient=True,
                               gradient_draws=2)
-        payload[block][key] = value
+        if value is MISSING:
+            del payload[block][key]
+        else:
+            payload[block][key] = value
         path = write_config(tmp_path, payload)
         for command in ("simulate", "tomograph", "basis"):
             with warnings.catch_warnings():
@@ -248,7 +263,8 @@ class TestConfigParsing:
                 code = main([command, "--config", str(path),
                              "--out", str(tmp_path / "out"), *argv])
             assert code == 2
-            assert "config error" in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert err.startswith("config error: ") and err.count("\n") == 1, err
             assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("block", ["spin_system", "state"])
@@ -294,15 +310,25 @@ class TestConfigParsing:
         assert "config" in capsys.readouterr().err
 
     def test_unreadable_config_exits_2(self, tmp_path, capsys):
-        # a directory cannot be read, and FF FE opens no UTF-8 text
+        # a directory cannot be read, FF FE opens no UTF-8 text, and neither
+        # cut-off JSON text nor a JSON array is a config
         utf16 = tmp_path / "utf16.json"
         utf16.write_bytes(json.dumps(demo_config()).encode("utf-16"))
         assert utf16.read_bytes()[:2] == b"\xff\xfe"
-        for path in (tmp_path, utf16):
+        cut = tmp_path / "cut.json"
+        cut.write_text(json.dumps(demo_config())[:40])
+        array = write_config(tmp_path, [demo_config()], name="array.json")
+        for path, message in ((tmp_path, "cannot read config file"),
+                              (utf16, "cannot read config file"),
+                              (cut, "is not valid JSON"),
+                              (array, "config root must be a JSON object")):
             code = main(["simulate", "--config", str(path),
                          "--out", str(tmp_path / "out")])
             assert code == 2
-            assert "config error: cannot read config file" in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert err.startswith("config error: ") and err.count("\n") == 1, err
+            assert message in err
+            assert not (tmp_path / "out").exists()
 
 
 # t2 lengths beside 64 of the byte-identity export tests: 100 samples, a

@@ -58,6 +58,18 @@ class TestBuildSpinSystem:
         with pytest.raises(ValueError, match="coupling key"):
             build_spin_system(2, [100.0, 200.0], {(2, 1): 5.0}, 0.010)
 
+    @pytest.mark.parametrize("n, larmor, couplings, match", [
+        pytest.param(0, [], {}, "need at least one spin", id="no-spins"),
+        pytest.param(1, [np.nan], {}, "larmor_hz entries must be finite", id="larmor-nan"),
+        pytest.param(2, [100.0, 200.0], {(1, 2): np.inf}, r"coupling \(1,2\) must be finite",
+                     id="coupling-inf"),
+        pytest.param(2, [100.0, 200.0], {(1, 2): 5.0, ("1", "2"): 6.0},
+                     "duplicate coupling keys", id="coupling-duplicate"),
+    ])
+    def test_invalid_register_rejected(self, n, larmor, couplings, match):
+        with pytest.raises(ValueError, match=match):
+            build_spin_system(n, larmor, couplings, 0.010)
+
     def test_degenerate_transitions_build_silently(self):
         # the transition table is the one refusal of coinciding lines
         with warnings.catch_warnings():
@@ -212,6 +224,15 @@ class TestCoefficientConversion:
         rho = coefficients_to_density(two_spin_system, {"zo": 1.0})
         assert np.allclose(rho, np.diag([0.5, 0.5, -0.5, -0.5]))
 
+    @pytest.mark.parametrize("coefficients, match", [
+        pytest.param({"xo": 1.0, "x o": 2.0}, "duplicate coefficient for label 'x o'",
+                     id="duplicate-label"),
+        pytest.param({"xo": np.inf}, "coefficient for 'x o' must be finite", id="inf"),
+    ])
+    def test_invalid_coefficients_rejected(self, two_spin_system, coefficients, match):
+        with pytest.raises(ValueError, match=match):
+            coefficients_to_density(two_spin_system, coefficients)
+
     def test_spaced_labels_accepted(self, two_spin_system):
         rho = coefficients_to_density(two_spin_system, {"z o": 2.0})
         assert np.allclose(rho, np.diag([1.0, 1.0, -1.0, -1.0]))
@@ -239,6 +260,10 @@ class TestCoefficientConversion:
         bad[0, 1] = 1.0
         with pytest.raises(ValueError, match="Hermitian"):
             density_to_coefficients(two_spin_system, bad)
+
+    def test_wrong_shape_rejected(self, two_spin_system):
+        with pytest.raises(ValueError, match=r"matrix shape \(2, 2\) does not match dim 4"):
+            density_to_coefficients(two_spin_system, np.zeros((2, 2)))
 
 
 class TestRotationPulse:

@@ -241,8 +241,10 @@ class TestDetectionElements:
     @given(clustered_systems())
     def test_matches_raising_operator_nonzeros(self, system):
         # bit for bit and in the same order, degenerate registers included
-        for got, expected in zip(detection_elements(system),
-                                 nonzero_detection_elements(system)):
+        got_pair, expected_pair = (detection_elements(system),
+                                   nonzero_detection_elements(system))
+        assert len(got_pair) == len(expected_pair) == 2
+        for got, expected in zip(got_pair, expected_pair):
             assert got.dtype == expected.dtype
             assert got.tobytes() == expected.tobytes()
 

@@ -184,6 +184,10 @@ class TestSequenceA:
         with pytest.raises(ValueError, match="Hermitian"):
             run_sequence_A(two_spin_system, bad, small_params())
 
+    def test_wrong_shape_rejected(self, two_spin_system):
+        with pytest.raises(ValueError, match=r"state shape \(2, 2\) does not match dim 4"):
+            run_sequence_A(two_spin_system, np.zeros((2, 2)), small_params())
+
     def test_single_x_cross_section_structure(self, two_spin_system):
         # a lone transverse operator on spin 1 contributes equal cosine
         # amplitudes at its two transition frequencies and nothing else

@@ -75,7 +75,7 @@ def kronecker_gram(system, params, design):
     evolution = evolution - evolution.mean(axis=0)
     pulse_90 = rotation_pulse(system, np.pi / 2.0, 0.0)
     pulse_read = rotation_pulse(system, params.alpha_rad, np.pi)
-    rows, cols, _ = detection_elements(system)
+    rows, cols = detection_elements(system)
     kernel = detection_fids(system, params.t2_times) @ design.basis.conj()
     to_diagonal = (pulse_90[:, :, None] * pulse_90.conj()[:, None, :]).reshape(system.dim, -1)
     to_detected = pulse_read[rows, :] * pulse_read[cols, :].conj()
@@ -882,6 +882,14 @@ class TestReconstructAndScores:
     def test_fidelity_zero_norm(self):
         with pytest.raises(ValueError, match="zero-norm"):
             fidelity(np.zeros((4, 4)), np.eye(4))
+
+    def test_fidelity_shape_mismatch(self):
+        with pytest.raises(ValueError, match=r"shape mismatch \(2, 2\) vs \(4, 4\)"):
+            fidelity(np.eye(2), np.eye(4))
+
+    def test_max_relative_element_error_zero_reference(self):
+        with pytest.raises(ValueError, match="reference matrix is zero"):
+            max_relative_element_error(np.zeros((4, 4)), np.eye(4))
 
     def test_max_relative_element_error(self):
         ref = np.array([[2.0, 0.0], [0.0, -2.0]], dtype=complex)
